@@ -166,7 +166,8 @@ def cli_verify(file, checks, seed, cap_vertices):
         for check in checks.split(","):
             results[check] = _check(check, ws, cc, rng, cap_vertices)
         ok = all(r.get("ok") for r in results.values())
-        _emit({"ok": ok, "checks": results}, seed=seed, digest=digest)
+        _emit({"ok": ok, "checks": results}, seed=seed,
+              caps={"vertices": cap_vertices}, digest=digest)
         if not ok:
             sys.exit(EXIT_DOMAIN)
     _run(go)

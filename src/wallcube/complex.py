@@ -10,14 +10,16 @@ vertices; the detector checks this level by level, an n-cube being present
 when two opposite (n-1)-faces are (see `_complete_skeleton`).
 
 Orientations are int bitmasks over wall positions: bit 0 means the wall's
-`left` halfspace is chosen, bit 1 means `right`.
+`left` halfspace is chosen, bit 1 means `right`.  Validity is a 2-SAT
+instance, one boolean per wall and one 2-clause per disjoint pair of
+halfspaces, so all valid orientations are enumerated by a search whose work
+is bounded by its output (see `OrientationEngine.enumerate_valid`).
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from . import kernels
 from .errors import (
     IncompleteOrientation,
     InvalidZeroCube,
@@ -29,10 +31,22 @@ from .errors import (
     UnknownPoint,
     WallcubeError,
 )
-from .metric import bits, popcount
+from .metric import bits
 from .wallspace import betwixt_set, transverse, validate
 
 DEFAULT_VERTEX_CAP = 1 << 20
+
+
+def conflict_tables(lefts, rights):
+    """conf[s][t][i] = bitmask of walls j whose side-t halfspace is disjoint
+    from the side-s halfspace of wall i (side 0 left, 1 right).
+
+    j = i is included, so an empty halfspace conflicts with itself, which is
+    exactly the rule that bans orienting a vacuous wall to its empty side.
+    """
+    sides = (lefts, rights)
+    return [[[sum(1 << j for j, h2 in enumerate(sides[t]) if not h & h2)
+              for h in sides[s]] for t in range(2)] for s in range(2)]
 
 
 class OrientationEngine:
@@ -44,7 +58,7 @@ class OrientationEngine:
         lefts = [w.left for w in ws.walls]
         rights = [w.right for w in ws.walls]
         self.sides = (lefts, rights)
-        self.conf = kernels.conflict_tables(lefts, rights)
+        self.conf = conflict_tables(lefts, rights)
         self.fullw = (1 << self.n) - 1
 
     def chosen(self, m, i):
@@ -52,7 +66,12 @@ class OrientationEngine:
         return self.sides[(m >> i) & 1][i]
 
     def is_valid(self, m):
-        return kernels.is_valid(m, self.conf, self.n)
+        conf = self.conf
+        for i in range(self.n):
+            s = (m >> i) & 1
+            if (conf[s][0][i] & ~m) | (conf[s][1][i] & m):
+                return False
+        return True
 
     def flippable(self, m, i):
         """Valid orientation stays valid after flipping position i?"""
@@ -81,10 +100,57 @@ class OrientationEngine:
         return m
 
     def enumerate_valid(self, cap):
-        if self.n >= 1 and (1 << self.n) > cap:
-            raise StateSpaceCap(
-                f"2^{self.n} orientations exceed budget {cap}")
-        return kernels.enumerate_valid(self.sides[0], self.sides[1])
+        """All valid orientation bitmasks, ascending.
+
+        A 2-SAT search over states (assigned walls, orientation, forbidden
+        left sides, forbidden right sides).  Choosing a side ORs its conflict
+        masks into the forbidden masks; a free wall with one side forbidden
+        is forced to the other, until nothing more is forced, and a state
+        whose chosen sides are forbidden (a wall forced both ways included)
+        is dropped.  Otherwise the lowest free wall is branched on.
+
+        In a wallspace whose walls cover X, a nonempty halfspace h meeting
+        every assigned side forces only sides containing h, so each branch
+        reaches a vertex: the search visits 2·(vertices) − 1 states.  It
+        raises StateSpaceCap past `cap` vertices or (n+1)·cap states, the
+        second bounding dead-end search on non-covering inputs.
+        """
+        (c00, c01), (c10, c11) = self.conf
+        budget = (self.n + 1) * cap
+        out = []
+        # empty sides are forbidden from the start
+        fl, fr = (sum(1 << i for i, h in enumerate(side) if not h)
+                  for side in self.sides)
+        stack = [(0, 0, fl, fr)]
+        while stack:
+            budget -= 1
+            if budget < 0:
+                raise StateSpaceCap(
+                    f"search budget {(self.n + 1) * cap} states exceeded")
+            a, m, fl, fr = stack.pop()
+            while not (fl & a & ~m) | (fr & m):
+                free = self.fullw & ~a
+                to_r, to_l = fl & free, fr & free
+                if to_r | to_l:
+                    a |= to_r | to_l
+                    m |= to_r
+                    for j in bits(to_r):
+                        fl, fr = fl | c10[j], fr | c11[j]
+                    for j in bits(to_l):
+                        fl, fr = fl | c00[j], fr | c01[j]
+                elif free:
+                    i = free & -free
+                    j = i.bit_length() - 1
+                    stack.append((a | i, m | i, fl | c10[j], fr | c11[j]))
+                    stack.append((a | i, m, fl | c00[j], fr | c01[j]))
+                    break
+                else:
+                    if len(out) >= cap:
+                        raise StateSpaceCap(
+                            f"vertex budget {cap} exceeded")
+                    out.append(m)
+                    break
+        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -356,11 +422,12 @@ def build_dual(ws, basepoint, vertex_cap=DEFAULT_VERTEX_CAP):
 
 
 def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
-    """Ground-truth oracle: the complex on ALL valid orientations."""
+    """The complex on ALL valid orientations, found by the 2-SAT search of
+    `OrientationEngine.enumerate_valid` without a basepoint; raises
+    StateSpaceCap past `vertex_cap` vertices or (walls+1)·`vertex_cap`
+    search states.  It checks `build_dual`'s connectivity."""
     eng = OrientationEngine(ws)
     verts = eng.enumerate_valid(vertex_cap)
-    if len(verts) > vertex_cap:
-        raise StateSpaceCap(f"vertex budget {vertex_cap} exceeded")
     cubes = _complete_skeleton(verts, eng.n)
     return CubeComplex(ws, eng, verts, cubes)
 

@@ -18,12 +18,15 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
+from .complex import canonical_cube
 from .errors import (
+    EmptySubcomplex,
     NotAnAutomorphism,
     StateSpaceCap,
     UnknownGenerator,
     WallcubeError,
 )
+from .hemi import dual_sub, induce_hemi, represented_in
 from .metric import Metric, bits
 from .wallspace import Wall, Wallspace
 
@@ -790,9 +793,6 @@ def rel_cocompact_check(ws, cc, peripheries, variant, m=None):
     peripheral subcomplexes must pairwise intersect inside the depth-< m
     part.
     """
-    from .complex import canonical_cube
-    from .hemi import dual_sub, induce_hemi, represented_in
-
     seeds = set()
     for p in ws.points:
         seeds.update(canonical_cube(ws, p).corners())
@@ -820,7 +820,7 @@ def rel_cocompact_check(ws, cc, peripheries, variant, m=None):
     for h in hemis:
         try:
             subs.append(set(dual_sub(cc, h).vertices))
-        except Exception:
+        except EmptySubcomplex:
             subs.append(set())
     for a in range(len(subs)):
         for b in range(a + 1, len(subs)):

@@ -16,6 +16,7 @@ from wallcube.complex import (
     _complete_skeleton,
     build_dual,
     canonical_cube,
+    conflict_tables,
     contract_loop,
     cube_distance,
     cube_from_family,
@@ -34,7 +35,14 @@ from wallcube.errors import (
     StuckLoop,
     WallcubeError,
 )
-from wallcube.generators import fig3, grid, non_hausdorff3
+from wallcube.generators import fig3, grid, non_hausdorff3, rbad
+from wallcube.groups import (
+    CyclicSubgroup,
+    Free,
+    HWallSpec,
+    cayley_ball,
+    generate_hwall_system,
+)
 from wallcube.wallspace import (
     Wall,
     Wallspace,
@@ -57,15 +65,38 @@ def valid_spaces():
 
 
 def test_is_zero_cube_matches_oracle():
-    for ws in valid_spaces()[:12]:
+    for ws in valid_spaces()[:12] + [grid(3)]:
         for m in range(1 << ws.nwalls()):
             assert is_zero_cube(ws, m) == oracle_is_zero_cube(ws, m)
 
 
+def test_conflict_tables_hand_case():
+    # two disjoint halfspaces conflict; overlapping ones do not
+    lefts = [0b0011, 0b0001]
+    rights = [0b1100, 0b1110]
+    conf = conflict_tables(lefts, rights)
+    # left of wall 0 ({p0,p1}) vs right of wall 0 ({p2,p3}): disjoint
+    assert conf[0][1][0] & 1
+    # left of wall 0 vs left of wall 1 ({p0}): overlap
+    assert not conf[0][0][0] & 0b10
+
+
 def test_enumeration_matches_oracle():
-    for ws in valid_spaces():
+    no_walls = Wallspace(["x"], [])
+    for ws in valid_spaces() + [grid(3), no_walls]:
         cc = enumerate_all_orientations(ws)
         assert cc.vertices == oracle_all_vertices(ws)
+
+
+def test_enumeration_matches_build_dual_beyond_brute_force():
+    # 74 and 27 walls: far past any 2^walls enumeration
+    f2 = Free(2)
+    f2_r3, _meta = generate_hwall_system(
+        cayley_ball(f2, 3),
+        [HWallSpec(CyclicSubgroup(f2, "a"), "branch", axis="a")])
+    for ws in (rbad(8), f2_r3):
+        assert enumerate_all_orientations(ws).vertices == \
+            build_dual(ws, ws.points[0]).vertices
 
 
 def test_build_dual_every_basepoint_matches_enumeration():
@@ -307,6 +338,18 @@ def test_vertex_cap():
         build_dual(grid(3), "0,0", vertex_cap=3)
     with pytest.raises(StateSpaceCap):
         enumerate_all_orientations(grid(3), vertex_cap=3)
+
+
+def test_search_budget_on_unsatisfiable_noncovering_space():
+    # 24 unconstrained walls ahead of two walls whose only halfspaces {p}
+    # and {q} are disjoint: every branch dies at the last pair, so only the
+    # search-state budget stops the 2^24-leaf dead-end tree
+    full = 0b111
+    walls = [Wall(i, full, full) for i in range(24)]
+    walls += [Wall(24, 0b001, 0b001), Wall(25, 0b010, 0b010)]
+    ws = Wallspace(["p", "q", "r"], walls)
+    with pytest.raises(StateSpaceCap):
+        enumerate_all_orientations(ws, vertex_cap=100)
 
 
 def test_export_dict_shape():

@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from wallcube.complex import build_dual
-from wallcube.errors import StateSpaceCap, WallcubeError
+from wallcube import groups
+from wallcube.errors import EmptySubcomplex, StateSpaceCap, WallcubeError
 from wallcube.groups import (
     ActionMap,
     CoordinateSubgroup,
@@ -292,6 +293,28 @@ def test_rel_cocompact_no_peripheries_tree():
     assert rep.k_part == total
     assert rep.least_m >= 1
     assert rep.coverage_violations == [] and rep.unique == 0
+
+
+def test_rel_cocompact_empty_periphery_only(monkeypatch):
+    # an empty peripheral subcomplex intersects nothing; any other error
+    # from dual_sub must surface instead of passing as an empty set
+    ball, (ws, _meta) = z2_system(2)
+    cc = build_dual(ws, ws.points[0])
+    peripheries = [list(ws.points)[:3], list(ws.points)[3:6]]
+
+    def empty(cc, hemi):
+        raise EmptySubcomplex("no vertex")
+
+    monkeypatch.setattr(groups, "dual_sub", empty)
+    rep = rel_cocompact_check(ws, cc, peripheries, InducedVariant("U0"))
+    assert rep.intersection_ok
+
+    def broken(cc, hemi):
+        raise WallcubeError("bug in dual_sub")
+
+    monkeypatch.setattr(groups, "dual_sub", broken)
+    with pytest.raises(WallcubeError, match="bug in dual_sub"):
+        rel_cocompact_check(ws, cc, peripheries, InducedVariant("U0"))
 
 
 def test_rel_cocompact_partition_consistency():

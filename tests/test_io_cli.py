@@ -153,6 +153,26 @@ def test_cli_verify_pass(tmp_path):
                                   "maximal-bijection", "convexity"}
 
 
+def test_cli_verify_reports_vertex_cap(tmp_path):
+    gen = run_cli(["gen", "fig3"])
+    path = write(tmp_path, "fig3.json", gen.stdout)
+    r = run_cli(["verify", path, "--cap-vertices", "4096"])
+    assert r.exit_code == 0
+    assert json.loads(r.stdout)["caps"] == {"vertices": 4096}
+
+
+def test_cli_verify_rbad4(tmp_path):
+    # 22 walls: the orientation enumeration is bounded by its output, not
+    # by 2^walls
+    gen = run_cli(["gen", "rbad", "4"])
+    path = write(tmp_path, "rbad4.json", gen.stdout)
+    r = run_cli(["verify", path])
+    assert r.exit_code == 0
+    connected = json.loads(r.stdout)["payload"]["checks"]["connected"]
+    assert connected["ok"] is True
+    assert connected["vertices"] == connected["all_orientations"]
+
+
 def test_cli_diagnose(tmp_path):
     gen = run_cli(["gen", "grid", "4"])
     path = write(tmp_path, "grid4.json", gen.stdout)
