@@ -1,16 +1,9 @@
-"""Kernel equivalence: numba, numpy, and pure-python paths agree."""
-
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
+"""Orientation validity and the 2-SAT enumerator against brute force."""
 
 from conftest import oracle_all_vertices, random_wallspace
-from wallcube import kernels
+from wallcube.complex import DEFAULT_VERTEX_CAP, OrientationEngine
 from wallcube.generators import fig3, grid
-from wallcube.wallspace import validate
+from wallcube.wallspace import Wallspace, validate
 
 
 def cases():
@@ -22,88 +15,16 @@ def cases():
     return out
 
 
-def tables(ws):
-    lefts = [w.left for w in ws.walls]
-    rights = [w.right for w in ws.walls]
-    conf = kernels.conflict_tables(lefts, rights)
-    arrs = tuple(np.array(conf[s][t], dtype=np.uint64)
-                 for s in range(2) for t in range(2))
-    return lefts, rights, conf, arrs
-
-
 def test_pure_python_matches_oracle():
     for ws in cases():
-        _l, _r, conf, _a = tables(ws)
-        n = ws.nwalls()
-        mine = [m for m in range(1 << n) if kernels.is_valid(m, conf, n)]
+        eng = OrientationEngine(ws)
+        mine = [m for m in range(1 << eng.n) if eng.is_valid(m)]
         assert mine == oracle_all_vertices(ws)
-
-
-def test_numpy_matches_pure():
-    for ws in cases():
-        _l, _r, conf, arrs = tables(ws)
-        n = ws.nwalls()
-        pure = [m for m in range(1 << n) if kernels.is_valid(m, conf, n)]
-        out = kernels._enumerate_numpy(*arrs, n)
-        assert [int(m) for m in out] == pure
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_matches_numpy():
-    for ws in cases():
-        _l, _r, _conf, arrs = tables(ws)
-        n = ws.nwalls()
-        a = kernels._enumerate_numba(*arrs, n)
-        b = kernels._enumerate_numpy(*arrs, n)
-        assert list(a) == list(b)
 
 
 def test_enumerate_valid_dispatch():
     ws = grid(2)
-    lefts = [w.left for w in ws.walls]
-    rights = [w.right for w in ws.walls]
-    out = kernels.enumerate_valid(lefts, rights)
+    out = OrientationEngine(ws).enumerate_valid(DEFAULT_VERTEX_CAP)
     assert out == oracle_all_vertices(ws)
-    assert kernels.enumerate_valid([], []) == [0]
-
-
-def test_env_flag_disables_numba():
-    code = ("import os, wallcube.kernels as k; "
-            "print(k.use_numba())")
-    env = dict(os.environ, WALLCUBE_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
-    env.pop("WALLCUBE_NO_NUMBA")
-    out2 = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert out2.stdout.strip() == str(kernels.HAVE_NUMBA)
-
-
-def test_results_identical_with_flag():
-    ws = grid(3)
-    lefts = [w.left for w in ws.walls]
-    rights = [w.right for w in ws.walls]
-    old = os.environ.get("WALLCUBE_NO_NUMBA")
-    try:
-        os.environ["WALLCUBE_NO_NUMBA"] = "1"
-        a = kernels.enumerate_valid(lefts, rights)
-        os.environ.pop("WALLCUBE_NO_NUMBA")
-        b = kernels.enumerate_valid(lefts, rights)
-    finally:
-        if old is not None:
-            os.environ["WALLCUBE_NO_NUMBA"] = old
-        else:
-            os.environ.pop("WALLCUBE_NO_NUMBA", None)
-    assert a == b
-
-
-def test_conflict_tables_hand_case():
-    # two disjoint halfspaces conflict; overlapping ones do not
-    lefts = [0b0011, 0b0001]
-    rights = [0b1100, 0b1110]
-    conf = kernels.conflict_tables(lefts, rights)
-    # left of wall 0 ({p0,p1}) vs right of wall 0 ({p2,p3}): disjoint
-    assert conf[0][1][0] & 1
-    # left of wall 0 vs left of wall 1 ({p0}): overlap
-    assert not conf[0][0][0] & 0b10
+    no_walls = Wallspace(["x"], [])
+    assert OrientationEngine(no_walls).enumerate_valid(DEFAULT_VERTEX_CAP) == [0]
