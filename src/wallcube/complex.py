@@ -80,9 +80,6 @@ class OrientationEngine:
         bad = (self.conf[s][0][i] & ~m2) | (self.conf[s][1][i] & m2)
         return bad == 0
 
-    def flippable_set(self, m):
-        return [i for i in range(self.n) if self.flippable(m, i)]
-
     def toward_point(self, p):
         """Orientation toward point p: betwixting walls left (tie-break),
         others the side containing p."""
@@ -151,6 +148,14 @@ class OrientationEngine:
                     out.append(m)
                     break
         return sorted(out)
+
+
+def _engine(ws):
+    """The wallspace's OrientationEngine, built on first use and kept on it,
+    so each wallspace pays for its conflict tables once."""
+    if ws._engine is None:
+        ws._engine = OrientationEngine(ws)
+    return ws._engine
 
 
 @dataclass(frozen=True)
@@ -306,7 +311,7 @@ class CubeComplex:
 
 def is_zero_cube(ws, orientation):
     """Orientation given as a bitmask or a dict wall-index -> 0|1."""
-    eng = OrientationEngine(ws)
+    eng = _engine(ws)
     m = _as_mask(ws, orientation)
     return eng.is_valid(m)
 
@@ -325,7 +330,7 @@ def _as_mask(ws, orientation):
 
 
 def flippable(ws, c, w_index):
-    eng = OrientationEngine(ws)
+    eng = _engine(ws)
     m = _as_mask(ws, c)
     if not eng.is_valid(m):
         raise InvalidZeroCube(m)
@@ -399,7 +404,7 @@ def build_dual(ws, basepoint, vertex_cap=DEFAULT_VERTEX_CAP):
         raise WallcubeError(f"wallspace does not validate: {rep.errors}")
     if basepoint not in ws.point_index:
         raise UnknownPoint(basepoint)
-    eng = OrientationEngine(ws)
+    eng = _engine(ws)
     seed = eng.toward_point(basepoint)
     if not eng.is_valid(seed):
         raise OrientationConflict(
@@ -426,7 +431,7 @@ def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
     `OrientationEngine.enumerate_valid` without a basepoint; raises
     StateSpaceCap past `vertex_cap` vertices or (walls+1)·`vertex_cap`
     search states.  It checks `build_dual`'s connectivity."""
-    eng = OrientationEngine(ws)
+    eng = _engine(ws)
     verts = eng.enumerate_valid(vertex_cap)
     cubes = _complete_skeleton(verts, eng.n)
     return CubeComplex(ws, eng, verts, cubes)
@@ -437,8 +442,7 @@ def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
 
 def canonical_cube(ws, x):
     """The cube of x: betwixting walls independent, all others toward x."""
-    eng = OrientationEngine(ws)
-    seed = eng.toward_point(x)
+    seed = _engine(ws).toward_point(x)
     free = frozenset(ws.wall_pos[i] for i in betwixt_set(ws, x))
     return Cube(seed, free).normalized()
 
@@ -457,7 +461,7 @@ def path_to_canonical(ws, c, x0):
     Returns the list of visited orientations (starting at c); its length - 1
     equals the initial number of misoriented walls.
     """
-    eng = OrientationEngine(ws)
+    eng = _engine(ws)
     m = _as_mask(ws, c)
     if not eng.is_valid(m):
         raise InvalidZeroCube(m)
@@ -564,7 +568,7 @@ def cube_from_family(ws, family, p):
             if w.right & b_p and not w.left & b_p:
                 m |= 1 << i
     cube = Cube(m, frozenset(ws.wall_pos[w] for w in indep)).normalized()
-    eng = OrientationEngine(ws)
+    eng = _engine(ws)
     for corner in cube.corners():
         if not eng.is_valid(corner):
             raise OrientationConflict(

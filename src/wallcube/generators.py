@@ -9,8 +9,6 @@ geomPath(n)   geometric wallspace of the path graph 0-1-...-n
 cayley(...)   Cayley-ball systems, see the groups module
 """
 
-import numpy as np
-
 from .errors import UnknownGenerator
 from .metric import Metric
 from .wallspace import Wall, Wallspace, from_geometric_walls
@@ -55,10 +53,8 @@ def grid(n):
                           mask(lambda i, j, k=k: j >= k)))
         idx += 1
     npts = len(points)
-    dist = np.zeros((npts, npts))
-    for a, (i1, j1) in enumerate(coords):
-        for b, (i2, j2) in enumerate(coords):
-            dist[a, b] = abs(i1 - i2) + abs(j1 - j2)
+    dist = [[abs(i1 - i2) + abs(j1 - j2) for i2, j2 in coords]
+            for i1, j1 in coords]
     edges = [(pidx[f"{i},{j}"], pidx[f"{i2},{j2}"], 1)
              for i, j in coords for i2, j2 in coords
              if (abs(i - i2), abs(j - j2)) in ((0, 1), (1, 0))
@@ -88,7 +84,7 @@ def rbad(n):
     for r in range(npts):
         walls.append(Wall(idx, 1 << r, full & ~(1 << r)))
         idx += 1
-    dist = np.abs(np.subtract.outer(np.arange(npts), np.arange(npts))).astype(float)
+    dist = [[abs(i - j) for j in range(npts)] for i in range(npts)]
     edges = [(i, i + 1, 1) for i in range(npts - 1)]
     return Wallspace(points, walls, metric=Metric(dist, edges=edges),
                      max_points=max(64, npts), max_walls=max(64, len(walls)))

@@ -15,9 +15,6 @@ effect is reported, never silently passed.
 from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
-import numpy as np
-
 from .complex import canonical_cube
 from .errors import (
     EmptySubcomplex,
@@ -27,7 +24,7 @@ from .errors import (
     WallcubeError,
 )
 from .hemi import dual_sub, induce_hemi, represented_in
-from .metric import Metric, bits
+from .metric import Metric, bits, components
 from .wallspace import Wall, Wallspace
 
 TRUNCATION_CAVEAT = ("all conclusions are radius-limited: computed on a "
@@ -187,11 +184,11 @@ class CayleyBall:
         self.by_name = {n: i for i, n in enumerate(self.names)}
         self.by_elem = {g: i for i, g in enumerate(elements)}
         n = len(elements)
-        dist = np.zeros((n, n))
+        dist = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 d = spec.length(spec.mul(spec.inv(elements[i]), elements[j]))
-                dist[i, j] = dist[j, i] = d
+                dist[i][j] = dist[j][i] = d
         edges = []
         for i, g in enumerate(elements):
             for s in spec.generators():
@@ -200,9 +197,6 @@ class CayleyBall:
                 if j is not None and i < j:
                     edges.append((i, j, 1))
         self.metric = Metric(dist, edges=edges)
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(range(n))
-        self.graph.add_edges_from((i, j) for i, j, _ in edges)
 
     def contains(self, g):
         return g in self.by_elem
@@ -403,21 +397,22 @@ def _swaps_sides(ball, h, u, v):
     return False
 
 
-def _orbit_count(ball, hmembers, indices):
-    """Partial H-orbit count of the given ball-element indices."""
-    if not indices:
-        return 0
+def _orbit_count(ball, hmembers, indices, glue=()):
+    """Partial H-orbit count of the given ball-element indices; the indices
+    of each bitmask in `glue` count as one piece."""
     spec = ball.spec
-    g = nx.Graph()
-    g.add_nodes_from(indices)
-    iset = set(indices)
+    mask = sum(1 << i for i in indices)
+    adj = [0] * len(ball.elements)
     for h in hmembers:
         for i in indices:
-            hg = spec.mul(h, ball.elements[i])
-            j = ball.by_elem.get(hg)
-            if j in iset:
-                g.add_edge(i, j)
-    return nx.number_connected_components(g)
+            j = ball.by_elem.get(spec.mul(h, ball.elements[i]))
+            if j is not None and mask >> j & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    for piece in glue:
+        for i in bits(piece):
+            adj[i] |= piece
+    return len(components(adj, mask))
 
 
 @dataclass
@@ -482,43 +477,28 @@ def codim_one_analysis(ball, subgroup, d):
     boundary sphere of the ball."""
     hmask = ball.mask_of(subgroup.contains)
     removed = ball.metric.ball(hmask, d) if hmask else 0
-    keep = [i for i in range(len(ball.elements)) if not (removed >> i) & 1]
-    sub = ball.graph.subgraph(keep)
-    comps = [sorted(c) for c in nx.connected_components(sub)]
-    comps.sort()
+    adj = ball.metric.adjacency()
+    keep = ((1 << len(ball.elements)) - 1) & ~removed
+    comps = components(adj, keep)  # ordered by lowest element
     spec = ball.spec
     hmembers = [g for g in ball.elements
                 if subgroup.contains(g) and g != spec.identity()]
     out = []
-    deep_ids = []
+    deep = []
     for ci, comp in enumerate(comps):
-        deep = any(spec.length(ball.elements[i]) == ball.radius
-                   for i in comp)
-        frontier = sorted({i for i in comp
-                           for j in ball.graph.neighbors(i)
-                           if (removed >> j) & 1})
-        out.append({"id": ci, "size": len(comp), "deep": deep,
+        members = bits(comp)
+        is_deep = any(spec.length(ball.elements[i]) == ball.radius
+                      for i in members)
+        frontier = [i for i in members if adj[i] & removed]
+        out.append({"id": ci, "size": len(members), "deep": is_deep,
                     "frontier_size": len(frontier),
                     "frontier_orbits": _orbit_count(ball, hmembers, frontier)})
-        if deep:
-            deep_ids.append(ci)
+        if is_deep:
+            deep.append(comp)
     # partial H-orbit classes of deep components
-    g = nx.Graph()
-    g.add_nodes_from(deep_ids)
-    comp_of = {}
-    for ci in deep_ids:
-        for i in comps[ci]:
-            comp_of[i] = ci
-    for h in hmembers:
-        for ci in deep_ids:
-            for i in comps[ci]:
-                hg = spec.mul(h, ball.elements[i])
-                j = ball.by_elem.get(hg)
-                if j in comp_of:
-                    g.add_edge(ci, comp_of[j])
-    classes = nx.number_connected_components(g) if deep_ids else 0
+    classes = _orbit_count(ball, hmembers, bits(sum(deep)), glue=deep)
     return {"d": d, "n_components": len(comps),
-            "n_deep": len(deep_ids), "deep_orbit_classes": classes,
+            "n_deep": len(deep), "deep_orbit_classes": classes,
             "components": out, "caveat": TRUNCATION_CAVEAT}
 
 

@@ -95,7 +95,8 @@ def induce_hemi(ws, P, variant):
         if r_max is None:
             r_max = metric.diameter()
         radii = sorted({0.0, r_max}
-                       | {d for d in metric.dist.flat if 0 < d <= r_max})
+                       | {d for row in metric.dist for d in row
+                          if 0 < d <= r_max})
         return any(big(side_mask, r) for r in radii)
 
     fixed = {}

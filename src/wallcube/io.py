@@ -9,8 +9,6 @@ tool version, seed, caps, and a digest of its input.
 import hashlib
 import json
 
-import numpy as np
-
 from .errors import ParseError
 from .metric import Metric, bits
 from .wallspace import Wall, Wallspace
@@ -32,31 +30,55 @@ def wallspace_to_dict(ws):
                 [sorted([ws.points[i], ws.points[j]]) + [w]
                  for i, j, w in ws.metric.edges])}
         else:
-            doc["metric"] = {"table": ws.metric.dist.tolist()}
+            doc["metric"] = {"table": [list(row) for row in ws.metric.dist]}
     return doc
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def wallspace_from_dict(doc, max_points=None, max_walls=None):
     try:
         points = list(doc["points"])
-        walls = []
         pidx = {p: i for i, p in enumerate(points)}
-        for w in doc["walls"]:
-            left = sum(1 << pidx[p] for p in w["left"])
-            right = sum(1 << pidx[p] for p in w["right"])
-            walls.append(Wall(int(w["index"]), left, right))
+
+        def index(field, p):
+            if p not in pidx:
+                raise ParseError(f"{field}: unknown point {p!r}")
+            return pidx[p]
+
+        walls = []
+        for k, w in enumerate(doc["walls"]):
+            sides = []
+            for side in ("left", "right"):
+                field = f"walls[{k}].{side}"
+                sides.append(sum({1 << index(field, p) for p in w[side]}))
+            walls.append(Wall(int(w["index"]), *sides))
         metric = None
         if "metric" in doc and doc["metric"]:
             md = doc["metric"]
             if "edges" in md:
-                metric = Metric.from_edges(
-                    len(points),
-                    [(pidx[a], pidx[b], w) for a, b, w in md["edges"]])
+                edges = []
+                for k, (a, b, w) in enumerate(md["edges"]):
+                    field = f"metric.edges[{k}]"
+                    if not _is_number(w):
+                        raise ParseError(f"{field}: weight {w!r} is not a number")
+                    edges.append((index(field, a), index(field, b), w))
+                metric = Metric.from_edges(len(points), edges)
             else:
-                metric = Metric(np.array(md["table"], dtype=float))
+                table = md["table"]
+                for i, row in enumerate(table):
+                    if not isinstance(row, list) or len(row) != len(table):
+                        raise ParseError(f"metric.table[{i}] is not a row "
+                                         f"of {len(table)} entries")
+                    for j, x in enumerate(row):
+                        if not _is_number(x):
+                            raise ParseError(
+                                f"metric.table[{i}][{j}]: {x!r} is not a number")
+                metric = Metric(table)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad wallspace document: {exc}") from exc
-    kw = {}
     if max_points is None:
         max_points = max(64, len(points))
     if max_walls is None:

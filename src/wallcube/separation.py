@@ -15,10 +15,8 @@ every report.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import networkx as nx
-
 from .errors import NotAnAutomorphism, WallcubeError
-from .metric import INF, bits
+from .metric import INF, bits, compress, max_cliques
 from .wallspace import (
     separation_count,
     subwallspace,
@@ -233,17 +231,9 @@ def subspace_separation(ws, Y, kind, r):
     metric = ws.require_metric()
     ymask = Y if isinstance(Y, int) else ws.mask_of(Y)
     sub = subwallspace(ws, ymask)
-    yidx = bits(ymask)
-    remap = {old: new for new, old in enumerate(yidx)}
-
-    def to_sub(mask):
-        out = 0
-        for b in bits(mask & ymask):
-            out |= 1 << remap[b]
-        return out
 
     def sub_separated(mask_a, mask_b):
-        a, b = to_sub(mask_a), to_sub(mask_b)
+        a, b = compress(mask_a, ymask), compress(mask_b, ymask)
         if a == 0 or b == 0:
             return True  # "any wall separates them"
         return any(_separates_sets(sub, w.index, a, b) for w in sub.walls)
@@ -288,20 +278,20 @@ class PackingReport:
 
 def bounded_packing_number(ws, subsets, D):
     """Max family of the given point subsets that is pairwise D-close
-    (d <= D), found by exhaustive clique search."""
+    (d <= D), found by exhaustive clique search.  The witness is the
+    lexicographically least sorted list of subset positions among the
+    largest such families."""
     metric = ws.require_metric()
     masks = [s if isinstance(s, int) else ws.mask_of(s) for s in subsets]
-    g = nx.Graph()
-    g.add_nodes_from(range(len(masks)))
+    adj = [0] * len(masks)
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if metric.dist_sets(masks[i], masks[j]) <= D:
-                g.add_edge(i, j)
-    best = []
-    for c in nx.find_cliques(g):
-        if len(c) > len(best):
-            best = c
-    return PackingReport(D=D, k=len(best), witness_family=sorted(best))
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    best = min((bits(c) for c in max_cliques(adj)),
+               key=lambda c: (-len(c), c), default=[])
+    return PackingReport(D=D, k=len(best), witness_family=best)
 
 
 def axis_cut_test(ws, action, w_index, n_max, cc=None):

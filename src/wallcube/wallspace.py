@@ -11,9 +11,6 @@ identical halfspaces but different indices are distinct walls.
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-import numpy as np
-
 from .errors import (
     DuplicateInducedPartition,
     IndexOutOfRange,
@@ -24,7 +21,7 @@ from .errors import (
     WallcubeError,
     WrongComponentCount,
 )
-from .metric import Metric, bits
+from .metric import Metric, bits, components, compress, max_cliques
 
 DEFAULT_MAX_POINTS = 64
 DEFAULT_MAX_WALLS = 64
@@ -92,6 +89,9 @@ class Wallspace:
             raise WallcubeError("metric size does not match point count")
         self.max_points = max_points
         self.max_walls = max_walls
+        # OrientationEngine (conflict tables) built by `complex` on first use;
+        # it stays valid because the walls are a tuple of frozen Walls
+        self._engine = None
 
     # -- small helpers -------------------------------------------------
 
@@ -237,14 +237,16 @@ def max_transverse_families(ws):
     Returns (families, k) where families is a sorted list of sorted tuples of
     wall indices and k is the max clique size (the k-plane constant).
     """
-    g = nx.Graph()
     idxs = [w.index for w in ws.walls if not w.is_vacuous(ws.full)]
-    g.add_nodes_from(idxs)
+    adj = [0] * len(idxs)
     for a in range(len(idxs)):
         for b in range(a + 1, len(idxs)):
             if transverse(ws, idxs[a], idxs[b]):
-                g.add_edge(idxs[a], idxs[b])
-    fams = sorted(tuple(sorted(c)) for c in nx.find_cliques(g)) if idxs else []
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    # cliques are sets of wall positions; report sorted wall indices
+    fams = sorted(tuple(sorted(idxs[a] for a in bits(c)))
+                  for c in max_cliques(adj))
     k = max((len(f) for f in fams), default=0)
     return fams, k
 
@@ -258,36 +260,25 @@ def from_geometric_walls(points, edges, wall_subsets,
     removal leaves exactly two components U, V; the halfspaces are W ∪ U and
     W ∪ V.  The graph's path metric is attached.
     """
-    g = nx.Graph()
-    g.add_nodes_from(points)
+    pidx = {p: i for i, p in enumerate(points)}
     norm_edges = []
     for e in edges:
-        if len(e) == 2:
-            p, q = e
-            w = 1
-        else:
-            p, q, w = e
-        g.add_edge(p, q, weight=w)
-        norm_edges.append((p, q, w))
-    if not nx.is_connected(g):
+        p, q, w = e if len(e) == 3 else (*e, 1)
+        norm_edges.append((pidx[p], pidx[q], w))
+    metric = Metric.from_edges(len(points), norm_edges)
+    adj = metric.adjacency()
+    full = (1 << len(points)) - 1
+    if len(components(adj, full)) != 1:
         raise WallcubeError("ambient graph is not connected")
-    pidx = {p: i for i, p in enumerate(points)}
     walls = []
     for widx, subset in enumerate(wall_subsets):
-        subset = set(subset)
-        sub = g.subgraph(subset)
-        if len(subset) == 0 or not nx.is_connected(sub):
+        wmask = sum(1 << pidx[p] for p in set(subset))
+        if len(components(adj, wmask)) != 1:
             raise NotConnected(widx)
-        rest = g.subgraph(set(points) - subset)
-        comps = list(nx.connected_components(rest))
+        comps = components(adj, full & ~wmask)
         if len(comps) != 2:
             raise WrongComponentCount(widx, len(comps))
-        wmask = sum(1 << pidx[p] for p in subset)
-        u = wmask | sum(1 << pidx[p] for p in comps[0])
-        v = wmask | sum(1 << pidx[p] for p in comps[1])
-        walls.append(Wall(widx, u, v))
-    metric = Metric.from_edges(
-        len(points), [(pidx[p], pidx[q], w) for p, q, w in norm_edges])
+        walls.append(Wall(widx, wmask | comps[0], wmask | comps[1]))
     return Wallspace(points, walls, metric=metric,
                      max_points=max_points, max_walls=max_walls)
 
@@ -305,19 +296,10 @@ def subwallspace(ws, Y):
     if ymask == 0:
         raise WallcubeError("Y must be nonempty")
     ypts = [p for p in ws.points if ws.point_bit(p) & ymask]
-    yidx = bits(ymask)
-    remap = {old: new for new, old in enumerate(yidx)}
-
-    def project(mask):
-        out = 0
-        for b in bits(mask & ymask):
-            out |= 1 << remap[b]
-        return out
-
     yfull = (1 << len(ypts)) - 1
     walls = []
     for w in ws.walls:
-        u, v = project(w.left), project(w.right)
+        u, v = compress(w.left, ymask), compress(w.right, ymask)
         if {u, v} == {0, yfull}:
             continue  # induced vacuous wall dropped
         walls.append(Wall(w.index, u, v))
@@ -334,6 +316,7 @@ def subwallspace(ws, Y):
         raise DuplicateInducedPartition(dups)
     metric = None
     if ws.metric is not None:
-        metric = Metric(ws.metric.dist[np.ix_(yidx, yidx)])
+        yidx = bits(ymask)
+        metric = Metric([[ws.metric.dist[i][j] for j in yidx] for i in yidx])
     return Wallspace(ypts, walls, metric=metric,
                      max_points=ws.max_points, max_walls=ws.max_walls)

@@ -11,8 +11,6 @@ level scan.
 import random
 from itertools import combinations
 
-import numpy as np
-
 from wallcube.complex import Cube
 from wallcube.metric import Metric
 from wallcube.wallspace import Wall, Wallspace

@@ -1,9 +1,12 @@
 """Group families, Cayley balls, H-wall systems, actions, decompositions."""
 
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
 
+from wallcube import complex as complex_mod
 from wallcube.complex import build_dual
 from wallcube import groups
 from wallcube.errors import EmptySubcomplex, StateSpaceCap, WallcubeError
@@ -315,6 +318,34 @@ def test_rel_cocompact_empty_periphery_only(monkeypatch):
     monkeypatch.setattr(groups, "dual_sub", broken)
     with pytest.raises(WallcubeError, match="bug in dual_sub"):
         rel_cocompact_check(ws, cc, peripheries, InducedVariant("U0"))
+
+
+@pytest.mark.parametrize("variant, summary, digest", [
+    (InducedVariant("U0"), (1, 1, 129, 0, 0, 0, True),
+     "d65fe1b917baa306896f200130c42fd68f5638fd715fad8546b32ead4f314e64"),
+    (InducedVariant("Ur", r=1), (0, 0, 0, 80, 0, 49, False),
+     "d0d95c4a15a33dff18060797810c967016921454471d88add0fc1ac70bce587e"),
+])
+def test_rel_cocompact_z2_axes_recorded(monkeypatch, variant, summary,
+                                        digest):
+    # recorded output on the Z^2 radius-3 system with the two coordinate
+    # axes as peripheries; the wallspace's conflict tables are built once,
+    # by build_dual, and reused by every canonical_cube call
+    builds = []
+    tables = complex_mod.conflict_tables
+    monkeypatch.setattr(complex_mod, "conflict_tables",
+                        lambda *a: builds.append(1) or tables(*a))
+    ball, (ws, _meta) = z2_system(3)
+    cc = build_dual(ws, ws.points[0])
+    axes = [[n for n, g in zip(ball.names, ball.elements)
+             if CoordinateSubgroup(Z2, [k]).contains(g)] for k in (0, 1)]
+    rep = rel_cocompact_check(ws, cc, axes, variant).to_dict()
+    assert len(builds) == 1
+    assert (rep["m"], rep["least_m"], rep["k_part"], rep["unique"],
+            len(rep["coverage_violations"]), len(rep["isolation_violations"]),
+            rep["intersection_ok"]) == summary
+    text = json.dumps(rep, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_rel_cocompact_partition_consistency():

@@ -111,6 +111,25 @@ def test_cli_parse_error(tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("doc, where", [
+    ({"metric": {"table": [[0, 1], [1]]}}, "metric.table[1]"),
+    ({"metric": {"table": [[0, 1, 1], [1, 0, 1]]}}, "metric.table[0]"),
+    ({"metric": {"table": [[0, "x"], ["x", 0]]}}, "metric.table[0][1]"),
+    ({"metric": {"edges": [["a", "c", 1]]}}, "metric.edges[0]: unknown point 'c'"),
+    ({"metric": {"edges": [["a", "b", "far"]]}}, "metric.edges[0]: weight"),
+    ({"walls": [{"index": 0, "left": ["a"], "right": ["b", "c"]}]},
+     "walls[0].right: unknown point 'c'"),
+])
+def test_cli_malformed_document(tmp_path, doc, where):
+    base = {"points": ["a", "b"],
+            "walls": [{"index": 0, "left": ["a"], "right": ["b"]}]}
+    path = write(tmp_path, "bad.json", json.dumps({**base, **doc}))
+    r = run_cli(["validate", path])
+    assert r.exit_code == 2
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParseError" and where in err["detail"]
+
+
 def test_cli_build_grid(tmp_path):
     gen = run_cli(["gen", "grid", "3"])
     path = write(tmp_path, "grid3.json", gen.stdout)

@@ -1,0 +1,135 @@
+"""Metric and bitmask graph helpers against networkx and scipy, which stay
+test-only oracles."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import networkx as nx
+import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
+
+import wallcube
+from wallcube.errors import WallcubeError
+from wallcube.metric import Metric, bits, components, max_cliques
+
+
+def random_graph(seed):
+    """(n, edge list) of a seeded random graph, density varying by seed."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    p = rng.random()
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < p]
+    return n, edges
+
+
+def graphs():
+    out = [(0, []), (1, []), (5, []),                         # empty, isolated
+           (6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),  # K6
+           (5, [(0, 1), (1, 2)])]                             # plus isolated
+    out += [random_graph(s) for s in range(60)]
+    return out
+
+
+def masks(n, edges):
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def nx_graph(n, edges):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return g
+
+
+def test_max_cliques_matches_networkx():
+    for n, edges in graphs():
+        got = sorted(bits(c) for c in max_cliques(masks(n, edges)))
+        expect = sorted(sorted(c) for c in nx.find_cliques(nx_graph(n, edges)))
+        assert got == expect
+
+
+def test_components_matches_networkx():
+    rng = random.Random(7)
+    for n, edges in graphs():
+        adj = masks(n, edges)
+        for mask in ((1 << n) - 1, rng.getrandbits(n) if n else 0):
+            keep = bits(mask)
+            got = [bits(c) for c in components(adj, mask)]
+            expect = sorted(sorted(c) for c in nx.connected_components(
+                nx_graph(n, edges).subgraph(keep)))
+            assert got == expect  # also ordered by lowest vertex
+
+
+def test_from_edges_matches_scipy():
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        # two random components, so some pairs are unreachable
+        cut = rng.randint(1, n)
+        edges = {}
+        for lo, hi in ((0, cut), (cut, n)):
+            for j in range(lo + 1, hi):  # a tree plus up to one chord each
+                for _ in range(2):
+                    edges[(rng.randrange(lo, j), j)] = rng.uniform(0.1, 5.0)
+        triples = [(i, j, w) for (i, j), w in sorted(edges.items())]
+        rows = [i for i, j, _w in triples] + [j for i, j, _w in triples]
+        cols = [j for i, j, _w in triples] + [i for i, j, _w in triples]
+        data = [w for _i, _j, w in triples] * 2
+        expect = shortest_path(csr_matrix((data, (rows, cols)), shape=(n, n)),
+                               method="D", directed=False)
+        got = Metric.from_edges(n, triples).dist
+        for i in range(n):
+            # same shortest paths summed in another order: equal up to
+            # float64 rounding; an infinity only equals itself
+            assert got[i] == pytest.approx(list(expect[i]), rel=1e-12)
+        if cut < n:
+            assert got[0][n - 1] == float("inf")
+
+
+def test_metric_checks_and_tolerance():
+    Metric([[0, 1], [1 + 1e-9, 0]])  # within allclose's tolerance
+    Metric([[0, float("inf")], [float("inf"), 0]])
+    for table, msg in (([[0, 1], [2, 0]], "symmetric"),
+                       ([[0, 1], [float("inf"), 0]], "symmetric"),
+                       ([[0, 1, 2], [1, 0]], "square"),
+                       ([[1, 0], [0, 0]], "diagonal"),
+                       ([[0, -1], [-1, 0]], "nonnegative")):
+        with pytest.raises(WallcubeError, match=msg):
+            Metric(table)
+    with pytest.raises(WallcubeError, match="negative weight"):
+        Metric.from_edges(2, [(0, 1, -1)])
+
+
+def test_ball_and_set_distances():
+    m = Metric.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 2.5)])
+    assert m.ball(0b1, 1) == 0b11
+    assert m.ball(0b1, 1) == 0b11  # served from the per-radius cache
+    assert m.ball(0b101, 1) == 0b111
+    assert m.ball(0, 3) == 0
+    assert m.diam(0b1111) == 4.5 and m.diam(0) is None
+    assert m.dist_sets(0b1, 0b1000) == 4.5
+    assert m.dist_sets(0b1, 0b10000) == float("inf")
+    assert m.dist_sets(0, 0b1) == float("inf")
+    assert m.diameter() == float("inf")
+    assert m.frontier(0b11) == 0b10
+
+
+def test_import_pulls_no_numeric_stack():
+    src = str(Path(wallcube.__file__).resolve().parents[1])
+    code = ("import sys, wallcube, wallcube.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy', 'networkx') "
+            "if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

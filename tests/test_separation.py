@@ -8,7 +8,14 @@ import pytest
 from conftest import random_wallspace
 from wallcube.errors import MetricRequired, NotAnAutomorphism, WallcubeError
 from wallcube.generators import fig3, geom_path, grid, rbad
-from wallcube.groups import ActionMap
+from wallcube.groups import (
+    ActionMap,
+    CoordinateSubgroup,
+    FreeAbelian,
+    HWallSpec,
+    cayley_ball,
+    generate_hwall_system,
+)
 from wallcube.metric import INF, bits
 from wallcube.separation import (
     _least_threshold,
@@ -203,6 +210,24 @@ def test_packing_matches_bruteforce():
                        for a, b in combinations(sub, 2)):
                     best = max(best, r)
         assert rep.k == best
+
+
+def test_packing_witness_is_least_maximum_family():
+    # carriers of the Z^2 radius-3 H-wall system: many 4-families tie
+    ball = cayley_ball(FreeAbelian(2), 3)
+    ws, _meta = generate_hwall_system(ball, [
+        HWallSpec(CoordinateSubgroup(FreeAbelian(2), [1]), "coordinate",
+                  axis=0),
+        HWallSpec(CoordinateSubgroup(FreeAbelian(2), [0]), "coordinate",
+                  axis=1)])
+    regions = [w.carrier() for w in ws.walls]
+    rep = bounded_packing_number(ws, regions, 1)
+    close = [list(sub) for r in range(rep.k, rep.k + 2)
+             for sub in combinations(range(len(regions)), r)
+             if all(ws.metric.dist_sets(regions[a], regions[b]) <= 1
+                    for a, b in combinations(sub, 2))]
+    assert all(len(f) == rep.k for f in close) and len(close) > 1
+    assert rep.witness_family == min(close) == [0, 1, 7, 8]
 
 
 def test_metric_required():

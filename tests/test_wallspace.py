@@ -37,9 +37,15 @@ from wallcube.wallspace import (
 SEEDS = range(40)
 
 
+def reversed_walls(ws):
+    """The same wallspace with its walls listed against index order."""
+    return Wallspace(ws.points, ws.walls[::-1], metric=ws.metric)
+
+
 def spaces():
     out = [fig3(), grid(2), non_hausdorff3(), geom_path(4)]
     out += [random_wallspace(s) for s in SEEDS]
+    out += [reversed_walls(ws) for ws in out[:12]]
     return out
 
 
