@@ -268,10 +268,19 @@ def cli_act(file):
     """Group-actions pipeline: spec file -> wallspace + reports."""
     def go():
         doc, digest = _read_doc(file)
-        spec = groups.group_from_dict(doc["group"])
-        ball = groups.cayley_ball(spec, int(doc["radius"]))
+        # the whole spec is read before any computation, so a malformed
+        # one exits 2 naming the field
+        spec = groups.group_from_dict(io.get_field(doc, "group", "group"))
+        radius = io.int_field(doc, "radius", "radius")
         hws = [_hwall_from_dict(spec, h, i)
                for i, h in enumerate(doc.get("hwalls", []))]
+        subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]")
+                for k, pd in enumerate(doc.get("peripheries") or [])]
+        if subs:
+            vd = doc.get("variant", {"kind": "U0"})
+            variant = InducedVariant(vd.get("kind", "U0"),
+                                     r=vd.get("r", 0), tau=vd.get("tau", 1))
+        ball = groups.cayley_ball(spec, radius)
         ws, meta = groups.generate_hwall_system(ball, hws)
         payload = {
             "wallspace": io.wallspace_to_dict(ws),
@@ -279,17 +288,10 @@ def cli_act(file):
             "dropped_vacuous": meta.dropped_vacuous,
             "dropped_duplicate_partitions": meta.dropped_duplicate_partitions,
         }
-        if doc.get("peripheries"):
+        if subs:
             cc = build_dual(ws, ws.points[0])
-            vd = doc.get("variant", {"kind": "U0"})
-            variant = InducedVariant(vd.get("kind", "U0"),
-                                     r=vd.get("r", 0), tau=vd.get("tau", 1))
-            peripheries = []
-            for pd in doc["peripheries"]:
-                sub = _subgroup_from_dict(spec, pd)
-                peripheries.append(
-                    [n for n, g in zip(ball.names, ball.elements)
-                     if sub.contains(g)])
+            peripheries = [[n for n, g in zip(ball.names, ball.elements)
+                            if sub.contains(g)] for sub in subs]
             rep = groups.rel_cocompact_check(ws, cc, peripheries, variant,
                                              m=doc.get("m"))
             payload["decomposition"] = rep.to_dict()
@@ -297,20 +299,27 @@ def cli_act(file):
     _run(go)
 
 
-def _subgroup_from_dict(spec, d):
-    kind = d["kind"]
+def _subgroup_from_dict(spec, d, path):
+    kind = io.get_field(d, "kind", f"{path}.kind")
     if kind == "coordinate":
-        return groups.CoordinateSubgroup(spec, d["coords"])
+        return groups.CoordinateSubgroup(
+            spec, io.get_field(d, "coords", f"{path}.coords"))
     if kind == "cyclic":
-        return groups.CyclicSubgroup(spec, d["word"])
+        return groups.CyclicSubgroup(
+            spec, io.get_field(d, "word", f"{path}.word"))
     if kind == "factor":
-        return groups.FreeFactorSubgroup(spec, d["factor"])
+        return groups.FreeFactorSubgroup(
+            spec, io.get_field(d, "factor", f"{path}.factor"))
     raise ParseError(f"unknown subgroup kind {kind}")
 
 
 def _hwall_from_dict(spec, d, i):
-    sub = _subgroup_from_dict(spec, d["subgroup"])
-    return groups.HWallSpec(sub, d["rule"], axis=d.get("axis"), index=i)
+    path = f"hwalls[{i}]"
+    sub = _subgroup_from_dict(
+        spec, io.get_field(d, "subgroup", f"{path}.subgroup"),
+        f"{path}.subgroup")
+    return groups.HWallSpec(sub, io.get_field(d, "rule", f"{path}.rule"),
+                            axis=d.get("axis"), index=i)
 
 
 @main.command("sweep")

@@ -158,9 +158,20 @@ def _engine(ws):
     return ws._engine
 
 
+def _corners(base, wmask):
+    """The corners base | s of the cube (base, wmask), s running over the
+    submasks of wmask in ascending order."""
+    s = 0
+    while True:
+        yield base | s
+        s = (s - wmask) & wmask
+        if not s:
+            return
+
+
 @dataclass(frozen=True)
 class Cube:
-    """A cube of the dual complex.
+    """A cube of the dual complex, as returned to callers.
 
     `walls` are the positions of its independent walls; `base` is the corner
     orientation with every independent wall on its left side (those bits
@@ -174,73 +185,84 @@ class Cube:
     def dim(self):
         return len(self.walls)
 
+    @property
+    def mask(self):
+        """The wall positions as a bitmask."""
+        return sum(1 << w for w in self.walls)
+
     def corners(self):
-        ws = sorted(self.walls)
-        for k in range(1 << len(ws)):
-            m = self.base
-            for j, w in enumerate(ws):
-                if (k >> j) & 1:
-                    m |= 1 << w
-            yield m
+        return _corners(self.base, self.mask)
 
     def normalized(self):
-        m = self.base
-        for w in self.walls:
-            m &= ~(1 << w)
-        return Cube(m, frozenset(self.walls))
-
-    def is_face_of(self, other):
-        if not self.walls < other.walls:
-            return False
-        omask = 0
-        for w in other.walls:
-            omask |= 1 << w
-        return self.base & ~omask == other.base
+        return Cube(self.base & ~self.mask, self.walls)
 
 
 class CubeComplex:
-    """Immutable dual cube complex."""
+    """Immutable dual cube complex.
 
-    def __init__(self, ws, engine, vertices, cubes):
+    `cells` is its one cube store: wall mask W -> set of bases b, each pair
+    (b, W) the cube with corners b | (any subset of W), every bit of W
+    cleared in b.  The empty mask holds the vertices and the one-bit masks
+    the edges.  `vertices` (sorted), `vid`, `edges` and `adj` are read off
+    it; `cubes` and `all_cubes` give `Cube` views.
+    """
+
+    def __init__(self, ws, engine, cells):
         self.ws = ws
         self.engine = engine
-        self.vertices = sorted(vertices)
+        self.cells = cells
+        self.vertices = sorted(cells[0])
         self.vid = {m: i for i, m in enumerate(self.vertices)}
-        # edges as (u, v, wall position) with u < v as orientation masks
-        self.edges = []
+        cells[0] = self.vid.keys()  # the vertex set, held once
+        # adj[m]: (neighbour, wall position), in ascending wall order
         self.adj = {m: [] for m in self.vertices}
-        vset = set(self.vertices)
-        for m in self.vertices:
-            for i in range(engine.n):
-                m2 = m ^ (1 << i)
-                if m2 in vset:
-                    self.adj[m].append((m2, i))
-                    if m < m2:
-                        self.edges.append((m, m2, i))
-        self.edges.sort()
-        # cubes: dim -> set of normalized Cube, dims >= 2
-        self.cubes = {k: set(v) for k, v in cubes.items() if v}
+        for i in range(engine.n):
+            bit = 1 << i
+            for b in cells.get(bit, ()):
+                self.adj[b].append((b | bit, i))
+                self.adj[b | bit].append((b, i))
+
+    def has_cell(self, m, wmask):
+        """Is there a cube on the walls of `wmask` with corner m?"""
+        return (m & ~wmask) in self.cells.get(wmask, ())
 
     # -- structure -----------------------------------------------------
+
+    @property
+    def edges(self):
+        """Edges as (u, v, wall position), u < v, sorted."""
+        return sorted((b, b | bit, bit.bit_length() - 1)
+                      for bit, bases in self.cells.items()
+                      if bit.bit_count() == 1 for b in bases)
+
+    @property
+    def cubes(self):
+        """dim -> set of Cube, for the cubes of dimension >= 2."""
+        by_dim = {}
+        for wmask, bases in self.cells.items():
+            if wmask.bit_count() >= 2:
+                walls = frozenset(bits(wmask))
+                by_dim.setdefault(len(walls), set()).update(
+                    Cube(b, walls) for b in bases)
+        # built up, then copied: each set's layout, so the order of
+        # all_cubes() and of the reports that follow it, depends on both
+        return {k: set(cs) for k, cs in sorted(by_dim.items())}
 
     def nvertices(self):
         return len(self.vertices)
 
     def nedges(self):
-        return len(self.edges)
+        return self.cube_counts()[1]
 
     def dimension(self):
-        dims = [0]
-        if self.edges:
-            dims.append(1)
-        dims.extend(self.cubes.keys())
-        return max(dims)
+        return max(wmask.bit_count() for wmask in self.cells)
 
     def cube_counts(self):
-        counts = {0: len(self.vertices), 1: len(self.edges)}
-        for k, cs in sorted(self.cubes.items()):
-            counts[k] = len(cs)
-        return counts
+        counts = {0: 0, 1: 0}
+        for wmask, bases in self.cells.items():
+            k = wmask.bit_count()
+            counts[k] = counts.get(k, 0) + len(bases)
+        return dict(sorted(counts.items()))
 
     def all_cubes(self):
         """Every cube of every dimension, 0-cubes and edges included."""
@@ -251,13 +273,7 @@ class CubeComplex:
         return out
 
     def has_cube(self, cube):
-        cube = cube.normalized()
-        if cube.dim == 0:
-            return cube.base in self.vid
-        if cube.dim == 1:
-            (w,) = cube.walls
-            return cube.base in self.vid and cube.base | (1 << w) in self.vid
-        return cube in self.cubes.get(cube.dim, set())
+        return self.has_cell(cube.base, cube.mask)
 
     def require_cube(self, cube):
         if not self.has_cube(cube):
@@ -289,20 +305,19 @@ class CubeComplex:
         return dist
 
     def export_dict(self):
+        index = [w.index for w in self.ws.walls]
         verts = [{"id": i, "orientation": [(m >> j) & 1
                                            for j in range(self.engine.n)]}
                  for i, m in enumerate(self.vertices)]
-        edges = [{"u": self.vid[u], "v": self.vid[v],
-                  "wall": self.ws.walls[w].index}
+        edges = [{"u": self.vid[u], "v": self.vid[v], "wall": index[w]}
                  for u, v, w in self.edges]
-        cubes = []
-        for k in sorted(self.cubes):
-            for c in sorted(self.cubes[k], key=lambda c: (c.base, sorted(c.walls))):
-                cubes.append({
-                    "dim": k,
-                    "walls": sorted(self.ws.walls[w].index for w in c.walls),
-                    "vertices": sorted(self.vid[m] for m in c.corners()),
-                })
+        cubes = sorted((wmask.bit_count(), b, bits(wmask), wmask)
+                       for wmask, bases in self.cells.items()
+                       if wmask.bit_count() >= 2 for b in bases)
+        cubes = [{"dim": k,
+                  "walls": sorted(index[w] for w in walls),
+                  "vertices": sorted(self.vid[m] for m in _corners(b, wmask))}
+                 for k, b, walls, wmask in cubes]
         return {"vertices": verts, "edges": edges, "cubes": cubes}
 
 
@@ -339,7 +354,8 @@ def flippable(ws, c, w_index):
 
 def _complete_skeleton(vertex_set, nwalls):
     """Sageev's skeleton completion: every k-cube whose (k-1)-skeleton is
-    present, for k >= 2.  Returns dict dim -> set of normalized Cube.
+    present.  Returns the cells, wall mask -> set of bases (see CubeComplex),
+    level by level: the vertices, the edges, then each k >= 2.
 
     The vertex set is an induced subgraph of the hypercube on `nwalls` bits,
     so an edge is present exactly when both its ends are vertices, and by
@@ -350,9 +366,7 @@ def _complete_skeleton(vertex_set, nwalls):
     (m, W) and (m | 1<<i, W); so level k is read off level k-1 by checking
     that pair, and each cube is reached once, from its highest wall.
 
-    Cubes are kept as (base, wall mask) int pairs, every wall bit cleared in
-    base, grouped as wall mask -> set of bases; Cube objects are made only
-    for the result.
+    Cubes are (base, wall mask) int pairs, every wall bit cleared in base.
     """
     vset = set(vertex_set)
     # up[m]: walls i with bit i clear in m and m | 1<<i a vertex
@@ -372,8 +386,7 @@ def _complete_skeleton(vertex_set, nwalls):
             bit = u & -u
             level.setdefault(bit, set()).add(m)
             u ^= bit
-    cubes = {}
-    k = 2
+    cells = {0: vset, **level}
     while level:
         nxt = {}
         for wmask, bases in level.items():
@@ -385,15 +398,9 @@ def _complete_skeleton(vertex_set, nwalls):
                     if m | bit in bases:
                         nxt.setdefault(wmask | bit, set()).add(m)
                     u ^= bit
-        if nxt:
-            found = set()
-            for wmask, bases in nxt.items():
-                walls = frozenset(bits(wmask))
-                found.update(Cube(m, walls) for m in bases)
-            cubes[k] = found
+        cells.update(nxt)
         level = nxt
-        k += 1
-    return cubes
+    return cells
 
 
 def build_dual(ws, basepoint, vertex_cap=DEFAULT_VERTEX_CAP):
@@ -422,8 +429,7 @@ def build_dual(ws, basepoint, vertex_cap=DEFAULT_VERTEX_CAP):
                             f"vertex budget {vertex_cap} exceeded")
                     seen.add(m2)
                     q.append(m2)
-    cubes = _complete_skeleton(seen, eng.n)
-    return CubeComplex(ws, eng, seen, cubes)
+    return CubeComplex(ws, eng, _complete_skeleton(seen, eng.n))
 
 
 def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
@@ -433,8 +439,7 @@ def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
     search states.  It checks `build_dual`'s connectivity."""
     eng = _engine(ws)
     verts = eng.enumerate_valid(vertex_cap)
-    cubes = _complete_skeleton(verts, eng.n)
-    return CubeComplex(ws, eng, verts, cubes)
+    return CubeComplex(ws, eng, _complete_skeleton(verts, eng.n))
 
 
 # -- canonical cubes and paths ----------------------------------------
@@ -506,16 +511,17 @@ def cube_distance(cc, a, b):
 
 
 def maximal_cubes(cc):
-    """All cubes not properly contained in another cube."""
-    by_dim = {}
-    for c in cc.all_cubes():
-        by_dim.setdefault(c.dim, []).append(c)
+    """All cubes not properly contained in another cube, in ascending
+    dimension: (b, W) is maximal when no wall i outside W has a cube
+    (b & ~(1<<i), W | 1<<i).  Such a cube has an edge on wall i at b, so
+    only the walls of b's edges are tried."""
     out = []
-    for k, cs in sorted(by_dim.items()):
-        above = by_dim.get(k + 1, [])
-        for c in cs:
-            if not any(c.is_face_of(c2) for c2 in above):
-                out.append(c)
+    for wmask, bases in sorted(cc.cells.items(),
+                               key=lambda item: item[0].bit_count()):
+        walls = frozenset(bits(wmask))
+        out += [Cube(b, walls) for b in bases
+                if not any(cc.has_cell(b, wmask | 1 << i)
+                           for _m, i in cc.adj[b] if not wmask >> i & 1)]
     return out
 
 
@@ -588,54 +594,30 @@ class NPCReport:
         return {"ok": self.ok, "violations": self.violations}
 
 
-def verify_npc(complex_data):
+def verify_npc(cc):
     """Vertex links are simplicial flag complexes.
 
-    Accepts a CubeComplex or export-form dict {vertices, edges, cubes}.
-    A link vertex is an incident edge (identified by its wall label); walls
-    w1, w2 are adjacent at v iff some square contains v with walls {w1, w2};
-    flag condition: every pairwise-adjacent set of link vertices spans a cube.
+    The link at v has a vertex per edge at v, named by its wall; walls i, j
+    are adjacent iff a square on {i, j} has corner v.  Every clique of size
+    >= 3, grown in wall-index order, must span a cube at v; one that does
+    not is reported and not grown.  Each clique grown is a cell at v and
+    costs one `has_cell` lookup per candidate, so the work is at most the
+    sum over v of cells(v)·deg(v), bounded by the size of the complex.
     """
-    if isinstance(complex_data, CubeComplex):
-        complex_data = complex_data.export_dict()
-    verts = [v["id"] for v in complex_data["vertices"]]
-    incident = {v: [] for v in verts}
+    index = [w.index for w in cc.ws.walls]
     violations = []
-    seen_edges = set()
-    for e in complex_data["edges"]:
-        key = (min(e["u"], e["v"]), max(e["u"], e["v"]))
-        if key in seen_edges:
-            violations.append({"kind": "RepeatedEdge", "edge": key})
-        seen_edges.add(key)
-        incident[e["u"]].append(e["wall"])
-        incident[e["v"]].append(e["wall"])
-    cubes_at = {v: {} for v in verts}  # v -> dim -> set of frozenset walls
-    for c in complex_data["cubes"]:
-        for v in c["vertices"]:
-            cubes_at[v].setdefault(c["dim"], set()).add(frozenset(c["walls"]))
-    for v in verts:
-        link = sorted(set(incident[v]))
-        if len(link) != len(incident[v]):
-            violations.append({"kind": "RepeatedLinkVertex", "vertex": v,
-                               "walls": sorted(w for w in link
-                                               if incident[v].count(w) > 1)})
-        squares = cubes_at[v].get(2, set())
-        adj = {w: set() for w in link}
-        for sq in squares:
-            a, b = sorted(sq)
-            adj[a].add(b)
-            adj[b].add(a)
-        # enumerate pairwise-adjacent subsets of size >= 3 and demand a cube
+    for vid, v in enumerate(cc.vertices):
         def extend(clique, candidates):
-            for idx, w in enumerate(candidates):
-                new = clique + [w]
-                if len(new) >= 3:
-                    if frozenset(new) not in cubes_at[v].get(len(new), set()):
-                        violations.append({"kind": "MissingCube", "vertex": v,
-                                           "walls": sorted(new)})
-                        continue
-                extend(new, [c for c in candidates[idx + 1:] if c in adj[w]])
-        extend([], link)
+            for k, i in enumerate(candidates):
+                new = clique | 1 << i
+                if clique & (clique - 1) and not cc.has_cell(v, new):
+                    violations.append({
+                        "kind": "MissingCube", "vertex": vid,
+                        "walls": sorted(index[j] for j in bits(new))})
+                    continue
+                extend(new, [j for j in candidates[k + 1:]
+                             if cc.has_cell(v, 1 << i | 1 << j)])
+        extend(0, sorted((i for _m, i in cc.adj[v]), key=index.__getitem__))
     return NPCReport(ok=not violations, violations=violations)
 
 
@@ -650,9 +632,9 @@ def contract_loop(cc, loop, max_steps=100000):
     path = list(loop)
     if len(path) >= 2 and path[0] != path[-1]:
         raise WallcubeError("loop is not closed")
-    edge_set = {(u, v) for u, v, w in cc.edges}
     for a, b in zip(path, path[1:]):
-        if (min(a, b), max(a, b)) not in edge_set:
+        d = a ^ b
+        if not d or d & (d - 1) or not cc.has_cell(a, d):
             raise NotInComplex((a, b))
     moves = []
     steps = 0
@@ -686,8 +668,7 @@ def contract_loop(cc, loop, max_steps=100000):
         while q > p + 1:
             u, mid, v = path[q - 1], path[q], path[q + 1]
             w1, w2 = _edge_wall(u, mid), _edge_wall(mid, v)
-            sq = Cube(u, frozenset((w1, w2))).normalized()
-            if sq not in cc.cubes.get(2, set()):
+            if not cc.has_cell(u, 1 << w1 | 1 << w2):
                 raise StuckLoop(
                     f"square on walls {sorted((w1, w2))} missing at step {q}")
             new_mid = u ^ (1 << w2)

@@ -24,6 +24,7 @@ from .errors import (
     WallcubeError,
 )
 from .hemi import dual_sub, induce_hemi, represented_in
+from .io import get_field, int_field
 from .metric import Metric, bits, components
 from .wallspace import Wall, Wallspace
 
@@ -158,14 +159,18 @@ class FreeProduct:
                 "factors": [f.to_dict() for f in self.factors]}
 
 
-def group_from_dict(d):
-    kind = d["kind"]
+def group_from_dict(d, path="group"):
+    """The group spec of a document; a missing field is a ParseError naming
+    its `path`."""
+    kind = get_field(d, "kind", f"{path}.kind")
     if kind == "FreeAbelian":
-        return FreeAbelian(d["d"])
+        return FreeAbelian(int_field(d, "d", f"{path}.d"))
     if kind == "Free":
-        return Free(d["rank"])
+        return Free(int_field(d, "rank", f"{path}.rank"))
     if kind == "FreeProduct":
-        return FreeProduct([group_from_dict(f) for f in d["factors"]])
+        factors = get_field(d, "factors", f"{path}.factors")
+        return FreeProduct([group_from_dict(f, f"{path}.factors[{k}]")
+                            for k, f in enumerate(factors)])
     raise UnknownGenerator(kind)
 
 

@@ -9,6 +9,7 @@ with every fixed orientation, and it is always convex in the 1-skeleton.
 
 from dataclasses import dataclass
 
+from .complex import CubeComplex
 from .errors import EmptySubcomplex, MetricRequired, NotAHemiwallspace, WallcubeError
 from .wallspace import Wallspace
 
@@ -38,6 +39,16 @@ class Hemiwallspace:
         self.independent = [w.index for w in parent.walls
                             if w.index not in self.fixed]
         self.meta = meta or {}
+        # the dependent walls' positions, and their fixed sides
+        pos = parent.wall_pos
+        self.fixed_mask = sum(1 << pos[i] for i in self.fixed)
+        self.fixed_bits = sum(s << pos[i] for i, s in self.fixed.items())
+
+    def represents(self, base, wmask):
+        """Are all halfspaces of the cube (base, wmask) retained: both sides
+        of each of its walls, and the chosen side of every other wall?"""
+        return (not wmask & self.fixed_mask
+                and base & self.fixed_mask == self.fixed_bits)
 
     def retains(self, wall_index, side):
         """Is the given halfspace (side 0=left, 1=right) retained?"""
@@ -120,33 +131,15 @@ def induce_hemi(ws, P, variant):
 
 def dual_sub(cc, hemi):
     """Full subcomplex of cc on the vertices agreeing with hemi's fixed
-    orientations.  Returns (vertex masks, edges, cubes) as a SubComplex."""
-    ws = cc.ws
-    fixed_bits = [(ws.wall_pos[i], s) for i, s in hemi.fixed.items()]
-    verts = [m for m in cc.vertices
-             if all((m >> pos) & 1 == s for pos, s in fixed_bits)]
-    if not verts:
-        raise EmptySubcomplex("no vertex agrees with the fixed orientations")
-    vset = set(verts)
-    edges = [(u, v, w) for u, v, w in cc.edges if u in vset and v in vset]
-    cubes = {}
-    for k, cs in cc.cubes.items():
-        keep = {c for c in cs if all(m in vset for m in c.corners())}
+    orientations: the cubes represented in hemi, as a CubeComplex."""
+    cells = {}
+    for wmask, bases in cc.cells.items():
+        keep = {b for b in bases if hemi.represents(b, wmask)}
         if keep:
-            cubes[k] = keep
-    return SubComplex(cc, verts, edges, cubes)
-
-
-class SubComplex:
-    def __init__(self, parent, vertices, edges, cubes):
-        self.parent = parent
-        self.vertices = sorted(vertices)
-        self.edges = sorted(edges)
-        self.cubes = cubes
-
-    def dimension(self):
-        dims = [0] + ([1] if self.edges else []) + list(self.cubes.keys())
-        return max(dims)
+            cells[wmask] = keep
+    if not cells:
+        raise EmptySubcomplex("no vertex agrees with the fixed orientations")
+    return CubeComplex(cc.ws, cc.engine, cells)
 
 
 def is_convex(cc, sub):
@@ -193,16 +186,7 @@ def _geodesic_through(cc, a, v, b, da, db):
 def represented_in(cube, hemi):
     """All halfspaces of the cube's defining data are retained by hemi:
     both sides of each independent wall, and each fixed dependent side."""
-    ws = hemi.parent
-    for pos, w in enumerate(ws.walls):
-        if pos in cube.walls:
-            if not (hemi.retains(w.index, 0) and hemi.retains(w.index, 1)):
-                return False
-        else:
-            side = (cube.base >> pos) & 1
-            if not hemi.retains(w.index, side):
-                return False
-    return True
+    return hemi.represents(cube.base, cube.mask)
 
 
 def forget_unpaired(hemi):

@@ -38,9 +38,25 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def get_field(doc, key, path):
+    """doc[key]; a ParseError naming the field by its `path` in the
+    document when doc is no object or has no such key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"missing field {path}")
+    return doc[key]
+
+
+def int_field(doc, key, path):
+    """get_field for a field that must hold an integer."""
+    x = get_field(doc, key, path)
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ParseError(f"{path}: {x!r} is not an integer")
+    return x
+
+
 def wallspace_from_dict(doc, max_points=None, max_walls=None):
     try:
-        points = list(doc["points"])
+        points = list(get_field(doc, "points", "points"))
         pidx = {p: i for i, p in enumerate(points)}
 
         def index(field, p):
@@ -49,12 +65,14 @@ def wallspace_from_dict(doc, max_points=None, max_walls=None):
             return pidx[p]
 
         walls = []
-        for k, w in enumerate(doc["walls"]):
+        for k, w in enumerate(get_field(doc, "walls", "walls")):
             sides = []
             for side in ("left", "right"):
                 field = f"walls[{k}].{side}"
-                sides.append(sum({1 << index(field, p) for p in w[side]}))
-            walls.append(Wall(int(w["index"]), *sides))
+                sides.append(sum({1 << index(field, p)
+                                  for p in get_field(w, side, field)}))
+            walls.append(Wall(int(get_field(w, "index", f"walls[{k}].index")),
+                              *sides))
         metric = None
         if "metric" in doc and doc["metric"]:
             md = doc["metric"]
@@ -67,7 +85,7 @@ def wallspace_from_dict(doc, max_points=None, max_walls=None):
                     edges.append((index(field, a), index(field, b), w))
                 metric = Metric.from_edges(len(points), edges)
             else:
-                table = md["table"]
+                table = get_field(md, "table", "metric.table")
                 for i, row in enumerate(table):
                     if not isinstance(row, list) or len(row) != len(table):
                         raise ParseError(f"metric.table[{i}] is not a row "

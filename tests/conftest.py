@@ -5,13 +5,14 @@ library's bitmask machinery, so that every fast path is checked against an
 independent reimplementation of the definitions.  The skeleton-completion
 oracle takes the vertex masks the complex is built from, but completes them
 with sets of `Cube` and a check of every face, not the library's int-mask
-level scan.
+level scan.  The maximal-cube, sub-complex and NPC oracles read a complex
+through its `Cube` views and its export document, never its cell store.
 """
 
 import random
 from itertools import combinations
 
-from wallcube.complex import Cube
+from wallcube.complex import Cube, CubeComplex
 from wallcube.metric import Metric
 from wallcube.wallspace import Wall, Wallspace
 
@@ -182,6 +183,103 @@ def _faces(cube):
         rest = cube.walls - {w}
         yield Cube(cube.base, rest)
         yield Cube(cube.base | (1 << w), rest)
+
+
+def strip_cells(cc, dim):
+    """cc without its cubes of dimension >= dim."""
+    cells = {w: b for w, b in cc.cells.items() if w.bit_count() < dim}
+    return CubeComplex(cc.ws, cc.engine, cells)
+
+
+def cube_key(c):
+    """A sort key that orders cubes by dimension, base and walls."""
+    return c.dim, c.base, sorted(c.walls)
+
+
+def oracle_maximal_cubes(cc):
+    """Cubes that are a face of no cube one dimension up, by a scan of all
+    pairs."""
+    by_dim = {}
+    for c in cc.all_cubes():
+        by_dim.setdefault(c.dim, []).append(c)
+    out = []
+    for k, cs in sorted(by_dim.items()):
+        above = by_dim.get(k + 1, [])
+        for c in cs:
+            if not any(_is_face_of(c, c2) for c2 in above):
+                out.append(c)
+    return out
+
+
+def _is_face_of(c, other):
+    if not c.walls < other.walls:
+        return False
+    omask = 0
+    for w in other.walls:
+        omask |= 1 << w
+    return c.base & ~omask == other.base
+
+
+def oracle_dual_sub(cc, hemi):
+    """(vertices, edges, dim -> set of Cube) of the full subcomplex on the
+    vertices agreeing with every fixed orientation: a cube is kept when all
+    of its corners are."""
+    ws = cc.ws
+    fixed_bits = [(ws.wall_pos[i], s) for i, s in hemi.fixed.items()]
+    verts = [m for m in cc.vertices
+             if all((m >> pos) & 1 == s for pos, s in fixed_bits)]
+    vset = set(verts)
+    edges = [(u, v, w) for u, v, w in cc.edges if u in vset and v in vset]
+    cubes = {}
+    for k, cs in cc.cubes.items():
+        keep = {c for c in cs if all(m in vset for m in c.corners())}
+        if keep:
+            cubes[k] = keep
+    return sorted(verts), sorted(edges), cubes
+
+
+def oracle_verify_npc(data):
+    """NPC violations of an export document {vertices, edges, cubes}: the
+    flag condition checked on sets of wall indices, plus repeated edges
+    and repeated link vertices."""
+    verts = [v["id"] for v in data["vertices"]]
+    incident = {v: [] for v in verts}
+    violations = []
+    seen_edges = set()
+    for e in data["edges"]:
+        key = (min(e["u"], e["v"]), max(e["u"], e["v"]))
+        if key in seen_edges:
+            violations.append({"kind": "RepeatedEdge", "edge": key})
+        seen_edges.add(key)
+        incident[e["u"]].append(e["wall"])
+        incident[e["v"]].append(e["wall"])
+    cubes_at = {v: {} for v in verts}  # v -> dim -> set of frozenset walls
+    for c in data["cubes"]:
+        for v in c["vertices"]:
+            cubes_at[v].setdefault(c["dim"], set()).add(frozenset(c["walls"]))
+    for v in verts:
+        link = sorted(set(incident[v]))
+        if len(link) != len(incident[v]):
+            violations.append({"kind": "RepeatedLinkVertex", "vertex": v,
+                               "walls": sorted(w for w in link
+                                               if incident[v].count(w) > 1)})
+        adj = {w: set() for w in link}
+        for sq in cubes_at[v].get(2, set()):
+            a, b = sorted(sq)
+            adj[a].add(b)
+            adj[b].add(a)
+
+        def extend(clique, candidates):
+            for idx, w in enumerate(candidates):
+                new = clique + [w]
+                if len(new) >= 3:
+                    if frozenset(new) not in cubes_at[v].get(len(new), set()):
+                        violations.append({"kind": "MissingCube", "vertex": v,
+                                           "walls": sorted(new)})
+                        continue
+                extend(new, [c for c in candidates[idx + 1:] if c in adj[w]])
+        extend([], link)
+    return violations
 
 
 def graph_distance(vertices, a, b):

@@ -5,15 +5,20 @@ import random
 import pytest
 
 from conftest import (
+    cube_key,
     graph_distance,
     oracle_all_vertices,
     oracle_complete_skeleton,
     oracle_is_zero_cube,
+    oracle_maximal_cubes,
+    oracle_verify_npc,
     random_wallspace,
+    strip_cells,
 )
 from wallcube.complex import (
     Cube,
-    _complete_skeleton,
+    CubeComplex,
+    OrientationEngine,
     build_dual,
     canonical_cube,
     conflict_tables,
@@ -111,10 +116,9 @@ def test_build_dual_every_basepoint_matches_enumeration():
 
 def test_detectors_agree():
     for ws in valid_spaces():
-        verts = set(enumerate_all_orientations(ws).vertices)
-        a = _complete_skeleton(verts, ws.nwalls())
-        b = oracle_complete_skeleton(verts, ws.nwalls())
-        assert a == b
+        cc = enumerate_all_orientations(ws)
+        assert cc.cubes == oracle_complete_skeleton(set(cc.vertices),
+                                                    ws.nwalls())
 
 
 def test_flippable_matches_validity():
@@ -264,26 +268,47 @@ def test_verify_npc_passes_on_duals():
 
 
 def test_verify_npc_catches_missing_cube():
-    # three squares around a corner vertex with no 3-cube filling them
-    data = {
-        "vertices": [{"id": i} for i in range(7)],
-        "edges": [
-            {"u": 0, "v": 1, "wall": 0}, {"u": 0, "v": 2, "wall": 1},
-            {"u": 0, "v": 3, "wall": 2}, {"u": 1, "v": 4, "wall": 1},
-            {"u": 2, "v": 4, "wall": 0}, {"u": 1, "v": 5, "wall": 2},
-            {"u": 3, "v": 5, "wall": 0}, {"u": 2, "v": 6, "wall": 2},
-            {"u": 3, "v": 6, "wall": 1},
-        ],
-        "cubes": [
-            {"dim": 2, "walls": [0, 1], "vertices": [0, 1, 2, 4]},
-            {"dim": 2, "walls": [0, 2], "vertices": [0, 1, 3, 5]},
-            {"dim": 2, "walls": [1, 2], "vertices": [0, 2, 3, 6]},
-        ],
+    # three squares around a corner vertex with no 3-cube filling them:
+    # the seven corners of a 3-cube on walls 0, 1, 2 but 0b111, the nine
+    # edges among them and the three squares at vertex 0b000 (id 0)
+    ws = Wallspace(["x"], [Wall(i, 1, 1) for i in range(3)])
+    cells = {
+        0: {0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110},
+        0b001: {0b000, 0b010, 0b100},
+        0b010: {0b000, 0b001, 0b100},
+        0b100: {0b000, 0b001, 0b010},
+        0b011: {0b000}, 0b101: {0b000}, 0b110: {0b000},
     }
-    rep = verify_npc(data)
+    cc = CubeComplex(ws, OrientationEngine(ws), cells)
+    assert cc.cube_counts() == {0: 7, 1: 9, 2: 3}
+    rep = verify_npc(cc)
     assert not rep.ok
     assert any(v["kind"] == "MissingCube" and v["vertex"] == 0
                and v["walls"] == [0, 1, 2] for v in rep.violations)
+
+
+def test_maximal_cubes_match_oracle():
+    for ws in valid_spaces():
+        cc = enumerate_all_orientations(ws)
+        for sub in (cc, strip_cells(cc, 3), strip_cells(cc, 2)):
+            assert sorted(maximal_cubes(sub), key=cube_key) == \
+                sorted(oracle_maximal_cubes(sub), key=cube_key)
+
+
+def test_verify_npc_matches_oracle():
+    failing = 0
+    # walls listed against index order too: links are walked by wall index
+    spaces = valid_spaces()
+    spaces += [Wallspace(ws.points, ws.walls[::-1]) for ws in spaces[:12]]
+    for ws in spaces:
+        cc = enumerate_all_orientations(ws)
+        for sub in (cc, strip_cells(cc, 3), strip_cells(cc, 2)):
+            rep = verify_npc(sub)
+            assert rep.violations == oracle_verify_npc(sub.export_dict())
+            assert rep.ok == (not rep.violations)
+            failing += not rep.ok
+    # the stripped complexes of dimension >= 3 run the failing branch
+    assert failing >= 5
 
 
 def test_contract_loop_squares_and_backtracks():
@@ -315,9 +340,7 @@ def test_contract_loop_errors():
 
 def test_contract_loop_stuck_without_square():
     # a hollow square: 4 vertices, 4 edges, no 2-cube
-    ws = grid(1)
-    cc = build_dual(ws, "0,0")
-    cc.cubes = {}  # strip the square
+    cc = strip_cells(build_dual(grid(1), "0,0"), 2)  # strip the square
     v = sorted(cc.vertices)
     loop = [v[0], v[1], v[3], v[2], v[0]]
     with pytest.raises(StuckLoop):

@@ -4,8 +4,21 @@ import random
 
 import pytest
 
-from conftest import random_wallspace
-from wallcube.complex import build_dual, enumerate_all_orientations
+from conftest import (
+    cube_key,
+    oracle_dual_sub,
+    oracle_maximal_cubes,
+    oracle_verify_npc,
+    random_wallspace,
+    strip_cells,
+)
+from wallcube.complex import (
+    CubeComplex,
+    build_dual,
+    enumerate_all_orientations,
+    maximal_cubes,
+    verify_npc,
+)
 from wallcube.errors import (
     EmptySubcomplex,
     NotAHemiwallspace,
@@ -107,14 +120,34 @@ def test_convexity_witness_on_nonconvex_subset():
     # a hand-picked non-convex vertex set: two opposite corners of a square
     ws = grid(1)
     cc = build_dual(ws, "0,0")
-    from wallcube.hemi import SubComplex
     v = sorted(cc.vertices)
-    sub = SubComplex(cc, [v[0], v[3]], [], {})
+    sub = CubeComplex(ws, cc.engine, {0: {v[0], v[3]}})
     convex, witness = is_convex(cc, sub)
     assert not convex
     # the witness is a real geodesic through an outside vertex
     assert witness[0] in (v[0], v[3]) and witness[-1] in (v[0], v[3])
     assert len(witness) == 3 and witness[1] in (v[1], v[2])
+
+
+def test_dual_sub_matches_oracle():
+    rng = random.Random(3)
+    variants = [InducedVariant("U0"), InducedVariant("Ur", r=1)]
+    for ws in metric_spaces(20):
+        cc = enumerate_all_orientations(ws)
+        for full in (cc, strip_cells(cc, 3)):
+            for variant in variants:
+                P = rng.sample(ws.points, rng.randint(1, len(ws.points)))
+                hemi = induce_hemi(ws, P, variant)
+                verts, edges, cubes = oracle_dual_sub(full, hemi)
+                sub = dual_sub(full, hemi)
+                assert sub.vertices == verts
+                assert sub.edges == edges
+                assert sub.cubes == cubes
+                # the subcomplex is a complex the other checks read
+                assert verify_npc(sub).violations == \
+                    oracle_verify_npc(sub.export_dict())
+                assert sorted(maximal_cubes(sub), key=cube_key) == \
+                    sorted(oracle_maximal_cubes(sub), key=cube_key)
 
 
 def test_represented_iff_vertex_subcomplex():

@@ -130,6 +130,22 @@ def test_cli_malformed_document(tmp_path, doc, where):
     assert err["error"] == "ParseError" and where in err["detail"]
 
 
+@pytest.mark.parametrize("doc, where", [
+    ({"walls": []}, "missing field points"),
+    ({"points": ["a"]}, "missing field walls"),
+    ({"points": ["a"], "walls": [{"index": 0, "right": ["a"]}]},
+     "missing field walls[0].left"),
+    ({"points": ["a"], "walls": [], "metric": {"rows": []}},
+     "missing field metric.table"),
+])
+def test_cli_missing_document_field(tmp_path, doc, where):
+    path = write(tmp_path, "bad.json", json.dumps(doc))
+    r = run_cli(["validate", path])
+    assert r.exit_code == 2
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParseError" and where in err["detail"]
+
+
 def test_cli_build_grid(tmp_path):
     gen = run_cli(["gen", "grid", "3"])
     path = write(tmp_path, "grid3.json", gen.stdout)
@@ -239,6 +255,57 @@ def test_cli_act(tmp_path):
     assert payload["hwall_reports"][0]["ok"] is True
     assert payload["decomposition"]["least_m"] == 0
     assert payload["decomposition"]["coverage_violations"] == []
+
+
+def act_spec(**changes):
+    """A small valid act spec with the given top-level fields replaced;
+    a field given as None is dropped."""
+    spec = {
+        "group": {"kind": "FreeAbelian", "d": 2},
+        "radius": 2,
+        "hwalls": [{"subgroup": {"kind": "coordinate", "coords": [1]},
+                    "rule": "coordinate", "axis": 0}],
+        "peripheries": [{"kind": "coordinate", "coords": [0]}],
+    }
+    spec.update(changes)
+    return {k: v for k, v in spec.items() if v is not None}
+
+
+@pytest.mark.parametrize("spec, where", [
+    ({}, "missing field group"),
+    (act_spec(group=None), "missing field group"),
+    (act_spec(radius=None), "missing field radius"),
+    (act_spec(radius=1.5), "radius: 1.5 is not an integer"),
+    (act_spec(radius="2"), "radius: '2' is not an integer"),
+    (act_spec(group={"kind": "FreeAbelian"}), "missing field group.d"),
+    (act_spec(group={"kind": "Free"}), "missing field group.rank"),
+    (act_spec(hwalls=[{"rule": "coordinate"}]),
+     "missing field hwalls[0].subgroup"),
+    (act_spec(hwalls=[{"subgroup": {"kind": "coordinate", "coords": [1]}}]),
+     "missing field hwalls[0].rule"),
+    (act_spec(peripheries=[{"kind": "coordinate"}]),
+     "missing field peripheries[0].coords"),
+])
+def test_cli_act_malformed_spec(tmp_path, spec, where):
+    path = write(tmp_path, "act.json", json.dumps(spec))
+    r = run_cli(["act", path])
+    assert r.exit_code == 2
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParseError" and where in err["detail"]
+
+
+def test_cli_act_library_key_error_surfaces(tmp_path, monkeypatch):
+    # only the spec is read as a document: a KeyError raised by the
+    # computation is a bug and must not pass for a parse error
+    from wallcube import groups
+
+    def broken(ball, hws):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(groups, "generate_hwall_system", broken)
+    path = write(tmp_path, "act.json", json.dumps(act_spec()))
+    r = run_cli(["act", path])
+    assert r.exit_code == 1 and isinstance(r.exception, KeyError)
 
 
 def test_cli_sweep():
