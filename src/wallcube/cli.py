@@ -277,9 +277,8 @@ def cli_act(file):
         subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]")
                 for k, pd in enumerate(doc.get("peripheries") or [])]
         if subs:
-            vd = doc.get("variant", {"kind": "U0"})
-            variant = InducedVariant(vd.get("kind", "U0"),
-                                     r=vd.get("r", 0), tau=vd.get("tau", 1))
+            variant = _variant_from_dict(doc.get("variant", {}))
+            m = _optional_int(doc, "m", "m", None)
         ball = groups.cayley_ball(spec, radius)
         ws, meta = groups.generate_hwall_system(ball, hws)
         payload = {
@@ -293,10 +292,25 @@ def cli_act(file):
             peripheries = [[n for n, g in zip(ball.names, ball.elements)
                             if sub.contains(g)] for sub in subs]
             rep = groups.rel_cocompact_check(ws, cc, peripheries, variant,
-                                             m=doc.get("m"))
+                                             m=m)
             payload["decomposition"] = rep.to_dict()
         _emit(payload, digest=digest)
     _run(go)
+
+
+def _optional_int(d, key, path, default):
+    """d[key] as an integer, or `default` when it is absent or null."""
+    return default if d.get(key) is None else io.int_field(d, key, path)
+
+
+def _variant_from_dict(d):
+    if not isinstance(d, dict):
+        raise ParseError(f"variant: {d!r} is not an object")
+    kind = d.get("kind", "U0")
+    if not isinstance(kind, str):
+        raise ParseError(f"variant.kind: {kind!r} is not a string")
+    return InducedVariant(kind, r=_optional_int(d, "r", "variant.r", 0),
+                          tau=_optional_int(d, "tau", "variant.tau", 1))
 
 
 def _subgroup_from_dict(spec, d, path):

@@ -490,24 +490,17 @@ def path_to_canonical(ws, c, x0):
 
 
 def cube_distance(cc, a, b):
-    """Min 1-skeleton distance between corners of cubes a and b."""
+    """Min 1-skeleton distance between corners of cubes a and b.
+
+    The popcount of the walls outside both cubes on which their bases
+    differ.  This needs a dual the library built (`build_dual`,
+    `enumerate_all_orientations` or `dual_sub`): its 1-skeleton is a median
+    graph whose hyperplanes are the walls, so the distance between two
+    vertices is the number of walls on which they differ (Sageev; Chepoi).
+    """
     cc.require_cube(a)
     cc.require_cube(b)
-    targets = set(b.corners())
-    sources = list(a.corners())
-    if targets & set(sources):
-        return 0
-    dist = {m: 0 for m in sources}
-    q = deque(sources)
-    while q:
-        m = q.popleft()
-        for m2, _w in cc.adj[m]:
-            if m2 not in dist:
-                dist[m2] = dist[m] + 1
-                if m2 in targets:
-                    return dist[m2]
-                q.append(m2)
-    raise NotInComplex("cubes lie in different components")
+    return ((a.base ^ b.base) & ~(a.mask | b.mask)).bit_count()
 
 
 def maximal_cubes(cc):

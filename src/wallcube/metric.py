@@ -1,10 +1,11 @@
 """Optional metric attached to a ground set, and the bitmask graph helpers.
 
 A metric is either given as an explicit symmetric distance table or as a
-weighted graph whose path metric is taken (shortest paths via Dijkstra).  Set
-arguments are bitmasks over the point ordering, matching the rest of the
-library; so are the graphs of `max_cliques` and `components`, given as a
-list of neighbour bitmasks.
+weighted graph whose path metric is taken (shortest paths by breadth-first
+search when every weight is 1, by Dijkstra otherwise).  Set arguments are
+bitmasks over the point ordering, matching the rest of the library; so are
+the graphs of `max_cliques` and `components`, given as a list of neighbour
+bitmasks.
 """
 
 import math
@@ -87,6 +88,45 @@ def _close(a, b):
     return abs(a - b) <= 1e-8 + 1e-5 * abs(b)
 
 
+def _dijkstra(nbrs, s):
+    """Distances from s in the graph with weighted neighbour lists nbrs."""
+    d = [INF] * len(nbrs)
+    d[s] = 0.0
+    heap = [(0.0, s)]
+    while heap:
+        du, u = heappop(heap)
+        if du > d[u]:
+            continue
+        for v, w in nbrs[u]:
+            dv = du + w
+            if dv < d[v]:
+                d[v] = dv
+                heappush(heap, (dv, v))
+    return d
+
+
+def _bfs(nbrs, s, levels):
+    """Distances from s when every edge has weight 1; levels[k] is the one
+    float k, shared by every row and extended as needed."""
+    d = [INF] * len(nbrs)
+    d[s] = levels[0]
+    frontier = [s]
+    k = 0
+    while frontier:
+        k += 1
+        if k == len(levels):
+            levels.append(float(k))
+        dk = levels[k]
+        new = []
+        for u in frontier:
+            for v, _w in nbrs[u]:
+                if d[v] == INF:
+                    d[v] = dk
+                    new.append(v)
+        frontier = new
+    return d
+
+
 class Metric:
     """Symmetric distance table (rows of floats), optionally backed by a
     graph."""
@@ -115,28 +155,20 @@ class Metric:
     @classmethod
     def from_edges(cls, n, edges):
         """Path metric of a weighted graph on n vertices; edges = (i, j, w).
-        Unreachable pairs are at distance inf."""
+        Unreachable pairs are at distance inf.  When every weight is 1 the
+        rows come from breadth-first search and equal distances share one
+        float object; otherwise from Dijkstra."""
         nbrs = [[] for _ in range(n)]
         for i, j, w in edges:
             if w < 0:
                 raise WallcubeError(f"edge ({i}, {j}) has negative weight {w}")
             nbrs[i].append((j, w))
             nbrs[j].append((i, w))
-        dist = []
-        for s in range(n):
-            d = [INF] * n
-            d[s] = 0.0
-            heap = [(0.0, s)]
-            while heap:
-                du, u = heappop(heap)
-                if du > d[u]:
-                    continue
-                for v, w in nbrs[u]:
-                    dv = du + w
-                    if dv < d[v]:
-                        d[v] = dv
-                        heappush(heap, (dv, v))
-            dist.append(d)
+        if all(w == 1 for _i, _j, w in edges):
+            levels = [0.0]
+            dist = [_bfs(nbrs, s, levels) for s in range(n)]
+        else:
+            dist = [_dijkstra(nbrs, s) for s in range(n)]
         return cls(dist, edges=edges)
 
     def d(self, i, j):

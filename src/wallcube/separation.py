@@ -18,10 +18,10 @@ from fractions import Fraction
 from .errors import NotAnAutomorphism, WallcubeError
 from .metric import INF, bits, compress, max_cliques
 from .wallspace import (
-    separation_count,
+    separating,
+    separation_index,
     subwallspace,
     transverse,
-    wall_separates_walls,
 )
 
 WALL_DISTANCE_NOTE = "wall distance = min over carrier U∩V, else frontiers"
@@ -39,15 +39,6 @@ def wall_region(ws, wall_index):
 
 def wall_distance(ws, mask, wall_index):
     return ws.require_metric().dist_sets(mask, wall_region(ws, wall_index))
-
-
-def _separates_sets(ws, wall_index, mask_a, mask_b):
-    """Sets lie in distinct open halfspaces of the wall.  Empty sets are
-    vacuously separated."""
-    w = ws.wall(wall_index)
-    ol, orr = w.open_left(), w.open_right()
-    return (mask_a & ~ol == 0 and mask_b & ~orr == 0) or \
-        (mask_a & ~orr == 0 and mask_b & ~ol == 0)
 
 
 @dataclass
@@ -91,25 +82,31 @@ def linear_separation_fit(ws, sample_pairs=None, max_denominator=64,
     On finite data *any* κ works for a large enough ε, so the offset must be
     bounded for the fit to mean anything; max_offset defaults to 0.
     """
-    metric = ws.require_metric()
-    pts = list(ws.points)
+    dist = ws.require_metric().dist
+    point = separation_index(ws).point
+    pts = ws.points
     if sample_pairs is None:
-        sample_pairs = [(pts[i], pts[j]) for i in range(len(pts))
-                        for j in range(i + 1, len(pts))]
-    data = []
-    for x, y in sample_pairs:
-        d = metric.d(ws.point_index[x], ws.point_index[y])
-        data.append((x, y, d, separation_count(ws, x, y)))
+        index_pairs = [(i, j) for i in range(len(pts))
+                       for j in range(i + 1, len(pts))]
+    else:
+        index_pairs = [(ws.point_index[x], ws.point_index[y])
+                       for x, y in sample_pairs]
+    data = [(pts[i], pts[j], dist[i][j],
+             separating(point[i], point[j]).bit_count())
+            for i, j in index_pairs]
     params = {"max_denominator": max_denominator, "max_offset": max_offset,
               "pairs": len(data)}
     pos = [(x, y, d, s) for x, y, d, s in data if d > 0]
     if not pos:
         return SeparationReport("LinearSeparation", params, "holds",
                                 value=None, notes=["no pairs at positive distance"])
-    # feasible κ <= (s + max_offset) / d on every pair
-    kmax = min(Fraction(s + max_offset) / Fraction(d) for _x, _y, d, s in pos)
-    binding = sorted([x, y] for x, y, d, s in pos
-                     if Fraction(s + max_offset) / Fraction(d) == kmax)
+    # feasible κ <= (s + max_offset) / d on every pair; one exact ratio per
+    # distinct (s, d)
+    ratio = {(s, d): Fraction(s + max_offset) / Fraction(d)
+             for s, d in {(s, d) for _x, _y, d, s in pos}}
+    kmax = min(ratio.values())
+    tight = {key for key, q in ratio.items() if q == kmax}
+    binding = sorted([x, y] for x, y, d, s in pos if (s, d) in tight)
     params["binding_pairs"] = len(binding)
     binding = binding[:20]
     if kmax <= 0:
@@ -130,7 +127,8 @@ def linear_separation_fit(ws, sample_pairs=None, max_denominator=64,
             "LinearSeparation", params, "fails", value=0.0,
             witnesses=binding,
             notes=[f"feasible κ below grid resolution 1/{max_denominator}"])
-    eps = max(max(0.0, float(kappa) * d - s) for _x, _y, d, s in pos)
+    k = float(kappa)
+    eps = max(max(0.0, k * d - s) for _x, _y, d, s in pos)
     rep = SeparationReport("LinearSeparation", params, "holds",
                            value=float(kappa), witnesses=binding)
     rep.parameters["kappa"] = [kappa.numerator, kappa.denominator]
@@ -142,14 +140,13 @@ def ball_ball_separation(ws, r):
     """Least m with: d(x1,x2) > m implies N_r(x1), N_r(x2) separated by a
     wall.  Fails when even the farthest pairs are unseparated."""
     metric = ws.require_metric()
+    index = separation_index(ws)
+    balls = [index.sides(metric.ball(1 << i, r)) for i in range(metric.n)]
     items = []
     for i in range(len(ws.points)):
         for j in range(i + 1, len(ws.points)):
-            ball_i = metric.ball(1 << i, r)
-            ball_j = metric.ball(1 << j, r)
-            sep = any(_separates_sets(ws, w.index, ball_i, ball_j)
-                      for w in ws.walls)
-            items.append((metric.d(i, j), sep,
+            sep = separating(balls[i], balls[j])
+            items.append((metric.d(i, j), bool(sep),
                           [ws.points[i], ws.points[j]]))
     diam = metric.diameter()
     m, witnesses = _least_threshold(items, diam)
@@ -165,12 +162,13 @@ def compact_wall_separation(ws, K):
     kmask = K if isinstance(K, int) else ws.mask_of(K)
     if not kmask:
         raise WallcubeError("K must be nonempty")
+    index = separation_index(ws)
+    k_sides = index.sides(kmask)
     items = []
-    for w in ws.walls:
+    for pos, w in enumerate(ws.walls):
         d = wall_distance(ws, kmask, w.index)
-        sep = any(_separates_compact_wall(ws, w2.index, kmask, w.index)
-                  for w2 in ws.walls if w2.index != w.index)
-        items.append((d, sep, [w.index]))
+        sep = separating(k_sides, index.wall[pos]) & ~(1 << pos)
+        items.append((d, bool(sep), [w.index]))
     diam = metric.diameter()
     # least f: every wall with d >= f separated; f may sit just above the
     # worst unseparated distance
@@ -189,30 +187,22 @@ def compact_wall_separation(ws, K):
                             notes=[WALL_DISTANCE_NOTE])
 
 
-def _separates_compact_wall(ws, sep_index, kmask, wall_index):
-    wsep = ws.wall(sep_index)
-    w = ws.wall(wall_index)
-    ol, orr = wsep.open_left(), wsep.open_right()
-    for kside, wside in ((ol, orr), (orr, ol)):
-        if kmask & ~kside:
-            continue
-        if any(h & ~wside == 0 for h in w.halfspaces()):
-            return True
-    return False
-
-
 def wall_wall_separation(ws):
     """Least D with: d(W,W') > D implies some wall separates W and W'."""
     metric = ws.require_metric()
-    items = []
+    wall = separation_index(ws).wall
     idxs = ws.wall_indices()
+    regions = [bits(wall_region(ws, i)) for i in idxs]
+    items = []
     for a in range(len(idxs)):
+        # near[p]: d(p, W_a), so d(W_a, W_b) is its min over W_b
+        near = [INF] * metric.n
+        for q in regions[a]:
+            near = list(map(min, near, metric.dist[q]))
         for b in range(a + 1, len(idxs)):
-            i, j = idxs[a], idxs[b]
-            d = metric.dist_sets(wall_region(ws, i), wall_region(ws, j))
-            sep = any(wall_separates_walls(ws, k, i, j)
-                      for k in idxs if k not in (i, j))
-            items.append((d, sep, [i, j]))
+            d = min(map(near.__getitem__, regions[b]), default=INF)
+            sep = separating(wall[a], wall[b]) & ~(1 << a | 1 << b)
+            items.append((d, bool(sep), [idxs[a], idxs[b]]))
     diam = metric.diameter()
     D, witnesses = _least_threshold(items, diam)
     verdict = "holds" if D < diam or not witnesses else "fails"
@@ -230,33 +220,31 @@ def subspace_separation(ws, Y, kind, r):
         raise WallcubeError(f"unknown kind {kind}")
     metric = ws.require_metric()
     ymask = Y if isinstance(Y, int) else ws.mask_of(Y)
-    sub = subwallspace(ws, ymask)
+    index = separation_index(subwallspace(ws, ymask))
 
-    def sub_separated(mask_a, mask_b):
-        a, b = compress(mask_a, ymask), compress(mask_b, ymask)
-        if a == 0 or b == 0:
-            return True  # "any wall separates them"
-        return any(_separates_sets(sub, w.index, a, b) for w in sub.walls)
+    def part(mask):
+        """The set within Y, and its sides in the subwallspace."""
+        mask &= ymask
+        return mask, index.sides(compress(mask, ymask))
 
+    def item(a, b, witness):
+        d = metric.dist_sets(a[0], b[0])
+        # an empty set is separated from anything ("any wall separates them")
+        sep = not a[0] or not b[0] or bool(separating(a[1], b[1]))
+        return 0 if d == INF else d, sep, witness
+
+    nbds = [part(metric.ball(wall_region(ws, w.index), r)) for w in ws.walls]
+    idxs = ws.wall_indices()
     items = []
     if kind == "BallWallNbd":
         for p in bits(ymask):
-            for w in ws.walls:
-                a = metric.ball(1 << p, r) & ymask
-                b = metric.ball(wall_region(ws, w.index), r) & ymask
-                d = metric.dist_sets(a, b)
-                items.append((0 if d == INF else d, sub_separated(a, b),
-                              [ws.points[p], w.index]))
+            a = part(metric.ball(1 << p, r))
+            for i, b in zip(idxs, nbds):
+                items.append(item(a, b, [ws.points[p], i]))
     else:
-        idxs = ws.wall_indices()
         for x in range(len(idxs)):
             for y in range(x + 1, len(idxs)):
-                i, j = idxs[x], idxs[y]
-                a = metric.ball(wall_region(ws, i), r) & ymask
-                b = metric.ball(wall_region(ws, j), r) & ymask
-                d = metric.dist_sets(a, b)
-                items.append((0 if d == INF else d, sub_separated(a, b),
-                              [i, j]))
+                items.append(item(nbds[x], nbds[y], [idxs[x], idxs[y]]))
     diam = metric.diameter()
     s, witnesses = _least_threshold(items, diam)
     verdict = "holds" if s < diam or not witnesses else "fails"

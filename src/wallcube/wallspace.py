@@ -89,20 +89,25 @@ class Wallspace:
             raise WallcubeError("metric size does not match point count")
         self.max_points = max_points
         self.max_walls = max_walls
-        # OrientationEngine (conflict tables) built by `complex` on first use;
-        # it stays valid because the walls are a tuple of frozen Walls
+        # OrientationEngine (conflict tables) built by `complex` on first use,
+        # and the SeparationIndex built by `separation_index`; both stay
+        # valid because the walls are a tuple of frozen Walls
         self._engine = None
+        self._separation = None
 
     # -- small helpers -------------------------------------------------
 
     def nwalls(self):
         return len(self.walls)
 
-    def point_bit(self, p):
+    def point_pos(self, p):
         try:
-            return 1 << self.point_index[p]
+            return self.point_index[p]
         except KeyError:
             raise UnknownPoint(p) from None
+
+    def point_bit(self, p):
+        return 1 << self.point_pos(p)
 
     def mask_of(self, names):
         m = 0
@@ -113,11 +118,15 @@ class Wallspace:
     def names_of(self, mask):
         return [self.points[i] for i in bits(mask)]
 
-    def wall(self, index):
+    def position(self, index):
+        """The position of the wall with this index."""
         try:
-            return self.walls[self.wall_pos[index]]
+            return self.wall_pos[index]
         except KeyError:
             raise IndexOutOfRange(index) from None
+
+    def wall(self, index):
+        return self.walls[self.position(index)]
 
     def require_metric(self):
         if self.metric is None:
@@ -181,15 +190,61 @@ def validate(ws):
                             betwixt_counts=betwixt_counts)
 
 
+class SeparationIndex:
+    """Every point's principal orientation on open sides, as wall masks.
+
+    Bit k of a mask is the wall at position k.  `point[x]` is the pair
+    (sl, sr) of walls having point x in their open left, resp. open right,
+    halfspace (Haglund–Paulin; Nica).  `sides(A)` is that pair for a point
+    set A, the walls with all of A in their open left, resp. right, side:
+    the AND over A, so every wall for the empty set.  `wall[k]` is the pair
+    for the wall at position k: the walls with one of its closed halfspaces
+    in their open left, resp. right, side.  `separating` combines two pairs.
+    """
+
+    def __init__(self, ws):
+        self.full = (1 << len(ws.walls)) - 1
+        sl = [0] * len(ws.points)
+        sr = [0] * len(ws.points)
+        for pos, w in enumerate(ws.walls):
+            for x in bits(w.open_left()):
+                sl[x] |= 1 << pos
+            for x in bits(w.open_right()):
+                sr[x] |= 1 << pos
+        self.point = list(zip(sl, sr))
+        self.wall = []
+        for w in ws.walls:
+            (l1, r1), (l2, r2) = self.sides(w.left), self.sides(w.right)
+            self.wall.append((l1 | l2, r1 | r2))
+
+    def sides(self, mask):
+        left = right = self.full
+        for x in bits(mask):
+            pl, pr = self.point[x]
+            left &= pl
+            right &= pr
+        return left, right
+
+
+def separating(s, t):
+    """The walls with the sets of `s` and `t` in distinct open sides, from
+    their SeparationIndex pairs (L, R).  For walls, the OR over their four
+    pairs of closed halfspaces factors into this one by distributivity."""
+    return s[0] & t[1] | s[1] & t[0]
+
+
+def separation_index(ws):
+    """The SeparationIndex of ws, built on first use and kept on it."""
+    if ws._separation is None:
+        ws._separation = SeparationIndex(ws)
+    return ws._separation
+
+
 def separation_count(ws, x, y):
     """#(x,y): number of walls whose open halfspaces separate x from y."""
-    bx, by = ws.point_bit(x), ws.point_bit(y)
-    n = 0
-    for w in ws.walls:
-        ol, orr = w.open_left(), w.open_right()
-        if (ol & bx and orr & by) or (ol & by and orr & bx):
-            n += 1
-    return n
+    point = separation_index(ws).point
+    return separating(point[ws.point_pos(x)],
+                      point[ws.point_pos(y)]).bit_count()
 
 
 def betwixt_set(ws, x):
@@ -207,28 +262,24 @@ def transverse(ws, i, j):
                 and wi.right & wj.left and wi.right & wj.right)
 
 
+def _separating_walls(ws, i, j):
+    """Mask of the walls other than i and j (indices) that separate them."""
+    a, b = ws.position(i), ws.position(j)
+    wall = separation_index(ws).wall
+    return separating(wall[a], wall[b]) & ~(1 << a | 1 << b)
+
+
 def wall_separates_walls(ws, k, i, j):
     """Wall k separates walls i and j: closed halfspaces of i and of j lie
     in distinct open halfspaces of k."""
     if k in (i, j):
         raise IndexOutOfRange(f"separating wall {k} must differ from {i}, {j}")
-    wk, wi, wj = ws.wall(k), ws.wall(i), ws.wall(j)
-    ol, orr = wk.open_left(), wk.open_right()
-    for a in wi.halfspaces():
-        for b in wj.halfspaces():
-            if (a & ~ol == 0 and b & ~orr == 0) or (a & ~orr == 0 and b & ~ol == 0):
-                return True
-    return False
+    return bool(_separating_walls(ws, i, j) >> ws.position(k) & 1)
 
 
 def osculate(ws, i, j):
     """Not transverse and no third wall separates them."""
-    if transverse(ws, i, j):
-        return False
-    for w in ws.walls:
-        if w.index not in (i, j) and wall_separates_walls(ws, w.index, i, j):
-            return False
-    return True
+    return not transverse(ws, i, j) and not _separating_walls(ws, i, j)
 
 
 def max_transverse_families(ws):

@@ -107,6 +107,26 @@ def oracle_wall_separates(ws, k, i, j):
     return False
 
 
+def oracle_separates_sets(ws, wall_index, mask_a, mask_b):
+    """The sets lie in distinct open halfspaces of the wall.  Empty sets are
+    vacuously separated."""
+    u, v = halfspace_sets(ws, ws.wall(wall_index))
+    ou, ov = u - v, v - u
+    a, b = set(ws.names_of(mask_a)), set(ws.names_of(mask_b))
+    return (a <= ou and b <= ov) or (a <= ov and b <= ou)
+
+
+def oracle_separates_compact_wall(ws, sep_index, kmask, wall_index):
+    """K lies in one open halfspace of wall sep_index and a closed
+    halfspace of wall wall_index in the other."""
+    u, v = halfspace_sets(ws, ws.wall(sep_index))
+    ou, ov = u - v, v - u
+    k = set(ws.names_of(kmask))
+    sides = halfspace_sets(ws, ws.wall(wall_index))
+    return any(k <= kside and any(h <= wside for h in sides)
+               for kside, wside in ((ou, ov), (ov, ou)))
+
+
 def oracle_is_zero_cube(ws, mask):
     """Chosen halfspaces pairwise intersect, including each with itself."""
     chosen = []
@@ -282,20 +302,22 @@ def oracle_verify_npc(data):
     return violations
 
 
-def graph_distance(vertices, a, b):
-    """BFS distance in the single-wall-flip graph on the given vertex set."""
+def oracle_cube_distance(cc, a, b):
+    """Min 1-skeleton distance between corners of cubes a and b, by a
+    breadth-first search from a's corners; None when b is unreachable."""
     from collections import deque
-    vset = set(vertices)
-    nbits = max(vset).bit_length() if vset else 0
-    dist = {a: 0}
-    q = deque([a])
+    targets = set(b.corners())
+    sources = list(a.corners())
+    if targets & set(sources):
+        return 0
+    dist = {m: 0 for m in sources}
+    q = deque(sources)
     while q:
         m = q.popleft()
-        if m == b:
-            return dist[m]
-        for i in range(nbits + 1):
-            m2 = m ^ (1 << i)
-            if m2 in vset and m2 not in dist:
+        for m2, _w in cc.adj[m]:
+            if m2 not in dist:
                 dist[m2] = dist[m] + 1
+                if m2 in targets:
+                    return dist[m2]
                 q.append(m2)
-    return dist.get(b)
+    return None

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import (
     cube_key,
-    graph_distance,
     oracle_all_vertices,
     oracle_complete_skeleton,
+    oracle_cube_distance,
     oracle_is_zero_cube,
     oracle_maximal_cubes,
     oracle_verify_npc,
@@ -213,13 +213,24 @@ def test_distance_law():
 
 
 def test_cube_distance_matches_bfs():
+    # every vertex pair of grid(2), and pairs of cubes of every dimension
+    # on the valid spaces (a seeded sample where there are many)
+    rng = random.Random(5)
     ws = grid(2)
     cc = build_dual(ws, "0,0")
-    verts = cc.vertices
-    for a in verts[:5]:
-        for b in verts[-5:]:
-            d = cube_distance(cc, Cube(a, frozenset()), Cube(b, frozenset()))
-            assert d == graph_distance(verts, a, b)
+    for a in cc.vertices:
+        for b in cc.vertices:
+            ca, cb = Cube(a, frozenset()), Cube(b, frozenset())
+            assert cube_distance(cc, ca, cb) == \
+                oracle_cube_distance(cc, ca, cb)
+    for ws in valid_spaces():
+        cc = enumerate_all_orientations(ws)
+        cubes = cc.all_cubes()
+        cubes = rng.sample(cubes, min(len(cubes), 25))
+        for a in cubes:
+            for b in cubes:
+                assert cube_distance(cc, a, b) == \
+                    oracle_cube_distance(cc, a, b)
 
 
 def test_maximal_cube_bijection():

@@ -1,5 +1,6 @@
 """Serialization round-trips and the CLI surface with its exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -285,6 +286,15 @@ def act_spec(**changes):
      "missing field hwalls[0].rule"),
     (act_spec(peripheries=[{"kind": "coordinate"}]),
      "missing field peripheries[0].coords"),
+    (act_spec(variant="Ur"), "variant: 'Ur' is not an object"),
+    (act_spec(variant=["Ur"]), "variant: ['Ur'] is not an object"),
+    (act_spec(variant={"kind": 1}), "variant.kind: 1 is not a string"),
+    (act_spec(variant={"kind": "Ur", "r": "1"}),
+     "variant.r: '1' is not an integer"),
+    (act_spec(variant={"kind": "Ur", "r": 1, "tau": 1.5}),
+     "variant.tau: 1.5 is not an integer"),
+    (act_spec(m="x"), "m: 'x' is not an integer"),
+    (act_spec(m=True), "m: True is not an integer"),
 ])
 def test_cli_act_malformed_spec(tmp_path, spec, where):
     path = write(tmp_path, "act.json", json.dumps(spec))
@@ -306,6 +316,45 @@ def test_cli_act_library_key_error_surfaces(tmp_path, monkeypatch):
     path = write(tmp_path, "act.json", json.dumps(act_spec()))
     r = run_cli(["act", path])
     assert r.exit_code == 1 and isinstance(r.exception, KeyError)
+
+
+DIAGNOSE_PROPERTIES = [
+    ("linear-separation", "{}"), ("ball-ball", "{}"),
+    ("ball-ball", '{"r": 1}'), ("compact-wall", "{}"), ("wall-wall", "{}"), ("ball-wallnbd", "{}"),
+    ("wallnbd-wallnbd", "{}"), ("packing", "{}"), ("degree-profile", "{}")]
+
+
+# sha256 of exit code, stdout and stderr of every property in turn
+DIAGNOSE_RECORDED = {
+    "fig3":
+        "730553b09b14052764291a0b9f45cd595e23acd7eb0bb50358ec480775af6442",
+    "grid 7":
+        "3ff17b5318e70d2cc1b014be1c239eb31fb5d22cab1038a6def356ec52a6e886",
+    "rbad 4":
+        "01f9e4f40d77a156f55382f669ee6e9a674a95da50de3930c470be6ae8b41df7",
+    "rbad 8":
+        "a4053f02899bdf39b1663a66f259e1479303eaafe54210b76e29b380d21cc6b0",
+    "cayley Z2 3":
+        "1d27e8b87d07c3f31e7fc1fc88be8a2f64490648da8a7d597e180152dd5dc266",
+    "cayley Z2 5":
+        "090b26e25d4a54e87fef0da26bf1288ea4a02be8d9d212eec82d6f069435af20",
+    "cayley F2 3":
+        "2df1e19234733299eb7f76d5903d9a4e1b4d55c70ed38b618883095127817aec",
+}
+
+
+@pytest.mark.parametrize("gen", DIAGNOSE_RECORDED)
+def test_cli_diagnose_recorded(gen):
+    # exit code, stdout and stderr of every property, recorded from the
+    # per-wall-loop predicates that the separation index replaced (fig3
+    # has no metric: each metric property is the same exit-1 error)
+    doc = run_cli(["gen", *gen.split()]).stdout
+    h = hashlib.sha256()
+    for prop, params in DIAGNOSE_PROPERTIES:
+        r = run_cli(["diagnose", "-", "--property", prop, "--params", params],
+                    stdin=doc)
+        h.update(f"{r.exit_code}\n{r.stdout}\n{r.stderr}\n".encode())
+    assert h.hexdigest() == DIAGNOSE_RECORDED[gen]
 
 
 def test_cli_sweep():

@@ -14,7 +14,9 @@ from scipy.sparse.csgraph import shortest_path
 
 import wallcube
 from wallcube.errors import WallcubeError
-from wallcube.metric import Metric, bits, components, max_cliques
+from wallcube.generators import grid
+from wallcube.groups import Free, FreeAbelian, cayley_ball
+from wallcube.metric import Metric, _dijkstra, bits, components, max_cliques
 
 
 def random_graph(seed):
@@ -93,6 +95,25 @@ def test_from_edges_matches_scipy():
             assert got[i] == pytest.approx(list(expect[i]), rel=1e-12)
         if cut < n:
             assert got[0][n - 1] == float("inf")
+
+
+def test_unit_weights_bfs_matches_dijkstra():
+    # the grid and Cayley graphs, and the unit-weight random graphs (some
+    # with isolated vertices, so unreachable pairs)
+    cases = [(m.n, m.edges) for m in (
+        grid(3).metric, grid(7).metric, cayley_ball(FreeAbelian(2), 4).metric,
+        cayley_ball(Free(2), 3).metric)]
+    cases += [(n, [(i, j, 1) for i, j in edges]) for n, edges in graphs()]
+    for n, edges in cases:
+        nbrs = [[] for _ in range(n)]
+        for i, j, w in edges:
+            nbrs[i].append((j, w))
+            nbrs[j].append((i, w))
+        got = Metric.from_edges(n, edges).dist
+        assert got == [_dijkstra(nbrs, s) for s in range(n)]
+        # one float object per distinct distance
+        values = {d for row in got for d in row}
+        assert len({id(d) for row in got for d in row}) == len(values)
 
 
 def test_metric_checks_and_tolerance():

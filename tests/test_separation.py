@@ -5,7 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_wallspace
+from conftest import (
+    oracle_separates_compact_wall,
+    oracle_separates_sets,
+    random_wallspace,
+)
 from wallcube.errors import MetricRequired, NotAnAutomorphism, WallcubeError
 from wallcube.generators import fig3, geom_path, grid, rbad
 from wallcube.groups import (
@@ -19,7 +23,6 @@ from wallcube.groups import (
 from wallcube.metric import INF, bits
 from wallcube.separation import (
     _least_threshold,
-    _separates_sets,
     axis_cut_test,
     ball_ball_separation,
     bounded_packing_number,
@@ -111,7 +114,7 @@ def test_ball_ball_revalidates():
                 for j in range(i + 1, len(ws.points)):
                     bi = ws.metric.ball(1 << i, r)
                     bj = ws.metric.ball(1 << j, r)
-                    sep = any(_separates_sets(ws, w.index, bi, bj)
+                    sep = any(oracle_separates_sets(ws, w.index, bi, bj)
                               for w in ws.walls)
                     d = ws.metric.d(i, j)
                     if rep.verdict == "holds" and d > m:
@@ -146,12 +149,12 @@ def test_compact_wall_revalidates():
         kmask = ws.mask_of(K)
         if rep.verdict != "holds":
             continue
-        from wallcube.separation import _separates_compact_wall
         for w in ws.walls:
             d = wall_distance(ws, kmask, w.index)
             if d >= rep.value:
                 assert any(
-                    _separates_compact_wall(ws, w2.index, kmask, w.index)
+                    oracle_separates_compact_wall(ws, w2.index, kmask,
+                                                  w.index)
                     for w2 in ws.walls if w2.index != w.index)
 
 

@@ -1,0 +1,89 @@
+"""Property tests: the separation index against the set-based oracles.
+
+Wallspaces are drawn two ways: `conftest.random_wallspace` by seed, and
+arbitrary halfspace pairs on up to 6 points (empty sides, vacuous and
+non-covering walls included) with wall indices in a drawn order, so that
+index and position differ.  Failures of the second kind shrink to a small
+wallspace.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    oracle_separates_compact_wall,
+    oracle_separates_sets,
+    oracle_separation_count,
+    oracle_transverse,
+    oracle_wall_separates,
+    random_wallspace,
+)
+from wallcube.wallspace import (
+    Wall,
+    Wallspace,
+    osculate,
+    separating,
+    separation_count,
+    separation_index,
+    wall_separates_walls,
+)
+
+BOUNDED = settings(max_examples=200, deadline=None)
+
+
+@st.composite
+def wallspaces(draw):
+    if draw(st.booleans()):
+        return random_wallspace(draw(st.integers(0, 2**32)),
+                                with_metric=False)
+    n = draw(st.integers(1, 6))
+    side = st.integers(0, (1 << n) - 1)
+    pairs = draw(st.lists(st.tuples(side, side), max_size=7))
+    order = draw(st.permutations(range(len(pairs))))
+    return Wallspace([f"p{i}" for i in range(n)],
+                     [Wall(i, u, v) for i, (u, v) in zip(order, pairs)])
+
+
+@BOUNDED
+@given(wallspaces())
+def test_separation_count_matches_oracle(ws):
+    for x in ws.points:
+        for y in ws.points:
+            assert separation_count(ws, x, y) == \
+                oracle_separation_count(ws, x, y)
+
+
+@BOUNDED
+@given(wallspaces())
+def test_wall_separation_and_osculation_match_oracle(ws):
+    idxs = ws.wall_indices()
+    for i in idxs:
+        for j in idxs:
+            separators = [k for k in idxs if k not in (i, j)
+                          and oracle_wall_separates(ws, k, i, j)]
+            for k in idxs:
+                if k not in (i, j):
+                    assert wall_separates_walls(ws, k, i, j) == \
+                        (k in separators)
+            if i != j:
+                assert osculate(ws, i, j) == \
+                    (not oracle_transverse(ws, i, j) and not separators)
+
+
+@BOUNDED
+@given(wallspaces(), st.data())
+def test_set_separation_matches_oracle(ws, data):
+    index = separation_index(ws)
+    side = st.integers(0, ws.full)
+    a, b = data.draw(side), data.draw(side)
+    for mask_a, mask_b in ((a, b), (a, 0), (0, b), (0, 0)):
+        expect = any(oracle_separates_sets(ws, w.index, mask_a, mask_b)
+                     for w in ws.walls)
+        assert bool(separating(index.sides(mask_a),
+                               index.sides(mask_b))) == expect
+    # a set against a wall, by a wall other than that one
+    for pos, w in enumerate(ws.walls):
+        expect = any(oracle_separates_compact_wall(ws, w2.index, a, w.index)
+                     for w2 in ws.walls if w2.index != w.index)
+        got = separating(index.sides(a), index.wall[pos]) & ~(1 << pos)
+        assert bool(got) == expect
