@@ -17,7 +17,7 @@ from .complex import (
     maximal_cubes,
     verify_npc,
 )
-from .errors import MetricRequired, ParseError, StateSpaceCap, WallcubeError
+from .errors import ParseError, StateSpaceCap, WallcubeError
 from .hemi import InducedVariant, dual_sub, induce_hemi, is_convex
 from .separation import (
     ball_ball_separation,

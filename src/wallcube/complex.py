@@ -294,6 +294,10 @@ class CubeComplex:
         return max(degs.values(), default=0)
 
     def bfs_distances(self, sources):
+        """Vertex -> 1-skeleton distance to the nearest of `sources`, by one
+        multi-source breadth-first search.  (Between two vertices of a dual
+        the library built the distance is popcount(u ^ v); see
+        `cube_distance` and `hemi.is_convex`.)"""
         dist = {m: 0 for m in sources}
         q = deque(sources)
         while q:

@@ -12,7 +12,6 @@ Everything built from a ball is truncated to the ball, and every truncation
 effect is reported, never silently passed.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .complex import canonical_cube
@@ -320,19 +319,12 @@ class HWallSpec:
                 return "both"
             return "left" if x < 0 else "right"
         # branch rule on a free group
-        spec = self.subgroup.spec
         axis = self.axis  # the subgroup's letter, e.g. "a"
         rest = g.lstrip(axis + axis.upper())
         if not rest:
             return "both"
         first = rest[0]
         return "left" if first.islower() else "right"
-
-    def in_left(self, g):
-        return self.side(g) in ("left", "both")
-
-    def in_right(self, g):
-        return self.side(g) in ("right", "both")
 
 
 @dataclass
@@ -352,11 +344,10 @@ class HWallReport:
 def build_hwall(ball, hw):
     """The H-wall truncated to the ball, with a conformance report for the
     Def 2.8-style conditions, checked on the computable portion."""
-    u = ball.mask_of(hw.in_left)
-    v = ball.mask_of(hw.in_right)
+    spec = ball.spec
+    u, v = _translate(ball, hw, spec.identity())
     full = (1 << len(ball.elements)) - 1
     coverage_ok = (u | v) == full
-    spec = ball.spec
     hmembers = [g for g in ball.elements
                 if hw.subgroup.contains(g) and g != spec.identity()]
     violations = []
@@ -390,6 +381,21 @@ def build_hwall(ball, hw):
         hdotdot_status=hdotdot,
     )
     return Wall(hw.index or 0, u, v), rep
+
+
+def _translate(ball, hw, t_inv):
+    """The halfspace masks (U, V) of the H-wall's translate by t, truncated
+    to the ball: x lies in tU when t⁻¹x is on the left of hw or on both
+    sides, in tV when it is on the right or on both."""
+    mul, side = ball.spec.mul, hw.side
+    u = v = 0
+    for i, x in enumerate(ball.elements):
+        s = side(mul(t_inv, x))
+        if s != "right":
+            u |= 1 << i
+        if s != "left":
+            v |= 1 << i
+    return u, v
 
 
 def _swaps_sides(ball, h, u, v):
@@ -449,8 +455,7 @@ def generate_hwall_system(ball, hwall_specs, max_walls=256):
         meta.reports.append(rep.to_dict())
         for g in ball.elements:
             ginv = spec.inv(g)
-            gu = ball.mask_of(lambda x: hw.in_left(spec.mul(ginv, x)))
-            gv = ball.mask_of(lambda x: hw.in_right(spec.mul(ginv, x)))
+            gu, gv = _translate(ball, hw, ginv)
             pair = frozenset((gu, gv))
             if pair == frozenset((0, full)) or gu == 0 or gv == 0:
                 meta.dropped_vacuous += 1
@@ -542,8 +547,7 @@ class ActionMap:
                 gt = spec.mul(g, t)
                 gt_inv = spec.inv(gt)
                 hw = meta.specs[pos]
-                gu = ball.mask_of(lambda x: hw.in_left(spec.mul(gt_inv, x)))
-                gv = ball.mask_of(lambda x: hw.in_right(spec.mul(gt_inv, x)))
+                gu, gv = _translate(ball, hw, gt_inv)
                 j = meta.pair_index.get((frozenset((gu, gv)), pos))
                 if j is not None:
                     wm[idx] = (j, ws.wall(j).left != gu)
@@ -564,8 +568,7 @@ class ActionMap:
                 t = ball.elements[ball.by_name[tname]]
                 pre_t_inv = spec.inv(spec.mul(ginv, t))
                 hw = meta.specs[pos]
-                pu = ball.mask_of(lambda x: hw.in_left(spec.mul(pre_t_inv, x)))
-                pv = ball.mask_of(lambda x: hw.in_right(spec.mul(pre_t_inv, x)))
+                pu, pv = _translate(ball, hw, pre_t_inv)
                 if pu == 0 and pv != 0:
                     forced[idx] = 1
                 elif pv == 0 and pu != 0:
@@ -666,7 +669,6 @@ def verify_equivariance(ws, action, cc):
     # separation counts invariant on the point domain
     violations = []
     keys = sorted(action.point_map)
-    from .wallspace import separation_count  # local to avoid cycle at import
     for a in range(len(keys)):
         for b in range(a + 1, len(keys)):
             x, y = keys[a], keys[b]

@@ -10,8 +10,8 @@ with every fixed orientation, and it is always convex in the 1-skeleton.
 from dataclasses import dataclass
 
 from .complex import CubeComplex
-from .errors import EmptySubcomplex, MetricRequired, NotAHemiwallspace, WallcubeError
-from .wallspace import Wallspace
+from .errors import EmptySubcomplex, NotAHemiwallspace, WallcubeError
+from .metric import bits
 
 
 @dataclass(frozen=True)
@@ -145,57 +145,42 @@ def dual_sub(cc, hemi):
 def is_convex(cc, sub):
     """Every 1-skeleton geodesic of cc between vertices of sub stays in sub.
 
-    Checked by scanning, for each vertex pair (a, b) of sub, all vertices v
-    outside sub with d(a,v) + d(v,b) = d(a,b); any such v lies on a geodesic
-    (witness path reconstructed greedily).  Returns (bool, witness path or
-    None).
+    Returns (True, None), or (False, a geodesic a -> v -> b with a < b in
+    sub and v outside it).  cc must be a dual the library built
+    (`build_dual`, `enumerate_all_orientations` or `dual_sub`): its
+    1-skeleton is then a median graph whose hyperplanes are the walls, in
+    which the geodesics from a to b run through the vertices agreeing with
+    both wherever these agree, and the convex sets are the intersections of
+    halfspaces (Mulder 1980; Chepoi 2000).  So sub is convex iff it holds
+    every vertex v of cc with AND(sub) <= v <= OR(sub) bitwise.  Only on
+    failure is a witness searched: the first (a, b, v) in vertex order,
+    each half of its path found by `_walk`.
     """
-    inside = set(sub.vertices)
-    dists = {a: cc.bfs_distances([a]) for a in sub.vertices}
-    for a in sub.vertices:
-        da = dists[a]
-        for b in sub.vertices:
-            if b <= a:
-                continue
-            db = dists[b]
-            d = da[b]
-            for v in cc.vertices:
-                if v in inside:
-                    continue
-                if v in da and v in db and da[v] + db[v] == d:
-                    path = _geodesic_through(cc, a, v, b, da, db)
-                    return False, path
-    return True, None
+    verts = sub.vertices
+    lo, hi = -1, 0
+    for m in verts:
+        lo, hi = lo & m, hi | m
+    outside = [v for v in cc.vertices
+               if v & lo == lo and not v & ~hi and v not in sub.vid]
+    if not outside:
+        return True, None
+    a, b, v = next((a, b, v) for i, a in enumerate(verts)
+                   for b in verts[i + 1:] for v in outside
+                   if not (v ^ a) & ~(a ^ b))
+    return False, _walk(cc, v, a)[::-1] + _walk(cc, v, b)[1:]
 
 
-def _geodesic_through(cc, a, v, b, da, db):
-    """Reconstruct a geodesic a -> v -> b using the distance tables."""
-    left = [v]
-    cur = v
-    while cur != a:
-        cur = next(m for m, _w in cc.adj[cur] if da[m] == da[cur] - 1)
-        left.append(cur)
-    left.reverse()
-    cur = v
-    while cur != b:
-        cur = next(m for m, _w in cc.adj[cur] if db[m] == db[cur] - 1)
-        left.append(cur)
-    return left
+def _walk(cc, v, a):
+    """A geodesic v -> a of cc, each step flipping the lowest wall on which
+    the two differ whose flip is a vertex of cc."""
+    path = [v]
+    while v != a:
+        v ^= 1 << next(i for i in bits(v ^ a) if v ^ (1 << i) in cc.vid)
+        path.append(v)
+    return path
 
 
 def represented_in(cube, hemi):
     """All halfspaces of the cube's defining data are retained by hemi:
     both sides of each independent wall, and each fixed dependent side."""
     return hemi.represents(cube.base, cube.mask)
-
-
-def forget_unpaired(hemi):
-    """Remark-style wallspace: delete the dependent walls entirely.
-
-    The dual of this wallspace is isomorphic (after re-indexing) to
-    dual_sub's output; used as an oracle in tests.
-    """
-    ws = hemi.parent
-    walls = [w for w in ws.walls if w.index not in hemi.fixed]
-    return Wallspace(ws.points, walls, metric=ws.metric,
-                     max_points=ws.max_points, max_walls=ws.max_walls)

@@ -10,7 +10,7 @@ import hashlib
 import json
 
 from .errors import ParseError
-from .metric import Metric, bits
+from .metric import Metric
 from .wallspace import Wall, Wallspace
 
 VERSION = "0.1.0"

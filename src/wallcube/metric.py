@@ -19,12 +19,10 @@ INF = float("inf")
 def bits(mask):
     """Indices of set bits in an int bitmask, ascending."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -321,3 +321,53 @@ def oracle_cube_distance(cc, a, b):
                     return dist[m2]
                 q.append(m2)
     return None
+
+
+def oracle_is_convex(cc, sub):
+    """is_convex by breadth-first search: for each vertex pair (a, b) of
+    sub, every vertex v outside sub with d(a,v) + d(v,b) = d(a,b) lies on a
+    geodesic; the first one found gives the witness path, reconstructed
+    greedily from the distance tables."""
+    inside = set(sub.vertices)
+    dists = {a: cc.bfs_distances([a]) for a in sub.vertices}
+    for a in sub.vertices:
+        da = dists[a]
+        for b in sub.vertices:
+            if b <= a:
+                continue
+            db = dists[b]
+            d = da[b]
+            for v in cc.vertices:
+                if v in inside:
+                    continue
+                if v in da and v in db and da[v] + db[v] == d:
+                    path = _geodesic_through(cc, a, v, b, da, db)
+                    return False, path
+    return True, None
+
+
+def _geodesic_through(cc, a, v, b, da, db):
+    """Reconstruct a geodesic a -> v -> b using the distance tables."""
+    left = [v]
+    cur = v
+    while cur != a:
+        cur = next(m for m, _w in cc.adj[cur] if da[m] == da[cur] - 1)
+        left.append(cur)
+    left.reverse()
+    cur = v
+    while cur != b:
+        cur = next(m for m, _w in cc.adj[cur] if db[m] == db[cur] - 1)
+        left.append(cur)
+    return left
+
+
+def forget_unpaired(hemi):
+    """Remark-style wallspace: delete the dependent walls entirely.
+
+    The dual of this wallspace is isomorphic (after re-indexing) to
+    dual_sub's output.
+    """
+    ws = hemi.parent
+    walls = [w for w in ws.walls if w.index not in hemi.fixed]
+    return Wallspace(ws.points, walls, metric=ws.metric,
+                     max_points=ws.max_points, max_walls=ws.max_walls)

@@ -3,10 +3,14 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cube_key,
+    forget_unpaired,
     oracle_dual_sub,
+    oracle_is_convex,
     oracle_maximal_cubes,
     oracle_verify_npc,
     random_wallspace,
@@ -29,7 +33,6 @@ from wallcube.hemi import (
     Hemiwallspace,
     InducedVariant,
     dual_sub,
-    forget_unpaired,
     induce_hemi,
     is_convex,
     represented_in,
@@ -127,6 +130,49 @@ def test_convexity_witness_on_nonconvex_subset():
     # the witness is a real geodesic through an outside vertex
     assert witness[0] in (v[0], v[3]) and witness[-1] in (v[0], v[3])
     assert len(witness) == 3 and witness[1] in (v[1], v[2])
+
+
+@st.composite
+def convexity_cases(draw):
+    """(cc, vertex set): cc the dual of a seeded random wallspace, or a U0
+    hemi dual of it; the set a hemi dual of cc, an intersection of
+    halfspaces, or a random subset, then perhaps one vertex added or
+    removed."""
+    ws = random_wallspace(draw(st.integers(0, 2**32)), max_points=6,
+                          max_walls=7)
+    assume(validate(ws).ok)
+    cc = enumerate_all_orientations(ws)
+    points = st.lists(st.sampled_from(ws.points), min_size=1, unique=True)
+    if draw(st.booleans()):
+        cc = dual_sub(cc, induce_hemi(ws, draw(points), InducedVariant("U0")))
+    kind = draw(st.sampled_from(["hemi", "halfspaces", "random"]))
+    if kind == "hemi":
+        variant = draw(st.sampled_from([InducedVariant("U0"),
+                                        InducedVariant("Ur", r=1)]))
+        try:
+            verts = set(dual_sub(cc, induce_hemi(ws, draw(points),
+                                                 variant)).vertices)
+        except EmptySubcomplex:
+            verts = set()
+    elif kind == "halfspaces":
+        walls = st.integers(0, cc.engine.fullw)
+        fixed, sides = draw(walls), draw(walls)
+        verts = {v for v in cc.vertices if not (v ^ sides) & fixed}
+    else:
+        verts = draw(st.sets(st.sampled_from(cc.vertices)))
+    edit = draw(st.sampled_from(cc.vertices))
+    if draw(st.booleans()):
+        verts ^= {edit}
+    return cc, verts
+
+
+@settings(max_examples=300, deadline=None)
+@given(convexity_cases())
+def test_is_convex_matches_bfs_oracle(case):
+    # verdict and witness path, on convex and non-convex sets
+    cc, verts = case
+    sub = CubeComplex(cc.ws, cc.engine, {0: verts})
+    assert is_convex(cc, sub) == oracle_is_convex(cc, sub)
 
 
 def test_dual_sub_matches_oracle():

@@ -52,6 +52,18 @@ def nx_graph(n, edges):
     return g
 
 
+def test_bits_matches_naive_scan():
+    rng = random.Random(0)
+    cases = [0, 1, 1 << 200, (1 << 161) - 1]
+    for width in (1, 8, 64, 161, 300):
+        for density in (0.05, 0.5, 0.95):
+            cases += [sum(1 << i for i in range(width)
+                          if rng.random() < density) for _ in range(5)]
+    for mask in cases:
+        assert bits(mask) == [i for i in range(mask.bit_length())
+                              if mask >> i & 1]
+
+
 def test_max_cliques_matches_networkx():
     for n, edges in graphs():
         got = sorted(bits(c) for c in max_cliques(masks(n, edges)))
