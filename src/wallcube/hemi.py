@@ -154,7 +154,10 @@ def is_convex(cc, sub):
     halfspaces (Mulder 1980; Chepoi 2000).  So sub is convex iff it holds
     every vertex v of cc with AND(sub) <= v <= OR(sub) bitwise.  Only on
     failure is a witness searched: the first (a, b, v) in vertex order,
-    each half of its path found by `_walk`.
+    each half of its path found by `_walk`.  Where no witness exists, cc
+    is not such a dual, and WallcubeError is raised.  On `dual_sub(cc, h)`,
+    itself an intersection of halfspaces, the test holds by construction;
+    the tests check that claim by breadth-first search.
     """
     verts = sub.vertices
     lo, hi = -1, 0
@@ -164,9 +167,9 @@ def is_convex(cc, sub):
                if v & lo == lo and not v & ~hi and v not in sub.vid]
     if not outside:
         return True, None
-    a, b, v = next((a, b, v) for i, a in enumerate(verts)
-                   for b in verts[i + 1:] for v in outside
-                   if not (v ^ a) & ~(a ^ b))
+    a, b, v = _first((a, b, v) for i, a in enumerate(verts)
+                     for b in verts[i + 1:] for v in outside
+                     if not (v ^ a) & ~(a ^ b))
     return False, _walk(cc, v, a)[::-1] + _walk(cc, v, b)[1:]
 
 
@@ -175,9 +178,16 @@ def _walk(cc, v, a):
     the two differ whose flip is a vertex of cc."""
     path = [v]
     while v != a:
-        v ^= 1 << next(i for i in bits(v ^ a) if v ^ (1 << i) in cc.vid)
+        v ^= 1 << _first(i for i in bits(v ^ a) if v ^ (1 << i) in cc.vid)
         path.append(v)
     return path
+
+
+def _first(items):
+    for item in items:
+        return item
+    raise WallcubeError("is_convex needs a dual the library built: its "
+                        "1-skeleton is not a median graph on the walls")
 
 
 def represented_in(cube, hemi):

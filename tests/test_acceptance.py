@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_wallspace
+from conftest import oracle_is_convex, random_wallspace
 from wallcube.complex import (
     Cube,
     build_dual,
@@ -224,9 +224,13 @@ def test_criterion_06_hemi_convexity():
         P = rng.sample(list(ws.points), rng.randint(1, len(ws.points)))
         hemi = induce_hemi(ws, P, rng.choice(variants))
         sub = dual_sub(cc, hemi)
-        convex, witness = is_convex(cc, sub)
+        # the hull test holds on a dual_sub by construction, so the claim
+        # is checked by breadth-first search
+        convex, witness = oracle_is_convex(cc, sub)
         if not convex:
             report(6, False, f"non-convex dual sub, witness {witness}")
+        if is_convex(cc, sub) != (True, None):
+            report(6, False, f"is_convex disagrees with BFS on {P}")
         done += 1
     elapsed = time.perf_counter() - t0
     report(6, elapsed < 60,

@@ -115,8 +115,10 @@ def test_dual_sub_is_convex():
             P = rng.sample(list(ws.points), k)
             hemi = induce_hemi(ws, P, InducedVariant("U0"))
             sub = dual_sub(cc, hemi)
-            convex, witness = is_convex(cc, sub)
+            # the hull test holds here by construction: check by BFS
+            convex, witness = oracle_is_convex(cc, sub)
             assert convex, witness
+            assert is_convex(cc, sub) == (True, None)
 
 
 def test_convexity_witness_on_nonconvex_subset():
@@ -138,8 +140,8 @@ def convexity_cases(draw):
     hemi dual of it; the set a hemi dual of cc, an intersection of
     halfspaces, or a random subset, then perhaps one vertex added or
     removed."""
-    ws = random_wallspace(draw(st.integers(0, 2**32)), max_points=6,
-                          max_walls=7)
+    ws = random_wallspace(draw(st.integers(0, 2**32)), max_points=7,
+                          max_walls=7, with_metric=True)
     assume(validate(ws).ok)
     cc = enumerate_all_orientations(ws)
     points = st.lists(st.sampled_from(ws.points), min_size=1, unique=True)
@@ -148,7 +150,8 @@ def convexity_cases(draw):
     kind = draw(st.sampled_from(["hemi", "halfspaces", "random"]))
     if kind == "hemi":
         variant = draw(st.sampled_from([InducedVariant("U0"),
-                                        InducedVariant("Ur", r=1)]))
+                                        InducedVariant("Ur", r=1),
+                                        InducedVariant("Ur", r=2)]))
         try:
             verts = set(dual_sub(cc, induce_hemi(ws, draw(points),
                                                  variant)).vertices)
@@ -173,6 +176,19 @@ def test_is_convex_matches_bfs_oracle(case):
     cc, verts = case
     sub = CubeComplex(cc.ws, cc.engine, {0: verts})
     assert is_convex(cc, sub) == oracle_is_convex(cc, sub)
+
+
+@pytest.mark.parametrize("verts, sub", [
+    # 111 is between the three vertices, but not between any two of them
+    ({0b001, 0b010, 0b100, 0b111}, {0b001, 0b010, 0b100}),
+    # 011 is between 000 and 111, but no neighbour of it is a vertex
+    ({0b000, 0b011, 0b111}, {0b000, 0b111}),
+])
+def test_is_convex_refuses_a_non_median_complex(verts, sub):
+    cc = build_dual(grid(2), "0,0")
+    hand = CubeComplex(cc.ws, cc.engine, {0: verts})
+    with pytest.raises(WallcubeError, match="dual the library built"):
+        is_convex(hand, CubeComplex(cc.ws, cc.engine, {0: sub}))
 
 
 def test_dual_sub_matches_oracle():

@@ -23,13 +23,17 @@ def unused_imports(source):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported.append((node.lineno, name))
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [(line, name) for line, name in imported if name not in read]
 
 
 def test_detects_unused_import():
     assert unused_imports("import os\nfrom a import b as c, d\nd()\n") == \
         [(1, "os"), (2, "c")]
+    # a name only rebound or deleted is not read
+    assert unused_imports("import x, y\nx = 1\ndel y\n") == \
+        [(1, "x"), (1, "y")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
