@@ -1,33 +1,23 @@
-"""Command-line surface.
+"""Command-line surface: `wallcube COMMAND ...`, on the standard library's
+argparse.
+
+Each command imports the library modules it runs in its own body, so a
+cold process loads only those: `gen grid` never loads `groups` or
+`separation`, and only `gen cayley` and `act` load `groups`.  (Importing
+the package already loads `complex`, `hemi`, `metric` and `wallspace`.)
 
 Exit codes: 0 ok, 1 domain failure (validation/check/diagnostic error),
-2 I/O or parse error, 3 state-space cap exceeded.
+2 I/O or parse error, or a usage error (argparse's message on stderr),
+3 state-space cap exceeded.
 """
 
-import random
+import argparse
+import os
 import sys
 
-import click
-
-from . import generators, groups, io
-from .complex import (
-    build_dual,
-    contract_loop,
-    enumerate_all_orientations,
-    maximal_cubes,
-    verify_npc,
-)
+from . import io
+from .complex import DEFAULT_VERTEX_CAP
 from .errors import ParseError, StateSpaceCap, WallcubeError
-from .hemi import InducedVariant, dual_sub, induce_hemi, is_convex
-from .separation import (
-    ball_ball_separation,
-    bounded_packing_number,
-    compact_wall_separation,
-    linear_separation_fit,
-    subspace_separation,
-    wall_wall_separation,
-)
-from .wallspace import max_transverse_families, validate
 
 EXIT_DOMAIN = 1
 EXIT_IO = 2
@@ -45,67 +35,49 @@ def _read_doc(path):
     return doc, io.input_digest(text)
 
 
+def _write(path, text):
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _emit(payload, seed=None, caps=None, digest=None):
-    click.echo(io.dumps(io.artifact(payload, seed=seed, caps=caps,
-                                    digest=digest)), nl=False)
+    sys.stdout.write(io.dumps(io.artifact(payload, seed=seed, caps=caps,
+                                          digest=digest)))
 
 
-def _run(fn):
-    try:
-        return fn()
-    except StateSpaceCap as exc:
-        click.echo(io.dumps({"error": "StateSpaceCap", "detail": str(exc)}),
-                   nl=False, err=True)
-        sys.exit(EXIT_CAP)
-    except ParseError as exc:
-        click.echo(io.dumps({"error": "ParseError", "detail": str(exc)}),
-                   nl=False, err=True)
-        sys.exit(EXIT_IO)
-    except WallcubeError as exc:
-        click.echo(io.dumps({"error": type(exc).__name__,
-                             "detail": str(exc)}), nl=False, err=True)
+def _fail(exc, name, code):
+    sys.stderr.write(io.dumps({"error": name, "detail": str(exc)}))
+    sys.exit(code)
+
+
+def cmd_validate(args):
+    from .wallspace import validate
+
+    doc, digest = _read_doc(args.file)
+    rep = validate(io.wallspace_from_dict(doc))
+    _emit(rep.to_dict(), digest=digest)
+    if not rep.ok:
         sys.exit(EXIT_DOMAIN)
 
 
-@click.group()
-def main():
-    """Finite wallspaces and their dual cube complexes."""
+def cmd_gen(args):
+    if args.name == "cayley":
+        from . import groups
 
+        spec = _group_spec(args.params[0])
+        ball = groups.cayley_ball(spec, int(args.params[1]))
+        ws, _meta = groups.generate_hwall_system(ball, _default_hwalls(spec))
+    else:
+        from . import generators
 
-@main.command("validate")
-@click.argument("file")
-def cli_validate(file):
-    def go():
-        doc, digest = _read_doc(file)
-        ws = io.wallspace_from_dict(doc)
-        rep = validate(ws)
-        _emit(rep.to_dict(), digest=digest)
-        if not rep.ok:
-            sys.exit(EXIT_DOMAIN)
-    _run(go)
-
-
-@main.command("gen")
-@click.argument("name")
-@click.argument("params", nargs=-1)
-@click.option("--seed", default=0, show_default=True)
-def cli_gen(name, params, seed):
-    """Emit a generator's wallspace (fig3, grid N, rbad N, nonHausdorff3,
-    geomPath N, cayley GROUP RADIUS)."""
-    def go():
-        if name == "cayley":
-            spec = _group_spec(params[0])
-            ball = groups.cayley_ball(spec, int(params[1]))
-            hws = _default_hwalls(spec)
-            ws, _meta = groups.generate_hwall_system(ball, hws)
-        else:
-            ws = generators.generate(name, *params)
-        _emit(io.wallspace_to_dict(ws), seed=seed,
-              caps={"points": ws.max_points, "walls": ws.max_walls})
-    _run(go)
+        ws = generators.generate(args.name, *args.params)
+    _emit(io.wallspace_to_dict(ws), seed=args.seed,
+          caps={"points": ws.max_points, "walls": ws.max_walls})
 
 
 def _group_spec(text):
+    from . import groups
+
     if text.startswith("Z"):
         return groups.FreeAbelian(int(text[1:] or 1))
     if text.startswith("F"):
@@ -114,6 +86,8 @@ def _group_spec(text):
 
 
 def _default_hwalls(spec):
+    from . import groups
+
     if spec.kind == "FreeAbelian":
         return [groups.HWallSpec(
             groups.CoordinateSubgroup(
@@ -126,54 +100,56 @@ def _default_hwalls(spec):
     raise ParseError("no default H-walls for this group")
 
 
-@main.command("build")
-@click.argument("file")
-@click.option("--basepoint", default=None)
-@click.option("--export", "export_path", default=None)
-@click.option("--dot", "dot_path", default=None)
-@click.option("--cap-vertices", default=1 << 20, show_default=True)
-def cli_build(file, basepoint, export_path, dot_path, cap_vertices):
-    def go():
-        doc, digest = _read_doc(file)
-        ws = io.wallspace_from_dict(doc)
-        bp = basepoint if basepoint is not None else ws.points[0]
-        cc = build_dual(ws, bp, vertex_cap=cap_vertices)
-        if export_path:
-            open(export_path, "w").write(io.dumps(cc.export_dict()))
-        if dot_path:
-            open(dot_path, "w").write(io.skeleton_dot(cc))
-        _emit(io.complex_summary(cc), digest=digest,
-              caps={"vertices": cap_vertices})
-    _run(go)
+def cmd_build(args):
+    from .complex import build_dual
+
+    doc, digest = _read_doc(args.file)
+    ws = io.wallspace_from_dict(doc)
+    bp = args.basepoint if args.basepoint is not None else ws.points[0]
+    cc = build_dual(ws, bp, vertex_cap=args.cap_vertices)
+    if args.export:
+        _write(args.export, io.dumps(cc.export_dict()))
+    if args.dot:
+        _write(args.dot, io.skeleton_dot(cc))
+    _emit(io.complex_summary(cc), digest=digest,
+          caps={"vertices": args.cap_vertices})
 
 
 ALL_CHECKS = ("npc", "connected", "simply-connected", "maximal-bijection",
               "convexity")
+# vertices from which `verify --checks convexity` tests the distance law
+DISTANCE_LAW_SOURCES = 5
 
 
-@main.command("verify")
-@click.argument("file")
-@click.option("--checks", default=",".join(ALL_CHECKS), show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--cap-vertices", default=1 << 20, show_default=True)
-def cli_verify(file, checks, seed, cap_vertices):
-    def go():
-        doc, digest = _read_doc(file)
-        ws = io.wallspace_from_dict(doc)
-        cc = build_dual(ws, ws.points[0], vertex_cap=cap_vertices)
-        rng = random.Random(seed)
-        results = {}
-        for check in checks.split(","):
-            results[check] = _check(check, ws, cc, rng, cap_vertices)
-        ok = all(r.get("ok") for r in results.values())
-        _emit({"ok": ok, "checks": results}, seed=seed,
-              caps={"vertices": cap_vertices}, digest=digest)
-        if not ok:
-            sys.exit(EXIT_DOMAIN)
-    _run(go)
+def cmd_verify(args):
+    import random
+
+    from .complex import build_dual
+
+    doc, digest = _read_doc(args.file)
+    ws = io.wallspace_from_dict(doc)
+    cc = build_dual(ws, ws.points[0], vertex_cap=args.cap_vertices)
+    rng = random.Random(args.seed)
+    results = {}
+    for check in args.checks.split(","):
+        results[check] = _check(check, ws, cc, rng, args.cap_vertices)
+    ok = all(r.get("ok") for r in results.values())
+    _emit({"ok": ok, "checks": results}, seed=args.seed,
+          caps={"vertices": args.cap_vertices}, digest=digest)
+    if not ok:
+        sys.exit(EXIT_DOMAIN)
 
 
 def _check(check, ws, cc, rng, cap):
+    from .complex import (
+        contract_loop,
+        enumerate_all_orientations,
+        maximal_cubes,
+        verify_npc,
+    )
+    from .hemi import InducedVariant, dual_sub, induce_hemi, is_convex
+    from .wallspace import max_transverse_families
+
     if check == "npc":
         return verify_npc(cc).to_dict()
     if check == "connected":
@@ -193,6 +169,13 @@ def _check(check, ws, cc, rng, cap):
             for c in maximal_cubes(cc))
         return {"ok": cubes == sorted(fams), "families": len(fams)}
     if check == "convexity":
+        # the hull test of is_convex holds on a dual_sub by construction;
+        # what can fail is the median-graph law it rests on
+        sources = rng.sample(cc.vertices,
+                             min(DISTANCE_LAW_SOURCES, cc.nvertices()))
+        broken = _distance_law_break(cc, sources)
+        if broken:
+            return {"ok": False, "instances": 0, "distance_law": broken}
         results = []
         for _ in range(5):
             k = rng.randint(1, len(ws.points))
@@ -203,6 +186,21 @@ def _check(check, ws, cc, rng, cap):
             results.append(convex)
         return {"ok": all(results), "instances": len(results)}
     raise WallcubeError(f"unknown check {check}")
+
+
+def _distance_law_break(cc, sources):
+    """The first pair (v in sources, u in cc.vertices) whose 1-skeleton
+    distance is not popcount(u ^ v), by vertex ids, or None.  On a dual
+    the library built, a median graph whose hyperplanes are the walls,
+    there is none; an unreachable u has distance None."""
+    for v in sources:
+        dist = cc.bfs_distances([v])
+        for u in cc.vertices:
+            law = (u ^ v).bit_count()
+            if dist.get(u) != law:
+                return {"from": cc.vid[v], "to": cc.vid[u],
+                        "distance": dist.get(u), "popcount": law}
+    return None
 
 
 def _sample_loops(cc, rng, count, max_len):
@@ -224,78 +222,80 @@ def _sample_loops(cc, rng, count, max_len):
     return loops
 
 
-@main.command("diagnose")
-@click.argument("file")
-@click.option("--property", "prop", required=True)
-@click.option("--params", default="{}")
-def cli_diagnose(file, prop, params):
-    def go():
-        doc, digest = _read_doc(file)
-        ws = io.wallspace_from_dict(doc)
-        p = io.loads(params)
-        if prop == "linear-separation":
-            rep = linear_separation_fit(
-                ws, max_denominator=p.get("max_denominator", 64),
-                max_offset=p.get("max_offset", 0.0)).to_dict()
-        elif prop == "ball-ball":
-            rep = ball_ball_separation(ws, p.get("r", 0)).to_dict()
-        elif prop == "compact-wall":
-            K = p.get("K") or [ws.points[0]]
-            rep = compact_wall_separation(ws, K).to_dict()
-        elif prop == "wall-wall":
-            rep = wall_wall_separation(ws).to_dict()
-        elif prop in ("ball-wallnbd", "wallnbd-wallnbd"):
-            kind = "BallWallNbd" if prop == "ball-wallnbd" else "WallNbdWallNbd"
-            Y = p.get("Y") or list(ws.points)
-            rep = subspace_separation(ws, Y, kind, p.get("r", 0)).to_dict()
-        elif prop == "packing":
-            subsets = p.get("subsets") or [
-                ws.names_of(w.carrier()) for w in ws.walls if w.carrier()]
-            rep = bounded_packing_number(ws, subsets, p.get("D", 1)).to_dict()
-        elif prop == "degree-profile":
-            cc = build_dual(ws, ws.points[0])
-            rep = {"max_degree": cc.max_degree(),
-                   "dimension": cc.dimension()}
-        else:
-            raise WallcubeError(f"unknown property {prop}")
-        _emit(rep, digest=digest)
-    _run(go)
+def cmd_diagnose(args):
+    from .complex import build_dual
+    from .separation import (
+        ball_ball_separation,
+        bounded_packing_number,
+        compact_wall_separation,
+        linear_separation_fit,
+        subspace_separation,
+        wall_wall_separation,
+    )
+
+    doc, digest = _read_doc(args.file)
+    ws = io.wallspace_from_dict(doc)
+    p = io.loads(args.params)
+    prop = args.property
+    if prop == "linear-separation":
+        rep = linear_separation_fit(
+            ws, max_denominator=p.get("max_denominator", 64),
+            max_offset=p.get("max_offset", 0.0)).to_dict()
+    elif prop == "ball-ball":
+        rep = ball_ball_separation(ws, p.get("r", 0)).to_dict()
+    elif prop == "compact-wall":
+        K = p.get("K") or [ws.points[0]]
+        rep = compact_wall_separation(ws, K).to_dict()
+    elif prop == "wall-wall":
+        rep = wall_wall_separation(ws).to_dict()
+    elif prop in ("ball-wallnbd", "wallnbd-wallnbd"):
+        kind = "BallWallNbd" if prop == "ball-wallnbd" else "WallNbdWallNbd"
+        Y = p.get("Y") or list(ws.points)
+        rep = subspace_separation(ws, Y, kind, p.get("r", 0)).to_dict()
+    elif prop == "packing":
+        subsets = p.get("subsets") or [
+            ws.names_of(w.carrier()) for w in ws.walls if w.carrier()]
+        rep = bounded_packing_number(ws, subsets, p.get("D", 1)).to_dict()
+    elif prop == "degree-profile":
+        cc = build_dual(ws, ws.points[0])
+        rep = {"max_degree": cc.max_degree(),
+               "dimension": cc.dimension()}
+    else:
+        raise WallcubeError(f"unknown property {prop}")
+    _emit(rep, digest=digest)
 
 
-@main.command("act")
-@click.argument("file")
-def cli_act(file):
-    """Group-actions pipeline: spec file -> wallspace + reports."""
-    def go():
-        doc, digest = _read_doc(file)
-        # the whole spec is read before any computation, so a malformed
-        # one exits 2 naming the field
-        spec = groups.group_from_dict(io.get_field(doc, "group", "group"))
-        radius = io.int_field(doc, "radius", "radius")
-        hws = [_hwall_from_dict(spec, h, i)
-               for i, h in enumerate(doc.get("hwalls", []))]
-        subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]")
-                for k, pd in enumerate(doc.get("peripheries") or [])]
-        if subs:
-            variant = _variant_from_dict(doc.get("variant", {}))
-            m = _optional_int(doc, "m", "m", None)
-        ball = groups.cayley_ball(spec, radius)
-        ws, meta = groups.generate_hwall_system(ball, hws)
-        payload = {
-            "wallspace": io.wallspace_to_dict(ws),
-            "hwall_reports": meta.reports,
-            "dropped_vacuous": meta.dropped_vacuous,
-            "dropped_duplicate_partitions": meta.dropped_duplicate_partitions,
-        }
-        if subs:
-            cc = build_dual(ws, ws.points[0])
-            peripheries = [[n for n, g in zip(ball.names, ball.elements)
-                            if sub.contains(g)] for sub in subs]
-            rep = groups.rel_cocompact_check(ws, cc, peripheries, variant,
-                                             m=m)
-            payload["decomposition"] = rep.to_dict()
-        _emit(payload, digest=digest)
-    _run(go)
+def cmd_act(args):
+    from . import groups
+    from .complex import build_dual
+
+    doc, digest = _read_doc(args.file)
+    # the whole spec is read before any computation, so a malformed
+    # one exits 2 naming the field
+    spec = groups.group_from_dict(io.get_field(doc, "group", "group"))
+    radius = io.int_field(doc, "radius", "radius")
+    hws = [_hwall_from_dict(spec, h, i)
+           for i, h in enumerate(doc.get("hwalls", []))]
+    subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]")
+            for k, pd in enumerate(doc.get("peripheries") or [])]
+    if subs:
+        variant = _variant_from_dict(doc.get("variant", {}))
+        m = _optional_int(doc, "m", "m", None)
+    ball = groups.cayley_ball(spec, radius)
+    ws, meta = groups.generate_hwall_system(ball, hws)
+    payload = {
+        "wallspace": io.wallspace_to_dict(ws),
+        "hwall_reports": meta.reports,
+        "dropped_vacuous": meta.dropped_vacuous,
+        "dropped_duplicate_partitions": meta.dropped_duplicate_partitions,
+    }
+    if subs:
+        cc = build_dual(ws, ws.points[0])
+        peripheries = [[n for n, g in zip(ball.names, ball.elements)
+                        if sub.contains(g)] for sub in subs]
+        rep = groups.rel_cocompact_check(ws, cc, peripheries, variant, m=m)
+        payload["decomposition"] = rep.to_dict()
+    _emit(payload, digest=digest)
 
 
 def _optional_int(d, key, path, default):
@@ -304,6 +304,8 @@ def _optional_int(d, key, path, default):
 
 
 def _variant_from_dict(d):
+    from .hemi import InducedVariant
+
     if not isinstance(d, dict):
         raise ParseError(f"variant: {d!r} is not an object")
     kind = d.get("kind", "U0")
@@ -314,6 +316,8 @@ def _variant_from_dict(d):
 
 
 def _subgroup_from_dict(spec, d, path):
+    from . import groups
+
     kind = io.get_field(d, "kind", f"{path}.kind")
     if kind == "coordinate":
         return groups.CoordinateSubgroup(
@@ -328,6 +332,8 @@ def _subgroup_from_dict(spec, d, path):
 
 
 def _hwall_from_dict(spec, d, i):
+    from . import groups
+
     path = f"hwalls[{i}]"
     sub = _subgroup_from_dict(
         spec, io.get_field(d, "subgroup", f"{path}.subgroup"),
@@ -336,33 +342,113 @@ def _hwall_from_dict(spec, d, i):
                             axis=d.get("axis"), index=i)
 
 
-@main.command("sweep")
-@click.option("--generator", "gen_name", required=True)
-@click.option("--ns", required=True, help="comma-separated sizes")
-@click.option("--property", "prop", default="degree-profile",
-              show_default=True)
-def cli_sweep(gen_name, ns, prop):
-    """Family runs -> CSV (scale, measured values)."""
-    def go():
-        rows = []
-        if prop == "degree-profile":
-            header = ["n", "vertices", "max_degree", "dimension"]
-        elif prop == "compact-wall":
-            header = ["n", "verdict", "f"]
+def cmd_sweep(args):
+    from . import generators
+    from .complex import build_dual
+
+    rows = []
+    if args.property == "degree-profile":
+        header = ["n", "vertices", "max_degree", "dimension"]
+    elif args.property == "compact-wall":
+        from .separation import compact_wall_separation
+
+        header = ["n", "verdict", "f"]
+    else:
+        raise WallcubeError(f"unknown sweep property {args.property}")
+    for n in (int(x) for x in args.ns.split(",")):
+        ws = generators.generate(args.generator, n)
+        if args.property == "degree-profile":
+            cc = build_dual(ws, ws.points[0])
+            rows.append((n, cc.nvertices(), cc.max_degree(),
+                         cc.dimension()))
         else:
-            raise WallcubeError(f"unknown sweep property {prop}")
-        for n in (int(x) for x in ns.split(",")):
-            ws = generators.generate(gen_name, n)
-            if prop == "degree-profile":
-                cc = build_dual(ws, ws.points[0])
-                rows.append((n, cc.nvertices(), cc.max_degree(),
-                             cc.dimension()))
-            else:
-                mid = ws.points[len(ws.points) // 2]
-                rep = compact_wall_separation(ws, [mid])
-                rows.append((n, rep.verdict, rep.value))
-        click.echo(io.sweep_csv(rows, header), nl=False)
-    _run(go)
+            mid = ws.points[len(ws.points) // 2]
+            rep = compact_wall_separation(ws, [mid])
+            rows.append((n, rep.verdict, rep.value))
+    sys.stdout.write(io.sweep_csv(rows, header))
+
+
+def _parser():
+    parser = argparse.ArgumentParser(
+        prog="wallcube", allow_abbrev=False,
+        description="Finite wallspaces and their dual cube complexes.")
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="COMMAND")
+
+    def command(name, run, doc):
+        sub = commands.add_parser(name, help=doc, description=doc,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    def int_option(sub, flag, default):
+        sub.add_argument(flag, type=int, default=default,
+                         help="(default: %(default)s)")
+
+    sub = command("validate", cmd_validate,
+                  "Check the wallspace axioms; exit 0 iff they hold.")
+    sub.add_argument("file")
+
+    sub = command("gen", cmd_gen,
+                  "Emit a generator's wallspace (fig3, grid N, rbad N, "
+                  "nonHausdorff3, geomPath N, cayley GROUP RADIUS).")
+    sub.add_argument("name")
+    sub.add_argument("params", nargs="*")
+    int_option(sub, "--seed", 0)
+
+    sub = command("build", cmd_build, "Build the dual cube complex.")
+    sub.add_argument("file")
+    sub.add_argument("--basepoint")
+    sub.add_argument("--export")
+    sub.add_argument("--dot")
+    int_option(sub, "--cap-vertices", DEFAULT_VERTEX_CAP)
+
+    sub = command("verify", cmd_verify,
+                  "Check the dual cube complex of a wallspace.")
+    sub.add_argument("file")
+    sub.add_argument("--checks", default=",".join(ALL_CHECKS),
+                     help="(default: %(default)s)")
+    int_option(sub, "--seed", 0)
+    int_option(sub, "--cap-vertices", DEFAULT_VERTEX_CAP)
+
+    sub = command("diagnose", cmd_diagnose,
+                  "Run one separation diagnostic.")
+    sub.add_argument("file")
+    sub.add_argument("--property", required=True)
+    sub.add_argument("--params", default="{}",
+                     help="JSON object (default: %(default)s)")
+
+    sub = command("act", cmd_act,
+                  "Group-actions pipeline: spec file -> wallspace + "
+                  "reports.")
+    sub.add_argument("file")
+
+    sub = command("sweep", cmd_sweep,
+                  "Family runs -> CSV (scale, measured values).")
+    sub.add_argument("--generator", required=True)
+    sub.add_argument("--ns", required=True, help="comma-separated sizes")
+    sub.add_argument("--property", default="degree-profile",
+                     help="(default: %(default)s)")
+    return parser
+
+
+def main(argv=None):
+    """Run one command; argv defaults to sys.argv[1:]."""
+    args = _parser().parse_args(argv)
+    try:
+        args.run(args)
+        sys.stdout.flush()
+    except StateSpaceCap as exc:
+        _fail(exc, "StateSpaceCap", EXIT_CAP)
+    except ParseError as exc:
+        _fail(exc, "ParseError", EXIT_IO)
+    except WallcubeError as exc:
+        _fail(exc, type(exc).__name__, EXIT_DOMAIN)
+    except BrokenPipeError:
+        # the reader closed the pipe (`wallcube gen grid 7 | head -c 1`):
+        # exit 1 without a traceback, with nothing left to flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_DOMAIN)
 
 
 if __name__ == "__main__":

@@ -114,13 +114,6 @@ class NotAnAutomorphism(WallcubeError):
         super().__init__(f"map is not a wallspace automorphism: {witness}")
 
 
-class InvarianceViolation(WallcubeError):
-    def __init__(self, element, witness):
-        self.element = element
-        self.witness = witness
-        super().__init__(f"H-invariance fails for {element}: {witness}")
-
-
 class UnknownGenerator(WallcubeError):
     pass
 

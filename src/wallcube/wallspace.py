@@ -136,12 +136,6 @@ class Wallspace:
     def wall_indices(self):
         return [w.index for w in self.walls]
 
-    def replace(self, **kw):
-        args = dict(points=self.points, walls=self.walls, metric=self.metric,
-                    max_points=self.max_points, max_walls=self.max_walls)
-        args.update(kw)
-        return Wallspace(**args)
-
 
 @dataclass
 class ValidationReport:

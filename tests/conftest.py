@@ -211,6 +211,13 @@ def strip_cells(cc, dim):
     return CubeComplex(cc.ws, cc.engine, cells)
 
 
+def drop_vertex(cc, m):
+    """cc without vertex m and every cube that has m as a corner."""
+    cells = {w: {b for b in bases if m & ~w != b}
+             for w, bases in cc.cells.items()}
+    return CubeComplex(cc.ws, cc.engine, cells)
+
+
 def cube_key(c):
     """A sort key that orders cubes by dimension, base and walls."""
     return c.dim, c.base, sorted(c.walls)

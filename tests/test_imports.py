@@ -34,6 +34,9 @@ def test_detects_unused_import():
     # a name only rebound or deleted is not read
     assert unused_imports("import x, y\nx = 1\ndel y\n") == \
         [(1, "x"), (1, "y")]
+    # an import inside a function body counts like one at the top
+    assert unused_imports("def f():\n    import json\n    from a import b\n"
+                          "    return b\n") == [(2, "json")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import random_wallspace
+from conftest import drop_vertex, random_wallspace
+from wallcube import complex as complex_module
 from wallcube import io
 from wallcube.cli import main
 from wallcube.generators import fig3, grid, non_hausdorff3, rbad
@@ -67,7 +71,23 @@ def test_dot_outputs_stable():
 
 
 def run_cli(args, stdin=None):
-    return CliRunner().invoke(main, args, input=stdin)
+    """`wallcube *args` run in this process: its exit code, stdout and
+    stderr, and the exception that would end a real process with a
+    traceback and exit code 1."""
+    out, err = StringIO(), StringIO()
+    code, exception = 0, None
+    saved_stdin, sys.stdin = sys.stdin, StringIO(stdin or "")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            main(args)
+    except SystemExit as exc:
+        code = exc.code or 0
+    except Exception as exc:
+        code, exception = 1, exc
+    finally:
+        sys.stdin = saved_stdin
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(),
+                           stderr=err.getvalue(), exception=exception)
 
 
 def write(tmp_path, name, text):
@@ -207,6 +227,30 @@ def test_cli_verify_rbad4(tmp_path):
     connected = json.loads(r.stdout)["payload"]["checks"]["connected"]
     assert connected["ok"] is True
     assert connected["vertices"] == connected["all_orientations"]
+
+
+def test_cli_verify_convexity_checks_distance_law(tmp_path, monkeypatch):
+    # the hull test holds on every dual_sub by construction; the distance
+    # law it rests on fails once the centre of the 3 x 3 grid is dropped:
+    # two opposite neighbours of the hole are 4 apart, at popcount 2
+    build = complex_module.build_dual
+
+    def holed(ws, basepoint, vertex_cap):
+        cc = build(ws, basepoint, vertex_cap=vertex_cap)
+        centre = next(m for m in cc.vertices if len(cc.adj[m]) == 4)
+        return drop_vertex(cc, centre)
+
+    path = write(tmp_path, "grid2.json", run_cli(["gen", "grid", "2"]).stdout)
+    monkeypatch.setattr(complex_module, "build_dual", holed)
+    for seed in range(5):
+        # 5 of the 8 vertices are sampled, so one is next to the hole
+        r = run_cli(["verify", path, "--checks", "convexity",
+                     "--seed", str(seed)])
+        assert r.exit_code == 1
+        check = json.loads(r.stdout)["payload"]["checks"]["convexity"]
+        assert check["ok"] is False and check["instances"] == 0
+        law = check["distance_law"]
+        assert (law["distance"], law["popcount"]) == (4, 2)
 
 
 def test_cli_diagnose(tmp_path):
@@ -373,3 +417,34 @@ def test_cli_sweep_compact_wall():
     lines = r.stdout.strip().splitlines()
     assert lines[0] == "n,verdict,f"
     assert all(line.split(",")[1] == "holds" for line in lines[1:])
+
+
+@pytest.mark.parametrize("args", [
+    [],                                # no command
+    ["mystery"],                       # no such command
+    ["diagnose", "x.json"],            # --property is required
+    ["gen", "fig3", "--seed", "x"],    # not an integer
+])
+def test_cli_usage_error(args):
+    r = run_cli(args)
+    assert r.exit_code == 2 and r.stdout == ""
+    assert "usage: wallcube" in r.stderr
+
+
+CLI_OPTIONS = {
+    "validate": [],
+    "gen": ["--seed"],
+    "build": ["--basepoint", "--export", "--dot", "--cap-vertices"],
+    "verify": ["--checks", "--seed", "--cap-vertices"],
+    "diagnose": ["--property", "--params"],
+    "act": [],
+    "sweep": ["--generator", "--ns", "--property"],
+}
+
+
+@pytest.mark.parametrize("command", CLI_OPTIONS)
+def test_cli_help(command):
+    r = run_cli([command, "--help"])
+    assert r.exit_code == 0 and r.stderr == ""
+    for option in ["--help", *CLI_OPTIONS[command]]:
+        assert option in r.stdout

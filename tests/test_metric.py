@@ -156,13 +156,48 @@ def test_ball_and_set_distances():
     assert m.frontier(0b11) == 0b10
 
 
-def test_import_pulls_no_numeric_stack():
+def run_python(code, *args, cwd=None):
+    """`python -c code *args` in a fresh interpreter that imports wallcube
+    from this source tree."""
     src = str(Path(wallcube.__file__).resolve().parents[1])
-    code = ("import sys, wallcube, wallcube.cli; "
-            "print(sorted(m for m in ('numpy', 'scipy', 'networkx') "
-            "if m in sys.modules))")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, timeout=60,
-                       env={**os.environ, "PYTHONPATH": src})
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=60,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_import_pulls_no_numeric_stack():
+    # beyond what the interpreter loads at start-up, only the standard
+    # library and wallcube itself
+    code = ("import sys; before = set(sys.modules); "
+            "import wallcube, wallcube.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy', 'networkx', 'click') "
+            "if m in sys.modules)); "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'wallcube'}))")
+    r = run_python(code)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+# run one CLI command, then list every module it loaded on stderr
+CLI_MODULES = ("import sys\n"
+               "from wallcube.cli import main\n"
+               "try:\n"
+               "    main(sys.argv[1:])\n"
+               "finally:\n"
+               "    sys.stderr.write(' '.join(sorted(sys.modules)))\n")
+
+
+@pytest.mark.parametrize("args, unloaded", [
+    (["gen", "grid", "3"], {"wallcube.groups", "wallcube.separation"}),
+    (["validate", "grid3.json"], {"wallcube.groups"}),
+    (["diagnose", "grid3.json", "--property", "linear-separation"],
+     {"wallcube.groups"}),
+])
+def test_cli_command_imports_only_what_it_runs(tmp_path, args, unloaded):
+    gen = run_python(CLI_MODULES, "gen", "grid", "3")
+    (tmp_path / "grid3.json").write_text(gen.stdout)
+    r = run_python(CLI_MODULES, *args, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stderr.split())
+    assert "wallcube.cli" in loaded and not unloaded & loaded
