@@ -64,8 +64,10 @@ def cmd_gen(args):
     if args.name == "cayley":
         from . import groups
 
+        if len(args.params) != 2:
+            raise ParseError("gen cayley takes GROUP RADIUS, e.g. Z2 5")
         spec = _group_spec(args.params[0])
-        ball = groups.cayley_ball(spec, int(args.params[1]))
+        ball = groups.cayley_ball(spec, _int_arg(args.params[1], "RADIUS"))
         ws, _meta = groups.generate_hwall_system(ball, _default_hwalls(spec))
     else:
         from . import generators
@@ -79,10 +81,18 @@ def _group_spec(text):
     from . import groups
 
     if text.startswith("Z"):
-        return groups.FreeAbelian(int(text[1:] or 1))
+        return groups.FreeAbelian(_int_arg(text[1:] or "1", "GROUP Zd"))
     if text.startswith("F"):
-        return groups.Free(int(text[1:] or 2))
+        return groups.Free(_int_arg(text[1:] or "2", "GROUP Fr"))
     raise ParseError(f"unknown group {text}; use Zd or Fr")
+
+
+def _int_arg(text, what):
+    """A command-line integer; a ParseError naming it otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what}: {text!r} is not an integer") from None
 
 
 def _default_hwalls(spec):
@@ -236,6 +246,8 @@ def cmd_diagnose(args):
     doc, digest = _read_doc(args.file)
     ws = io.wallspace_from_dict(doc)
     p = io.loads(args.params)
+    if not isinstance(p, dict):
+        raise ParseError(f"--params: {args.params} is not a JSON object")
     prop = args.property
     if prop == "linear-separation":
         rep = linear_separation_fit(
@@ -323,8 +335,11 @@ def _subgroup_from_dict(spec, d, path):
         return groups.CoordinateSubgroup(
             spec, io.get_field(d, "coords", f"{path}.coords"))
     if kind == "cyclic":
-        return groups.CyclicSubgroup(
-            spec, io.get_field(d, "word", f"{path}.word"))
+        word = io.get_field(d, "word", f"{path}.word")
+        try:
+            return groups.CyclicSubgroup(spec, word)
+        except WallcubeError as exc:
+            raise ParseError(f"{path}.word: {exc}") from None
     if kind == "factor":
         return groups.FreeFactorSubgroup(
             spec, io.get_field(d, "factor", f"{path}.factor"))
@@ -355,7 +370,7 @@ def cmd_sweep(args):
         header = ["n", "verdict", "f"]
     else:
         raise WallcubeError(f"unknown sweep property {args.property}")
-    for n in (int(x) for x in args.ns.split(",")):
+    for n in [_int_arg(x, "--ns") for x in args.ns.split(",")]:
         ws = generators.generate(args.generator, n)
         if args.property == "degree-profile":
             cc = build_dual(ws, ws.points[0])

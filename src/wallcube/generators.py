@@ -9,7 +9,7 @@ geomPath(n)   geometric wallspace of the path graph 0-1-...-n
 cayley(...)   Cayley-ball systems, see the groups module
 """
 
-from .errors import UnknownGenerator
+from .errors import ParseError, UnknownGenerator
 from .metric import Metric
 from .wallspace import Wall, Wallspace, from_geometric_walls
 
@@ -109,14 +109,20 @@ def geom_path(n):
 
 
 def generate(name, *args):
+    """The named generator's wallspace; a sized one takes its size as the
+    first argument (an int or its text), a ParseError when there is none."""
     if name == "fig3":
         return fig3()
-    if name == "grid":
-        return grid(int(args[0]))
-    if name == "rbad":
-        return rbad(int(args[0]))
     if name == "nonHausdorff3":
         return non_hausdorff3()
-    if name == "geomPath":
-        return geom_path(int(args[0]))
-    raise UnknownGenerator(name)
+    sized = {"grid": grid, "rbad": rbad, "geomPath": geom_path}
+    if name not in sized:
+        raise UnknownGenerator(name)
+    try:
+        n = int(args[0])
+    except IndexError:
+        raise ParseError(f"{name} needs a size N") from None
+    except ValueError:
+        raise ParseError(f"{name}: size {args[0]!r} is not an integer") \
+            from None
+    return sized[name](n)

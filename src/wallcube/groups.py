@@ -1,18 +1,24 @@
 """Cayley-ball wallspaces with H-walls for concrete group families.
 
-Supported groups have exact normal forms, so the word problem and the word
-metric are computed exactly (not approximated inside the ball):
+Supported groups have exact normal forms, and the library multiplies only
+normal forms, so a product cancels only at the junction of its factors:
 
   * FreeAbelian(d): elements are integer tuples, generators ±e_i, L1 length.
   * Free(rank):     elements are reduced words over a, b, ... with inverses
                     written as uppercase letters.
   * FreeProduct:    syllable sequences over the factors.
 
+A ball's word metric is the breadth-first path metric of its Cayley graph,
+exact because the ball is geodesically convex (see `CayleyBall`).
+
 Everything built from a ball is truncated to the ball, and every truncation
 effect is reported, never silently passed.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add, neg
 
 from .complex import canonical_cube
 from .errors import (
@@ -46,23 +52,17 @@ class FreeAbelian:
         return (0,) * self.d
 
     def generators(self):
-        gens = []
-        for i in range(self.d):
-            e = [0] * self.d
-            e[i] = 1
-            gens.append(tuple(e))
-            e[i] = -1
-            gens.append(tuple(e))
-        return gens
+        return [tuple(sign * (k == i) for k in range(self.d))
+                for i in range(self.d) for sign in (1, -1)]
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def length(self, a):
-        return sum(abs(x) for x in a)
+        return sum(map(abs, a))
 
     def name(self, a):
         return "(" + ",".join(str(x) for x in a) + ")"
@@ -87,13 +87,13 @@ class Free:
         return [c for c in self.letters] + [c.upper() for c in self.letters]
 
     def mul(self, a, b):
-        out = list(a)
-        for c in b:
-            if out and out[-1] == c.swapcase():
-                out.pop()
-            else:
-                out.append(c)
-        return "".join(out)
+        """Product of two reduced words: only the junction cancels."""
+        if not (a and b and a[-1] == b[0].swapcase()):
+            return a + b
+        k, n = 1, min(len(a), len(b))
+        while k < n and a[-1 - k] == b[k].swapcase():
+            k += 1
+        return a[:-k] + b[k:]
 
     def inv(self, a):
         return "".join(c.swapcase() for c in reversed(a))
@@ -130,17 +130,16 @@ class FreeProduct:
         return gens
 
     def mul(self, a, b):
-        out = list(a)
-        for syl in b:
-            if out and out[-1][0] == syl[0]:
-                i = syl[0]
-                merged = self.factors[i].mul(out[-1][1], syl[1])
-                out.pop()
-                if merged != self.factors[i].identity():
-                    out.append((i, merged))
-            else:
-                out.append(syl)
-        return tuple(out)
+        """Product of two normal forms: syllables of one factor meet only at
+        the junction, and a merge that is not the identity stops it."""
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            f = self.factors[b[j][0]]
+            merged = f.mul(a[i - 1][1], b[j][1])
+            i, j = i - 1, j + 1
+            if merged != f.identity():
+                return a[:i] + ((b[j - 1][0], merged),) + b[j:]
+        return a[:i] + b[j:]
 
     def inv(self, a):
         return tuple((i, self.factors[i].inv(g)) for i, g in reversed(a))
@@ -177,61 +176,57 @@ def group_from_dict(d, path="group"):
 
 
 class CayleyBall:
-    """Ball of given radius in the word metric; metric exact via normal
-    forms, edges generator-labelled within the ball."""
+    """Ball of given radius in the word metric, with its Cayley-graph edges
+    (element pairs `steps`).  The metric is their breadth-first path metric,
+    which is the word metric because the ball is geodesically convex: in a
+    free group it is a subtree; in ℤᵈ (L1) a geodesic can take all of its
+    norm-decreasing steps first; in a free product a geodesic passes
+    through the common prefix one syllable at a time, inside each factor's
+    (convex) ball."""
 
-    def __init__(self, spec, radius, elements):
+    def __init__(self, spec, radius, elements, steps):
         self.spec = spec
         self.radius = radius
         self.elements = elements  # sorted by (length, name)
         self.names = [spec.name(g) for g in elements]
         self.by_name = {n: i for i, n in enumerate(self.names)}
-        self.by_elem = {g: i for i, g in enumerate(elements)}
-        n = len(elements)
-        dist = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = spec.length(spec.mul(spec.inv(elements[i]), elements[j]))
-                dist[i][j] = dist[j][i] = d
-        edges = []
-        for i, g in enumerate(elements):
-            for s in spec.generators():
-                h = spec.mul(g, s)
-                j = self.by_elem.get(h)
-                if j is not None and i < j:
-                    edges.append((i, j, 1))
-        self.metric = Metric(dist, edges=edges)
+        self.by_elem = by_elem = {g: i for i, g in enumerate(elements)}
+        edges = sorted((by_elem[g], by_elem[h], 1) for g, h in steps)
+        self.metric = Metric.from_edges(len(elements), edges)
 
     def contains(self, g):
         return g in self.by_elem
 
     def mask_of(self, pred):
-        m = 0
-        for i, g in enumerate(self.elements):
-            if pred(g):
-                m |= 1 << i
-        return m
+        return sum(1 << i for i, g in enumerate(self.elements) if pred(g))
 
 
 def cayley_ball(spec, radius, cap=4096):
+    """Breadth-first search, one product per (inner element, generator): a
+    generator changes every length by exactly one, so each edge joins two
+    consecutive spheres and is found from its inner end."""
     if radius < 0:
         raise WallcubeError("radius must be >= 0")
+    gens = spec.generators()
     seen = {spec.identity()}
     frontier = [spec.identity()]
+    steps = []
     for _ in range(radius):
-        nxt = []
+        nxt = {}
         for g in frontier:
-            for s in spec.generators():
+            for s in gens:
                 h = spec.mul(g, s)
                 if h not in seen:
                     if len(seen) >= cap:
                         raise StateSpaceCap(
                             f"cayley ball exceeds cap {cap}")
                     seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
+                    nxt[h] = None
+                if h in nxt:
+                    steps.append((g, h))
+        frontier = list(nxt)
     elements = sorted(seen, key=lambda g: (spec.length(g), spec.name(g)))
-    return CayleyBall(spec, radius, elements)
+    return CayleyBall(spec, radius, elements, steps)
 
 
 # -- subgroups ---------------------------------------------------------
@@ -252,13 +247,16 @@ class CoordinateSubgroup:
 
 
 class CyclicSubgroup:
-    """<w> inside a free group (w a reduced word)."""
+    """<w> inside a free group; w is reduced here, once, letter by letter."""
 
     def __init__(self, spec, word):
         self.spec = spec
-        self.word = word
-        if not word:
-            raise WallcubeError("w must be nontrivial")
+        if spec.kind != "Free" or not isinstance(word, str) or \
+                not set(word) <= set(spec.generators()):
+            raise WallcubeError(f"{word!r} is no word of {spec.to_dict()}")
+        self.word = reduce(spec.mul, word, spec.identity())
+        if not self.word:
+            raise WallcubeError(f"{word!r} reduces to the identity")
 
     def contains(self, g):
         if g == self.spec.identity():
@@ -312,19 +310,19 @@ class HWallSpec:
             raise UnknownGenerator(rule)
 
     def side(self, g):
-        """'left', 'right', or 'both' for a full-group element."""
+        """'L' (left only), 'R' (right only) or 'B' (both) for a full-group
+        element."""
         if self.rule == "coordinate":
             x = g[self.axis]
             if x == 0:
-                return "both"
-            return "left" if x < 0 else "right"
+                return "B"
+            return "L" if x < 0 else "R"
         # branch rule on a free group
         axis = self.axis  # the subgroup's letter, e.g. "a"
         rest = g.lstrip(axis + axis.upper())
         if not rest:
-            return "both"
-        first = rest[0]
-        return "left" if first.islower() else "right"
+            return "B"
+        return "L" if rest[0].islower() else "R"
 
 
 @dataclass
@@ -353,12 +351,8 @@ def build_hwall(ball, hw):
     violations = []
     for h in hmembers:
         for i, g in enumerate(ball.elements):
-            hg = spec.mul(h, g)
-            j = ball.by_elem.get(hg)
-            if j is None:
-                continue
-            if bool(u >> i & 1) != bool(u >> j & 1) or \
-                    bool(v >> i & 1) != bool(v >> j & 1):
+            j = ball.by_elem.get(spec.mul(h, g))
+            if j is not None and (u >> i ^ u >> j | v >> i ^ v >> j) & 1:
                 violations.append({"h": spec.name(h), "g": spec.name(g)})
     carrier = u & v
     carrier_orbits = _orbit_count(ball, hmembers, bits(carrier))
@@ -383,19 +377,19 @@ def build_hwall(ball, hw):
     return Wall(hw.index or 0, u, v), rep
 
 
+_IN_LEFT = str.maketrans("LRB", "101")
+_IN_RIGHT = str.maketrans("LRB", "011")
+
+
 def _translate(ball, hw, t_inv):
     """The halfspace masks (U, V) of the H-wall's translate by t, truncated
     to the ball: x lies in tU when t⁻¹x is on the left of hw or on both
-    sides, in tV when it is on the right or on both."""
-    mul, side = ball.spec.mul, hw.side
-    u = v = 0
-    for i, x in enumerate(ball.elements):
-        s = side(mul(t_inv, x))
-        if s != "right":
-            u |= 1 << i
-        if s != "left":
-            v |= 1 << i
-    return u, v
+    sides, in tV when it is on the right or on both.  Point i is bit i of
+    each mask, hence the reversed side string."""
+    sides = "".join(map(hw.side, map(ball.spec.mul, repeat(t_inv),
+                                     ball.elements)))[::-1]
+    return int(sides.translate(_IN_LEFT), 2), \
+        int(sides.translate(_IN_RIGHT), 2)
 
 
 def _swaps_sides(ball, h, u, v):
@@ -449,12 +443,12 @@ def generate_hwall_system(ball, hwall_specs, max_walls=256):
     seen_pairs = set()
     partitions = {}
     full = (1 << len(ball.elements)) - 1
+    inverses = list(map(spec.inv, ball.elements))
     next_index = 0
     for pos, hw in enumerate(hwall_specs):
         _w, rep = build_hwall(ball, hw)
         meta.reports.append(rep.to_dict())
-        for g in ball.elements:
-            ginv = spec.inv(g)
+        for g, ginv in zip(ball.elements, inverses):
             gu, gv = _translate(ball, hw, ginv)
             pair = frozenset((gu, gv))
             if pair == frozenset((0, full)) or gu == 0 or gv == 0:

@@ -273,8 +273,11 @@ def bounded_packing_number(ws, subsets, D):
     masks = [s if isinstance(s, int) else ws.mask_of(s) for s in subsets]
     adj = [0] * len(masks)
     for i in range(len(masks)):
+        # under D = inf every pair is close, an empty subset too (its
+        # distance to anything is inf); otherwise empty subsets are not
+        near = metric.ball(masks[i], D)
         for j in range(i + 1, len(masks)):
-            if metric.dist_sets(masks[i], masks[j]) <= D:
+            if near & masks[j] or D == INF:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     best = min((bits(c) for c in max_cliques(adj)),

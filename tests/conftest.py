@@ -378,3 +378,16 @@ def forget_unpaired(hemi):
     walls = [w for w in ws.walls if w.index not in hemi.fixed]
     return Wallspace(ws.points, walls, metric=ws.metric,
                      max_points=ws.max_points, max_walls=ws.max_walls)
+
+
+def oracle_ball_metric(ball):
+    """The word metric of a Cayley ball from its normal forms: d(g, h) is
+    the length of g⁻¹h, one product per pair."""
+    spec, elements = ball.spec, ball.elements
+    n = len(elements)
+    dist = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = spec.length(spec.mul(spec.inv(elements[i]), elements[j]))
+            dist[i][j] = dist[j][i] = d
+    return dist

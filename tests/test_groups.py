@@ -5,7 +5,10 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_ball_metric
 from wallcube import complex as complex_mod
 from wallcube.complex import build_dual
 from wallcube import groups
@@ -72,6 +75,39 @@ def test_free_product_syllables():
     assert fp.length(g) == 3
 
 
+def stack_reduced(word):
+    """Free reduction of any word, one letter at a time on a stack."""
+    out = []
+    for c in word:
+        if out and out[-1] == c.swapcase():
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+reduced_words = st.text("abcABC", max_size=12).map(stack_reduced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_words, reduced_words)
+def test_free_mul_cancels_at_the_junction(a, b):
+    assert Free(3).mul(a, b) == stack_reduced(a + b)
+
+
+def test_cyclic_subgroup_reduces_its_word():
+    assert CyclicSubgroup(F2, "abBa").word == "aa"
+    for word in ("aA", "abBA", "", "ax", 5):
+        with pytest.raises(WallcubeError):
+            CyclicSubgroup(F2, word)
+    with pytest.raises(WallcubeError):
+        CyclicSubgroup(Z2, "a")
+    # membership of powers of a word that is not cyclically reduced
+    h = CyclicSubgroup(F2, "abA")
+    assert h.contains("abbA") and h.contains("aBBBA")
+    assert not h.contains("ab") and not h.contains("b")
+
+
 def test_group_from_dict_roundtrip():
     for spec in (Z2, F2, FreeProduct([FreeAbelian(1), Free(1)])):
         again = group_from_dict(spec.to_dict())
@@ -102,6 +138,71 @@ def test_cayley_ball_cap():
         cayley_ball(F2, 8, cap=100)
 
 
+# (family, largest radius): the nested free product Z * (Z * Z) stops at
+# radius 3 (187 points), as its 937-point radius-4 ball takes the pairwise
+# oracle several seconds
+METRIC_FAMILIES = [
+    (FreeAbelian(1), 4), (FreeAbelian(2), 4), (FreeAbelian(3), 4),
+    (Free(1), 4), (Free(2), 4), (Free(3), 4),
+    (FreeProduct([FreeAbelian(1), Free(1)]), 4),
+    (FreeProduct([FreeAbelian(2), Free(1)]), 4),
+    (FreeProduct([FreeAbelian(1), FreeProduct([FreeAbelian(1), Free(1)])]),
+     3)]
+
+
+@pytest.mark.parametrize("spec, max_radius", METRIC_FAMILIES,
+                         ids=[json.dumps(spec.to_dict())
+                              for spec, _r in METRIC_FAMILIES])
+def test_ball_metric_is_the_word_metric(spec, max_radius):
+    # the breadth-first metric of the ball's edges against g⁻¹h per pair
+    for radius in range(max_radius + 1):
+        ball = cayley_ball(spec, radius)
+        assert ball.metric.dist == oracle_ball_metric(ball), radius
+
+
+class CountingSpec:
+    """A group spec that counts the products it makes."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def mul(self, a, b):
+        self.products += 1
+        return self.spec.mul(a, b)
+
+
+def counted_systems():
+    z2, f2 = CountingSpec(Z2), CountingSpec(F2)
+    yield z2, 5, [
+        HWallSpec(CoordinateSubgroup(z2, [1]), "coordinate", axis=0),
+        HWallSpec(CoordinateSubgroup(z2, [0]), "coordinate", axis=1)]
+    yield f2, 4, [HWallSpec(CyclicSubgroup(f2, "a"), "branch", axis="a"),
+                  HWallSpec(CyclicSubgroup(f2, "abA"), "branch", axis="a")]
+
+
+@pytest.mark.parametrize("spec, radius, hws", counted_systems(),
+                         ids=["Z2", "F2"])
+def test_group_layer_work_counts(spec, radius, hws):
+    # product counts, not times: a quadratic loop over the ball fails here
+    ball = cayley_ball(spec, radius)
+    n = len(ball.elements)
+    assert spec.products <= n * len(spec.generators())
+    hsizes = [sum(map(hw.subgroup.contains, ball.elements)) - 1
+              for hw in hws]
+    spec.products = 0
+    generate_hwall_system(ball, hws)
+    # per spec: one translate per ball point, with one product per point;
+    # the invariance check, the carrier and frontier orbit counts and the
+    # side-swap test multiply each H-member in the ball by each point at
+    # most once each; cyclic membership of a point costs 2(r + 1) products
+    checks = sum(5 * h + 2 * (radius + 1) for h in hsizes)
+    assert spec.products <= (len(hws) * (n + 1) + checks) * n
+
+
 # -- H-walls -----------------------------------------------------------
 
 
@@ -127,6 +228,10 @@ def test_build_hwall_f2_branch():
     carrier = {ball.names[i] for i in range(len(ball.names))
                if (wall.carrier() >> i) & 1}
     assert carrier == {"1", "a", "A", "aa", "AA", "aaa", "AAA"}
+    # the branch rule of the letter a is not invariant under <ab>
+    _wall, rep = build_hwall(
+        ball, HWallSpec(CyclicSubgroup(F2, "ab"), "branch", axis="a"))
+    assert not rep.ok and {"h": "BA", "g": "1"} in rep.invariance_violations
 
 
 def test_generated_systems_validate():

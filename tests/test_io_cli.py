@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import drop_vertex, random_wallspace
+import wallcube
 from wallcube import complex as complex_module
 from wallcube import io
 from wallcube.cli import main
@@ -346,6 +350,98 @@ def test_cli_act_malformed_spec(tmp_path, spec, where):
     assert r.exit_code == 2
     err = json.loads(r.stderr)
     assert err["error"] == "ParseError" and where in err["detail"]
+
+
+F2_ACT = {"group": {"kind": "Free", "rank": 2}, "radius": 2,
+          "hwalls": [{"subgroup": {"kind": "cyclic", "word": "a"},
+                      "rule": "branch", "axis": "a"}]}
+
+
+@pytest.mark.parametrize("changes, where", [
+    ({"peripheries": [{"kind": "cyclic", "word": "aA"}]},
+     "peripheries[0].word: 'aA' reduces to the identity"),
+    ({"peripheries": [{"kind": "cyclic", "word": "b"},
+                      {"kind": "cyclic", "word": "ax"}]},
+     "peripheries[1].word: 'ax' is no word"),
+    ({"peripheries": [{"kind": "cyclic", "word": 5}]},
+     "peripheries[0].word: 5 is no word"),
+    ({"hwalls": [{"subgroup": {"kind": "cyclic", "word": "abBA"},
+                  "rule": "branch", "axis": "a"}]},
+     "hwalls[0].subgroup.word: 'abBA' reduces to the identity"),
+    ({"group": {"kind": "FreeAbelian", "d": 2}},
+     "hwalls[0].subgroup.word: 'a' is no word"),
+])
+def test_cli_act_bad_cyclic_word(tmp_path, changes, where):
+    # in a child process under a time bound: a word reducing to the
+    # identity once made subgroup membership loop forever
+    path = write(tmp_path, "act.json", json.dumps({**F2_ACT, **changes}))
+    src = str(Path(wallcube.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-m", "wallcube.cli", "act", path],
+                       capture_output=True, text=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 2 and r.stdout == ""
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParseError" and where in err["detail"]
+
+
+@pytest.mark.parametrize("args, where", [
+    (["gen", "grid"], "grid needs a size N"),
+    (["gen", "grid", "x"], "grid: size 'x' is not an integer"),
+    (["gen", "cayley", "Z2"], "gen cayley takes GROUP RADIUS"),
+    (["gen", "cayley", "Zx", "2"], "GROUP Zd: 'x' is not an integer"),
+    (["gen", "cayley", "F2", "x"], "RADIUS: 'x' is not an integer"),
+    (["sweep", "--generator", "rbad", "--ns", "2,x"],
+     "--ns: 'x' is not an integer"),
+    (["diagnose", "-", "--property", "ball-ball", "--params", "[1]"],
+     "--params: [1] is not a JSON object"),
+])
+def test_cli_malformed_arguments(args, where):
+    r = run_cli(args, stdin=run_cli(["gen", "grid", "2"]).stdout)
+    assert r.exit_code == 2 and r.exception is None and r.stdout == ""
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParseError" and where in err["detail"]
+
+
+def cold_act_spec(variant):
+    """The act spec of the cli-cold benchmark workload."""
+    return {
+        "group": {"kind": "FreeAbelian", "d": 2},
+        "radius": 3,
+        "hwalls": [
+            {"subgroup": {"kind": "coordinate", "coords": [1]},
+             "rule": "coordinate", "axis": 0},
+            {"subgroup": {"kind": "coordinate", "coords": [0]},
+             "rule": "coordinate", "axis": 1},
+        ],
+        "peripheries": [{"kind": "coordinate", "coords": [0]},
+                        {"kind": "coordinate", "coords": [1]}],
+        "variant": variant,
+    }
+
+
+# sha256 of the standard output, recorded from the normal-form metric and
+# the stack-reduced products that the Cayley-ball layer replaced
+GROUP_OUTPUT_RECORDED = [
+    (["gen", "cayley", "Z2", "5"], None,
+     "0071557bc9fb4371fc3bd38fb0b634cedf7719c1abc077a1f04ad7fb0d723a98"),
+    (["gen", "cayley", "F2", "4"], None,
+     "8e5c5d288399269e065611a60a88096f8bd462ffc11eebbfaeaee36cf28e8adb"),
+    (["act"], cold_act_spec({"kind": "U0"}),
+     "78c75488a0f9cef4147fd6e632d1730a657c44c25e8dcc70553a517cdacf2d59"),
+    (["act"], cold_act_spec({"kind": "Ur", "r": 1}),
+     "7813490542a0d4b9434b0f72555e6a80b57045576c1f406bfec2fd71e47daa72"),
+]
+
+
+@pytest.mark.parametrize("args, spec, digest", GROUP_OUTPUT_RECORDED,
+                         ids=["cayley Z2 5", "cayley F2 4", "act U0",
+                              "act Ur"])
+def test_cli_group_output_recorded(tmp_path, args, spec, digest):
+    if spec is not None:
+        args = args + [write(tmp_path, "act.json", json.dumps(spec))]
+    r = run_cli(args)
+    assert r.exit_code == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 def test_cli_act_library_key_error_surfaces(tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     oracle_separates_compact_wall,
@@ -20,7 +22,7 @@ from wallcube.groups import (
     cayley_ball,
     generate_hwall_system,
 )
-from wallcube.metric import INF, bits
+from wallcube.metric import INF, Metric, bits
 from wallcube.separation import (
     _least_threshold,
     axis_cut_test,
@@ -33,7 +35,7 @@ from wallcube.separation import (
     wall_region,
     wall_wall_separation,
 )
-from wallcube.wallspace import separation_count, validate
+from wallcube.wallspace import Wallspace, separation_count, validate
 
 
 def metric_spaces(count=10):
@@ -213,6 +215,36 @@ def test_packing_matches_bruteforce():
                        for a, b in combinations(sub, 2)):
                     best = max(best, r)
         assert rep.k == best
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packing_matches_pairwise_oracle(data):
+    # graphs that may be disconnected, subsets that may be empty, D = inf
+    n = data.draw(st.integers(1, 7))
+    point = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(point, point), max_size=10))
+    edges = sorted({(min(a, b), max(a, b), 1) for a, b in pairs if a != b})
+    ws = Wallspace([f"p{i}" for i in range(n)], [],
+                   metric=Metric.from_edges(n, edges))
+    subsets = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    D = data.draw(st.sampled_from([0, 1, 1.5, 2, 4, INF]))
+
+    def close(a, b):
+        d = min((ws.metric.dist[i][j] for i in range(n) if a >> i & 1
+                 for j in range(n) if b >> j & 1), default=INF)
+        return d <= D
+
+    best = []
+    for size in range(len(subsets), 0, -1):
+        families = [list(f) for f in combinations(range(len(subsets)), size)
+                    if all(close(subsets[a], subsets[b])
+                           for a, b in combinations(f, 2))]
+        if families:
+            best = min(families)
+            break
+    rep = bounded_packing_number(ws, subsets, D)
+    assert (rep.k, rep.witness_family) == (len(best), best)
 
 
 def test_packing_witness_is_least_maximum_family():
