@@ -353,8 +353,21 @@ def _hwall_from_dict(spec, d, i):
     sub = _subgroup_from_dict(
         spec, io.get_field(d, "subgroup", f"{path}.subgroup"),
         f"{path}.subgroup")
-    return groups.HWallSpec(sub, io.get_field(d, "rule", f"{path}.rule"),
-                            axis=d.get("axis"), index=i)
+    rule = io.get_field(d, "rule", f"{path}.rule")
+    axis = d.get("axis")
+    # the branch rule strips powers of a free generator, the coordinate
+    # rule reads one coordinate of a free abelian element
+    letters = list(getattr(spec, "letters", ""))
+    if rule == "branch" and axis not in letters:
+        raise ParseError(f"{path}.axis: {axis!r} is not one of the "
+                         f"generator letters {letters}")
+    dim = getattr(spec, "d", 0)
+    if rule == "coordinate" and (not isinstance(axis, int)
+                                 or isinstance(axis, bool)
+                                 or not 0 <= axis < dim):
+        raise ParseError(f"{path}.axis: {axis!r} is not an axis "
+                         f"in range({dim})")
+    return groups.HWallSpec(sub, rule, axis=axis, index=i)
 
 
 def cmd_sweep(args):

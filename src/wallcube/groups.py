@@ -148,9 +148,15 @@ class FreeProduct:
         return sum(self.factors[i].length(g) for i, g in a)
 
     def name(self, a):
+        """Syllables `i:name` joined by `*`; the name of a syllable in a
+        factor that is itself a free product is bracketed, so that its
+        own `*` cannot be read as one of this product's."""
         if not a:
             return "1"
-        return "*".join(f"{i}:{self.factors[i].name(g)}" for i, g in a)
+        return "*".join(
+            f"{i}:({self.factors[i].name(g)})"
+            if isinstance(self.factors[i], FreeProduct)
+            else f"{i}:{self.factors[i].name(g)}" for i, g in a)
 
     def to_dict(self):
         return {"kind": self.kind,
@@ -190,6 +196,11 @@ class CayleyBall:
         self.elements = elements  # sorted by (length, name)
         self.names = [spec.name(g) for g in elements]
         self.by_name = {n: i for i, n in enumerate(self.names)}
+        if len(self.by_name) != len(self.names):
+            shared = next(n for i, n in enumerate(self.names)
+                          if self.by_name[n] != i)
+            raise WallcubeError(f"two elements of the ball are named "
+                                f"{shared!r}")
         self.by_elem = by_elem = {g: i for i, g in enumerate(elements)}
         edges = sorted((by_elem[g], by_elem[h], 1) for g, h in steps)
         self.metric = Metric.from_edges(len(elements), edges)

@@ -4,10 +4,24 @@ JSON is the single source format; DOT and CSV are export-only.  Serialized
 documents use canonically ordered fields and sorted collections so that
 round-trips are bit-exact and re-runs are stable.  Every CLI artifact embeds
 tool version, seed, caps, and a digest of its input.
+
+`dumps` writes the bytes of `json.dumps(obj, sort_keys=True, indent=2)`
+plus a newline: keys sorted, two-space indentation, ASCII-escaped strings,
+NaN and Infinity written as json writes them.  The standard library runs
+its pure-Python encoder whenever `indent` is set, so `dumps` has its own
+writer that leaves the per-element work to C: exact ints go through
+`int.__repr__`, strings through json's C string escaper, other scalars
+through json's C encoder, and a list of records of one shape (dicts with
+one set of str keys, or lists of one length) is rendered by columns through
+one `str.format` template.  The one departure from json: a cyclic value
+raises RecursionError, not ValueError.
 """
 
 import hashlib
 import json
+from functools import partial
+from itertools import chain
+from operator import itemgetter
 
 from .errors import ParseError
 from .metric import Metric
@@ -105,8 +119,114 @@ def wallspace_from_dict(doc, max_points=None, max_walls=None):
                      max_points=max_points, max_walls=max_walls)
 
 
+_escape = json.encoder.encode_basestring_ascii
+_scalar = json.JSONEncoder().encode    # compact, hence json's C encoder
+_LEAF = {int: int.__repr__, str: _escape}
+
+
 def dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text of `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`,
+    byte for byte: keys sorted, non-ASCII characters escaped, NaN and
+    ±Infinity written as json writes them.  Raises TypeError where json
+    does (a value or key json cannot encode, keys that do not sort); a
+    cyclic value raises RecursionError, not json's ValueError."""
+    return _value(obj, "\n") + "\n"
+
+
+def _value(o, ind):
+    # `ind` is the newline and indentation of o's own closing bracket
+    leaf = _LEAF.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    if isinstance(o, dict):
+        return _object(o, ind)
+    if isinstance(o, (list, tuple)):
+        return _array(o, ind)
+    if isinstance(o, (str, int, float)) or o is None:
+        return _scalar(o)
+    raise TypeError(f"Object of type {type(o).__name__} "
+                    f"is not JSON serializable")
+
+
+def _key(k):
+    if isinstance(k, str):
+        return _escape(k)
+    if isinstance(k, (int, float)) or k is None:
+        return '"' + _scalar(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(k).__name__}")
+
+
+def _object(d, ind):
+    if not d:
+        return "{}"
+    inner = ind + "  "
+    return ("{" + inner + ("," + inner).join(
+        [_key(k) + ": " + _value(v, inner) for k, v in sorted(d.items())])
+        + ind + "}")
+
+
+def _array(a, ind):
+    if not a:
+        return "[]"
+    inner = ind + "  "
+    types = set(map(type, a))
+    body = None
+    if len(types) == 1:
+        t = types.pop()
+        if t in _LEAF:
+            body = ("," + inner).join(map(_LEAF[t], a))
+        elif t is dict or t is list:
+            body = _records(a, inner)
+    if body is None:
+        body = ("," + inner).join([_value(v, inner) for v in a])
+    return "[" + inner + body + ind + "]"
+
+
+def _records(rows, ind):
+    """Records of one shape -- exact dicts with one set of str keys, or
+    exact lists of one length -- rendered column by column into one
+    template; None for any other list of dicts or lists."""
+    first = rows[0]
+    n = len(first)
+    if not n or set(map(len, rows)) != {n}:
+        return None
+    if type(first) is list:
+        keys, names, opening, closing = range(n), [""] * n, "[", "]"
+    elif set(map(type, first)) == {str}:
+        keys = sorted(first)
+        names = [_escape(k).replace("{", "{{").replace("}", "}}") + ": "
+                 for k in keys]
+        opening, closing = "{{", "}}"
+    else:
+        return None
+    try:
+        cols = [list(map(itemgetter(k), rows)) for k in keys]
+    except KeyError:
+        return None
+    inner = ind + "  "
+    deeper = inner + "  "
+    fields, cells = [], []
+    for name, col in zip(names, cols):
+        types = set(map(type, col))
+        nested = types == {list} and all(col)
+        if nested:
+            types = set(map(type, chain.from_iterable(col)))
+        leaf = _LEAF.get(types.pop()) if len(types) == 1 else None
+        if leaf is None:
+            fields.append(name + "{}")
+            cells.append([_value(v, inner) for v in col])
+        elif nested:
+            # nonempty lists of one leaf type: the brackets go in the
+            # template, each list is one join
+            fields.append(name + "[" + deeper + "{}" + inner + "]")
+            cells.append(map(("," + deeper).join,
+                             map(partial(map, leaf), col)))
+        else:
+            fields.append(name + "{}")
+            cells.append(map(leaf, col))
+    template = opening + inner + ("," + inner).join(fields) + ind + closing
+    return ("," + ind).join(map(template.format, *cells))
 
 
 def loads(text):

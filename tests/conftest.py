@@ -9,6 +9,7 @@ level scan.  The maximal-cube, sub-complex and NPC oracles read a complex
 through its `Cube` views and its export document, never its cell store.
 """
 
+import json
 import random
 from itertools import combinations
 
@@ -391,3 +392,9 @@ def oracle_ball_metric(ball):
             d = spec.length(spec.mul(spec.inv(elements[i]), elements[j]))
             dist[i][j] = dist[j][i] = d
     return dist
+
+
+def oracle_dumps(obj):
+    """The standard library's indented JSON, which `io.dumps` must match
+    byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -138,6 +138,39 @@ def test_cayley_ball_cap():
         cayley_ball(F2, 8, cap=100)
 
 
+NESTED_PRODUCTS = [
+    FreeProduct([FreeAbelian(1), FreeProduct([FreeAbelian(1), Free(1)])]),
+    FreeProduct([FreeProduct([Free(1), Free(1)]), FreeAbelian(2)]),
+    FreeProduct([Free(1), FreeProduct([Free(1), FreeProduct(
+        [FreeAbelian(1), Free(1)])])]),
+]
+
+
+@pytest.mark.parametrize("spec", NESTED_PRODUCTS,
+                         ids=[json.dumps(spec.to_dict())
+                              for spec in NESTED_PRODUCTS])
+def test_nested_product_names_are_injective(spec):
+    for radius in range(4):
+        ball = cayley_ball(spec, radius)
+        assert len(set(ball.names)) == len(ball.elements), radius
+
+
+def test_nested_product_names_bracket_the_inner_product():
+    # once both named 1:1:A*0:(-1)
+    fp = NESTED_PRODUCTS[0]
+    assert fp.name(((1, ((1, "A"), (0, (-1,)))),)) == "1:(1:A*0:(-1))"
+    assert fp.name(((1, ((1, "A"),)), (0, (-1,)))) == "1:(1:A)*0:(-1)"
+
+
+def test_cayley_ball_refuses_shared_names():
+    class OneName(Free):
+        def name(self, a):
+            return "g" if a else "1"
+
+    with pytest.raises(WallcubeError, match="named 'g'"):
+        cayley_ball(OneName(1), 1)
+
+
 # (family, largest radius): the nested free product Z * (Z * Z) stops at
 # radius 3 (187 points), as its 937-point radius-4 ball takes the pairwise
 # oracle several seconds

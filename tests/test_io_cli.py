@@ -384,6 +384,34 @@ def test_cli_act_bad_cyclic_word(tmp_path, changes, where):
     assert err["error"] == "ParseError" and where in err["detail"]
 
 
+@pytest.mark.parametrize("spec, where", [
+    ({**F2_ACT, "hwalls": [{"subgroup": {"kind": "cyclic", "word": "a"},
+                            "rule": "branch"}]},
+     "hwalls[0].axis: None is not one of the generator letters ['a', 'b']"),
+    ({**F2_ACT, "hwalls": [{"subgroup": {"kind": "cyclic", "word": "a"},
+                            "rule": "branch", "axis": "c"}]},
+     "hwalls[0].axis: 'c' is not one of the generator letters"),
+    ({**F2_ACT, "hwalls": [{"subgroup": {"kind": "cyclic", "word": "a"},
+                            "rule": "branch", "axis": "ab"}]},
+     "hwalls[0].axis: 'ab' is not one of the generator letters"),
+    (act_spec(hwalls=[{"subgroup": {"kind": "coordinate", "coords": [1]},
+                       "rule": "coordinate", "axis": 5}]),
+     "hwalls[0].axis: 5 is not an axis in range(2)"),
+    (act_spec(hwalls=[{"subgroup": {"kind": "coordinate", "coords": [1]},
+                       "rule": "coordinate", "axis": True}]),
+     "hwalls[0].axis: True is not an axis in range(2)"),
+    (act_spec(hwalls=[{"subgroup": {"kind": "coordinate", "coords": [1]},
+                       "rule": "coordinate"}]),
+     "hwalls[0].axis: None is not an axis in range(2)"),
+])
+def test_cli_act_bad_hwall_axis(tmp_path, spec, where):
+    path = write(tmp_path, "act.json", json.dumps(spec))
+    r = run_cli(["act", path])
+    assert r.exit_code == 2 and r.stdout == ""
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParseError" and where in err["detail"]
+
+
 @pytest.mark.parametrize("args, where", [
     (["gen", "grid"], "grid needs a size N"),
     (["gen", "grid", "x"], "grid: size 'x' is not an integer"),
@@ -495,6 +523,40 @@ def test_cli_diagnose_recorded(gen):
                     stdin=doc)
         h.update(f"{r.exit_code}\n{r.stdout}\n{r.stderr}\n".encode())
     assert h.hexdigest() == DIAGNOSE_RECORDED[gen]
+
+
+# sha256 of the bytes a command writes, recorded from json.dumps(...,
+# indent=2), the encoder that io.dumps replaced
+OUTPUT_RECORDED = {
+    "gen grid 7":
+        "27a954b9e922a3d0f0e253a1dcbe1b683aa8cbfd840fe814fac2a5667d1e8c58",
+    "gen rbad 8":
+        "14d665a730dccb3806c9a521baa24ac541574793d585450b0445fd03babb718a",
+    "verify rbad 4":
+        "834bdef2223eadb2b46546b61638be7f2e34d0f868308972adb7bd89e275180e",
+    "build rbad 4 --export":
+        "ffa2eebe1f9c4681a8008384d323878478f155a1c94ccac084fcc4b4a09e8ff7",
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_RECORDED)
+def test_cli_output_recorded(tmp_path, command):
+    if command.startswith("gen"):
+        r = run_cli(command.split())
+        assert r.exit_code == 0
+        text = r.stdout
+    else:
+        path = write(tmp_path, "rbad4.json",
+                     run_cli(["gen", "rbad", "4"]).stdout)
+        if command.startswith("verify"):
+            r = run_cli(["verify", path])
+            text = r.stdout
+        else:
+            export = tmp_path / "cc.json"
+            r = run_cli(["build", path, "--export", str(export)])
+            text = export.read_text()
+        assert r.exit_code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == OUTPUT_RECORDED[command]
 
 
 def test_cli_sweep():
