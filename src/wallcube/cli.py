@@ -142,7 +142,7 @@ def cmd_verify(args):
     rng = random.Random(args.seed)
     results = {}
     for check in args.checks.split(","):
-        results[check] = _check(check, ws, cc, rng, args.cap_vertices)
+        results[check] = _check(check, ws, cc, rng)
     ok = all(r.get("ok") for r in results.values())
     _emit({"ok": ok, "checks": results}, seed=args.seed,
           caps={"vertices": args.cap_vertices}, digest=digest)
@@ -150,23 +150,19 @@ def cmd_verify(args):
         sys.exit(EXIT_DOMAIN)
 
 
-def _check(check, ws, cc, rng, cap):
-    from .complex import (
-        contract_loop,
-        enumerate_all_orientations,
-        maximal_cubes,
-        verify_npc,
-    )
+def _check(check, ws, cc, rng):
+    from .complex import contract_loop, maximal_cubes, verify_npc
     from .hemi import InducedVariant, dual_sub, induce_hemi, is_convex
     from .wallspace import max_transverse_families
 
     if check == "npc":
         return verify_npc(cc).to_dict()
     if check == "connected":
-        full = enumerate_all_orientations(ws, vertex_cap=cap)
-        ok = full.vertices == cc.vertices
-        return {"ok": ok, "vertices": cc.nvertices(),
-                "all_orientations": full.nvertices()}
+        # every vertex is a valid orientation, so this checks that the
+        # 1-skeleton's edges connect them
+        reached = len(cc.bfs_distances(cc.vertices[:1]))
+        return {"ok": reached == cc.nvertices(), "vertices": reached,
+                "all_orientations": cc.nvertices()}
     if check == "simply-connected":
         loops = _sample_loops(cc, rng, count=25, max_len=12)
         for loop in loops:
@@ -332,8 +328,13 @@ def _subgroup_from_dict(spec, d, path):
 
     kind = io.get_field(d, "kind", f"{path}.kind")
     if kind == "coordinate":
-        return groups.CoordinateSubgroup(
-            spec, io.get_field(d, "coords", f"{path}.coords"))
+        coords = io.get_field(d, "coords", f"{path}.coords")
+        dim = getattr(spec, "d", 0)
+        if not isinstance(coords, list) or not all(
+                _is_axis(k, dim) for k in coords):
+            raise ParseError(f"{path}.coords: {coords!r} is not a list of "
+                             f"axes in range({dim})")
+        return groups.CoordinateSubgroup(spec, coords)
     if kind == "cyclic":
         word = io.get_field(d, "word", f"{path}.word")
         try:
@@ -354,6 +355,9 @@ def _hwall_from_dict(spec, d, i):
         spec, io.get_field(d, "subgroup", f"{path}.subgroup"),
         f"{path}.subgroup")
     rule = io.get_field(d, "rule", f"{path}.rule")
+    if rule not in ("branch", "coordinate"):
+        raise ParseError(f"{path}.rule: {rule!r} is not 'branch' or "
+                         f"'coordinate'")
     axis = d.get("axis")
     # the branch rule strips powers of a free generator, the coordinate
     # rule reads one coordinate of a free abelian element
@@ -362,12 +366,15 @@ def _hwall_from_dict(spec, d, i):
         raise ParseError(f"{path}.axis: {axis!r} is not one of the "
                          f"generator letters {letters}")
     dim = getattr(spec, "d", 0)
-    if rule == "coordinate" and (not isinstance(axis, int)
-                                 or isinstance(axis, bool)
-                                 or not 0 <= axis < dim):
+    if rule == "coordinate" and not _is_axis(axis, dim):
         raise ParseError(f"{path}.axis: {axis!r} is not an axis "
                          f"in range({dim})")
     return groups.HWallSpec(sub, rule, axis=axis, index=i)
+
+
+def _is_axis(k, dim):
+    """Is k an integer (not a bool) in range(dim)?"""
+    return isinstance(k, int) and not isinstance(k, bool) and 0 <= k < dim
 
 
 def cmd_sweep(args):

@@ -12,8 +12,9 @@ when two opposite (n-1)-faces are (see `_complete_skeleton`).
 Orientations are int bitmasks over wall positions: bit 0 means the wall's
 `left` halfspace is chosen, bit 1 means `right`.  Validity is a 2-SAT
 instance, one boolean per wall and one 2-clause per disjoint pair of
-halfspaces, so all valid orientations are enumerated by a search whose work
-is bounded by its output (see `OrientationEngine.enumerate_valid`).
+halfspaces, so all valid orientations are enumerated by one search whose
+work is bounded by its output (see `OrientationEngine.enumerate_valid`),
+the only vertex finder: `build_dual` reads its vertices from it too.
 """
 
 from collections import deque
@@ -86,44 +87,42 @@ class OrientationEngine:
         b = self.ws.point_bit(p)
         m = 0
         for i, w in enumerate(self.ws.walls):
-            in_l, in_r = bool(w.left & b), bool(w.right & b)
-            if in_r and not in_l:
+            # a wall missing p violates coverage: orient it to its nonempty
+            # side, so diagnostics can still run
+            if not w.left & b and (w.right & b or not w.left):
                 m |= 1 << i
-            elif not in_l and not in_r:
-                # only possible for coverage-violating walls; orient to the
-                # nonempty side so diagnostics can still run
-                if not w.left:
-                    m |= 1 << i
         return m
 
     def enumerate_valid(self, cap):
-        """All valid orientation bitmasks, ascending.
+        """All valid orientation bitmasks, ascending; [] when there is none.
 
         A 2-SAT search over states (assigned walls, orientation, forbidden
-        left sides, forbidden right sides).  Choosing a side ORs its conflict
-        masks into the forbidden masks; a free wall with one side forbidden
-        is forced to the other, until nothing more is forced, and a state
-        whose chosen sides are forbidden (a wall forced both ways included)
-        is dropped.  Otherwise the lowest free wall is branched on.
+        left sides, forbidden right sides), depth first, the left child
+        first.  Choosing a side ORs its conflict masks into the forbidden
+        masks; a free wall with one side forbidden is forced to the other,
+        until nothing more is forced, and a state whose chosen sides are
+        forbidden (a wall forced both ways included) dies.  Otherwise the
+        lowest free wall is branched on.
 
-        In a wallspace whose walls cover X, a nonempty halfspace h meeting
-        every assigned side forces only sides containing h, so each branch
-        reaches a vertex: the search visits 2·(vertices) − 1 states.  It
-        raises StateSpaceCap past `cap` vertices or (n+1)·cap states, the
-        second bounding dead-end search on non-covering inputs.
+        A state closed under forcing, without conflict, leaves a residual
+        formula made of 2-clauses of the whole formula F, which any solution
+        of F satisfies.  So if both children of a state die, F is
+        unsatisfiable (Even–Itai–Shamir), and otherwise every branched state
+        lies on a path of at most n branchings to a vertex: at most
+        (2n + 1)·(vertices) states are visited, 2·(vertices) − 1 when the
+        walls cover X.  Before the first vertex the search is a greedy
+        descent, in which two dead states in a row are the two children of
+        one state; it returns [] there.  It raises StateSpaceCap past `cap`
+        vertices.
         """
         (c00, c01), (c10, c11) = self.conf
-        budget = (self.n + 1) * cap
         out = []
         # empty sides are forbidden from the start
         fl, fr = (sum(1 << i for i, h in enumerate(side) if not h)
                   for side in self.sides)
         stack = [(0, 0, fl, fr)]
+        died = False  # the state popped before this one died
         while stack:
-            budget -= 1
-            if budget < 0:
-                raise StateSpaceCap(
-                    f"search budget {(self.n + 1) * cap} states exceeded")
             a, m, fl, fr = stack.pop()
             while not (fl & a & ~m) | (fr & m):
                 free = self.fullw & ~a
@@ -147,6 +146,13 @@ class OrientationEngine:
                             f"vertex budget {cap} exceeded")
                     out.append(m)
                     break
+            else:
+                # dead; two in a row before any vertex: unsatisfiable
+                if died and not out:
+                    return []
+                died = True
+                continue
+            died = False
         return sorted(out)
 
 
@@ -408,39 +414,38 @@ def _complete_skeleton(vertex_set, nwalls):
 
 
 def build_dual(ws, basepoint, vertex_cap=DEFAULT_VERTEX_CAP):
-    """BFS over flippable walls from the canonical vertex of `basepoint`,
-    then skeleton completion."""
+    """The dual of a valid wallspace: `enumerate_all_orientations`, once
+    the wallspace validates and the canonical orientation of `basepoint`
+    is a 0-cube.  Raises StateSpaceCap past `vertex_cap` vertices.
+
+    Sageev's dual is the component of that vertex under wall flips, which
+    is every valid orientation.  Take valid u != v, let D be the walls on
+    which they differ and i in D.  Flipped, wall i takes v's side v_i,
+    which meets v_i and every u_k = v_k off D, as v is valid; so the flip
+    fails only if some j in D - {i} has u_j ∩ v_i = ∅, and then, as the
+    walls cover X, u_j ⊆ X - v_i ⊆ u_i.  If every i in D had such a j,
+    following the j's would close a cycle of two or more walls, all with
+    u-side one U and v-side X - U (both nonempty, u and v being valid):
+    one genuine partition on two walls, which `validate` rejects.  So some
+    flip takes u one wall closer to v, and the flip graph is connected.
+    """
     rep = validate(ws)
     if not rep.ok:
         raise WallcubeError(f"wallspace does not validate: {rep.errors}")
     if basepoint not in ws.point_index:
         raise UnknownPoint(basepoint)
     eng = _engine(ws)
-    seed = eng.toward_point(basepoint)
-    if not eng.is_valid(seed):
+    if not eng.is_valid(eng.toward_point(basepoint)):
         raise OrientationConflict(
             f"canonical orientation of {basepoint} is not a 0-cube")
-    seen = {seed}
-    q = deque([seed])
-    while q:
-        m = q.popleft()
-        for i in range(eng.n):
-            if eng.flippable(m, i):
-                m2 = m ^ (1 << i)
-                if m2 not in seen:
-                    if len(seen) >= vertex_cap:
-                        raise StateSpaceCap(
-                            f"vertex budget {vertex_cap} exceeded")
-                    seen.add(m2)
-                    q.append(m2)
-    return CubeComplex(ws, eng, _complete_skeleton(seen, eng.n))
+    return enumerate_all_orientations(ws, vertex_cap)
 
 
 def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
-    """The complex on ALL valid orientations, found by the 2-SAT search of
-    `OrientationEngine.enumerate_valid` without a basepoint; raises
-    StateSpaceCap past `vertex_cap` vertices or (walls+1)·`vertex_cap`
-    search states.  It checks `build_dual`'s connectivity."""
+    """The complex on ALL valid orientations, by the 2-SAT search of
+    `OrientationEngine.enumerate_valid`; on any input, valid or not, and
+    with no vertex when no orientation is valid.  Raises StateSpaceCap past
+    `vertex_cap` vertices."""
     eng = _engine(ws)
     verts = eng.enumerate_valid(vertex_cap)
     return CubeComplex(ws, eng, _complete_skeleton(verts, eng.n))
@@ -540,36 +545,24 @@ def cube_from_family(ws, family, p):
             raise NotTransverse((a, b))
     b_p = ws.point_bit(p)
     indep = set(family)
-    for w in ws.walls:
-        if w.index in indep:
-            continue
-        if w.left & b_p and w.right & b_p:
-            if all(transverse(ws, w.index, f) for f in family):
-                indep.add(w.index)
+    indep |= {w.index for w in ws.walls
+              if w.index not in indep and w.left & b_p and w.right & b_p
+              and all(transverse(ws, w.index, f) for f in family)}
     m = 0
     for i, w in enumerate(ws.walls):
         if w.index in indep:
             continue
-        blockers = [f for f in family if not transverse(ws, w.index, f)]
-        if blockers:
-            ok_sides = []
-            for s, side in enumerate((w.left, w.right)):
-                if all(side & ws.wall(f).left and side & ws.wall(f).right
-                       for f in blockers):
-                    ok_sides.append(s)
-            if not ok_sides:
-                raise OrientationConflict(
-                    f"wall {w.index} has no side toward {blockers}")
-            if len(ok_sides) == 1:
-                s = ok_sides[0]
-            else:
-                # tie-break toward p
-                s = 1 if (w.right & b_p and not w.left & b_p) else 0
-            if s:
-                m |= 1 << i
-        else:
-            if w.right & b_p and not w.left & b_p:
-                m |= 1 << i
+        blockers = [ws.wall(f) for f in family
+                    if not transverse(ws, w.index, f)]
+        sides = [s for s, h in enumerate(w.halfspaces())
+                 if all(h & f.left and h & f.right for f in blockers)]
+        if not sides:
+            raise OrientationConflict(
+                f"wall {w.index} has no side toward "
+                f"{[f.index for f in blockers]}")
+        # one side toward the blockers, or else the side toward p
+        toward_p = bool(w.right & b_p and not w.left & b_p)
+        m |= (sides[0] if len(sides) == 1 else toward_p) << i
     cube = Cube(m, frozenset(ws.wall_pos[w] for w in indep)).normalized()
     eng = _engine(ws)
     for corner in cube.corners():

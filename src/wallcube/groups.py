@@ -17,7 +17,7 @@ effect is reported, never silently passed.
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import add, neg
 
 from .complex import canonical_cube
@@ -35,6 +35,16 @@ from .wallspace import Wall, Wallspace
 
 TRUNCATION_CAVEAT = ("all conclusions are radius-limited: computed on a "
                      "finite ball of an infinite group")
+
+
+def _report_dict(report, key, limit):
+    """A report's fields, its list `key` cut to the first `limit` items;
+    a list that was cut has its length under `key + "_total"`."""
+    d = report.__dict__.copy()
+    if len(d[key]) > limit:
+        d[key + "_total"] = len(d[key])
+        d[key] = d[key][:limit]
+    return d
 
 
 # -- group families ----------------------------------------------------
@@ -347,7 +357,7 @@ class HWallReport:
     caveat: str = TRUNCATION_CAVEAT
 
     def to_dict(self):
-        return self.__dict__.copy()
+        return _report_dict(self, "invariance_violations", 10)
 
 
 def build_hwall(ball, hw):
@@ -380,7 +390,7 @@ def build_hwall(ball, hw):
     rep = HWallReport(
         ok=coverage_ok and not violations,
         coverage_ok=coverage_ok,
-        invariance_violations=violations[:10],
+        invariance_violations=violations,
         carrier_orbits=carrier_orbits,
         frontier_orbits=frontier_orbits,
         hdotdot_status=hdotdot,
@@ -588,16 +598,13 @@ class ActionMap:
         if len(set(vals)) != len(vals):
             raise NotAnAutomorphism("point map not injective")
         if ws.metric is not None:
-            keys = list(self.point_map)
-            for a in range(len(keys)):
-                for b in range(a + 1, len(keys)):
-                    x, y = keys[a], keys[b]
-                    dxy = ws.metric.d(ws.point_index[x], ws.point_index[y])
-                    dgxy = ws.metric.d(ws.point_index[self.point_map[x]],
-                                       ws.point_index[self.point_map[y]])
-                    if dxy != dgxy:
-                        raise NotAnAutomorphism(
-                            {"pair": [x, y], "d": dxy, "d_image": dgxy})
+            for x, y in combinations(self.point_map, 2):
+                dxy = ws.metric.d(ws.point_index[x], ws.point_index[y])
+                dgxy = ws.metric.d(ws.point_index[self.point_map[x]],
+                                   ws.point_index[self.point_map[y]])
+                if dxy != dgxy:
+                    raise NotAnAutomorphism(
+                        {"pair": [x, y], "d": dxy, "d_image": dgxy})
         for i, (j, swap) in self.wall_map.items():
             wi, wj = ws.wall(i), ws.wall(j)
             tgt_l, tgt_r = (wj.right, wj.left) if swap else (wj.left, wj.right)
@@ -664,7 +671,7 @@ class EquivarianceReport:
     violations: list = field(default_factory=list)
 
     def to_dict(self):
-        return self.__dict__.copy()
+        return _report_dict(self, "violations", 10)
 
 
 def verify_equivariance(ws, action, cc):
@@ -673,14 +680,11 @@ def verify_equivariance(ws, action, cc):
     action.check(ws)
     # separation counts invariant on the point domain
     violations = []
-    keys = sorted(action.point_map)
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            x, y = keys[a], keys[b]
-            sx = _mapped_separation(ws, action, x, y)
-            if sx is not None and sx[0] != sx[1]:
-                violations.append({"kind": "SeparationCount",
-                                   "pair": [x, y], "counts": sx})
+    for x, y in combinations(sorted(action.point_map), 2):
+        sx = _mapped_separation(ws, action, x, y)
+        if sx[0] != sx[1]:
+            violations.append({"kind": "SeparationCount",
+                               "pair": [x, y], "counts": sx})
     phi = _vertex_map(ws, action)
     vset = set(cc.vertices)
     dom_req = {ws.wall_pos[i]: s for i, s in action.domain_bits.items()}
@@ -708,7 +712,7 @@ def verify_equivariance(ws, action, cc):
     return EquivarianceReport(ok=not violations,
                               domain_vertices=len(domain),
                               preserved_edges=preserved,
-                              violations=violations[:10])
+                              violations=violations)
 
 
 def _mapped_separation(ws, action, x, y):
@@ -733,26 +737,19 @@ def _open_separates(w, bx, by):
 def _vertex_map(ws, action):
     wall_img = {ws.wall_pos[i]: (ws.wall_pos[j], s)
                 for i, (j, s) in action.wall_map.items()}
-    mapped_targets = {j for j, _s in wall_img.values()}
+    targets = 0
+    for j, _s in wall_img.values():
+        targets |= 1 << j
     forced = {ws.wall_pos[i]: s for i, s in action.forced_bits.items()}
+    # a wall that is no mapped wall's image takes its forced side, or,
+    # with no image information, keeps its side
+    keep = (1 << ws.nwalls()) - 1 & ~targets & ~sum(1 << p for p in forced)
+    ones = sum(1 << p for p, s in forced.items() if s) & ~targets
 
     def phi(m):
-        out = 0
-        for pos in range(ws.nwalls()):
-            if pos in wall_img:
-                j, s = wall_img[pos]
-                bit = ((m >> pos) & 1) ^ (1 if s else 0)
-                if bit:
-                    out |= 1 << j
-        for pos in range(ws.nwalls()):
-            if pos in mapped_targets:
-                continue
-            if pos in forced:
-                if forced[pos]:
-                    out |= 1 << pos
-            elif (m >> pos) & 1:
-                # no image information: keep the orientation unchanged
-                out |= 1 << pos
+        out = m & keep | ones
+        for pos, (j, s) in wall_img.items():
+            out |= ((m >> pos & 1) ^ bool(s)) << j
         return out
 
     return phi
@@ -774,7 +771,7 @@ class DecompositionReport:
     caveat: str = TRUNCATION_CAVEAT
 
     def to_dict(self):
-        return self.__dict__.copy()
+        return _report_dict(self, "intersection_witnesses", 20)
 
 
 def rel_cocompact_check(ws, cc, peripheries, variant, m=None):
@@ -825,4 +822,4 @@ def rel_cocompact_check(ws, cc, peripheries, variant, m=None):
         m=m, least_m=least_m, k_part=k_part, unique=unique,
         coverage_violations=coverage, isolation_violations=isolation,
         intersection_ok=not inter_wit,
-        intersection_witnesses=inter_wit[:20])
+        intersection_witnesses=inter_wit)

@@ -7,13 +7,17 @@ oracle takes the vertex masks the complex is built from, but completes them
 with sets of `Cube` and a check of every face, not the library's int-mask
 level scan.  The maximal-cube, sub-complex and NPC oracles read a complex
 through its `Cube` views and its export document, never its cell store.
+The flip-search oracle for `build_dual` steps with the library's one-wall
+flip test, which `test_flippable_matches_validity` checks against the
+valid orientations, but not with its 2-SAT search.
 """
 
 import json
 import random
+from collections import deque
 from itertools import combinations
 
-from wallcube.complex import Cube, CubeComplex
+from wallcube.complex import Cube, CubeComplex, OrientationEngine
 from wallcube.metric import Metric
 from wallcube.wallspace import Wall, Wallspace
 
@@ -144,6 +148,26 @@ def oracle_is_zero_cube(ws, mask):
 def oracle_all_vertices(ws):
     return sorted(m for m in range(1 << ws.nwalls())
                   if oracle_is_zero_cube(ws, m))
+
+
+def oracle_build_dual(ws, p):
+    """Sageev's vertex set, by its definition: the valid orientations a
+    breadth-first search over single-wall flips reaches from the canonical
+    orientation toward p, sorted.  `build_dual` reads all valid
+    orientations off the 2-SAT search instead, on the strength of the
+    flip graph being connected."""
+    eng = OrientationEngine(ws)
+    seed = eng.toward_point(p)
+    seen = {seed}
+    q = deque([seed])
+    while q:
+        m = q.popleft()
+        for i in range(eng.n):
+            m2 = m ^ (1 << i)
+            if m2 not in seen and eng.flippable(m, i):
+                seen.add(m2)
+                q.append(m2)
+    return sorted(seen)
 
 
 def oracle_max_transverse_families(ws):
@@ -313,7 +337,6 @@ def oracle_verify_npc(data):
 def oracle_cube_distance(cc, a, b):
     """Min 1-skeleton distance between corners of cubes a and b, by a
     breadth-first search from a's corners; None when b is unreachable."""
-    from collections import deque
     targets = set(b.corners())
     sources = list(a.corners())
     if targets & set(sources):

@@ -1,12 +1,16 @@
 """Dual complex construction, checked against brute-force enumeration."""
 
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cube_key,
     oracle_all_vertices,
+    oracle_build_dual,
     oracle_complete_skeleton,
     oracle_cube_distance,
     oracle_is_zero_cube,
@@ -54,6 +58,7 @@ from wallcube.wallspace import (
     betwixt_set,
     max_transverse_families,
     separation_count,
+    validate,
 )
 
 SEEDS = range(30)
@@ -63,7 +68,6 @@ def valid_spaces():
     out = [fig3(), grid(2), non_hausdorff3()]
     for s in SEEDS:
         ws = random_wallspace(s, with_metric=False)
-        from wallcube.wallspace import validate
         if validate(ws).ok:
             out.append(ws)
     return out
@@ -101,17 +105,61 @@ def test_enumeration_matches_build_dual_beyond_brute_force():
         [HWallSpec(CyclicSubgroup(f2, "a"), "branch", axis="a")])
     for ws in (rbad(8), f2_r3):
         assert enumerate_all_orientations(ws).vertices == \
-            build_dual(ws, ws.points[0]).vertices
+            oracle_build_dual(ws, ws.points[0])
 
 
 def test_build_dual_every_basepoint_matches_enumeration():
     for ws in valid_spaces():
         full = enumerate_all_orientations(ws)
         for p in ws.points:
-            cc = build_dual(ws, p)
-            assert cc.vertices == full.vertices
-            assert cc.edges == full.edges
-            assert cc.cube_counts() == full.cube_counts()
+            assert oracle_build_dual(ws, p) == full.vertices
+
+
+@st.composite
+def covering_wallspaces(draw):
+    """A valid wallspace on at most 6 points and 7 walls, with vacuous,
+    overlapping and repeated non-genuine walls among them."""
+    npts = draw(st.integers(1, 6))
+    full = (1 << npts) - 1
+    halves = st.integers(0, full)
+    walls = []
+    for i in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["cover", "vacuous", "repeat"]))
+        if kind == "repeat" and walls:
+            w = draw(st.sampled_from(walls))
+            u, v = w.left, w.right
+        elif kind == "vacuous":
+            u, v = draw(st.sampled_from([(full, 0), (0, full)]))
+        else:
+            u = draw(halves)
+            v = (full & ~u) | (u & draw(halves))
+        walls.append(Wall(i, u, v))
+    ws = Wallspace([f"p{i}" for i in range(npts)], walls)
+    assume(validate(ws).ok)
+    return ws
+
+
+@settings(max_examples=300, deadline=None)
+@given(covering_wallspaces())
+def test_build_dual_matches_flip_search_oracle(ws):
+    for p in ws.points:
+        assert build_dual(ws, p).vertices == oracle_build_dual(ws, p)
+
+
+def test_enumeration_matches_oracle_on_noncovering_spaces():
+    # arbitrary halfspace pairs, most of them not covering X; about a
+    # third of these spaces have no valid orientation at all
+    unsatisfiable = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        full = (1 << rng.randint(1, 5)) - 1
+        walls = [Wall(i, rng.randint(0, full), rng.randint(0, full))
+                 for i in range(rng.randint(1, 7))]
+        ws = Wallspace([f"p{i}" for i in range(full.bit_length())], walls)
+        expected = oracle_all_vertices(ws)
+        assert enumerate_all_orientations(ws).vertices == expected
+        unsatisfiable += not expected
+    assert unsatisfiable > 50
 
 
 def test_detectors_agree():
@@ -376,14 +424,17 @@ def test_vertex_cap():
 
 def test_search_budget_on_unsatisfiable_noncovering_space():
     # 24 unconstrained walls ahead of two walls whose only halfspaces {p}
-    # and {q} are disjoint: every branch dies at the last pair, so only the
-    # search-state budget stops the 2^24-leaf dead-end tree
+    # and {q} are disjoint: every branch dies at the last pair, a 2^24-leaf
+    # dead-end tree, but the first state whose two children die decides
+    # that no orientation is valid, after one descent
     full = 0b111
     walls = [Wall(i, full, full) for i in range(24)]
     walls += [Wall(24, 0b001, 0b001), Wall(25, 0b010, 0b010)]
     ws = Wallspace(["p", "q", "r"], walls)
-    with pytest.raises(StateSpaceCap):
-        enumerate_all_orientations(ws, vertex_cap=100)
+    t0 = time.perf_counter()
+    cc = enumerate_all_orientations(ws, vertex_cap=100)
+    assert time.perf_counter() - t0 < 1.0
+    assert cc.vertices == [] and cc.cube_counts() == {0: 0, 1: 0}
 
 
 def test_export_dict_shape():

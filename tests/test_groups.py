@@ -267,6 +267,20 @@ def test_build_hwall_f2_branch():
     assert not rep.ok and {"h": "BA", "g": "1"} in rep.invariance_violations
 
 
+def test_build_hwall_invariance_violations_carry_total():
+    ball = cayley_ball(F2, 4)
+    hw = HWallSpec(CyclicSubgroup(F2, "ab"), "branch", axis="a")
+    _wall, rep = build_hwall(ball, hw)
+    # the branch rule of a is not <ab>-invariant (see the test above)
+    doc = rep.to_dict()
+    assert doc["invariance_violations"] == rep.invariance_violations[:10]
+    assert doc["invariance_violations_total"] == \
+        len(rep.invariance_violations) > 10
+    _wall, rep = build_hwall(ball, HWallSpec(CyclicSubgroup(F2, "a"),
+                                             "branch", axis="a"))
+    assert "invariance_violations_total" not in rep.to_dict()
+
+
 def test_generated_systems_validate():
     for _ball, (ws, _meta) in (z2_system(), f2_system()):
         rep = validate(ws)
@@ -389,6 +403,33 @@ def test_equivariance_identity():
     assert rep.preserved_edges == cc.nedges()
 
 
+def test_equivariance_violations_carry_total():
+    # no points to check, and each x-wall sent to the y-wall at the same
+    # offset: the image of an edge on an x-wall differs on two walls
+    ball, (ws, meta) = z2_system(2)
+    cc = build_dual(ws, ws.points[0])
+    at = {(pos, t): i for i, (pos, t) in meta.wall_info.items()}
+    walls = {at[0, f"({k},0)"]: (at[1, f"(0,{k})"], False)
+             for k in range(-2, 3)}
+    rep = verify_equivariance(ws, ActionMap({}, walls), cc)
+    doc = rep.to_dict()
+    assert doc["violations"] == rep.violations[:10]
+
+    def image(m):  # each y-wall takes the side of its x-wall
+        for i, (j, _swap) in walls.items():
+            a, b = ws.wall_pos[i], ws.wall_pos[j]
+            m = m & ~(1 << b) | (m >> a & 1) << b
+        return m
+
+    domain = {m for m in cc.vertices if image(m) in cc.vid}
+    broken = sum(1 for u, v, w in cc.edges
+                 if u in domain and v in domain and ws.walls[w].index in walls)
+    assert doc["violations_total"] == 1 + broken > 10  # and NotInjective
+    identity = ActionMap.from_element(ball, Z2.identity(), ws=ws, meta=meta)
+    assert "violations_total" not in \
+        verify_equivariance(ws, identity, cc).to_dict()
+
+
 def test_axis_cut_z2():
     from wallcube.separation import axis_cut_test
     ball, (ws, meta) = z2_system(3)
@@ -484,6 +525,18 @@ def test_rel_cocompact_z2_axes_recorded(monkeypatch, variant, summary,
             rep["intersection_ok"]) == summary
     text = json.dumps(rep, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_rel_cocompact_intersection_witnesses_carry_total():
+    # two copies of the whole ball meet at every vertex, all of depth >= 0
+    ball, (ws, _meta) = z2_system(3)
+    cc = build_dual(ws, ws.points[0])
+    whole = list(ws.points)
+    rep = rel_cocompact_check(ws, cc, [whole, whole], InducedVariant("U0"),
+                              m=0)
+    doc = rep.to_dict()
+    assert doc["intersection_witnesses"] == rep.intersection_witnesses[:20]
+    assert doc["intersection_witnesses_total"] == cc.nvertices() > 20
 
 
 def test_rel_cocompact_partition_consistency():

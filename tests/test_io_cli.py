@@ -257,6 +257,27 @@ def test_cli_verify_convexity_checks_distance_law(tmp_path, monkeypatch):
         assert (law["distance"], law["popcount"]) == (4, 2)
 
 
+def test_cli_verify_connected_fails_on_disconnected_dual(tmp_path,
+                                                        monkeypatch):
+    # the vertices all come from one enumeration, so what the check can
+    # catch is a 1-skeleton that does not connect them: the square of
+    # grid 1 without two opposite corners is two isolated vertices
+    build = complex_module.build_dual
+
+    def split(ws, basepoint, vertex_cap):
+        cc = build(ws, basepoint, vertex_cap=vertex_cap)
+        for m in (0, cc.engine.fullw):
+            cc = drop_vertex(cc, m)
+        return cc
+
+    path = write(tmp_path, "grid1.json", run_cli(["gen", "grid", "1"]).stdout)
+    monkeypatch.setattr(complex_module, "build_dual", split)
+    r = run_cli(["verify", path, "--checks", "connected"])
+    assert r.exit_code == 1
+    check = json.loads(r.stdout)["payload"]["checks"]["connected"]
+    assert check == {"ok": False, "vertices": 1, "all_orientations": 2}
+
+
 def test_cli_diagnose(tmp_path):
     gen = run_cli(["gen", "grid", "4"])
     path = write(tmp_path, "grid4.json", gen.stdout)
@@ -405,6 +426,39 @@ def test_cli_act_bad_cyclic_word(tmp_path, changes, where):
      "hwalls[0].axis: None is not an axis in range(2)"),
 ])
 def test_cli_act_bad_hwall_axis(tmp_path, spec, where):
+    path = write(tmp_path, "act.json", json.dumps(spec))
+    r = run_cli(["act", path])
+    assert r.exit_code == 2 and r.stdout == ""
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParseError" and where in err["detail"]
+
+
+COORD_HWALL = {"subgroup": {"kind": "coordinate", "coords": [1]},
+               "rule": "coordinate", "axis": 0}
+
+
+@pytest.mark.parametrize("spec, where", [
+    (act_spec(hwalls=[{**COORD_HWALL,
+                       "subgroup": {"kind": "coordinate", "coords": [7]}}]),
+     "hwalls[0].subgroup.coords: [7] is not a list of axes in range(2)"),
+    (act_spec(hwalls=[{**COORD_HWALL,
+                       "subgroup": {"kind": "coordinate", "coords": "x"}}]),
+     "hwalls[0].subgroup.coords: 'x' is not a list of axes in range(2)"),
+    (act_spec(peripheries=[{"kind": "coordinate", "coords": [0]},
+                           {"kind": "coordinate", "coords": [7]}]),
+     "peripheries[1].coords: [7] is not a list of axes in range(2)"),
+    (act_spec(peripheries=[{"kind": "coordinate", "coords": "x"}]),
+     "peripheries[0].coords: 'x' is not a list of axes in range(2)"),
+    (act_spec(peripheries=[{"kind": "coordinate", "coords": [True]}]),
+     "peripheries[0].coords: [True] is not a list of axes in range(2)"),
+    (act_spec(hwalls=[{**COORD_HWALL, "rule": "diagonal"}]),
+     "hwalls[0].rule: 'diagonal' is not 'branch' or 'coordinate'"),
+    (act_spec(hwalls=[COORD_HWALL, {**COORD_HWALL, "rule": 3}]),
+     "hwalls[1].rule: 3 is not 'branch' or 'coordinate'"),
+])
+def test_cli_act_bad_coords_or_rule(tmp_path, spec, where):
+    # out-of-range coordinates once made a trivial subgroup and exit 0,
+    # an unknown rule a domain error (exit 1)
     path = write(tmp_path, "act.json", json.dumps(spec))
     r = run_cli(["act", path])
     assert r.exit_code == 2 and r.stdout == ""
