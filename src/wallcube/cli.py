@@ -213,7 +213,7 @@ def _sample_loops(cc, rng, count, max_len):
     loops = []
     verts = cc.vertices
     tries = 0
-    while len(loops) < count and tries < count * 40:
+    while verts and len(loops) < count and tries < count * 40:
         tries += 1
         start = rng.choice(verts)
         path = [start]
@@ -244,6 +244,7 @@ def cmd_diagnose(args):
     p = io.loads(args.params)
     if not isinstance(p, dict):
         raise ParseError(f"--params: {args.params} is not a JSON object")
+    _check_params(p, ws)
     prop = args.property
     if prop == "linear-separation":
         rep = linear_separation_fit(
@@ -273,6 +274,31 @@ def cmd_diagnose(args):
     _emit(rep, digest=digest)
 
 
+def _check_params(p, ws):
+    """A ParseError naming the first --params field that holds no value of
+    its kind; an absent field takes its default."""
+
+    def points(x):
+        return isinstance(x, list) and all(
+            isinstance(q, str) and q in ws.point_index for q in x)
+
+    def at_least(low, kinds=(int, float)):
+        return lambda x: isinstance(x, kinds) and not isinstance(x, bool) \
+            and x >= low
+
+    for key, ok, what in (
+            ("max_denominator", at_least(1, int), "a positive integer"),
+            ("max_offset", at_least(0), "a non-negative number"),
+            ("r", at_least(0, int), "a non-negative integer"),
+            ("D", at_least(0), "a non-negative number"),
+            ("K", points, "a list of point names"),
+            ("Y", points, "a list of point names"),
+            ("subsets", lambda x: isinstance(x, list) and all(map(points, x)),
+             "a list of lists of point names")):
+        if key in p and not ok(p[key]):
+            raise ParseError(f"--params.{key}: {p[key]!r} is not {what}")
+
+
 def cmd_act(args):
     from . import groups
     from .complex import build_dual
@@ -282,6 +308,8 @@ def cmd_act(args):
     # one exits 2 naming the field
     spec = groups.group_from_dict(io.get_field(doc, "group", "group"))
     radius = io.int_field(doc, "radius", "radius")
+    if radius < 0:
+        raise ParseError(f"radius: {radius} is negative")
     hws = [_hwall_from_dict(spec, h, i)
            for i, h in enumerate(doc.get("hwalls", []))]
     subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]")
@@ -342,8 +370,12 @@ def _subgroup_from_dict(spec, d, path):
         except WallcubeError as exc:
             raise ParseError(f"{path}.word: {exc}") from None
     if kind == "factor":
-        return groups.FreeFactorSubgroup(
-            spec, io.get_field(d, "factor", f"{path}.factor"))
+        factor = io.get_field(d, "factor", f"{path}.factor")
+        count = len(getattr(spec, "factors", ()))
+        if not _is_axis(factor, count):
+            raise ParseError(f"{path}.factor: {factor!r} is not a factor "
+                             f"position in range({count})")
+        return groups.FreeFactorSubgroup(spec, factor)
     raise ParseError(f"unknown subgroup kind {kind}")
 
 

@@ -261,7 +261,9 @@ class CubeComplex:
         return self.cube_counts()[1]
 
     def dimension(self):
-        return max(wmask.bit_count() for wmask in self.cells)
+        """The largest cube dimension; -1 for the empty complex."""
+        return max((wmask.bit_count() for wmask, bases in self.cells.items()
+                    if bases), default=-1)
 
     def cube_counts(self):
         counts = {0: 0, 1: 0}

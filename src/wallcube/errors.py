@@ -10,21 +10,6 @@ class WallcubeError(Exception):
     """Base class for all library errors."""
 
 
-class CoverageViolation(WallcubeError):
-    def __init__(self, wall_index, missing_points):
-        self.wall_index = wall_index
-        self.missing_points = list(missing_points)
-        super().__init__(
-            f"wall {wall_index} does not cover points {self.missing_points}"
-        )
-
-
-class DuplicateGenuinePartition(WallcubeError):
-    def __init__(self, index_pairs):
-        self.index_pairs = list(index_pairs)
-        super().__init__(f"duplicate genuine partitions: {self.index_pairs}")
-
-
 class UnknownPoint(WallcubeError):
     pass
 

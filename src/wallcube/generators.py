@@ -59,7 +59,8 @@ def grid(n):
              for i, j in coords for i2, j2 in coords
              if (abs(i - i2), abs(j - j2)) in ((0, 1), (1, 0))
              and (i, j) < (i2, j2)]
-    return Wallspace(points, walls, metric=Metric(dist, edges=edges))
+    return Wallspace(points, walls, metric=Metric(dist, edges=edges),
+                     max_points=max(64, npts), max_walls=max(64, len(walls)))
 
 
 def rbad(n):
@@ -105,7 +106,9 @@ def geom_path(n):
     points = [str(i) for i in range(n + 1)]
     edges = [(str(i), str(i + 1)) for i in range(n)]
     wall_subsets = [[str(k)] for k in range(1, n)]
-    return from_geometric_walls(points, edges, wall_subsets)
+    return from_geometric_walls(points, edges, wall_subsets,
+                                max_points=max(64, n + 1),
+                                max_walls=max(64, n - 1))
 
 
 def generate(name, *args):

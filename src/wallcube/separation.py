@@ -15,7 +15,7 @@ every report.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotAnAutomorphism, WallcubeError
+from .errors import WallcubeError
 from .metric import INF, bits, compress, max_cliques
 from .wallspace import (
     separating,
@@ -50,21 +50,16 @@ class SeparationReport:
     witnesses: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def holds(self):
-        return self.verdict == "holds"
-
     def to_dict(self):
-        return {"property": self.property, "parameters": self.parameters,
-                "verdict": self.verdict, "value": self.value,
-                "witnesses": self.witnesses, "notes": self.notes}
+        return dict(self.__dict__)
 
 
-def _least_threshold(items, bound):
+def _least_threshold(items):
     """items: list of (distance, separated, witness).
 
-    Returns (least t <= bound such that distance > t implies separated,
-    witnesses at the worst offending distance) — t is the max unseparated
-    distance (0 when none).  When t > bound, no usable threshold exists.
+    Returns (least t such that distance > t implies separated, witnesses
+    at the worst offending distance) — t is the max unseparated distance
+    (0 when none).
     """
     unsep = [(d, w) for d, sep, w in items if not sep]
     if not unsep:
@@ -73,10 +68,9 @@ def _least_threshold(items, bound):
     return t, sorted(w for d, w in unsep if d == t)
 
 
-def linear_separation_fit(ws, sample_pairs=None, max_denominator=64,
-                          max_offset=0.0):
+def linear_separation_fit(ws, max_denominator=64, max_offset=0.0):
     """Largest rational κ = p/q (q <= max_denominator) with
-    #(x,y) >= κ·d(x,y) − ε on all sampled pairs for some ε <= max_offset;
+    #(x,y) >= κ·d(x,y) − ε on all pairs for some ε <= max_offset;
     ε* is then the minimal offset for that κ.
 
     On finite data *any* κ works for a large enough ε, so the offset must be
@@ -85,15 +79,9 @@ def linear_separation_fit(ws, sample_pairs=None, max_denominator=64,
     dist = ws.require_metric().dist
     point = separation_index(ws).point
     pts = ws.points
-    if sample_pairs is None:
-        index_pairs = [(i, j) for i in range(len(pts))
-                       for j in range(i + 1, len(pts))]
-    else:
-        index_pairs = [(ws.point_index[x], ws.point_index[y])
-                       for x, y in sample_pairs]
     data = [(pts[i], pts[j], dist[i][j],
              separating(point[i], point[j]).bit_count())
-            for i, j in index_pairs]
+            for i in range(len(pts)) for j in range(i + 1, len(pts))]
     params = {"max_denominator": max_denominator, "max_offset": max_offset,
               "pairs": len(data)}
     pos = [(x, y, d, s) for x, y, d, s in data if d > 0]
@@ -114,14 +102,7 @@ def linear_separation_fit(ws, sample_pairs=None, max_denominator=64,
             "LinearSeparation", params, "fails", value=0.0,
             witnesses=binding,
             notes=["no κ > 0 admits ε <= max_offset"])
-    kappa = Fraction(kmax).limit_denominator(max_denominator)
-    if kappa > kmax:
-        # limit_denominator may round up; step down on the Stern-Brocot grid
-        kappa = Fraction(
-            (kmax.numerator * max_denominator) // kmax.denominator,
-            max_denominator)
-        while kappa > kmax:
-            kappa -= Fraction(1, max_denominator)
+    kappa = _largest_fraction_at_most(kmax, max_denominator)
     if kappa <= 0:
         return SeparationReport(
             "LinearSeparation", params, "fails", value=0.0,
@@ -134,6 +115,20 @@ def linear_separation_fit(ws, sample_pairs=None, max_denominator=64,
     rep.parameters["kappa"] = [kappa.numerator, kappa.denominator]
     rep.parameters["epsilon"] = eps
     return rep
+
+
+def _largest_fraction_at_most(x, n):
+    """The largest p/q <= x with 1 <= q <= n.  `limit_denominator` gives
+    the nearest such fraction a/b; when a/b > x it is x's right neighbour
+    in the Farey sequence F_n, and the answer is a/b's left neighbour c/d
+    there: the one with a·d − b·c = 1 and d <= n largest."""
+    near = x.limit_denominator(n)
+    if near <= x:
+        return near
+    a, b = near.numerator, near.denominator
+    d = pow(a, -1, b)  # 0 when b = 1
+    d += (n - d) // b * b
+    return Fraction((a * d - 1) // b, d)
 
 
 def ball_ball_separation(ws, r):
@@ -149,7 +144,7 @@ def ball_ball_separation(ws, r):
             items.append((metric.d(i, j), bool(sep),
                           [ws.points[i], ws.points[j]]))
     diam = metric.diameter()
-    m, witnesses = _least_threshold(items, diam)
+    m, witnesses = _least_threshold(items)
     verdict = "holds" if m < diam or not witnesses else "fails"
     return SeparationReport("BallBall", {"r": r}, verdict, value=m,
                             witnesses=witnesses)
@@ -204,7 +199,7 @@ def wall_wall_separation(ws):
             sep = separating(wall[a], wall[b]) & ~(1 << a | 1 << b)
             items.append((d, bool(sep), [idxs[a], idxs[b]]))
     diam = metric.diameter()
-    D, witnesses = _least_threshold(items, diam)
+    D, witnesses = _least_threshold(items)
     verdict = "holds" if D < diam or not witnesses else "fails"
     return SeparationReport("WallWall", {}, verdict, value=D,
                             witnesses=witnesses, notes=[WALL_DISTANCE_NOTE])
@@ -246,7 +241,7 @@ def subspace_separation(ws, Y, kind, r):
             for y in range(x + 1, len(idxs)):
                 items.append(item(nbds[x], nbds[y], [idxs[x], idxs[y]]))
     diam = metric.diameter()
-    s, witnesses = _least_threshold(items, diam)
+    s, witnesses = _least_threshold(items)
     verdict = "holds" if s < diam or not witnesses else "fails"
     return SeparationReport(kind, {"r": r, "Y": sorted(ws.names_of(ymask))},
                             verdict, value=s, witnesses=witnesses,
@@ -260,8 +255,7 @@ class PackingReport:
     witness_family: list
 
     def to_dict(self):
-        return {"D": self.D, "k": self.k,
-                "witness_family": self.witness_family}
+        return dict(self.__dict__)
 
 
 def bounded_packing_number(ws, subsets, D):
@@ -295,6 +289,15 @@ def axis_cut_test(ws, action, w_index, n_max, cc=None):
     plus: pairwise transversality of the defined translates {g^m W}, and the
     fixed vertices of g in cc (when given).  Only the premises are checkable
     at finite scale; the theorem's conclusion concerns infinite families.
+
+    After `action.check`, the images g^n U and g^n V lie in the matching
+    sides of the image wall, so no check of its own is needed: `check`
+    gives, for each mapped wall i -> (j, swap) and mapped point x,
+    x ∈ W_i.left iff gx lies on the left of W_j, and likewise on the
+    right (sides exchanged when swap).  Induction along `wall_power` and
+    `point_mask_power` carries this to g^n, n = ±1..n_max, on every point
+    whose orbit stays in the domain; under a many-to-one wall map, every
+    preimage `wall_power` can pick passed `check` too.
     """
     action.check(ws)
     w = ws.wall(w_index)
@@ -306,25 +309,15 @@ def axis_cut_test(ws, action, w_index, n_max, cc=None):
             img = action.wall_power(w_index, nn)
             if img is None:
                 continue
-            j, swap = img
+            j = img[0]
             translates[nn] = j
-            wj = ws.wall(j)
-            u_img, v_img = (wj.right, wj.left) if swap else (wj.left, wj.right)
             pm = action.point_mask_power(ws, nn)
-            gu = pm(w.left)
-            gv = pm(w.right)
             conds[nn] = {
                 "wall_moves": j != w_index,
-                "U_overlaps": bool(w.left & gu),
-                "V_overlaps": bool(w.right & gv),
+                "U_overlaps": bool(w.left & pm(w.left)),
+                "V_overlaps": bool(w.right & pm(w.right)),
                 "image_wall": j,
             }
-            # sanity: the image halfspaces agree with the mapped wall where
-            # the point map is defined
-            dom = pm(ws.full)
-            if gu & dom & ~u_img or gv & dom & ~v_img:
-                raise NotAnAutomorphism(
-                    f"power {nn} maps wall {w_index} inconsistently")
     tidx = sorted(set(translates.values()))
     pairwise = all(transverse(ws, a, b)
                    for x, a in enumerate(tidx) for b in tidx[x + 1:])

@@ -446,3 +446,16 @@ def test_export_dict_shape():
     assert sum(1 for c in doc["cubes"] if c["dim"] == 3) == 1
     for c in doc["cubes"]:
         assert len(c["vertices"]) == 1 << c["dim"]
+
+
+def test_empty_complex_has_dimension_minus_one():
+    # {p}|{p} and {q}|{q}: no orientation is valid; the empty complex has
+    # no cube, so its dimension is -1 (a max over nonempty cells), and
+    # there is no loop to sample
+    from wallcube.cli import _sample_loops
+
+    ws = Wallspace(["p", "q"], [Wall(0, 1, 1), Wall(1, 2, 2)])
+    cc = enumerate_all_orientations(ws)
+    assert cc.nvertices() == 0 and cc.dimension() == -1
+    assert _sample_loops(cc, random.Random(0), count=5, max_len=6) == []
+    assert enumerate_all_orientations(Wallspace(["p"], [])).dimension() == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,12 @@ from conftest import oracle_ball_metric
 from wallcube import complex as complex_mod
 from wallcube.complex import build_dual
 from wallcube import groups
-from wallcube.errors import EmptySubcomplex, StateSpaceCap, WallcubeError
+from wallcube.errors import (
+    EmptySubcomplex,
+    NotAnAutomorphism,
+    StateSpaceCap,
+    WallcubeError,
+)
 from wallcube.groups import (
     ActionMap,
     CoordinateSubgroup,
@@ -31,7 +37,7 @@ from wallcube.groups import (
     verify_equivariance,
 )
 from wallcube.hemi import InducedVariant
-from wallcube.wallspace import transverse, validate
+from wallcube.wallspace import Wall, Wallspace, transverse, validate
 
 Z2 = FreeAbelian(2)
 F2 = Free(2)
@@ -450,6 +456,79 @@ def test_axis_cut_z2():
     for m in out["fixed_vertices"]:
         bits_x = {(m >> p) & 1 for p in xpos}
         assert len(bits_x) == 1
+
+
+def random_action(rng):
+    """A random wallspace (2-5 points, 1-4 walls, each side a random
+    nonempty set) with a random partial injective point map and a random,
+    possibly many-to-one, wall map."""
+    npts = rng.randint(2, 5)
+    full = (1 << npts) - 1
+    walls = [Wall(i, rng.randint(1, full), rng.randint(1, full))
+             for i in range(rng.randint(1, 4))]
+    ws = Wallspace([f"p{i}" for i in range(npts)], walls)
+    domain = rng.sample(ws.points, rng.randint(1, npts))
+    points = dict(zip(domain, rng.sample(ws.points, len(domain))))
+    walls = {i: (rng.randrange(len(walls)), rng.random() < 0.5)
+             for i in range(len(walls)) if rng.random() < 0.8}
+    return ws, ActionMap(points, walls)
+
+
+def open_separates(w, bx, by):
+    """From the definition: x and y lie in opposite open halfspaces."""
+    ol, orr = w.left & ~w.right, w.right & ~w.left
+    return bool(ol & bx and orr & by or ol & by and orr & bx)
+
+
+def orbit_point(action, x, n):
+    """g^n x, step by step; None once the orbit leaves the domain."""
+    step = action.point_map if n > 0 else \
+        {gx: x for x, gx in action.point_map.items()}
+    for _ in range(abs(n)):
+        x = step.get(x)
+        if x is None:
+            return None
+    return x
+
+
+def test_check_implies_separation_and_power_halfspaces():
+    # what verify_equivariance and axis_cut_test no longer re-check: on
+    # an action that passes check, each mapped wall separates a pair of
+    # mapped points exactly when its image separates their images, and
+    # g^n carries the halfspaces of W into the matching sides of the wall
+    # wall_power gives, for n = ±1..3
+    rng = random.Random(12)
+    nontrivial = 0
+    for _ in range(4000):
+        ws, action = random_action(rng)
+        try:
+            action.check(ws)
+        except NotAnAutomorphism:
+            continue
+        nontrivial += bool(action.wall_map) and len(action.point_map) > 1
+        bit = ws.point_bit
+        for x, y in combinations(action.point_map, 2):
+            gx, gy = action.point_map[x], action.point_map[y]
+            for i, (j, _swap) in action.wall_map.items():
+                assert open_separates(ws.wall(i), bit(x), bit(y)) == \
+                    open_separates(ws.wall(j), bit(gx), bit(gy))
+        for w in ws.walls:
+            for n in (1, -1, 2, -2, 3, -3):
+                img = action.wall_power(w.index, n)
+                if img is None:
+                    continue
+                wj = ws.wall(img[0])
+                left, right = (wj.right, wj.left) if img[1] else \
+                    (wj.left, wj.right)
+                pm = action.point_mask_power(ws, n)
+                for x in ws.points:
+                    gx = orbit_point(action, x, n)
+                    if gx is None:
+                        continue
+                    assert bool(w.left & bit(x)) == bool(left & bit(gx))
+                    assert bool(w.right & bit(x)) == bool(right & bit(gx))
+                assert pm(w.left) & ~left == 0 and pm(w.right) & ~right == 0
+    assert nontrivial > 100
 
 
 # -- relative cocompactness -------------------------------------------

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+exception class in `errors.py` is raised somewhere in the library.
 
 The package re-exports names in `__init__.py`, which is left out.
 """
@@ -42,3 +43,27 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def raised_names(source):
+    """Names of the exceptions that a module's raise statements raise."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+    return out
+
+
+def test_detects_raised_names():
+    assert raised_names("raise A\nraise B('x') from None\ntry:\n    f()\n"
+                        "except C:\n    raise\n") == {"A", "B"}
+
+
+def test_every_exception_class_is_raised():
+    errors = Path(wallcube.__file__).parent / "errors.py"
+    classes = [node.name for node in ast.walk(ast.parse(errors.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    raised = set().union(*(raised_names(p.read_text()) for p in MODULES))
+    assert [c for c in classes if c not in raised] == []

@@ -300,6 +300,15 @@ def test_cli_diagnose_metric_required(tmp_path):
     assert r.exit_code == 1
 
 
+@pytest.mark.parametrize("args", [["grid", "8"], ["geomPath", "70"]])
+def test_cli_gen_sizes_caps_to_input(args):
+    # both once stopped at the default cap of 64 points
+    r = run_cli(["gen", *args])
+    assert r.exit_code == 0
+    doc = json.loads(r.stdout)
+    assert doc["caps"]["points"] == len(doc["payload"]["points"]) > 64
+
+
 def test_cli_gen_unknown():
     r = run_cli(["gen", "mystery"])
     assert r.exit_code == 1
@@ -325,6 +334,10 @@ def test_cli_act(tmp_path):
     assert payload["hwall_reports"][0]["ok"] is True
     assert payload["decomposition"]["least_m"] == 0
     assert payload["decomposition"]["coverage_violations"] == []
+
+
+F1 = {"kind": "Free", "rank": 1}
+F1_F1 = {"kind": "FreeProduct", "factors": [F1, F1]}
 
 
 def act_spec(**changes):
@@ -364,11 +377,26 @@ def act_spec(**changes):
      "variant.tau: 1.5 is not an integer"),
     (act_spec(m="x"), "m: 'x' is not an integer"),
     (act_spec(m=True), "m: True is not an integer"),
+    # out of range: each once ran unchecked, to exit 0 or a domain error
+    (act_spec(group={"kind": "FreeAbelian", "d": 0}), "group.d: need d >= 1"),
+    (act_spec(group={"kind": "Free", "rank": 0}), "group.rank: need 1 <="),
+    (act_spec(group={"kind": "FreeProduct", "factors": [F1]}),
+     "group.factors: [{'kind': 'Free', 'rank': 1}] is not a list of at "
+     "least two groups"),
+    (act_spec(radius=-1), "radius: -1 is negative"),
+    (act_spec(group=F1_F1, hwalls=None,
+              peripheries=[{"kind": "factor", "factor": 7}]),
+     "peripheries[0].factor: 7 is not a factor position in range(2)"),
+    (act_spec(group=F1_F1, hwalls=None,
+              peripheries=[{"kind": "factor", "factor": "x"}]),
+     "peripheries[0].factor: 'x' is not a factor position in range(2)"),
+    (act_spec(peripheries=[{"kind": "factor", "factor": 0}]),
+     "peripheries[0].factor: 0 is not a factor position in range(0)"),
 ])
 def test_cli_act_malformed_spec(tmp_path, spec, where):
     path = write(tmp_path, "act.json", json.dumps(spec))
     r = run_cli(["act", path])
-    assert r.exit_code == 2
+    assert r.exit_code == 2 and r.exception is None
     err = json.loads(r.stderr)
     assert err["error"] == "ParseError" and where in err["detail"]
 
@@ -476,6 +504,30 @@ def test_cli_act_bad_coords_or_rule(tmp_path, spec, where):
      "--ns: 'x' is not an integer"),
     (["diagnose", "-", "--property", "ball-ball", "--params", "[1]"],
      "--params: [1] is not a JSON object"),
+    # each of these once ended in a traceback, or ran to exit 0
+    (["diagnose", "-", "--property", "linear-separation",
+      "--params", '{"max_denominator": 0}'],
+     "--params.max_denominator: 0 is not a positive integer"),
+    (["diagnose", "-", "--property", "linear-separation",
+      "--params", '{"max_denominator": "x"}'],
+     "--params.max_denominator: 'x' is not a positive integer"),
+    (["diagnose", "-", "--property", "linear-separation",
+      "--params", '{"max_offset": "x"}'],
+     "--params.max_offset: 'x' is not a non-negative number"),
+    (["diagnose", "-", "--property", "ball-ball", "--params", '{"r": "x"}'],
+     "--params.r: 'x' is not a non-negative integer"),
+    (["diagnose", "-", "--property", "ball-ball", "--params", '{"r": -1}'],
+     "--params.r: -1 is not a non-negative integer"),
+    (["diagnose", "-", "--property", "ball-wallnbd", "--params", '{"Y": 5}'],
+     "--params.Y: 5 is not a list of point names"),
+    (["diagnose", "-", "--property", "compact-wall",
+      "--params", '{"K": ["0,0", "9,9"]}'],
+     "--params.K: ['0,0', '9,9'] is not a list of point names"),
+    (["diagnose", "-", "--property", "packing",
+      "--params", '{"subsets": [["0,0"], 3]}'],
+     "--params.subsets: [['0,0'], 3] is not a list of lists of point names"),
+    (["diagnose", "-", "--property", "packing", "--params", '{"D": -1}'],
+     "--params.D: -1 is not a non-negative number"),
 ])
 def test_cli_malformed_arguments(args, where):
     r = run_cli(args, stdin=run_cli(["gen", "grid", "2"]).stdout)

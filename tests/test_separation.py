@@ -1,5 +1,6 @@
 """Separation diagnostics; every witness re-validates from scratch."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,6 +25,7 @@ from wallcube.groups import (
 )
 from wallcube.metric import INF, Metric, bits
 from wallcube.separation import (
+    _largest_fraction_at_most,
     _least_threshold,
     axis_cut_test,
     ball_ball_separation,
@@ -35,7 +37,7 @@ from wallcube.separation import (
     wall_region,
     wall_wall_separation,
 )
-from wallcube.wallspace import Wallspace, separation_count, validate
+from wallcube.wallspace import Wall, Wallspace, separation_count, validate
 
 
 def metric_spaces(count=10):
@@ -52,9 +54,9 @@ def metric_spaces(count=10):
 def test_least_threshold():
     items = [(1, True, ["a"]), (3, False, ["b"]), (2, False, ["c"]),
              (5, True, ["d"])]
-    t, wit = _least_threshold(items, 10)
+    t, wit = _least_threshold(items)
     assert t == 3 and wit == [["b"]]
-    assert _least_threshold([(4, True, ["x"])], 10) == (0, [])
+    assert _least_threshold([(4, True, ["x"])]) == (0, [])
 
 
 def test_wall_region_carrier_vs_frontier():
@@ -95,14 +97,35 @@ def test_linear_fit_witnesses_revalidate():
 def test_linear_fit_fails_when_points_indistinguishable():
     # geomPath endpoints are never separated from their neighbors' carrier
     # points... use a wall-free space instead: no wall separates anything
-    from wallcube.metric import Metric
-    from wallcube.wallspace import Wall, Wallspace
     full = 0b11
     ws = Wallspace(["x", "y"], [Wall(0, full, full)],
                    metric=Metric.from_edges(2, [(0, 1, 1)]))
     rep = linear_separation_fit(ws)
     assert rep.verdict == "fails"
     assert rep.value == 0.0
+
+
+def test_linear_fit_kappa_off_the_1_over_q_grid():
+    # κ may be at most 0.39 with q <= 10: limit_denominator rounds up to
+    # 2/5, and stepping down on multiples of 1/10 gave 3/10, not 3/8
+    ws = Wallspace(["x", "y"], [Wall(0, 0b11, 0b11)],
+                   metric=Metric.from_edges(2, [(0, 1, 1)]))
+    rep = linear_separation_fit(ws, max_denominator=10, max_offset=0.39)
+    assert rep.verdict == "holds"
+    assert rep.parameters["kappa"] == [3, 8] and rep.value == 0.375
+
+
+def test_largest_fraction_at_most_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(3000):
+        n = rng.randint(1, 40)
+        if rng.random() < 0.3:
+            x = Fraction(rng.random() * 3)
+        else:
+            x = Fraction(rng.randint(0, 400), rng.randint(1, 300))
+        best = max(Fraction(x.numerator * q // x.denominator, q)
+                   for q in range(1, n + 1))
+        assert _largest_fraction_at_most(x, n) == best
 
 
 def test_ball_ball_revalidates():
