@@ -310,13 +310,16 @@ def cmd_act(args):
     radius = io.int_field(doc, "radius", "radius")
     if radius < 0:
         raise ParseError(f"radius: {radius} is negative")
-    hws = [_hwall_from_dict(spec, h, i)
-           for i, h in enumerate(doc.get("hwalls", []))]
+    hwalls = _optional(doc, "hwalls", "hwalls", io.list_field, [])
+    hws = [_hwall_from_dict(spec, h, i) for i, h in enumerate(hwalls)]
     subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]")
-            for k, pd in enumerate(doc.get("peripheries") or [])]
+            for k, pd in enumerate(_optional(
+                doc, "peripheries", "peripheries", io.list_field, []))]
     if subs:
         variant = _variant_from_dict(doc.get("variant", {}))
-        m = _optional_int(doc, "m", "m", None)
+        m = _optional(doc, "m", "m", io.int_field, None)
+        if m is not None and m < 0:
+            raise ParseError(f"m: {m} is negative")
     ball = groups.cayley_ball(spec, radius)
     ws, meta = groups.generate_hwall_system(ball, hws)
     payload = {
@@ -334,9 +337,9 @@ def cmd_act(args):
     _emit(payload, digest=digest)
 
 
-def _optional_int(d, key, path, default):
-    """d[key] as an integer, or `default` when it is absent or null."""
-    return default if d.get(key) is None else io.int_field(d, key, path)
+def _optional(d, key, path, read, default):
+    """read(d, key, path), or `default` when d[key] is absent or null."""
+    return default if d.get(key) is None else read(d, key, path)
 
 
 def _variant_from_dict(d):
@@ -347,8 +350,12 @@ def _variant_from_dict(d):
     kind = d.get("kind", "U0")
     if not isinstance(kind, str):
         raise ParseError(f"variant.kind: {kind!r} is not a string")
-    return InducedVariant(kind, r=_optional_int(d, "r", "variant.r", 0),
-                          tau=_optional_int(d, "tau", "variant.tau", 1))
+    r = _optional(d, "r", "variant.r", io.int_field, 0)
+    tau = _optional(d, "tau", "variant.tau", io.int_field, 1)
+    try:
+        return InducedVariant(kind, r=r, tau=tau)
+    except WallcubeError as exc:
+        raise ParseError(f"variant.{exc}") from None
 
 
 def _subgroup_from_dict(spec, d, path):
@@ -376,7 +383,8 @@ def _subgroup_from_dict(spec, d, path):
             raise ParseError(f"{path}.factor: {factor!r} is not a factor "
                              f"position in range({count})")
         return groups.FreeFactorSubgroup(spec, factor)
-    raise ParseError(f"unknown subgroup kind {kind}")
+    raise ParseError(f"{path}.kind: {kind!r} is not 'coordinate', "
+                     f"'cyclic' or 'factor'")
 
 
 def _hwall_from_dict(spec, d, i):

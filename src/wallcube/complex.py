@@ -273,7 +273,8 @@ class CubeComplex:
         return dict(sorted(counts.items()))
 
     def all_cubes(self):
-        """Every cube of every dimension, 0-cubes and edges included."""
+        """Every cube of every dimension: the 0-cubes first, in vertex
+        order, then the edges, then the higher cubes."""
         out = [Cube(m, frozenset()) for m in self.vertices]
         out += [Cube(u, frozenset([w])) for u, v, w in self.edges]
         for cs in self.cubes.values():

@@ -53,13 +53,11 @@ def grid(n):
                           mask(lambda i, j, k=k: j >= k)))
         idx += 1
     npts = len(points)
-    dist = [[abs(i1 - i2) + abs(j1 - j2) for i2, j2 in coords]
-            for i1, j1 in coords]
     edges = [(pidx[f"{i},{j}"], pidx[f"{i2},{j2}"], 1)
              for i, j in coords for i2, j2 in coords
              if (abs(i - i2), abs(j - j2)) in ((0, 1), (1, 0))
              and (i, j) < (i2, j2)]
-    return Wallspace(points, walls, metric=Metric(dist, edges=edges),
+    return Wallspace(points, walls, metric=Metric.from_edges(npts, edges),
                      max_points=max(64, npts), max_walls=max(64, len(walls)))
 
 
@@ -85,9 +83,8 @@ def rbad(n):
     for r in range(npts):
         walls.append(Wall(idx, 1 << r, full & ~(1 << r)))
         idx += 1
-    dist = [[abs(i - j) for j in range(npts)] for i in range(npts)]
     edges = [(i, i + 1, 1) for i in range(npts - 1)]
-    return Wallspace(points, walls, metric=Metric(dist, edges=edges),
+    return Wallspace(points, walls, metric=Metric.from_edges(npts, edges),
                      max_points=max(64, npts), max_walls=max(64, len(walls)))
 
 

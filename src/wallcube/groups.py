@@ -22,14 +22,13 @@ from operator import add, neg
 
 from .complex import canonical_cube
 from .errors import (
-    EmptySubcomplex,
     NotAnAutomorphism,
     ParseError,
     StateSpaceCap,
     UnknownGenerator,
     WallcubeError,
 )
-from .hemi import dual_sub, induce_hemi, represented_in
+from .hemi import induce_hemi, represented_in
 from .io import get_field, int_field
 from .metric import Metric, bits, components
 from .wallspace import Wall, Wallspace
@@ -57,6 +56,9 @@ class FreeAbelian:
     def __init__(self, d):
         if d < 1:
             raise WallcubeError("need d >= 1")
+        # the radius-1 ball, 2d + 1 elements, fits cayley_ball's cap 4096
+        if d > 2047:
+            raise WallcubeError("need d <= 2047")
         self.d = d
 
     def identity(self):
@@ -178,9 +180,9 @@ def group_from_dict(d, path="group"):
     """The group spec of a document; a missing or out-of-range field is a
     ParseError naming its `path`."""
     kind = get_field(d, "kind", f"{path}.kind")
-    sized = {"FreeAbelian": (FreeAbelian, "d"), "Free": (Free, "rank")}
-    if kind in sized:
-        make, key = sized[kind]
+    if kind in ("FreeAbelian", "Free"):
+        make, key = (FreeAbelian, "d") if kind == "FreeAbelian" \
+            else (Free, "rank")
         size = int_field(d, key, f"{path}.{key}")
         try:
             return make(size)
@@ -193,7 +195,8 @@ def group_from_dict(d, path="group"):
                              f"at least two groups")
         return FreeProduct([group_from_dict(f, f"{path}.factors[{k}]")
                             for k, f in enumerate(factors)])
-    raise UnknownGenerator(kind)
+    raise ParseError(f"{path}.kind: {kind!r} is not 'FreeAbelian', 'Free' "
+                     f"or 'FreeProduct'")
 
 
 # -- Cayley balls ------------------------------------------------------
@@ -271,9 +274,6 @@ class CoordinateSubgroup:
     def contains(self, g):
         return all(x == 0 for i, x in enumerate(g) if i not in self.coords)
 
-    def describe(self):
-        return f"coordinate subgroup {sorted(self.coords)}"
-
 
 class CyclicSubgroup:
     """<w> inside a free group; w is reduced here, once, letter by letter."""
@@ -298,9 +298,6 @@ class CyclicSubgroup:
                     return True
         return False
 
-    def describe(self):
-        return f"cyclic subgroup <{self.word}>"
-
 
 class FreeFactorSubgroup:
     """One free factor of a FreeProduct."""
@@ -311,9 +308,6 @@ class FreeFactorSubgroup:
 
     def contains(self, g):
         return len(g) == 0 or (len(g) == 1 and g[0][0] == self.factor)
-
-    def describe(self):
-        return f"free factor {self.factor}"
 
 
 # -- H-walls -----------------------------------------------------------
@@ -451,6 +445,11 @@ def _orbit_count(ball, hmembers, indices, glue=()):
 
 @dataclass
 class HWallSystemMeta:
+    """Bookkeeping of an H-wall system.  `dropped_vacuous` and
+    `dropped_duplicate_partitions` stay 0, kept as keys of `act`'s payload:
+    both rules put the identity on both sides (`side` is "B" at x_k = 0
+    and at the empty word), so the translate by t has the ball point t on
+    both sides, and is never vacuous, one-sided or a genuine partition."""
     wall_info: dict = field(default_factory=dict)  # index -> (spec pos, g name)
     pair_index: dict = field(default_factory=dict)  # (pair, spec pos) -> index
     specs: list = field(default_factory=list)
@@ -459,45 +458,30 @@ class HWallSystemMeta:
     reports: list = field(default_factory=list)
 
 
-def generate_hwall_system(ball, hwall_specs, max_walls=256):
+def generate_hwall_system(ball, hwall_specs):
     """Wallspace on the ball with all ball-translates of the given H-walls.
 
-    Translate walls {gU, gV} are truncated to the ball; duplicates are
-    collapsed by (halfspace pair, source spec); vacuous truncations and
-    truncation-created duplicate genuine partitions are dropped and counted.
+    Translate walls {gU, gV} are truncated to the ball, and equal ones are
+    collapsed by (halfspace pair, source spec); none is dropped (see
+    `HWallSystemMeta`).  The wall cap is max(256, number of walls).
     """
     spec = ball.spec
     meta = HWallSystemMeta(specs=list(hwall_specs))
     walls = []
-    seen_pairs = set()
-    partitions = {}
-    full = (1 << len(ball.elements)) - 1
     inverses = list(map(spec.inv, ball.elements))
-    next_index = 0
     for pos, hw in enumerate(hwall_specs):
         _w, rep = build_hwall(ball, hw)
         meta.reports.append(rep.to_dict())
         for g, ginv in zip(ball.elements, inverses):
             gu, gv = _translate(ball, hw, ginv)
-            pair = frozenset((gu, gv))
-            if pair == frozenset((0, full)) or gu == 0 or gv == 0:
-                meta.dropped_vacuous += 1
-                continue
-            if (pair, pos) in seen_pairs:
-                continue  # equal walls per the (halfspaces, index) rule
-            if gu & gv == 0:
-                if pair in partitions:
-                    meta.dropped_duplicate_partitions += 1
-                    continue
-                partitions[pair] = next_index
-            seen_pairs.add((pair, pos))
-            walls.append(Wall(next_index, gu, gv))
-            meta.wall_info[next_index] = (pos, spec.name(g))
-            meta.pair_index[(pair, pos)] = next_index
-            next_index += 1
+            key = (frozenset((gu, gv)), pos)
+            if key not in meta.pair_index:
+                meta.wall_info[len(walls)] = (pos, spec.name(g))
+                meta.pair_index[key] = len(walls)
+                walls.append(Wall(len(walls), gu, gv))
     ws = Wallspace(ball.names, walls, metric=ball.metric,
                    max_points=max(64, len(ball.names)),
-                   max_walls=max(64, max_walls))
+                   max_walls=max(256, len(walls)))
     return ws, meta
 
 
@@ -753,7 +737,15 @@ def rel_cocompact_check(ws, cc, peripheries, variant, m=None):
     Depth of a cube = min distance to a canonical cube of a ground point.
     Cubes of depth >= m must be represented in exactly one periphery;
     peripheral subcomplexes must pairwise intersect inside the depth-< m
-    part.
+    part.  A periphery's subcomplex is its represented 0-cubes.
+
+    None is empty on a covering wallspace, such as an H-wall system.  If
+    retained halfspaces A of wall i and B of wall j were disjoint, B would
+    lie in i's other side, which the rules, monotone in the halfspace, then
+    retain too: i keeps both sides, and likewise j.  So a fixed side meets
+    every retained halfspace, and for any point x the fixed sides with the
+    sides of the free walls holding x pairwise intersect: a 0-cube (Sageev
+    1995) that the periphery represents.
     """
     seeds = set()
     for p in ws.points:
@@ -778,12 +770,11 @@ def rel_cocompact_check(ws, cc, peripheries, variant, m=None):
     isolation = [{"dim": c.dim, "depth": depth, "peripheries": reps}
                  for c, depth, reps in info if depth >= m and len(reps) > 1]
     inter_wit = []
-    subs = []
-    for h in hemis:
-        try:
-            subs.append(set(dual_sub(cc, h).vertices))
-        except EmptySubcomplex:
-            subs.append(set())
+    # each periphery's vertices: all_cubes lists 0-cubes first, in order
+    subs = [set() for _ in hemis]
+    for c, _depth, reps in info[:cc.nvertices()]:
+        for k in reps:
+            subs[k].add(c.base)
     for a in range(len(subs)):
         for b in range(a + 1, len(subs)):
             for v in subs[a] & subs[b]:

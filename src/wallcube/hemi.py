@@ -23,9 +23,11 @@ class InducedVariant:
 
     def __post_init__(self):
         if self.kind not in ("U0", "Ur", "Uinf", "Ustar", "UrStar"):
-            raise WallcubeError(f"unknown variant {self.kind}")
-        if self.r < 0 or self.tau < 1:
-            raise WallcubeError("need r >= 0 and tau >= 1")
+            raise WallcubeError(f"kind: unknown variant {self.kind!r}")
+        for name, low in (("r", 0), ("tau", 1), ("r_max", 0)):
+            x = getattr(self, name)
+            if x is not None and not x >= low:
+                raise WallcubeError(f"{name}: {x!r} is not >= {low}")
 
 
 class Hemiwallspace:
@@ -67,48 +69,33 @@ class Hemiwallspace:
 def induce_hemi(ws, P, variant):
     """Hemiwallspace induced by a peripheral point subset P.
 
-    Retention rules per variant (U a halfspace):
-      U0:     U ∩ P nonempty
-      Ur:     U ∩ N_r(P) nonempty
-      Uinf:   diam(U ∩ P) >= tau          (finite proxy for infinite diameter)
-      Ustar:  diam(U ∩ N_r(P)) >= tau for some r <= r_max
-      UrStar: diam(U ∩ N_r(P)) >= tau
+    One neighbourhood N of P and one rule per variant (U a halfspace):
+      U0:     N = P,           U ∩ N nonempty
+      Ur:     N = N_r(P),      U ∩ N nonempty
+      Uinf:   N = N_0(P),      diam(U ∩ N) >= tau  (tau stands in for ∞)
+      UrStar: N = N_r(P),      diam(U ∩ N) >= tau
+      Ustar:  N = N_r_max(P),  diam(U ∩ N) >= tau
+    Ustar asks for some r <= r_max (default: the diameter); N_r(P), and
+    with it diam(U ∩ N_r(P)), only grows with r, so r_max works iff some
+    r <= r_max does.
     """
     pmask = P if isinstance(P, int) else ws.mask_of(P)
     if pmask == 0:
         raise WallcubeError("P must be nonempty")
     kind = variant.kind
-    if kind != "U0":
-        metric = ws.require_metric()
+    if kind == "U0":
+        near = pmask
     else:
-        metric = ws.metric
-
-    def nbhd(r):
-        if r == 0 and metric is None:
-            return pmask
-        return metric.ball(pmask, r)
-
-    def big(mask, r):
-        d = metric.diam(mask & nbhd(r))
-        return d is not None and d >= variant.tau
+        metric = ws.require_metric()
+        r = {"Ur": variant.r, "UrStar": variant.r, "Uinf": 0,
+             "Ustar": variant.r_max}[kind]
+        near = metric.ball(pmask, metric.diameter() if r is None else r)
 
     def retained(side_mask):
-        if kind == "U0":
-            return bool(side_mask & pmask)
-        if kind == "Ur":
-            return bool(side_mask & nbhd(variant.r))
-        if kind == "Uinf":
-            return big(side_mask, 0)
-        if kind == "UrStar":
-            return big(side_mask, variant.r)
-        # Ustar: some radius r <= r_max works
-        r_max = variant.r_max
-        if r_max is None:
-            r_max = metric.diameter()
-        radii = sorted({0.0, r_max}
-                       | {d for row in metric.dist for d in row
-                          if 0 < d <= r_max})
-        return any(big(side_mask, r) for r in radii)
+        if kind in ("U0", "Ur"):
+            return bool(side_mask & near)
+        d = metric.diam(side_mask & near)
+        return d is not None and d >= variant.tau
 
     fixed = {}
     bad = []

@@ -68,25 +68,41 @@ def int_field(doc, key, path):
     return x
 
 
-def wallspace_from_dict(doc, max_points=None, max_walls=None):
+def list_field(doc, key, path):
+    """get_field for a field that must hold a list."""
+    x = get_field(doc, key, path)
+    if not isinstance(x, list):
+        raise ParseError(f"{path}: {x!r} is not a list")
+    return x
+
+
+def wallspace_from_dict(doc):
     try:
-        points = list(get_field(doc, "points", "points"))
-        pidx = {p: i for i, p in enumerate(points)}
+        points = list_field(doc, "points", "points")
+        pidx = {}
+        for k, p in enumerate(points):
+            if not isinstance(p, str) or p in pidx:
+                raise ParseError(f"points[{k}]: {p!r} is not a new name")
+            pidx[p] = k
 
         def index(field, p):
-            if p not in pidx:
+            if not isinstance(p, str) or p not in pidx:
                 raise ParseError(f"{field}: unknown point {p!r}")
             return pidx[p]
 
         walls = []
-        for k, w in enumerate(get_field(doc, "walls", "walls")):
+        seen = set()
+        for k, w in enumerate(list_field(doc, "walls", "walls")):
             sides = []
             for side in ("left", "right"):
                 field = f"walls[{k}].{side}"
                 sides.append(sum({1 << index(field, p)
-                                  for p in get_field(w, side, field)}))
-            walls.append(Wall(int(get_field(w, "index", f"walls[{k}].index")),
-                              *sides))
+                                  for p in list_field(w, side, field)}))
+            i = int_field(w, "index", f"walls[{k}].index")
+            if i in seen:
+                raise ParseError(f"walls[{k}].index: {i} is not a new index")
+            seen.add(i)
+            walls.append(Wall(i, *sides))
         metric = None
         if "metric" in doc and doc["metric"]:
             md = doc["metric"]
@@ -109,14 +125,11 @@ def wallspace_from_dict(doc, max_points=None, max_walls=None):
                             raise ParseError(
                                 f"metric.table[{i}][{j}]: {x!r} is not a number")
                 metric = Metric(table)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad wallspace document: {exc}") from exc
-    if max_points is None:
-        max_points = max(64, len(points))
-    if max_walls is None:
-        max_walls = max(64, len(walls))
     return Wallspace(points, walls, metric=metric,
-                     max_points=max_points, max_walls=max_walls)
+                     max_points=max(64, len(points)),
+                     max_walls=max(64, len(walls)))
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -232,7 +245,8 @@ def _records(rows, ind):
 def loads(text):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, an int past int()'s digit limit, or too deep nesting
         raise ParseError(str(exc)) from exc
 
 

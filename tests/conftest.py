@@ -9,7 +9,8 @@ level scan.  The maximal-cube, sub-complex and NPC oracles read a complex
 through its `Cube` views and its export document, never its cell store.
 The flip-search oracle for `build_dual` steps with the library's one-wall
 flip test, which `test_flippable_matches_validity` checks against the
-valid orientations, but not with its 2-SAT search.
+valid orientations, but not with its 2-SAT search.  The induced-hemi
+oracle takes a neighbourhood per side and scans U*'s radii one by one.
 """
 
 import json
@@ -18,6 +19,8 @@ from collections import deque
 from itertools import combinations
 
 from wallcube.complex import Cube, CubeComplex, OrientationEngine
+from wallcube.errors import NotAHemiwallspace, WallcubeError
+from wallcube.hemi import Hemiwallspace
 from wallcube.metric import Metric
 from wallcube.wallspace import Wall, Wallspace
 
@@ -402,6 +405,69 @@ def forget_unpaired(hemi):
     walls = [w for w in ws.walls if w.index not in hemi.fixed]
     return Wallspace(ws.points, walls, metric=ws.metric,
                      max_points=ws.max_points, max_walls=ws.max_walls)
+
+
+def oracle_induce_hemi(ws, P, variant):
+    """`induce_hemi` with a neighbourhood taken per side, and U* as a scan
+    over every distinct distance up to r_max:
+      U0:     U ∩ P nonempty
+      Ur:     U ∩ N_r(P) nonempty
+      Uinf:   diam(U ∩ P) >= tau
+      Ustar:  diam(U ∩ N_r(P)) >= tau for some r <= r_max
+      UrStar: diam(U ∩ N_r(P)) >= tau
+    """
+    pmask = P if isinstance(P, int) else ws.mask_of(P)
+    if pmask == 0:
+        raise WallcubeError("P must be nonempty")
+    kind = variant.kind
+    if kind != "U0":
+        metric = ws.require_metric()
+    else:
+        metric = ws.metric
+
+    def nbhd(r):
+        if r == 0 and metric is None:
+            return pmask
+        return metric.ball(pmask, r)
+
+    def big(mask, r):
+        d = metric.diam(mask & nbhd(r))
+        return d is not None and d >= variant.tau
+
+    def retained(side_mask):
+        if kind == "U0":
+            return bool(side_mask & pmask)
+        if kind == "Ur":
+            return bool(side_mask & nbhd(variant.r))
+        if kind == "Uinf":
+            return big(side_mask, 0)
+        if kind == "UrStar":
+            return big(side_mask, variant.r)
+        r_max = variant.r_max
+        if r_max is None:
+            r_max = metric.diameter()
+        radii = sorted({0.0, r_max}
+                       | {d for row in metric.dist for d in row
+                          if 0 < d <= r_max})
+        return any(big(side_mask, r) for r in radii)
+
+    fixed = {}
+    bad = []
+    for w in ws.walls:
+        keep_l, keep_r = retained(w.left), retained(w.right)
+        if keep_l and keep_r:
+            continue
+        if keep_l:
+            fixed[w.index] = 0
+        elif keep_r:
+            fixed[w.index] = 1
+        else:
+            bad.append(w.index)
+    if bad:
+        raise NotAHemiwallspace(bad)
+    meta = {"variant": kind, "r": variant.r, "tau": variant.tau,
+            "P": sorted(ws.names_of(pmask))}
+    return Hemiwallspace(ws, fixed, meta=meta)
 
 
 def oracle_ball_metric(ball):

@@ -14,7 +14,6 @@ from wallcube import complex as complex_mod
 from wallcube.complex import build_dual
 from wallcube import groups
 from wallcube.errors import (
-    EmptySubcomplex,
     NotAnAutomorphism,
     StateSpaceCap,
     WallcubeError,
@@ -287,6 +286,25 @@ def test_build_hwall_invariance_violations_carry_total():
     assert "invariance_violations_total" not in rep.to_dict()
 
 
+def test_hwall_rules_put_the_identity_on_both_sides():
+    # the claim of HWallSystemMeta's proof, on every rule and axis the
+    # tests and the CLI build: no translate is vacuous, one-sided or a
+    # genuine partition, so none is dropped
+    specs = [HWallSpec(CoordinateSubgroup(FreeAbelian(d), []), "coordinate",
+                       axis=k) for d in (1, 2, 3) for k in range(d)]
+    specs += [HWallSpec(CyclicSubgroup(Free(rank), letter), "branch",
+                        axis=letter)
+              for rank in (1, 2, 3) for letter in Free(rank).letters]
+    for hw in specs:
+        assert hw.side(hw.subgroup.spec.identity()) == "B"
+    for (ball, (ws, meta)), hws in ((z2_system(), 2), (f2_system(), 1)):
+        assert meta.dropped_vacuous == meta.dropped_duplicate_partitions == 0
+        assert len(meta.reports) == hws
+        for w in ws.walls:
+            _pos, t = meta.wall_info[w.index]
+            assert w.carrier() >> ball.by_name[t] & 1
+
+
 def test_generated_systems_validate():
     for _ball, (ws, _meta) in (z2_system(), f2_system()):
         rep = validate(ws)
@@ -554,28 +572,6 @@ def test_rel_cocompact_no_peripheries_tree():
     assert rep.k_part == total
     assert rep.least_m >= 1
     assert rep.coverage_violations == [] and rep.unique == 0
-
-
-def test_rel_cocompact_empty_periphery_only(monkeypatch):
-    # an empty peripheral subcomplex intersects nothing; any other error
-    # from dual_sub must surface instead of passing as an empty set
-    ball, (ws, _meta) = z2_system(2)
-    cc = build_dual(ws, ws.points[0])
-    peripheries = [list(ws.points)[:3], list(ws.points)[3:6]]
-
-    def empty(cc, hemi):
-        raise EmptySubcomplex("no vertex")
-
-    monkeypatch.setattr(groups, "dual_sub", empty)
-    rep = rel_cocompact_check(ws, cc, peripheries, InducedVariant("U0"))
-    assert rep.intersection_ok
-
-    def broken(cc, hemi):
-        raise WallcubeError("bug in dual_sub")
-
-    monkeypatch.setattr(groups, "dual_sub", broken)
-    with pytest.raises(WallcubeError, match="bug in dual_sub"):
-        rel_cocompact_check(ws, cc, peripheries, InducedVariant("U0"))
 
 
 @pytest.mark.parametrize("variant, summary, digest", [

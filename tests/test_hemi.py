@@ -10,6 +10,7 @@ from conftest import (
     cube_key,
     forget_unpaired,
     oracle_dual_sub,
+    oracle_induce_hemi,
     oracle_is_convex,
     oracle_maximal_cubes,
     oracle_verify_npc,
@@ -37,6 +38,7 @@ from wallcube.hemi import (
     is_convex,
     represented_in,
 )
+from wallcube.metric import Metric
 from wallcube.wallspace import Wall, Wallspace, validate
 
 
@@ -52,12 +54,16 @@ def metric_spaces(count=20):
 
 
 def test_variant_validation():
-    with pytest.raises(WallcubeError):
+    with pytest.raises(WallcubeError, match="^kind: unknown variant 'bogus'"):
         InducedVariant("bogus")
-    with pytest.raises(WallcubeError):
+    with pytest.raises(WallcubeError, match="^r: -1 is not >= 0"):
         InducedVariant("Ur", r=-1)
-    with pytest.raises(WallcubeError):
+    with pytest.raises(WallcubeError, match="^tau: 0 is not >= 1"):
         InducedVariant("Uinf", tau=0)
+    # the one input where U* at r_max differs from a scan of r <= r_max,
+    # which always tries r = 0
+    with pytest.raises(WallcubeError, match="^r_max: -1 is not >= 0"):
+        InducedVariant("Ustar", r_max=-1)
 
 
 def test_u0_retention_direct():
@@ -104,6 +110,72 @@ def test_ustar_scans_radii():
         for i, s in star.fixed.items():
             if i in at_r.fixed:
                 assert at_r.fixed[i] == s
+
+
+@st.composite
+def metric_wallspaces(draw):
+    """Any walls (vacuous, empty-sided or not covering the points), and a
+    metric that may be missing, weighted or disconnected."""
+    n = draw(st.integers(1, 7))
+    full = (1 << n) - 1
+    sides = st.integers(0, full)
+    walls = [Wall(i, u, v) for i, (u, v) in
+             enumerate(draw(st.lists(st.tuples(sides, sides), max_size=6)))]
+    metric = None
+    if draw(st.integers(0, 3)):
+        weight = st.just(1) | st.integers(0, 4) | st.floats(0, 4)
+        # a random spanning tree, mostly, plus random edges
+        tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)] \
+            if draw(st.integers(0, 3)) else []
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        extra = draw(st.lists(pair, max_size=n))
+        metric = Metric.from_edges(n, [(i, j, draw(weight))
+                                       for i, j in tree + extra if i != j])
+    return Wallspace([f"p{i}" for i in range(n)], walls, metric=metric)
+
+
+variants = st.builds(
+    InducedVariant, st.sampled_from(["U0", "Ur", "Uinf", "Ustar", "UrStar"]),
+    r=st.integers(0, 5) | st.floats(0, 5),
+    tau=st.integers(1, 5) | st.floats(1, 5),
+    r_max=st.none() | st.integers(0, 6) | st.floats(0, 6))
+
+
+def outcome(induce, ws, P, variant):
+    try:
+        hemi = induce(ws, P, variant)
+    except NotAHemiwallspace as exc:
+        return "not a hemiwallspace", exc.wall_indices
+    except WallcubeError as exc:
+        return type(exc).__name__
+    return hemi.fixed, hemi.meta
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_induce_hemi_matches_oracle(data):
+    # one neighbourhood and one rule per variant, U* at r_max only, against
+    # a neighbourhood per side and U*'s scan over every distance
+    ws = data.draw(metric_wallspaces())
+    P = data.draw(st.integers(1, ws.full))
+    variant = data.draw(variants)
+    assert outcome(induce_hemi, ws, P, variant) == \
+        outcome(oracle_induce_hemi, ws, P, variant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_induced_hemi_of_a_covering_wallspace_is_nonempty(seed, data):
+    # the proof in rel_cocompact_check: a fixed side meets every retained
+    # halfspace, so some vertex agrees with every fixed side
+    ws = random_wallspace(seed, max_points=7, max_walls=7)
+    P = data.draw(st.integers(1, ws.full))
+    try:
+        hemi = induce_hemi(ws, P, data.draw(variants))
+    except NotAHemiwallspace:
+        return
+    cc = enumerate_all_orientations(ws)
+    assert any(hemi.represents(v, 0) for v in cc.vertices)
 
 
 def test_dual_sub_is_convex():

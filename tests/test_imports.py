@@ -1,10 +1,13 @@
-"""Every name a library module imports is used in that module, and every
-exception class in `errors.py` is raised somewhere in the library.
+"""Every name a library module imports is used in that module, every
+exception class in `errors.py` is raised somewhere in the library, and
+every function the library defines is called or named somewhere.
 
-The package re-exports names in `__init__.py`, which is left out.
+The package re-exports names in `__init__.py`, which the import and
+exception checks leave out.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,48 @@ def test_every_exception_class_is_raised():
                if isinstance(node, ast.ClassDef)]
     raised = set().union(*(raised_names(p.read_text()) for p in MODULES))
     assert [c for c in classes if c not in raised] == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unreferenced_functions(modules, others):
+    """(module name, line, name) of each function or method of the
+    `modules` texts, dunders aside, whose name appears nowhere outside its
+    own definition: not in the rest of its module, nor in another module
+    or in the `others` texts."""
+    out = []
+    for name, source in modules.items():
+        lines = source.splitlines()
+        texts = [t for n, t in modules.items() if n != name] + others
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name.startswith("__"):
+                continue
+            start = min(d.lineno for d in [node, *node.decorator_list])
+            rest = "\n".join(lines[:start - 1] + lines[node.end_lineno:])
+            # another definition of the name is no reference to it
+            word = re.compile(rf"(?<!def )\b{node.name}\b")
+            if not any(map(word.search, [rest, *texts])):
+                out.append((name, node.lineno, node.name))
+    return out
+
+
+def test_detects_unreferenced_functions():
+    source = ("def f():\n    return f()\n\n\nclass A:\n    def g(self):\n"
+              "        pass\n\n    def __len__(self):\n        return 0\n")
+    assert unreferenced_functions({"m": source}, []) == \
+        [("m", 1, "f"), ("m", 6, "g")]
+    assert unreferenced_functions({"m": source}, ["A().g(); f"]) == []
+    assert unreferenced_functions({"m": source, "n": "from m import f"},
+                                  ["A().g()"]) == []
+    assert unreferenced_functions({"m": source}, ["def f(): pass; A().g()"]) \
+        == [("m", 1, "f")]
+
+
+def test_every_function_is_referenced():
+    modules = {p.name: p.read_text() for p in MODULES}
+    others = [p.read_text() for pattern in ("tests/*.py", "perfbench/*.py")
+              for p in sorted(ROOT.glob(pattern))]
+    others.append((Path(wallcube.__file__).parent / "__init__.py").read_text())
+    assert unreferenced_functions(modules, others) == []

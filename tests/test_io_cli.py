@@ -11,6 +11,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import drop_vertex, random_wallspace
 import wallcube
@@ -136,6 +138,18 @@ def test_cli_parse_error(tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"points": [' + "1" * 5000 + "]}", "[" * 100000 + "]" * 100000,
+], ids=["long-int", "deep"])
+def test_cli_parse_error_past_json_limits(tmp_path, text):
+    # past int()'s digit limit, or the recursion limit: both once ended in
+    # a traceback
+    path = write(tmp_path, "garbage.json", text)
+    r = run_cli(["validate", path])
+    assert r.exit_code == 2 and r.exception is None
+    assert json.loads(r.stderr)["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("doc, where", [
     ({"metric": {"table": [[0, 1], [1]]}}, "metric.table[1]"),
     ({"metric": {"table": [[0, 1, 1], [1, 0, 1]]}}, "metric.table[0]"),
@@ -144,6 +158,26 @@ def test_cli_parse_error(tmp_path):
     ({"metric": {"edges": [["a", "b", "far"]]}}, "metric.edges[0]: weight"),
     ({"walls": [{"index": 0, "left": ["a"], "right": ["b", "c"]}]},
      "walls[0].right: unknown point 'c'"),
+    # each of these was once read loosely, to exit 0 or a domain error
+    ({"points": "ab"}, "points: 'ab' is not a list"),
+    ({"points": ["a", 5]}, "points[1]: 5 is not a new name"),
+    ({"points": ["a", "b", "a"]}, "points[2]: 'a' is not a new name"),
+    ({"walls": [{"index": 3.7, "left": ["a"], "right": ["b"]}]},
+     "walls[0].index: 3.7 is not an integer"),
+    ({"walls": [{"index": True, "left": ["a"], "right": ["b"]}]},
+     "walls[0].index: True is not an integer"),
+    ({"walls": [{"index": "x", "left": ["a"], "right": ["b"]}]},
+     "walls[0].index: 'x' is not an integer"),
+    ({"walls": [{"index": 0, "left": ["a"], "right": ["b"]},
+                {"index": 0, "left": ["b"], "right": ["a", "b"]}]},
+     "walls[1].index: 0 is not a new index"),
+    ({"walls": [{"index": 0, "left": "ab", "right": ["b"]}]},
+     "walls[0].left: 'ab' is not a list"),
+    # and these once ended in a traceback
+    ({"metric": {"table": [[0, 10 ** 400], [10 ** 400, 0]]}},
+     "int too large to convert to float"),
+    ({"metric": {"edges": [["a", "b", 10 ** 400]]}},
+     "int too large to convert to float"),
 ])
 def test_cli_malformed_document(tmp_path, doc, where):
     base = {"points": ["a", "b"],
@@ -309,6 +343,14 @@ def test_cli_gen_sizes_caps_to_input(args):
     assert doc["caps"]["points"] == len(doc["payload"]["points"]) > 64
 
 
+def test_cli_gen_cayley_sizes_the_wall_cap_to_the_system():
+    # 729 walls once exceeded a fixed cap of 256
+    r = run_cli(["gen", "cayley", "F2", "6"])
+    assert r.exit_code == 0
+    doc = json.loads(r.stdout)
+    assert doc["caps"]["walls"] == len(doc["payload"]["walls"]) == 729
+
+
 def test_cli_gen_unknown():
     r = run_cli(["gen", "mystery"])
     assert r.exit_code == 1
@@ -392,6 +434,25 @@ def act_spec(**changes):
      "peripheries[0].factor: 'x' is not a factor position in range(2)"),
     (act_spec(peripheries=[{"kind": "factor", "factor": 0}]),
      "peripheries[0].factor: 0 is not a factor position in range(0)"),
+    # each of these once ran to exit 0, ended in a domain error or a
+    # traceback, or (the huge d) would take O(d²) memory
+    (act_spec(m=-1), "m: -1 is negative"),
+    (act_spec(variant={"kind": "Zz"}),
+     "variant.kind: unknown variant 'Zz'"),
+    (act_spec(variant={"kind": "Ur", "r": -1}), "variant.r: -1 is not >= 0"),
+    (act_spec(variant={"kind": "Uinf", "tau": 0}),
+     "variant.tau: 0 is not >= 1"),
+    (act_spec(hwalls=5), "hwalls: 5 is not a list"),
+    (act_spec(peripheries=5), "peripheries: 5 is not a list"),
+    (act_spec(group={"kind": "Foo"}),
+     "group.kind: 'Foo' is not 'FreeAbelian', 'Free' or 'FreeProduct'"),
+    (act_spec(group={"kind": ["Free"]}),
+     "group.kind: ['Free'] is not 'FreeAbelian', 'Free' or 'FreeProduct'"),
+    (act_spec(group={"kind": "FreeAbelian", "d": 10 ** 9}),
+     "group.d: need d <= 2047"),
+    (act_spec(peripheries=[{"kind": "normal"}]),
+     "peripheries[0].kind: 'normal' is not 'coordinate', 'cyclic' or "
+     "'factor'"),
 ])
 def test_cli_act_malformed_spec(tmp_path, spec, where):
     path = write(tmp_path, "act.json", json.dumps(spec))
@@ -492,6 +553,56 @@ def test_cli_act_bad_coords_or_rule(tmp_path, spec, where):
     assert r.exit_code == 2 and r.stdout == ""
     err = json.loads(r.stderr)
     assert err["error"] == "ParseError" and where in err["detail"]
+
+
+# valid documents, each field of which the fuzz test below replaces
+FUZZ_DOCUMENTS = [
+    ("validate", io.wallspace_to_dict(grid(1))),
+    ("validate", {"points": ["a", "b", "c"],
+                  "walls": [{"index": 0, "left": ["a"], "right": ["b", "c"]}],
+                  "metric": {"table": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}),
+    ("act", act_spec(variant={"kind": "Ur", "r": 1}, m=1)),
+    ("act", {**F2_ACT, "peripheries": [{"kind": "cyclic", "word": "b"}],
+             "variant": {"kind": "Ustar", "tau": 2}}),
+    ("act", act_spec(group=F1_F1, hwalls=None,
+                     peripheries=[{"kind": "factor", "factor": 0}])),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def field_paths(doc, path=()):
+    """The path of every value in a JSON document, the document included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from field_paths(value, path + (key,))
+
+
+def replace_field(doc, path, value):
+    if not path:
+        return value
+    copy = doc.copy()
+    copy[path[0]] = replace_field(doc[path[0]], path[1:], value)
+    return copy
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_DOCUMENTS), st.data())
+def test_cli_survives_any_field_value(command_doc, data):
+    # one field, at any depth, replaced by any JSON value: the command
+    # ends with an exit code, never with a traceback
+    command, doc = command_doc
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    text = json.dumps(replace_field(doc, path, data.draw(JSON_VALUES)))
+    r = run_cli([command, "-"], stdin=text)
+    assert r.exception is None and r.exit_code in (0, 1, 2, 3), r.stderr
 
 
 @pytest.mark.parametrize("args, where", [
