@@ -288,7 +288,9 @@ def _check_params(p, ws):
 
     for key, ok, what in (
             ("max_denominator", at_least(1, int), "a positive integer"),
-            ("max_offset", at_least(0), "a non-negative number"),
+            # ε = inf admits every κ
+            ("max_offset", lambda x: at_least(0)(x) and x < float("inf"),
+             "a non-negative number"),
             ("r", at_least(0, int), "a non-negative integer"),
             ("D", at_least(0), "a non-negative number"),
             ("K", points, "a list of point names"),

@@ -17,8 +17,7 @@ work is bounded by its output (see `OrientationEngine.enumerate_valid`),
 the only vertex finder: `build_dual` reads its vertices from it too.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from itertools import combinations
 
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     WallcubeError,
 )
 from .metric import bits
-from .wallspace import betwixt_set, transverse, validate
+from .wallspace import Report, betwixt_set, transverse, validate
 
 DEFAULT_VERTEX_CAP = 1 << 20
 
@@ -175,17 +174,16 @@ def _corners(base, wmask):
             return
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(namedtuple("Cube", "base walls")):
     """A cube of the dual complex, as returned to callers.
 
-    `walls` are the positions of its independent walls; `base` is the corner
-    orientation with every independent wall on its left side (those bits
-    cleared).  The 2^dim corners are base | (any subset of the wall bits).
+    `walls` are the positions of its independent walls, a frozenset;
+    `base` is the corner orientation with every independent wall on its
+    left side (those bits cleared).  The 2^dim corners are base | (any
+    subset of the wall bits).
     """
 
-    base: int
-    walls: frozenset
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -578,17 +576,9 @@ def cube_from_family(ws, family, p):
 # -- verification ------------------------------------------------------
 
 
-@dataclass
-class NPCReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {"ok": self.ok, "violations": self.violations}
-
-
 def verify_npc(cc):
-    """Vertex links are simplicial flag complexes.
+    """Vertex links are simplicial flag complexes; returns a Report (ok,
+    violations).
 
     The link at v has a vertex per edge at v, named by its wall; walls i, j
     are adjacent iff a square on {i, j} has corner v.  Every clique of size
@@ -611,7 +601,7 @@ def verify_npc(cc):
                 extend(new, [j for j in candidates[k + 1:]
                              if cc.has_cell(v, 1 << i | 1 << j)])
         extend(0, sorted((i for _m, i in cc.adj[v]), key=index.__getitem__))
-    return NPCReport(ok=not violations, violations=violations)
+    return Report(ok=not violations, violations=violations)
 
 
 def contract_loop(cc, loop, max_steps=100000):

@@ -115,9 +115,11 @@ def generate(name, *args):
         return fig3()
     if name == "nonHausdorff3":
         return non_hausdorff3()
-    sized = {"grid": grid, "rbad": rbad, "geomPath": geom_path}
+    # each sized generator with its least size
+    sized = {"grid": (grid, 0), "rbad": (rbad, 1), "geomPath": (geom_path, 0)}
     if name not in sized:
         raise UnknownGenerator(name)
+    make, low = sized[name]
     try:
         n = int(args[0])
     except IndexError:
@@ -125,4 +127,6 @@ def generate(name, *args):
     except ValueError:
         raise ParseError(f"{name}: size {args[0]!r} is not an integer") \
             from None
-    return sized[name](n)
+    if n < low:
+        raise ParseError(f"{name}: size {n} is not >= {low}")
+    return make(n)

@@ -15,7 +15,6 @@ Everything built from a ball is truncated to the ball, and every truncation
 effect is reported, never silently passed.
 """
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, repeat
 from operator import add, neg
@@ -31,20 +30,10 @@ from .errors import (
 from .hemi import induce_hemi, represented_in
 from .io import get_field, int_field
 from .metric import Metric, bits, components
-from .wallspace import Wall, Wallspace
+from .wallspace import Report, Wall, Wallspace
 
 TRUNCATION_CAVEAT = ("all conclusions are radius-limited: computed on a "
                      "finite ball of an infinite group")
-
-
-def _report_dict(report, key, limit):
-    """A report's fields, its list `key` cut to the first `limit` items;
-    a list that was cut has its length under `key + "_total"`."""
-    d = report.__dict__.copy()
-    if len(d[key]) > limit:
-        d[key + "_total"] = len(d[key])
-        d[key] = d[key][:limit]
-    return d
 
 
 # -- group families ----------------------------------------------------
@@ -348,27 +337,12 @@ class HWallSpec:
         return "L" if rest[0].islower() else "R"
 
 
-@dataclass
-class HWallReport:
-    ok: bool
-    coverage_ok: bool
-    invariance_violations: list
-    carrier_orbits: int
-    frontier_orbits: dict
-    hdotdot_status: str
-    caveat: str = TRUNCATION_CAVEAT
-
-    def to_dict(self):
-        return _report_dict(self, "invariance_violations", 10)
-
-
 def build_hwall(ball, hw):
-    """The H-wall truncated to the ball, with a conformance report for the
-    Def 2.8-style conditions, checked on the computable portion."""
+    """The H-wall truncated to the ball, with a conformance Report for the
+    Def 2.8-style conditions, checked on the computable portion (its
+    `coverage_ok` is always true, see `generate_hwall_system`)."""
     spec = ball.spec
     u, v = _translate(ball, hw, spec.identity())
-    full = (1 << len(ball.elements)) - 1
-    coverage_ok = (u | v) == full
     hmembers = [g for g in ball.elements
                 if hw.subgroup.contains(g) and g != spec.identity()]
     violations = []
@@ -389,13 +363,15 @@ def build_hwall(ball, hw):
         hdotdot = "violated" if violations else "verified (side-swappers present)"
     else:
         hdotdot = "vacuous at this radius (no side-swapping element in ball)"
-    rep = HWallReport(
-        ok=coverage_ok and not violations,
-        coverage_ok=coverage_ok,
+    rep = Report(
+        cut=("invariance_violations", 10),
+        ok=not violations,
+        coverage_ok=True,
         invariance_violations=violations,
         carrier_orbits=carrier_orbits,
         frontier_orbits=frontier_orbits,
         hdotdot_status=hdotdot,
+        caveat=TRUNCATION_CAVEAT,
     )
     return Wall(hw.index or 0, u, v), rep
 
@@ -443,30 +419,29 @@ def _orbit_count(ball, hmembers, indices, glue=()):
     return len(components(adj, mask))
 
 
-@dataclass
-class HWallSystemMeta:
-    """Bookkeeping of an H-wall system.  `dropped_vacuous` and
-    `dropped_duplicate_partitions` stay 0, kept as keys of `act`'s payload:
-    both rules put the identity on both sides (`side` is "B" at x_k = 0
-    and at the empty word), so the translate by t has the ball point t on
-    both sides, and is never vacuous, one-sided or a genuine partition."""
-    wall_info: dict = field(default_factory=dict)  # index -> (spec pos, g name)
-    pair_index: dict = field(default_factory=dict)  # (pair, spec pos) -> index
-    specs: list = field(default_factory=list)
-    dropped_vacuous: int = 0
-    dropped_duplicate_partitions: int = 0
-    reports: list = field(default_factory=list)
-
-
 def generate_hwall_system(ball, hwall_specs):
-    """Wallspace on the ball with all ball-translates of the given H-walls.
+    """Wallspace on the ball with all ball-translates of the given H-walls,
+    and its bookkeeping, a Report.
 
     Translate walls {gU, gV} are truncated to the ball, and equal ones are
-    collapsed by (halfspace pair, source spec); none is dropped (see
-    `HWallSystemMeta`).  The wall cap is max(256, number of walls).
+    collapsed by (halfspace pair, source spec); none is dropped.  The wall
+    cap is max(256, number of walls).
+
+    The bookkeeping holds `wall_info` (index -> (spec position, name of
+    g)), `pair_index` ((halfspace pair, spec position) -> index), `specs`
+    and `reports` (each H-wall's `build_hwall` Report, as a dict).  Its
+    `dropped_vacuous` and `dropped_duplicate_partitions` stay 0, kept as
+    keys of `act`'s payload: both rules put the identity on both sides
+    (`side` is "B" at x_k = 0 and at the empty word), so the translate by
+    t has the ball point t on both sides, and is never vacuous, one-sided
+    or a genuine partition.  Each report's `coverage_ok` stays true, kept
+    as a key too: `side` puts every element on side L, R or B, so
+    `_translate` puts every ball point in U or V, and U ∪ V is the ball.
     """
     spec = ball.spec
-    meta = HWallSystemMeta(specs=list(hwall_specs))
+    meta = Report(wall_info={}, pair_index={}, specs=list(hwall_specs),
+                  dropped_vacuous=0, dropped_duplicate_partitions=0,
+                  reports=[])
     walls = []
     inverses = list(map(spec.inv, ball.elements))
     for pos, hw in enumerate(hwall_specs):
@@ -638,20 +613,10 @@ class ActionMap:
             for i, (j, swap) in self.wall_map.items())
 
 
-@dataclass
-class EquivarianceReport:
-    ok: bool
-    domain_vertices: int
-    preserved_edges: int
-    violations: list = field(default_factory=list)
-
-    def to_dict(self):
-        return _report_dict(self, "violations", 10)
-
-
 def verify_equivariance(ws, action, cc):
     """Check the action is a partial automorphism of the wallspace and that
-    its vertex map is a complex isomorphism on the subcomplex where total.
+    its vertex map is a complex isomorphism on the subcomplex where total;
+    returns a Report (ok, domain_vertices, preserved_edges, violations).
 
     `action.check` is the wallspace part, and separation counts need no
     recount after it.  For each mapped wall i -> (j, swap) and each mapped
@@ -687,10 +652,9 @@ def verify_equivariance(ws, action, cc):
             else:
                 violations.append({"kind": "EdgeNotPreserved",
                                    "edge": [cc.vid[u], cc.vid[v]]})
-    return EquivarianceReport(ok=not violations,
-                              domain_vertices=len(domain),
-                              preserved_edges=preserved,
-                              violations=violations)
+    return Report(cut=("violations", 10), ok=not violations,
+                  domain_vertices=len(domain), preserved_edges=preserved,
+                  violations=violations)
 
 
 def _vertex_map(ws, action):
@@ -715,24 +679,9 @@ def _vertex_map(ws, action):
 # -- relative cocompactness -------------------------------------------
 
 
-@dataclass
-class DecompositionReport:
-    m: int
-    least_m: int
-    k_part: int
-    unique: int
-    coverage_violations: list
-    isolation_violations: list
-    intersection_ok: bool
-    intersection_witnesses: list
-    caveat: str = TRUNCATION_CAVEAT
-
-    def to_dict(self):
-        return _report_dict(self, "intersection_witnesses", 20)
-
-
 def rel_cocompact_check(ws, cc, peripheries, variant, m=None):
-    """Depth-partition of all cubes against peripheral hemiwallspaces.
+    """Depth-partition of all cubes against peripheral hemiwallspaces, as a
+    Report.
 
     Depth of a cube = min distance to a canonical cube of a ground point.
     Cubes of depth >= m must be represented in exactly one periphery;
@@ -782,8 +731,9 @@ def rel_cocompact_check(ws, cc, peripheries, variant, m=None):
                     inter_wit.append({"peripheries": [a, b],
                                       "vertex": cc.vid[v],
                                       "depth": vdepth[v]})
-    return DecompositionReport(
+    return Report(
+        cut=("intersection_witnesses", 20),
         m=m, least_m=least_m, k_part=k_part, unique=unique,
         coverage_violations=coverage, isolation_violations=isolation,
         intersection_ok=not inter_wit,
-        intersection_witnesses=inter_wit)
+        intersection_witnesses=inter_wit, caveat=TRUNCATION_CAVEAT)

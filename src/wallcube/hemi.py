@@ -7,27 +7,27 @@ The dual of a hemiwallspace is the full subcomplex on the vertices agreeing
 with every fixed orientation, and it is always convex in the 1-skeleton.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complex import CubeComplex
 from .errors import EmptySubcomplex, NotAHemiwallspace, WallcubeError
 from .metric import bits
 
 
-@dataclass(frozen=True)
-class InducedVariant:
-    kind: str       # "U0" | "Ur" | "Uinf" | "Ustar" | "UrStar"
-    r: float = 0
-    tau: float = 1
-    r_max: float = None
+class InducedVariant(namedtuple("InducedVariant", "kind r tau r_max")):
+    """The rule of `induce_hemi`: `kind` is "U0", "Ur", "Uinf", "Ustar" or
+    "UrStar"; r >= 0, tau >= 1, and r_max >= 0 or None."""
 
-    def __post_init__(self):
-        if self.kind not in ("U0", "Ur", "Uinf", "Ustar", "UrStar"):
-            raise WallcubeError(f"kind: unknown variant {self.kind!r}")
-        for name, low in (("r", 0), ("tau", 1), ("r_max", 0)):
-            x = getattr(self, name)
+    __slots__ = ()
+
+    def __new__(cls, kind, r=0, tau=1, r_max=None):
+        if kind not in ("U0", "Ur", "Uinf", "Ustar", "UrStar"):
+            raise WallcubeError(f"kind: unknown variant {kind!r}")
+        for name, x, low in (("r", r, 0), ("tau", tau, 1),
+                             ("r_max", r_max, 0)):
             if x is not None and not x >= low:
                 raise WallcubeError(f"{name}: {x!r} is not >= {low}")
+        return super().__new__(cls, kind, r, tau, r_max)
 
 
 class Hemiwallspace:

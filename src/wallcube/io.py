@@ -17,7 +17,6 @@ one `str.format` template.  The one departure from json: a cyclic value
 raises RecursionError, not ValueError.
 """
 
-import hashlib
 import json
 from functools import partial
 from itertools import chain
@@ -251,6 +250,8 @@ def loads(text):
 
 
 def input_digest(text):
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -11,9 +11,12 @@ bitmasks.
 import math
 from heapq import heappop, heappush
 
-from .errors import WallcubeError
+from .errors import StateSpaceCap, WallcubeError
 
 INF = float("inf")
+# search states of one `max_cliques` call; a graph on n vertices can have
+# 3^(n/3) maximal cliques (Moon–Moser)
+MAX_CLIQUE_STATES = 1 << 18
 
 
 def bits(mask):
@@ -43,10 +46,16 @@ def max_cliques(adj):
     Bron–Kerbosch with Tomita pivoting: at each state (R, P, X) only the
     candidates outside the neighbourhood of a pivot u in P ∪ X maximising
     |P ∩ N(u)| are branched on, so every maximal clique is reported once.
+    StateSpaceCap past MAX_CLIQUE_STATES states.
     """
     out = []
     stack = [(0, (1 << len(adj)) - 1, 0)] if adj else []
+    states = 0
     while stack:
+        states += 1
+        if states > MAX_CLIQUE_STATES:
+            raise StateSpaceCap(f"clique search exceeds cap "
+                                f"{MAX_CLIQUE_STATES} states")
         r, p, x = stack.pop()
         if not p:
             if not x:
@@ -140,8 +149,10 @@ class Metric:
             raise WallcubeError("metric table must be symmetric")
         if any(dist[i][i] != 0 for i in range(n)):
             raise WallcubeError("metric table must have zero diagonal")
-        if min(map(min, dist), default=0.0) < 0 and any(
-                d < 0 and math.isfinite(d) for row in dist for d in row):
+        # every entry >= 0: min is exact when no entry is NaN, and a NaN
+        # entry makes the sum NaN
+        total = sum(map(sum, dist))
+        if not (min(map(min, dist), default=0.0) >= 0 and total == total):
             raise WallcubeError("metric table must be nonnegative")
         self.dist = dist
         self.n = n
@@ -158,7 +169,7 @@ class Metric:
         float object; otherwise from Dijkstra."""
         nbrs = [[] for _ in range(n)]
         for i, j, w in edges:
-            if w < 0:
+            if not w >= 0:
                 raise WallcubeError(f"edge ({i}, {j}) has negative weight {w}")
             nbrs[i].append((j, w))
             nbrs[j].append((i, w))

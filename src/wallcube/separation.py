@@ -12,12 +12,12 @@ coincides with the geometric wall in all geometric cases and is recorded in
 every report.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import WallcubeError
 from .metric import INF, bits, compress, max_cliques
 from .wallspace import (
+    Report,
     separating,
     separation_index,
     subwallspace,
@@ -41,17 +41,10 @@ def wall_distance(ws, mask, wall_index):
     return ws.require_metric().dist_sets(mask, wall_region(ws, wall_index))
 
 
-@dataclass
-class SeparationReport:
-    property: str
-    parameters: dict
-    verdict: str        # "holds" | "fails"
-    value: float = None
-    witnesses: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-
-    def to_dict(self):
-        return dict(self.__dict__)
+def _report(prop, parameters, verdict, value=None, witnesses=(), notes=()):
+    """A diagnostic's Report; `verdict` is "holds" or "fails"."""
+    return Report(property=prop, parameters=parameters, verdict=verdict,
+                  value=value, witnesses=list(witnesses), notes=list(notes))
 
 
 def _least_threshold(items):
@@ -86,11 +79,11 @@ def linear_separation_fit(ws, max_denominator=64, max_offset=0.0):
               "pairs": len(data)}
     pos = [(x, y, d, s) for x, y, d, s in data if d > 0]
     if not pos:
-        return SeparationReport("LinearSeparation", params, "holds",
-                                value=None, notes=["no pairs at positive distance"])
+        return _report("LinearSeparation", params, "holds",
+                       notes=["no pairs at positive distance"])
     # feasible κ <= (s + max_offset) / d on every pair; one exact ratio per
-    # distinct (s, d)
-    ratio = {(s, d): Fraction(s + max_offset) / Fraction(d)
+    # distinct (s, d), 0 at d = inf, where only κ = 0 is feasible
+    ratio = {(s, d): Fraction(s + max_offset) / Fraction(d) if d < INF else 0
              for s, d in {(s, d) for _x, _y, d, s in pos}}
     kmax = min(ratio.values())
     tight = {key for key, q in ratio.items() if q == kmax}
@@ -98,20 +91,20 @@ def linear_separation_fit(ws, max_denominator=64, max_offset=0.0):
     params["binding_pairs"] = len(binding)
     binding = binding[:20]
     if kmax <= 0:
-        return SeparationReport(
+        return _report(
             "LinearSeparation", params, "fails", value=0.0,
             witnesses=binding,
             notes=["no κ > 0 admits ε <= max_offset"])
     kappa = _largest_fraction_at_most(kmax, max_denominator)
     if kappa <= 0:
-        return SeparationReport(
+        return _report(
             "LinearSeparation", params, "fails", value=0.0,
             witnesses=binding,
             notes=[f"feasible κ below grid resolution 1/{max_denominator}"])
     k = float(kappa)
     eps = max(max(0.0, k * d - s) for _x, _y, d, s in pos)
-    rep = SeparationReport("LinearSeparation", params, "holds",
-                           value=float(kappa), witnesses=binding)
+    rep = _report("LinearSeparation", params, "holds",
+                  value=float(kappa), witnesses=binding)
     rep.parameters["kappa"] = [kappa.numerator, kappa.denominator]
     rep.parameters["epsilon"] = eps
     return rep
@@ -146,8 +139,8 @@ def ball_ball_separation(ws, r):
     diam = metric.diameter()
     m, witnesses = _least_threshold(items)
     verdict = "holds" if m < diam or not witnesses else "fails"
-    return SeparationReport("BallBall", {"r": r}, verdict, value=m,
-                            witnesses=witnesses)
+    return _report("BallBall", {"r": r}, verdict, value=m,
+                   witnesses=witnesses)
 
 
 def compact_wall_separation(ws, K):
@@ -176,10 +169,9 @@ def compact_wall_separation(ws, K):
         f = min(higher) if higher else worst + 1
         witnesses = sorted(wit for d, wit in unsep if d == worst)
     verdict = "holds" if f <= diam or not witnesses else "fails"
-    return SeparationReport("CompactWall",
-                            {"K": sorted(ws.names_of(kmask))},
-                            verdict, value=f, witnesses=witnesses,
-                            notes=[WALL_DISTANCE_NOTE])
+    return _report("CompactWall", {"K": sorted(ws.names_of(kmask))},
+                   verdict, value=f, witnesses=witnesses,
+                   notes=[WALL_DISTANCE_NOTE])
 
 
 def wall_wall_separation(ws):
@@ -201,8 +193,8 @@ def wall_wall_separation(ws):
     diam = metric.diameter()
     D, witnesses = _least_threshold(items)
     verdict = "holds" if D < diam or not witnesses else "fails"
-    return SeparationReport("WallWall", {}, verdict, value=D,
-                            witnesses=witnesses, notes=[WALL_DISTANCE_NOTE])
+    return _report("WallWall", {}, verdict, value=D,
+                   witnesses=witnesses, notes=[WALL_DISTANCE_NOTE])
 
 
 def subspace_separation(ws, Y, kind, r):
@@ -243,26 +235,16 @@ def subspace_separation(ws, Y, kind, r):
     diam = metric.diameter()
     s, witnesses = _least_threshold(items)
     verdict = "holds" if s < diam or not witnesses else "fails"
-    return SeparationReport(kind, {"r": r, "Y": sorted(ws.names_of(ymask))},
-                            verdict, value=s, witnesses=witnesses,
-                            notes=[WALL_DISTANCE_NOTE])
-
-
-@dataclass
-class PackingReport:
-    D: float
-    k: int
-    witness_family: list
-
-    def to_dict(self):
-        return dict(self.__dict__)
+    return _report(kind, {"r": r, "Y": sorted(ws.names_of(ymask))},
+                   verdict, value=s, witnesses=witnesses,
+                   notes=[WALL_DISTANCE_NOTE])
 
 
 def bounded_packing_number(ws, subsets, D):
     """Max family of the given point subsets that is pairwise D-close
     (d <= D), found by exhaustive clique search.  The witness is the
     lexicographically least sorted list of subset positions among the
-    largest such families."""
+    largest such families; returns a Report (D, k, witness_family)."""
     metric = ws.require_metric()
     masks = [s if isinstance(s, int) else ws.mask_of(s) for s in subsets]
     adj = [0] * len(masks)
@@ -276,7 +258,7 @@ def bounded_packing_number(ws, subsets, D):
                 adj[j] |= 1 << i
     best = min((bits(c) for c in max_cliques(adj)),
                key=lambda c: (-len(c), c), default=[])
-    return PackingReport(D=D, k=len(best), witness_family=best)
+    return Report(D=D, k=len(best), witness_family=best)
 
 
 def axis_cut_test(ws, action, w_index, n_max, cc=None):

@@ -9,7 +9,7 @@ Wall identity is the integer index, never the halfspace pair: two walls with
 identical halfspaces but different indices are distinct walls.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     DuplicateInducedPartition,
@@ -27,11 +27,11 @@ DEFAULT_MAX_POINTS = 64
 DEFAULT_MAX_WALLS = 64
 
 
-@dataclass(frozen=True)
-class Wall:
-    index: int
-    left: int   # bitmask U
-    right: int  # bitmask V
+class Wall(namedtuple("Wall", "index left right")):
+    """A wall: its index and its halfspaces U (`left`) and V (`right`), as
+    point bitmasks."""
+
+    __slots__ = ()
 
     def halfspaces(self):
         return (self.left, self.right)
@@ -137,20 +137,31 @@ class Wallspace:
         return [w.index for w in self.walls]
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    errors: list = field(default_factory=list)
-    infos: list = field(default_factory=list)
-    betwixt_counts: dict = field(default_factory=dict)
+class Report:
+    """The result of a check: its keyword fields, read as attributes, and
+    `to_dict`.  `cut` = (key, limit) names a list field that `to_dict`
+    cuts to its first `limit` items, its length then under key + "_total".
+    """
+
+    __slots__ = ("_cut", "__dict__")
+
+    def __init__(self, cut=None, **fields):
+        self._cut = cut
+        self.__dict__.update(fields)
 
     def to_dict(self):
-        return {"ok": self.ok, "errors": self.errors, "infos": self.infos,
-                "betwixt_counts": self.betwixt_counts}
+        d = self.__dict__.copy()
+        if self._cut is not None:
+            key, limit = self._cut
+            if len(d[key]) > limit:
+                d[key + "_total"] = len(d[key])
+                d[key] = d[key][:limit]
+        return d
 
 
 def validate(ws):
-    """Check the wallspace axioms; returns a ValidationReport.
+    """Check the wallspace axioms; returns a Report (ok, errors, infos,
+    betwixt_counts).
 
     Errors: coverage failures, duplicate genuine partitions.
     Infos: duplicate non-partition walls, vacuous walls.
@@ -180,8 +191,8 @@ def validate(ws):
         elif w.is_genuine_partition():
             infos.append({"kind": "GenuinePartition", "wall": w.index})
     betwixt_counts = {p: len(betwixt_set(ws, p)) for p in ws.points}
-    return ValidationReport(ok=not errors, errors=errors, infos=infos,
-                            betwixt_counts=betwixt_counts)
+    return Report(ok=not errors, errors=errors, infos=infos,
+                  betwixt_counts=betwixt_counts)
 
 
 class SeparationIndex:

@@ -287,7 +287,7 @@ def test_build_hwall_invariance_violations_carry_total():
 
 
 def test_hwall_rules_put_the_identity_on_both_sides():
-    # the claim of HWallSystemMeta's proof, on every rule and axis the
+    # the claim of generate_hwall_system's proof, on every rule and axis the
     # tests and the CLI build: no translate is vacuous, one-sided or a
     # genuine partition, so none is dropped
     specs = [HWallSpec(CoordinateSubgroup(FreeAbelian(d), []), "coordinate",

@@ -18,6 +18,7 @@ from conftest import drop_vertex, random_wallspace
 import wallcube
 from wallcube import complex as complex_module
 from wallcube import io
+from wallcube import metric as metric_module
 from wallcube.cli import main
 from wallcube.generators import fig3, grid, non_hausdorff3, rbad
 from wallcube.wallspace import validate
@@ -555,17 +556,31 @@ def test_cli_act_bad_coords_or_rule(tmp_path, spec, where):
     assert err["error"] == "ParseError" and where in err["detail"]
 
 
-# valid documents, each field of which the fuzz test below replaces
+GRID1 = io.wallspace_to_dict(grid(1))    # a metric by edges
+PATH3 = {"points": ["a", "b", "c"],      # a metric by table
+         "walls": [{"index": 0, "left": ["a"], "right": ["b", "c"]}],
+         "metric": {"table": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}
+
+# valid documents, each field of which the fuzz test below replaces, with
+# the arguments of the command that reads them
 FUZZ_DOCUMENTS = [
-    ("validate", io.wallspace_to_dict(grid(1))),
-    ("validate", {"points": ["a", "b", "c"],
-                  "walls": [{"index": 0, "left": ["a"], "right": ["b", "c"]}],
-                  "metric": {"table": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}}),
-    ("act", act_spec(variant={"kind": "Ur", "r": 1}, m=1)),
-    ("act", {**F2_ACT, "peripheries": [{"kind": "cyclic", "word": "b"}],
-             "variant": {"kind": "Ustar", "tau": 2}}),
-    ("act", act_spec(group=F1_F1, hwalls=None,
-                     peripheries=[{"kind": "factor", "factor": 0}])),
+    (["validate"], GRID1),
+    (["validate"], PATH3),
+    (["build"], GRID1),
+    (["verify"], PATH3),
+    (["diagnose", "--property", "linear-separation"], GRID1),
+    (["diagnose", "--property", "ball-ball"], PATH3),
+    (["diagnose", "--property", "compact-wall"], GRID1),
+    (["diagnose", "--property", "wall-wall"], PATH3),
+    (["diagnose", "--property", "ball-wallnbd"], GRID1),
+    (["diagnose", "--property", "wallnbd-wallnbd"], PATH3),
+    (["diagnose", "--property", "packing"], GRID1),
+    (["diagnose", "--property", "degree-profile"], PATH3),
+    (["act"], act_spec(variant={"kind": "Ur", "r": 1}, m=1)),
+    (["act"], {**F2_ACT, "peripheries": [{"kind": "cyclic", "word": "b"}],
+               "variant": {"kind": "Ustar", "tau": 2}}),
+    (["act"], act_spec(group=F1_F1, hwalls=None,
+                       peripheries=[{"kind": "factor", "factor": 0}])),
 ]
 
 JSON_VALUES = st.recursive(
@@ -593,15 +608,15 @@ def replace_field(doc, path, value):
     return copy
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=900, deadline=None)
 @given(st.sampled_from(FUZZ_DOCUMENTS), st.data())
 def test_cli_survives_any_field_value(command_doc, data):
     # one field, at any depth, replaced by any JSON value: the command
     # ends with an exit code, never with a traceback
-    command, doc = command_doc
+    (command, *options), doc = command_doc
     path = data.draw(st.sampled_from(list(field_paths(doc))))
     text = json.dumps(replace_field(doc, path, data.draw(JSON_VALUES)))
-    r = run_cli([command, "-"], stdin=text)
+    r = run_cli([command, "-", *options], stdin=text)
     assert r.exception is None and r.exit_code in (0, 1, 2, 3), r.stderr
 
 
@@ -639,12 +654,52 @@ def test_cli_survives_any_field_value(command_doc, data):
      "--params.subsets: [['0,0'], 3] is not a list of lists of point names"),
     (["diagnose", "-", "--property", "packing", "--params", '{"D": -1}'],
      "--params.D: -1 is not a non-negative number"),
+    (["diagnose", "-", "--property", "linear-separation",
+      "--params", '{"max_offset": Infinity}'],
+     "--params.max_offset: inf is not a non-negative number"),
+    (["gen", "rbad", "0"], "rbad: size 0 is not >= 1"),
+    (["gen", "grid", "-1"], "grid: size -1 is not >= 0"),
+    (["gen", "geomPath", "-1"], "geomPath: size -1 is not >= 0"),
+    (["sweep", "--generator", "rbad", "--ns", "2,0"],
+     "rbad: size 0 is not >= 1"),
 ])
 def test_cli_malformed_arguments(args, where):
     r = run_cli(args, stdin=run_cli(["gen", "grid", "2"]).stdout)
     assert r.exit_code == 2 and r.exception is None and r.stdout == ""
     err = json.loads(r.stderr)
     assert err["error"] == "ParseError" and where in err["detail"]
+
+
+@pytest.mark.parametrize("metric", [
+    {"table": [[0, float("-inf")], [float("-inf"), 0]]},
+    {"table": [[0, float("nan")], [float("nan"), 0]]},
+    {"edges": [["a", "b", float("nan")]]},
+])
+@pytest.mark.parametrize("args", [
+    ["validate", "-"], ["diagnose", "-", "--property", "ball-ball"]])
+def test_cli_rejects_a_metric_not_nonnegative(args, metric):
+    # json writes -Infinity and NaN, and reads them back
+    doc = {"points": ["a", "b"],
+           "walls": [{"index": 0, "left": ["a"], "right": ["b"]}],
+           "metric": metric}
+    r = run_cli(args, stdin=json.dumps(doc))
+    assert r.exit_code == 1 and r.exception is None and r.stdout == ""
+    assert "negative" in json.loads(r.stderr)["detail"]
+
+
+@pytest.mark.parametrize("args", [
+    ["diagnose", "-", "--property", "packing", "--params",
+     # a 4-cycle, with four maximal cliques
+     '{"D": 1, "subsets": [["0,0"], ["0,1"], ["1,1"], ["1,0"]]}'],
+    ["verify", "-", "--checks", "maximal-bijection"],
+])
+def test_cli_clique_search_cap_exit(monkeypatch, args):
+    grid2 = run_cli(["gen", "grid", "2"]).stdout
+    assert run_cli(args, stdin=grid2).exit_code == 0
+    monkeypatch.setattr(metric_module, "MAX_CLIQUE_STATES", 2)
+    r = run_cli(args, stdin=grid2)
+    assert r.exit_code == 3 and r.exception is None
+    assert "clique search" in json.loads(r.stderr)["detail"]
 
 
 def cold_act_spec(variant):

@@ -13,7 +13,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 import wallcube
-from wallcube.errors import WallcubeError
+from wallcube import metric as metric_module
+from wallcube.errors import StateSpaceCap, WallcubeError
 from wallcube.generators import grid
 from wallcube.groups import Free, FreeAbelian, cayley_ball
 from wallcube.metric import Metric, _dijkstra, bits, components, max_cliques
@@ -69,6 +70,16 @@ def test_max_cliques_matches_networkx():
         got = sorted(bits(c) for c in max_cliques(masks(n, edges)))
         expect = sorted(sorted(c) for c in nx.find_cliques(nx_graph(n, edges)))
         assert got == expect
+
+
+def test_max_cliques_cap(monkeypatch):
+    # K_{3,3,3,3}: 3^4 maximal cliques, one vertex from each part
+    adj = [sum(1 << j for j in range(12) if j // 3 != i // 3)
+           for i in range(12)]
+    assert len(max_cliques(adj)) == 81
+    monkeypatch.setattr(metric_module, "MAX_CLIQUE_STATES", 81)
+    with pytest.raises(StateSpaceCap, match="clique search exceeds cap 81"):
+        max_cliques(adj)
 
 
 def test_components_matches_networkx():
@@ -130,16 +141,24 @@ def test_unit_weights_bfs_matches_dijkstra():
 
 def test_metric_checks_and_tolerance():
     Metric([[0, 1], [1 + 1e-9, 0]])  # within allclose's tolerance
-    Metric([[0, float("inf")], [float("inf"), 0]])
+    inf, nan = float("inf"), float("nan")
+    Metric([[0, inf], [inf, 0]])
     for table, msg in (([[0, 1], [2, 0]], "symmetric"),
-                       ([[0, 1], [float("inf"), 0]], "symmetric"),
+                       ([[0, 1], [inf, 0]], "symmetric"),
                        ([[0, 1, 2], [1, 0]], "square"),
                        ([[1, 0], [0, 0]], "diagonal"),
-                       ([[0, -1], [-1, 0]], "nonnegative")):
+                       ([[0, -1], [-1, 0]], "nonnegative"),
+                       ([[0, -inf], [-inf, 0]], "nonnegative"),
+                       # one NaN object, so that the table is symmetric
+                       ([[0, nan], [nan, 0]], "nonnegative"),
+                       ([[0, 1, nan], [1, 0, 1], [nan, 1, 0]], "nonnegative"),
+                       ([[0, nan, -1], [nan, 0, 1], [-1, 1, 0]],
+                        "nonnegative")):
         with pytest.raises(WallcubeError, match=msg):
             Metric(table)
-    with pytest.raises(WallcubeError, match="negative weight"):
-        Metric.from_edges(2, [(0, 1, -1)])
+    for weight in (-1, -inf, nan):
+        with pytest.raises(WallcubeError, match="negative weight"):
+            Metric.from_edges(2, [(0, 1, weight)])
 
 
 def test_ball_and_set_distances():
@@ -188,16 +207,32 @@ CLI_MODULES = ("import sys\n"
                "    sys.stderr.write(' '.join(sorted(sys.modules)))\n")
 
 
+ACT_SPEC = ('{"group": {"kind": "FreeAbelian", "d": 2}, "radius": 2, '
+            '"hwalls": [{"subgroup": {"kind": "coordinate", "coords": [1]}, '
+            '"rule": "coordinate", "axis": 0}], '
+            '"peripheries": [{"kind": "coordinate", "coords": [0]}]}')
+
+
+# no command loads `dataclasses` or, through it, `inspect`; `hashlib` only
+# digests an input document
 @pytest.mark.parametrize("args, unloaded", [
-    (["gen", "grid", "3"], {"wallcube.groups", "wallcube.separation"}),
+    (["gen", "grid", "3"],
+     {"wallcube.groups", "wallcube.separation", "hashlib"}),
     (["validate", "grid3.json"], {"wallcube.groups"}),
+    (["build", "grid3.json"], {"wallcube.groups", "wallcube.separation"}),
+    (["verify", "grid3.json"], {"wallcube.groups", "wallcube.separation"}),
     (["diagnose", "grid3.json", "--property", "linear-separation"],
      {"wallcube.groups"}),
+    (["act", "act.json"], {"wallcube.separation"}),
+    (["sweep", "--generator", "grid", "--ns", "2,3"],
+     {"wallcube.groups", "wallcube.separation", "hashlib"}),
 ])
 def test_cli_command_imports_only_what_it_runs(tmp_path, args, unloaded):
     gen = run_python(CLI_MODULES, "gen", "grid", "3")
     (tmp_path / "grid3.json").write_text(gen.stdout)
+    (tmp_path / "act.json").write_text(ACT_SPEC)
     r = run_python(CLI_MODULES, *args, cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     loaded = set(r.stderr.split())
-    assert "wallcube.cli" in loaded and not unloaded & loaded
+    assert "wallcube.cli" in loaded
+    assert not (unloaded | {"dataclasses", "inspect"}) & loaded

@@ -105,6 +105,15 @@ def test_linear_fit_fails_when_points_indistinguishable():
     assert rep.value == 0.0
 
 
+def test_linear_fit_fails_at_infinite_distance():
+    # no κ > 0 has κ·inf − ε <= #(x,y); this once raised OverflowError
+    ws = Wallspace(["x", "y", "z"], [Wall(0, 0b101, 0b110)],
+                   metric=Metric.from_edges(3, [(0, 2, 1)]))
+    rep = linear_separation_fit(ws, max_offset=5)
+    assert rep.verdict == "fails" and rep.value == 0.0
+    assert rep.witnesses == [["x", "y"], ["y", "z"]]
+
+
 def test_linear_fit_kappa_off_the_1_over_q_grid():
     # κ may be at most 0.39 with q <= 10: limit_denominator rounds up to
     # 2/5, and stepping down on multiples of 1/10 gave 3/10, not 3/8

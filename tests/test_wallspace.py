@@ -10,6 +10,7 @@ from conftest import (
     oracle_wall_separates,
     random_wallspace,
 )
+from wallcube.complex import Cube
 from wallcube.errors import (
     DuplicateInducedPartition,
     MetricRequired,
@@ -20,6 +21,7 @@ from wallcube.errors import (
     WrongComponentCount,
 )
 from wallcube.generators import fig3, geom_path, grid, non_hausdorff3
+from wallcube.hemi import InducedVariant
 from wallcube.wallspace import (
     Wall,
     Wallspace,
@@ -229,3 +231,14 @@ def test_subwallspace_metric_restriction():
     assert [w.index for w in sub.walls] == [0, 1]
     assert sub.metric.d(0, 2) == ws.metric.d(
         ws.point_index["0,0"], ws.point_index["2,0"])
+
+
+def test_value_types_are_immutable_tuples():
+    # equal to, and hashed as, the tuple of their fields: the hash that
+    # dataclass(frozen=True) gave them, which orders sets of cubes
+    for value in (Wall(0, 0b01, 0b10), Cube(0b100, frozenset({1})),
+                  InducedVariant("Ur", r=1)):
+        assert value == tuple(value) and hash(value) == hash(tuple(value))
+        for name in (value._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
