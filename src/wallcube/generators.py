@@ -9,9 +9,19 @@ geomPath(n)   geometric wallspace of the path graph 0-1-...-n
 cayley(...)   Cayley-ball systems, see the groups module
 """
 
-from .errors import ParseError, UnknownGenerator
+from .errors import ParseError, StateSpaceCap, UnknownGenerator
 from .metric import Metric
 from .wallspace import Wall, Wallspace, from_geometric_walls
+
+# points of a sized generator's wallspace, the default cap of
+# `groups.cayley_ball`: a generator stops before building past it
+MAX_POINTS = 4096
+
+
+def _check_size(name, n, npts):
+    if npts > MAX_POINTS:
+        raise StateSpaceCap(f"{name} {n} has {npts} points, exceeds cap "
+                            f"{MAX_POINTS}")
 
 
 def fig3():
@@ -35,12 +45,12 @@ def fig3():
 def grid(n):
     """(n+1)^2 lattice points "i,j"; vertical wall k: {i < k} | {i >= k},
     horizontal wall k likewise; all walls genuine partitions; L1 metric."""
-    points = [f"{i},{j}" for i in range(n + 1) for j in range(n + 1)]
-    pidx = {p: t for t, p in enumerate(points)}
+    _check_size("grid", n, (n + 1) ** 2)
     coords = [(i, j) for i in range(n + 1) for j in range(n + 1)]
+    points = [f"{i},{j}" for i, j in coords]
 
     def mask(pred):
-        return sum(1 << pidx[f"{i},{j}"] for i, j in coords if pred(i, j))
+        return sum(1 << t for t, (i, j) in enumerate(coords) if pred(i, j))
 
     walls = []
     idx = 0
@@ -53,10 +63,13 @@ def grid(n):
                           mask(lambda i, j, k=k: j >= k)))
         idx += 1
     npts = len(points)
-    edges = [(pidx[f"{i},{j}"], pidx[f"{i2},{j2}"], 1)
-             for i, j in coords for i2, j2 in coords
-             if (abs(i - i2), abs(j - j2)) in ((0, 1), (1, 0))
-             and (i, j) < (i2, j2)]
+    # each point's neighbours (i, j+1) and (i+1, j), at t + 1 and t + n + 1
+    edges = []
+    for t, (i, j) in enumerate(coords):
+        if j < n:
+            edges.append((t, t + 1, 1))
+        if i < n:
+            edges.append((t, t + n + 1, 1))
     return Wallspace(points, walls, metric=Metric.from_edges(npts, edges),
                      max_points=max(64, npts), max_walls=max(64, len(walls)))
 
@@ -71,6 +84,7 @@ def rbad(n):
     stays finite.
     """
     npts = n * n + 1
+    _check_size("rbad", n, npts)
     points = [str(i) for i in range(npts)]
     full = (1 << npts) - 1
     walls = []
@@ -100,6 +114,7 @@ def non_hausdorff3():
 def geom_path(n):
     """Geometric wallspace of the path 0-1-...-n: one single-vertex wall at
     each interior vertex."""
+    _check_size("geomPath", n, n + 1)
     points = [str(i) for i in range(n + 1)]
     edges = [(str(i), str(i + 1)) for i in range(n)]
     wall_subsets = [[str(k)] for k in range(1, n)]

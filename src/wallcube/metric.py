@@ -112,31 +112,16 @@ def _dijkstra(nbrs, s):
     return d
 
 
-def _bfs(nbrs, s, levels):
-    """Distances from s when every edge has weight 1; levels[k] is the one
-    float k, shared by every row and extended as needed."""
-    d = [INF] * len(nbrs)
-    d[s] = levels[0]
-    frontier = [s]
-    k = 0
-    while frontier:
-        k += 1
-        if k == len(levels):
-            levels.append(float(k))
-        dk = levels[k]
-        new = []
-        for u in frontier:
-            for v, _w in nbrs[u]:
-                if d[v] == INF:
-                    d[v] = dk
-                    new.append(v)
-        frontier = new
-    return d
-
-
 class Metric:
     """Symmetric distance table (rows of floats), optionally backed by a
-    graph."""
+    graph.
+
+    A unit-weight graph keeps only its neighbour masks: `rings` expands
+    them breadth first, one ring per distance, and the table is built
+    from the rings on first use of `dist`.  Per-point radius layers are
+    not stored: a Python int is as wide as its highest bit, so they would
+    cost about n·diam·n/8 bytes.
+    """
 
     def __init__(self, dist, edges=None):
         dist = [list(map(float, row)) for row in dist]
@@ -154,31 +139,49 @@ class Metric:
         total = sum(map(sum, dist))
         if not (min(map(min, dist), default=0.0) >= 0 and total == total):
             raise WallcubeError("metric table must be nonnegative")
-        self.dist = dist
+        self._table = dist
         self.n = n
         # edges: list of (i, j, weight) when the metric came from a graph
         self.edges = list(edges) if edges is not None else None
         self._adj = None
-        self._balls = {}  # radius -> per-point ball masks, filled on demand
+        # levels[k] is the one float k of a unit-weight metric, shared by
+        # every distance it reports; None for a table metric
+        self._levels = None
 
     @classmethod
     def from_edges(cls, n, edges):
         """Path metric of a weighted graph on n vertices; edges = (i, j, w).
-        Unreachable pairs are at distance inf.  When every weight is 1 the
-        rows come from breadth-first search and equal distances share one
-        float object; otherwise from Dijkstra."""
-        nbrs = [[] for _ in range(n)]
+        Unreachable pairs are at distance inf.  When every weight is 1 only
+        the neighbour masks are kept, and equal distances share one float
+        object; otherwise the table comes from Dijkstra."""
         for i, j, w in edges:
             if not w >= 0:
                 raise WallcubeError(f"edge ({i}, {j}) has negative weight {w}")
-            nbrs[i].append((j, w))
-            nbrs[j].append((i, w))
-        if all(w == 1 for _i, _j, w in edges):
-            levels = [0.0]
-            dist = [_bfs(nbrs, s, levels) for s in range(n)]
-        else:
-            dist = [_dijkstra(nbrs, s) for s in range(n)]
-        return cls(dist, edges=edges)
+        if any(w != 1 for _i, _j, w in edges):
+            nbrs = [[] for _ in range(n)]
+            for i, j, w in edges:
+                nbrs[i].append((j, w))
+                nbrs[j].append((i, w))
+            return cls([_dijkstra(nbrs, s) for s in range(n)], edges=edges)
+        self = cls.__new__(cls)
+        self.n, self.edges = n, list(edges)
+        self._table, self._adj, self._levels = None, None, [0.0]
+        return self
+
+    @property
+    def dist(self):
+        """The distance table; a unit-weight metric builds it from its
+        rings on first use."""
+        if self._table is None:
+            table = []
+            for s in range(self.n):
+                row = [INF] * self.n
+                for d, ring in self.rings(1 << s):
+                    for j in bits(ring):
+                        row[j] = d
+                table.append(row)
+            self._table = table
+        return self._table
 
     def d(self, i, j):
         return self.dist[i][j]
@@ -206,32 +209,70 @@ class Metric:
             self._adj = adj
         return self._adj
 
+    def rings(self, mask, r=INF):
+        """(d, ring) for each distance d <= r at which points lie from the
+        set `mask`, nearest first: ring is the mask of the points at
+        distance d, and a last ring at inf holds the points unreachable
+        from the set.  Nothing for the empty set."""
+        if not mask:
+            return
+        if self._levels is None:
+            near = None
+            for i in bits(mask):
+                row = self._table[i]
+                near = row if near is None else list(map(min, near, row))
+            by = {}
+            for p, d in enumerate(near):
+                if d <= r:
+                    by[d] = by.get(d, 0) | 1 << p
+            yield from sorted(by.items())
+            return
+        adj, levels = self.adjacency(), self._levels
+        seen = ring = mask
+        k = 0
+        while ring:
+            if k == len(levels):
+                levels.append(float(k))
+            if not levels[k] <= r:
+                return
+            yield levels[k], ring
+            reach = 0
+            for i in bits(ring):
+                reach |= adj[i]
+            ring = reach & ~seen
+            seen |= ring
+            k += 1
+        rest = ((1 << self.n) - 1) & ~seen
+        if rest and INF <= r:
+            yield INF, rest
+
     def ball(self, mask, r):
         """Bitmask of points within distance r of the set `mask`."""
-        near = self._balls.get(r)
-        if near is None:
-            near = self._balls[r] = [None] * self.n
         out = 0
-        for i in bits(mask):
-            if near[i] is None:
-                near[i] = sum(1 << j for j, d in enumerate(self.dist[i])
-                              if d <= r)
-            out |= near[i]
+        for _d, ring in self.rings(mask, r):
+            out |= ring
         return out
 
     def diam(self, mask):
         """Diameter of a point set; None when empty."""
-        idx = bits(mask)
-        if not idx:
-            return None
-        return max(self.dist[i][j] for i in idx for j in idx)
+        worst = None
+        for i in bits(mask):
+            rest = mask
+            for d, ring in self.rings(1 << i):
+                rest &= ~ring
+                if not rest:
+                    break
+            if worst is None or d > worst:
+                worst = d
+        return worst
 
     def dist_sets(self, mask_a, mask_b):
         """min distance between two point sets; inf when either is empty."""
-        a, b = bits(mask_a), bits(mask_b)
-        if not a or not b:
-            return INF
-        return min(self.dist[i][j] for i in a for j in b)
+        if mask_b:
+            for d, ring in self.rings(mask_a):
+                if ring & mask_b:
+                    return d
+        return INF
 
     def frontier(self, mask):
         """Points of `mask` adjacent (in the metric graph) to its complement."""

@@ -47,18 +47,55 @@ def _report(prop, parameters, verdict, value=None, witnesses=(), notes=()):
                   value=value, witnesses=list(witnesses), notes=list(notes))
 
 
-def _least_threshold(items):
-    """items: list of (distance, separated, witness).
+class _Worst:
+    """The largest distance among unseparated items so far, and the
+    witnesses at it.  Callers add only items at distance >= `d`, so they
+    can skip the separation test of every nearer item."""
 
-    Returns (least t such that distance > t implies separated, witnesses
-    at the worst offending distance) — t is the max unseparated distance
-    (0 when none).
-    """
-    unsep = [(d, w) for d, sep, w in items if not sep]
-    if not unsep:
-        return 0, []
-    t = max(d for d, _w in unsep)
-    return t, sorted(w for d, w in unsep if d == t)
+    def __init__(self):
+        self.d, self.witnesses = -INF, []
+
+    def add(self, d, witness):
+        if d > self.d:
+            self.d, self.witnesses = d, []
+        self.witnesses.append(witness)
+
+    def result(self):
+        """(t, witnesses at t, sorted): t is the least threshold such that
+        distance > t implies separated, 0 when every item is separated."""
+        if not self.witnesses:
+            return 0, []
+        return self.d, sorted(self.witnesses)
+
+
+def _owners(masks, n):
+    """owner[p], for each of n points: the mask of the positions k with p
+    in masks[k]."""
+    owner = [0] * n
+    for pos, mask in enumerate(masks):
+        for p in bits(mask):
+            owner[p] |= 1 << pos
+    return owner
+
+
+def _distances(metric, source, owner, todo):
+    """{k: d(source, masks[k])} for the positions k in the mask `todo`,
+    owner being `_owners(masks, n)`: one expansion of the rings of
+    `source`, each ring meeting the masks its points own.  inf for a mask
+    no ring meets (an empty one, too)."""
+    out = {}
+    for d, ring in metric.rings(source):
+        if not todo:
+            break
+        met = 0
+        for p in bits(ring):
+            met |= owner[p]
+        for pos in bits(met & todo):
+            out[pos] = d
+        todo &= ~met
+    for pos in bits(todo):
+        out[pos] = INF
+    return out
 
 
 def linear_separation_fit(ws, max_denominator=64, max_offset=0.0):
@@ -72,22 +109,33 @@ def linear_separation_fit(ws, max_denominator=64, max_offset=0.0):
     dist = ws.require_metric().dist
     point = separation_index(ws).point
     pts = ws.points
-    data = [(pts[i], pts[j], dist[i][j],
-             separating(point[i], point[j]).bit_count())
-            for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    n = len(pts)
+    # per distance d > 0, the least #(x,y) and its pairs: (s + ε)/d grows
+    # with s, so only they can bind; at d = inf every pair binds at κ = 0
+    least = {}
+    for i in range(n):
+        row, pi = dist[i], point[i]
+        for j in range(i + 1, n):
+            d = row[j]
+            if d > 0:
+                s = separating(pi, point[j]).bit_count()
+                best = least.get(d)
+                if best is None or (s < best[0] and d < INF):
+                    least[d] = (s, [(i, j)])
+                elif s == best[0] or d == INF:
+                    best[1].append((i, j))
     params = {"max_denominator": max_denominator, "max_offset": max_offset,
-              "pairs": len(data)}
-    pos = [(x, y, d, s) for x, y, d, s in data if d > 0]
-    if not pos:
+              "pairs": n * (n - 1) // 2}
+    if not least:
         return _report("LinearSeparation", params, "holds",
                        notes=["no pairs at positive distance"])
-    # feasible κ <= (s + max_offset) / d on every pair; one exact ratio per
-    # distinct (s, d), 0 at d = inf, where only κ = 0 is feasible
-    ratio = {(s, d): Fraction(s + max_offset) / Fraction(d) if d < INF else 0
-             for s, d in {(s, d) for _x, _y, d, s in pos}}
+    # feasible κ <= (s + max_offset) / d on every pair, 0 at d = inf,
+    # where only κ = 0 is feasible
+    ratio = {d: Fraction(s + max_offset) / Fraction(d) if d < INF else 0
+             for d, (s, _pairs) in least.items()}
     kmax = min(ratio.values())
-    tight = {key for key, q in ratio.items() if q == kmax}
-    binding = sorted([x, y] for x, y, d, s in pos if (s, d) in tight)
+    binding = sorted([pts[i], pts[j]] for d, q in ratio.items() if q == kmax
+                     for i, j in least[d][1])
     params["binding_pairs"] = len(binding)
     binding = binding[:20]
     if kmax <= 0:
@@ -102,7 +150,7 @@ def linear_separation_fit(ws, max_denominator=64, max_offset=0.0):
             witnesses=binding,
             notes=[f"feasible κ below grid resolution 1/{max_denominator}"])
     k = float(kappa)
-    eps = max(max(0.0, k * d - s) for _x, _y, d, s in pos)
+    eps = max(0.0, *(k * d - s for d, (s, _pairs) in least.items()))
     rep = _report("LinearSeparation", params, "holds",
                   value=float(kappa), witnesses=binding)
     rep.parameters["kappa"] = [kappa.numerator, kappa.denominator]
@@ -130,15 +178,16 @@ def ball_ball_separation(ws, r):
     metric = ws.require_metric()
     index = separation_index(ws)
     balls = [index.sides(metric.ball(1 << i, r)) for i in range(metric.n)]
-    items = []
-    for i in range(len(ws.points)):
-        for j in range(i + 1, len(ws.points)):
-            sep = separating(balls[i], balls[j])
-            items.append((metric.d(i, j), bool(sep),
-                          [ws.points[i], ws.points[j]]))
-    diam = metric.diameter()
-    m, witnesses = _least_threshold(items)
-    verdict = "holds" if m < diam or not witnesses else "fails"
+    names = ws.points
+    worst = _Worst()
+    for i, row in enumerate(metric.dist):
+        bi = balls[i]
+        for j in range(i + 1, metric.n):
+            d = row[j]
+            if d >= worst.d and not separating(bi, balls[j]):
+                worst.add(d, [names[i], names[j]])
+    m, witnesses = worst.result()
+    verdict = "holds" if not witnesses or m < metric.diameter() else "fails"
     return _report("BallBall", {"r": r}, verdict, value=m,
                    witnesses=witnesses)
 
@@ -152,23 +201,20 @@ def compact_wall_separation(ws, K):
         raise WallcubeError("K must be nonempty")
     index = separation_index(ws)
     k_sides = index.sides(kmask)
-    items = []
-    for pos, w in enumerate(ws.walls):
-        d = wall_distance(ws, kmask, w.index)
-        sep = separating(k_sides, index.wall[pos]) & ~(1 << pos)
-        items.append((d, bool(sep), [w.index]))
-    diam = metric.diameter()
+    owner = _owners([wall_region(ws, w.index) for w in ws.walls], metric.n)
+    dist = _distances(metric, kmask, owner, (1 << len(ws.walls)) - 1)
     # least f: every wall with d >= f separated; f may sit just above the
     # worst unseparated distance
-    unsep = [(d, wit) for d, sep, wit in items if not sep]
-    if not unsep:
-        f, witnesses = 0, []
-    else:
-        worst = max(d for d, _ in unsep)
-        higher = [d for d, sep, _ in items if d > worst]
-        f = min(higher) if higher else worst + 1
-        witnesses = sorted(wit for d, wit in unsep if d == worst)
-    verdict = "holds" if f <= diam or not witnesses else "fails"
+    worst = _Worst()
+    for pos, w in enumerate(ws.walls):
+        if (dist[pos] >= worst.d
+                and not separating(k_sides, index.wall[pos]) & ~(1 << pos)):
+            worst.add(dist[pos], [w.index])
+    f, witnesses = worst.result()
+    if witnesses:
+        higher = [d for d in dist.values() if d > f]
+        f = min(higher) if higher else f + 1
+    verdict = "holds" if not witnesses or f <= metric.diameter() else "fails"
     return _report("CompactWall", {"K": sorted(ws.names_of(kmask))},
                    verdict, value=f, witnesses=witnesses,
                    notes=[WALL_DISTANCE_NOTE])
@@ -179,20 +225,21 @@ def wall_wall_separation(ws):
     metric = ws.require_metric()
     wall = separation_index(ws).wall
     idxs = ws.wall_indices()
-    regions = [bits(wall_region(ws, i)) for i in idxs]
-    items = []
-    for a in range(len(idxs)):
-        # near[p]: d(p, W_a), so d(W_a, W_b) is its min over W_b
-        near = [INF] * metric.n
-        for q in regions[a]:
-            near = list(map(min, near, metric.dist[q]))
-        for b in range(a + 1, len(idxs)):
-            d = min(map(near.__getitem__, regions[b]), default=INF)
-            sep = separating(wall[a], wall[b]) & ~(1 << a | 1 << b)
-            items.append((d, bool(sep), [idxs[a], idxs[b]]))
-    diam = metric.diameter()
-    D, witnesses = _least_threshold(items)
-    verdict = "holds" if D < diam or not witnesses else "fails"
+    regions = [wall_region(ws, i) for i in idxs]
+    owner = _owners(regions, metric.n)
+    worst = _Worst()
+    for a, wa in enumerate(wall):
+        # the later walls no third wall separates from W_a; only their
+        # distances to W_a count
+        unsep = 0
+        for b in range(a + 1, len(wall)):
+            if not separating(wa, wall[b]) & ~(1 << a | 1 << b):
+                unsep |= 1 << b
+        for b, d in _distances(metric, regions[a], owner, unsep).items():
+            if d >= worst.d:
+                worst.add(d, [idxs[a], idxs[b]])
+    D, witnesses = worst.result()
+    verdict = "holds" if not witnesses or D < metric.diameter() else "fails"
     return _report("WallWall", {}, verdict, value=D,
                    witnesses=witnesses, notes=[WALL_DISTANCE_NOTE])
 
@@ -214,27 +261,36 @@ def subspace_separation(ws, Y, kind, r):
         mask &= ymask
         return mask, index.sides(compress(mask, ymask))
 
-    def item(a, b, witness):
-        d = metric.dist_sets(a[0], b[0])
-        # an empty set is separated from anything ("any wall separates them")
-        sep = not a[0] or not b[0] or bool(separating(a[1], b[1]))
-        return 0 if d == INF else d, sep, witness
-
     nbds = [part(metric.ball(wall_region(ws, w.index), r)) for w in ws.walls]
+    owner = _owners([mask for mask, _sides in nbds], metric.n)
     idxs = ws.wall_indices()
-    items = []
+    worst = _Worst()
+
+    def scan(a, later, witness):
+        """Add the pairs of a with the nbds at the positions in `later`
+        that no wall separates; an empty set is separated from anything
+        ("any wall separates them"), and an infinite distance counts as 0."""
+        unsep = 0
+        if a[0]:
+            for pos in bits(later):
+                b = nbds[pos]
+                if b[0] and not separating(a[1], b[1]):
+                    unsep |= 1 << pos
+        dist = _distances(metric, a[0], owner, unsep)
+        for pos in bits(unsep):
+            d = 0 if dist[pos] == INF else dist[pos]
+            if d >= worst.d:
+                worst.add(d, [witness, idxs[pos]])
+
+    full = (1 << len(idxs)) - 1
     if kind == "BallWallNbd":
         for p in bits(ymask):
-            a = part(metric.ball(1 << p, r))
-            for i, b in zip(idxs, nbds):
-                items.append(item(a, b, [ws.points[p], i]))
+            scan(part(metric.ball(1 << p, r)), full, ws.points[p])
     else:
         for x in range(len(idxs)):
-            for y in range(x + 1, len(idxs)):
-                items.append(item(nbds[x], nbds[y], [idxs[x], idxs[y]]))
-    diam = metric.diameter()
-    s, witnesses = _least_threshold(items)
-    verdict = "holds" if s < diam or not witnesses else "fails"
+            scan(nbds[x], full & ~((2 << x) - 1), idxs[x])
+    s, witnesses = worst.result()
+    verdict = "holds" if not witnesses or s < metric.diameter() else "fails"
     return _report(kind, {"r": r, "Y": sorted(ws.names_of(ymask))},
                    verdict, value=s, witnesses=witnesses,
                    notes=[WALL_DISTANCE_NOTE])

@@ -11,18 +11,35 @@ The flip-search oracle for `build_dual` steps with the library's one-wall
 flip test, which `test_flippable_matches_validity` checks against the
 valid orientations, but not with its 2-SAT search.  The induced-hemi
 oracle takes a neighbourhood per side and scans U*'s radii one by one.
+`OracleMetric` answers every metric query from the full table of
+per-source breadth-first (or Dijkstra) rows, and the separation oracles
+are the pair-by-pair scans that ran on it, item list and all.
 """
 
 import json
 import random
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 from wallcube.complex import Cube, CubeComplex, OrientationEngine
 from wallcube.errors import NotAHemiwallspace, WallcubeError
 from wallcube.hemi import Hemiwallspace
-from wallcube.metric import Metric
-from wallcube.wallspace import Wall, Wallspace
+from wallcube.metric import INF, Metric, _dijkstra, bits, compress
+from wallcube.separation import (
+    WALL_DISTANCE_NOTE,
+    _largest_fraction_at_most,
+    _report,
+    wall_distance,
+    wall_region,
+)
+from wallcube.wallspace import (
+    Wall,
+    Wallspace,
+    separating,
+    separation_index,
+    subwallspace,
+)
 
 
 def random_wallspace(seed, max_points=8, max_walls=8, with_metric=True):
@@ -487,3 +504,279 @@ def oracle_dumps(obj):
     """The standard library's indented JSON, which `io.dumps` must match
     byte for byte."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# -- the row metric and the separation diagnostics it served -----------
+
+
+def oracle_bfs(nbrs, s, levels):
+    """Distances from s when every edge has weight 1; levels[k] is the one
+    float k, shared by every row and extended as needed."""
+    d = [INF] * len(nbrs)
+    d[s] = levels[0]
+    frontier = [s]
+    k = 0
+    while frontier:
+        k += 1
+        if k == len(levels):
+            levels.append(float(k))
+        dk = levels[k]
+        new = []
+        for u in frontier:
+            for v, _w in nbrs[u]:
+                if d[v] == INF:
+                    d[v] = dk
+                    new.append(v)
+        frontier = new
+    return d
+
+
+
+class OracleMetric:
+    """The row metric: every answer is read off the full distance table,
+    one row per point, as `Metric` computed it before its rings.  adj
+    holds the neighbour masks of the metric graph."""
+
+    def __init__(self, rows, adj):
+        self.dist, self.n, self._adj = rows, len(rows), adj
+
+    @classmethod
+    def of(cls, metric):
+        """The row metric of `metric`'s graph or table: breadth-first rows
+        for unit weights, Dijkstra rows for other weights, the table
+        itself (with the unit-distance graph) when there is no graph."""
+        n, edges = metric.n, metric.edges
+        if edges is None:
+            rows = [list(row) for row in metric.dist]
+            unit = min((d for row in rows for d in row if 0 < d < INF),
+                       default=None)
+            edges = [(i, j, 1) for i in range(n) for j in range(i + 1, n)
+                     if rows[i][j] == unit]
+        nbrs = [[] for _ in range(n)]
+        adj = [0] * n
+        for i, j, w in edges:
+            nbrs[i].append((j, w))
+            nbrs[j].append((i, w))
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        if metric.edges is not None:
+            if all(w == 1 for _i, _j, w in edges):
+                levels = [0.0]
+                rows = [oracle_bfs(nbrs, s, levels) for s in range(n)]
+            else:
+                rows = [_dijkstra(nbrs, s) for s in range(n)]
+        return cls(rows, adj)
+
+    def d(self, i, j):
+        return self.dist[i][j]
+
+    def adjacency(self):
+        return self._adj
+
+    def rings(self, mask):
+        """(d, points at d from the set), nearest first."""
+        near = [min((self.dist[i][p] for i in bits(mask)), default=None)
+                for p in range(self.n)]
+        return [(d, sum(1 << p for p in range(self.n) if near[p] == d))
+                for d in sorted(set(near) - {None})]
+
+    def ball(self, mask, r):
+        return sum(1 << j for j in range(self.n)
+                   if any(self.dist[i][j] <= r for i in bits(mask)))
+
+    def diam(self, mask):
+        idx = bits(mask)
+        if not idx:
+            return None
+        return max(self.dist[i][j] for i in idx for j in idx)
+
+    def dist_sets(self, mask_a, mask_b):
+        a, b = bits(mask_a), bits(mask_b)
+        if not a or not b:
+            return INF
+        return min(self.dist[i][j] for i in a for j in b)
+
+    def frontier(self, mask):
+        return sum(1 << i for i in bits(mask) if self._adj[i] & ~mask)
+
+    def diameter(self):
+        return max(max(row) for row in self.dist) if self.n else 0.0
+
+
+def oracle_least_threshold(items):
+    """items: list of (distance, separated, witness).
+
+    Returns (least t such that distance > t implies separated, witnesses
+    at the worst offending distance) — t is the max unseparated distance
+    (0 when none).
+    """
+    unsep = [(d, w) for d, sep, w in items if not sep]
+    if not unsep:
+        return 0, []
+    t = max(d for d, _w in unsep)
+    return t, sorted(w for d, w in unsep if d == t)
+
+
+def oracle_linear_separation_fit(ws, max_denominator=64, max_offset=0.0):
+    """Largest rational κ = p/q (q <= max_denominator) with
+    #(x,y) >= κ·d(x,y) − ε on all pairs for some ε <= max_offset;
+    ε* is then the minimal offset for that κ.
+
+    On finite data *any* κ works for a large enough ε, so the offset must be
+    bounded for the fit to mean anything; max_offset defaults to 0.
+    """
+    dist = ws.require_metric().dist
+    point = separation_index(ws).point
+    pts = ws.points
+    data = [(pts[i], pts[j], dist[i][j],
+             separating(point[i], point[j]).bit_count())
+            for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    params = {"max_denominator": max_denominator, "max_offset": max_offset,
+              "pairs": len(data)}
+    pos = [(x, y, d, s) for x, y, d, s in data if d > 0]
+    if not pos:
+        return _report("LinearSeparation", params, "holds",
+                       notes=["no pairs at positive distance"])
+    # feasible κ <= (s + max_offset) / d on every pair; one exact ratio per
+    # distinct (s, d), 0 at d = inf, where only κ = 0 is feasible
+    ratio = {(s, d): Fraction(s + max_offset) / Fraction(d) if d < INF else 0
+             for s, d in {(s, d) for _x, _y, d, s in pos}}
+    kmax = min(ratio.values())
+    tight = {key for key, q in ratio.items() if q == kmax}
+    binding = sorted([x, y] for x, y, d, s in pos if (s, d) in tight)
+    params["binding_pairs"] = len(binding)
+    binding = binding[:20]
+    if kmax <= 0:
+        return _report(
+            "LinearSeparation", params, "fails", value=0.0,
+            witnesses=binding,
+            notes=["no κ > 0 admits ε <= max_offset"])
+    kappa = _largest_fraction_at_most(kmax, max_denominator)
+    if kappa <= 0:
+        return _report(
+            "LinearSeparation", params, "fails", value=0.0,
+            witnesses=binding,
+            notes=[f"feasible κ below grid resolution 1/{max_denominator}"])
+    k = float(kappa)
+    eps = max(max(0.0, k * d - s) for _x, _y, d, s in pos)
+    rep = _report("LinearSeparation", params, "holds",
+                  value=float(kappa), witnesses=binding)
+    rep.parameters["kappa"] = [kappa.numerator, kappa.denominator]
+    rep.parameters["epsilon"] = eps
+    return rep
+
+
+def oracle_ball_ball_separation(ws, r):
+    """Least m with: d(x1,x2) > m implies N_r(x1), N_r(x2) separated by a
+    wall.  Fails when even the farthest pairs are unseparated."""
+    metric = ws.require_metric()
+    index = separation_index(ws)
+    balls = [index.sides(metric.ball(1 << i, r)) for i in range(metric.n)]
+    items = []
+    for i in range(len(ws.points)):
+        for j in range(i + 1, len(ws.points)):
+            sep = separating(balls[i], balls[j])
+            items.append((metric.d(i, j), bool(sep),
+                          [ws.points[i], ws.points[j]]))
+    diam = metric.diameter()
+    m, witnesses = oracle_least_threshold(items)
+    verdict = "holds" if m < diam or not witnesses else "fails"
+    return _report("BallBall", {"r": r}, verdict, value=m,
+                   witnesses=witnesses)
+
+
+def oracle_compact_wall_separation(ws, K):
+    """Least f with: d(K, W) >= f implies some other wall separates K from W
+    (K in one open halfspace of W', a closed halfspace of W in the other)."""
+    metric = ws.require_metric()
+    kmask = K if isinstance(K, int) else ws.mask_of(K)
+    if not kmask:
+        raise WallcubeError("K must be nonempty")
+    index = separation_index(ws)
+    k_sides = index.sides(kmask)
+    items = []
+    for pos, w in enumerate(ws.walls):
+        d = wall_distance(ws, kmask, w.index)
+        sep = separating(k_sides, index.wall[pos]) & ~(1 << pos)
+        items.append((d, bool(sep), [w.index]))
+    diam = metric.diameter()
+    # least f: every wall with d >= f separated; f may sit just above the
+    # worst unseparated distance
+    unsep = [(d, wit) for d, sep, wit in items if not sep]
+    if not unsep:
+        f, witnesses = 0, []
+    else:
+        worst = max(d for d, _ in unsep)
+        higher = [d for d, sep, _ in items if d > worst]
+        f = min(higher) if higher else worst + 1
+        witnesses = sorted(wit for d, wit in unsep if d == worst)
+    verdict = "holds" if f <= diam or not witnesses else "fails"
+    return _report("CompactWall", {"K": sorted(ws.names_of(kmask))},
+                   verdict, value=f, witnesses=witnesses,
+                   notes=[WALL_DISTANCE_NOTE])
+
+
+def oracle_wall_wall_separation(ws):
+    """Least D with: d(W,W') > D implies some wall separates W and W'."""
+    metric = ws.require_metric()
+    wall = separation_index(ws).wall
+    idxs = ws.wall_indices()
+    regions = [bits(wall_region(ws, i)) for i in idxs]
+    items = []
+    for a in range(len(idxs)):
+        # near[p]: d(p, W_a), so d(W_a, W_b) is its min over W_b
+        near = [INF] * metric.n
+        for q in regions[a]:
+            near = list(map(min, near, metric.dist[q]))
+        for b in range(a + 1, len(idxs)):
+            d = min(map(near.__getitem__, regions[b]), default=INF)
+            sep = separating(wall[a], wall[b]) & ~(1 << a | 1 << b)
+            items.append((d, bool(sep), [idxs[a], idxs[b]]))
+    diam = metric.diameter()
+    D, witnesses = oracle_least_threshold(items)
+    verdict = "holds" if D < diam or not witnesses else "fails"
+    return _report("WallWall", {}, verdict, value=D,
+                   witnesses=witnesses, notes=[WALL_DISTANCE_NOTE])
+
+
+def oracle_subspace_separation(ws, Y, kind, r):
+    """Ball-WallNbd / WallNbd-WallNbd separation of a subspace Y.
+
+    Sets are intersected with Y and separation is by an induced wall of the
+    subwallspace on Y; empty sets are vacuously separated.
+    """
+    if kind not in ("BallWallNbd", "WallNbdWallNbd"):
+        raise WallcubeError(f"unknown kind {kind}")
+    metric = ws.require_metric()
+    ymask = Y if isinstance(Y, int) else ws.mask_of(Y)
+    index = separation_index(subwallspace(ws, ymask))
+
+    def part(mask):
+        """The set within Y, and its sides in the subwallspace."""
+        mask &= ymask
+        return mask, index.sides(compress(mask, ymask))
+
+    def item(a, b, witness):
+        d = metric.dist_sets(a[0], b[0])
+        # an empty set is separated from anything ("any wall separates them")
+        sep = not a[0] or not b[0] or bool(separating(a[1], b[1]))
+        return 0 if d == INF else d, sep, witness
+
+    nbds = [part(metric.ball(wall_region(ws, w.index), r)) for w in ws.walls]
+    idxs = ws.wall_indices()
+    items = []
+    if kind == "BallWallNbd":
+        for p in bits(ymask):
+            a = part(metric.ball(1 << p, r))
+            for i, b in zip(idxs, nbds):
+                items.append(item(a, b, [ws.points[p], i]))
+    else:
+        for x in range(len(idxs)):
+            for y in range(x + 1, len(idxs)):
+                items.append(item(nbds[x], nbds[y], [idxs[x], idxs[y]]))
+    diam = metric.diameter()
+    s, witnesses = oracle_least_threshold(items)
+    verdict = "holds" if s < diam or not witnesses else "fails"
+    return _report(kind, {"r": r, "Y": sorted(ws.names_of(ymask))},
+                   verdict, value=s, witnesses=witnesses,
+                   notes=[WALL_DISTANCE_NOTE])

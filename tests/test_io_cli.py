@@ -344,6 +344,26 @@ def test_cli_gen_sizes_caps_to_input(args):
     assert doc["caps"]["points"] == len(doc["payload"]["points"]) > 64
 
 
+@pytest.mark.parametrize("args, points", [
+    (["gen", "grid", "64"], 4225), (["gen", "rbad", "64"], 4097),
+    (["gen", "geomPath", "4096"], 4097),
+    (["sweep", "--generator", "grid", "--ns", "2,64"], 4225)])
+def test_cli_sized_generators_stop_at_the_point_cap(args, points):
+    # past cayley_ball's cap of 4096 points, before building anything
+    r = run_cli(args)
+    assert r.exit_code == 3 and r.exception is None
+    assert r.stdout == ""
+    err = json.loads(r.stderr)
+    assert err["error"] == "StateSpaceCap"
+    assert err["detail"].endswith(f"{points} points, exceeds cap 4096")
+
+
+def test_cli_gen_grid_40():
+    r = run_cli(["gen", "grid", "40"])
+    assert r.exit_code == 0
+    assert len(json.loads(r.stdout)["payload"]["points"]) == 41 * 41
+
+
 def test_cli_gen_cayley_sizes_the_wall_cap_to_the_system():
     # 729 walls once exceeded a fixed cap of 256
     r = run_cli(["gen", "cayley", "F2", "6"])

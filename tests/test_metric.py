@@ -7,17 +7,37 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tracemalloc
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from conftest import OracleMetric
 import wallcube
+from wallcube import io
 from wallcube import metric as metric_module
 from wallcube.errors import StateSpaceCap, WallcubeError
 from wallcube.generators import grid
-from wallcube.groups import Free, FreeAbelian, cayley_ball
-from wallcube.metric import Metric, _dijkstra, bits, components, max_cliques
+from wallcube.groups import (
+    CyclicSubgroup,
+    Free,
+    FreeAbelian,
+    HWallSpec,
+    cayley_ball,
+    generate_hwall_system,
+)
+from wallcube.metric import (
+    INF,
+    Metric,
+    _dijkstra,
+    bits,
+    components,
+    max_cliques,
+)
 
 
 def random_graph(seed):
@@ -139,6 +159,72 @@ def test_unit_weights_bfs_matches_dijkstra():
         assert len({id(d) for row in got for d in row}) == len(values)
 
 
+@st.composite
+def unit_graphs(draw):
+    """(n, edges) of a unit-weight graph: up to 12 vertices, often with
+    isolated ones and several components, repeated edges and loops."""
+    n = draw(st.integers(0, 12))
+    if not n:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return n, [(i, j, 1) for i, j in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_metric_matches_row_oracle(data):
+    n, edges = data.draw(unit_graphs())
+    m = Metric.from_edges(n, edges)
+    oracle = OracleMetric.of(m)
+    mask = st.integers(0, (1 << n) - 1)
+    a, b = data.draw(mask), data.draw(mask)
+    k = data.draw(st.integers(0, n))
+    assert list(m.rings(a)) == oracle.rings(a)
+    assert list(m.rings(a, k)) == [(d, ring) for d, ring in oracle.rings(a)
+                                   if d <= k]
+    for r in (-1, 0, 1.5, k, INF):
+        assert m.ball(a, r) == oracle.ball(a, r)
+    for x, y in ((a, b), (a, 0), (0, b), (0, 0)):
+        assert m.dist_sets(x, y) == oracle.dist_sets(x, y)
+    assert m.diam(a) == oracle.diam(a)
+    assert m.frontier(a) == oracle.frontier(a)
+    # none of the above needs the table; it is built on first use
+    assert m._table is None
+    assert m.dist == oracle.dist
+    assert all(m.d(i, j) == oracle.d(i, j)
+               for i in range(n) for j in range(n))
+    assert m.diameter() == oracle.diameter()
+
+
+def test_unit_metric_builds_no_table_to_load_or_generate():
+    ball = cayley_ball(Free(2), 4)
+    generate_hwall_system(ball, [
+        HWallSpec(CyclicSubgroup(Free(2), "a"), "branch", axis="a")])
+    assert ball.metric._table is None
+    text = io.dumps(io.wallspace_to_dict(grid(5)))
+    ws = io.wallspace_from_dict(io.loads(text))
+    assert io.dumps(io.wallspace_to_dict(ws)) == text
+    assert ws.metric._table is None
+
+
+def test_unit_metric_memory_stays_linear():
+    # a 2000-point path: its 2000 × 2000 table would take 32 MB of row
+    # pointers, per-radius ball layers about 500 MB
+    n = 2000
+    tracemalloc.start()
+    try:
+        m = Metric.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
+        assert m.ball(1, n // 2) == (1 << n // 2 + 1) - 1
+        assert len(list(m.rings(1 << n // 2))) == n // 2 + 1
+        assert m.dist_sets(1, 1 << n - 1) == n - 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m._table is None
+    assert peak < 10 * 2 ** 20
+
+
 def test_metric_checks_and_tolerance():
     Metric([[0, 1], [1 + 1e-9, 0]])  # within allclose's tolerance
     inf, nan = float("inf"), float("nan")
@@ -164,7 +250,6 @@ def test_metric_checks_and_tolerance():
 def test_ball_and_set_distances():
     m = Metric.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 2.5)])
     assert m.ball(0b1, 1) == 0b11
-    assert m.ball(0b1, 1) == 0b11  # served from the per-radius cache
     assert m.ball(0b101, 1) == 0b111
     assert m.ball(0, 3) == 0
     assert m.diam(0b1111) == 4.5 and m.diam(0) is None

@@ -9,10 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    OracleMetric,
+    oracle_ball_ball_separation,
+    oracle_compact_wall_separation,
+    oracle_linear_separation_fit,
     oracle_separates_compact_wall,
     oracle_separates_sets,
+    oracle_subspace_separation,
+    oracle_wall_wall_separation,
     random_wallspace,
 )
+from wallcube import io
 from wallcube.errors import MetricRequired, NotAnAutomorphism, WallcubeError
 from wallcube.generators import fig3, geom_path, grid, rbad
 from wallcube.groups import (
@@ -26,7 +33,7 @@ from wallcube.groups import (
 from wallcube.metric import INF, Metric, bits
 from wallcube.separation import (
     _largest_fraction_at_most,
-    _least_threshold,
+    _Worst,
     axis_cut_test,
     ball_ball_separation,
     bounded_packing_number,
@@ -51,12 +58,13 @@ def metric_spaces(count=10):
     return out
 
 
-def test_least_threshold():
-    items = [(1, True, ["a"]), (3, False, ["b"]), (2, False, ["c"]),
-             (5, True, ["d"])]
-    t, wit = _least_threshold(items)
-    assert t == 3 and wit == [["b"]]
-    assert _least_threshold([(4, True, ["x"])]) == (0, [])
+def test_worst_unseparated_distance():
+    worst = _Worst()
+    for d, wit in ((1, ["a"]), (3, ["b"]), (3, ["a"])):
+        if d >= worst.d:
+            worst.add(d, wit)
+    assert worst.result() == (3, [["a"], ["b"]])
+    assert _Worst().result() == (0, [])
 
 
 def test_wall_region_carrier_vs_frontier():
@@ -295,6 +303,67 @@ def test_packing_witness_is_least_maximum_family():
                     for a, b in combinations(sub, 2))]
     assert all(len(f) == rep.k for f in close) and len(close) > 1
     assert rep.witness_family == min(close) == [0, 1, 7, 8]
+
+
+@st.composite
+def separation_inputs(draw):
+    """A wallspace with any walls (vacuous, empty-sided or not covering
+    the points) and a unit-weight, weighted or explicit-table metric, which
+    may have inf distances and zero distances between distinct points."""
+    n = draw(st.integers(1, 7))
+    full = (1 << n) - 1
+    sides = st.integers(0, full)
+    walls = [Wall(i, u, v) for i, (u, v) in
+             enumerate(draw(st.lists(st.tuples(sides, sides), max_size=6)))]
+    kind = draw(st.sampled_from(["unit", "weighted", "table"]))
+    if kind == "table":
+        entry = st.sampled_from([0, 1, 1.5, 2, 3, INF])
+        table = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            table[i][j] = table[j][i] = draw(entry)
+        metric = Metric(table)
+    else:
+        weight = st.just(1) if kind == "unit" else st.sampled_from(
+            [0, 0.5, 1, 2, 3])
+        vertex = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        metric = Metric.from_edges(n, [(i, j, draw(weight))
+                                       for i, j in pairs if i != j])
+    return Wallspace([f"p{i}" for i in range(n)], walls, metric=metric)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_separation_diagnostics_match_row_scans(data):
+    # the same reports, byte for byte, as the pair-by-pair scans over the
+    # row metric, or the same error
+    ws = data.draw(separation_inputs())
+    old = Wallspace(ws.points, ws.walls, metric=OracleMetric.of(ws.metric))
+    K = data.draw(st.integers(1, ws.full))
+    Y = data.draw(st.integers(1, ws.full))
+    r = data.draw(st.sampled_from([0, 1, 1.5, 2, INF]))
+    fit = {"max_denominator": data.draw(st.sampled_from([1, 3, 64])),
+           "max_offset": data.draw(st.sampled_from([0.0, 0.5, 1, 3]))}
+    for new, oracle, args in (
+            (linear_separation_fit, oracle_linear_separation_fit, ()),
+            (ball_ball_separation, oracle_ball_ball_separation, (r,)),
+            (compact_wall_separation, oracle_compact_wall_separation, (K,)),
+            (wall_wall_separation, oracle_wall_wall_separation, ()),
+            (subspace_separation, oracle_subspace_separation,
+             (Y, "BallWallNbd", r)),
+            (subspace_separation, oracle_subspace_separation,
+             (Y, "WallNbdWallNbd", r))):
+        kwargs = fit if new is linear_separation_fit else {}
+        assert outcome(new, ws, *args, **kwargs) \
+            == outcome(oracle, old, *args, **kwargs)
+
+
+def outcome(diagnostic, ws, *args, **kwargs):
+    """The report as its JSON text, or the error raised instead."""
+    try:
+        return io.dumps(diagnostic(ws, *args, **kwargs).to_dict())
+    except WallcubeError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def test_metric_required():
