@@ -282,44 +282,52 @@ def _check_params(p, ws):
         return isinstance(x, list) and all(
             isinstance(q, str) and q in ws.point_index for q in x)
 
-    def at_least(low, kinds=(int, float)):
-        return lambda x: isinstance(x, kinds) and not isinstance(x, bool) \
-            and x >= low
+    def number(x):
+        return io.NUMBER[0](x) and x >= 0
 
-    for key, ok, what in (
-            ("max_denominator", at_least(1, int), "a positive integer"),
+    names = (points, "a list of point names")
+    for key, kind in (
+            ("max_denominator",
+             (lambda x: io.INT[0](x) and x >= 1, "a positive integer")),
             # ε = inf admits every κ
-            ("max_offset", lambda x: at_least(0)(x) and x < float("inf"),
-             "a non-negative number"),
-            ("r", at_least(0, int), "a non-negative integer"),
-            ("D", at_least(0), "a non-negative number"),
-            ("K", points, "a list of point names"),
-            ("Y", points, "a list of point names"),
-            ("subsets", lambda x: isinstance(x, list) and all(map(points, x)),
-             "a list of lists of point names")):
-        if key in p and not ok(p[key]):
-            raise ParseError(f"--params.{key}: {p[key]!r} is not {what}")
+            ("max_offset", (lambda x: number(x) and x < float("inf"),
+                            "a non-negative number")),
+            ("r", io.NATURAL), ("D", (number, "a non-negative number")),
+            ("K", names), ("Y", names),
+            ("subsets", (lambda x: isinstance(x, list) and all(map(points, x)),
+                         "a list of lists of point names"))):
+        if key in p:
+            io.field(p, key, f"--params.{key}", kind)
 
 
 def cmd_act(args):
     from . import groups
     from .complex import build_dual
+    from .hemi import InducedVariant
 
     doc, digest = _read_doc(args.file)
     # the whole spec is read before any computation, so a malformed
     # one exits 2 naming the field
-    spec = groups.group_from_dict(io.get_field(doc, "group", "group"))
-    radius = io.int_field(doc, "radius", "radius")
+    spec = groups.group_from_dict(io.field(doc, "group", "group"))
+    radius = io.field(doc, "radius", "radius", io.INT)
     if radius < 0:
         raise ParseError(f"radius: {radius} is negative")
-    hwalls = _optional(doc, "hwalls", "hwalls", io.list_field, [])
-    hws = [_hwall_from_dict(spec, h, i) for i, h in enumerate(hwalls)]
-    subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]")
-            for k, pd in enumerate(_optional(
-                doc, "peripheries", "peripheries", io.list_field, []))]
+    hws = [_hwall_from_dict(spec, h, i) for i, h in
+           enumerate(io.field(doc, "hwalls", "hwalls", io.LIST, []))]
+    subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]") for k, pd in
+            enumerate(io.field(doc, "peripheries", "peripheries", io.LIST,
+                               []))]
     if subs:
-        variant = _variant_from_dict(doc.get("variant", {}))
-        m = _optional(doc, "m", "m", io.int_field, None)
+        v = io.field(doc, "variant", "variant", io.OBJECT, {})
+        kind = io.field(v, "kind", "variant.kind",
+                        (lambda x: isinstance(x, str), "a string"), "U0")
+        r = io.field(v, "r", "variant.r", io.INT, 0)
+        tau = io.field(v, "tau", "variant.tau", io.INT, 1)
+        try:
+            variant = InducedVariant(kind, r=r, tau=tau)
+        except WallcubeError as exc:
+            raise ParseError(f"variant.{exc}") from None
+        m = io.field(doc, "m", "m", io.INT, None)
         if m is not None and m < 0:
             raise ParseError(f"m: {m} is negative")
     ball = groups.cayley_ball(spec, radius)
@@ -339,54 +347,26 @@ def cmd_act(args):
     _emit(payload, digest=digest)
 
 
-def _optional(d, key, path, read, default):
-    """read(d, key, path), or `default` when d[key] is absent or null."""
-    return default if d.get(key) is None else read(d, key, path)
-
-
-def _variant_from_dict(d):
-    from .hemi import InducedVariant
-
-    if not isinstance(d, dict):
-        raise ParseError(f"variant: {d!r} is not an object")
-    kind = d.get("kind", "U0")
-    if not isinstance(kind, str):
-        raise ParseError(f"variant.kind: {kind!r} is not a string")
-    r = _optional(d, "r", "variant.r", io.int_field, 0)
-    tau = _optional(d, "tau", "variant.tau", io.int_field, 1)
-    try:
-        return InducedVariant(kind, r=r, tau=tau)
-    except WallcubeError as exc:
-        raise ParseError(f"variant.{exc}") from None
-
-
 def _subgroup_from_dict(spec, d, path):
     from . import groups
 
-    kind = io.get_field(d, "kind", f"{path}.kind")
+    kind = io.field(d, "kind", f"{path}.kind",
+                    io.one_of("coordinate", "cyclic", "factor"))
     if kind == "coordinate":
-        coords = io.get_field(d, "coords", f"{path}.coords")
-        dim = getattr(spec, "d", 0)
-        if not isinstance(coords, list) or not all(
-                _is_axis(k, dim) for k in coords):
-            raise ParseError(f"{path}.coords: {coords!r} is not a list of "
-                             f"axes in range({dim})")
-        return groups.CoordinateSubgroup(spec, coords)
+        axis, axes = _axis(getattr(spec, "d", 0), "axes")
+        return groups.CoordinateSubgroup(spec, io.field(
+            d, "coords", f"{path}.coords", (
+                lambda x: isinstance(x, list) and all(map(axis, x)),
+                "a list of " + axes)))
     if kind == "cyclic":
-        word = io.get_field(d, "word", f"{path}.word")
+        word = io.field(d, "word", f"{path}.word")
         try:
             return groups.CyclicSubgroup(spec, word)
         except WallcubeError as exc:
             raise ParseError(f"{path}.word: {exc}") from None
-    if kind == "factor":
-        factor = io.get_field(d, "factor", f"{path}.factor")
-        count = len(getattr(spec, "factors", ()))
-        if not _is_axis(factor, count):
-            raise ParseError(f"{path}.factor: {factor!r} is not a factor "
-                             f"position in range({count})")
-        return groups.FreeFactorSubgroup(spec, factor)
-    raise ParseError(f"{path}.kind: {kind!r} is not 'coordinate', "
-                     f"'cyclic' or 'factor'")
+    return groups.FreeFactorSubgroup(spec, io.field(
+        d, "factor", f"{path}.factor",
+        _axis(len(getattr(spec, "factors", ())), "a factor position")))
 
 
 def _hwall_from_dict(spec, d, i):
@@ -394,29 +374,22 @@ def _hwall_from_dict(spec, d, i):
 
     path = f"hwalls[{i}]"
     sub = _subgroup_from_dict(
-        spec, io.get_field(d, "subgroup", f"{path}.subgroup"),
-        f"{path}.subgroup")
-    rule = io.get_field(d, "rule", f"{path}.rule")
-    if rule not in ("branch", "coordinate"):
-        raise ParseError(f"{path}.rule: {rule!r} is not 'branch' or "
-                         f"'coordinate'")
-    axis = d.get("axis")
+        spec, io.field(d, "subgroup", f"{path}.subgroup"), f"{path}.subgroup")
+    rule = io.field(d, "rule", f"{path}.rule",
+                    io.one_of("branch", "coordinate"))
     # the branch rule strips powers of a free generator, the coordinate
     # rule reads one coordinate of a free abelian element
     letters = list(getattr(spec, "letters", ""))
-    if rule == "branch" and axis not in letters:
-        raise ParseError(f"{path}.axis: {axis!r} is not one of the "
-                         f"generator letters {letters}")
-    dim = getattr(spec, "d", 0)
-    if rule == "coordinate" and not _is_axis(axis, dim):
-        raise ParseError(f"{path}.axis: {axis!r} is not an axis "
-                         f"in range({dim})")
+    axis = io.field(d, "axis", f"{path}.axis", (
+        lambda x: x in letters, f"one of the generator letters {letters}")
+        if rule == "branch" else _axis(getattr(spec, "d", 0), "an axis"))
     return groups.HWallSpec(sub, rule, axis=axis, index=i)
 
 
-def _is_axis(k, dim):
-    """Is k an integer (not a bool) in range(dim)?"""
-    return isinstance(k, int) and not isinstance(k, bool) and 0 <= k < dim
+def _axis(count, what):
+    """The kind of an integer (not a bool) in range(count), `what`."""
+    return (lambda k: io.INT[0](k) and 0 <= k < count,
+            f"{what} in range({count})")
 
 
 def cmd_sweep(args):

@@ -155,14 +155,6 @@ class OrientationEngine:
         return sorted(out)
 
 
-def _engine(ws):
-    """The wallspace's OrientationEngine, built on first use and kept on it,
-    so each wallspace pays for its conflict tables once."""
-    if ws._engine is None:
-        ws._engine = OrientationEngine(ws)
-    return ws._engine
-
-
 def _corners(base, wmask):
     """The corners base | s of the cube (base, wmask), s running over the
     submasks of wmask in ascending order."""
@@ -337,7 +329,7 @@ class CubeComplex:
 
 def is_zero_cube(ws, orientation):
     """Orientation given as a bitmask or a dict wall-index -> 0|1."""
-    eng = _engine(ws)
+    eng = ws.derived(OrientationEngine)
     m = _as_mask(ws, orientation)
     return eng.is_valid(m)
 
@@ -356,7 +348,7 @@ def _as_mask(ws, orientation):
 
 
 def flippable(ws, c, w_index):
-    eng = _engine(ws)
+    eng = ws.derived(OrientationEngine)
     m = _as_mask(ws, c)
     if not eng.is_valid(m):
         raise InvalidZeroCube(m)
@@ -430,12 +422,12 @@ def build_dual(ws, basepoint, vertex_cap=DEFAULT_VERTEX_CAP):
     one genuine partition on two walls, which `validate` rejects.  So some
     flip takes u one wall closer to v, and the flip graph is connected.
     """
-    rep = validate(ws)
+    rep = ws.derived(validate)
     if not rep.ok:
         raise WallcubeError(f"wallspace does not validate: {rep.errors}")
     if basepoint not in ws.point_index:
         raise UnknownPoint(basepoint)
-    eng = _engine(ws)
+    eng = ws.derived(OrientationEngine)
     if not eng.is_valid(eng.toward_point(basepoint)):
         raise OrientationConflict(
             f"canonical orientation of {basepoint} is not a 0-cube")
@@ -447,7 +439,7 @@ def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
     `OrientationEngine.enumerate_valid`; on any input, valid or not, and
     with no vertex when no orientation is valid.  Raises StateSpaceCap past
     `vertex_cap` vertices."""
-    eng = _engine(ws)
+    eng = ws.derived(OrientationEngine)
     verts = eng.enumerate_valid(vertex_cap)
     return CubeComplex(ws, eng, _complete_skeleton(verts, eng.n))
 
@@ -457,7 +449,7 @@ def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
 
 def canonical_cube(ws, x):
     """The cube of x: betwixting walls independent, all others toward x."""
-    seed = _engine(ws).toward_point(x)
+    seed = ws.derived(OrientationEngine).toward_point(x)
     free = frozenset(ws.wall_pos[i] for i in betwixt_set(ws, x))
     return Cube(seed, free).normalized()
 
@@ -476,7 +468,7 @@ def path_to_canonical(ws, c, x0):
     Returns the list of visited orientations (starting at c); its length - 1
     equals the initial number of misoriented walls.
     """
-    eng = _engine(ws)
+    eng = ws.derived(OrientationEngine)
     m = _as_mask(ws, c)
     if not eng.is_valid(m):
         raise InvalidZeroCube(m)
@@ -565,7 +557,7 @@ def cube_from_family(ws, family, p):
         toward_p = bool(w.right & b_p and not w.left & b_p)
         m |= (sides[0] if len(sides) == 1 else toward_p) << i
     cube = Cube(m, frozenset(ws.wall_pos[w] for w in indep)).normalized()
-    eng = _engine(ws)
+    eng = ws.derived(OrientationEngine)
     for corner in cube.corners():
         if not eng.is_valid(corner):
             raise OrientationConflict(

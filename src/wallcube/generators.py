@@ -11,7 +11,7 @@ cayley(...)   Cayley-ball systems, see the groups module
 
 from .errors import ParseError, StateSpaceCap, UnknownGenerator
 from .metric import Metric
-from .wallspace import Wall, Wallspace, from_geometric_walls
+from .wallspace import Wall, Wallspace
 
 # points of a sized generator's wallspace, the default cap of
 # `groups.cayley_ball`: a generator stops before building past it
@@ -85,21 +85,22 @@ def rbad(n):
     """
     npts = n * n + 1
     _check_size("rbad", n, npts)
-    points = [str(i) for i in range(npts)]
     full = (1 << npts) - 1
-    walls = []
-    idx = 0
-    for k in range(0, npts, n):
-        le = (1 << (k + 1)) - 1            # {0..k}
-        ge = full & ~((1 << k) - 1)        # {k..}
-        walls.append(Wall(idx, le, ge))
-        idx += 1
-    for r in range(npts):
-        walls.append(Wall(idx, 1 << r, full & ~(1 << r)))
-        idx += 1
+    return _line(npts, range(0, npts, n),
+                 [(1 << r, full & ~(1 << r)) for r in range(npts)])
+
+
+def _line(npts, cuts, sides=()):
+    """Points 0..npts-1 on a unit-weight path; walls indexed in order: an
+    interval wall ({0..k}, {k..}) at each cut k, then the pairs `sides`."""
+    full = (1 << npts) - 1
+    sides = [((2 << k) - 1, full & ~((1 << k) - 1)) for k in cuts] \
+        + list(sides)
     edges = [(i, i + 1, 1) for i in range(npts - 1)]
-    return Wallspace(points, walls, metric=Metric.from_edges(npts, edges),
-                     max_points=max(64, npts), max_walls=max(64, len(walls)))
+    return Wallspace([str(i) for i in range(npts)],
+                     [Wall(i, *pair) for i, pair in enumerate(sides)],
+                     metric=Metric.from_edges(npts, edges),
+                     max_points=max(64, npts), max_walls=max(64, len(sides)))
 
 
 def non_hausdorff3():
@@ -112,15 +113,10 @@ def non_hausdorff3():
 
 
 def geom_path(n):
-    """Geometric wallspace of the path 0-1-...-n: one single-vertex wall at
-    each interior vertex."""
+    """Geometric wallspace of the path 0-1-...-n: at each interior vertex k
+    the wall k-1 = ({0..k}, {k..n}), as `from_geometric_walls` finds it."""
     _check_size("geomPath", n, n + 1)
-    points = [str(i) for i in range(n + 1)]
-    edges = [(str(i), str(i + 1)) for i in range(n)]
-    wall_subsets = [[str(k)] for k in range(1, n)]
-    return from_geometric_walls(points, edges, wall_subsets,
-                                max_points=max(64, n + 1),
-                                max_walls=max(64, n - 1))
+    return _line(n + 1, range(1, n))
 
 
 def generate(name, *args):

@@ -28,7 +28,7 @@ from .errors import (
     WallcubeError,
 )
 from .hemi import induce_hemi, represented_in
-from .io import get_field, int_field
+from .io import INT, field, one_of
 from .metric import Metric, bits, components
 from .wallspace import Report, Wall, Wallspace
 
@@ -168,24 +168,20 @@ class FreeProduct:
 def group_from_dict(d, path="group"):
     """The group spec of a document; a missing or out-of-range field is a
     ParseError naming its `path`."""
-    kind = get_field(d, "kind", f"{path}.kind")
-    if kind in ("FreeAbelian", "Free"):
-        make, key = (FreeAbelian, "d") if kind == "FreeAbelian" \
-            else (Free, "rank")
-        size = int_field(d, key, f"{path}.{key}")
-        try:
-            return make(size)
-        except WallcubeError as exc:
-            raise ParseError(f"{path}.{key}: {exc}") from None
+    kind = field(d, "kind", f"{path}.kind",
+                 one_of("FreeAbelian", "Free", "FreeProduct"))
     if kind == "FreeProduct":
-        factors = get_field(d, "factors", f"{path}.factors")
-        if not isinstance(factors, list) or len(factors) < 2:
-            raise ParseError(f"{path}.factors: {factors!r} is not a list of "
-                             f"at least two groups")
+        factors = field(d, "factors", f"{path}.factors", (
+            lambda x: isinstance(x, list) and len(x) >= 2,
+            "a list of at least two groups"))
         return FreeProduct([group_from_dict(f, f"{path}.factors[{k}]")
                             for k, f in enumerate(factors)])
-    raise ParseError(f"{path}.kind: {kind!r} is not 'FreeAbelian', 'Free' "
-                     f"or 'FreeProduct'")
+    make, key = (FreeAbelian, "d") if kind == "FreeAbelian" else (Free, "rank")
+    size = field(d, key, f"{path}.{key}", INT)
+    try:
+        return make(size)
+    except WallcubeError as exc:
+        raise ParseError(f"{path}.{key}: {exc}") from None
 
 
 # -- Cayley balls ------------------------------------------------------

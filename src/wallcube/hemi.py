@@ -89,7 +89,8 @@ def induce_hemi(ws, P, variant):
         metric = ws.require_metric()
         r = {"Ur": variant.r, "UrStar": variant.r, "Uinf": 0,
              "Ustar": variant.r_max}[kind]
-        near = metric.ball(pmask, metric.diameter() if r is None else r)
+        # N_r(P) at r = the diameter (inf when disconnected) is every point
+        near = ws.full if r is None else metric.ball(pmask, r)
 
     def retained(side_mask):
         if kind in ("U0", "Ur"):

@@ -47,84 +47,94 @@ def wallspace_to_dict(ws):
     return doc
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+# kinds of field value for `field`: (test, what a value passing it is)
+ANY = (lambda x: True, "anything")
+INT = (lambda x: type(x) is int, "an integer")
+NATURAL = (lambda x: INT[0](x) and x >= 0, "a non-negative integer")
+NUMBER = (lambda x: type(x) in (int, float), "a number")
+LIST = (lambda x: isinstance(x, list), "a list")
+OBJECT = (lambda x: isinstance(x, dict), "an object")
 
 
-def get_field(doc, key, path):
-    """doc[key]; a ParseError naming the field by its `path` in the
-    document when doc is no object or has no such key."""
-    if not isinstance(doc, dict) or key not in doc:
+def one_of(*names):
+    """The kind of a field holding one of these names."""
+    *rest, last = map(repr, names)
+    return (lambda x: x in names, ", ".join(rest) + " or " + last)
+
+
+_REQUIRED = object()
+
+
+def field(doc, key, path, kind=ANY, default=_REQUIRED):
+    """doc[key], a value of the given kind; with a default, a field that
+    is absent or null takes the default.  Otherwise a ParseError naming the
+    field by its `path` in the document: `missing field PATH` when doc is
+    no object or has no such key, `PATH: VALUE is not WHAT` when the value
+    fails the kind's test."""
+    if not isinstance(doc, dict) or key not in doc and default is _REQUIRED:
         raise ParseError(f"missing field {path}")
-    return doc[key]
-
-
-def int_field(doc, key, path):
-    """get_field for a field that must hold an integer."""
-    x = get_field(doc, key, path)
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ParseError(f"{path}: {x!r} is not an integer")
-    return x
-
-
-def list_field(doc, key, path):
-    """get_field for a field that must hold a list."""
-    x = get_field(doc, key, path)
-    if not isinstance(x, list):
-        raise ParseError(f"{path}: {x!r} is not a list")
+    x = doc.get(key)
+    if x is None and default is not _REQUIRED:
+        return default
+    if not kind[0](x):
+        raise ParseError(f"{path}: {x!r} is not {kind[1]}")
     return x
 
 
 def wallspace_from_dict(doc):
     try:
-        points = list_field(doc, "points", "points")
+        points = field(doc, "points", "points", LIST)
         pidx = {}
         for k, p in enumerate(points):
             if not isinstance(p, str) or p in pidx:
                 raise ParseError(f"points[{k}]: {p!r} is not a new name")
             pidx[p] = k
 
-        def index(field, p):
+        def index(path, p):
             if not isinstance(p, str) or p not in pidx:
-                raise ParseError(f"{field}: unknown point {p!r}")
+                raise ParseError(f"{path}: unknown point {p!r}")
             return pidx[p]
 
         walls = []
         seen = set()
-        for k, w in enumerate(list_field(doc, "walls", "walls")):
+        for k, w in enumerate(field(doc, "walls", "walls", LIST)):
             sides = []
             for side in ("left", "right"):
-                field = f"walls[{k}].{side}"
-                sides.append(sum({1 << index(field, p)
-                                  for p in list_field(w, side, field)}))
-            i = int_field(w, "index", f"walls[{k}].index")
+                path = f"walls[{k}].{side}"
+                sides.append(sum({1 << index(path, p)
+                                  for p in field(w, side, path, LIST)}))
+            i = field(w, "index", f"walls[{k}].index", INT)
             if i in seen:
                 raise ParseError(f"walls[{k}].index: {i} is not a new index")
             seen.add(i)
             walls.append(Wall(i, *sides))
         metric = None
-        if "metric" in doc and doc["metric"]:
-            md = doc["metric"]
-            if "edges" in md:
-                edges = []
-                for k, (a, b, w) in enumerate(md["edges"]):
-                    field = f"metric.edges[{k}]"
-                    if not _is_number(w):
-                        raise ParseError(f"{field}: weight {w!r} is not a number")
-                    edges.append((index(field, a), index(field, b), w))
-                metric = Metric.from_edges(len(points), edges)
-            else:
-                table = get_field(md, "table", "metric.table")
-                for i, row in enumerate(table):
-                    if not isinstance(row, list) or len(row) != len(table):
-                        raise ParseError(f"metric.table[{i}] is not a row "
-                                         f"of {len(table)} entries")
-                    for j, x in enumerate(row):
-                        if not _is_number(x):
-                            raise ParseError(
-                                f"metric.table[{i}][{j}]: {x!r} is not a number")
-                metric = Metric(table)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        md = field(doc, "metric", "metric", OBJECT, {})
+        if "edges" in md:
+            edges = []
+            for k, e in enumerate(field(md, "edges", "metric.edges", LIST)):
+                path = f"metric.edges[{k}]"
+                if not isinstance(e, list) or len(e) != 3:
+                    raise ParseError(f"{path}: {e!r} is not a list of two "
+                                     f"point names and a number")
+                a, b, w = e
+                if not NUMBER[0](w):
+                    raise ParseError(f"{path}: weight {w!r} is not a number")
+                edges.append((index(path, a), index(path, b), w))
+            metric = Metric.from_edges(len(points), edges)
+        elif md:
+            table = field(md, "table", "metric.table", LIST)
+            for i, row in enumerate(table):
+                if not isinstance(row, list) or len(row) != len(table):
+                    raise ParseError(f"metric.table[{i}] is not a row "
+                                     f"of {len(table)} entries")
+                for j, x in enumerate(row):
+                    if not NUMBER[0](x):
+                        raise ParseError(
+                            f"metric.table[{i}][{j}]: {x!r} is not a number")
+            metric = Metric(table)
+    except OverflowError as exc:
+        # an int past float's range, in Metric or Metric.from_edges
         raise ParseError(f"bad wallspace document: {exc}") from exc
     return Wallspace(points, walls, metric=metric,
                      max_points=max(64, len(points)),

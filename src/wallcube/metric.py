@@ -280,4 +280,8 @@ class Metric:
         return sum(1 << i for i in bits(mask) if adj[i] & ~mask)
 
     def diameter(self):
-        return max(max(row) for row in self.dist) if self.n else 0.0
+        """The largest distance; without a table, the largest over each
+        point's rings, so a unit-weight metric does not build the table."""
+        rows = self._table or [[d for d, _ring in self.rings(1 << s)]
+                               for s in range(self.n)]
+        return max(map(max, rows), default=0.0)

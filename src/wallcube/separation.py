@@ -15,26 +15,33 @@ every report.
 from fractions import Fraction
 
 from .errors import WallcubeError
-from .metric import INF, bits, compress, max_cliques
+from .metric import INF, bits, max_cliques
 from .wallspace import (
     Report,
+    induced_walls,
     separating,
     separation_index,
-    subwallspace,
     transverse,
 )
 
 WALL_DISTANCE_NOTE = "wall distance = min over carrier U∩V, else frontiers"
 
 
-def wall_region(ws, wall_index):
-    """The point set standing in for a wall: carrier, else both frontiers."""
-    w = ws.wall(wall_index)
-    c = w.carrier()
-    if c:
-        return c
+def _wall_regions(ws):
+    """Each wall's region, by position: the point set standing in for the
+    wall, its carrier, else both frontiers."""
     metric = ws.require_metric()
-    return metric.frontier(w.left) | metric.frontier(w.right)
+    return [w.carrier() or metric.frontier(w.left) | metric.frontier(w.right)
+            for w in ws.walls]
+
+
+def wall_region(ws, wall_index):
+    """The region of the wall with this index (see `_wall_regions`)."""
+    return ws.derived(_wall_regions)[ws.position(wall_index)]
+
+
+def _diameter(ws):
+    return ws.metric.diameter()
 
 
 def wall_distance(ws, mask, wall_index):
@@ -187,7 +194,8 @@ def ball_ball_separation(ws, r):
             if d >= worst.d and not separating(bi, balls[j]):
                 worst.add(d, [names[i], names[j]])
     m, witnesses = worst.result()
-    verdict = "holds" if not witnesses or m < metric.diameter() else "fails"
+    verdict = ("holds" if not witnesses or m < ws.derived(_diameter)
+               else "fails")
     return _report("BallBall", {"r": r}, verdict, value=m,
                    witnesses=witnesses)
 
@@ -201,7 +209,7 @@ def compact_wall_separation(ws, K):
         raise WallcubeError("K must be nonempty")
     index = separation_index(ws)
     k_sides = index.sides(kmask)
-    owner = _owners([wall_region(ws, w.index) for w in ws.walls], metric.n)
+    owner = _owners(ws.derived(_wall_regions), metric.n)
     dist = _distances(metric, kmask, owner, (1 << len(ws.walls)) - 1)
     # least f: every wall with d >= f separated; f may sit just above the
     # worst unseparated distance
@@ -214,7 +222,8 @@ def compact_wall_separation(ws, K):
     if witnesses:
         higher = [d for d in dist.values() if d > f]
         f = min(higher) if higher else f + 1
-    verdict = "holds" if not witnesses or f <= metric.diameter() else "fails"
+    verdict = ("holds" if not witnesses or f <= ws.derived(_diameter)
+               else "fails")
     return _report("CompactWall", {"K": sorted(ws.names_of(kmask))},
                    verdict, value=f, witnesses=witnesses,
                    notes=[WALL_DISTANCE_NOTE])
@@ -225,7 +234,7 @@ def wall_wall_separation(ws):
     metric = ws.require_metric()
     wall = separation_index(ws).wall
     idxs = ws.wall_indices()
-    regions = [wall_region(ws, i) for i in idxs]
+    regions = ws.derived(_wall_regions)
     owner = _owners(regions, metric.n)
     worst = _Worst()
     for a, wa in enumerate(wall):
@@ -239,7 +248,8 @@ def wall_wall_separation(ws):
             if d >= worst.d:
                 worst.add(d, [idxs[a], idxs[b]])
     D, witnesses = worst.result()
-    verdict = "holds" if not witnesses or D < metric.diameter() else "fails"
+    verdict = ("holds" if not witnesses or D < ws.derived(_diameter)
+               else "fails")
     return _report("WallWall", {}, verdict, value=D,
                    witnesses=witnesses, notes=[WALL_DISTANCE_NOTE])
 
@@ -248,20 +258,29 @@ def subspace_separation(ws, Y, kind, r):
     """Ball-WallNbd / WallNbd-WallNbd separation of a subspace Y.
 
     Sets are intersected with Y and separation is by an induced wall of the
-    subwallspace on Y; empty sets are vacuously separated.
+    subwallspace on Y; empty sets are vacuously separated.  Raises
+    DuplicateInducedPartition as `induced_walls` does.
+
+    The parent's SeparationIndex decides it: for A ⊆ Y, the open sides of
+    the induced wall (U ∩ Y, V ∩ Y), restricted to A, are (U ∖ V) ∩ A and
+    (V ∖ U) ∩ A, as for the parent wall; and an induced vacuous wall, which
+    the subwallspace drops, has an empty open side, so it separates no two
+    nonempty sets.
     """
     if kind not in ("BallWallNbd", "WallNbdWallNbd"):
         raise WallcubeError(f"unknown kind {kind}")
     metric = ws.require_metric()
     ymask = Y if isinstance(Y, int) else ws.mask_of(Y)
-    index = separation_index(subwallspace(ws, ymask))
+    induced_walls(ws, ymask)
+    index = separation_index(ws)
 
     def part(mask):
-        """The set within Y, and its sides in the subwallspace."""
+        """The set within Y, and its sides."""
         mask &= ymask
-        return mask, index.sides(compress(mask, ymask))
+        return mask, index.sides(mask)
 
-    nbds = [part(metric.ball(wall_region(ws, w.index), r)) for w in ws.walls]
+    nbds = [part(metric.ball(region, r))
+            for region in ws.derived(_wall_regions)]
     owner = _owners([mask for mask, _sides in nbds], metric.n)
     idxs = ws.wall_indices()
     worst = _Worst()
@@ -290,7 +309,8 @@ def subspace_separation(ws, Y, kind, r):
         for x in range(len(idxs)):
             scan(nbds[x], full & ~((2 << x) - 1), idxs[x])
     s, witnesses = worst.result()
-    verdict = "holds" if not witnesses or s < metric.diameter() else "fails"
+    verdict = ("holds" if not witnesses or s < ws.derived(_diameter)
+               else "fails")
     return _report(kind, {"r": r, "Y": sorted(ws.names_of(ymask))},
                    verdict, value=s, witnesses=witnesses,
                    notes=[WALL_DISTANCE_NOTE])

@@ -89,11 +89,7 @@ class Wallspace:
             raise WallcubeError("metric size does not match point count")
         self.max_points = max_points
         self.max_walls = max_walls
-        # OrientationEngine (conflict tables) built by `complex` on first use,
-        # and the SeparationIndex built by `separation_index`; both stay
-        # valid because the walls are a tuple of frozen Walls
-        self._engine = None
-        self._separation = None
+        self._derived = {}
 
     # -- small helpers -------------------------------------------------
 
@@ -135,6 +131,14 @@ class Wallspace:
 
     def wall_indices(self):
         return [w.index for w in self.walls]
+
+    def derived(self, build):
+        """build(self), computed on first use and kept: sound because the
+        points, the tuple of frozen Walls and the metric are fixed at
+        construction, so `build` would compute the same value again."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
 
 class Report:
@@ -240,9 +244,7 @@ def separating(s, t):
 
 def separation_index(ws):
     """The SeparationIndex of ws, built on first use and kept on it."""
-    if ws._separation is None:
-        ws._separation = SeparationIndex(ws)
-    return ws._separation
+    return ws.derived(SeparationIndex)
 
 
 def separation_count(ws, x, y):
@@ -339,40 +341,41 @@ def from_geometric_walls(points, edges, wall_subsets,
                      max_points=max_points, max_walls=max_walls)
 
 
-def subwallspace(ws, Y):
-    """Induced subwallspace on the point subset Y (names or bitmask).
-
-    Induced walls are (U ∩ Y, V ∩ Y); induced vacuous walls {Y, ∅} are
-    dropped.  Raises DuplicateInducedPartition when two distinct parent walls
-    induce the same nonvacuous genuine partition of Y (the forbidden
-    configuration).  The metric, when present, is the ambient metric
-    restricted to Y.
-    """
-    ymask = Y if isinstance(Y, int) else ws.mask_of(Y)
+def induced_walls(ws, ymask):
+    """The walls induced on the nonempty point set `ymask`: (U ∩ Y, V ∩ Y),
+    as masks over Y's points in order, with the induced vacuous walls
+    {Y, ∅} dropped.  Raises DuplicateInducedPartition when two distinct
+    parent walls induce the same genuine partition of Y (the forbidden
+    configuration)."""
     if ymask == 0:
         raise WallcubeError("Y must be nonempty")
-    ypts = [p for p in ws.points if ws.point_bit(p) & ymask]
-    yfull = (1 << len(ypts)) - 1
+    yfull = (1 << ymask.bit_count()) - 1
     walls = []
+    partitions = {}
+    dups = []
     for w in ws.walls:
         u, v = compress(w.left, ymask), compress(w.right, ymask)
         if {u, v} == {0, yfull}:
-            continue  # induced vacuous wall dropped
+            continue
         walls.append(Wall(w.index, u, v))
-    partitions = {}
-    dups = []
-    for w in walls:
-        if w.left & w.right == 0 and w.left and w.right:
-            key = frozenset((w.left, w.right))
-            if key in partitions:
-                dups.append((partitions[key], w.index))
-            else:
-                partitions[key] = w.index
+        if u & v == 0 and u and v:
+            first = partitions.setdefault(frozenset((u, v)), w.index)
+            if first != w.index:
+                dups.append((first, w.index))
     if dups:
         raise DuplicateInducedPartition(dups)
+    return walls
+
+
+def subwallspace(ws, Y):
+    """Induced subwallspace on the point subset Y (names or bitmask): the
+    `induced_walls` on Y, and the ambient metric, when present, restricted
+    to Y."""
+    ymask = Y if isinstance(Y, int) else ws.mask_of(Y)
+    walls = induced_walls(ws, ymask)
     metric = None
     if ws.metric is not None:
         yidx = bits(ymask)
         metric = Metric([[ws.metric.dist[i][j] for j in yidx] for i in yidx])
-    return Wallspace(ypts, walls, metric=metric,
+    return Wallspace(ws.names_of(ymask), walls, metric=metric,
                      max_points=ws.max_points, max_walls=ws.max_walls)

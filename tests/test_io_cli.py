@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from conftest import drop_vertex, random_wallspace
 import wallcube
 from wallcube import complex as complex_module
-from wallcube import io
+from wallcube import generators, io
 from wallcube import metric as metric_module
+from wallcube import wallspace as wallspace_module
 from wallcube.cli import main
+from wallcube.errors import ParseError
 from wallcube.generators import fig3, grid, non_hausdorff3, rbad
 from wallcube.wallspace import validate
 
@@ -179,6 +181,16 @@ def test_cli_parse_error_past_json_limits(tmp_path, text):
      "int too large to convert to float"),
     ({"metric": {"edges": [["a", "b", 10 ** 400]]}},
      "int too large to convert to float"),
+    # and these were once reported without the field they are in
+    ({"metric": 5}, "metric: 5 is not an object"),
+    ({"metric": {"edges": 5}}, "metric.edges: 5 is not a list"),
+    ({"metric": {"table": 5}}, "metric.table: 5 is not a list"),
+    ({"metric": {"edges": [["a", "b"]]}},
+     "metric.edges[0]: ['a', 'b'] is not a list of two point names and a "
+     "number"),
+    ({"metric": {"edges": [["a", "b", 1], ["a", "b", 1, 2]]}},
+     "metric.edges[1]: ['a', 'b', 1, 2] is not a list of two point names "
+     "and a number"),
 ])
 def test_cli_malformed_document(tmp_path, doc, where):
     base = {"points": ["a", "b"],
@@ -204,6 +216,37 @@ def test_cli_missing_document_field(tmp_path, doc, where):
     assert r.exit_code == 2
     err = json.loads(r.stderr)
     assert err["error"] == "ParseError" and where in err["detail"]
+
+
+@pytest.mark.parametrize("metric", [{}, {"metric": None}, {"metric": {}}])
+def test_document_without_metric(metric):
+    doc = {"points": ["a", "b"],
+           "walls": [{"index": 0, "left": ["a"], "right": ["b"]}], **metric}
+    assert io.wallspace_from_dict(doc).metric is None
+
+
+def test_field_reader():
+    doc = {"n": 1, "null": None}
+    assert io.field(doc, "n", "d.n", io.INT) == 1
+    assert io.field(doc, "absent", "d.absent", io.INT, 7) == 7
+    assert io.field(doc, "null", "d.null", io.LIST, []) == []
+    assert io.field(doc, "null", "d.null") is None
+    for d, key, kind, message in (
+            (doc, "absent", io.INT, "missing field d.absent"),
+            (doc, "null", io.LIST, "d.null: None is not a list"),
+            ([doc], "n", io.ANY, "missing field d.n"),
+            ("n", "n", io.ANY, "missing field d.n"),
+            (doc, "n", io.LIST, "d.n: 1 is not a list"),
+            ({"n": -1}, "n", io.NATURAL,
+             "d.n: -1 is not a non-negative integer"),
+            ({"n": True}, "n", io.INT, "d.n: True is not an integer"),
+            ({"n": "c"}, "n", io.one_of("a", "b", "d"),
+             "d.n: 'c' is not 'a', 'b' or 'd'"),
+            ({"n": ["a"]}, "n", io.one_of("a", "b"),
+             "d.n: ['a'] is not 'a' or 'b'")):
+        with pytest.raises(ParseError) as exc:
+            io.field(d, key, f"d.{key}", kind)
+        assert str(exc.value) == message
 
 
 def test_cli_build_grid(tmp_path):
@@ -356,6 +399,24 @@ def test_cli_sized_generators_stop_at_the_point_cap(args, points):
     err = json.loads(r.stderr)
     assert err["error"] == "StateSpaceCap"
     assert err["detail"].endswith(f"{points} points, exceeds cap 4096")
+
+
+def test_geom_path_builds_no_component_search(monkeypatch):
+    # the walls are written down, not found by breadth-first searches, of
+    # which the largest size under the point cap once made 8,188
+    components = metric_module.components
+    calls = []
+
+    def counted(adj, mask):
+        calls.append(mask)
+        return components(adj, mask)
+
+    for module in (metric_module, wallspace_module):
+        monkeypatch.setattr(module, "components", counted)
+    assert generators.generate("geomPath", 4095).nwalls() == 4094
+    r = run_cli(["gen", "geomPath", "300"])
+    assert r.exit_code == 0 and calls == []
+    assert len(json.loads(r.stdout)["payload"]["walls"]) == 299
 
 
 def test_cli_gen_grid_40():
@@ -518,7 +579,7 @@ def test_cli_act_bad_cyclic_word(tmp_path, changes, where):
 @pytest.mark.parametrize("spec, where", [
     ({**F2_ACT, "hwalls": [{"subgroup": {"kind": "cyclic", "word": "a"},
                             "rule": "branch"}]},
-     "hwalls[0].axis: None is not one of the generator letters ['a', 'b']"),
+     "missing field hwalls[0].axis"),
     ({**F2_ACT, "hwalls": [{"subgroup": {"kind": "cyclic", "word": "a"},
                             "rule": "branch", "axis": "c"}]},
      "hwalls[0].axis: 'c' is not one of the generator letters"),
@@ -533,7 +594,7 @@ def test_cli_act_bad_cyclic_word(tmp_path, changes, where):
      "hwalls[0].axis: True is not an axis in range(2)"),
     (act_spec(hwalls=[{"subgroup": {"kind": "coordinate", "coords": [1]},
                        "rule": "coordinate"}]),
-     "hwalls[0].axis: None is not an axis in range(2)"),
+     "missing field hwalls[0].axis"),
 ])
 def test_cli_act_bad_hwall_axis(tmp_path, spec, where):
     path = write(tmp_path, "act.json", json.dumps(spec))

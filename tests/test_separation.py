@@ -25,6 +25,8 @@ from wallcube.generators import fig3, geom_path, grid, rbad
 from wallcube.groups import (
     ActionMap,
     CoordinateSubgroup,
+    CyclicSubgroup,
+    Free,
     FreeAbelian,
     HWallSpec,
     cayley_ball,
@@ -231,6 +233,46 @@ def test_subspace_separation_runs_and_revalidates():
         assert rep.value is not None
     with pytest.raises(WallcubeError):
         subspace_separation(ws, col, "Bogus", 0)
+
+
+def test_subspace_separation_builds_no_table():
+    # the induced walls' separation is read from the parent's index, so a
+    # unit-weight metric is never expanded into its n² table
+    def system():
+        ball = cayley_ball(Free(2), 4)
+        ws, _meta = generate_hwall_system(ball, [
+            HWallSpec(CyclicSubgroup(Free(2), "a"), "branch", axis="a")])
+        return ws
+
+    ws, oracle_ws = system(), system()
+    half = ws.points[::2]
+    for Y in (ws.points, half):
+        for kind in ("BallWallNbd", "WallNbdWallNbd"):
+            rep = subspace_separation(ws, Y, kind, 1)
+            assert ws.metric._table is None
+            assert rep.to_dict() == oracle_subspace_separation(
+                oracle_ws, Y, kind, 1).to_dict()
+
+
+def test_wall_regions_are_computed_once_per_wallspace(monkeypatch):
+    frontier = Metric.frontier
+    calls = []
+
+    def counted(self, mask):
+        calls.append(mask)
+        return frontier(self, mask)
+
+    monkeypatch.setattr(Metric, "frontier", counted)
+    for ws in (grid(3), grid(3)):
+        before = len(calls)
+        for _ in range(2):
+            wall_wall_separation(ws)
+            compact_wall_separation(ws, ["0,0"])
+            subspace_separation(ws, ws.points[:8], "WallNbdWallNbd", 1)
+            subspace_separation(ws, ws.points, "BallWallNbd", 0)
+            wall_region(ws, 2)
+        # no grid wall has a carrier: one frontier for each side
+        assert len(calls) - before == 2 * ws.nwalls()
 
 
 def test_packing_rows():

@@ -10,6 +10,7 @@ from conftest import (
     oracle_wall_separates,
     random_wallspace,
 )
+from wallcube import io
 from wallcube.complex import Cube
 from wallcube.errors import (
     DuplicateInducedPartition,
@@ -177,6 +178,17 @@ def test_from_geometric_walls_path():
     assert set(ws.names_of(w0.left | w0.right)) == {"0", "1", "2", "3"}
     assert ws.metric is not None
     assert ws.metric.d(0, 3) == 3
+
+
+def test_geom_path_matches_geometric_walls():
+    # geom_path writes down the walls that from_geometric_walls finds
+    for n in range(41):
+        points = [str(i) for i in range(n + 1)]
+        edges = [(str(i), str(i + 1)) for i in range(n)]
+        built = from_geometric_walls(points, edges,
+                                     [[str(k)] for k in range(1, n)])
+        assert io.wallspace_to_dict(geom_path(n)) \
+            == io.wallspace_to_dict(built)
 
 
 def test_from_geometric_walls_errors():
