@@ -73,8 +73,10 @@ def cmd_gen(args):
         from . import generators
 
         ws = generators.generate(args.name, *args.params)
-    _emit(io.wallspace_to_dict(ws), seed=args.seed,
-          caps={"points": ws.max_points, "walls": ws.max_walls})
+    # the size envelope `gen` has always printed; it bounds nothing
+    _emit(io.wallspace_to_dict(ws), seed=args.seed, caps={
+        "points": max(64, len(ws.points)),
+        "walls": max(256 if args.name == "cayley" else 64, ws.nwalls())})
 
 
 def _group_spec(text):
@@ -141,7 +143,7 @@ def cmd_verify(args):
     cc = build_dual(ws, ws.points[0], vertex_cap=args.cap_vertices)
     rng = random.Random(args.seed)
     results = {}
-    for check in args.checks.split(","):
+    for check in args.checks:
         results[check] = _check(check, ws, cc, rng)
     ok = all(r.get("ok") for r in results.values())
     _emit({"ok": ok, "checks": results}, seed=args.seed,
@@ -174,24 +176,22 @@ def _check(check, ws, cc, rng):
             tuple(sorted(ws.walls[w].index for w in c.walls))
             for c in maximal_cubes(cc))
         return {"ok": cubes == sorted(fams), "families": len(fams)}
-    if check == "convexity":
-        # the hull test of is_convex holds on a dual_sub by construction;
-        # what can fail is the median-graph law it rests on
-        sources = rng.sample(cc.vertices,
-                             min(DISTANCE_LAW_SOURCES, cc.nvertices()))
-        broken = _distance_law_break(cc, sources)
-        if broken:
-            return {"ok": False, "instances": 0, "distance_law": broken}
-        results = []
-        for _ in range(5):
-            k = rng.randint(1, len(ws.points))
-            P = rng.sample(list(ws.points), k)
-            hemi = induce_hemi(ws, P, InducedVariant("U0"))
-            sub = dual_sub(cc, hemi)
-            convex, _wit = is_convex(cc, sub)
-            results.append(convex)
-        return {"ok": all(results), "instances": len(results)}
-    raise WallcubeError(f"unknown check {check}")
+    # convexity: the hull test of is_convex holds on a dual_sub by
+    # construction; what can fail is the median-graph law it rests on
+    sources = rng.sample(cc.vertices,
+                         min(DISTANCE_LAW_SOURCES, cc.nvertices()))
+    broken = _distance_law_break(cc, sources)
+    if broken:
+        return {"ok": False, "instances": 0, "distance_law": broken}
+    results = []
+    for _ in range(5):
+        k = rng.randint(1, len(ws.points))
+        P = rng.sample(list(ws.points), k)
+        hemi = induce_hemi(ws, P, InducedVariant("U0"))
+        sub = dual_sub(cc, hemi)
+        convex, _wit = is_convex(cc, sub)
+        results.append(convex)
+    return {"ok": all(results), "instances": len(results)}
 
 
 def _distance_law_break(cc, sources):
@@ -265,12 +265,10 @@ def cmd_diagnose(args):
         subsets = p.get("subsets") or [
             ws.names_of(w.carrier()) for w in ws.walls if w.carrier()]
         rep = bounded_packing_number(ws, subsets, p.get("D", 1)).to_dict()
-    elif prop == "degree-profile":
+    else:  # degree-profile
         cc = build_dual(ws, ws.points[0])
         rep = {"max_degree": cc.max_degree(),
                "dimension": cc.dimension()}
-    else:
-        raise WallcubeError(f"unknown property {prop}")
     _emit(rep, digest=digest)
 
 
@@ -309,9 +307,7 @@ def cmd_act(args):
     # the whole spec is read before any computation, so a malformed
     # one exits 2 naming the field
     spec = groups.group_from_dict(io.field(doc, "group", "group"))
-    radius = io.field(doc, "radius", "radius", io.INT)
-    if radius < 0:
-        raise ParseError(f"radius: {radius} is negative")
+    radius = io.field(doc, "radius", "radius", io.NATURAL)
     hws = [_hwall_from_dict(spec, h, i) for i, h in
            enumerate(io.field(doc, "hwalls", "hwalls", io.LIST, []))]
     subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]") for k, pd in
@@ -327,9 +323,7 @@ def cmd_act(args):
             variant = InducedVariant(kind, r=r, tau=tau)
         except WallcubeError as exc:
             raise ParseError(f"variant.{exc}") from None
-        m = io.field(doc, "m", "m", io.INT, None)
-        if m is not None and m < 0:
-            raise ParseError(f"m: {m} is negative")
+        m = io.field(doc, "m", "m", io.NATURAL, None)
     ball = groups.cayley_ball(spec, radius)
     ws, meta = groups.generate_hwall_system(ball, hws)
     payload = {
@@ -396,22 +390,19 @@ def cmd_sweep(args):
     from . import generators
     from .complex import build_dual
 
+    degree = args.property == "degree-profile"
+    header = (["n", "vertices", "max_degree", "dimension"] if degree
+              else ["n", "verdict", "f"])
     rows = []
-    if args.property == "degree-profile":
-        header = ["n", "vertices", "max_degree", "dimension"]
-    elif args.property == "compact-wall":
-        from .separation import compact_wall_separation
-
-        header = ["n", "verdict", "f"]
-    else:
-        raise WallcubeError(f"unknown sweep property {args.property}")
     for n in [_int_arg(x, "--ns") for x in args.ns.split(",")]:
         ws = generators.generate(args.generator, n)
-        if args.property == "degree-profile":
+        if degree:
             cc = build_dual(ws, ws.points[0])
             rows.append((n, cc.nvertices(), cc.max_degree(),
                          cc.dimension()))
-        else:
+        else:  # compact-wall
+            from .separation import compact_wall_separation
+
             mid = ws.points[len(ws.points) // 2]
             rep = compact_wall_separation(ws, [mid])
             rows.append((n, rep.verdict, rep.value))
@@ -431,9 +422,23 @@ def _parser():
         sub.set_defaults(run=run)
         return sub
 
-    def int_option(sub, flag, default):
-        sub.add_argument(flag, type=int, default=default,
+    def int_option(sub, flag, default, kind=int):
+        sub.add_argument(flag, type=kind, default=default,
                          help="(default: %(default)s)")
+
+    # option values are checked here: a bad one is a usage error
+    def natural(text):
+        n = int(text)
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"{n} is negative")
+        return n
+
+    def checks(text):
+        names = text.split(",")
+        unknown = sorted(set(names) - set(ALL_CHECKS))
+        if unknown:
+            raise argparse.ArgumentTypeError(f"unknown checks {unknown}")
+        return names
 
     sub = command("validate", cmd_validate,
                   "Check the wallspace axioms; exit 0 iff they hold.")
@@ -451,20 +456,22 @@ def _parser():
     sub.add_argument("--basepoint")
     sub.add_argument("--export")
     sub.add_argument("--dot")
-    int_option(sub, "--cap-vertices", DEFAULT_VERTEX_CAP)
+    int_option(sub, "--cap-vertices", DEFAULT_VERTEX_CAP, natural)
 
     sub = command("verify", cmd_verify,
                   "Check the dual cube complex of a wallspace.")
     sub.add_argument("file")
-    sub.add_argument("--checks", default=",".join(ALL_CHECKS),
+    sub.add_argument("--checks", type=checks, default=",".join(ALL_CHECKS),
                      help="(default: %(default)s)")
     int_option(sub, "--seed", 0)
-    int_option(sub, "--cap-vertices", DEFAULT_VERTEX_CAP)
+    int_option(sub, "--cap-vertices", DEFAULT_VERTEX_CAP, natural)
 
     sub = command("diagnose", cmd_diagnose,
                   "Run one separation diagnostic.")
     sub.add_argument("file")
-    sub.add_argument("--property", required=True)
+    sub.add_argument("--property", required=True, choices=(
+        "linear-separation", "ball-ball", "compact-wall", "wall-wall",
+        "ball-wallnbd", "wallnbd-wallnbd", "packing", "degree-profile"))
     sub.add_argument("--params", default="{}",
                      help="JSON object (default: %(default)s)")
 
@@ -478,6 +485,7 @@ def _parser():
     sub.add_argument("--generator", required=True)
     sub.add_argument("--ns", required=True, help="comma-separated sizes")
     sub.add_argument("--property", default="degree-profile",
+                     choices=("degree-profile", "compact-wall"),
                      help="(default: %(default)s)")
     return parser
 

@@ -341,9 +341,8 @@ def _as_mask(ws, orientation):
     if missing:
         raise IncompleteOrientation(missing)
     m = 0
-    for i, w in enumerate(ws.walls):
-        if orientation[w.index]:
-            m |= 1 << i
+    for index, side in orientation.items():
+        m |= bool(side) << ws.position(index)
     return m
 
 
@@ -352,7 +351,7 @@ def flippable(ws, c, w_index):
     m = _as_mask(ws, c)
     if not eng.is_valid(m):
         raise InvalidZeroCube(m)
-    return eng.flippable(m, ws.wall_pos[w_index])
+    return eng.flippable(m, ws.position(w_index))
 
 
 def _complete_skeleton(vertex_set, nwalls):
@@ -596,13 +595,17 @@ def verify_npc(cc):
     return Report(ok=not violations, violations=violations)
 
 
-def contract_loop(cc, loop, max_steps=100000):
+def contract_loop(cc, loop):
     """Contract a closed edge path to the empty path.
 
     `loop` is a list of vertex orientation masks with loop[0] == loop[-1].
     Moves: ("backtrack", p) removing edges p, p+1; ("square", p, walls)
     replacing edges p, p+1 across an existing 2-cube.  Raises StuckLoop if no
     move applies (which would falsify simple connectivity).
+
+    No move budget is needed: each pass deletes a backtrack or pushes edge
+    q next to edge p, leaving the backtrack (p, p+1) for the next pass, so
+    the path is empty within len(loop) passes.
     """
     path = list(loop)
     if len(path) >= 2 and path[0] != path[-1]:
@@ -612,11 +615,7 @@ def contract_loop(cc, loop, max_steps=100000):
         if not d or d & (d - 1) or not cc.has_cell(a, d):
             raise NotInComplex((a, b))
     moves = []
-    steps = 0
     while len(path) > 1:
-        steps += 1
-        if steps > max_steps:
-            raise StuckLoop("move budget exceeded")
         # 1. leftmost backtrack
         bt = next((p for p in range(len(path) - 2)
                    if path[p] == path[p + 2]), None)

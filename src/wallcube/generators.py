@@ -11,11 +11,7 @@ cayley(...)   Cayley-ball systems, see the groups module
 
 from .errors import ParseError, StateSpaceCap, UnknownGenerator
 from .metric import Metric
-from .wallspace import Wall, Wallspace
-
-# points of a sized generator's wallspace, the default cap of
-# `groups.cayley_ball`: a generator stops before building past it
-MAX_POINTS = 4096
+from .wallspace import MAX_POINTS, Wall, Wallspace
 
 
 def _check_size(name, n, npts):
@@ -70,8 +66,7 @@ def grid(n):
             edges.append((t, t + 1, 1))
         if i < n:
             edges.append((t, t + n + 1, 1))
-    return Wallspace(points, walls, metric=Metric.from_edges(npts, edges),
-                     max_points=max(64, npts), max_walls=max(64, len(walls)))
+    return Wallspace(points, walls, metric=Metric.from_edges(npts, edges))
 
 
 def rbad(n):
@@ -99,8 +94,7 @@ def _line(npts, cuts, sides=()):
     edges = [(i, i + 1, 1) for i in range(npts - 1)]
     return Wallspace([str(i) for i in range(npts)],
                      [Wall(i, *pair) for i, pair in enumerate(sides)],
-                     metric=Metric.from_edges(npts, edges),
-                     max_points=max(64, npts), max_walls=max(64, len(sides)))
+                     metric=Metric.from_edges(npts, edges))
 
 
 def non_hausdorff3():

@@ -30,10 +30,13 @@ from .errors import (
 from .hemi import induce_hemi, represented_in
 from .io import INT, field, one_of
 from .metric import Metric, bits, components
-from .wallspace import Report, Wall, Wallspace
+from .wallspace import MAX_POINTS, Report, Wall, Wallspace
 
 TRUNCATION_CAVEAT = ("all conclusions are radius-limited: computed on a "
                      "finite ball of an infinite group")
+
+# group products an H-wall system may take, |specs|·|ball|²
+MAX_PRODUCTS = 1 << 22
 
 
 # -- group families ----------------------------------------------------
@@ -45,9 +48,9 @@ class FreeAbelian:
     def __init__(self, d):
         if d < 1:
             raise WallcubeError("need d >= 1")
-        # the radius-1 ball, 2d + 1 elements, fits cayley_ball's cap 4096
-        if d > 2047:
-            raise WallcubeError("need d <= 2047")
+        # the radius-1 ball, 2d + 1 elements, fits the point cap
+        if d > (MAX_POINTS - 1) // 2:
+            raise WallcubeError(f"need d <= {(MAX_POINTS - 1) // 2}")
         self.d = d
 
     def identity(self):
@@ -218,10 +221,11 @@ class CayleyBall:
         return sum(1 << i for i, g in enumerate(self.elements) if pred(g))
 
 
-def cayley_ball(spec, radius, cap=4096):
+def cayley_ball(spec, radius):
     """Breadth-first search, one product per (inner element, generator): a
     generator changes every length by exactly one, so each edge joins two
-    consecutive spheres and is found from its inner end."""
+    consecutive spheres and is found from its inner end.  Raises
+    StateSpaceCap before the ball grows past MAX_POINTS elements."""
     if radius < 0:
         raise WallcubeError("radius must be >= 0")
     gens = spec.generators()
@@ -234,9 +238,9 @@ def cayley_ball(spec, radius, cap=4096):
             for s in gens:
                 h = spec.mul(g, s)
                 if h not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= MAX_POINTS:
                         raise StateSpaceCap(
-                            f"cayley ball exceeds cap {cap}")
+                            f"cayley ball exceeds cap {MAX_POINTS}")
                     seen.add(h)
                     nxt[h] = None
                 if h in nxt:
@@ -420,8 +424,9 @@ def generate_hwall_system(ball, hwall_specs):
     and its bookkeeping, a Report.
 
     Translate walls {gU, gV} are truncated to the ball, and equal ones are
-    collapsed by (halfspace pair, source spec); none is dropped.  The wall
-    cap is max(256, number of walls).
+    collapsed by (halfspace pair, source spec); none is dropped.  A
+    translate takes a group product per ball point, |specs|·|ball|² in all:
+    past MAX_PRODUCTS, StateSpaceCap is raised before any translate.
 
     The bookkeeping holds `wall_info` (index -> (spec position, name of
     g)), `pair_index` ((halfspace pair, spec position) -> index), `specs`
@@ -434,6 +439,10 @@ def generate_hwall_system(ball, hwall_specs):
     as a key too: `side` puts every element on side L, R or B, so
     `_translate` puts every ball point in U or V, and U ∪ V is the ball.
     """
+    products = len(hwall_specs) * len(ball.elements) ** 2
+    if products > MAX_PRODUCTS:
+        raise StateSpaceCap(f"H-wall system needs {products} group "
+                            f"products, exceeds cap {MAX_PRODUCTS}")
     spec = ball.spec
     meta = Report(wall_info={}, pair_index={}, specs=list(hwall_specs),
                   dropped_vacuous=0, dropped_duplicate_partitions=0,
@@ -450,9 +459,7 @@ def generate_hwall_system(ball, hwall_specs):
                 meta.wall_info[len(walls)] = (pos, spec.name(g))
                 meta.pair_index[key] = len(walls)
                 walls.append(Wall(len(walls), gu, gv))
-    ws = Wallspace(ball.names, walls, metric=ball.metric,
-                   max_points=max(64, len(ball.names)),
-                   max_walls=max(256, len(walls)))
+    ws = Wallspace(ball.names, walls, metric=ball.metric)
     return ws, meta
 
 

@@ -123,7 +123,9 @@ def wallspace_from_dict(doc):
                 edges.append((index(path, a), index(path, b), w))
             metric = Metric.from_edges(len(points), edges)
         elif md:
-            table = field(md, "table", "metric.table", LIST)
+            table = field(md, "table", "metric.table", (
+                lambda x: LIST[0](x) and len(x) == len(points),
+                f"a list of {len(points)} rows"))
             for i, row in enumerate(table):
                 if not isinstance(row, list) or len(row) != len(table):
                     raise ParseError(f"metric.table[{i}] is not a row "
@@ -136,9 +138,7 @@ def wallspace_from_dict(doc):
     except OverflowError as exc:
         # an int past float's range, in Metric or Metric.from_edges
         raise ParseError(f"bad wallspace document: {exc}") from exc
-    return Wallspace(points, walls, metric=metric,
-                     max_points=max(64, len(points)),
-                     max_walls=max(64, len(walls)))
+    return Wallspace(points, walls, metric=metric)
 
 
 _escape = json.encoder.encode_basestring_ascii

@@ -23,8 +23,10 @@ from .errors import (
 )
 from .metric import Metric, bits, components, compress, max_cliques
 
-DEFAULT_MAX_POINTS = 64
-DEFAULT_MAX_WALLS = 64
+# the one point cap: a sized generator stops before building a wallspace
+# past it, and `groups.cayley_ball` before growing a ball past it; a
+# Wallspace itself takes any number of points
+MAX_POINTS = 4096
 
 
 class Wall(namedtuple("Wall", "index left right")):
@@ -56,18 +58,12 @@ class Wall(namedtuple("Wall", "index left right")):
 class Wallspace:
     """Immutable wallspace: points, walls, optional metric."""
 
-    def __init__(self, points, walls, metric=None,
-                 max_points=DEFAULT_MAX_POINTS, max_walls=DEFAULT_MAX_WALLS):
+    def __init__(self, points, walls, metric=None):
         points = tuple(points)
         if len(set(points)) != len(points):
             raise WallcubeError("point ids must be unique")
         if len(points) == 0:
             raise WallcubeError("ground set must be nonempty")
-        if len(points) > max_points:
-            raise WallcubeError(
-                f"{len(points)} points exceeds cap {max_points}")
-        if len(walls) > max_walls:
-            raise WallcubeError(f"{len(walls)} walls exceeds cap {max_walls}")
         self.points = points
         self.point_index = {p: i for i, p in enumerate(points)}
         self.full = (1 << len(points)) - 1
@@ -87,8 +83,6 @@ class Wallspace:
         self.metric = metric
         if metric is not None and metric.n != len(points):
             raise WallcubeError("metric size does not match point count")
-        self.max_points = max_points
-        self.max_walls = max_walls
         self._derived = {}
 
     # -- small helpers -------------------------------------------------
@@ -309,9 +303,7 @@ def max_transverse_families(ws):
     return fams, k
 
 
-def from_geometric_walls(points, edges, wall_subsets,
-                         max_points=DEFAULT_MAX_POINTS,
-                         max_walls=DEFAULT_MAX_WALLS):
+def from_geometric_walls(points, edges, wall_subsets):
     """Wallspace of a geometric wallspace on a connected graph.
 
     Each wall is a vertex subset whose induced subgraph is connected and whose
@@ -337,8 +329,7 @@ def from_geometric_walls(points, edges, wall_subsets,
         if len(comps) != 2:
             raise WrongComponentCount(widx, len(comps))
         walls.append(Wall(widx, wmask | comps[0], wmask | comps[1]))
-    return Wallspace(points, walls, metric=metric,
-                     max_points=max_points, max_walls=max_walls)
+    return Wallspace(points, walls, metric=metric)
 
 
 def induced_walls(ws, ymask):
@@ -377,5 +368,4 @@ def subwallspace(ws, Y):
     if ws.metric is not None:
         yidx = bits(ymask)
         metric = Metric([[ws.metric.dist[i][j] for j in yidx] for i in yidx])
-    return Wallspace(ws.names_of(ymask), walls, metric=metric,
-                     max_points=ws.max_points, max_walls=ws.max_walls)
+    return Wallspace(ws.names_of(ymask), walls, metric=metric)

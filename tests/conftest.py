@@ -420,8 +420,7 @@ def forget_unpaired(hemi):
     """
     ws = hemi.parent
     walls = [w for w in ws.walls if w.index not in hemi.fixed]
-    return Wallspace(ws.points, walls, metric=ws.metric,
-                     max_points=ws.max_points, max_walls=ws.max_walls)
+    return Wallspace(ws.points, walls, metric=ws.metric)
 
 
 def oracle_induce_hemi(ws, P, variant):

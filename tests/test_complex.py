@@ -38,6 +38,7 @@ from wallcube.complex import (
     verify_npc,
 )
 from wallcube.errors import (
+    IndexOutOfRange,
     NotInComplex,
     NotTransverse,
     StateSpaceCap,
@@ -177,6 +178,18 @@ def test_flippable_matches_validity():
             for w in ws.walls:
                 assert flippable(ws, m, w.index) == \
                     ((m ^ (1 << ws.wall_pos[w.index])) in vset)
+
+
+def test_orientation_helpers_name_an_unknown_wall():
+    # once a bare KeyError, resp. a wall ignored without a word
+    ws = fig3()
+    with pytest.raises(IndexOutOfRange, match="^99$"):
+        flippable(ws, 0, 99)
+    whole = {w.index: 0 for w in ws.walls}
+    assert is_zero_cube(ws, whole)
+    for side in (0, 1):
+        with pytest.raises(IndexOutOfRange, match="^99$"):
+            is_zero_cube(ws, {**whole, 99: side})
 
 
 def test_fig3_structure():

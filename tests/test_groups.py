@@ -140,7 +140,7 @@ def test_cayley_ball_f2_counts():
 
 def test_cayley_ball_cap():
     with pytest.raises(StateSpaceCap):
-        cayley_ball(F2, 8, cap=100)
+        cayley_ball(F2, 8)  # 13121 points, past the cap of 4096
 
 
 NESTED_PRODUCTS = [
@@ -239,6 +239,23 @@ def test_group_layer_work_counts(spec, radius, hws):
     # most once each; cyclic membership of a point costs 2(r + 1) products
     checks = sum(5 * h + 2 * (radius + 1) for h in hsizes)
     assert spec.products <= (len(hws) * (n + 1) + checks) * n
+
+
+def test_hwall_system_stops_at_the_product_cap(monkeypatch):
+    # two H-walls on the 25-point ball: 2 · 25² = 1250 products, counted
+    # before any translate is built
+    ball, (ws, meta) = z2_system(3)
+    monkeypatch.setattr(groups, "MAX_PRODUCTS", 1250)
+    assert generate_hwall_system(ball, meta.specs)[0].walls == ws.walls
+
+    def no_translate(*args):
+        raise AssertionError("a translate was built")
+
+    monkeypatch.setattr(groups, "MAX_PRODUCTS", 1249)
+    monkeypatch.setattr(groups, "_translate", no_translate)
+    with pytest.raises(StateSpaceCap, match="^H-wall system needs 1250 "
+                       "group products, exceeds cap 1249$"):
+        generate_hwall_system(ball, meta.specs)
 
 
 # -- H-walls -----------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import drop_vertex, random_wallspace
 import wallcube
 from wallcube import complex as complex_module
-from wallcube import generators, io
+from wallcube import generators, groups, io
 from wallcube import metric as metric_module
 from wallcube import wallspace as wallspace_module
 from wallcube.cli import main
@@ -191,6 +191,9 @@ def test_cli_parse_error_past_json_limits(tmp_path, text):
     ({"metric": {"edges": [["a", "b", 1], ["a", "b", 1, 2]]}},
      "metric.edges[1]: ['a', 'b', 1, 2] is not a list of two point names "
      "and a number"),
+    # and this exited 1, its rows counted only by the Wallspace
+    ({"metric": {"table": [[0]]}},
+     "metric.table: [[0]] is not a list of 2 rows"),
 ])
 def test_cli_malformed_document(tmp_path, doc, where):
     base = {"points": ["a", "b"],
@@ -433,6 +436,17 @@ def test_cli_gen_cayley_sizes_the_wall_cap_to_the_system():
     assert doc["caps"]["walls"] == len(doc["payload"]["walls"]) == 729
 
 
+def test_cli_gen_cayley_stops_at_the_product_cap():
+    # two default H-walls on the 1861-point ball of radius 30; F2 6 above,
+    # one H-wall on 1457 points, stays under the cap
+    r = run_cli(["gen", "cayley", "Z2", "30"])
+    assert r.exit_code == 3 and r.exception is None and r.stdout == ""
+    assert json.loads(r.stderr) == {
+        "error": "StateSpaceCap",
+        "detail": "H-wall system needs 6926642 group products, exceeds cap "
+                  "4194304"}
+
+
 def test_cli_gen_unknown():
     r = run_cli(["gen", "mystery"])
     assert r.exit_code == 1
@@ -482,8 +496,8 @@ def act_spec(**changes):
     ({}, "missing field group"),
     (act_spec(group=None), "missing field group"),
     (act_spec(radius=None), "missing field radius"),
-    (act_spec(radius=1.5), "radius: 1.5 is not an integer"),
-    (act_spec(radius="2"), "radius: '2' is not an integer"),
+    (act_spec(radius=1.5), "radius: 1.5 is not a non-negative integer"),
+    (act_spec(radius="2"), "radius: '2' is not a non-negative integer"),
     (act_spec(group={"kind": "FreeAbelian"}), "missing field group.d"),
     (act_spec(group={"kind": "Free"}), "missing field group.rank"),
     (act_spec(hwalls=[{"rule": "coordinate"}]),
@@ -499,15 +513,15 @@ def act_spec(**changes):
      "variant.r: '1' is not an integer"),
     (act_spec(variant={"kind": "Ur", "r": 1, "tau": 1.5}),
      "variant.tau: 1.5 is not an integer"),
-    (act_spec(m="x"), "m: 'x' is not an integer"),
-    (act_spec(m=True), "m: True is not an integer"),
+    (act_spec(m="x"), "m: 'x' is not a non-negative integer"),
+    (act_spec(m=True), "m: True is not a non-negative integer"),
     # out of range: each once ran unchecked, to exit 0 or a domain error
     (act_spec(group={"kind": "FreeAbelian", "d": 0}), "group.d: need d >= 1"),
     (act_spec(group={"kind": "Free", "rank": 0}), "group.rank: need 1 <="),
     (act_spec(group={"kind": "FreeProduct", "factors": [F1]}),
      "group.factors: [{'kind': 'Free', 'rank': 1}] is not a list of at "
      "least two groups"),
-    (act_spec(radius=-1), "radius: -1 is negative"),
+    (act_spec(radius=-1), "radius: -1 is not a non-negative integer"),
     (act_spec(group=F1_F1, hwalls=None,
               peripheries=[{"kind": "factor", "factor": 7}]),
      "peripheries[0].factor: 7 is not a factor position in range(2)"),
@@ -518,7 +532,7 @@ def act_spec(**changes):
      "peripheries[0].factor: 0 is not a factor position in range(0)"),
     # each of these once ran to exit 0, ended in a domain error or a
     # traceback, or (the huge d) would take O(d²) memory
-    (act_spec(m=-1), "m: -1 is negative"),
+    (act_spec(m=-1), "m: -1 is not a non-negative integer"),
     (act_spec(variant={"kind": "Zz"}),
      "variant.kind: unknown variant 'Zz'"),
     (act_spec(variant={"kind": "Ur", "r": -1}), "variant.r: -1 is not >= 0"),
@@ -783,6 +797,17 @@ def test_cli_clique_search_cap_exit(monkeypatch, args):
     assert "clique search" in json.loads(r.stderr)["detail"]
 
 
+def test_cli_act_product_cap_exit(tmp_path, monkeypatch):
+    # one H-wall on the 13-point ball of radius 2: 169 group products
+    path = write(tmp_path, "act.json", json.dumps(act_spec()))
+    assert run_cli(["act", path]).exit_code == 0
+    monkeypatch.setattr(groups, "MAX_PRODUCTS", 168)
+    r = run_cli(["act", path])
+    assert r.exit_code == 3 and r.exception is None and r.stdout == ""
+    assert json.loads(r.stderr)["detail"] == \
+        "H-wall system needs 169 group products, exceeds cap 168"
+
+
 def cold_act_spec(variant):
     """The act spec of the cli-cold benchmark workload."""
     return {
@@ -935,6 +960,13 @@ def test_cli_sweep_compact_wall():
     ["mystery"],                       # no such command
     ["diagnose", "x.json"],            # --property is required
     ["gen", "fig3", "--seed", "x"],    # not an integer
+    # each of these once exited 1 or 3, after reading the file
+    ["diagnose", "x.json", "--property", "bogus"],
+    ["sweep", "--generator", "grid", "--ns", "1", "--property", "bogus"],
+    ["verify", "x.json", "--checks", "bogus"],
+    ["verify", "x.json", "--checks", "npc,,npc"],
+    ["build", "x.json", "--cap-vertices", "-1"],
+    ["verify", "x.json", "--cap-vertices", "-1"],
 ])
 def test_cli_usage_error(args):
     r = run_cli(args)

@@ -18,7 +18,6 @@ from wallcube.errors import (
     NotConnected,
     SameWall,
     UnknownPoint,
-    WallcubeError,
     WrongComponentCount,
 )
 from wallcube.generators import fig3, geom_path, grid, non_hausdorff3
@@ -163,8 +162,9 @@ def test_unknown_point_and_caps():
     ws = fig3()
     with pytest.raises(UnknownPoint):
         separation_count(ws, "a", "zz")
-    with pytest.raises(WallcubeError):
-        Wallspace([f"q{i}" for i in range(65)], [])
+    # no cap on the points: only the steps that explode have one
+    big = Wallspace([f"q{i}" for i in range(4097)], [])
+    assert len(big.points) == 4097 and big.nwalls() == 0
     with pytest.raises(MetricRequired):
         ws.require_metric()
 
