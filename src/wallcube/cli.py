@@ -67,7 +67,8 @@ def cmd_gen(args):
         if len(args.params) != 2:
             raise ParseError("gen cayley takes GROUP RADIUS, e.g. Z2 5")
         spec = _group_spec(args.params[0])
-        ball = groups.cayley_ball(spec, _int_arg(args.params[1], "RADIUS"))
+        radius = io.integer(args.params[1], "RADIUS:", 0)
+        ball = groups.cayley_ball(spec, radius)
         ws, _meta = groups.generate_hwall_system(ball, _default_hwalls(spec))
     else:
         from . import generators
@@ -82,19 +83,16 @@ def cmd_gen(args):
 def _group_spec(text):
     from . import groups
 
-    if text.startswith("Z"):
-        return groups.FreeAbelian(_int_arg(text[1:] or "1", "GROUP Zd"))
-    if text.startswith("F"):
-        return groups.Free(_int_arg(text[1:] or "2", "GROUP Fr"))
-    raise ParseError(f"unknown group {text}; use Zd or Fr")
-
-
-def _int_arg(text, what):
-    """A command-line integer; a ParseError naming it otherwise."""
+    families = {"Z": (groups.FreeAbelian, "1", "GROUP Zd:"),
+                "F": (groups.Free, "2", "GROUP Fr:")}
+    if text[:1] not in families:
+        raise ParseError(f"unknown group {text}; use Zd or Fr")
+    make, size, what = families[text[0]]
+    n = io.integer(text[1:] or size, what)
     try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{what}: {text!r} is not an integer") from None
+        return make(n)
+    except WallcubeError as exc:
+        raise ParseError(f"GROUP {text}: {exc}") from None
 
 
 def _default_hwalls(spec):
@@ -244,58 +242,52 @@ def cmd_diagnose(args):
     p = io.loads(args.params)
     if not isinstance(p, dict):
         raise ParseError(f"--params: {args.params} is not a JSON object")
-    _check_params(p, ws)
-    prop = args.property
-    if prop == "linear-separation":
-        rep = linear_separation_fit(
-            ws, max_denominator=p.get("max_denominator", 64),
-            max_offset=p.get("max_offset", 0.0)).to_dict()
-    elif prop == "ball-ball":
-        rep = ball_ball_separation(ws, p.get("r", 0)).to_dict()
-    elif prop == "compact-wall":
-        K = p.get("K") or [ws.points[0]]
-        rep = compact_wall_separation(ws, K).to_dict()
-    elif prop == "wall-wall":
-        rep = wall_wall_separation(ws).to_dict()
-    elif prop in ("ball-wallnbd", "wallnbd-wallnbd"):
-        kind = "BallWallNbd" if prop == "ball-wallnbd" else "WallNbdWallNbd"
-        Y = p.get("Y") or list(ws.points)
-        rep = subspace_separation(ws, Y, kind, p.get("r", 0)).to_dict()
-    elif prop == "packing":
-        subsets = p.get("subsets") or [
-            ws.names_of(w.carrier()) for w in ws.walls if w.carrier()]
-        rep = bounded_packing_number(ws, subsets, p.get("D", 1)).to_dict()
-    else:  # degree-profile
-        cc = build_dual(ws, ws.points[0])
-        rep = {"max_degree": cc.max_degree(),
-               "dimension": cc.dimension()}
-    _emit(rep, digest=digest)
 
-
-def _check_params(p, ws):
-    """A ParseError naming the first --params field that holds no value of
-    its kind; an absent field takes its default."""
+    def read(key, kind, default=None):
+        # an absent or null field takes its default
+        return io.field(p, key, f"--params.{key}", kind, default)
 
     def points(x):
         return isinstance(x, list) and all(
             isinstance(q, str) and q in ws.point_index for q in x)
 
-    def number(x):
-        return io.NUMBER[0](x) and x >= 0
-
     names = (points, "a list of point names")
-    for key, kind in (
-            ("max_denominator",
-             (lambda x: io.INT[0](x) and x >= 1, "a positive integer")),
-            # ε = inf admits every κ
-            ("max_offset", (lambda x: number(x) and x < float("inf"),
-                            "a non-negative number")),
-            ("r", io.NATURAL), ("D", (number, "a non-negative number")),
-            ("K", names), ("Y", names),
-            ("subsets", (lambda x: isinstance(x, list) and all(map(points, x)),
-                         "a list of lists of point names"))):
-        if key in p:
-            io.field(p, key, f"--params.{key}", kind)
+    number = (lambda x: io.NUMBER[0](x) and x >= 0, "a non-negative number")
+    # every field is read, whatever the property
+    max_denominator = read("max_denominator", (
+        lambda x: io.INT[0](x) and x >= 1, "a positive integer"), 64)
+    # ε = inf admits every κ
+    max_offset = read("max_offset", (
+        lambda x: number[0](x) and x < float("inf"), number[1]), 0.0)
+    r, D = read("r", io.NATURAL, 0), read("D", number, 1)
+    K, Y = read("K", names), read("Y", names)
+    subsets = read("subsets", (
+        lambda x: isinstance(x, list) and all(map(points, x)),
+        "a list of lists of point names"))
+    prop = args.property
+    if prop == "linear-separation":
+        rep = linear_separation_fit(
+            ws, max_denominator=max_denominator,
+            max_offset=max_offset).to_dict()
+    elif prop == "ball-ball":
+        rep = ball_ball_separation(ws, r).to_dict()
+    elif prop == "compact-wall":
+        rep = compact_wall_separation(ws, K or [ws.points[0]]).to_dict()
+    elif prop == "wall-wall":
+        rep = wall_wall_separation(ws).to_dict()
+    elif prop in ("ball-wallnbd", "wallnbd-wallnbd"):
+        kind = "BallWallNbd" if prop == "ball-wallnbd" else "WallNbdWallNbd"
+        rep = subspace_separation(ws, Y or list(ws.points), kind,
+                                  r).to_dict()
+    elif prop == "packing":
+        subsets = subsets or [
+            ws.names_of(w.carrier()) for w in ws.walls if w.carrier()]
+        rep = bounded_packing_number(ws, subsets, D).to_dict()
+    else:  # degree-profile
+        cc = build_dual(ws, ws.points[0])
+        rep = {"max_degree": cc.max_degree(),
+               "dimension": cc.dimension()}
+    _emit(rep, digest=digest)
 
 
 def cmd_act(args):
@@ -394,7 +386,7 @@ def cmd_sweep(args):
     header = (["n", "vertices", "max_degree", "dimension"] if degree
               else ["n", "verdict", "f"])
     rows = []
-    for n in [_int_arg(x, "--ns") for x in args.ns.split(",")]:
+    for n in [io.integer(x, "--ns:") for x in args.ns.split(",")]:
         ws = generators.generate(args.generator, n)
         if degree:
             cc = build_dual(ws, ws.points[0])

@@ -285,12 +285,8 @@ class CubeComplex:
             out[self.ws.walls[i].index].append((u, v))
         return out
 
-    def degrees(self):
-        return {m: len(nb) for m, nb in self.adj.items()}
-
     def max_degree(self):
-        degs = self.degrees()
-        return max(degs.values(), default=0)
+        return max(map(len, self.adj.values()), default=0)
 
     def bfs_distances(self, sources):
         """Vertex -> 1-skeleton distance to the nearest of `sources`, by one
@@ -407,9 +403,11 @@ def _complete_skeleton(vertex_set, nwalls):
 
 def build_dual(ws, basepoint, vertex_cap=DEFAULT_VERTEX_CAP):
     """The dual of a valid wallspace: `enumerate_all_orientations`, once
-    the wallspace validates and the canonical orientation of `basepoint`
-    is a 0-cube.  Raises StateSpaceCap past `vertex_cap` vertices.
+    the wallspace validates and `basepoint` names a point.  Raises
+    StateSpaceCap past `vertex_cap` vertices.
 
+    The canonical orientation of `basepoint` p is then a 0-cube: as the
+    walls cover X, `toward_point(p)` chooses sides that all hold p.
     Sageev's dual is the component of that vertex under wall flips, which
     is every valid orientation.  Take valid u != v, let D be the walls on
     which they differ and i in D.  Flipped, wall i takes v's side v_i,
@@ -426,10 +424,6 @@ def build_dual(ws, basepoint, vertex_cap=DEFAULT_VERTEX_CAP):
         raise WallcubeError(f"wallspace does not validate: {rep.errors}")
     if basepoint not in ws.point_index:
         raise UnknownPoint(basepoint)
-    eng = ws.derived(OrientationEngine)
-    if not eng.is_valid(eng.toward_point(basepoint)):
-        raise OrientationConflict(
-            f"canonical orientation of {basepoint} is not a 0-cube")
     return enumerate_all_orientations(ws, vertex_cap)
 
 
@@ -623,21 +617,12 @@ def contract_loop(cc, loop):
             moves.append(("backtrack", bt))
             del path[bt + 1:bt + 3]
             continue
-        # 2. innermost pair of edges dual to the same wall: no wall repeats
-        #    strictly between them; smallest (p, q-p) lexicographically
-        nedges = len(path) - 1
-        walls = [_edge_wall(path[t], path[t + 1]) for t in range(nedges)]
-        inner = []
-        for p in range(nedges):
-            for q in range(p + 1, nedges):
-                if walls[p] != walls[q]:
-                    continue
-                inside = walls[p + 1:q]
-                if walls[p] not in inside and len(set(inside)) == len(inside):
-                    inner.append((p, q))
-        if not inner:
+        # 2. innermost pair of edges dual to the same wall
+        pair = _innermost_pair([_edge_wall(a, b)
+                                for a, b in zip(path, path[1:])])
+        if pair is None:
             raise StuckLoop("no backtrack and no innermost pair")
-        p, q = min(inner, key=lambda pq: (pq[0], pq[1] - pq[0]))
+        p, q = pair
         # push edge q leftward with square swaps until adjacent to edge p
         while q > p + 1:
             u, mid, v = path[q - 1], path[q], path[q + 1]
@@ -654,6 +639,20 @@ def contract_loop(cc, loop):
         # edges p and p+1 are now dual to the same wall and share a vertex,
         # so they backtrack; removed on the next iteration
     return moves
+
+
+def _innermost_pair(walls):
+    """The least pair (p, q) of edges on one wall with no wall repeated
+    strictly between them, or None: q can only be p's wall's next edge."""
+    for p, wall in enumerate(walls):
+        inside = set()
+        for q in range(p + 1, len(walls)):
+            if walls[q] == wall:
+                return p, q
+            if walls[q] in inside:
+                break
+            inside.add(walls[q])
+    return None
 
 
 def _edge_wall(u, v):

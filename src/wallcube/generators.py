@@ -10,6 +10,7 @@ cayley(...)   Cayley-ball systems, see the groups module
 """
 
 from .errors import ParseError, StateSpaceCap, UnknownGenerator
+from .io import integer
 from .metric import Metric
 from .wallspace import MAX_POINTS, Wall, Wallspace
 
@@ -114,24 +115,21 @@ def geom_path(n):
 
 
 def generate(name, *args):
-    """The named generator's wallspace; a sized one takes its size as the
-    first argument (an int or its text), a ParseError when there is none."""
-    if name == "fig3":
-        return fig3()
-    if name == "nonHausdorff3":
-        return non_hausdorff3()
-    # each sized generator with its least size
-    sized = {"grid": (grid, 0), "rbad": (rbad, 1), "geomPath": (geom_path, 0)}
-    if name not in sized:
+    """The named generator's wallspace; a sized one takes its size, an int
+    or its text, as its one argument.  A missing or extra argument is a
+    ParseError."""
+    # each generator with its least size, None for one that takes none
+    known = {"fig3": (fig3, None), "nonHausdorff3": (non_hausdorff3, None),
+             "grid": (grid, 0), "rbad": (rbad, 1), "geomPath": (geom_path, 0)}
+    if name not in known:
         raise UnknownGenerator(name)
-    make, low = sized[name]
-    try:
-        n = int(args[0])
-    except IndexError:
-        raise ParseError(f"{name} needs a size N") from None
-    except ValueError:
-        raise ParseError(f"{name}: size {args[0]!r} is not an integer") \
-            from None
-    if n < low:
-        raise ParseError(f"{name}: size {n} is not >= {low}")
-    return make(n)
+    make, low = known[name]
+    if low is None:
+        if args:
+            raise ParseError(f"{name} takes no argument, got {args[0]!r}")
+        return make()
+    if not args:
+        raise ParseError(f"{name} needs a size N")
+    if len(args) > 1:
+        raise ParseError(f"{name} takes one size N, got also {args[1]!r}")
+    return make(integer(args[0], f"{name}: size", low))

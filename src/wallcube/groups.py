@@ -214,8 +214,11 @@ class CayleyBall:
         edges = sorted((by_elem[g], by_elem[h], 1) for g, h in steps)
         self.metric = Metric.from_edges(len(elements), edges)
 
-    def contains(self, g):
-        return g in self.by_elem
+    def image(self, g):
+        """For each ball index i, the index of g·xᵢ, or None where that
+        leaves the ball: the left action of g, one product per point."""
+        mul, index = self.spec.mul, self.by_elem.get
+        return [index(mul(g, x)) for x in self.elements]
 
     def mask_of(self, pred):
         return sum(1 << i for i, g in enumerate(self.elements) if pred(g))
@@ -340,26 +343,22 @@ class HWallSpec:
 def build_hwall(ball, hw):
     """The H-wall truncated to the ball, with a conformance Report for the
     Def 2.8-style conditions, checked on the computable portion (its
-    `coverage_ok` is always true, see `generate_hwall_system`)."""
-    spec = ball.spec
-    u, v = _translate(ball, hw, spec.identity())
-    hmembers = [g for g in ball.elements
-                if hw.subgroup.contains(g) and g != spec.identity()]
+    `coverage_ok` is always true, see `generate_hwall_system`).  Each
+    element of H ∩ ball acts on the ball once, by `CayleyBall.image`."""
+    u, v = _translate(ball, hw, ball.spec.identity())
+    hmembers, images = _h_images(ball, hw.subgroup)
     violations = []
-    for h in hmembers:
-        for i, g in enumerate(ball.elements):
-            j = ball.by_elem.get(spec.mul(h, g))
+    for h, img in zip(hmembers, images):
+        for i, j in enumerate(img):
             if j is not None and (u >> i ^ u >> j | v >> i ^ v >> j) & 1:
-                violations.append({"h": spec.name(h), "g": spec.name(g)})
-    carrier = u & v
-    carrier_orbits = _orbit_count(ball, hmembers, bits(carrier))
+                violations.append({"h": ball.names[h], "g": ball.names[i]})
+    carrier_orbits = _orbit_count(images, bits(u & v))
     frontier_orbits = {}
     for tag, side in (("U", u), ("V", v)):
         fr = ball.metric.frontier(side)
-        frontier_orbits[tag] = _orbit_count(ball, hmembers, bits(fr))
+        frontier_orbits[tag] = _orbit_count(images, bits(fr))
     # side-swapping elements of H (the index-2 coset of the side stabilizer)
-    swappers = [h for h in hmembers if _swaps_sides(ball, h, u, v)]
-    if swappers:
+    if any(_swaps_sides(img, u, v) for img in images):
         hdotdot = "violated" if violations else "verified (side-swappers present)"
     else:
         hdotdot = "vacuous at this radius (no side-swapping element in ball)"
@@ -391,25 +390,30 @@ def _translate(ball, hw, t_inv):
         int(sides.translate(_IN_RIGHT), 2)
 
 
-def _swaps_sides(ball, h, u, v):
-    spec = ball.spec
+def _h_images(ball, subgroup):
+    """The indices of H ∩ ball but the identity (index 0, the one element
+    of length 0), and the ball's image under each."""
+    hmembers = [i for i, g in enumerate(ball.elements)
+                if i and subgroup.contains(g)]
+    return hmembers, [ball.image(ball.elements[h]) for h in hmembers]
+
+
+def _swaps_sides(img, u, v):
     for i in bits(u & ~v):
-        hg = spec.mul(h, ball.elements[i])
-        j = ball.by_elem.get(hg)
+        j = img[i]
         if j is not None:
             return bool((v & ~u) >> j & 1)
     return False
 
 
-def _orbit_count(ball, hmembers, indices, glue=()):
-    """Partial H-orbit count of the given ball-element indices; the indices
-    of each bitmask in `glue` count as one piece."""
-    spec = ball.spec
+def _orbit_count(images, indices, glue=()):
+    """Partial H-orbit count of the given ball indices, H acting by its
+    ball `images`; the indices of each bitmask in `glue` count as one."""
     mask = sum(1 << i for i in indices)
-    adj = [0] * len(ball.elements)
-    for h in hmembers:
+    adj = dict.fromkeys(indices, 0)
+    for img in images:
         for i in indices:
-            j = ball.by_elem.get(spec.mul(h, ball.elements[i]))
+            j = img[i]
             if j is not None and mask >> j & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
@@ -470,14 +474,13 @@ def codim_one_analysis(ball, subgroup, d):
     """Components of ball minus N_d(H ∩ ball), with the radius-limited
     deep-component heuristic: a component is deep when it touches the
     boundary sphere of the ball."""
-    hmask = ball.mask_of(subgroup.contains)
-    removed = ball.metric.ball(hmask, d) if hmask else 0
+    hmembers, images = _h_images(ball, subgroup)
+    # H ∩ ball holds the identity
+    removed = ball.metric.ball(sum(1 << h for h in hmembers) | 1, d)
     adj = ball.metric.adjacency()
     keep = ((1 << len(ball.elements)) - 1) & ~removed
     comps = components(adj, keep)  # ordered by lowest element
     spec = ball.spec
-    hmembers = [g for g in ball.elements
-                if subgroup.contains(g) and g != spec.identity()]
     out = []
     deep = []
     for ci, comp in enumerate(comps):
@@ -487,11 +490,11 @@ def codim_one_analysis(ball, subgroup, d):
         frontier = [i for i in members if adj[i] & removed]
         out.append({"id": ci, "size": len(members), "deep": is_deep,
                     "frontier_size": len(frontier),
-                    "frontier_orbits": _orbit_count(ball, hmembers, frontier)})
+                    "frontier_orbits": _orbit_count(images, frontier)})
         if is_deep:
             deep.append(comp)
     # partial H-orbit classes of deep components
-    classes = _orbit_count(ball, hmembers, bits(sum(deep)), glue=deep)
+    classes = _orbit_count(images, bits(sum(deep)), glue=deep)
     return {"d": d, "n_components": len(comps),
             "n_deep": len(deep), "deep_orbit_classes": classes,
             "components": out, "caveat": TRUNCATION_CAVEAT}
@@ -523,11 +526,9 @@ class ActionMap:
         domain bit), and its preimage translate g⁻¹t, truncated to
         vacuous, the side forced on it when it is no wall's image."""
         spec = ball.spec
-        pm = {}
-        for x in ball.elements:
-            gx = spec.mul(g, x)
-            if ball.contains(gx):
-                pm[spec.name(x)] = spec.name(gx)
+        names = ball.names
+        pm = {names[i]: names[j] for i, j in enumerate(ball.image(g))
+              if j is not None}
         wm, forced, dom_bits = {}, {}, {}
         if ws is not None and meta is not None:
             ginv = spec.inv(g)

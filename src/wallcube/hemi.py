@@ -14,20 +14,19 @@ from .errors import EmptySubcomplex, NotAHemiwallspace, WallcubeError
 from .metric import bits
 
 
-class InducedVariant(namedtuple("InducedVariant", "kind r tau r_max")):
+class InducedVariant(namedtuple("InducedVariant", "kind r tau")):
     """The rule of `induce_hemi`: `kind` is "U0", "Ur", "Uinf", "Ustar" or
-    "UrStar"; r >= 0, tau >= 1, and r_max >= 0 or None."""
+    "UrStar"; r >= 0 and tau >= 1."""
 
     __slots__ = ()
 
-    def __new__(cls, kind, r=0, tau=1, r_max=None):
+    def __new__(cls, kind, r=0, tau=1):
         if kind not in ("U0", "Ur", "Uinf", "Ustar", "UrStar"):
             raise WallcubeError(f"kind: unknown variant {kind!r}")
-        for name, x, low in (("r", r, 0), ("tau", tau, 1),
-                             ("r_max", r_max, 0)):
-            if x is not None and not x >= low:
+        for name, x, low in (("r", r, 0), ("tau", tau, 1)):
+            if not x >= low:
                 raise WallcubeError(f"{name}: {x!r} is not >= {low}")
-        return super().__new__(cls, kind, r, tau, r_max)
+        return super().__new__(cls, kind, r, tau)
 
 
 class Hemiwallspace:
@@ -74,10 +73,11 @@ def induce_hemi(ws, P, variant):
       Ur:     N = N_r(P),      U ∩ N nonempty
       Uinf:   N = N_0(P),      diam(U ∩ N) >= tau  (tau stands in for ∞)
       UrStar: N = N_r(P),      diam(U ∩ N) >= tau
-      Ustar:  N = N_r_max(P),  diam(U ∩ N) >= tau
-    Ustar asks for some r <= r_max (default: the diameter); N_r(P), and
-    with it diam(U ∩ N_r(P)), only grows with r, so r_max works iff some
-    r <= r_max does.
+      Ustar:  N = X,           diam(U ∩ N) >= tau
+    Ustar asks for some radius r; N_r(P), and with it diam(U ∩ N_r(P)),
+    only grows with r, up to X at r = the diameter (inf when the metric
+    is disconnected), so X works iff some r does.  UrStar is its bounded
+    form.
     """
     pmask = P if isinstance(P, int) else ws.mask_of(P)
     if pmask == 0:
@@ -87,10 +87,8 @@ def induce_hemi(ws, P, variant):
         near = pmask
     else:
         metric = ws.require_metric()
-        r = {"Ur": variant.r, "UrStar": variant.r, "Uinf": 0,
-             "Ustar": variant.r_max}[kind]
-        # N_r(P) at r = the diameter (inf when disconnected) is every point
-        near = ws.full if r is None else metric.ball(pmask, r)
+        near = ws.full if kind == "Ustar" else \
+            metric.ball(pmask, 0 if kind == "Uinf" else variant.r)
 
     def retained(side_mask):
         if kind in ("U0", "Ur"):

@@ -81,6 +81,19 @@ def field(doc, key, path, kind=ANY, default=_REQUIRED):
     return x
 
 
+def integer(text, what, low=None):
+    """The integer `text` (or int), at least any given `low`; a ParseError
+    `WHAT 'x' is not an integer` or `WHAT n is not >= low` otherwise, WHAT
+    naming the value, as in `RADIUS:` or `grid: size`."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise ParseError(f"{what} {text!r} is not an integer") from None
+    if low is not None and n < low:
+        raise ParseError(f"{what} {n} is not >= {low}")
+    return n
+
+
 def wallspace_from_dict(doc):
     try:
         points = field(doc, "points", "points", LIST)

@@ -280,8 +280,5 @@ class Metric:
         return sum(1 << i for i in bits(mask) if adj[i] & ~mask)
 
     def diameter(self):
-        """The largest distance; without a table, the largest over each
-        point's rings, so a unit-weight metric does not build the table."""
-        rows = self._table or [[d for d, _ring in self.rings(1 << s)]
-                               for s in range(self.n)]
-        return max(map(max, rows), default=0.0)
+        """The largest distance, 0.0 on no points."""
+        return self.diam((1 << self.n) - 1) or 0.0

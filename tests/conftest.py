@@ -9,8 +9,11 @@ level scan.  The maximal-cube, sub-complex and NPC oracles read a complex
 through its `Cube` views and its export document, never its cell store.
 The flip-search oracle for `build_dual` steps with the library's one-wall
 flip test, which `test_flippable_matches_validity` checks against the
-valid orientations, but not with its 2-SAT search.  The induced-hemi
-oracle takes a neighbourhood per side and scans U*'s radii one by one.
+valid orientations, but not with its 2-SAT search.  The loop-contraction,
+H-wall, codimension-1 and point-map oracles are the library's earlier
+forms: every same-wall pair listed per pass, and a group product per
+H-member and point for each check.  The induced-hemi oracle takes a
+neighbourhood per side and scans U*'s radii one by one.
 `OracleMetric` answers every metric query from the full table of
 per-source breadth-first (or Dijkstra) rows, and the separation oracles
 are the pair-by-pair scans that ran on it, item list and all.
@@ -22,10 +25,16 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from wallcube.complex import Cube, CubeComplex, OrientationEngine
-from wallcube.errors import NotAHemiwallspace, WallcubeError
+from wallcube.complex import Cube, CubeComplex, OrientationEngine, _edge_wall
+from wallcube.errors import (
+    NotAHemiwallspace,
+    NotInComplex,
+    StuckLoop,
+    WallcubeError,
+)
+from wallcube.groups import TRUNCATION_CAVEAT, _translate
 from wallcube.hemi import Hemiwallspace
-from wallcube.metric import INF, Metric, _dijkstra, bits, compress
+from wallcube.metric import INF, Metric, _dijkstra, bits, components, compress
 from wallcube.separation import (
     WALL_DISTANCE_NOTE,
     _largest_fraction_at_most,
@@ -34,6 +43,7 @@ from wallcube.separation import (
     wall_region,
 )
 from wallcube.wallspace import (
+    Report,
     Wall,
     Wallspace,
     separating,
@@ -188,6 +198,57 @@ def oracle_build_dual(ws, p):
                 seen.add(m2)
                 q.append(m2)
     return sorted(seen)
+
+
+def oracle_contract_loop(cc, loop):
+    """`contract_loop` as it listed every pair (p, q) of edges on one wall
+    with no wall repeated strictly between them, and took the least by
+    (p, q - p): O(L³) a pass."""
+    path = list(loop)
+    if len(path) >= 2 and path[0] != path[-1]:
+        raise WallcubeError("loop is not closed")
+    for a, b in zip(path, path[1:]):
+        d = a ^ b
+        if not d or d & (d - 1) or not cc.has_cell(a, d):
+            raise NotInComplex((a, b))
+    moves = []
+    while len(path) > 1:
+        # 1. leftmost backtrack
+        bt = next((p for p in range(len(path) - 2)
+                   if path[p] == path[p + 2]), None)
+        if bt is not None:
+            moves.append(("backtrack", bt))
+            del path[bt + 1:bt + 3]
+            continue
+        # 2. innermost pair of edges dual to the same wall: no wall repeats
+        #    strictly between them; smallest (p, q-p) lexicographically
+        nedges = len(path) - 1
+        walls = [_edge_wall(path[t], path[t + 1]) for t in range(nedges)]
+        inner = []
+        for p in range(nedges):
+            for q in range(p + 1, nedges):
+                if walls[p] != walls[q]:
+                    continue
+                inside = walls[p + 1:q]
+                if walls[p] not in inside and len(set(inside)) == len(inside):
+                    inner.append((p, q))
+        if not inner:
+            raise StuckLoop("no backtrack and no innermost pair")
+        p, q = min(inner, key=lambda pq: (pq[0], pq[1] - pq[0]))
+        # push edge q leftward with square swaps until adjacent to edge p
+        while q > p + 1:
+            u, mid, v = path[q - 1], path[q], path[q + 1]
+            w1, w2 = _edge_wall(u, mid), _edge_wall(mid, v)
+            if not cc.has_cell(u, 1 << w1 | 1 << w2):
+                raise StuckLoop(
+                    f"square on walls {sorted((w1, w2))} missing at step {q}")
+            new_mid = u ^ (1 << w2)
+            moves.append(("square", q - 1,
+                          tuple(sorted((cc.ws.walls[w1].index,
+                                        cc.ws.walls[w2].index)))))
+            path[q] = new_mid
+            q -= 1
+    return moves
 
 
 def oracle_max_transverse_families(ws):
@@ -425,11 +486,11 @@ def forget_unpaired(hemi):
 
 def oracle_induce_hemi(ws, P, variant):
     """`induce_hemi` with a neighbourhood taken per side, and U* as a scan
-    over every distinct distance up to r_max:
+    over every distinct distance up to the diameter:
       U0:     U ∩ P nonempty
       Ur:     U ∩ N_r(P) nonempty
       Uinf:   diam(U ∩ P) >= tau
-      Ustar:  diam(U ∩ N_r(P)) >= tau for some r <= r_max
+      Ustar:  diam(U ∩ N_r(P)) >= tau for some r
       UrStar: diam(U ∩ N_r(P)) >= tau
     """
     pmask = P if isinstance(P, int) else ws.mask_of(P)
@@ -459,9 +520,7 @@ def oracle_induce_hemi(ws, P, variant):
             return big(side_mask, 0)
         if kind == "UrStar":
             return big(side_mask, variant.r)
-        r_max = variant.r_max
-        if r_max is None:
-            r_max = metric.diameter()
+        r_max = metric.diameter()
         radii = sorted({0.0, r_max}
                        | {d for row in metric.dist for d in row
                           if 0 < d <= r_max})
@@ -497,6 +556,115 @@ def oracle_ball_metric(ball):
             d = spec.length(spec.mul(spec.inv(elements[i]), elements[j]))
             dist[i][j] = dist[j][i] = d
     return dist
+
+
+def oracle_build_hwall(ball, hw):
+    """`build_hwall` as it multiplied each element of H ∩ ball by the ball
+    points once per check: the invariance scan, each orbit count and the
+    side-swap test."""
+    spec = ball.spec
+    u, v = _translate(ball, hw, spec.identity())
+    hmembers = [g for g in ball.elements
+                if hw.subgroup.contains(g) and g != spec.identity()]
+    violations = []
+    for h in hmembers:
+        for i, g in enumerate(ball.elements):
+            j = ball.by_elem.get(spec.mul(h, g))
+            if j is not None and (u >> i ^ u >> j | v >> i ^ v >> j) & 1:
+                violations.append({"h": spec.name(h), "g": spec.name(g)})
+    carrier = u & v
+    carrier_orbits = _oracle_orbit_count(ball, hmembers, bits(carrier))
+    frontier_orbits = {}
+    for tag, side in (("U", u), ("V", v)):
+        fr = ball.metric.frontier(side)
+        frontier_orbits[tag] = _oracle_orbit_count(ball, hmembers, bits(fr))
+    # side-swapping elements of H (the index-2 coset of the side stabilizer)
+    swappers = [h for h in hmembers if _oracle_swaps_sides(ball, h, u, v)]
+    if swappers:
+        hdotdot = "violated" if violations else "verified (side-swappers present)"
+    else:
+        hdotdot = "vacuous at this radius (no side-swapping element in ball)"
+    rep = Report(
+        cut=("invariance_violations", 10),
+        ok=not violations,
+        coverage_ok=True,
+        invariance_violations=violations,
+        carrier_orbits=carrier_orbits,
+        frontier_orbits=frontier_orbits,
+        hdotdot_status=hdotdot,
+        caveat=TRUNCATION_CAVEAT,
+    )
+    return Wall(hw.index or 0, u, v), rep
+
+
+def _oracle_swaps_sides(ball, h, u, v):
+    spec = ball.spec
+    for i in bits(u & ~v):
+        hg = spec.mul(h, ball.elements[i])
+        j = ball.by_elem.get(hg)
+        if j is not None:
+            return bool((v & ~u) >> j & 1)
+    return False
+
+
+def _oracle_orbit_count(ball, hmembers, indices, glue=()):
+    """Partial H-orbit count of the given ball-element indices; the indices
+    of each bitmask in `glue` count as one piece."""
+    spec = ball.spec
+    mask = sum(1 << i for i in indices)
+    adj = [0] * len(ball.elements)
+    for h in hmembers:
+        for i in indices:
+            j = ball.by_elem.get(spec.mul(h, ball.elements[i]))
+            if j is not None and mask >> j & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    for piece in glue:
+        for i in bits(piece):
+            adj[i] |= piece
+    return len(components(adj, mask))
+
+
+def oracle_codim_one_analysis(ball, subgroup, d):
+    """`codim_one_analysis` with a product per H-member and point of each
+    set whose orbits it counts."""
+    hmask = ball.mask_of(subgroup.contains)
+    removed = ball.metric.ball(hmask, d) if hmask else 0
+    adj = ball.metric.adjacency()
+    keep = ((1 << len(ball.elements)) - 1) & ~removed
+    comps = components(adj, keep)  # ordered by lowest element
+    spec = ball.spec
+    hmembers = [g for g in ball.elements
+                if subgroup.contains(g) and g != spec.identity()]
+    out = []
+    deep = []
+    for ci, comp in enumerate(comps):
+        members = bits(comp)
+        is_deep = any(spec.length(ball.elements[i]) == ball.radius
+                      for i in members)
+        frontier = [i for i in members if adj[i] & removed]
+        out.append({"id": ci, "size": len(members), "deep": is_deep,
+                    "frontier_size": len(frontier),
+                    "frontier_orbits": _oracle_orbit_count(ball, hmembers,
+                                                           frontier)})
+        if is_deep:
+            deep.append(comp)
+    # partial H-orbit classes of deep components
+    classes = _oracle_orbit_count(ball, hmembers, bits(sum(deep)), glue=deep)
+    return {"d": d, "n_components": len(comps),
+            "n_deep": len(deep), "deep_orbit_classes": classes,
+            "components": out, "caveat": TRUNCATION_CAVEAT}
+
+
+def oracle_point_map(ball, g):
+    """The point map of `ActionMap.from_element`, a product per point."""
+    spec = ball.spec
+    pm = {}
+    for x in ball.elements:
+        gx = spec.mul(g, x)
+        if gx in ball.by_elem:
+            pm[spec.name(x)] = spec.name(gx)
+    return pm
 
 
 def oracle_dumps(obj):

@@ -11,6 +11,7 @@ from conftest import (
     cube_key,
     oracle_all_vertices,
     oracle_build_dual,
+    oracle_contract_loop,
     oracle_complete_skeleton,
     oracle_cube_distance,
     oracle_is_zero_cube,
@@ -47,8 +48,10 @@ from wallcube.errors import (
 )
 from wallcube.generators import fig3, grid, non_hausdorff3, rbad
 from wallcube.groups import (
+    CoordinateSubgroup,
     CyclicSubgroup,
     Free,
+    FreeAbelian,
     HWallSpec,
     cayley_ball,
     generate_hwall_system,
@@ -417,6 +420,71 @@ def test_contract_loop_stuck_without_square():
     loop = [v[0], v[1], v[3], v[2], v[0]]
     with pytest.raises(StuckLoop):
         contract_loop(cc, loop)
+
+
+def closed_walks(cc, rng, count):
+    """Random closed walks: a random walk out, then a random geodesic
+    back, each step flipping a wall on which the walk and its start
+    differ."""
+    walks = []
+    for _ in range(count):
+        start = rng.choice(cc.vertices)
+        walk = [start]
+        for _ in range(rng.randint(1, 12)):
+            walk.append(rng.choice(cc.adj[walk[-1]])[0])
+        while walk[-1] != start:
+            walk.append(rng.choice([m for m, i in cc.adj[walk[-1]]
+                                    if (walk[-1] ^ start) >> i & 1]))
+        walks.append(walk)
+    return walks
+
+
+def z2_dual(radius):
+    spec = FreeAbelian(2)
+    ws, _meta = generate_hwall_system(cayley_ball(spec, radius), [
+        HWallSpec(CoordinateSubgroup(spec, {1 - axis}), "coordinate",
+                  axis=axis, index=axis) for axis in (0, 1)])
+    return build_dual(ws, ws.points[0])
+
+
+def loop_outcome(contract, cc, loop):
+    try:
+        return contract(cc, loop)
+    except WallcubeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_dual(grid(3), "0,0"), lambda: build_dual(rbad(3), "0"),
+    lambda: z2_dual(3), lambda: build_dual(fig3(), "a")],
+    ids=["grid 3", "rbad 3", "Z2 r3", "fig3"])
+def test_contract_loop_matches_oracle(make):
+    # the next same-wall edge is the only partner an edge can have, so one
+    # scan per pass makes the moves of the scan over every pair
+    cc = make()
+    for walk in closed_walks(cc, random.Random(19), 300):
+        assert loop_outcome(contract_loop, cc, walk) == \
+            loop_outcome(oracle_contract_loop, cc, walk)
+    hollow = strip_cells(build_dual(grid(1), "0,0"), 2)
+    v = sorted(hollow.vertices)
+    loop = [v[0], v[1], v[3], v[2], v[0]]
+    assert loop_outcome(contract_loop, hollow, loop) == \
+        loop_outcome(oracle_contract_loop, hollow, loop)
+    assert loop_outcome(contract_loop, hollow, loop)[0] == "StuckLoop"
+
+
+def test_canonical_orientation_of_a_valid_wallspace_is_a_zero_cube():
+    # the proof in build_dual: the walls of a wallspace that validates
+    # cover X, so toward_point(p) chooses sides that all hold p
+    checked, seed = 0, 0
+    while checked < 400:
+        ws = random_wallspace(seed, with_metric=False)
+        seed += 1
+        if not validate(ws).ok:
+            continue
+        eng = OrientationEngine(ws)
+        assert all(eng.is_valid(eng.toward_point(p)) for p in ws.points)
+        checked += 1
 
 
 def test_single_vacuous_wall_dual():

@@ -9,10 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_ball_metric
+from conftest import (
+    oracle_ball_metric,
+    oracle_build_hwall,
+    oracle_codim_one_analysis,
+    oracle_point_map,
+)
 from wallcube import complex as complex_mod
 from wallcube.complex import build_dual
-from wallcube import groups
+from wallcube import groups, io
+from wallcube.cli import _default_hwalls
 from wallcube.errors import (
     NotAnAutomorphism,
     StateSpaceCap,
@@ -301,6 +307,40 @@ def test_build_hwall_invariance_violations_carry_total():
     _wall, rep = build_hwall(ball, HWallSpec(CyclicSubgroup(F2, "a"),
                                              "branch", axis="a"))
     assert "invariance_violations_total" not in rep.to_dict()
+
+
+# the default H-walls, and two whose subgroup crosses its own wall, so
+# that some element of H swaps the sides
+HWALL_CASES = {
+    "Z2": (Z2, _default_hwalls(Z2)),
+    "F2": (F2, _default_hwalls(F2)),
+    "Z2 coords [0] axis 0": (Z2, [HWallSpec(CoordinateSubgroup(Z2, [0]),
+                                            "coordinate", axis=0)]),
+    "F2 <ab> branch a": (F2, [HWallSpec(CyclicSubgroup(F2, "ab"), "branch",
+                                        axis="a")]),
+}
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", list(HWALL_CASES))
+def test_group_layer_matches_a_product_per_check(case, radius):
+    # one image of the ball per element of H ∩ ball serves every check
+    spec, hws = HWALL_CASES[case]
+    ball = cayley_ball(spec, radius)
+    for hw in hws:
+        wall, rep = build_hwall(ball, hw)
+        owall, orep = oracle_build_hwall(ball, hw)
+        assert wall == owall
+        assert io.dumps(rep.to_dict()) == io.dumps(orep.to_dict())
+        if radius >= 3 and case not in ("Z2", "F2"):
+            # the side-swapper branch
+            assert rep.hdotdot_status == "violated"
+        for d in range(radius + 1):
+            assert io.dumps(codim_one_analysis(ball, hw.subgroup, d)) == \
+                io.dumps(oracle_codim_one_analysis(ball, hw.subgroup, d))
+    for g in ball.elements:
+        assert ActionMap.from_element(ball, g).point_map == \
+            oracle_point_map(ball, g)
 
 
 def test_hwall_rules_put_the_identity_on_both_sides():

@@ -60,10 +60,6 @@ def test_variant_validation():
         InducedVariant("Ur", r=-1)
     with pytest.raises(WallcubeError, match="^tau: 0 is not >= 1"):
         InducedVariant("Uinf", tau=0)
-    # the one input where U* at r_max differs from a scan of r <= r_max,
-    # which always tries r = 0
-    with pytest.raises(WallcubeError, match="^r_max: -1 is not >= 0"):
-        InducedVariant("Ustar", r_max=-1)
 
 
 def test_u0_retention_direct():
@@ -96,10 +92,10 @@ def test_uinf_large_tau_raises():
 
 def test_ustar_scans_radii():
     ws = grid(3)
-    # a side is retained under Ustar iff some radius r <= r_max retains it
-    # under UrStar, so Ustar's fixed set is contained in UrStar's at every
-    # radius where the latter is defined
-    star = induce_hemi(ws, ["0,0"], InducedVariant("Ustar", tau=2, r_max=6))
+    # a side is retained under Ustar iff some radius r retains it under
+    # UrStar, so Ustar's fixed set is contained in UrStar's at every radius
+    # where the latter is defined; grid 3's diameter is 6
+    star = induce_hemi(ws, ["0,0"], InducedVariant("Ustar", tau=2))
     for r in range(7):
         try:
             at_r = induce_hemi(ws, ["0,0"],
@@ -137,8 +133,7 @@ def metric_wallspaces(draw):
 variants = st.builds(
     InducedVariant, st.sampled_from(["U0", "Ur", "Uinf", "Ustar", "UrStar"]),
     r=st.integers(0, 5) | st.floats(0, 5),
-    tau=st.integers(1, 5) | st.floats(1, 5),
-    r_max=st.none() | st.integers(0, 6) | st.floats(0, 6))
+    tau=st.integers(1, 5) | st.floats(1, 5))
 
 
 def outcome(induce, ws, P, variant):
@@ -154,7 +149,7 @@ def outcome(induce, ws, P, variant):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_induce_hemi_matches_oracle(data):
-    # one neighbourhood and one rule per variant, U* at r_max only, against
+    # one neighbourhood and one rule per variant, U* on X only, against
     # a neighbourhood per side and U*'s scan over every distance
     ws = data.draw(metric_wallspaces())
     P = data.draw(st.integers(1, ws.full))

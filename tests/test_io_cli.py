@@ -757,12 +757,34 @@ def test_cli_survives_any_field_value(command_doc, data):
     (["gen", "geomPath", "-1"], "geomPath: size -1 is not >= 0"),
     (["sweep", "--generator", "rbad", "--ns", "2,0"],
      "rbad: size 0 is not >= 1"),
+    # each of these once exited 1, or ran to exit 0
+    (["gen", "cayley", "Z2", "-1"], "RADIUS: -1 is not >= 0"),
+    (["gen", "cayley", "Z0", "1"], "GROUP Z0: need d >= 1"),
+    (["gen", "cayley", "F30", "1"], "GROUP F30: need 1 <= rank <= 26"),
+    (["gen", "grid", "3", "4"], "grid takes one size N, got also '4'"),
+    (["gen", "fig3", "7"], "fig3 takes no argument, got '7'"),
+    (["sweep", "--generator", "fig3", "--ns", "2"],
+     "fig3 takes no argument, got 2"),
 ])
 def test_cli_malformed_arguments(args, where):
     r = run_cli(args, stdin=run_cli(["gen", "grid", "2"]).stdout)
     assert r.exit_code == 2 and r.exception is None and r.stdout == ""
     err = json.loads(r.stderr)
     assert err["error"] == "ParseError" and where in err["detail"]
+
+
+@pytest.mark.parametrize("prop, key", [
+    ("linear-separation", "max_denominator"),
+    ("linear-separation", "max_offset"), ("ball-ball", "r"),
+    ("compact-wall", "K"), ("ball-wallnbd", "Y"), ("wallnbd-wallnbd", "r"),
+    ("packing", "subsets"), ("packing", "D")])
+def test_cli_diagnose_null_param_takes_its_default(prop, key):
+    grid2 = run_cli(["gen", "grid", "2"]).stdout
+    default = run_cli(["diagnose", "-", "--property", prop], stdin=grid2)
+    r = run_cli(["diagnose", "-", "--property", prop,
+                 "--params", json.dumps({key: None})], stdin=grid2)
+    assert default.exit_code == 0 and r.exit_code == 0
+    assert r.stdout == default.stdout
 
 
 @pytest.mark.parametrize("metric", [

@@ -260,6 +260,19 @@ def test_ball_and_set_distances():
     assert m.frontier(0b11) == 0b10
 
 
+def test_diameter_is_the_largest_distance():
+    for m in (Metric.from_edges(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1)]),
+              Metric.from_edges(4, [(0, 1, 2.5), (1, 2, 1), (2, 3, 0.5)]),
+              Metric([[0, 1, 3], [1, 0, 2], [3, 2, 0]]),
+              Metric.from_edges(3, [(0, 1, 1)]),
+              Metric.from_edges(3, [(0, 1, 0.5)]),
+              Metric.from_edges(1, []), Metric([[0]])):
+        assert m.diameter() == max(map(max, m.dist))
+    assert Metric.from_edges(3, [(0, 1, 1)]).diameter() == INF
+    assert Metric.from_edges(0, []).diameter() == 0.0
+    assert Metric([]).diameter() == 0.0
+
+
 def run_python(code, *args, cwd=None):
     """`python -c code *args` in a fresh interpreter that imports wallcube
     from this source tree."""
