@@ -326,8 +326,7 @@ def cmd_act(args):
     }
     if subs:
         cc = build_dual(ws, ws.points[0])
-        peripheries = [[n for n, g in zip(ball.names, ball.elements)
-                        if sub.contains(g)] for sub in subs]
+        peripheries = [ball.mask_of(sub.contains) for sub in subs]
         rep = groups.rel_cocompact_check(ws, cc, peripheries, variant, m=m)
         payload["decomposition"] = rep.to_dict()
     _emit(payload, digest=digest)
@@ -414,16 +413,16 @@ def _parser():
         sub.set_defaults(run=run)
         return sub
 
-    def int_option(sub, flag, default, kind=int):
+    # option values are checked here: a bad one is a usage error
+    def int_option(sub, flag, default, low=None):
+        def kind(text):
+            try:
+                return io.integer(text, "value", low)
+            except ParseError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
         sub.add_argument(flag, type=kind, default=default,
                          help="(default: %(default)s)")
-
-    # option values are checked here: a bad one is a usage error
-    def natural(text):
-        n = int(text)
-        if n < 0:
-            raise argparse.ArgumentTypeError(f"{n} is negative")
-        return n
 
     def checks(text):
         names = text.split(",")
@@ -448,7 +447,7 @@ def _parser():
     sub.add_argument("--basepoint")
     sub.add_argument("--export")
     sub.add_argument("--dot")
-    int_option(sub, "--cap-vertices", DEFAULT_VERTEX_CAP, natural)
+    int_option(sub, "--cap-vertices", DEFAULT_VERTEX_CAP, 0)
 
     sub = command("verify", cmd_verify,
                   "Check the dual cube complex of a wallspace.")
@@ -456,7 +455,7 @@ def _parser():
     sub.add_argument("--checks", type=checks, default=",".join(ALL_CHECKS),
                      help="(default: %(default)s)")
     int_option(sub, "--seed", 0)
-    int_option(sub, "--cap-vertices", DEFAULT_VERTEX_CAP, natural)
+    int_option(sub, "--cap-vertices", DEFAULT_VERTEX_CAP, 0)
 
     sub = command("diagnose", cmd_diagnose,
                   "Run one separation diagnostic.")

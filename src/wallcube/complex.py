@@ -240,9 +240,7 @@ class CubeComplex:
                 walls = frozenset(bits(wmask))
                 by_dim.setdefault(len(walls), set()).update(
                     Cube(b, walls) for b in bases)
-        # built up, then copied: each set's layout, so the order of
-        # all_cubes() and of the reports that follow it, depends on both
-        return {k: set(cs) for k, cs in sorted(by_dim.items())}
+        return dict(sorted(by_dim.items()))
 
     def nvertices(self):
         return len(self.vertices)

@@ -19,7 +19,7 @@ from functools import reduce
 from itertools import combinations, repeat
 from operator import add, neg
 
-from .complex import canonical_cube
+from .complex import _corners, canonical_cube
 from .errors import (
     NotAnAutomorphism,
     ParseError,
@@ -27,7 +27,7 @@ from .errors import (
     UnknownGenerator,
     WallcubeError,
 )
-from .hemi import induce_hemi, represented_in
+from .hemi import induce_hemi
 from .io import INT, field, one_of
 from .metric import Metric, bits, components
 from .wallspace import MAX_POINTS, Report, Wall, Wallspace
@@ -504,19 +504,18 @@ def codim_one_analysis(ball, subgroup, d):
 
 
 class ActionMap:
-    """Left multiplication by a group element, restricted to a ball; induces
-    a partial permutation of points and (when a wall system's bookkeeping is
-    supplied) of walls.  `check` is its one consistency check."""
+    """Left multiplication by a group element, restricted to a ball, as
+    partial maps of its point positions and (given a wall system's
+    bookkeeping) wall positions.  `check` is its one consistency check."""
 
     def __init__(self, point_map, wall_map, forced_bits=None,
                  domain_bits=None):
-        self.point_map = dict(point_map)    # point name -> point name
-        self.wall_map = dict(wall_map)      # wall index -> (index, swap)
-        # wall index -> side, for image walls whose preimage wall truncates
-        # to vacuous (its orientation in the image is forced)
+        self.point_map = dict(point_map)    # point position -> position
+        self.wall_map = dict(wall_map)      # wall position -> (pos, swap)
+        # wall position -> side: forced on an image wall whose preimage
+        # truncates to vacuous, and, as a domain bit, the side a vertex
+        # must choose to have an image (the other maps outside the ball)
         self.forced_bits = dict(forced_bits or {})
-        # wall index -> side a vertex must choose to have an image at all:
-        # the other side of the wall maps outside the truncation
         self.domain_bits = dict(domain_bits or {})
 
     @classmethod
@@ -524,11 +523,10 @@ class ActionMap:
         """The action of g, in one pass over the walls: each wall's image
         translate gt gives its image wall (or, truncated to vacuous, a
         domain bit), and its preimage translate g⁻¹t, truncated to
-        vacuous, the side forced on it when it is no wall's image."""
+        vacuous, the side forced on it when it is no wall's image.  The
+        walls of an H-wall system are indexed by their positions."""
         spec = ball.spec
-        names = ball.names
-        pm = {names[i]: names[j] for i, j in enumerate(ball.image(g))
-              if j is not None}
+        pm = {i: j for i, j in enumerate(ball.image(g)) if j is not None}
         wm, forced, dom_bits = {}, {}, {}
         if ws is not None and meta is not None:
             ginv = spec.inv(g)
@@ -538,7 +536,7 @@ class ActionMap:
                 gu, gv = _translate(ball, hw, spec.inv(spec.mul(g, t)))
                 j = meta.pair_index.get((frozenset((gu, gv)), pos))
                 if j is not None:
-                    wm[idx] = (j, ws.wall(j).left != gu)
+                    wm[idx] = (j, ws.walls[j].left != gu)
                 elif bool(gu) != bool(gv):
                     dom_bits[idx] = int(not gu)
                 # every ball vertex orients a vacuous preimage translate
@@ -552,55 +550,48 @@ class ActionMap:
 
     def check(self, ws):
         """Raise NotAnAutomorphism on any inconsistency on the domain; what
-        it checks implies the rest (see `verify_equivariance`)."""
-        vals = list(self.point_map.values())
-        if len(set(vals)) != len(vals):
+        it checks implies the rest (see `verify_equivariance`).  The
+        witness names the points and the wall indices."""
+        if len(set(self.point_map.values())) != len(self.point_map):
             raise NotAnAutomorphism("point map not injective")
+        names = ws.points
         if ws.metric is not None:
+            d = ws.metric.d
             for x, y in combinations(self.point_map, 2):
-                dxy = ws.metric.d(ws.point_index[x], ws.point_index[y])
-                dgxy = ws.metric.d(ws.point_index[self.point_map[x]],
-                                   ws.point_index[self.point_map[y]])
+                dxy, dgxy = d(x, y), d(self.point_map[x], self.point_map[y])
                 if dxy != dgxy:
-                    raise NotAnAutomorphism(
-                        {"pair": [x, y], "d": dxy, "d_image": dgxy})
+                    raise NotAnAutomorphism({"pair": [names[x], names[y]],
+                                             "d": dxy, "d_image": dgxy})
         for i, (j, swap) in self.wall_map.items():
-            wi, wj = ws.wall(i), ws.wall(j)
+            wi, wj = ws.walls[i], ws.walls[j]
             tgt_l, tgt_r = (wj.right, wj.left) if swap else (wj.left, wj.right)
             for x, gx in self.point_map.items():
-                bx, bgx = ws.point_bit(x), ws.point_bit(gx)
-                if bool(wi.left & bx) != bool(tgt_l & bgx) or \
-                        bool(wi.right & bx) != bool(tgt_r & bgx):
-                    raise NotAnAutomorphism(
-                        {"wall": i, "image": j, "point": x})
+                if (wi.left >> x ^ tgt_l >> gx |
+                        wi.right >> x ^ tgt_r >> gx) & 1:
+                    raise NotAnAutomorphism({"wall": wi.index,
+                                             "image": wj.index,
+                                             "point": names[x]})
 
-    def point_mask_power(self, ws, n):
+    def point_mask_power(self, n):
         """Returns a function applying the n-th power of the point map to a
         bitmask (dropping points that leave the domain)."""
-        fwd = {ws.point_index[a]: ws.point_index[b]
-               for a, b in self.point_map.items()}
+        fwd = self.point_map
         if n < 0:
             fwd = {b: a for a, b in fwd.items()}
             n = -n
 
         def apply(mask):
             for _ in range(n):
-                out = 0
-                for b in bits(mask):
-                    if b in fwd:
-                        out |= 1 << fwd[b]
-                mask = out
+                mask = sum({1 << fwd[b] for b in bits(mask) if b in fwd})
             return mask
 
         return apply
 
     def wall_power(self, i, n):
-        """n-th power of the wall map at wall i; None when undefined."""
+        """n-th power of the wall map at position i; None when undefined."""
         fwd = self.wall_map
         if n < 0:
-            fwd = {}
-            for a, (b, swap) in self.wall_map.items():
-                fwd[b] = (a, swap)
+            fwd = {b: (a, swap) for a, (b, swap) in fwd.items()}
             n = -n
         j, flip = i, False
         for _ in range(n):
@@ -610,10 +601,10 @@ class ActionMap:
             flip ^= s
         return j, flip
 
-    def fixes_vertex(self, ws, m):
+    def fixes_vertex(self, m):
         """gc = c on every mapped wall (and some wall is mapped)."""
         return bool(self.wall_map) and all(
-            (m >> ws.wall_pos[i] ^ m >> ws.wall_pos[j]) & 1 == swap
+            (m >> i ^ m >> j) & 1 == swap
             for i, (j, swap) in self.wall_map.items())
 
 
@@ -633,25 +624,28 @@ def verify_equivariance(ws, action, cc):
     """
     action.check(ws)
     violations = []
-    phi = _vertex_map(ws, action)
-    vset = set(cc.vertices)
-    dom_req = {ws.wall_pos[i]: s for i, s in action.domain_bits.items()}
+    # the vertex map: a wall that is no mapped wall's image takes its
+    # forced side, or, with no image information, keeps its side
+    targets = sum({1 << j for j, _s in action.wall_map.values()})
+    forced = action.forced_bits
+    keep = (1 << ws.nwalls()) - 1 & ~targets & ~sum(1 << p for p in forced)
+    ones = sum(1 << p for p, s in forced.items() if s) & ~targets
     domain = {}
     for m in cc.vertices:
-        if any((m >> pos) & 1 != s for pos, s in dom_req.items()):
+        if any((m >> pos) & 1 != s for pos, s in action.domain_bits.items()):
             continue  # image falls outside the truncated system
-        img = phi(m)
-        if img in vset:
+        img = m & keep | ones
+        for pos, (j, s) in action.wall_map.items():
+            img |= ((m >> pos & 1) ^ bool(s)) << j
+        if img in cc.vid:
             domain[m] = img
     if len(set(domain.values())) != len(domain):
         violations.append({"kind": "NotInjective"})
     preserved = 0
-    wall_img = {ws.wall_pos[i]: ws.wall_pos[j]
-                for i, (j, _s) in action.wall_map.items()}
     for u, v, w in cc.edges:
-        if u in domain and v in domain and w in wall_img:
+        if u in domain and v in domain and w in action.wall_map:
             d = domain[u] ^ domain[v]
-            if d == 1 << wall_img[w]:
+            if d == 1 << action.wall_map[w][0]:
                 preserved += 1
             else:
                 violations.append({"kind": "EdgeNotPreserved",
@@ -659,25 +653,6 @@ def verify_equivariance(ws, action, cc):
     return Report(cut=("violations", 10), ok=not violations,
                   domain_vertices=len(domain), preserved_edges=preserved,
                   violations=violations)
-
-
-def _vertex_map(ws, action):
-    wall_img = {ws.wall_pos[i]: (ws.wall_pos[j], s)
-                for i, (j, s) in action.wall_map.items()}
-    targets = sum({1 << j for j, _s in wall_img.values()})
-    forced = {ws.wall_pos[i]: s for i, s in action.forced_bits.items()}
-    # a wall that is no mapped wall's image takes its forced side, or,
-    # with no image information, keeps its side
-    keep = (1 << ws.nwalls()) - 1 & ~targets & ~sum(1 << p for p in forced)
-    ones = sum(1 << p for p, s in forced.items() if s) & ~targets
-
-    def phi(m):
-        out = m & keep | ones
-        for pos, (j, s) in wall_img.items():
-            out |= ((m >> pos & 1) ^ bool(s)) << j
-        return out
-
-    return phi
 
 
 # -- relative cocompactness -------------------------------------------
@@ -705,29 +680,27 @@ def rel_cocompact_check(ws, cc, peripheries, variant, m=None):
         seeds.update(canonical_cube(ws, p).corners())
     vdepth = cc.bfs_distances(sorted(seeds))
     hemis = [induce_hemi(ws, P, variant) for P in peripheries]
-    cubes = cc.all_cubes()
-    info = []
-    for c in cubes:
-        depth = min(vdepth[mm] for mm in c.corners())
-        reps = [k for k, h in enumerate(hemis) if represented_in(c, h)]
-        info.append((c, depth, reps))
-    uncovered = [depth for _c, depth, reps in info if not reps]
+    # every cell (base, wall mask) by dimension, base and mask: the
+    # 0-cells first, in vertex order, then the edges in edge order
+    cells = sorted((wmask.bit_count(), b, wmask)
+                   for wmask, bases in cc.cells.items() for b in bases)
+    info = [(dim, min(vdepth[v] for v in _corners(b, wmask)),
+             [k for k, h in enumerate(hemis) if h.represents(b, wmask)])
+            for dim, b, wmask in cells]
+    uncovered = [depth for _d, depth, reps in info if not reps]
     least_m = (max(uncovered) + 1) if uncovered else 0
     if m is None:
         m = least_m
-    k_part = sum(1 for _c, depth, _r in info if depth < m)
-    unique = sum(1 for _c, depth, reps in info
+    k_part = sum(1 for _d, depth, _r in info if depth < m)
+    unique = sum(1 for _d, depth, reps in info
                  if depth >= m and len(reps) == 1)
-    coverage = [{"dim": c.dim, "depth": depth}
-                for c, depth, reps in info if depth >= m and not reps]
-    isolation = [{"dim": c.dim, "depth": depth, "peripheries": reps}
-                 for c, depth, reps in info if depth >= m and len(reps) > 1]
+    coverage = [{"dim": dim, "depth": depth}
+                for dim, depth, reps in info if depth >= m and not reps]
+    isolation = [{"dim": dim, "depth": depth, "peripheries": reps}
+                 for dim, depth, reps in info if depth >= m and len(reps) > 1]
     inter_wit = []
-    # each periphery's vertices: all_cubes lists 0-cubes first, in order
-    subs = [set() for _ in hemis]
-    for c, _depth, reps in info[:cc.nvertices()]:
-        for k in reps:
-            subs[k].add(c.base)
+    # each periphery's vertices: its 0-cells, in vertex order
+    subs = [{v for v in cc.cells[0] if h.represents(v, 0)} for h in hemis]
     for a in range(len(subs)):
         for b in range(a + 1, len(subs)):
             for v in subs[a] & subs[b]:

@@ -18,6 +18,7 @@ raises RecursionError, not ValueError.
 """
 
 import json
+import re
 from functools import partial
 from itertools import chain
 from operator import itemgetter
@@ -84,11 +85,11 @@ def field(doc, key, path, kind=ANY, default=_REQUIRED):
 def integer(text, what, low=None):
     """The integer `text` (or int), at least any given `low`; a ParseError
     `WHAT 'x' is not an integer` or `WHAT n is not >= low` otherwise, WHAT
-    naming the value, as in `RADIUS:` or `grid: size`."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise ParseError(f"{what} {text!r} is not an integer") from None
+    naming the value, as in `RADIUS:` or `grid: size`.  A text is an
+    optional sign and ASCII digits (`int` also reads `1_0`, ` 2` or `٣`)."""
+    if isinstance(text, str) and not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ParseError(f"{what} {text!r} is not an integer")
+    n = int(text)
     if low is not None and n < low:
         raise ParseError(f"{what} {n} is not >= {low}")
     return n

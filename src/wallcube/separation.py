@@ -355,21 +355,23 @@ def axis_cut_test(ws, action, w_index, n_max, cc=None):
     right (sides exchanged when swap).  Induction along `wall_power` and
     `point_mask_power` carries this to g^n, n = ±1..n_max, on every point
     whose orbit stays in the domain; under a many-to-one wall map, every
-    preimage `wall_power` can pick passed `check` too.
+    preimage `wall_power` can pick passed `check` too.  The action works
+    on wall positions; `w_index` and the walls returned are indices.
     """
     action.check(ws)
-    w = ws.wall(w_index)
+    pos = ws.position(w_index)
+    w = ws.walls[pos]
     conds = {}
     translates = {0: w_index}
     for n in range(1, n_max + 1):
         for sign in (1, -1):
             nn = sign * n
-            img = action.wall_power(w_index, nn)
+            img = action.wall_power(pos, nn)
             if img is None:
                 continue
-            j = img[0]
+            j = ws.walls[img[0]].index
             translates[nn] = j
-            pm = action.point_mask_power(ws, nn)
+            pm = action.point_mask_power(nn)
             conds[nn] = {
                 "wall_moves": j != w_index,
                 "U_overlaps": bool(w.left & pm(w.left)),
@@ -381,7 +383,7 @@ def axis_cut_test(ws, action, w_index, n_max, cc=None):
                    for x, a in enumerate(tidx) for b in tidx[x + 1:])
     fixed = []
     if cc is not None:
-        fixed = [m for m in cc.vertices if action.fixes_vertex(ws, m)]
+        fixed = [m for m in cc.vertices if action.fixes_vertex(m)]
     return {"wall": w_index, "n_max": n_max, "conditions": conds,
             "translates": tidx,
             "translates_pairwise_transverse": pairwise if len(tidx) > 1 else None,

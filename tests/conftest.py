@@ -10,9 +10,10 @@ through its `Cube` views and its export document, never its cell store.
 The flip-search oracle for `build_dual` steps with the library's one-wall
 flip test, which `test_flippable_matches_validity` checks against the
 valid orientations, but not with its 2-SAT search.  The loop-contraction,
-H-wall, codimension-1 and point-map oracles are the library's earlier
-forms: every same-wall pair listed per pass, and a group product per
-H-member and point for each check.  The induced-hemi oracle takes a
+H-wall, codimension-1, point-map and decomposition oracles are the
+library's earlier forms: every same-wall pair listed per pass, a group
+product per H-member and point for each check, and every cube read
+through its `Cube` view.  The induced-hemi oracle takes a
 neighbourhood per side and scans U*'s radii one by one.
 `OracleMetric` answers every metric query from the full table of
 per-source breadth-first (or Dijkstra) rows, and the separation oracles
@@ -25,7 +26,13 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from wallcube.complex import Cube, CubeComplex, OrientationEngine, _edge_wall
+from wallcube.complex import (
+    Cube,
+    CubeComplex,
+    OrientationEngine,
+    _edge_wall,
+    canonical_cube,
+)
 from wallcube.errors import (
     NotAHemiwallspace,
     NotInComplex,
@@ -33,7 +40,7 @@ from wallcube.errors import (
     WallcubeError,
 )
 from wallcube.groups import TRUNCATION_CAVEAT, _translate
-from wallcube.hemi import Hemiwallspace
+from wallcube.hemi import Hemiwallspace, induce_hemi, represented_in
 from wallcube.metric import INF, Metric, _dijkstra, bits, components, compress
 from wallcube.separation import (
     WALL_DISTANCE_NOTE,
@@ -665,6 +672,52 @@ def oracle_point_map(ball, g):
         if gx in ball.by_elem:
             pm[spec.name(x)] = spec.name(gx)
     return pm
+
+
+def oracle_rel_cocompact_check(ws, cc, peripheries, variant, m=None):
+    """`groups.rel_cocompact_check` as it read every cube through the
+    `Cube` views of `all_cubes` and `represented_in`."""
+    seeds = set()
+    for p in ws.points:
+        seeds.update(canonical_cube(ws, p).corners())
+    vdepth = cc.bfs_distances(sorted(seeds))
+    hemis = [induce_hemi(ws, P, variant) for P in peripheries]
+    cubes = cc.all_cubes()
+    info = []
+    for c in cubes:
+        depth = min(vdepth[mm] for mm in c.corners())
+        reps = [k for k, h in enumerate(hemis) if represented_in(c, h)]
+        info.append((c, depth, reps))
+    uncovered = [depth for _c, depth, reps in info if not reps]
+    least_m = (max(uncovered) + 1) if uncovered else 0
+    if m is None:
+        m = least_m
+    k_part = sum(1 for _c, depth, _r in info if depth < m)
+    unique = sum(1 for _c, depth, reps in info
+                 if depth >= m and len(reps) == 1)
+    coverage = [{"dim": c.dim, "depth": depth}
+                for c, depth, reps in info if depth >= m and not reps]
+    isolation = [{"dim": c.dim, "depth": depth, "peripheries": reps}
+                 for c, depth, reps in info if depth >= m and len(reps) > 1]
+    inter_wit = []
+    # each periphery's vertices: all_cubes lists 0-cubes first, in order
+    subs = [set() for _ in hemis]
+    for c, _depth, reps in info[:cc.nvertices()]:
+        for k in reps:
+            subs[k].add(c.base)
+    for a in range(len(subs)):
+        for b in range(a + 1, len(subs)):
+            for v in subs[a] & subs[b]:
+                if vdepth[v] >= m:
+                    inter_wit.append({"peripheries": [a, b],
+                                      "vertex": cc.vid[v],
+                                      "depth": vdepth[v]})
+    return Report(
+        cut=("intersection_witnesses", 20),
+        m=m, least_m=least_m, k_part=k_part, unique=unique,
+        coverage_violations=coverage, isolation_violations=isolation,
+        intersection_ok=not inter_wit,
+        intersection_witnesses=inter_wit, caveat=TRUNCATION_CAVEAT)
 
 
 def oracle_dumps(obj):

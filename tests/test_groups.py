@@ -3,17 +3,21 @@
 import hashlib
 import json
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
     oracle_ball_metric,
     oracle_build_hwall,
     oracle_codim_one_analysis,
     oracle_point_map,
+    oracle_rel_cocompact_check,
+    random_wallspace,
 )
 from wallcube import complex as complex_mod
 from wallcube.complex import build_dual
@@ -41,7 +45,7 @@ from wallcube.groups import (
     rel_cocompact_check,
     verify_equivariance,
 )
-from wallcube.hemi import InducedVariant
+from wallcube.hemi import InducedVariant, induce_hemi
 from wallcube.wallspace import Wall, Wallspace, transverse, validate
 
 Z2 = FreeAbelian(2)
@@ -241,9 +245,9 @@ def test_group_layer_work_counts(spec, radius, hws):
     generate_hwall_system(ball, hws)
     # per spec: one translate per ball point, with one product per point;
     # the invariance check, the carrier and frontier orbit counts and the
-    # side-swap test multiply each H-member in the ball by each point at
-    # most once each; cyclic membership of a point costs 2(r + 1) products
-    checks = sum(5 * h + 2 * (radius + 1) for h in hsizes)
+    # side-swap test share one image of the ball per H-member in it, one
+    # product per point; cyclic membership of a point costs 2(r + 1)
+    checks = sum(h + 2 * (radius + 1) for h in hsizes)
     assert spec.products <= (len(hws) * (n + 1) + checks) * n
 
 
@@ -339,7 +343,8 @@ def test_group_layer_matches_a_product_per_check(case, radius):
             assert io.dumps(codim_one_analysis(ball, hw.subgroup, d)) == \
                 io.dumps(oracle_codim_one_analysis(ball, hw.subgroup, d))
     for g in ball.elements:
-        assert ActionMap.from_element(ball, g).point_map == \
+        pm = ActionMap.from_element(ball, g).point_map
+        assert {ball.names[i]: ball.names[j] for i, j in pm.items()} == \
             oracle_point_map(ball, g)
 
 
@@ -533,6 +538,81 @@ def test_axis_cut_z2():
         assert len(bits_x) == 1
 
 
+# sha256 of `io.dumps` of each action's equivariance report and of its
+# axis-cut results (every wall, n_max 2, fixed vertices on), recorded when
+# an ActionMap was keyed by point names and wall indices
+ACTION_RECORDED = {
+    ("Z2", (1, 0)): (
+        "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
+        "a4569a773a6fe655752345f5454643b4cebc7468ab117153ec9feaa86fce974c"),
+    ("Z2", (-1, 0)): (
+        "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
+        "3500ecb1f0bc64a216ec6197ef963a3c52bd2bee9d674f96deaa1a0b38d5fd9d"),
+    ("Z2", (0, 1)): (
+        "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
+        "2c541e1bb590b41d6bfe082427519a7812c0bad9d71610981357f8e19bb6904c"),
+    ("Z2", (0, -1)): (
+        "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
+        "518a6516ec35f371c299e045659a3ba280d0691493a49bb79cd410fdc99d30f2"),
+    ("Z2", (1, 1)): (
+        "4088beb5c704ead996553f636314db0633ba0f61194fb84c136dbaacfcc740a3",
+        "6bbc9778be8daccb902f656a80a7ada179d078a894704e17a61e7e980fbecfff"),
+    ("F2", "a"): (
+        "f4ee48863d7e31f147714a6799e3cffca24766dc15ca1900e26a6ce59cdefaff",
+        "ba2870bbfbfe68cf671aae72cf613759a657c82b049c468b435da4f2000f9823"),
+    ("F2", "b"): (
+        "2119813c835a78e68c8b446c8b4591322cd82b4bf1d2d6e045bc4be809a8aa3a",
+        "d80677d005863da4e203adcb8160b4287689b7f9bb331b1fcffd0aa8da8bf1bc"),
+    ("F2", "A"): (
+        "f4ee48863d7e31f147714a6799e3cffca24766dc15ca1900e26a6ce59cdefaff",
+        "366505a64d461f8496ec3d18400015ebff9c256cdf215ed12863edd7c62e78dd"),
+    ("F2", "B"): (
+        "2119813c835a78e68c8b446c8b4591322cd82b4bf1d2d6e045bc4be809a8aa3a",
+        "fca69f8b22fa13df795265e6248ebe296790e6070700f657b8b5d8a54ba7c3f0"),
+    ("F2", "ab"): (
+        "02142094f40dcbe0ab03ac9e25b34dd2ac3758dbde229cd87f55ad62605d7050",
+        "1259ffa004b8ea187ef6d0ebef8406f70e031584196e8dbe4a59d92a8e6c698e"),
+}
+
+
+@pytest.mark.parametrize("system, g", list(ACTION_RECORDED),
+                         ids=[f"{s} {g}" for s, g in ACTION_RECORDED])
+def test_action_outputs_recorded(system, g):
+    from wallcube.separation import axis_cut_test
+    ball, (ws, meta) = (z2_system if system == "Z2" else f2_system)(3)
+    cc = build_dual(ws, ws.points[0])
+    action = ActionMap.from_element(ball, g, ws=ws, meta=meta)
+
+    def digest(obj):
+        return hashlib.sha256(io.dumps(obj).encode()).hexdigest()
+
+    assert (digest(verify_equivariance(ws, action, cc).to_dict()),
+            digest([axis_cut_test(ws, action, i, 2, cc=cc)
+                    for i in ws.wall_indices()])) == ACTION_RECORDED[system, g]
+
+
+def test_not_an_automorphism_names_points_and_wall_indices():
+    from wallcube.generators import fig3, grid
+    from wallcube.separation import axis_cut_test
+    # fig3's wall 1 (position 0) sent to wall 2 (position 1), points fixed
+    ws = fig3()
+    action = ActionMap({i: i for i in range(6)}, {0: (1, False)})
+    with pytest.raises(NotAnAutomorphism) as exc:
+        axis_cut_test(ws, action, 1, 1)
+    assert str(exc.value) == "map is not a wallspace automorphism: " \
+        "{'wall': 1, 'image': 2, 'point': 'a'}"
+    # grid 2: points "0,1" and "2,2" (positions 1 and 8) swapped
+    ws = grid(2)
+    pm = {i: i for i in range(9)}
+    pm[1], pm[8] = 8, 1
+    with pytest.raises(NotAnAutomorphism) as exc:
+        ActionMap(pm, {}).check(ws)
+    assert str(exc.value) == "map is not a wallspace automorphism: " \
+        "{'pair': ['0,0', '0,1'], 'd': 1.0, 'd_image': 4.0}"
+    with pytest.raises(NotAnAutomorphism, match="point map not injective"):
+        ActionMap({0: 4, 1: 4}, {}).check(ws)
+
+
 def random_action(rng):
     """A random wallspace (2-5 points, 1-4 walls, each side a random
     nonempty set) with a random partial injective point map and a random,
@@ -542,8 +622,8 @@ def random_action(rng):
     walls = [Wall(i, rng.randint(1, full), rng.randint(1, full))
              for i in range(rng.randint(1, 4))]
     ws = Wallspace([f"p{i}" for i in range(npts)], walls)
-    domain = rng.sample(ws.points, rng.randint(1, npts))
-    points = dict(zip(domain, rng.sample(ws.points, len(domain))))
+    domain = rng.sample(range(npts), rng.randint(1, npts))
+    points = dict(zip(domain, rng.sample(range(npts), len(domain))))
     walls = {i: (rng.randrange(len(walls)), rng.random() < 0.5)
              for i in range(len(walls)) if rng.random() < 0.8}
     return ws, ActionMap(points, walls)
@@ -581,27 +661,26 @@ def test_check_implies_separation_and_power_halfspaces():
         except NotAnAutomorphism:
             continue
         nontrivial += bool(action.wall_map) and len(action.point_map) > 1
-        bit = ws.point_bit
         for x, y in combinations(action.point_map, 2):
             gx, gy = action.point_map[x], action.point_map[y]
             for i, (j, _swap) in action.wall_map.items():
-                assert open_separates(ws.wall(i), bit(x), bit(y)) == \
-                    open_separates(ws.wall(j), bit(gx), bit(gy))
-        for w in ws.walls:
+                assert open_separates(ws.walls[i], 1 << x, 1 << y) == \
+                    open_separates(ws.walls[j], 1 << gx, 1 << gy)
+        for pos, w in enumerate(ws.walls):
             for n in (1, -1, 2, -2, 3, -3):
-                img = action.wall_power(w.index, n)
+                img = action.wall_power(pos, n)
                 if img is None:
                     continue
-                wj = ws.wall(img[0])
+                wj = ws.walls[img[0]]
                 left, right = (wj.right, wj.left) if img[1] else \
                     (wj.left, wj.right)
-                pm = action.point_mask_power(ws, n)
-                for x in ws.points:
+                pm = action.point_mask_power(n)
+                for x in range(len(ws.points)):
                     gx = orbit_point(action, x, n)
                     if gx is None:
                         continue
-                    assert bool(w.left & bit(x)) == bool(left & bit(gx))
-                    assert bool(w.right & bit(x)) == bool(right & bit(gx))
+                    assert w.left >> x & 1 == left >> gx & 1
+                    assert w.right >> x & 1 == right >> gx & 1
                 assert pm(w.left) & ~left == 0 and pm(w.right) & ~right == 0
     assert nontrivial > 100
 
@@ -682,3 +761,60 @@ def test_rel_cocompact_partition_consistency():
         len(rep.coverage_violations) + len(rep.isolation_violations)
     assert accounted == total
     assert rep.coverage_violations == []  # m defaults to the least m
+
+
+def assert_same_decomposition(rep, orep):
+    """Every key equal; the two violation lists equal up to the order of
+    the cubes of one dimension, each sorted by dimension."""
+    doc, odoc = rep.to_dict(), orep.to_dict()
+    for key in ("coverage_violations", "isolation_violations"):
+        got, want = doc.pop(key), odoc.pop(key)
+        dims = [v["dim"] for v in got]
+        assert dims == sorted(dims) == [v["dim"] for v in want]
+        assert sorted(map(io.dumps, got)) == sorted(map(io.dumps, want))
+    assert doc == odoc
+
+
+DECOMPOSITION_VARIANTS = [
+    InducedVariant("U0"), InducedVariant("Ur", r=1),
+    InducedVariant("Ustar", tau=2), InducedVariant("UrStar", r=1, tau=2),
+    InducedVariant("Uinf")]
+
+
+@pytest.mark.parametrize("system, radius", [
+    ("Z2", 2), ("Z2", 3), ("Z2", 4), ("Z2", 5),
+    ("F2", 2), ("F2", 3), ("F2", 4)])
+def test_rel_cocompact_matches_oracle(monkeypatch, system, radius):
+    # the coordinate axes of Z², the cyclic subgroups <a> and <b> of F₂;
+    # each hemi is induced once, for both functions and every m
+    once = cache(induce_hemi)
+    monkeypatch.setattr(groups, "induce_hemi", once)
+    monkeypatch.setattr(conftest, "induce_hemi", once)
+    ball, (ws, _meta) = (z2_system if system == "Z2" else f2_system)(radius)
+    subs = [CoordinateSubgroup(Z2, [0]), CoordinateSubgroup(Z2, [1])] \
+        if system == "Z2" else [CyclicSubgroup(F2, "a"),
+                                CyclicSubgroup(F2, "b")]
+    peripheries = [ball.mask_of(sub.contains) for sub in subs]
+    cc = build_dual(ws, ws.points[0])
+    for variant in DECOMPOSITION_VARIANTS:
+        for m in (None, 0, 1, 2):
+            assert_same_decomposition(
+                rel_cocompact_check(ws, cc, peripheries, variant, m=m),
+                oracle_rel_cocompact_check(ws, cc, peripheries, variant,
+                                           m=m))
+
+
+def test_rel_cocompact_matches_oracle_on_random_duals():
+    rng = random.Random(20)
+    for seed in range(150):
+        ws = random_wallspace(seed, with_metric=False)
+        cc = build_dual(ws, ws.points[0])
+        full = (1 << len(ws.points)) - 1
+        peripheries = [rng.randint(1, full)
+                       for _ in range(rng.randint(0, 3))]
+        m = rng.choice([None, 0, 1, 2])
+        assert_same_decomposition(
+            rel_cocompact_check(ws, cc, peripheries, InducedVariant("U0"),
+                                m=m),
+            oracle_rel_cocompact_check(ws, cc, peripheries,
+                                       InducedVariant("U0"), m=m))

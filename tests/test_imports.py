@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 exception class in `errors.py` is raised somewhere in the library, and
-every function the library defines is called or named somewhere.
+every function and class the library defines is called or named
+somewhere.
 
 The package re-exports names in `__init__.py`, which the import and
 exception checks leave out.
@@ -76,7 +77,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def unreferenced_functions(modules, others):
-    """(module name, line, name) of each function or method of the
+    """(module name, line, name) of each function, method or class of the
     `modules` texts, dunders aside, whose name appears nowhere outside its
     own definition: not in the rest of its module, nor in another module
     or in the `others` texts."""
@@ -85,13 +86,14 @@ def unreferenced_functions(modules, others):
         lines = source.splitlines()
         texts = [t for n, t in modules.items() if n != name] + others
         for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) \
                     or node.name.startswith("__"):
                 continue
             start = min(d.lineno for d in [node, *node.decorator_list])
             rest = "\n".join(lines[:start - 1] + lines[node.end_lineno:])
             # another definition of the name is no reference to it
-            word = re.compile(rf"(?<!def )\b{node.name}\b")
+            word = re.compile(rf"(?<!def )(?<!class )\b{node.name}\b")
             if not any(map(word.search, [rest, *texts])):
                 out.append((name, node.lineno, node.name))
     return out
@@ -101,12 +103,17 @@ def test_detects_unreferenced_functions():
     source = ("def f():\n    return f()\n\n\nclass A:\n    def g(self):\n"
               "        pass\n\n    def __len__(self):\n        return 0\n")
     assert unreferenced_functions({"m": source}, []) == \
-        [("m", 1, "f"), ("m", 6, "g")]
+        [("m", 1, "f"), ("m", 5, "A"), ("m", 6, "g")]
     assert unreferenced_functions({"m": source}, ["A().g(); f"]) == []
     assert unreferenced_functions({"m": source, "n": "from m import f"},
                                   ["A().g()"]) == []
     assert unreferenced_functions({"m": source}, ["def f(): pass; A().g()"]) \
         == [("m", 1, "f")]
+    # a class no text names, its methods aside
+    source += "\n\nclass B(A):\n    def h(self):\n        pass\n"
+    assert unreferenced_functions({"m": source}, ["f(); A().g(); x.h()",
+                                                  "class B: pass"]) == \
+        [("m", 13, "B")]
 
 
 def test_every_function_is_referenced():

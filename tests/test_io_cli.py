@@ -765,6 +765,14 @@ def test_cli_survives_any_field_value(command_doc, data):
     (["gen", "fig3", "7"], "fig3 takes no argument, got '7'"),
     (["sweep", "--generator", "fig3", "--ns", "2"],
      "fig3 takes no argument, got 2"),
+    # int() reads these as 10, 3, 10, 10 and 2: an integer argument is an
+    # optional sign and ASCII digits
+    (["gen", "grid", "1_0"], "grid: size '1_0' is not an integer"),
+    (["gen", "grid", "\u0663"], "grid: size '\u0663' is not an integer"),
+    (["sweep", "--generator", "grid", "--ns", "1_0"],
+     "--ns: '1_0' is not an integer"),
+    (["gen", "cayley", "Z1_0", "1"], "GROUP Zd: '1_0' is not an integer"),
+    (["gen", "cayley", "Z2", " 2"], "RADIUS: ' 2' is not an integer"),
 ])
 def test_cli_malformed_arguments(args, where):
     r = run_cli(args, stdin=run_cli(["gen", "grid", "2"]).stdout)
@@ -989,6 +997,10 @@ def test_cli_sweep_compact_wall():
     ["verify", "x.json", "--checks", "npc,,npc"],
     ["build", "x.json", "--cap-vertices", "-1"],
     ["verify", "x.json", "--cap-vertices", "-1"],
+    # int() reads these as 10 and 3
+    ["gen", "fig3", "--seed", "1_0"],
+    ["build", "x.json", "--cap-vertices", "\u0663"],
+    ["verify", "x.json", "--seed", "\u0663"],
 ])
 def test_cli_usage_error(args):
     r = run_cli(args)

@@ -418,15 +418,16 @@ def test_metric_required():
 def test_axis_cut_rejects_inconsistent_action():
     ws = fig3()
     # identity on points but a wall map pretending wall 1 maps to wall 2
-    action = ActionMap({p: p for p in ws.points}, {1: (2, False)})
+    # (positions 0 and 1)
+    action = ActionMap({x: x for x in range(len(ws.points))}, {0: (1, False)})
     with pytest.raises(NotAnAutomorphism):
         axis_cut_test(ws, action, 1, 1)
 
 
 def test_axis_cut_identity_is_degenerate():
     ws = fig3()
-    action = ActionMap({p: p for p in ws.points},
-                       {i: (i, False) for i in ws.wall_indices()})
+    action = ActionMap({x: x for x in range(len(ws.points))},
+                       {i: (i, False) for i in range(ws.nwalls())})
     out = axis_cut_test(ws, action, 1, 2)
     # the identity never moves the wall, so condition (1) fails at every n
     assert all(not c["wall_moves"] for c in out["conditions"].values())
