@@ -21,7 +21,6 @@ from .hemi import (
     dual_sub,
     induce_hemi,
     is_convex,
-    represented_in,
 )
 from .metric import Metric
 from .wallspace import (

@@ -18,6 +18,7 @@ import sys
 from . import io
 from .complex import DEFAULT_VERTEX_CAP
 from .errors import ParseError, StateSpaceCap, WallcubeError
+from .wallspace import MAX_POINTS
 
 EXIT_DOMAIN = 1
 EXIT_IO = 2
@@ -74,10 +75,11 @@ def cmd_gen(args):
         from . import generators
 
         ws = generators.generate(args.name, *args.params)
-    # the size envelope `gen` has always printed; it bounds nothing
-    _emit(io.wallspace_to_dict(ws), seed=args.seed, caps={
-        "points": max(64, len(ws.points)),
-        "walls": max(256 if args.name == "cayley" else 64, ws.nwalls())})
+    # the limits this command checks
+    caps = {"points": MAX_POINTS, "names": io.MAX_NAMES}
+    if args.name == "cayley":
+        caps["products"] = groups.MAX_PRODUCTS
+    _emit(io.wallspace_to_dict(ws), seed=args.seed, caps=caps)
 
 
 def _group_spec(text):
@@ -169,10 +171,11 @@ def _check(check, ws, cc, rng):
             contract_loop(cc, loop)  # raises StuckLoop on failure
         return {"ok": True, "loops": len(loops)}
     if check == "maximal-bijection":
+        # the families are nonempty: a lone 0-cube matches none
         fams, _k = max_transverse_families(ws)
         cubes = sorted(
             tuple(sorted(ws.walls[w].index for w in c.walls))
-            for c in maximal_cubes(cc))
+            for c in maximal_cubes(cc) if c.dim >= 1)
         return {"ok": cubes == sorted(fams), "families": len(fams)}
     # convexity: the hull test of is_convex holds on a dual_sub by
     # construction; what can fail is the median-graph law it rests on
@@ -321,8 +324,6 @@ def cmd_act(args):
     payload = {
         "wallspace": io.wallspace_to_dict(ws),
         "hwall_reports": meta.reports,
-        "dropped_vacuous": meta.dropped_vacuous,
-        "dropped_duplicate_partitions": meta.dropped_duplicate_partitions,
     }
     if subs:
         cc = build_dual(ws, ws.points[0])

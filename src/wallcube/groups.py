@@ -342,8 +342,7 @@ class HWallSpec:
 
 def build_hwall(ball, hw):
     """The H-wall truncated to the ball, with a conformance Report for the
-    Def 2.8-style conditions, checked on the computable portion (its
-    `coverage_ok` is always true, see `generate_hwall_system`).  Each
+    Def 2.8-style conditions, checked on the computable portion.  Each
     element of H ∩ ball acts on the ball once, by `CayleyBall.image`."""
     u, v = _translate(ball, hw, ball.spec.identity())
     hmembers, images = _h_images(ball, hw.subgroup)
@@ -365,7 +364,6 @@ def build_hwall(ball, hw):
     rep = Report(
         cut=("invariance_violations", 10),
         ok=not violations,
-        coverage_ok=True,
         invariance_violations=violations,
         carrier_orbits=carrier_orbits,
         frontier_orbits=frontier_orbits,
@@ -434,14 +432,7 @@ def generate_hwall_system(ball, hwall_specs):
 
     The bookkeeping holds `wall_info` (index -> (spec position, name of
     g)), `pair_index` ((halfspace pair, spec position) -> index), `specs`
-    and `reports` (each H-wall's `build_hwall` Report, as a dict).  Its
-    `dropped_vacuous` and `dropped_duplicate_partitions` stay 0, kept as
-    keys of `act`'s payload: both rules put the identity on both sides
-    (`side` is "B" at x_k = 0 and at the empty word), so the translate by
-    t has the ball point t on both sides, and is never vacuous, one-sided
-    or a genuine partition.  Each report's `coverage_ok` stays true, kept
-    as a key too: `side` puts every element on side L, R or B, so
-    `_translate` puts every ball point in U or V, and U ∪ V is the ball.
+    and `reports` (each H-wall's `build_hwall` Report, as a dict).
     """
     products = len(hwall_specs) * len(ball.elements) ** 2
     if products > MAX_PRODUCTS:
@@ -449,7 +440,6 @@ def generate_hwall_system(ball, hwall_specs):
                             f"products, exceeds cap {MAX_PRODUCTS}")
     spec = ball.spec
     meta = Report(wall_info={}, pair_index={}, specs=list(hwall_specs),
-                  dropped_vacuous=0, dropped_duplicate_partitions=0,
                   reports=[])
     walls = []
     inverses = list(map(spec.inv, ball.elements))
@@ -698,16 +688,12 @@ def rel_cocompact_check(ws, cc, peripheries, variant, m=None):
                 for dim, depth, reps in info if depth >= m and not reps]
     isolation = [{"dim": dim, "depth": depth, "peripheries": reps}
                  for dim, depth, reps in info if depth >= m and len(reps) > 1]
-    inter_wit = []
-    # each periphery's vertices: its 0-cells, in vertex order
-    subs = [{v for v in cc.cells[0] if h.represents(v, 0)} for h in hemis]
-    for a in range(len(subs)):
-        for b in range(a + 1, len(subs)):
-            for v in subs[a] & subs[b]:
-                if vdepth[v] >= m:
-                    inter_wit.append({"peripheries": [a, b],
-                                      "vertex": cc.vid[v],
-                                      "depth": vdepth[v]})
+    # by periphery pair, then in vertex order
+    inter_wit = [{"peripheries": [a, b], "vertex": cc.vid[v],
+                  "depth": vdepth[v]}
+                 for a, b in combinations(range(len(hemis)), 2)
+                 for v in cc.vertices if vdepth[v] >= m
+                 and hemis[a].represents(v, 0) and hemis[b].represents(v, 0)]
     return Report(
         cut=("intersection_witnesses", 20),
         m=m, least_m=least_m, k_part=k_part, unique=unique,

@@ -51,12 +51,6 @@ class Hemiwallspace:
         return (not wmask & self.fixed_mask
                 and base & self.fixed_mask == self.fixed_bits)
 
-    def retains(self, wall_index, side):
-        """Is the given halfspace (side 0=left, 1=right) retained?"""
-        if wall_index in self.fixed:
-            return self.fixed[wall_index] == side
-        return True
-
     def to_dict(self):
         d = {"fixed": [{"wall": i, "side": s}
                        for i, s in sorted(self.fixed.items())],
@@ -93,8 +87,7 @@ def induce_hemi(ws, P, variant):
     def retained(side_mask):
         if kind in ("U0", "Ur"):
             return bool(side_mask & near)
-        d = metric.diam(side_mask & near)
-        return d is not None and d >= variant.tau
+        return metric.reaches(side_mask & near, variant.tau)
 
     fixed = {}
     bad = []
@@ -174,9 +167,3 @@ def _first(items):
         return item
     raise WallcubeError("is_convex needs a dual the library built: its "
                         "1-skeleton is not a median graph on the walls")
-
-
-def represented_in(cube, hemi):
-    """All halfspaces of the cube's defining data are retained by hemi:
-    both sides of each independent wall, and each fixed dependent side."""
-    return hemi.represents(cube.base, cube.mask)

@@ -23,14 +23,22 @@ from functools import partial
 from itertools import chain
 from operator import itemgetter
 
-from .errors import ParseError
+from .errors import ParseError, StateSpaceCap
 from .metric import Metric
 from .wallspace import Wall, Wallspace
 
 VERSION = "0.1.0"
+# point names a wallspace document may list in its walls' sides
+MAX_NAMES = 1 << 22
 
 
 def wallspace_to_dict(ws):
+    """The wallspace as a document; StateSpaceCap, before any list is
+    built, when its walls' sides list more than MAX_NAMES point names."""
+    names = sum(w.left.bit_count() + w.right.bit_count() for w in ws.walls)
+    if names > MAX_NAMES:
+        raise StateSpaceCap(f"wallspace document lists {names} point names "
+                            f"in its walls' sides, exceeds cap {MAX_NAMES}")
     doc = {
         "points": list(ws.points),
         "walls": [{"index": w.index,
@@ -310,20 +318,6 @@ def skeleton_dot(cc):
         lines.append(
             f"  v{cc.vid[u]} -- v{cc.vid[v]} "
             f"[label=\"{cc.ws.walls[w].index}\"];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def transversality_dot(ws):
-    from .wallspace import transverse
-    lines = ["graph transversality {"]
-    idxs = sorted(w.index for w in ws.walls)
-    for i in idxs:
-        lines.append(f"  w{i};")
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            if transverse(ws, idxs[a], idxs[b]):
-                lines.append(f"  w{idxs[a]} -- w{idxs[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

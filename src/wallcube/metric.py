@@ -266,6 +266,21 @@ class Metric:
                 worst = d
         return worst
 
+    def reaches(self, mask, tau):
+        """Is the diameter of a point set at least tau (False when empty)?
+        Each member's rings are scanned up to the first at distance >= tau:
+        the points of the set not seen by then lie at that distance or more
+        (at inf when out of reach)."""
+        for i in bits(mask):
+            rest = mask
+            for d, ring in self.rings(1 << i):
+                if d >= tau:
+                    return True
+                rest &= ~ring
+                if not rest:
+                    break
+        return False
+
     def dist_sets(self, mask_a, mask_b):
         """min distance between two point sets; inf when either is empty."""
         if mask_b:

@@ -40,7 +40,7 @@ from wallcube.errors import (
     WallcubeError,
 )
 from wallcube.groups import TRUNCATION_CAVEAT, _translate
-from wallcube.hemi import Hemiwallspace, induce_hemi, represented_in
+from wallcube.hemi import Hemiwallspace, induce_hemi
 from wallcube.metric import INF, Metric, _dijkstra, bits, components, compress
 from wallcube.separation import (
     WALL_DISTANCE_NOTE,
@@ -594,7 +594,6 @@ def oracle_build_hwall(ball, hw):
     rep = Report(
         cut=("invariance_violations", 10),
         ok=not violations,
-        coverage_ok=True,
         invariance_violations=violations,
         carrier_orbits=carrier_orbits,
         frontier_orbits=frontier_orbits,
@@ -676,7 +675,7 @@ def oracle_point_map(ball, g):
 
 def oracle_rel_cocompact_check(ws, cc, peripheries, variant, m=None):
     """`groups.rel_cocompact_check` as it read every cube through the
-    `Cube` views of `all_cubes` and `represented_in`."""
+    `Cube` views of `all_cubes`."""
     seeds = set()
     for p in ws.points:
         seeds.update(canonical_cube(ws, p).corners())
@@ -686,7 +685,8 @@ def oracle_rel_cocompact_check(ws, cc, peripheries, variant, m=None):
     info = []
     for c in cubes:
         depth = min(vdepth[mm] for mm in c.corners())
-        reps = [k for k, h in enumerate(hemis) if represented_in(c, h)]
+        reps = [k for k, h in enumerate(hemis)
+                if h.represents(c.base, c.mask)]
         info.append((c, depth, reps))
     uncovered = [depth for _c, depth, reps in info if not reps]
     least_m = (max(uncovered) + 1) if uncovered else 0

@@ -395,11 +395,11 @@ def test_criterion_13_rel_cocompact_fixture():
     variant = InducedVariant("U0")
     rep = rel_cocompact_check(ws, cc, [left, right], variant, m=0)
     # from-scratch scan of the definition
-    from wallcube.hemi import represented_in
     hemis = [induce_hemi(ws, P, variant) for P in (left, right)]
     k_part = unique = both = none = 0
     for c in cc.all_cubes():
-        reps = [k for k, h in enumerate(hemis) if represented_in(c, h)]
+        reps = [k for k, h in enumerate(hemis)
+                if h.represents(c.base, c.mask)]
         # depth >= m = 0 always, so the K-part is empty
         if len(reps) == 1:
             unique += 1

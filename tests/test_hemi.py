@@ -36,7 +36,6 @@ from wallcube.hemi import (
     dual_sub,
     induce_hemi,
     is_convex,
-    represented_in,
 )
 from wallcube.metric import Metric
 from wallcube.wallspace import Wall, Wallspace, validate
@@ -289,7 +288,7 @@ def test_represented_iff_vertex_subcomplex():
         sub = dual_sub(cc, hemi)
         vset = set(sub.vertices)
         for c in cc.all_cubes():
-            assert represented_in(c, hemi) == \
+            assert hemi.represents(c.base, c.mask) == \
                 all(m in vset for m in c.corners())
 
 
@@ -321,11 +320,9 @@ def test_empty_subcomplex():
         dual_sub(cc, hemi)
 
 
-def test_retains_and_to_dict():
+def test_to_dict():
     ws = fig3()
     hemi = Hemiwallspace(ws, {1: 0})
-    assert hemi.retains(1, 0) and not hemi.retains(1, 1)
-    assert hemi.retains(2, 0) and hemi.retains(2, 1)
     d = hemi.to_dict()
     assert d["fixed"] == [{"wall": 1, "side": 0}]
     assert d["independent"] == [2, 3, 4, 5]

@@ -73,7 +73,6 @@ def test_dot_outputs_stable():
     cc = build_dual(grid(1), "0,0")
     assert io.skeleton_dot(cc) == io.skeleton_dot(cc)
     assert io.skeleton_dot(cc).startswith("graph skeleton {")
-    assert io.transversality_dot(grid(2)).count("--") == 4
 
 
 # -- CLI ---------------------------------------------------------------
@@ -314,6 +313,19 @@ def test_cli_verify_rbad4(tmp_path):
     assert connected["vertices"] == connected["all_orientations"]
 
 
+@pytest.mark.parametrize("doc", [
+    {"points": ["a"], "walls": []},
+    {"points": ["a", "b"],
+     "walls": [{"index": 0, "left": ["a", "b"], "right": []}]}])
+def test_cli_verify_one_vertex_dual(doc):
+    # the dual is one 0-cube and there are no transverse families: the
+    # maximal cubes of dimension >= 1 match them
+    r = run_cli(["verify", "-"], stdin=json.dumps(doc))
+    assert r.exit_code == 0, r.stdout
+    checks = json.loads(r.stdout)["payload"]["checks"]
+    assert checks["maximal-bijection"] == {"ok": True, "families": 0}
+
+
 def test_cli_verify_convexity_checks_distance_law(tmp_path, monkeypatch):
     # the hull test holds on every dual_sub by construction; the distance
     # law it rests on fails once the centre of the 3 x 3 grid is dropped:
@@ -383,11 +395,14 @@ def test_cli_diagnose_metric_required(tmp_path):
 
 @pytest.mark.parametrize("args", [["grid", "8"], ["geomPath", "70"]])
 def test_cli_gen_sizes_caps_to_input(args):
-    # both once stopped at the default cap of 64 points
+    # both once stopped at the default cap of 64 points; the caps are the
+    # limits `gen` checks
     r = run_cli(["gen", *args])
     assert r.exit_code == 0
     doc = json.loads(r.stdout)
-    assert doc["caps"]["points"] == len(doc["payload"]["points"]) > 64
+    assert doc["caps"] == {"points": wallspace_module.MAX_POINTS,
+                           "names": io.MAX_NAMES}
+    assert len(doc["payload"]["points"]) > 64
 
 
 @pytest.mark.parametrize("args, points", [
@@ -433,7 +448,10 @@ def test_cli_gen_cayley_sizes_the_wall_cap_to_the_system():
     r = run_cli(["gen", "cayley", "F2", "6"])
     assert r.exit_code == 0
     doc = json.loads(r.stdout)
-    assert doc["caps"]["walls"] == len(doc["payload"]["walls"]) == 729
+    assert doc["caps"] == {"points": wallspace_module.MAX_POINTS,
+                           "names": io.MAX_NAMES,
+                           "products": groups.MAX_PRODUCTS}
+    assert len(doc["payload"]["walls"]) == 729
 
 
 def test_cli_gen_cayley_stops_at_the_product_cap():
@@ -445,6 +463,36 @@ def test_cli_gen_cayley_stops_at_the_product_cap():
         "error": "StateSpaceCap",
         "detail": "H-wall system needs 6926642 group products, exceeds cap "
                   "4194304"}
+
+
+def side_names(ws):
+    return sum(w.left.bit_count() + w.right.bit_count() for w in ws.walls)
+
+
+@pytest.mark.parametrize("args, names", [
+    (["rbad", "45"], 4197918), (["geomPath", "2048"], 4196350)])
+def test_cli_gen_stops_at_the_name_cap(args, names):
+    # the first sizes whose walls' sides list more than 2^22 point names,
+    # counted before any list is built; one size less stays under the cap
+    name, n = args
+    smaller = generators.generate(name, int(n) - 1)
+    assert side_names(smaller) <= io.MAX_NAMES
+    r = run_cli(["gen", *args])
+    assert r.exit_code == 3 and r.exception is None and r.stdout == ""
+    assert json.loads(r.stderr) == {
+        "error": "StateSpaceCap",
+        "detail": f"wallspace document lists {names} point names in its "
+                  f"walls' sides, exceeds cap {io.MAX_NAMES}"}
+
+
+def test_cli_gen_name_cap_boundary(monkeypatch):
+    # a document listing exactly MAX_NAMES names is written, one more is not
+    names = side_names(grid(2))
+    monkeypatch.setattr(io, "MAX_NAMES", names)
+    r = run_cli(["gen", "grid", "2"])
+    assert r.exit_code == 0 and json.loads(r.stdout)["caps"]["names"] == names
+    monkeypatch.setattr(io, "MAX_NAMES", names - 1)
+    assert run_cli(["gen", "grid", "2"]).exit_code == 3
 
 
 def test_cli_gen_unknown():
@@ -856,16 +904,18 @@ def cold_act_spec(variant):
 
 
 # sha256 of the standard output, recorded from the normal-form metric and
-# the stack-reduced products that the Cayley-ball layer replaced
+# the stack-reduced products that the Cayley-ball layer replaced; re-recorded
+# when `gen`'s caps became the limits it checks and `act` dropped its
+# always-constant keys, every other byte unchanged
 GROUP_OUTPUT_RECORDED = [
     (["gen", "cayley", "Z2", "5"], None,
-     "0071557bc9fb4371fc3bd38fb0b634cedf7719c1abc077a1f04ad7fb0d723a98"),
+     "82d7873350077daa9299095ad757c75fcaf0b3e9fcc348e3c651af50a48c07fb"),
     (["gen", "cayley", "F2", "4"], None,
-     "8e5c5d288399269e065611a60a88096f8bd462ffc11eebbfaeaee36cf28e8adb"),
+     "b2c36b122bbfe7b65a938d60d9f96c543bd9d327c9d321bb646d89ce236955fc"),
     (["act"], cold_act_spec({"kind": "U0"}),
-     "78c75488a0f9cef4147fd6e632d1730a657c44c25e8dcc70553a517cdacf2d59"),
+     "0064ea0b4dacdeaf151e3648f93131d1ca24f643549a13f8851d60128f56505c"),
     (["act"], cold_act_spec({"kind": "Ur", "r": 1}),
-     "7813490542a0d4b9434b0f72555e6a80b57045576c1f406bfec2fd71e47daa72"),
+     "4d7418b1c24be40466ee913eaec9e7c576c6531dff21957e6a7f479a0bfcce01"),
 ]
 
 
@@ -900,22 +950,23 @@ DIAGNOSE_PROPERTIES = [
     ("wallnbd-wallnbd", "{}"), ("packing", "{}"), ("degree-profile", "{}")]
 
 
-# sha256 of exit code, stdout and stderr of every property in turn
+# sha256 of exit code, stdout and stderr of every property in turn;
+# re-recorded when `gen`'s caps changed, which moves each input_digest
 DIAGNOSE_RECORDED = {
     "fig3":
-        "730553b09b14052764291a0b9f45cd595e23acd7eb0bb50358ec480775af6442",
+        "da5e9e04813877d13276c2e4a2d40c25c149f19d3eb34774ff7584e623deb775",
     "grid 7":
-        "3ff17b5318e70d2cc1b014be1c239eb31fb5d22cab1038a6def356ec52a6e886",
+        "b5849263bf3f5ea7003b5f812ded64f70f5abf0f59aa4418e9dede8623b62136",
     "rbad 4":
-        "01f9e4f40d77a156f55382f669ee6e9a674a95da50de3930c470be6ae8b41df7",
+        "aa221fd5d4bb1342a54bf2f4306e36733bf7768fe24132e751057933e0b4b8aa",
     "rbad 8":
-        "a4053f02899bdf39b1663a66f259e1479303eaafe54210b76e29b380d21cc6b0",
+        "08cbc67ebfc595dbf6f90697f6a49587dd25d1c0f37ac197890f6f4935d5e0b9",
     "cayley Z2 3":
-        "1d27e8b87d07c3f31e7fc1fc88be8a2f64490648da8a7d597e180152dd5dc266",
+        "f0aed1fc00bdb6d433c4f741220f2c3ed9f44d005a86f9564077ea2dd88ae304",
     "cayley Z2 5":
-        "090b26e25d4a54e87fef0da26bf1288ea4a02be8d9d212eec82d6f069435af20",
+        "9d3961536eaa094280006e513e6277881fadd215d84af4e0e36efc8f9f774de8",
     "cayley F2 3":
-        "2df1e19234733299eb7f76d5903d9a4e1b4d55c70ed38b618883095127817aec",
+        "4a9933945f537cfa6ab4a1539393cc744a36ae291be430dd303e429a43361342",
 }
 
 
@@ -934,14 +985,15 @@ def test_cli_diagnose_recorded(gen):
 
 
 # sha256 of the bytes a command writes, recorded from json.dumps(...,
-# indent=2), the encoder that io.dumps replaced
+# indent=2), the encoder that io.dumps replaced; `gen` re-recorded when its
+# caps changed, `verify` with the input_digest that moved with them
 OUTPUT_RECORDED = {
     "gen grid 7":
-        "27a954b9e922a3d0f0e253a1dcbe1b683aa8cbfd840fe814fac2a5667d1e8c58",
+        "ffb3f5331d119052bccad326a36c9e75accaabd394392c09a943d7de35d8d89b",
     "gen rbad 8":
-        "14d665a730dccb3806c9a521baa24ac541574793d585450b0445fd03babb718a",
+        "840f34f6b4166bd2aa370943d8ed3dffbfe797d946264b4f274bdc57ba876b1b",
     "verify rbad 4":
-        "834bdef2223eadb2b46546b61638be7f2e34d0f868308972adb7bd89e275180e",
+        "b3de49f692c85e919b13738bdae2323c331bb03b2e8cff3ac0081e48f74fbb3c",
     "build rbad 4 --export":
         "ffa2eebe1f9c4681a8008384d323878478f155a1c94ccac084fcc4b4a09e8ff7",
 }

@@ -197,6 +197,31 @@ def test_unit_metric_matches_row_oracle(data):
     assert m.diameter() == oracle.diameter()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reaches_matches_diam(data):
+    # unit-weight graphs, often disconnected, and the same graphs weighted,
+    # whose metric is a table
+    n, edges = data.draw(unit_graphs())
+    if data.draw(st.booleans()):
+        weight = st.sampled_from([0.5, 1, 2.5])
+        edges = [(i, j, data.draw(weight)) for i, j, _w in edges]
+    m = Metric.from_edges(n, edges)
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    d = m.diam(mask)
+    for tau in (0.5, 1, 2, 2.5, 3, 5, INF):
+        assert m.reaches(mask, tau) == (d is not None and d >= tau)
+
+
+def test_reaches_counts_the_ring_at_inf():
+    # a set spanning two components reaches every tau
+    for m in (Metric.from_edges(4, [(0, 1, 1), (2, 3, 1)]),
+              Metric.from_edges(4, [(0, 1, 2.5), (2, 3, 1)])):
+        for tau in (1, 100, INF):
+            assert m.reaches(0b101, tau)
+        assert not m.reaches(0b011, 3) and not m.reaches(0, 0.5)
+
+
 def test_unit_metric_builds_no_table_to_load_or_generate():
     ball = cayley_ball(Free(2), 4)
     generate_hwall_system(ball, [
