@@ -118,6 +118,9 @@ def cmd_build(args):
     doc, digest = _read_doc(args.file)
     ws = io.wallspace_from_dict(doc)
     bp = args.basepoint if args.basepoint is not None else ws.points[0]
+    if bp not in ws.point_index:
+        raise ParseError(f"--basepoint: {bp!r} is not a point of the "
+                         "wallspace")
     cc = build_dual(ws, bp, vertex_cap=args.cap_vertices)
     if args.export:
         _write(args.export, io.dumps(cc.export_dict()))
@@ -254,7 +257,7 @@ def cmd_diagnose(args):
         return isinstance(x, list) and all(
             isinstance(q, str) and q in ws.point_index for q in x)
 
-    names = (points, "a list of point names")
+    names = (lambda x: points(x) and x != [], "a nonempty list of point names")
     number = (lambda x: io.NUMBER[0](x) and x >= 0, "a non-negative number")
     # every field is read, whatever the property
     max_denominator = read("max_denominator", (
@@ -283,8 +286,9 @@ def cmd_diagnose(args):
         rep = subspace_separation(ws, Y or list(ws.points), kind,
                                   r).to_dict()
     elif prop == "packing":
-        subsets = subsets or [
-            ws.names_of(w.carrier()) for w in ws.walls if w.carrier()]
+        if subsets is None:
+            subsets = [ws.names_of(w.carrier()) for w in ws.walls
+                       if w.carrier()]
         rep = bounded_packing_number(ws, subsets, D).to_dict()
     else:  # degree-profile
         cc = build_dual(ws, ws.points[0])

@@ -35,7 +35,7 @@ from .wallspace import MAX_POINTS, Report, Wall, Wallspace
 TRUNCATION_CAVEAT = ("all conclusions are radius-limited: computed on a "
                      "finite ball of an infinite group")
 
-# group products an H-wall system may take, |specs|·|ball|²
+# group products an H-wall system may take (see generate_hwall_system)
 MAX_PRODUCTS = 1 << 22
 
 
@@ -339,13 +339,26 @@ class HWallSpec:
             return "B"
         return "L" if rest[0].islower() else "R"
 
+    def key(self, t):
+        """t's coset of the carrier (see `generate_hwall_system`): its axis
+        coordinate, or t with trailing powers of the axis letter stripped."""
+        if self.rule == "coordinate":
+            return t[self.axis]
+        return t.rstrip(self.axis + self.axis.upper())
+
 
 def build_hwall(ball, hw):
-    """The H-wall truncated to the ball, with a conformance Report for the
-    Def 2.8-style conditions, checked on the computable portion.  Each
-    element of H ∩ ball acts on the ball once, by `CayleyBall.image`."""
+    """The H-wall truncated to the ball, with its `_hwall_report`."""
     u, v = _translate(ball, hw, ball.spec.identity())
-    hmembers, images = _h_images(ball, hw.subgroup)
+    return Wall(hw.index or 0, u, v), \
+        _hwall_report(ball, u, v, _h_members(ball, hw.subgroup))
+
+
+def _hwall_report(ball, u, v, hmembers):
+    """The H-wall's conformance Report for the Def 2.8-style conditions,
+    checked on the computable portion.  Each element of H ∩ ball
+    (`hmembers`) acts on the ball once, by `CayleyBall.image`."""
+    images = [ball.image(ball.elements[h]) for h in hmembers]
     violations = []
     for h, img in zip(hmembers, images):
         for i, j in enumerate(img):
@@ -361,7 +374,7 @@ def build_hwall(ball, hw):
         hdotdot = "violated" if violations else "verified (side-swappers present)"
     else:
         hdotdot = "vacuous at this radius (no side-swapping element in ball)"
-    rep = Report(
+    return Report(
         cut=("invariance_violations", 10),
         ok=not violations,
         invariance_violations=violations,
@@ -370,30 +383,28 @@ def build_hwall(ball, hw):
         hdotdot_status=hdotdot,
         caveat=TRUNCATION_CAVEAT,
     )
-    return Wall(hw.index or 0, u, v), rep
 
 
 _IN_LEFT = str.maketrans("LRB", "101")
 _IN_RIGHT = str.maketrans("LRB", "011")
 
 
-def _translate(ball, hw, t_inv):
+def _translate(ball, hw, t):
     """The halfspace masks (U, V) of the H-wall's translate by t, truncated
     to the ball: x lies in tU when t⁻¹x is on the left of hw or on both
     sides, in tV when it is on the right or on both.  Point i is bit i of
     each mask, hence the reversed side string."""
-    sides = "".join(map(hw.side, map(ball.spec.mul, repeat(t_inv),
+    sides = "".join(map(hw.side, map(ball.spec.mul, repeat(ball.spec.inv(t)),
                                      ball.elements)))[::-1]
     return int(sides.translate(_IN_LEFT), 2), \
         int(sides.translate(_IN_RIGHT), 2)
 
 
-def _h_images(ball, subgroup):
+def _h_members(ball, subgroup):
     """The indices of H ∩ ball but the identity (index 0, the one element
-    of length 0), and the ball's image under each."""
-    hmembers = [i for i, g in enumerate(ball.elements)
-                if i and subgroup.contains(g)]
-    return hmembers, [ball.image(ball.elements[h]) for h in hmembers]
+    of length 0)."""
+    return [i for i, g in enumerate(ball.elements)
+            if i and subgroup.contains(g)]
 
 
 def _swaps_sides(img, u, v):
@@ -423,38 +434,46 @@ def _orbit_count(images, indices, glue=()):
 
 def generate_hwall_system(ball, hwall_specs):
     """Wallspace on the ball with all ball-translates of the given H-walls,
-    and its bookkeeping, a Report.
+    truncated to the ball, and its bookkeeping, a Report.
 
-    Translate walls {gU, gV} are truncated to the ball, and equal ones are
-    collapsed by (halfspace pair, source spec); none is dropped.  A
-    translate takes a group product per ball point, |specs|·|ball|² in all:
-    past MAX_PRODUCTS, StateSpaceCap is raised before any translate.
+    A rule's carrier C = {y : side(y) = "B"}, {y_k = 0} or <axis>, is the
+    stabiliser of `side`, so the translate tW has carrier tC and depends
+    only on t's `key`, its coset tC: one wall is built per (spec, key),
+    from the first t of the key in ball order (W itself for the identity).
+    Keys of ball elements have disjoint carriers, each holding its own t,
+    so their truncated translates differ, and gtW is the wall of gt's key,
+    sides unswapped, when that key has one; a key with no wall has its
+    carrier outside the ball.  A translate, and the ball's image under each
+    element of H ∩ ball but 1 (the report's checks share them), takes a
+    product per point:
+    StateSpaceCap is raised at the first spec that takes that count past
+    MAX_PRODUCTS, before any translate or image.
 
-    The bookkeeping holds `wall_info` (index -> (spec position, name of
-    g)), `pair_index` ((halfspace pair, spec position) -> index), `specs`
-    and `reports` (each H-wall's `build_hwall` Report, as a dict).
+    The bookkeeping holds `wall_info` (index -> (spec position, ball index
+    of t)), `wall_of` ((spec position, key) -> index), `specs` and
+    `reports` (each H-wall's `build_hwall` Report, as a dict).
     """
-    products = len(hwall_specs) * len(ball.elements) ** 2
-    if products > MAX_PRODUCTS:
-        raise StateSpaceCap(f"H-wall system needs {products} group "
-                            f"products, exceeds cap {MAX_PRODUCTS}")
-    spec = ball.spec
-    meta = Report(wall_info={}, pair_index={}, specs=list(hwall_specs),
-                  reports=[])
-    walls = []
-    inverses = list(map(spec.inv, ball.elements))
+    wall_of, wall_info, hmembers = {}, {}, []
     for pos, hw in enumerate(hwall_specs):
-        _w, rep = build_hwall(ball, hw)
-        meta.reports.append(rep.to_dict())
-        for g, ginv in zip(ball.elements, inverses):
-            gu, gv = _translate(ball, hw, ginv)
-            key = (frozenset((gu, gv)), pos)
-            if key not in meta.pair_index:
-                meta.wall_info[len(walls)] = (pos, spec.name(g))
-                meta.pair_index[key] = len(walls)
-                walls.append(Wall(len(walls), gu, gv))
+        for i, t in enumerate(ball.elements):
+            idx = wall_of.setdefault((pos, hw.key(t)), len(wall_of))
+            wall_info.setdefault(idx, (pos, i))
+        hmembers.append(_h_members(ball, hw.subgroup))
+        products = (len(wall_of) + sum(map(len, hmembers))) * \
+            len(ball.elements)
+        if products > MAX_PRODUCTS:
+            raise StateSpaceCap(f"H-wall system needs at least {products} "
+                                f"group products, exceeds cap {MAX_PRODUCTS}")
+    walls = [Wall(idx, *_translate(ball, hwall_specs[pos], ball.elements[i]))
+             for idx, (pos, i) in wall_info.items()]
+    one = ball.elements[0]
+    reports = [
+        _hwall_report(ball, *walls[wall_of[pos, hw.key(one)]].halfspaces(),
+                      hm).to_dict()
+        for pos, (hw, hm) in enumerate(zip(hwall_specs, hmembers))]
     ws = Wallspace(ball.names, walls, metric=ball.metric)
-    return ws, meta
+    return ws, Report(wall_info=wall_info, wall_of=wall_of,
+                      specs=list(hwall_specs), reports=reports)
 
 
 # -- codimension-1 analysis -------------------------------------------
@@ -464,7 +483,8 @@ def codim_one_analysis(ball, subgroup, d):
     """Components of ball minus N_d(H ∩ ball), with the radius-limited
     deep-component heuristic: a component is deep when it touches the
     boundary sphere of the ball."""
-    hmembers, images = _h_images(ball, subgroup)
+    hmembers = _h_members(ball, subgroup)
+    images = [ball.image(ball.elements[h]) for h in hmembers]
     # H ∩ ball holds the identity
     removed = ball.metric.ball(sum(1 << h for h in hmembers) | 1, d)
     adj = ball.metric.adjacency()
@@ -509,33 +529,27 @@ class ActionMap:
         self.domain_bits = dict(domain_bits or {})
 
     @classmethod
-    def from_element(cls, ball, g, ws=None, meta=None):
-        """The action of g, in one pass over the walls: each wall's image
-        translate gt gives its image wall (or, truncated to vacuous, a
-        domain bit), and its preimage translate g⁻¹t, truncated to
-        vacuous, the side forced on it when it is no wall's image.  The
-        walls of an H-wall system are indexed by their positions."""
-        spec = ball.spec
+    def from_element(cls, ball, g, meta):
+        """The action of g on the ball and on the walls of an H-wall system
+        (`meta`, its bookkeeping): tW goes to the wall of gt's key, sides
+        unswapped.  A key with no wall is translated; truncated to vacuous,
+        gtW gives a domain bit, and g⁻¹tW, whose key has a wall exactly
+        when tW is a wall's image, the side forced on tW: the side every
+        ball vertex orients it to."""
+        spec, ginv = ball.spec, ball.spec.inv(g)
         pm = {i: j for i, j in enumerate(ball.image(g)) if j is not None}
         wm, forced, dom_bits = {}, {}, {}
-        if ws is not None and meta is not None:
-            ginv = spec.inv(g)
-            for idx, (pos, tname) in meta.wall_info.items():
-                t = ball.elements[ball.by_name[tname]]
-                hw = meta.specs[pos]
-                gu, gv = _translate(ball, hw, spec.inv(spec.mul(g, t)))
-                j = meta.pair_index.get((frozenset((gu, gv)), pos))
-                if j is not None:
-                    wm[idx] = (j, ws.walls[j].left != gu)
-                elif bool(gu) != bool(gv):
-                    dom_bits[idx] = int(not gu)
-                # every ball vertex orients a vacuous preimage translate
-                # to its full side
-                pu, pv = _translate(ball, hw, spec.inv(spec.mul(ginv, t)))
-                if bool(pu) != bool(pv):
-                    forced[idx] = int(not pu)
-            for j, _s in wm.values():
-                forced.pop(j, None)
+        for idx, (pos, i) in meta.wall_info.items():
+            hw, t = meta.specs[pos], ball.elements[i]
+            for h, out in ((g, dom_bits), (ginv, forced)):
+                ht = spec.mul(h, t)
+                j = meta.wall_of.get((pos, hw.key(ht)))
+                if j is None:
+                    u, v = _translate(ball, hw, ht)
+                    if bool(u) != bool(v):
+                        out[idx] = int(not u)
+                elif out is dom_bits:
+                    wm[idx] = (j, False)
         return cls(pm, wm, forced, dom_bits)
 
     def check(self, ws):

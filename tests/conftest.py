@@ -10,11 +10,13 @@ through its `Cube` views and its export document, never its cell store.
 The flip-search oracle for `build_dual` steps with the library's one-wall
 flip test, which `test_flippable_matches_validity` checks against the
 valid orientations, but not with its 2-SAT search.  The loop-contraction,
-H-wall, codimension-1, point-map and decomposition oracles are the
-library's earlier forms: every same-wall pair listed per pass, a group
-product per H-member and point for each check, and every cube read
-through its `Cube` view.  The induced-hemi oracle takes a
-neighbourhood per side and scans U*'s radii one by one.
+H-wall, codimension-1, point-map, H-wall-system, action and decomposition
+oracles are the library's earlier forms: every same-wall pair listed per
+pass, a group product per H-member and point for each check, a translate
+per ball element merged by halfspace pair, two translates per wall looked
+up by halfspace pair, and every cube read through its `Cube` view.  The
+induced-hemi oracle takes a neighbourhood per side and scans U*'s radii
+one by one.
 `OracleMetric` answers every metric query from the full table of
 per-source breadth-first (or Dijkstra) rows, and the separation oracles
 are the pair-by-pair scans that ran on it, item list and all.
@@ -39,7 +41,7 @@ from wallcube.errors import (
     StuckLoop,
     WallcubeError,
 )
-from wallcube.groups import TRUNCATION_CAVEAT, _translate
+from wallcube.groups import TRUNCATION_CAVEAT, ActionMap, _translate
 from wallcube.hemi import Hemiwallspace, induce_hemi
 from wallcube.metric import INF, Metric, _dijkstra, bits, components, compress
 from wallcube.separation import (
@@ -671,6 +673,71 @@ def oracle_point_map(ball, g):
         if gx in ball.by_elem:
             pm[spec.name(x)] = spec.name(gx)
     return pm
+
+
+class CountingSpec:
+    """A group spec that counts the products it makes."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def mul(self, a, b):
+        self.products += 1
+        return self.spec.mul(a, b)
+
+
+def oracle_generate_hwall_system(ball, hwall_specs):
+    """`generate_hwall_system` as it translated each H-wall by every ball
+    element and merged equal translates by (halfspace pair, spec
+    position): `wall_info` maps index -> (spec position, name of the first
+    element of the translate), `pair_index` (pair, spec position) -> index."""
+    spec = ball.spec
+    meta = Report(wall_info={}, pair_index={}, specs=list(hwall_specs),
+                  reports=[])
+    walls = []
+    for pos, hw in enumerate(hwall_specs):
+        _w, rep = oracle_build_hwall(ball, hw)
+        meta.reports.append(rep.to_dict())
+        for g in ball.elements:
+            gu, gv = _translate(ball, hw, g)
+            key = (frozenset((gu, gv)), pos)
+            if key not in meta.pair_index:
+                meta.wall_info[len(walls)] = (pos, spec.name(g))
+                meta.pair_index[key] = len(walls)
+                walls.append(Wall(len(walls), gu, gv))
+    return Wallspace(ball.names, walls, metric=ball.metric), meta
+
+
+def oracle_from_element(ball, g, ws, meta):
+    """`ActionMap.from_element` as it translated each wall of the oracle
+    system (`oracle_generate_hwall_system`) by gt and g⁻¹t, and looked the
+    image up by its halfspace pair: the image wall, with its sides swapped
+    when the pair comes reversed, a domain bit when the image truncates to
+    vacuous, and the side forced by a vacuous preimage on a wall that is
+    no wall's image."""
+    spec = ball.spec
+    pm = {i: j for i, j in enumerate(ball.image(g)) if j is not None}
+    wm, forced, dom_bits = {}, {}, {}
+    ginv = spec.inv(g)
+    for idx, (pos, tname) in meta.wall_info.items():
+        t = ball.elements[ball.by_name[tname]]
+        hw = meta.specs[pos]
+        gu, gv = _translate(ball, hw, spec.mul(g, t))
+        j = meta.pair_index.get((frozenset((gu, gv)), pos))
+        if j is not None:
+            wm[idx] = (j, ws.walls[j].left != gu)
+        elif bool(gu) != bool(gv):
+            dom_bits[idx] = int(not gu)
+        pu, pv = _translate(ball, hw, spec.mul(ginv, t))
+        if bool(pu) != bool(pv):
+            forced[idx] = int(not pu)
+    for j, _s in wm.values():
+        forced.pop(j, None)
+    return ActionMap(pm, wm, forced, dom_bits)
 
 
 def oracle_rel_cocompact_check(ws, cc, peripheries, variant, m=None):

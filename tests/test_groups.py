@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import (
+    CountingSpec,
     oracle_ball_metric,
     oracle_build_hwall,
     oracle_codim_one_analysis,
+    oracle_from_element,
+    oracle_generate_hwall_system,
     oracle_point_map,
     oracle_rel_cocompact_check,
     random_wallspace,
@@ -208,21 +211,6 @@ def test_ball_metric_is_the_word_metric(spec, max_radius):
         assert ball.metric.dist == oracle_ball_metric(ball), radius
 
 
-class CountingSpec:
-    """A group spec that counts the products it makes."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.products = 0
-
-    def __getattr__(self, name):
-        return getattr(self.spec, name)
-
-    def mul(self, a, b):
-        self.products += 1
-        return self.spec.mul(a, b)
-
-
 def counted_systems():
     z2, f2 = CountingSpec(Z2), CountingSpec(F2)
     yield z2, 5, [
@@ -241,31 +229,121 @@ def test_group_layer_work_counts(spec, radius, hws):
     assert spec.products <= n * len(spec.generators())
     hsizes = [sum(map(hw.subgroup.contains, ball.elements)) - 1
               for hw in hws]
+    keys = sum(len(set(map(hw.key, ball.elements))) for hw in hws)
     spec.products = 0
-    generate_hwall_system(ball, hws)
-    # per spec: one translate per ball point, with one product per point;
-    # the invariance check, the carrier and frontier orbit counts and the
-    # side-swap test share one image of the ball per H-member in it, one
-    # product per point; cyclic membership of a point costs 2(r + 1)
+    ws, meta = generate_hwall_system(ball, hws)
+    # per spec: one translate per key, with one product per point, the
+    # identity's among them; the invariance check, the carrier and
+    # frontier orbit counts and the side-swap test share one image of the
+    # ball per H-member in it, one product per point; cyclic membership of
+    # a point costs 2(r + 1)
     checks = sum(h + 2 * (radius + 1) for h in hsizes)
-    assert spec.products <= (len(hws) * (n + 1) + checks) * n
+    assert ws.nwalls() == keys
+    assert spec.products <= (keys + checks) * n
+    # the action of each generator: a product per wall and side, a
+    # translate per side whose key has no wall, and the point map
+    mul = spec.spec.mul
+    for g in spec.generators():
+        missing = sum((pos, meta.specs[pos].key(mul(h, ball.elements[i])))
+                      not in meta.wall_of
+                      for pos, i in meta.wall_info.values()
+                      for h in (g, spec.inv(g)))
+        spec.products = 0
+        ActionMap.from_element(ball, g, meta)
+        assert spec.products <= 2 * ws.nwalls() + (missing + 1) * n
 
 
 def test_hwall_system_stops_at_the_product_cap(monkeypatch):
-    # two H-walls on the 25-point ball: 2 · 25² = 1250 products, counted
-    # before any translate is built
+    # two H-walls on the 25-point ball, each with 7 keys and 6 members but
+    # the identity: 2 · (7 + 6) · 25 = 650 products, counted before any
+    # translate or image is built
     ball, (ws, meta) = z2_system(3)
-    monkeypatch.setattr(groups, "MAX_PRODUCTS", 1250)
+    monkeypatch.setattr(groups, "MAX_PRODUCTS", 650)
     assert generate_hwall_system(ball, meta.specs)[0].walls == ws.walls
 
-    def no_translate(*args):
-        raise AssertionError("a translate was built")
+    def not_built(*args):
+        raise AssertionError("a translate or an image was built")
 
-    monkeypatch.setattr(groups, "MAX_PRODUCTS", 1249)
-    monkeypatch.setattr(groups, "_translate", no_translate)
-    with pytest.raises(StateSpaceCap, match="^H-wall system needs 1250 "
-                       "group products, exceeds cap 1249$"):
+    monkeypatch.setattr(groups, "MAX_PRODUCTS", 649)
+    monkeypatch.setattr(groups, "_translate", not_built)
+    monkeypatch.setattr(ball, "image", not_built)
+    with pytest.raises(StateSpaceCap, match="^H-wall system needs at least "
+                       "650 group products, exceeds cap 649$"):
         generate_hwall_system(ball, meta.specs)
+    # the count stops at the first spec past the cap
+    monkeypatch.setattr(groups, "MAX_PRODUCTS", 324)
+    with pytest.raises(StateSpaceCap, match="^H-wall system needs at least "
+                       "325 group products, exceeds cap 324$"):
+        generate_hwall_system(ball, meta.specs)
+
+
+# (group, largest radius); `rules` lists every rule the group takes: the
+# coordinate rule on each axis of ℤᵈ, the branch rule on each letter of F_r
+KEYED_GROUPS = [(FreeAbelian(1), 6), (FreeAbelian(2), 5), (FreeAbelian(3), 3),
+                (Free(1), 6), (Free(2), 4), (Free(3), 3)]
+
+
+def rules(spec):
+    if spec.kind == "FreeAbelian":
+        return [("coordinate", k) for k in range(spec.d)]
+    return [("branch", letter) for letter in spec.letters]
+
+
+@st.composite
+def hwall_specs(draw, spec):
+    """A rule with any subgroup of the family, matched to it or not: a
+    coordinate subgroup on any axes, or a cyclic subgroup on any word."""
+    rule, axis = draw(st.sampled_from(rules(spec)))
+    if spec.kind == "FreeAbelian":
+        sub = CoordinateSubgroup(spec, draw(st.sets(st.sampled_from(
+            range(spec.d)))))
+    else:
+        word = draw(st.text(spec.letters + spec.letters.upper(),
+                            min_size=1, max_size=3).map(stack_reduced)
+                    .filter(bool))
+        sub = CyclicSubgroup(spec, word)
+    return HWallSpec(sub, rule, axis=axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_keyed_hwall_system_matches_a_translate_per_element(data):
+    # the walls, their bookkeeping and the action of any ball element
+    # equal those of the loop over every ball element merged by halfspace
+    # pair, sides swapped where the pair comes reversed
+    spec, max_radius = data.draw(st.sampled_from(KEYED_GROUPS))
+    ball = cayley_ball(spec, data.draw(st.integers(0, max_radius)))
+    hws = data.draw(st.lists(hwall_specs(spec), min_size=1, max_size=3))
+    ws, meta = generate_hwall_system(ball, hws)
+    ows, ometa = oracle_generate_hwall_system(ball, hws)
+    assert ws.walls == ows.walls
+    assert {i: (pos, ball.names[t]) for i, (pos, t) in
+            meta.wall_info.items()} == ometa.wall_info
+    assert meta.reports == ometa.reports
+    for g in data.draw(st.lists(st.sampled_from(ball.elements),
+                                min_size=1, max_size=4)):
+        action = ActionMap.from_element(ball, g, meta)
+        oracle = oracle_from_element(ball, g, ows, ometa)
+        assert action.point_map == oracle.point_map
+        assert action.wall_map == oracle.wall_map
+        assert action.forced_bits == oracle.forced_bits
+        assert action.domain_bits == oracle.domain_bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hwall_key_names_the_coset_of_the_carrier(data):
+    # key(s) == key(t) ⟺ s⁻¹t ∈ C = {y : side(y) = "B"} ⟺ the two
+    # translates are equal: a rule whose carrier is not the stabiliser of
+    # its sides fails here, and does not merge distinct walls
+    spec, max_radius = data.draw(st.sampled_from(KEYED_GROUPS))
+    rule, axis = data.draw(st.sampled_from(rules(spec)))
+    hw = HWallSpec(None, rule, axis=axis)
+    ball = cayley_ball(spec, data.draw(st.integers(0, max_radius)))
+    translates = [groups._translate(ball, hw, t) for t in ball.elements]
+    for (s, ts), (t, tt) in combinations(zip(ball.elements, translates), 2):
+        in_carrier = hw.side(spec.mul(spec.inv(s), t)) == "B"
+        assert (hw.key(s) == hw.key(t)) == in_carrier == (ts == tt)
 
 
 # -- H-walls -----------------------------------------------------------
@@ -331,6 +409,7 @@ def test_group_layer_matches_a_product_per_check(case, radius):
     # one image of the ball per element of H ∩ ball serves every check
     spec, hws = HWALL_CASES[case]
     ball = cayley_ball(spec, radius)
+    _ws, meta = generate_hwall_system(ball, [])
     for hw in hws:
         wall, rep = build_hwall(ball, hw)
         owall, orep = oracle_build_hwall(ball, hw)
@@ -343,7 +422,7 @@ def test_group_layer_matches_a_product_per_check(case, radius):
             assert io.dumps(codim_one_analysis(ball, hw.subgroup, d)) == \
                 io.dumps(oracle_codim_one_analysis(ball, hw.subgroup, d))
     for g in ball.elements:
-        pm = ActionMap.from_element(ball, g).point_map
+        pm = ActionMap.from_element(ball, g, meta).point_map
         assert {ball.names[i]: ball.names[j] for i, j in pm.items()} == \
             oracle_point_map(ball, g)
 
@@ -362,8 +441,8 @@ def test_hwall_rules_put_the_identity_on_both_sides():
     for (ball, (ws, meta)), hws in ((z2_system(), 2), (f2_system(), 1)):
         assert len(meta.reports) == hws
         for w in ws.walls:
-            _pos, t = meta.wall_info[w.index]
-            assert w.carrier() >> ball.by_name[t] & 1
+            _pos, i = meta.wall_info[w.index]
+            assert w.carrier() >> i & 1
 
 
 def test_generated_systems_validate():
@@ -374,13 +453,12 @@ def test_generated_systems_validate():
 
 def test_z2_translate_transversality():
     # walls in the same direction are nested, orthogonal ones transverse
-    _ball, (ws, meta) = z2_system(3)
+    ball, (ws, meta) = z2_system(3)
     by_pos = {}
     offset = {}
-    for idx, (pos, t) in meta.wall_info.items():
+    for idx, (pos, i) in meta.wall_info.items():
         by_pos.setdefault(pos, []).append(idx)
-        gx, gy = (int(v) for v in t.strip("()").split(","))
-        offset[idx] = gx if pos == 0 else gy
+        offset[idx] = ball.elements[i][pos]
     for pos, idxs in by_pos.items():
         for a, b in combinations(idxs, 2):
             assert not transverse(ws, a, b)
@@ -461,7 +539,7 @@ def test_equivariance_z2_translations():
     ball, (ws, meta) = z2_system(3)
     cc = build_dual(ws, ws.points[0])
     for g in [(1, 0), (0, 1), (-1, 0), (1, 1)]:
-        action = ActionMap.from_element(ball, g, ws=ws, meta=meta)
+        action = ActionMap.from_element(ball, g, meta)
         rep = verify_equivariance(ws, action, cc)
         assert rep.ok, rep.violations
         assert rep.domain_vertices >= cc.nvertices() // 2
@@ -472,7 +550,7 @@ def test_equivariance_f2_generators():
     ball, (ws, meta) = f2_system(3)
     cc = build_dual(ws, ws.points[0])
     for g in ("a", "A", "b"):
-        action = ActionMap.from_element(ball, g, ws=ws, meta=meta)
+        action = ActionMap.from_element(ball, g, meta)
         rep = verify_equivariance(ws, action, cc)
         assert rep.ok, rep.violations
         assert rep.domain_vertices > 0
@@ -481,7 +559,7 @@ def test_equivariance_f2_generators():
 def test_equivariance_identity():
     ball, (ws, meta) = z2_system(2)
     cc = build_dual(ws, ws.points[0])
-    action = ActionMap.from_element(ball, Z2.identity(), ws=ws, meta=meta)
+    action = ActionMap.from_element(ball, Z2.identity(), meta)
     rep = verify_equivariance(ws, action, cc)
     assert rep.ok
     assert rep.domain_vertices == cc.nvertices()
@@ -493,7 +571,7 @@ def test_equivariance_violations_carry_total():
     # offset: the image of an edge on an x-wall differs on two walls
     ball, (ws, meta) = z2_system(2)
     cc = build_dual(ws, ws.points[0])
-    at = {(pos, t): i for i, (pos, t) in meta.wall_info.items()}
+    at = {(pos, ball.names[t]): i for i, (pos, t) in meta.wall_info.items()}
     walls = {at[0, f"({k},0)"]: (at[1, f"(0,{k})"], False)
              for k in range(-2, 3)}
     rep = verify_equivariance(ws, ActionMap({}, walls), cc)
@@ -510,7 +588,7 @@ def test_equivariance_violations_carry_total():
     broken = sum(1 for u, v, w in cc.edges
                  if u in domain and v in domain and ws.walls[w].index in walls)
     assert doc["violations_total"] == 1 + broken > 10  # and NotInjective
-    identity = ActionMap.from_element(ball, Z2.identity(), ws=ws, meta=meta)
+    identity = ActionMap.from_element(ball, Z2.identity(), meta)
     assert "violations_total" not in \
         verify_equivariance(ws, identity, cc).to_dict()
 
@@ -519,10 +597,10 @@ def test_axis_cut_z2():
     from wallcube.separation import axis_cut_test
     ball, (ws, meta) = z2_system(3)
     cc = build_dual(ws, ws.points[0])
-    action = ActionMap.from_element(ball, (1, 0), ws=ws, meta=meta)
+    action = ActionMap.from_element(ball, (1, 0), meta)
     # pick the x-wall through the origin
     target = next(i for i, (pos, t) in meta.wall_info.items()
-                  if pos == 0 and t == "(0,0)")
+                  if pos == 0 and t == 0)
     out = axis_cut_test(ws, action, target, 2, cc=cc)
     for c in out["conditions"].values():
         assert c["wall_moves"] and c["U_overlaps"] and c["V_overlaps"]
@@ -580,7 +658,7 @@ def test_action_outputs_recorded(system, g):
     from wallcube.separation import axis_cut_test
     ball, (ws, meta) = (z2_system if system == "Z2" else f2_system)(3)
     cc = build_dual(ws, ws.points[0])
-    action = ActionMap.from_element(ball, g, ws=ws, meta=meta)
+    action = ActionMap.from_element(ball, g, meta)
 
     def digest(obj):
         return hashlib.sha256(io.dumps(obj).encode()).hexdigest()

@@ -455,14 +455,37 @@ def test_cli_gen_cayley_sizes_the_wall_cap_to_the_system():
 
 
 def test_cli_gen_cayley_stops_at_the_product_cap():
-    # two default H-walls on the 1861-point ball of radius 30; F2 6 above,
-    # one H-wall on 1457 points, stays under the cap
-    r = run_cli(["gen", "cayley", "Z2", "30"])
+    # the default H-wall of F4 on the 3201-point ball of radius 4: 2401
+    # keys (the reduced words of length <= 4 not ending in a or A) and 8
+    # members of <a> but the identity, a product per point each
+    assert_product_cap_exit(["gen", "cayley", "F4", "4"], 7711209)
+
+
+def test_cli_gen_cayley_counts_the_products_spec_by_spec():
+    # 600 coordinate H-walls on the 1201-point ball of radius 1, each with
+    # 3 keys and 1198 members: the count passes the cap at the third, long
+    # before the 865,440,600 products of all 600
+    assert_product_cap_exit(["gen", "cayley", "Z600", "1"],
+                            3 * (3 + 1198) * 1201)
+
+
+def assert_product_cap_exit(args, products):
+    r = run_cli(args)
     assert r.exit_code == 3 and r.exception is None and r.stdout == ""
     assert json.loads(r.stderr) == {
         "error": "StateSpaceCap",
-        "detail": "H-wall system needs 6926642 group products, exceeds cap "
-                  "4194304"}
+        "detail": f"H-wall system needs at least {products} group products, "
+                  "exceeds cap 4194304"}
+
+
+def test_cli_gen_cayley_z2_30_builds():
+    # once 6,926,642 products, a translate per ball point; two default
+    # H-walls on the 1861-point ball, each with 61 keys and 60 members but
+    # the identity, take 450,362
+    r = run_cli(["gen", "cayley", "Z2", "30"])
+    assert r.exit_code == 0
+    doc = json.loads(r.stdout)["payload"]
+    assert len(doc["points"]) == 1861 and len(doc["walls"]) == 122
 
 
 def side_names(ws):
@@ -788,10 +811,10 @@ def test_cli_survives_any_field_value(command_doc, data):
     (["diagnose", "-", "--property", "ball-ball", "--params", '{"r": -1}'],
      "--params.r: -1 is not a non-negative integer"),
     (["diagnose", "-", "--property", "ball-wallnbd", "--params", '{"Y": 5}'],
-     "--params.Y: 5 is not a list of point names"),
+     "--params.Y: 5 is not a nonempty list of point names"),
     (["diagnose", "-", "--property", "compact-wall",
       "--params", '{"K": ["0,0", "9,9"]}'],
-     "--params.K: ['0,0', '9,9'] is not a list of point names"),
+     "--params.K: ['0,0', '9,9'] is not a nonempty list of point names"),
     (["diagnose", "-", "--property", "packing",
       "--params", '{"subsets": [["0,0"], 3]}'],
      "--params.subsets: [['0,0'], 3] is not a list of lists of point names"),
@@ -821,6 +844,14 @@ def test_cli_survives_any_field_value(command_doc, data):
      "--ns: '1_0' is not an integer"),
     (["gen", "cayley", "Z1_0", "1"], "GROUP Zd: '1_0' is not an integer"),
     (["gen", "cayley", "Z2", " 2"], "RADIUS: ' 2' is not an integer"),
+    # an empty K or Y once took the default
+    (["diagnose", "-", "--property", "compact-wall", "--params", '{"K": []}'],
+     "--params.K: [] is not a nonempty list of point names"),
+    (["diagnose", "-", "--property", "ball-wallnbd", "--params", '{"Y": []}'],
+     "--params.Y: [] is not a nonempty list of point names"),
+    # once exit 1, an UnknownPoint
+    (["build", "-", "--basepoint", "zz"],
+     "--basepoint: 'zz' is not a point of the wallspace"),
 ])
 def test_cli_malformed_arguments(args, where):
     r = run_cli(args, stdin=run_cli(["gen", "grid", "2"]).stdout)
@@ -841,6 +872,16 @@ def test_cli_diagnose_null_param_takes_its_default(prop, key):
                  "--params", json.dumps({key: None})], stdin=grid2)
     assert default.exit_code == 0 and r.exit_code == 0
     assert r.stdout == default.stdout
+
+
+def test_cli_diagnose_empty_subsets_is_the_empty_family():
+    # once read as absent, and so as the walls' carriers
+    r = run_cli(["diagnose", "-", "--property", "packing",
+                 "--params", '{"subsets": []}'],
+                stdin=run_cli(["gen", "grid", "2"]).stdout)
+    assert r.exit_code == 0
+    rep = json.loads(r.stdout)["payload"]
+    assert rep["k"] == 0 and rep["witness_family"] == []
 
 
 @pytest.mark.parametrize("metric", [
@@ -876,14 +917,17 @@ def test_cli_clique_search_cap_exit(monkeypatch, args):
 
 
 def test_cli_act_product_cap_exit(tmp_path, monkeypatch):
-    # one H-wall on the 13-point ball of radius 2: 169 group products
+    # one H-wall on the 13-point ball of radius 2, with 5 keys and 4
+    # members but the identity: 117 group products
     path = write(tmp_path, "act.json", json.dumps(act_spec()))
     assert run_cli(["act", path]).exit_code == 0
-    monkeypatch.setattr(groups, "MAX_PRODUCTS", 168)
+    monkeypatch.setattr(groups, "MAX_PRODUCTS", 117)
+    assert run_cli(["act", path]).exit_code == 0
+    monkeypatch.setattr(groups, "MAX_PRODUCTS", 116)
     r = run_cli(["act", path])
     assert r.exit_code == 3 and r.exception is None and r.stdout == ""
     assert json.loads(r.stderr)["detail"] == \
-        "H-wall system needs 169 group products, exceeds cap 168"
+        "H-wall system needs at least 117 group products, exceeds cap 116"
 
 
 def cold_act_spec(variant):
