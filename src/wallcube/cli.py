@@ -312,17 +312,16 @@ def cmd_act(args):
     subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]") for k, pd in
             enumerate(io.field(doc, "peripheries", "peripheries", io.LIST,
                                []))]
-    if subs:
-        v = io.field(doc, "variant", "variant", io.OBJECT, {})
-        kind = io.field(v, "kind", "variant.kind",
-                        (lambda x: isinstance(x, str), "a string"), "U0")
-        r = io.field(v, "r", "variant.r", io.INT, 0)
-        tau = io.field(v, "tau", "variant.tau", io.INT, 1)
-        try:
-            variant = InducedVariant(kind, r=r, tau=tau)
-        except WallcubeError as exc:
-            raise ParseError(f"variant.{exc}") from None
-        m = io.field(doc, "m", "m", io.NATURAL, None)
+    v = io.field(doc, "variant", "variant", io.OBJECT, {})
+    kind = io.field(v, "kind", "variant.kind",
+                    (lambda x: isinstance(x, str), "a string"), "U0")
+    r = io.field(v, "r", "variant.r", io.INT, 0)
+    tau = io.field(v, "tau", "variant.tau", io.INT, 1)
+    try:
+        variant = InducedVariant(kind, r=r, tau=tau)
+    except WallcubeError as exc:
+        raise ParseError(f"variant.{exc}") from None
+    m = io.field(doc, "m", "m", io.NATURAL, None)
     ball = groups.cayley_ball(spec, radius)
     ws, meta = groups.generate_hwall_system(ball, hws)
     payload = {
@@ -340,10 +339,11 @@ def cmd_act(args):
 def _subgroup_from_dict(spec, d, path):
     from . import groups
 
-    kind = io.field(d, "kind", f"{path}.kind",
-                    io.one_of("coordinate", "cyclic", "factor"))
+    # a coordinate subgroup is one of ℤᵈ only
+    kinds = ("coordinate", "cyclic", "factor")[spec.kind != "FreeAbelian":]
+    kind = io.field(d, "kind", f"{path}.kind", io.one_of(*kinds))
     if kind == "coordinate":
-        axis, axes = _axis(getattr(spec, "d", 0), "axes")
+        axis, axes = _axis(spec.d, "axes")
         return groups.CoordinateSubgroup(spec, io.field(
             d, "coords", f"{path}.coords", (
                 lambda x: isinstance(x, list) and all(map(axis, x)),

@@ -521,7 +521,7 @@ class ActionMap:
     def __init__(self, point_map, wall_map, forced_bits=None,
                  domain_bits=None):
         self.point_map = dict(point_map)    # point position -> position
-        self.wall_map = dict(wall_map)      # wall position -> (pos, swap)
+        self.wall_map = dict(wall_map)      # wall position -> position
         # wall position -> side: forced on an image wall whose preimage
         # truncates to vacuous, and, as a domain bit, the side a vertex
         # must choose to have an image (the other maps outside the ball)
@@ -532,24 +532,27 @@ class ActionMap:
     def from_element(cls, ball, g, meta):
         """The action of g on the ball and on the walls of an H-wall system
         (`meta`, its bookkeeping): tW goes to the wall of gt's key, sides
-        unswapped.  A key with no wall is translated; truncated to vacuous,
-        gtW gives a domain bit, and g⁻¹tW, whose key has a wall exactly
-        when tW is a wall's image, the side forced on tW: the side every
-        ball vertex orients it to."""
+        unswapped.  A key with no wall has its carrier sC outside the ball
+        (see `generate_hwall_system`), so sW truncates to vacuous: a ball
+        point x lies on the side of s⁻¹x, which is never B, and changes
+        between L and R only through sC along a Cayley-graph edge (left
+        multiplication keeps edges); the ball is connected, so every x lies
+        on the side of the identity, `side(s⁻¹)`, one evaluation.  For
+        s = gt that side is a domain bit; for s = g⁻¹t, whose key has a
+        wall exactly when tW is a wall's image, it is the side forced on
+        tW, the side every ball vertex orients it to."""
         spec, ginv = ball.spec, ball.spec.inv(g)
         pm = {i: j for i, j in enumerate(ball.image(g)) if j is not None}
         wm, forced, dom_bits = {}, {}, {}
         for idx, (pos, i) in meta.wall_info.items():
             hw, t = meta.specs[pos], ball.elements[i]
             for h, out in ((g, dom_bits), (ginv, forced)):
-                ht = spec.mul(h, t)
-                j = meta.wall_of.get((pos, hw.key(ht)))
+                s = spec.mul(h, t)
+                j = meta.wall_of.get((pos, hw.key(s)))
                 if j is None:
-                    u, v = _translate(ball, hw, ht)
-                    if bool(u) != bool(v):
-                        out[idx] = int(not u)
+                    out[idx] = int(hw.side(spec.inv(s)) == "R")
                 elif out is dom_bits:
-                    wm[idx] = (j, False)
+                    wm[idx] = j
         return cls(pm, wm, forced, dom_bits)
 
     def check(self, ws):
@@ -566,50 +569,14 @@ class ActionMap:
                 if dxy != dgxy:
                     raise NotAnAutomorphism({"pair": [names[x], names[y]],
                                              "d": dxy, "d_image": dgxy})
-        for i, (j, swap) in self.wall_map.items():
+        for i, j in self.wall_map.items():
             wi, wj = ws.walls[i], ws.walls[j]
-            tgt_l, tgt_r = (wj.right, wj.left) if swap else (wj.left, wj.right)
             for x, gx in self.point_map.items():
-                if (wi.left >> x ^ tgt_l >> gx |
-                        wi.right >> x ^ tgt_r >> gx) & 1:
+                if (wi.left >> x ^ wj.left >> gx |
+                        wi.right >> x ^ wj.right >> gx) & 1:
                     raise NotAnAutomorphism({"wall": wi.index,
                                              "image": wj.index,
                                              "point": names[x]})
-
-    def point_mask_power(self, n):
-        """Returns a function applying the n-th power of the point map to a
-        bitmask (dropping points that leave the domain)."""
-        fwd = self.point_map
-        if n < 0:
-            fwd = {b: a for a, b in fwd.items()}
-            n = -n
-
-        def apply(mask):
-            for _ in range(n):
-                mask = sum({1 << fwd[b] for b in bits(mask) if b in fwd})
-            return mask
-
-        return apply
-
-    def wall_power(self, i, n):
-        """n-th power of the wall map at position i; None when undefined."""
-        fwd = self.wall_map
-        if n < 0:
-            fwd = {b: (a, swap) for a, (b, swap) in fwd.items()}
-            n = -n
-        j, flip = i, False
-        for _ in range(n):
-            if j not in fwd:
-                return None
-            j, s = fwd[j]
-            flip ^= s
-        return j, flip
-
-    def fixes_vertex(self, m):
-        """gc = c on every mapped wall (and some wall is mapped)."""
-        return bool(self.wall_map) and all(
-            (m >> i ^ m >> j) & 1 == swap
-            for i, (j, swap) in self.wall_map.items())
 
 
 def verify_equivariance(ws, action, cc):
@@ -618,19 +585,18 @@ def verify_equivariance(ws, action, cc):
     returns a Report (ok, domain_vertices, preserved_edges, violations).
 
     `action.check` is the wallspace part, and separation counts need no
-    recount after it.  For each mapped wall i -> (j, swap) and each mapped
-    point x, `check` compares x ∈ W_i.left with gx on the left of W_j and
-    x ∈ W_i.right with gx on the right (sides exchanged when swap), so x
-    lies in an open side of W_i exactly when gx lies in the matching open
-    side of W_j.  Open-side separation is symmetric in the two sides, so
-    the swap does not matter: W_i separates x, y exactly when W_j separates
-    gx, gy, and the two counts over the mapped walls agree wall by wall.
+    recount after it.  For each mapped wall i -> j and each mapped point x,
+    `check` compares x ∈ W_i.left with gx on the left of W_j and x ∈
+    W_i.right with gx on the right, so x lies in an open side of W_i
+    exactly when gx lies in the matching open side of W_j: W_i separates
+    x, y exactly when W_j separates gx, gy, and the two counts over the
+    mapped walls agree wall by wall.
     """
     action.check(ws)
     violations = []
     # the vertex map: a wall that is no mapped wall's image takes its
     # forced side, or, with no image information, keeps its side
-    targets = sum({1 << j for j, _s in action.wall_map.values()})
+    targets = sum({1 << j for j in action.wall_map.values()})
     forced = action.forced_bits
     keep = (1 << ws.nwalls()) - 1 & ~targets & ~sum(1 << p for p in forced)
     ones = sum(1 << p for p, s in forced.items() if s) & ~targets
@@ -639,8 +605,8 @@ def verify_equivariance(ws, action, cc):
         if any((m >> pos) & 1 != s for pos, s in action.domain_bits.items()):
             continue  # image falls outside the truncated system
         img = m & keep | ones
-        for pos, (j, s) in action.wall_map.items():
-            img |= ((m >> pos & 1) ^ bool(s)) << j
+        for pos, j in action.wall_map.items():
+            img |= (m >> pos & 1) << j
         if img in cc.vid:
             domain[m] = img
     if len(set(domain.values())) != len(domain):
@@ -649,7 +615,7 @@ def verify_equivariance(ws, action, cc):
     for u, v, w in cc.edges:
         if u in domain and v in domain and w in action.wall_map:
             d = domain[u] ^ domain[v]
-            if d == 1 << action.wall_map[w][0]:
+            if d == 1 << action.wall_map[w]:
                 preserved += 1
             else:
                 violations.append({"kind": "EdgeNotPreserved",

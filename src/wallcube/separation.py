@@ -350,40 +350,41 @@ def axis_cut_test(ws, action, w_index, n_max, cc=None):
 
     After `action.check`, the images g^n U and g^n V lie in the matching
     sides of the image wall, so no check of its own is needed: `check`
-    gives, for each mapped wall i -> (j, swap) and mapped point x,
-    x ∈ W_i.left iff gx lies on the left of W_j, and likewise on the
-    right (sides exchanged when swap).  Induction along `wall_power` and
-    `point_mask_power` carries this to g^n, n = ±1..n_max, on every point
-    whose orbit stays in the domain; under a many-to-one wall map, every
-    preimage `wall_power` can pick passed `check` too.  The action works
-    on wall positions; `w_index` and the walls returned are indices.
+    gives, for each mapped wall i -> j and mapped point x, x ∈ W_i.left
+    iff gx lies on the left of W_j, and likewise on the right.  Induction
+    along each direction's orbit, walked once a step of g or g⁻¹ at a time
+    (back to the last preimage in `wall_map` order), carries this to g^n,
+    n = ±1..n_max, on every point whose orbit stays in the domain; under a
+    many-to-one wall map, every preimage passed `check` too.  The action
+    works on wall positions; `w_index` and the walls returned are indices.
     """
     action.check(ws)
     pos = ws.position(w_index)
     w = ws.walls[pos]
+    pm, wm = action.point_map, action.wall_map
     conds = {}
-    translates = {0: w_index}
-    for n in range(1, n_max + 1):
-        for sign in (1, -1):
-            nn = sign * n
-            img = action.wall_power(pos, nn)
-            if img is None:
-                continue
-            j = ws.walls[img[0]].index
-            translates[nn] = j
-            pm = action.point_mask_power(nn)
-            conds[nn] = {
-                "wall_moves": j != w_index,
-                "U_overlaps": bool(w.left & pm(w.left)),
-                "V_overlaps": bool(w.right & pm(w.right)),
-                "image_wall": j,
-            }
-    tidx = sorted(set(translates.values()))
+    back = {b: a for a, b in pm.items()}, {j: i for i, j in wm.items()}
+    for sign, points, walls in ((1, pm, wm), (-1, *back)):
+        j, u, v = pos, w.left, w.right
+        for n in range(sign, sign * (n_max + 1), sign):
+            if j not in walls:
+                break
+            j = walls[j]
+            u, v = (sum(1 << points[x] for x in bits(m) if x in points)
+                    for m in (u, v))
+            k = ws.walls[j].index
+            conds[n] = {"wall_moves": k != w_index,
+                        "U_overlaps": bool(w.left & u),
+                        "V_overlaps": bool(w.right & v), "image_wall": k}
+    # by |n|, g^n before g^-n
+    conds = {n: conds[n] for n in sorted(conds, key=lambda n: (abs(n), -n))}
+    tidx = sorted({w_index, *(c["image_wall"] for c in conds.values())})
     pairwise = all(transverse(ws, a, b)
                    for x, a in enumerate(tidx) for b in tidx[x + 1:])
     fixed = []
-    if cc is not None:
-        fixed = [m for m in cc.vertices if action.fixes_vertex(m)]
+    if cc is not None and wm:  # gc = c on every mapped wall
+        fixed = [m for m in cc.vertices
+                 if all(m >> i & 1 == m >> j & 1 for i, j in wm.items())]
     return {"wall": w_index, "n_max": n_max, "conditions": conds,
             "translates": tidx,
             "translates_pairwise_transverse": pairwise if len(tidx) > 1 else None,

@@ -10,11 +10,12 @@ through its `Cube` views and its export document, never its cell store.
 The flip-search oracle for `build_dual` steps with the library's one-wall
 flip test, which `test_flippable_matches_validity` checks against the
 valid orientations, but not with its 2-SAT search.  The loop-contraction,
-H-wall, codimension-1, point-map, H-wall-system, action and decomposition
-oracles are the library's earlier forms: every same-wall pair listed per
-pass, a group product per H-member and point for each check, a translate
-per ball element merged by halfspace pair, two translates per wall looked
-up by halfspace pair, and every cube read through its `Cube` view.  The
+H-wall, codimension-1, point-map, H-wall-system, action, axis-cut and
+decomposition oracles are the library's earlier forms: every same-wall
+pair listed per pass, a group product per H-member and point for each
+check, a translate per ball element merged by halfspace pair, two
+translates per wall looked up by halfspace pair, every power of an action
+walked from scratch, and every cube read through its `Cube` view.  The
 induced-hemi oracle takes a neighbourhood per side and scans U*'s radii
 one by one.
 `OracleMetric` answers every metric query from the full table of
@@ -58,6 +59,7 @@ from wallcube.wallspace import (
     separating,
     separation_index,
     subwallspace,
+    transverse,
 )
 
 
@@ -718,7 +720,7 @@ def oracle_from_element(ball, g, ws, meta):
     image up by its halfspace pair: the image wall, with its sides swapped
     when the pair comes reversed, a domain bit when the image truncates to
     vacuous, and the side forced by a vacuous preimage on a wall that is
-    no wall's image."""
+    no wall's image.  Its wall map holds (image position, swap) pairs."""
     spec = ball.spec
     pm = {i: j for i, j in enumerate(ball.image(g)) if j is not None}
     wm, forced, dom_bits = {}, {}, {}
@@ -738,6 +740,81 @@ def oracle_from_element(ball, g, ws, meta):
     for j, _s in wm.values():
         forced.pop(j, None)
     return ActionMap(pm, wm, forced, dom_bits)
+
+
+def oracle_wall_power(action, i, n):
+    """The n-th power of the wall map at position i, each power walked from
+    scratch; None when undefined.  Backwards, a wall steps to its last
+    preimage in `wall_map` order."""
+    fwd = action.wall_map
+    if n < 0:
+        fwd = {b: a for a, b in fwd.items()}
+        n = -n
+    for _ in range(n):
+        if i not in fwd:
+            return None
+        i = fwd[i]
+    return i
+
+
+def oracle_point_mask_power(action, n):
+    """A function applying the n-th power of the point map to a bitmask
+    (dropping points that leave the domain), walked from scratch."""
+    fwd = action.point_map
+    if n < 0:
+        fwd = {b: a for a, b in fwd.items()}
+        n = -n
+
+    def apply(mask):
+        for _ in range(n):
+            mask = sum({1 << fwd[b] for b in bits(mask) if b in fwd})
+        return mask
+
+    return apply
+
+
+def oracle_fixes_vertex(action, m):
+    """gc = c on every mapped wall (and some wall is mapped)."""
+    return bool(action.wall_map) and all(
+        (m >> i ^ m >> j) & 1 == 0 for i, j in action.wall_map.items())
+
+
+def oracle_axis_cut_test(ws, action, w_index, n_max, cc=None):
+    """`separation.axis_cut_test` as it computed each power of the action
+    from scratch, O(n_max²) steps, with `oracle_wall_power`,
+    `oracle_point_mask_power` and `oracle_fixes_vertex`."""
+    action.check(ws)
+    pos = ws.position(w_index)
+    w = ws.walls[pos]
+    conds = {}
+    translates = {0: w_index}
+    for n in range(1, n_max + 1):
+        for sign in (1, -1):
+            nn = sign * n
+            img = oracle_wall_power(action, pos, nn)
+            if img is None:
+                continue
+            j = ws.walls[img].index
+            translates[nn] = j
+            pm = oracle_point_mask_power(action, nn)
+            conds[nn] = {
+                "wall_moves": j != w_index,
+                "U_overlaps": bool(w.left & pm(w.left)),
+                "V_overlaps": bool(w.right & pm(w.right)),
+                "image_wall": j,
+            }
+    tidx = sorted(set(translates.values()))
+    pairwise = all(transverse(ws, a, b)
+                   for x, a in enumerate(tidx) for b in tidx[x + 1:])
+    fixed = []
+    if cc is not None:
+        fixed = [m for m in cc.vertices if oracle_fixes_vertex(action, m)]
+    return {"wall": w_index, "n_max": n_max, "conditions": conds,
+            "translates": tidx,
+            "translates_pairwise_transverse": pairwise if len(tidx) > 1
+            else None,
+            "fixed_vertices": fixed,
+            "note": "premises only; the conclusion concerns infinite scale"}
 
 
 def oracle_rel_cocompact_check(ws, cc, peripheries, variant, m=None):

@@ -5,6 +5,7 @@ import json
 import random
 from functools import cache
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from conftest import (
     oracle_ball_metric,
     oracle_build_hwall,
     oracle_codim_one_analysis,
+    oracle_axis_cut_test,
     oracle_from_element,
     oracle_generate_hwall_system,
     oracle_point_map,
@@ -240,17 +242,13 @@ def test_group_layer_work_counts(spec, radius, hws):
     checks = sum(h + 2 * (radius + 1) for h in hsizes)
     assert ws.nwalls() == keys
     assert spec.products <= (keys + checks) * n
-    # the action of each generator: a product per wall and side, a
-    # translate per side whose key has no wall, and the point map
-    mul = spec.spec.mul
+    # the action of each generator: a product per wall and side (a key
+    # with no wall takes one side evaluation, no translate), and the point
+    # map
     for g in spec.generators():
-        missing = sum((pos, meta.specs[pos].key(mul(h, ball.elements[i])))
-                      not in meta.wall_of
-                      for pos, i in meta.wall_info.values()
-                      for h in (g, spec.inv(g)))
         spec.products = 0
         ActionMap.from_element(ball, g, meta)
-        assert spec.products <= 2 * ws.nwalls() + (missing + 1) * n
+        assert spec.products <= 2 * ws.nwalls() + n
 
 
 def test_hwall_system_stops_at_the_product_cap(monkeypatch):
@@ -310,7 +308,7 @@ def hwall_specs(draw, spec):
 def test_keyed_hwall_system_matches_a_translate_per_element(data):
     # the walls, their bookkeeping and the action of any ball element
     # equal those of the loop over every ball element merged by halfspace
-    # pair, sides swapped where the pair comes reversed
+    # pair; no image pair comes reversed, so the wall map is of positions
     spec, max_radius = data.draw(st.sampled_from(KEYED_GROUPS))
     ball = cayley_ball(spec, data.draw(st.integers(0, max_radius)))
     hws = data.draw(st.lists(hwall_specs(spec), min_size=1, max_size=3))
@@ -325,7 +323,9 @@ def test_keyed_hwall_system_matches_a_translate_per_element(data):
         action = ActionMap.from_element(ball, g, meta)
         oracle = oracle_from_element(ball, g, ows, ometa)
         assert action.point_map == oracle.point_map
-        assert action.wall_map == oracle.wall_map
+        assert not any(swap for _j, swap in oracle.wall_map.values())
+        assert action.wall_map == {i: j for i, (j, _swap)
+                                   in oracle.wall_map.items()}
         assert action.forced_bits == oracle.forced_bits
         assert action.domain_bits == oracle.domain_bits
 
@@ -572,14 +572,13 @@ def test_equivariance_violations_carry_total():
     ball, (ws, meta) = z2_system(2)
     cc = build_dual(ws, ws.points[0])
     at = {(pos, ball.names[t]): i for i, (pos, t) in meta.wall_info.items()}
-    walls = {at[0, f"({k},0)"]: (at[1, f"(0,{k})"], False)
-             for k in range(-2, 3)}
+    walls = {at[0, f"({k},0)"]: at[1, f"(0,{k})"] for k in range(-2, 3)}
     rep = verify_equivariance(ws, ActionMap({}, walls), cc)
     doc = rep.to_dict()
     assert doc["violations"] == rep.violations[:10]
 
     def image(m):  # each y-wall takes the side of its x-wall
-        for i, (j, _swap) in walls.items():
+        for i, j in walls.items():
             a, b = ws.wall_pos[i], ws.wall_pos[j]
             m = m & ~(1 << b) | (m >> a & 1) << b
         return m
@@ -673,7 +672,7 @@ def test_not_an_automorphism_names_points_and_wall_indices():
     from wallcube.separation import axis_cut_test
     # fig3's wall 1 (position 0) sent to wall 2 (position 1), points fixed
     ws = fig3()
-    action = ActionMap({i: i for i in range(6)}, {0: (1, False)})
+    action = ActionMap({i: i for i in range(6)}, {0: 1})
     with pytest.raises(NotAnAutomorphism) as exc:
         axis_cut_test(ws, action, 1, 1)
     assert str(exc.value) == "map is not a wallspace automorphism: " \
@@ -701,7 +700,7 @@ def random_action(rng):
     ws = Wallspace([f"p{i}" for i in range(npts)], walls)
     domain = rng.sample(range(npts), rng.randint(1, npts))
     points = dict(zip(domain, rng.sample(range(npts), len(domain))))
-    walls = {i: (rng.randrange(len(walls)), rng.random() < 0.5)
+    walls = {i: rng.randrange(len(walls))
              for i in range(len(walls)) if rng.random() < 0.8}
     return ws, ActionMap(points, walls)
 
@@ -712,10 +711,12 @@ def open_separates(w, bx, by):
     return bool(ol & bx and orr & by or ol & by and orr & bx)
 
 
-def orbit_point(action, x, n):
-    """g^n x, step by step; None once the orbit leaves the domain."""
-    step = action.point_map if n > 0 else \
-        {gx: x for x, gx in action.point_map.items()}
+def orbit(step, x, n):
+    """g^n x under a partial map `step` of g, one step at a time; None once
+    the orbit leaves the domain.  Backwards, x steps to its last preimage
+    in the map's order."""
+    if n < 0:
+        step = {gx: x for x, gx in step.items()}
     for _ in range(abs(n)):
         x = step.get(x)
         if x is None:
@@ -727,8 +728,8 @@ def test_check_implies_separation_and_power_halfspaces():
     # what verify_equivariance and axis_cut_test no longer re-check: on
     # an action that passes check, each mapped wall separates a pair of
     # mapped points exactly when its image separates their images, and
-    # g^n carries the halfspaces of W into the matching sides of the wall
-    # wall_power gives, for n = ±1..3
+    # g^n carries the halfspaces of W into the matching sides of g^n W,
+    # for n = ±1..3
     rng = random.Random(12)
     nontrivial = 0
     for _ in range(4000):
@@ -740,26 +741,56 @@ def test_check_implies_separation_and_power_halfspaces():
         nontrivial += bool(action.wall_map) and len(action.point_map) > 1
         for x, y in combinations(action.point_map, 2):
             gx, gy = action.point_map[x], action.point_map[y]
-            for i, (j, _swap) in action.wall_map.items():
+            for i, j in action.wall_map.items():
                 assert open_separates(ws.walls[i], 1 << x, 1 << y) == \
                     open_separates(ws.walls[j], 1 << gx, 1 << gy)
         for pos, w in enumerate(ws.walls):
             for n in (1, -1, 2, -2, 3, -3):
-                img = action.wall_power(pos, n)
+                img = orbit(action.wall_map, pos, n)
                 if img is None:
                     continue
-                wj = ws.walls[img[0]]
-                left, right = (wj.right, wj.left) if img[1] else \
-                    (wj.left, wj.right)
-                pm = action.point_mask_power(n)
+                wj = ws.walls[img]
                 for x in range(len(ws.points)):
-                    gx = orbit_point(action, x, n)
+                    gx = orbit(action.point_map, x, n)
                     if gx is None:
                         continue
-                    assert w.left >> x & 1 == left >> gx & 1
-                    assert w.right >> x & 1 == right >> gx & 1
-                assert pm(w.left) & ~left == 0 and pm(w.right) & ~right == 0
+                    assert w.left >> x & 1 == wj.left >> gx & 1
+                    assert w.right >> x & 1 == wj.right >> gx & 1
     assert nontrivial > 100
+
+
+def test_axis_cut_matches_powers_from_scratch():
+    # one orbit walk per direction against every power walked from
+    # scratch: on random actions that pass check, many-to-one wall maps
+    # among them (the backward walk takes the last preimage), with every
+    # wall mask as a vertex; and on each element of B(1) acting on the ℤ²
+    # and F₂ systems
+    from wallcube.separation import axis_cut_test
+    rng = random.Random(23)
+    compared = many_to_one = 0
+    for _ in range(3000):
+        ws, action = random_action(rng)
+        try:
+            action.check(ws)
+        except NotAnAutomorphism:
+            continue
+        cc = SimpleNamespace(vertices=range(1 << ws.nwalls()))
+        for i in ws.wall_indices():
+            assert axis_cut_test(ws, action, i, 3, cc=cc) == \
+                oracle_axis_cut_test(ws, action, i, 3, cc=cc)
+        compared += 1
+        values = list(action.wall_map.values())
+        many_to_one += len(set(values)) < len(values)
+    assert compared > 300 and many_to_one > 30
+    for ball, (ws, meta) in (z2_system(3), f2_system(3)):
+        cc = build_dual(ws, ws.points[0])
+        for g in ball.elements:
+            if ball.spec.length(g) > 1:
+                break
+            action = ActionMap.from_element(ball, g, meta)
+            for i in ws.wall_indices():
+                assert axis_cut_test(ws, action, i, 3, cc=cc) == \
+                    oracle_axis_cut_test(ws, action, i, 3, cc=cc)
 
 
 # -- relative cocompactness -------------------------------------------

@@ -563,6 +563,11 @@ def act_spec(**changes):
     return {k: v for k, v in spec.items() if v is not None}
 
 
+F2_ACT = {"group": {"kind": "Free", "rank": 2}, "radius": 2,
+          "hwalls": [{"subgroup": {"kind": "cyclic", "word": "a"},
+                      "rule": "branch", "axis": "a"}]}
+
+
 @pytest.mark.parametrize("spec, where", [
     ({}, "missing field group"),
     (act_spec(group=None), "missing field group"),
@@ -620,6 +625,22 @@ def act_spec(**changes):
     (act_spec(peripheries=[{"kind": "normal"}]),
      "peripheries[0].kind: 'normal' is not 'coordinate', 'cyclic' or "
      "'factor'"),
+    # read with no peripheries too: each once passed unread, to exit 0
+    ({"group": {"kind": "FreeAbelian", "d": 2}, "radius": 2,
+      "variant": "junk", "m": -4}, "variant: 'junk' is not an object"),
+    (act_spec(peripheries=None, m=-4), "m: -4 is not a non-negative integer"),
+    (act_spec(peripheries=[], variant={"kind": "Zz"}),
+     "variant.kind: unknown variant 'Zz'"),
+    # a coordinate subgroup is one of ℤᵈ only: `"coords": []` once built
+    # the trivial subgroup on any group
+    ({**F2_ACT, "peripheries": [{"kind": "coordinate", "coords": []}]},
+     "peripheries[0].kind: 'coordinate' is not 'cyclic' or 'factor'"),
+    ({**F2_ACT, "hwalls": [{**F2_ACT["hwalls"][0], "subgroup": {
+        "kind": "coordinate", "coords": []}}]},
+     "hwalls[0].subgroup.kind: 'coordinate' is not 'cyclic' or 'factor'"),
+    (act_spec(group=F1_F1, hwalls=None,
+              peripheries=[{"kind": "coordinate", "coords": []}]),
+     "peripheries[0].kind: 'coordinate' is not 'cyclic' or 'factor'"),
 ])
 def test_cli_act_malformed_spec(tmp_path, spec, where):
     path = write(tmp_path, "act.json", json.dumps(spec))
@@ -627,11 +648,6 @@ def test_cli_act_malformed_spec(tmp_path, spec, where):
     assert r.exit_code == 2 and r.exception is None
     err = json.loads(r.stderr)
     assert err["error"] == "ParseError" and where in err["detail"]
-
-
-F2_ACT = {"group": {"kind": "Free", "rank": 2}, "radius": 2,
-          "hwalls": [{"subgroup": {"kind": "cyclic", "word": "a"},
-                      "rule": "branch", "axis": "a"}]}
 
 
 @pytest.mark.parametrize("changes, where", [
