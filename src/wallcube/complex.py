@@ -18,6 +18,7 @@ the only vertex finder: `build_dual` reads its vertices from it too.
 """
 
 from collections import deque, namedtuple
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -199,8 +200,9 @@ class CubeComplex:
     `cells` is its one cube store: wall mask W -> set of bases b, each pair
     (b, W) the cube with corners b | (any subset of W), every bit of W
     cleared in b.  The empty mask holds the vertices and the one-bit masks
-    the edges.  `vertices` (sorted), `vid`, `edges` and `adj` are read off
-    it; `cubes` and `all_cubes` give `Cube` views.
+    the edges.  `vertices` (sorted) and `vid` are read off it at
+    construction, `edges` on each read and `adj` on the first; `cubes` and
+    `all_cubes` give `Cube` views.
     """
 
     def __init__(self, ws, engine, cells):
@@ -210,13 +212,17 @@ class CubeComplex:
         self.vertices = sorted(cells[0])
         self.vid = {m: i for i, m in enumerate(self.vertices)}
         cells[0] = self.vid.keys()  # the vertex set, held once
-        # adj[m]: (neighbour, wall position), in ascending wall order
-        self.adj = {m: [] for m in self.vertices}
-        for i in range(engine.n):
+
+    @cached_property
+    def adj(self):
+        """m -> [(neighbour, wall position)], in ascending wall order."""
+        adj = {m: [] for m in self.vertices}
+        for i in range(self.engine.n):
             bit = 1 << i
-            for b in cells.get(bit, ()):
-                self.adj[b].append((b | bit, i))
-                self.adj[b | bit].append((b, i))
+            for b in self.cells.get(bit, ()):
+                adj[b].append((b | bit, i))
+                adj[b | bit].append((b, i))
+        return adj
 
     def has_cell(self, m, wmask):
         """Is there a cube on the walls of `wmask` with corner m?"""
@@ -308,13 +314,19 @@ class CubeComplex:
                  for i, m in enumerate(self.vertices)]
         edges = [{"u": self.vid[u], "v": self.vid[v], "wall": index[w]}
                  for u, v, w in self.edges]
-        cubes = sorted((wmask.bit_count(), b, bits(wmask), wmask)
-                       for wmask, bases in self.cells.items()
-                       if wmask.bit_count() >= 2 for b in bases)
-        cubes = [{"dim": k,
-                  "walls": sorted(index[w] for w in walls),
-                  "vertices": sorted(self.vid[m] for m in _corners(b, wmask))}
-                 for k, b, walls, wmask in cubes]
+        # per wall mask: its positions (the sort key), its wall indices and
+        # its corner offsets, ascending; `vid` grows with the mask, so the
+        # corners' ids come out ascending
+        masks = {wmask: (bits(wmask), sorted(index[w] for w in bits(wmask)),
+                         list(_corners(0, wmask)))
+                 for wmask in self.cells if wmask.bit_count() >= 2}
+        cubes = sorted((len(key[0]), b, key)
+                       for wmask, key in masks.items()
+                       for b in self.cells[wmask])
+        vid = self.vid
+        cubes = [{"dim": k, "walls": walls.copy(),
+                  "vertices": [vid[b | s] for s in subs]}
+                 for k, b, (_pos, walls, subs) in cubes]
         return {"vertices": verts, "edges": edges, "cubes": cubes}
 
 
@@ -365,23 +377,22 @@ def _complete_skeleton(vertex_set, nwalls):
     Cubes are (base, wall mask) int pairs, every wall bit cleared in base.
     """
     vset = set(vertex_set)
-    # up[m]: walls i with bit i clear in m and m | 1<<i a vertex
+    full = (1 << nwalls) - 1
+    # up[m]: walls i with bit i clear in m and m | 1<<i a vertex;
+    # level: wall mask -> bases of the cubes of the current dimension
     up = {}
+    level = {}
     for m in vset:
         u = 0
-        for i in range(nwalls):
-            bit = 1 << i
-            if not m & bit and m | bit in vset:
+        clear = full & ~m
+        while clear:
+            bit = clear & -clear
+            clear ^= bit
+            if m | bit in vset:
                 u |= bit
+                level.setdefault(bit, set()).add(m)
         if u:
             up[m] = u
-    # level: wall mask -> bases of the cubes of the current dimension
-    level = {}
-    for m, u in up.items():
-        while u:
-            bit = u & -u
-            level.setdefault(bit, set()).add(m)
-            u ^= bit
     cells = {0: vset, **level}
     while level:
         nxt = {}
@@ -500,14 +511,23 @@ def maximal_cubes(cc):
     """All cubes not properly contained in another cube, in ascending
     dimension: (b, W) is maximal when no wall i outside W has a cube
     (b & ~(1<<i), W | 1<<i).  Such a cube has an edge on wall i at b, so
-    only the walls of b's edges are tried."""
+    only the bits of link[b] & ~W are tried, link[b] being the mask of the
+    walls of b's edges."""
+    cells = cc.cells
+    link = {m: sum(1 << i for _n, i in nbrs) for m, nbrs in cc.adj.items()}
     out = []
-    for wmask, bases in sorted(cc.cells.items(),
+    for wmask, bases in sorted(cells.items(),
                                key=lambda item: item[0].bit_count()):
         walls = frozenset(bits(wmask))
-        out += [Cube(b, walls) for b in bases
-                if not any(cc.has_cell(b, wmask | 1 << i)
-                           for _m, i in cc.adj[b] if not wmask >> i & 1)]
+        for b in bases:
+            free = link[b] & ~wmask
+            while free:
+                bit = free & -free
+                if b & ~bit in cells.get(wmask | bit, ()):
+                    break
+                free ^= bit
+            else:
+                out.append(Cube(b, walls))
     return out
 
 
@@ -566,24 +586,49 @@ def verify_npc(cc):
     The link at v has a vertex per edge at v, named by its wall; walls i, j
     are adjacent iff a square on {i, j} has corner v.  Every clique of size
     >= 3, grown in wall-index order, must span a cube at v; one that does
-    not is reported and not grown.  Each clique grown is a cell at v and
-    costs one `has_cell` lookup per candidate, so the work is at most the
-    sum over v of cells(v)·deg(v), bounded by the size of the complex.
+    not is reported and not grown.  The link walls are ranked by wall
+    index, and nb[r] is the mask of the ranks above r adjacent to r, read
+    with one lookup per pair; a clique's candidates are then those of its
+    parent ANDed with nb of its last rank, and each clique of size >= 3
+    tried costs one lookup.  So the work is the sum over v of C(deg v, 2)
+    plus the cells of dimension >= 3 at v, and one lookup per violation.
     """
     index = [w.index for w in cc.ws.walls]
+    cells = cc.cells
     violations = []
     for vid, v in enumerate(cc.vertices):
-        def extend(clique, candidates):
-            for k, i in enumerate(candidates):
-                new = clique | 1 << i
-                if clique & (clique - 1) and not cc.has_cell(v, new):
+        link = [1 << i for i in sorted((i for _m, i in cc.adj[v]),
+                                       key=index.__getitem__)]
+        nb = []
+        for r, a in enumerate(link):
+            mask = 0
+            for s in range(r + 1, len(link)):
+                w = a | link[s]
+                if v & ~w in cells.get(w, ()):
+                    mask |= 1 << s
+            nb.append(mask)
+
+        def extend(clique, cand):
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                r = low.bit_length() - 1
+                new = clique | link[r]
+                if v & ~new in cells.get(new, ()):
+                    extend(new, cand & nb[r])
+                else:
                     violations.append({
                         "kind": "MissingCube", "vertex": vid,
                         "walls": sorted(index[j] for j in bits(new))})
-                    continue
-                extend(new, [j for j in candidates[k + 1:]
-                             if cc.has_cell(v, 1 << i | 1 << j)])
-        extend(0, sorted((i for _m, i in cc.adj[v]), key=index.__getitem__))
+        # the cliques of size 2 are the squares at v, each grown by its
+        # common neighbours of higher rank
+        for r, a in enumerate(link):
+            rest = nb[r]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                s = low.bit_length() - 1
+                extend(a | link[s], rest & nb[s])
     return Report(ok=not violations, violations=violations)
 
 

@@ -110,10 +110,15 @@ def induce_hemi(ws, P, variant):
 
 def dual_sub(cc, hemi):
     """Full subcomplex of cc on the vertices agreeing with hemi's fixed
-    orientations: the cubes represented in hemi, as a CubeComplex."""
+    orientations: the cubes represented in hemi, as a CubeComplex.  A
+    wall mask meeting the fixed walls holds none of them, and on any other
+    the test is one mask compare per base."""
+    fixed_mask, fixed_bits = hemi.fixed_mask, hemi.fixed_bits
     cells = {}
     for wmask, bases in cc.cells.items():
-        keep = {b for b in bases if hemi.represents(b, wmask)}
+        if wmask & fixed_mask:
+            continue
+        keep = {b for b in bases if b & fixed_mask == fixed_bits}
         if keep:
             cells[wmask] = keep
     if not cells:

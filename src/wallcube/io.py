@@ -300,10 +300,11 @@ def artifact(payload, seed=None, caps=None, digest=None):
 
 
 def complex_summary(cc):
+    counts = cc.cube_counts()
     return {
         "vertices": cc.nvertices(),
-        "edges": cc.nedges(),
-        "cubes_by_dim": cc.cube_counts(),
+        "edges": counts[1],
+        "cubes_by_dim": counts,
         "dimension": cc.dimension(),
         "max_degree": cc.max_degree(),
     }
@@ -314,7 +315,7 @@ def skeleton_dot(cc):
     lines = ["graph skeleton {"]
     for i, _m in enumerate(cc.vertices):
         lines.append(f"  v{i};")
-    for u, v, w in sorted(cc.edges):
+    for u, v, w in cc.edges:
         lines.append(
             f"  v{cc.vid[u]} -- v{cc.vid[v]} "
             f"[label=\"{cc.ws.walls[w].index}\"];")

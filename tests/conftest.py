@@ -5,8 +5,11 @@ library's bitmask machinery, so that every fast path is checked against an
 independent reimplementation of the definitions.  The skeleton-completion
 oracle takes the vertex masks the complex is built from, but completes them
 with sets of `Cube` and a check of every face, not the library's int-mask
-level scan.  The maximal-cube, sub-complex and NPC oracles read a complex
-through its `Cube` views and its export document, never its cell store.
+level scan, and the edge oracle tries every wall at every vertex.  The
+maximal-cube, sub-complex and NPC oracles read a complex through its
+`Cube` views and its export document, never its cell store; the export
+and adjacency oracles do read the store, with a sort per cube and a
+lookup per vertex and wall.
 The flip-search oracle for `build_dual` steps with the library's one-wall
 flip test, which `test_flippable_matches_validity` checks against the
 valid orientations, but not with its 2-SAT search.  The loop-contraction,
@@ -305,6 +308,41 @@ def oracle_complete_skeleton(vertex_set, nwalls):
         prev = found
         k += 1
     return cubes
+
+
+def oracle_edges(vertex_set, nwalls):
+    """The 1-skeleton from its definition: (u, v, wall position) for each
+    pair of vertices differing on one wall, u < v, sorted."""
+    vset = set(vertex_set)
+    return sorted((m, m2, i) for m in vset
+                  for m2, i in _corner_neighbors(m, nwalls, vset) if m < m2)
+
+
+def oracle_adj(cc):
+    """Vertex -> [(neighbour, wall position)] from the edges of the cell
+    store, each vertex's walls tried in ascending order."""
+    return {m: [(m ^ 1 << i, i) for i in range(cc.engine.n)
+                if m & ~(1 << i) in cc.cells.get(1 << i, ())]
+            for m in cc.vertices}
+
+
+def oracle_export_dict(cc):
+    """The export document as `CubeComplex.export_dict` built it with a
+    sort per cube: walls sorted by index, corner ids sorted."""
+    index = [w.index for w in cc.ws.walls]
+    verts = [{"id": i, "orientation": [(m >> j) & 1
+                                       for j in range(cc.engine.n)]}
+             for i, m in enumerate(cc.vertices)]
+    edges = [{"u": cc.vid[u], "v": cc.vid[v], "wall": index[w]}
+             for u, v, w in cc.edges]
+    cubes = sorted((wmask.bit_count(), b, bits(wmask), wmask)
+                   for wmask, bases in cc.cells.items()
+                   if wmask.bit_count() >= 2 for b in bases)
+    cubes = [{"dim": k,
+              "walls": sorted(index[w] for w in walls),
+              "vertices": sorted(cc.vid[m] for m in Cube(b, walls).corners())}
+             for k, b, walls, wmask in cubes]
+    return {"vertices": verts, "edges": edges, "cubes": cubes}
 
 
 def _corner_neighbors(m, nwalls, vset):

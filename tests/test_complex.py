@@ -9,17 +9,21 @@ from hypothesis import strategies as st
 
 from conftest import (
     cube_key,
+    oracle_adj,
     oracle_all_vertices,
     oracle_build_dual,
     oracle_contract_loop,
     oracle_complete_skeleton,
     oracle_cube_distance,
+    oracle_edges,
+    oracle_export_dict,
     oracle_is_zero_cube,
     oracle_maximal_cubes,
     oracle_verify_npc,
     random_wallspace,
     strip_cells,
 )
+from wallcube import io
 from wallcube.complex import (
     Cube,
     CubeComplex,
@@ -56,6 +60,7 @@ from wallcube.groups import (
     cayley_ball,
     generate_hwall_system,
 )
+from wallcube.hemi import InducedVariant, dual_sub, induce_hemi
 from wallcube.wallspace import (
     Wall,
     Wallspace,
@@ -74,6 +79,40 @@ def valid_spaces():
         ws = random_wallspace(s, with_metric=False)
         if validate(ws).ok:
             out.append(ws)
+    return out
+
+
+def f2_system(radius):
+    """The F2 H-wall system of <a> on the radius-`radius` ball."""
+    f2 = Free(2)
+    ws, _meta = generate_hwall_system(
+        cayley_ball(f2, radius),
+        [HWallSpec(CyclicSubgroup(f2, "a"), "branch", axis="a")])
+    return ws
+
+
+def hypercube(n):
+    """{0,1}^n with one wall per coordinate: n pairwise transverse walls,
+    whose dual is the n-cube."""
+    pts = range(1 << n)
+    return Wallspace([f"p{p}" for p in pts], [
+        Wall(i, sum(1 << p for p in pts if not p >> i & 1),
+             sum(1 << p for p in pts if p >> i & 1)) for i in range(n)])
+
+
+def complexes():
+    """The duals of `valid_spaces()` and of the first twelve with their
+    walls listed against index order, each also with its cubes of
+    dimension >= 3, then >= 2, stripped, and as the dual of a U0 hemi."""
+    rng = random.Random(5)
+    spaces = valid_spaces()
+    spaces += [Wallspace(ws.points, ws.walls[::-1]) for ws in spaces[:12]]
+    out = []
+    for ws in spaces:
+        cc = enumerate_all_orientations(ws)
+        P = rng.sample(ws.points, rng.randint(1, len(ws.points)))
+        out += [cc, strip_cells(cc, 3), strip_cells(cc, 2),
+                dual_sub(cc, induce_hemi(ws, P, InducedVariant("U0")))]
     return out
 
 
@@ -103,11 +142,7 @@ def test_enumeration_matches_oracle():
 
 def test_enumeration_matches_build_dual_beyond_brute_force():
     # 74 and 27 walls: far past any 2^walls enumeration
-    f2 = Free(2)
-    f2_r3, _meta = generate_hwall_system(
-        cayley_ball(f2, 3),
-        [HWallSpec(CyclicSubgroup(f2, "a"), "branch", axis="a")])
-    for ws in (rbad(8), f2_r3):
+    for ws in (rbad(8), f2_system(3)):
         assert enumerate_all_orientations(ws).vertices == \
             oracle_build_dual(ws, ws.points[0])
 
@@ -167,10 +202,37 @@ def test_enumeration_matches_oracle_on_noncovering_spaces():
 
 
 def test_detectors_agree():
-    for ws in valid_spaces():
+    # the whole cell store: vertices, edges (the one-bit masks) and cubes;
+    # rbad 8 (74 walls) and F2 r4 (81 walls) are where a skeleton loop
+    # that missed a wall, or a per-wall pass, would show
+    for ws in valid_spaces() + [rbad(8), f2_system(4)]:
         cc = enumerate_all_orientations(ws)
-        assert cc.cubes == oracle_complete_skeleton(set(cc.vertices),
-                                                    ws.nwalls())
+        n = ws.nwalls()
+        verts = (oracle_all_vertices(ws) if n <= 8
+                 else oracle_build_dual(ws, ws.points[0]))
+        assert sorted(cc.cells[0]) == cc.vertices == verts
+        assert all(cc.cells.values())
+        assert cc.edges == oracle_edges(verts, n)
+        assert cc.cubes == oracle_complete_skeleton(set(verts), n)
+
+
+def test_adjacency_is_built_on_first_read():
+    for cc in complexes() + [enumerate_all_orientations(ws)
+                             for ws in (rbad(8), f2_system(4))]:
+        assert cc.adj == oracle_adj(cc)
+    ws = fig3()
+    cc = enumerate_all_orientations(ws)
+    sub = dual_sub(cc, induce_hemi(ws, ["a"], InducedVariant("U0")))
+    assert "adj" not in vars(sub)
+    assert sub.adj == oracle_adj(sub)
+    assert "adj" in vars(sub)
+
+
+def test_export_matches_oracle():
+    # corner ids come out ascending with no sort, walls listed against
+    # index order included
+    for cc in complexes():
+        assert io.dumps(cc.export_dict()) == io.dumps(oracle_export_dict(cc))
 
 
 def test_flippable_matches_validity():
@@ -362,26 +424,55 @@ def test_verify_npc_catches_missing_cube():
                and v["walls"] == [0, 1, 2] for v in rep.violations)
 
 
+class CountingCells(dict):
+    """A cell store that counts its `get` lookups."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def npc_lookup_bound(cc):
+    """The sum over vertices v of C(deg v, 2) plus the cells of dimension
+    >= 3 with corner v."""
+    total = 0
+    for v in cc.vertices:
+        deg = len(cc.adj[v])
+        total += deg * (deg - 1) // 2 + sum(
+            v & ~w in bases for w, bases in cc.cells.items()
+            if w.bit_count() >= 3)
+    return total
+
+
+def test_verify_npc_work_count():
+    # one lookup per pair of link walls and per clique of size >= 3; no
+    # timing.  `adj` is read by the bound, before the store is wrapped.
+    cube6 = enumerate_all_orientations(hypercube(6))
+    assert npc_lookup_bound(cube6) == 64 * (15 + 20 + 15 + 6 + 1) == 3648
+    for cc in [cube6] + [enumerate_all_orientations(ws) for ws in
+                         valid_spaces() + [rbad(8), f2_system(4)]]:
+        bound = npc_lookup_bound(cc)
+        cc.cells = CountingCells(cc.cells)
+        assert verify_npc(cc).ok
+        assert cc.cells.gets <= bound
+
+
 def test_maximal_cubes_match_oracle():
-    for ws in valid_spaces():
-        cc = enumerate_all_orientations(ws)
-        for sub in (cc, strip_cells(cc, 3), strip_cells(cc, 2)):
-            assert sorted(maximal_cubes(sub), key=cube_key) == \
-                sorted(oracle_maximal_cubes(sub), key=cube_key)
+    for sub in complexes():
+        assert sorted(maximal_cubes(sub), key=cube_key) == \
+            sorted(oracle_maximal_cubes(sub), key=cube_key)
 
 
 def test_verify_npc_matches_oracle():
-    failing = 0
     # walls listed against index order too: links are walked by wall index
-    spaces = valid_spaces()
-    spaces += [Wallspace(ws.points, ws.walls[::-1]) for ws in spaces[:12]]
-    for ws in spaces:
-        cc = enumerate_all_orientations(ws)
-        for sub in (cc, strip_cells(cc, 3), strip_cells(cc, 2)):
-            rep = verify_npc(sub)
-            assert rep.violations == oracle_verify_npc(sub.export_dict())
-            assert rep.ok == (not rep.violations)
-            failing += not rep.ok
+    failing = 0
+    for sub in complexes():
+        rep = verify_npc(sub)
+        assert rep.violations == oracle_verify_npc(sub.export_dict())
+        assert rep.ok == (not rep.violations)
+        failing += not rep.ok
     # the stripped complexes of dimension >= 3 run the failing branch
     assert failing >= 5
 
