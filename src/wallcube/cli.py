@@ -27,13 +27,22 @@ EXIT_CAP = 3
 
 def _read_doc(path):
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        # stdin's surrogateescape lets bytes that are not UTF-8 reach here
+        digest = io.input_digest(text)
     except OSError as exc:
         raise ParseError(str(exc)) from exc
+    except UnicodeError:
+        where = "stdin" if path == "-" else path
+        raise ParseError(f"{where}: input is not UTF-8") from None
     doc = io.loads(text)
     if isinstance(doc, dict) and "payload" in doc:
         doc = doc["payload"]
-    return doc, io.input_digest(text)
+    return doc, digest
 
 
 def _write(path, text):

@@ -201,8 +201,7 @@ class CubeComplex:
     (b, W) the cube with corners b | (any subset of W), every bit of W
     cleared in b.  The empty mask holds the vertices and the one-bit masks
     the edges.  `vertices` (sorted) and `vid` are read off it at
-    construction, `edges` on each read and `adj` on the first; `cubes` and
-    `all_cubes` give `Cube` views.
+    construction, `edges` on each read and `adj` on the first.
     """
 
     def __init__(self, ws, engine, cells):
@@ -237,22 +236,8 @@ class CubeComplex:
                       for bit, bases in self.cells.items()
                       if bit.bit_count() == 1 for b in bases)
 
-    @property
-    def cubes(self):
-        """dim -> set of Cube, for the cubes of dimension >= 2."""
-        by_dim = {}
-        for wmask, bases in self.cells.items():
-            if wmask.bit_count() >= 2:
-                walls = frozenset(bits(wmask))
-                by_dim.setdefault(len(walls), set()).update(
-                    Cube(b, walls) for b in bases)
-        return dict(sorted(by_dim.items()))
-
     def nvertices(self):
         return len(self.vertices)
-
-    def nedges(self):
-        return self.cube_counts()[1]
 
     def dimension(self):
         """The largest cube dimension; -1 for the empty complex."""
@@ -266,28 +251,12 @@ class CubeComplex:
             counts[k] = counts.get(k, 0) + len(bases)
         return dict(sorted(counts.items()))
 
-    def all_cubes(self):
-        """Every cube of every dimension: the 0-cubes first, in vertex
-        order, then the edges, then the higher cubes."""
-        out = [Cube(m, frozenset()) for m in self.vertices]
-        out += [Cube(u, frozenset([w])) for u, v, w in self.edges]
-        for cs in self.cubes.values():
-            out += list(cs)
-        return out
-
     def has_cube(self, cube):
         return self.has_cell(cube.base, cube.mask)
 
     def require_cube(self, cube):
         if not self.has_cube(cube):
             raise NotInComplex(cube)
-
-    def hyperplanes(self):
-        """Map wall index -> sorted list of dual edges."""
-        out = {w.index: [] for w in self.ws.walls}
-        for u, v, i in self.edges:
-            out[self.ws.walls[i].index].append((u, v))
-        return out
 
     def max_degree(self):
         return max(map(len, self.adj.values()), default=0)

@@ -347,13 +347,6 @@ class HWallSpec:
         return t.rstrip(self.axis + self.axis.upper())
 
 
-def build_hwall(ball, hw):
-    """The H-wall truncated to the ball, with its `_hwall_report`."""
-    u, v = _translate(ball, hw, ball.spec.identity())
-    return Wall(hw.index or 0, u, v), \
-        _hwall_report(ball, u, v, _h_members(ball, hw.subgroup))
-
-
 def _hwall_report(ball, u, v, hmembers):
     """The H-wall's conformance Report for the Def 2.8-style conditions,
     checked on the computable portion.  Each element of H ∩ ball
@@ -415,9 +408,9 @@ def _swaps_sides(img, u, v):
     return False
 
 
-def _orbit_count(images, indices, glue=()):
+def _orbit_count(images, indices):
     """Partial H-orbit count of the given ball indices, H acting by its
-    ball `images`; the indices of each bitmask in `glue` count as one."""
+    ball `images`."""
     mask = sum(1 << i for i in indices)
     adj = dict.fromkeys(indices, 0)
     for img in images:
@@ -426,9 +419,6 @@ def _orbit_count(images, indices, glue=()):
             if j is not None and mask >> j & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    for piece in glue:
-        for i in bits(piece):
-            adj[i] |= piece
     return len(components(adj, mask))
 
 
@@ -451,7 +441,8 @@ def generate_hwall_system(ball, hwall_specs):
 
     The bookkeeping holds `wall_info` (index -> (spec position, ball index
     of t)), `wall_of` ((spec position, key) -> index), `specs` and
-    `reports` (each H-wall's `build_hwall` Report, as a dict).
+    `reports` (the `_hwall_report` of each H-wall itself, the translate
+    by the identity, as a dict).
     """
     wall_of, wall_info, hmembers = {}, {}, []
     for pos, hw in enumerate(hwall_specs):
@@ -474,40 +465,6 @@ def generate_hwall_system(ball, hwall_specs):
     ws = Wallspace(ball.names, walls, metric=ball.metric)
     return ws, Report(wall_info=wall_info, wall_of=wall_of,
                       specs=list(hwall_specs), reports=reports)
-
-
-# -- codimension-1 analysis -------------------------------------------
-
-
-def codim_one_analysis(ball, subgroup, d):
-    """Components of ball minus N_d(H ∩ ball), with the radius-limited
-    deep-component heuristic: a component is deep when it touches the
-    boundary sphere of the ball."""
-    hmembers = _h_members(ball, subgroup)
-    images = [ball.image(ball.elements[h]) for h in hmembers]
-    # H ∩ ball holds the identity
-    removed = ball.metric.ball(sum(1 << h for h in hmembers) | 1, d)
-    adj = ball.metric.adjacency()
-    keep = ((1 << len(ball.elements)) - 1) & ~removed
-    comps = components(adj, keep)  # ordered by lowest element
-    spec = ball.spec
-    out = []
-    deep = []
-    for ci, comp in enumerate(comps):
-        members = bits(comp)
-        is_deep = any(spec.length(ball.elements[i]) == ball.radius
-                      for i in members)
-        frontier = [i for i in members if adj[i] & removed]
-        out.append({"id": ci, "size": len(members), "deep": is_deep,
-                    "frontier_size": len(frontier),
-                    "frontier_orbits": _orbit_count(images, frontier)})
-        if is_deep:
-            deep.append(comp)
-    # partial H-orbit classes of deep components
-    classes = _orbit_count(images, bits(sum(deep)), glue=deep)
-    return {"d": d, "n_components": len(comps),
-            "n_deep": len(deep), "deep_orbit_classes": classes,
-            "components": out, "caveat": TRUNCATION_CAVEAT}
 
 
 # -- actions -----------------------------------------------------------

@@ -253,19 +253,6 @@ class Metric:
             out |= ring
         return out
 
-    def diam(self, mask):
-        """Diameter of a point set; None when empty."""
-        worst = None
-        for i in bits(mask):
-            rest = mask
-            for d, ring in self.rings(1 << i):
-                rest &= ~ring
-                if not rest:
-                    break
-            if worst is None or d > worst:
-                worst = d
-        return worst
-
     def reaches(self, mask, tau):
         """Is the diameter of a point set at least tau (False when empty)?
         Each member's rings are scanned up to the first at distance >= tau:
@@ -281,19 +268,20 @@ class Metric:
                     break
         return False
 
-    def dist_sets(self, mask_a, mask_b):
-        """min distance between two point sets; inf when either is empty."""
-        if mask_b:
-            for d, ring in self.rings(mask_a):
-                if ring & mask_b:
-                    return d
-        return INF
-
     def frontier(self, mask):
         """Points of `mask` adjacent (in the metric graph) to its complement."""
         adj = self.adjacency()
         return sum(1 << i for i in bits(mask) if adj[i] & ~mask)
 
     def diameter(self):
-        """The largest distance, 0.0 on no points."""
-        return self.diam((1 << self.n) - 1) or 0.0
+        """The largest distance, 0.0 on no points.  Each point's rings are
+        scanned up to the one that exhausts the point set."""
+        worst = 0.0
+        for i in range(self.n):
+            rest = (1 << self.n) - 1
+            for d, ring in self.rings(1 << i):
+                rest &= ~ring
+                if not rest:
+                    break
+            worst = max(worst, d)
+        return worst

@@ -21,7 +21,6 @@ from .wallspace import (
     induced_walls,
     separating,
     separation_index,
-    transverse,
 )
 
 WALL_DISTANCE_NOTE = "wall distance = min over carrier U∩V, else frontiers"
@@ -35,17 +34,8 @@ def _wall_regions(ws):
             for w in ws.walls]
 
 
-def wall_region(ws, wall_index):
-    """The region of the wall with this index (see `_wall_regions`)."""
-    return ws.derived(_wall_regions)[ws.position(wall_index)]
-
-
 def _diameter(ws):
     return ws.metric.diameter()
-
-
-def wall_distance(ws, mask, wall_index):
-    return ws.require_metric().dist_sets(mask, wall_region(ws, wall_index))
 
 
 def _report(prop, parameters, verdict, value=None, witnesses=(), notes=()):
@@ -336,57 +326,3 @@ def bounded_packing_number(ws, subsets, D):
                key=lambda c: (-len(c), c), default=[])
     return Report(D=D, k=len(best), witness_family=best)
 
-
-def axis_cut_test(ws, action, w_index, n_max, cc=None):
-    """Evaluate the axis-cut premises for a (partial) automorphism g.
-
-    For 0 < |n| <= n_max where g^n is defined on the wall:
-      (1) g^n W != W (as indexed walls)
-      (2) U ∩ g^n U nonempty
-      (3) V ∩ g^n V nonempty
-    plus: pairwise transversality of the defined translates {g^m W}, and the
-    fixed vertices of g in cc (when given).  Only the premises are checkable
-    at finite scale; the theorem's conclusion concerns infinite families.
-
-    After `action.check`, the images g^n U and g^n V lie in the matching
-    sides of the image wall, so no check of its own is needed: `check`
-    gives, for each mapped wall i -> j and mapped point x, x ∈ W_i.left
-    iff gx lies on the left of W_j, and likewise on the right.  Induction
-    along each direction's orbit, walked once a step of g or g⁻¹ at a time
-    (back to the last preimage in `wall_map` order), carries this to g^n,
-    n = ±1..n_max, on every point whose orbit stays in the domain; under a
-    many-to-one wall map, every preimage passed `check` too.  The action
-    works on wall positions; `w_index` and the walls returned are indices.
-    """
-    action.check(ws)
-    pos = ws.position(w_index)
-    w = ws.walls[pos]
-    pm, wm = action.point_map, action.wall_map
-    conds = {}
-    back = {b: a for a, b in pm.items()}, {j: i for i, j in wm.items()}
-    for sign, points, walls in ((1, pm, wm), (-1, *back)):
-        j, u, v = pos, w.left, w.right
-        for n in range(sign, sign * (n_max + 1), sign):
-            if j not in walls:
-                break
-            j = walls[j]
-            u, v = (sum(1 << points[x] for x in bits(m) if x in points)
-                    for m in (u, v))
-            k = ws.walls[j].index
-            conds[n] = {"wall_moves": k != w_index,
-                        "U_overlaps": bool(w.left & u),
-                        "V_overlaps": bool(w.right & v), "image_wall": k}
-    # by |n|, g^n before g^-n
-    conds = {n: conds[n] for n in sorted(conds, key=lambda n: (abs(n), -n))}
-    tidx = sorted({w_index, *(c["image_wall"] for c in conds.values())})
-    pairwise = all(transverse(ws, a, b)
-                   for x, a in enumerate(tidx) for b in tidx[x + 1:])
-    fixed = []
-    if cc is not None and wm:  # gc = c on every mapped wall
-        fixed = [m for m in cc.vertices
-                 if all(m >> i & 1 == m >> j & 1 for i, j in wm.items())]
-    return {"wall": w_index, "n_max": n_max, "conditions": conds,
-            "translates": tidx,
-            "translates_pairwise_transverse": pairwise if len(tidx) > 1 else None,
-            "fixed_vertices": fixed,
-            "note": "premises only; the conclusion concerns infinite scale"}

@@ -6,24 +6,26 @@ independent reimplementation of the definitions.  The skeleton-completion
 oracle takes the vertex masks the complex is built from, but completes them
 with sets of `Cube` and a check of every face, not the library's int-mask
 level scan, and the edge oracle tries every wall at every vertex.  The
-maximal-cube, sub-complex and NPC oracles read a complex through its
-`Cube` views and its export document, never its cell store; the export
-and adjacency oracles do read the store, with a sort per cube and a
-lookup per vertex and wall.
+maximal-cube, sub-complex and NPC oracles read a complex through the
+`Cube` views that `all_cubes` and `cubes` make of its cells, one per
+cell, and through its export document; the export and adjacency oracles
+read the store directly, with a sort per cube and a lookup per vertex
+and wall.
 The flip-search oracle for `build_dual` steps with the library's one-wall
 flip test, which `test_flippable_matches_validity` checks against the
 valid orientations, but not with its 2-SAT search.  The loop-contraction,
-H-wall, codimension-1, point-map, H-wall-system, action, axis-cut and
-decomposition oracles are the library's earlier forms: every same-wall
-pair listed per pass, a group product per H-member and point for each
-check, a translate per ball element merged by halfspace pair, two
-translates per wall looked up by halfspace pair, every power of an action
-walked from scratch, and every cube read through its `Cube` view.  The
+H-wall, point-map, H-wall-system, action and decomposition oracles are
+the library's earlier forms: every same-wall pair listed per pass, a
+group product per H-member and point for each check, a translate per
+ball element merged by halfspace pair, two translates per wall looked up
+by halfspace pair, and every cube read through its `Cube` view.  The
 induced-hemi oracle takes a neighbourhood per side and scans U*'s radii
 one by one.
 `OracleMetric` answers every metric query from the full table of
 per-source breadth-first (or Dijkstra) rows, and the separation oracles
-are the pair-by-pair scans that ran on it, item list and all.
+are the pair-by-pair scans that ran on it, item list and all; `diam`,
+`dist_sets` and `wall_region` read set distances and wall regions off
+any metric's table by their definitions.
 """
 
 import json
@@ -52,8 +54,6 @@ from wallcube.separation import (
     WALL_DISTANCE_NOTE,
     _largest_fraction_at_most,
     _report,
-    wall_distance,
-    wall_region,
 )
 from wallcube.wallspace import (
     Report,
@@ -62,7 +62,6 @@ from wallcube.wallspace import (
     separating,
     separation_index,
     subwallspace,
-    transverse,
 )
 
 
@@ -378,11 +377,33 @@ def cube_key(c):
     return c.dim, c.base, sorted(c.walls)
 
 
+def cubes(cc):
+    """dim -> set of `Cube`, for the cubes of dimension >= 2 in the cell
+    store of cc."""
+    by_dim = {}
+    for wmask, bases in cc.cells.items():
+        if wmask.bit_count() >= 2:
+            walls = frozenset(bits(wmask))
+            by_dim.setdefault(len(walls), set()).update(
+                Cube(b, walls) for b in bases)
+    return dict(sorted(by_dim.items()))
+
+
+def all_cubes(cc):
+    """Every cube of cc as a `Cube`: the 0-cubes first, in vertex order,
+    then the edges, in edge order, then the higher cubes."""
+    out = [Cube(m, frozenset()) for m in cc.vertices]
+    out += [Cube(u, frozenset([w])) for u, _v, w in cc.edges]
+    for cs in cubes(cc).values():
+        out += cs
+    return out
+
+
 def oracle_maximal_cubes(cc):
     """Cubes that are a face of no cube one dimension up, by a scan of all
     pairs."""
     by_dim = {}
-    for c in cc.all_cubes():
+    for c in all_cubes(cc):
         by_dim.setdefault(c.dim, []).append(c)
     out = []
     for k, cs in sorted(by_dim.items()):
@@ -412,12 +433,12 @@ def oracle_dual_sub(cc, hemi):
              if all((m >> pos) & 1 == s for pos, s in fixed_bits)]
     vset = set(verts)
     edges = [(u, v, w) for u, v, w in cc.edges if u in vset and v in vset]
-    cubes = {}
-    for k, cs in cc.cubes.items():
+    kept = {}
+    for k, cs in cubes(cc).items():
         keep = {c for c in cs if all(m in vset for m in c.corners())}
         if keep:
-            cubes[k] = keep
-    return sorted(verts), sorted(edges), cubes
+            kept[k] = keep
+    return sorted(verts), sorted(edges), kept
 
 
 def oracle_verify_npc(data):
@@ -557,7 +578,7 @@ def oracle_induce_hemi(ws, P, variant):
         return metric.ball(pmask, r)
 
     def big(mask, r):
-        d = metric.diam(mask & nbhd(r))
+        d = diam(metric, mask & nbhd(r))
         return d is not None and d >= variant.tau
 
     def retained(side_mask):
@@ -608,9 +629,10 @@ def oracle_ball_metric(ball):
 
 
 def oracle_build_hwall(ball, hw):
-    """`build_hwall` as it multiplied each element of H ∩ ball by the ball
-    points once per check: the invariance scan, each orbit count and the
-    side-swap test."""
+    """The H-wall (its translate by the identity) and its conformance
+    Report, as the library built them when it multiplied each element of
+    H ∩ ball by the ball points once per check: the invariance scan, each
+    orbit count and the side-swap test."""
     spec = ball.spec
     u, v = _translate(ball, hw, spec.identity())
     hmembers = [g for g in ball.elements
@@ -655,9 +677,8 @@ def _oracle_swaps_sides(ball, h, u, v):
     return False
 
 
-def _oracle_orbit_count(ball, hmembers, indices, glue=()):
-    """Partial H-orbit count of the given ball-element indices; the indices
-    of each bitmask in `glue` count as one piece."""
+def _oracle_orbit_count(ball, hmembers, indices):
+    """Partial H-orbit count of the given ball-element indices."""
     spec = ball.spec
     mask = sum(1 << i for i in indices)
     adj = [0] * len(ball.elements)
@@ -667,41 +688,7 @@ def _oracle_orbit_count(ball, hmembers, indices, glue=()):
             if j is not None and mask >> j & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    for piece in glue:
-        for i in bits(piece):
-            adj[i] |= piece
     return len(components(adj, mask))
-
-
-def oracle_codim_one_analysis(ball, subgroup, d):
-    """`codim_one_analysis` with a product per H-member and point of each
-    set whose orbits it counts."""
-    hmask = ball.mask_of(subgroup.contains)
-    removed = ball.metric.ball(hmask, d) if hmask else 0
-    adj = ball.metric.adjacency()
-    keep = ((1 << len(ball.elements)) - 1) & ~removed
-    comps = components(adj, keep)  # ordered by lowest element
-    spec = ball.spec
-    hmembers = [g for g in ball.elements
-                if subgroup.contains(g) and g != spec.identity()]
-    out = []
-    deep = []
-    for ci, comp in enumerate(comps):
-        members = bits(comp)
-        is_deep = any(spec.length(ball.elements[i]) == ball.radius
-                      for i in members)
-        frontier = [i for i in members if adj[i] & removed]
-        out.append({"id": ci, "size": len(members), "deep": is_deep,
-                    "frontier_size": len(frontier),
-                    "frontier_orbits": _oracle_orbit_count(ball, hmembers,
-                                                           frontier)})
-        if is_deep:
-            deep.append(comp)
-    # partial H-orbit classes of deep components
-    classes = _oracle_orbit_count(ball, hmembers, bits(sum(deep)), glue=deep)
-    return {"d": d, "n_components": len(comps),
-            "n_deep": len(deep), "deep_orbit_classes": classes,
-            "components": out, "caveat": TRUNCATION_CAVEAT}
 
 
 def oracle_point_map(ball, g):
@@ -780,92 +767,16 @@ def oracle_from_element(ball, g, ws, meta):
     return ActionMap(pm, wm, forced, dom_bits)
 
 
-def oracle_wall_power(action, i, n):
-    """The n-th power of the wall map at position i, each power walked from
-    scratch; None when undefined.  Backwards, a wall steps to its last
-    preimage in `wall_map` order."""
-    fwd = action.wall_map
-    if n < 0:
-        fwd = {b: a for a, b in fwd.items()}
-        n = -n
-    for _ in range(n):
-        if i not in fwd:
-            return None
-        i = fwd[i]
-    return i
-
-
-def oracle_point_mask_power(action, n):
-    """A function applying the n-th power of the point map to a bitmask
-    (dropping points that leave the domain), walked from scratch."""
-    fwd = action.point_map
-    if n < 0:
-        fwd = {b: a for a, b in fwd.items()}
-        n = -n
-
-    def apply(mask):
-        for _ in range(n):
-            mask = sum({1 << fwd[b] for b in bits(mask) if b in fwd})
-        return mask
-
-    return apply
-
-
-def oracle_fixes_vertex(action, m):
-    """gc = c on every mapped wall (and some wall is mapped)."""
-    return bool(action.wall_map) and all(
-        (m >> i ^ m >> j) & 1 == 0 for i, j in action.wall_map.items())
-
-
-def oracle_axis_cut_test(ws, action, w_index, n_max, cc=None):
-    """`separation.axis_cut_test` as it computed each power of the action
-    from scratch, O(n_max²) steps, with `oracle_wall_power`,
-    `oracle_point_mask_power` and `oracle_fixes_vertex`."""
-    action.check(ws)
-    pos = ws.position(w_index)
-    w = ws.walls[pos]
-    conds = {}
-    translates = {0: w_index}
-    for n in range(1, n_max + 1):
-        for sign in (1, -1):
-            nn = sign * n
-            img = oracle_wall_power(action, pos, nn)
-            if img is None:
-                continue
-            j = ws.walls[img].index
-            translates[nn] = j
-            pm = oracle_point_mask_power(action, nn)
-            conds[nn] = {
-                "wall_moves": j != w_index,
-                "U_overlaps": bool(w.left & pm(w.left)),
-                "V_overlaps": bool(w.right & pm(w.right)),
-                "image_wall": j,
-            }
-    tidx = sorted(set(translates.values()))
-    pairwise = all(transverse(ws, a, b)
-                   for x, a in enumerate(tidx) for b in tidx[x + 1:])
-    fixed = []
-    if cc is not None:
-        fixed = [m for m in cc.vertices if oracle_fixes_vertex(action, m)]
-    return {"wall": w_index, "n_max": n_max, "conditions": conds,
-            "translates": tidx,
-            "translates_pairwise_transverse": pairwise if len(tidx) > 1
-            else None,
-            "fixed_vertices": fixed,
-            "note": "premises only; the conclusion concerns infinite scale"}
-
-
 def oracle_rel_cocompact_check(ws, cc, peripheries, variant, m=None):
-    """`groups.rel_cocompact_check` as it read every cube through the
-    `Cube` views of `all_cubes`."""
+    """`groups.rel_cocompact_check` as it read every cube through its
+    `Cube` view (see `all_cubes`)."""
     seeds = set()
     for p in ws.points:
         seeds.update(canonical_cube(ws, p).corners())
     vdepth = cc.bfs_distances(sorted(seeds))
     hemis = [induce_hemi(ws, P, variant) for P in peripheries]
-    cubes = cc.all_cubes()
     info = []
-    for c in cubes:
+    for c in all_cubes(cc):
         depth = min(vdepth[mm] for mm in c.corners())
         reps = [k for k, h in enumerate(hemis)
                 if h.represents(c.base, c.mask)]
@@ -986,23 +897,33 @@ class OracleMetric:
         return sum(1 << j for j in range(self.n)
                    if any(self.dist[i][j] <= r for i in bits(mask)))
 
-    def diam(self, mask):
-        idx = bits(mask)
-        if not idx:
-            return None
-        return max(self.dist[i][j] for i in idx for j in idx)
-
-    def dist_sets(self, mask_a, mask_b):
-        a, b = bits(mask_a), bits(mask_b)
-        if not a or not b:
-            return INF
-        return min(self.dist[i][j] for i in a for j in b)
-
     def frontier(self, mask):
         return sum(1 << i for i in bits(mask) if self._adj[i] & ~mask)
 
     def diameter(self):
         return max(max(row) for row in self.dist) if self.n else 0.0
+
+
+def diam(metric, mask):
+    """The diameter of a point set, off the distance table; None when
+    empty.  The oracle of `Metric.reaches`."""
+    idx = bits(mask)
+    return max((metric.dist[i][j] for i in idx for j in idx), default=None)
+
+
+def dist_sets(metric, mask_a, mask_b):
+    """The least distance between two point sets, off the distance table;
+    inf when either is empty."""
+    return min((metric.dist[i][j] for i in bits(mask_a)
+                for j in bits(mask_b)), default=INF)
+
+
+def wall_region(ws, wall_index):
+    """The point set standing in for a wall in separation distances: its
+    carrier U ∩ V when nonempty, else the frontiers of U and V."""
+    w = ws.walls[ws.position(wall_index)]
+    metric = ws.require_metric()
+    return w.carrier() or metric.frontier(w.left) | metric.frontier(w.right)
 
 
 def oracle_least_threshold(items):
@@ -1098,7 +1019,7 @@ def oracle_compact_wall_separation(ws, K):
     k_sides = index.sides(kmask)
     items = []
     for pos, w in enumerate(ws.walls):
-        d = wall_distance(ws, kmask, w.index)
+        d = dist_sets(metric, kmask, wall_region(ws, w.index))
         sep = separating(k_sides, index.wall[pos]) & ~(1 << pos)
         items.append((d, bool(sep), [w.index]))
     diam = metric.diameter()
@@ -1159,7 +1080,7 @@ def oracle_subspace_separation(ws, Y, kind, r):
         return mask, index.sides(compress(mask, ymask))
 
     def item(a, b, witness):
-        d = metric.dist_sets(a[0], b[0])
+        d = dist_sets(metric, a[0], b[0])
         # an empty set is separated from anything ("any wall separates them")
         sep = not a[0] or not b[0] or bool(separating(a[1], b[1]))
         return 0 if d == INF else d, sep, witness

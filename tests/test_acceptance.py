@@ -10,7 +10,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import oracle_build_dual, oracle_is_convex, random_wallspace
+from conftest import (
+    all_cubes,
+    cubes,
+    oracle_build_dual,
+    oracle_is_convex,
+    random_wallspace,
+)
 from wallcube.complex import (
     Cube,
     build_dual,
@@ -106,7 +112,7 @@ def duals():
 def test_criterion_01_fig3_complex():
     t0 = time.perf_counter()
     cc = build_dual(fig3(), "a")
-    ok = cc.dimension() == 3 and len(cc.cubes.get(3, ())) == 1
+    ok = cc.dimension() == 3 and len(cubes(cc).get(3, ())) == 1
     elapsed = time.perf_counter() - t0
     report(1, ok and elapsed < 1.0,
            f"fig3 dual has dimension 3 with one 3-cube ({elapsed:.2f}s)")
@@ -330,7 +336,8 @@ def test_criterion_11_cayley_systems():
     wsf, _ = generate_hwall_system(
         ballf, [HWallSpec(CyclicSubgroup(F2, "a"), "branch", axis="a")])
     ccf = build_dual(wsf, wsf.points[0])
-    tree = ccf.dimension() == 1 and ccf.nedges() == ccf.nvertices() - 1
+    tree = ccf.dimension() == 1 and \
+        ccf.cube_counts()[1] == ccf.nvertices() - 1
     # Z2 radius-4 coordinate system: equal as a wall set to directly built
     # interval walls on the same ball, and its dual is that grid patch
     Z2 = FreeAbelian(2)
@@ -370,7 +377,7 @@ def test_criterion_12_osculation_correspondence():
             for i in range(cc.engine.n):
                 if (m ^ (1 << i)) in cc.vid:
                     flippables.setdefault(i, set()).add(m)
-        squares = {frozenset(c.walls) for c in cc.cubes.get(2, ())}
+        squares = {frozenset(c.walls) for c in cubes(cc).get(2, ())}
         for a, b in combinations(range(ws.nwalls()), 2):
             i, j = ws.walls[a].index, ws.walls[b].index
             share = bool(flippables.get(a, set()) & flippables.get(b, set()))
@@ -397,7 +404,7 @@ def test_criterion_13_rel_cocompact_fixture():
     # from-scratch scan of the definition
     hemis = [induce_hemi(ws, P, variant) for P in (left, right)]
     k_part = unique = both = none = 0
-    for c in cc.all_cubes():
+    for c in all_cubes(cc):
         reps = [k for k, h in enumerate(hemis)
                 if h.represents(c.base, c.mask)]
         # depth >= m = 0 always, so the K-part is empty

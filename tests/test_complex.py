@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_cubes,
     cube_key,
+    cubes,
     oracle_adj,
     oracle_all_vertices,
     oracle_build_dual,
@@ -213,7 +215,7 @@ def test_detectors_agree():
         assert sorted(cc.cells[0]) == cc.vertices == verts
         assert all(cc.cells.values())
         assert cc.edges == oracle_edges(verts, n)
-        assert cc.cubes == oracle_complete_skeleton(set(verts), n)
+        assert cubes(cc) == oracle_complete_skeleton(set(verts), n)
 
 
 def test_adjacency_is_built_on_first_read():
@@ -262,20 +264,11 @@ def test_fig3_structure():
     cc = build_dual(ws, "a")
     assert cc.cube_counts() == {0: 12, 1: 18, 2: 8, 3: 1}
     assert cc.dimension() == 3
-    (cube3,) = cc.cubes[3]
+    (cube3,) = cubes(cc)[3]
     assert sorted(ws.walls[w].index for w in cube3.walls) == [3, 4, 5]
     fams, k = max_transverse_families(ws)
     assert fams == [(1, 2), (1, 4), (3, 4, 5)]
     assert k == 3
-
-
-def test_fig3_hyperplanes():
-    cc = build_dual(fig3(), "a")
-    hp = cc.hyperplanes()
-    # every wall's hyperplane is nonempty; duplicates 3 and 5 have equally
-    # many dual edges
-    assert all(hp[i] for i in (1, 2, 3, 4, 5))
-    assert len(hp[3]) == len(hp[5])
 
 
 def test_canonical_cube_fig3():
@@ -351,10 +344,10 @@ def test_cube_distance_matches_bfs():
                 oracle_cube_distance(cc, ca, cb)
     for ws in valid_spaces():
         cc = enumerate_all_orientations(ws)
-        cubes = cc.all_cubes()
-        cubes = rng.sample(cubes, min(len(cubes), 25))
-        for a in cubes:
-            for b in cubes:
+        sample = all_cubes(cc)
+        sample = rng.sample(sample, min(len(sample), 25))
+        for a in sample:
+            for b in sample:
                 assert cube_distance(cc, a, b) == \
                     oracle_cube_distance(cc, a, b)
 

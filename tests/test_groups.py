@@ -5,7 +5,6 @@ import json
 import random
 from functools import cache
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,15 +13,15 @@ from hypothesis import strategies as st
 import conftest
 from conftest import (
     CountingSpec,
+    dist_sets,
     oracle_ball_metric,
     oracle_build_hwall,
-    oracle_codim_one_analysis,
-    oracle_axis_cut_test,
     oracle_from_element,
     oracle_generate_hwall_system,
     oracle_point_map,
     oracle_rel_cocompact_check,
     random_wallspace,
+    wall_region,
 )
 from wallcube import complex as complex_mod
 from wallcube.complex import build_dual
@@ -42,9 +41,7 @@ from wallcube.groups import (
     FreeFactorSubgroup,
     FreeProduct,
     HWallSpec,
-    build_hwall,
     cayley_ball,
-    codim_one_analysis,
     generate_hwall_system,
     group_from_dict,
     rel_cocompact_check,
@@ -349,13 +346,20 @@ def test_hwall_key_names_the_coset_of_the_carrier(data):
 # -- H-walls -----------------------------------------------------------
 
 
+def hwall(ball, hw):
+    """The H-wall itself, the translate by the identity (wall 0), and its
+    report, as `generate_hwall_system` builds them for the one spec."""
+    ws, meta = generate_hwall_system(ball, [hw])
+    return ws.walls[0], meta.reports[0]
+
+
 def test_build_hwall_z2():
     ball = cayley_ball(Z2, 3)
     hw = HWallSpec(CoordinateSubgroup(Z2, [1]), "coordinate", axis=0)
-    wall, rep = build_hwall(ball, hw)
-    assert rep.ok
-    assert rep.invariance_violations == []
-    assert rep.carrier_orbits == 1  # the y-axis is one partial H-orbit
+    wall, rep = hwall(ball, hw)
+    assert rep["ok"]
+    assert rep["invariance_violations"] == []
+    assert rep["carrier_orbits"] == 1  # the y-axis is one partial H-orbit
     # carrier = {x = 0}
     carrier = {ball.names[i] for i in range(len(ball.names))
                if (wall.carrier() >> i) & 1}
@@ -365,30 +369,30 @@ def test_build_hwall_z2():
 def test_build_hwall_f2_branch():
     ball = cayley_ball(F2, 3)
     hw = HWallSpec(CyclicSubgroup(F2, "a"), "branch", axis="a")
-    wall, rep = build_hwall(ball, hw)
-    assert rep.ok
+    wall, rep = hwall(ball, hw)
+    assert rep["ok"]
     # carrier is the axis <a> itself
     carrier = {ball.names[i] for i in range(len(ball.names))
                if (wall.carrier() >> i) & 1}
     assert carrier == {"1", "a", "A", "aa", "AA", "aaa", "AAA"}
     # the branch rule of the letter a is not invariant under <ab>
-    _wall, rep = build_hwall(
+    _wall, rep = hwall(
         ball, HWallSpec(CyclicSubgroup(F2, "ab"), "branch", axis="a"))
-    assert not rep.ok and {"h": "BA", "g": "1"} in rep.invariance_violations
+    assert not rep["ok"] and \
+        {"h": "BA", "g": "1"} in rep["invariance_violations"]
 
 
 def test_build_hwall_invariance_violations_carry_total():
     ball = cayley_ball(F2, 4)
     hw = HWallSpec(CyclicSubgroup(F2, "ab"), "branch", axis="a")
-    _wall, rep = build_hwall(ball, hw)
+    _wall, doc = hwall(ball, hw)
     # the branch rule of a is not <ab>-invariant (see the test above)
-    doc = rep.to_dict()
-    assert doc["invariance_violations"] == rep.invariance_violations[:10]
-    assert doc["invariance_violations_total"] == \
-        len(rep.invariance_violations) > 10
-    _wall, rep = build_hwall(ball, HWallSpec(CyclicSubgroup(F2, "a"),
-                                             "branch", axis="a"))
-    assert "invariance_violations_total" not in rep.to_dict()
+    violations = oracle_build_hwall(ball, hw)[1].invariance_violations
+    assert doc["invariance_violations"] == violations[:10]
+    assert doc["invariance_violations_total"] == len(violations) > 10
+    _wall, doc = hwall(ball, HWallSpec(CyclicSubgroup(F2, "a"), "branch",
+                                       axis="a"))
+    assert "invariance_violations_total" not in doc
 
 
 # the default H-walls, and two whose subgroup crosses its own wall, so
@@ -411,16 +415,13 @@ def test_group_layer_matches_a_product_per_check(case, radius):
     ball = cayley_ball(spec, radius)
     _ws, meta = generate_hwall_system(ball, [])
     for hw in hws:
-        wall, rep = build_hwall(ball, hw)
+        wall, rep = hwall(ball, hw)
         owall, orep = oracle_build_hwall(ball, hw)
-        assert wall == owall
-        assert io.dumps(rep.to_dict()) == io.dumps(orep.to_dict())
+        assert wall.halfspaces() == owall.halfspaces()
+        assert io.dumps(rep) == io.dumps(orep.to_dict())
         if radius >= 3 and case not in ("Z2", "F2"):
             # the side-swapper branch
-            assert rep.hdotdot_status == "violated"
-        for d in range(radius + 1):
-            assert io.dumps(codim_one_analysis(ball, hw.subgroup, d)) == \
-                io.dumps(oracle_codim_one_analysis(ball, hw.subgroup, d))
+            assert rep["hdotdot_status"] == "violated"
     for g in ball.elements:
         pm = ActionMap.from_element(ball, g, meta).point_map
         assert {ball.names[i]: ball.names[j] for i, j in pm.items()} == \
@@ -478,7 +479,8 @@ def test_f2_system_is_a_tree():
         assert not any(transverse(ws, a, b) for a, b in combinations(idxs, 2))
         cc = build_dual(ws, ws.points[0])
         assert cc.dimension() == 1
-        assert cc.nedges() == cc.nvertices() - 1  # connected and acyclic
+        # connected and acyclic
+        assert cc.cube_counts()[1] == cc.nvertices() - 1
 
 
 def test_z2_system_shape():
@@ -496,40 +498,17 @@ def test_z2_system_shape():
 def test_transverse_implies_close():
     # finite check: carriers (wall regions) of transverse walls stay close,
     # and the measured bound is monotone under radius growth
-    from wallcube.separation import wall_region
     bounds = []
     for radius in (2, 3):
         _ball, (ws, _meta) = z2_system(radius)
         worst = 0
         for a, b in combinations(ws.wall_indices(), 2):
             if transverse(ws, a, b):
-                d = ws.metric.dist_sets(wall_region(ws, a),
-                                        wall_region(ws, b))
+                d = dist_sets(ws.metric, wall_region(ws, a),
+                              wall_region(ws, b))
                 worst = max(worst, d)
         bounds.append(worst)
     assert bounds[0] <= bounds[1] <= 2
-
-
-# -- codim-1 -----------------------------------------------------------
-
-
-def test_codim_one_z2():
-    ball = cayley_ball(Z2, 4)
-    out = codim_one_analysis(ball, CoordinateSubgroup(Z2, [1]), 0)
-    assert out["n_components"] == 2
-    assert out["n_deep"] == 2
-    assert out["deep_orbit_classes"] == 2
-    assert "caveat" in out
-
-
-def test_codim_one_f2():
-    ball = cayley_ball(F2, 3)
-    out = codim_one_analysis(ball, CyclicSubgroup(F2, "a"), 0)
-    assert out["n_deep"] >= 2
-    assert out["deep_orbit_classes"] >= 1
-    # removing everything leaves nothing
-    total = codim_one_analysis(ball, CyclicSubgroup(F2, "a"), 10)
-    assert total["n_components"] == 0
 
 
 # -- actions -----------------------------------------------------------
@@ -563,7 +542,7 @@ def test_equivariance_identity():
     rep = verify_equivariance(ws, action, cc)
     assert rep.ok
     assert rep.domain_vertices == cc.nvertices()
-    assert rep.preserved_edges == cc.nedges()
+    assert rep.preserved_edges == cc.cube_counts()[1]
 
 
 def test_equivariance_violations_carry_total():
@@ -592,89 +571,50 @@ def test_equivariance_violations_carry_total():
         verify_equivariance(ws, identity, cc).to_dict()
 
 
-def test_axis_cut_z2():
-    from wallcube.separation import axis_cut_test
-    ball, (ws, meta) = z2_system(3)
-    cc = build_dual(ws, ws.points[0])
-    action = ActionMap.from_element(ball, (1, 0), meta)
-    # pick the x-wall through the origin
-    target = next(i for i, (pos, t) in meta.wall_info.items()
-                  if pos == 0 and t == 0)
-    out = axis_cut_test(ws, action, target, 2, cc=cc)
-    for c in out["conditions"].values():
-        assert c["wall_moves"] and c["U_overlaps"] and c["V_overlaps"]
-    # x-translates of an x-wall are nested, never transverse
-    assert out["translates_pairwise_transverse"] is False
-    # only boundary artifacts can be fixed: vertices whose x-cut escapes the
-    # ball orient every x-wall the same way
-    xpos = [ws.wall_pos[i] for i, (pos, _t) in meta.wall_info.items()
-            if pos == 0]
-    for m in out["fixed_vertices"]:
-        bits_x = {(m >> p) & 1 for p in xpos}
-        assert len(bits_x) == 1
-
-
-# sha256 of `io.dumps` of each action's equivariance report and of its
-# axis-cut results (every wall, n_max 2, fixed vertices on), recorded when
+# sha256 of `io.dumps` of each action's equivariance report, recorded when
 # an ActionMap was keyed by point names and wall indices
 ACTION_RECORDED = {
-    ("Z2", (1, 0)): (
+    ("Z2", (1, 0)):
         "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
-        "a4569a773a6fe655752345f5454643b4cebc7468ab117153ec9feaa86fce974c"),
-    ("Z2", (-1, 0)): (
+    ("Z2", (-1, 0)):
         "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
-        "3500ecb1f0bc64a216ec6197ef963a3c52bd2bee9d674f96deaa1a0b38d5fd9d"),
-    ("Z2", (0, 1)): (
+    ("Z2", (0, 1)):
         "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
-        "2c541e1bb590b41d6bfe082427519a7812c0bad9d71610981357f8e19bb6904c"),
-    ("Z2", (0, -1)): (
+    ("Z2", (0, -1)):
         "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
-        "518a6516ec35f371c299e045659a3ba280d0691493a49bb79cd410fdc99d30f2"),
-    ("Z2", (1, 1)): (
+    ("Z2", (1, 1)):
         "4088beb5c704ead996553f636314db0633ba0f61194fb84c136dbaacfcc740a3",
-        "6bbc9778be8daccb902f656a80a7ada179d078a894704e17a61e7e980fbecfff"),
-    ("F2", "a"): (
+    ("F2", "a"):
         "f4ee48863d7e31f147714a6799e3cffca24766dc15ca1900e26a6ce59cdefaff",
-        "ba2870bbfbfe68cf671aae72cf613759a657c82b049c468b435da4f2000f9823"),
-    ("F2", "b"): (
+    ("F2", "b"):
         "2119813c835a78e68c8b446c8b4591322cd82b4bf1d2d6e045bc4be809a8aa3a",
-        "d80677d005863da4e203adcb8160b4287689b7f9bb331b1fcffd0aa8da8bf1bc"),
-    ("F2", "A"): (
+    ("F2", "A"):
         "f4ee48863d7e31f147714a6799e3cffca24766dc15ca1900e26a6ce59cdefaff",
-        "366505a64d461f8496ec3d18400015ebff9c256cdf215ed12863edd7c62e78dd"),
-    ("F2", "B"): (
+    ("F2", "B"):
         "2119813c835a78e68c8b446c8b4591322cd82b4bf1d2d6e045bc4be809a8aa3a",
-        "fca69f8b22fa13df795265e6248ebe296790e6070700f657b8b5d8a54ba7c3f0"),
-    ("F2", "ab"): (
+    ("F2", "ab"):
         "02142094f40dcbe0ab03ac9e25b34dd2ac3758dbde229cd87f55ad62605d7050",
-        "1259ffa004b8ea187ef6d0ebef8406f70e031584196e8dbe4a59d92a8e6c698e"),
 }
 
 
 @pytest.mark.parametrize("system, g", list(ACTION_RECORDED),
                          ids=[f"{s} {g}" for s, g in ACTION_RECORDED])
 def test_action_outputs_recorded(system, g):
-    from wallcube.separation import axis_cut_test
     ball, (ws, meta) = (z2_system if system == "Z2" else f2_system)(3)
     cc = build_dual(ws, ws.points[0])
     action = ActionMap.from_element(ball, g, meta)
-
-    def digest(obj):
-        return hashlib.sha256(io.dumps(obj).encode()).hexdigest()
-
-    assert (digest(verify_equivariance(ws, action, cc).to_dict()),
-            digest([axis_cut_test(ws, action, i, 2, cc=cc)
-                    for i in ws.wall_indices()])) == ACTION_RECORDED[system, g]
+    text = io.dumps(verify_equivariance(ws, action, cc).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        ACTION_RECORDED[system, g]
 
 
 def test_not_an_automorphism_names_points_and_wall_indices():
     from wallcube.generators import fig3, grid
-    from wallcube.separation import axis_cut_test
     # fig3's wall 1 (position 0) sent to wall 2 (position 1), points fixed
     ws = fig3()
     action = ActionMap({i: i for i in range(6)}, {0: 1})
     with pytest.raises(NotAnAutomorphism) as exc:
-        axis_cut_test(ws, action, 1, 1)
+        action.check(ws)
     assert str(exc.value) == "map is not a wallspace automorphism: " \
         "{'wall': 1, 'image': 2, 'point': 'a'}"
     # grid 2: points "0,1" and "2,2" (positions 1 and 8) swapped
@@ -725,11 +665,10 @@ def orbit(step, x, n):
 
 
 def test_check_implies_separation_and_power_halfspaces():
-    # what verify_equivariance and axis_cut_test no longer re-check: on
-    # an action that passes check, each mapped wall separates a pair of
-    # mapped points exactly when its image separates their images, and
-    # g^n carries the halfspaces of W into the matching sides of g^n W,
-    # for n = ±1..3
+    # what verify_equivariance no longer re-checks: on an action that
+    # passes check, each mapped wall separates a pair of mapped points
+    # exactly when its image separates their images; and g^n carries the
+    # halfspaces of W into the matching sides of g^n W, for n = ±1..3
     rng = random.Random(12)
     nontrivial = 0
     for _ in range(4000):
@@ -759,40 +698,6 @@ def test_check_implies_separation_and_power_halfspaces():
     assert nontrivial > 100
 
 
-def test_axis_cut_matches_powers_from_scratch():
-    # one orbit walk per direction against every power walked from
-    # scratch: on random actions that pass check, many-to-one wall maps
-    # among them (the backward walk takes the last preimage), with every
-    # wall mask as a vertex; and on each element of B(1) acting on the ℤ²
-    # and F₂ systems
-    from wallcube.separation import axis_cut_test
-    rng = random.Random(23)
-    compared = many_to_one = 0
-    for _ in range(3000):
-        ws, action = random_action(rng)
-        try:
-            action.check(ws)
-        except NotAnAutomorphism:
-            continue
-        cc = SimpleNamespace(vertices=range(1 << ws.nwalls()))
-        for i in ws.wall_indices():
-            assert axis_cut_test(ws, action, i, 3, cc=cc) == \
-                oracle_axis_cut_test(ws, action, i, 3, cc=cc)
-        compared += 1
-        values = list(action.wall_map.values())
-        many_to_one += len(set(values)) < len(values)
-    assert compared > 300 and many_to_one > 30
-    for ball, (ws, meta) in (z2_system(3), f2_system(3)):
-        cc = build_dual(ws, ws.points[0])
-        for g in ball.elements:
-            if ball.spec.length(g) > 1:
-                break
-            action = ActionMap.from_element(ball, g, meta)
-            for i in ws.wall_indices():
-                assert axis_cut_test(ws, action, i, 3, cc=cc) == \
-                    oracle_axis_cut_test(ws, action, i, 3, cc=cc)
-
-
 # -- relative cocompactness -------------------------------------------
 
 
@@ -812,7 +717,7 @@ def test_rel_cocompact_no_peripheries_tree():
     cc = build_dual(ws, ws.points[0])
     rep = rel_cocompact_check(ws, cc, [], InducedVariant("U0"))
     # no peripheries: the K-part must absorb everything at the least m
-    total = len(cc.all_cubes())
+    total = sum(cc.cube_counts().values())
     assert rep.k_part == total
     assert rep.least_m >= 1
     assert rep.coverage_violations == [] and rep.unique == 0
@@ -865,7 +770,7 @@ def test_rel_cocompact_partition_consistency():
     left = [n for n, g in zip(ball.names, ball.elements) if g[0] <= 0]
     right = [n for n, g in zip(ball.names, ball.elements) if g[0] >= 1]
     rep = rel_cocompact_check(ws, cc, [left, right], InducedVariant("U0"))
-    total = len(cc.all_cubes())
+    total = sum(cc.cube_counts().values())
     accounted = rep.k_part + rep.unique + \
         len(rep.coverage_violations) + len(rep.isolation_violations)
     assert accounted == total

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_cubes,
     cube_key,
+    cubes,
     forget_unpaired,
     oracle_dual_sub,
     oracle_induce_hemi,
@@ -266,11 +268,11 @@ def test_dual_sub_matches_oracle():
             for variant in variants:
                 P = rng.sample(ws.points, rng.randint(1, len(ws.points)))
                 hemi = induce_hemi(ws, P, variant)
-                verts, edges, cubes = oracle_dual_sub(full, hemi)
+                verts, edges, kept = oracle_dual_sub(full, hemi)
                 sub = dual_sub(full, hemi)
                 assert sub.vertices == verts
                 assert sub.edges == edges
-                assert sub.cubes == cubes
+                assert cubes(sub) == kept
                 # the subcomplex is a complex the other checks read
                 assert verify_npc(sub).violations == \
                     oracle_verify_npc(sub.export_dict())
@@ -287,7 +289,7 @@ def test_represented_iff_vertex_subcomplex():
         hemi = induce_hemi(ws, P, InducedVariant("U0"))
         sub = dual_sub(cc, hemi)
         vset = set(sub.vertices)
-        for c in cc.all_cubes():
+        for c in all_cubes(cc):
             assert hemi.represents(c.base, c.mask) == \
                 all(m in vset for m in c.corners())
 
@@ -306,8 +308,8 @@ def test_forget_unpaired_oracle():
             continue  # forgetting can create duplicate wall indices? no-op
         assert len(sub.vertices) == len(small.vertices)
         assert len(sub.edges) == len(small.edges)
-        assert {k: len(v) for k, v in sub.cubes.items()} == \
-            {k: len(v) for k, v in small.cubes.items()}
+        assert {k: len(v) for k, v in cubes(sub).items()} == \
+            {k: len(v) for k, v in cubes(small).items()}
 
 
 def test_empty_subcomplex():

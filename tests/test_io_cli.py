@@ -152,6 +152,38 @@ def test_cli_parse_error_past_json_limits(tmp_path, text):
     assert json.loads(r.stderr)["error"] == "ParseError"
 
 
+NOT_UTF8 = b'{"points": ["\xe9"], "walls": []}'
+
+
+@pytest.mark.parametrize("command", [["validate"], ["build"], ["act"]])
+def test_cli_input_that_is_not_utf8(tmp_path, command):
+    # a file fails its decoding, stdin (read with surrogateescape) the
+    # digest's encoding: both once ended in a traceback and exit 1
+    path = tmp_path / "bad.json"
+    for data in (b"\xff\xfe{", NOT_UTF8):
+        path.write_bytes(data)
+        r = run_cli([*command, str(path)])
+        assert (r.exit_code, r.exception, r.stdout) == (2, None, "")
+        assert json.loads(r.stderr) == {
+            "error": "ParseError", "detail": f"{path}: input is not UTF-8"}
+    r = run_cli([*command, "-"],
+                stdin=NOT_UTF8.decode("utf-8", "surrogateescape"))
+    assert (r.exit_code, r.exception, r.stdout) == (2, None, "")
+    assert json.loads(r.stderr) == {
+        "error": "ParseError", "detail": "stdin: input is not UTF-8"}
+
+
+def test_cli_stdin_that_is_not_utf8_in_a_process():
+    # a real stdin in UTF-8 mode, whose error handler is surrogateescape
+    src = str(Path(wallcube.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-m", "wallcube.cli", "validate", "-"],
+                       input=NOT_UTF8, capture_output=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "1"})
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert json.loads(r.stderr) == {
+        "error": "ParseError", "detail": "stdin: input is not UTF-8"}
+
+
 @pytest.mark.parametrize("doc, where", [
     ({"metric": {"table": [[0, 1], [1]]}}, "metric.table[1]"),
     ({"metric": {"table": [[0, 1, 1], [1, 0, 1]]}}, "metric.table[0]"),

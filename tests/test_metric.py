@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from conftest import OracleMetric
+from conftest import OracleMetric, diam
 import wallcube
 from wallcube import io
 from wallcube import metric as metric_module
@@ -178,16 +178,13 @@ def test_unit_metric_matches_row_oracle(data):
     m = Metric.from_edges(n, edges)
     oracle = OracleMetric.of(m)
     mask = st.integers(0, (1 << n) - 1)
-    a, b = data.draw(mask), data.draw(mask)
+    a = data.draw(mask)
     k = data.draw(st.integers(0, n))
     assert list(m.rings(a)) == oracle.rings(a)
     assert list(m.rings(a, k)) == [(d, ring) for d, ring in oracle.rings(a)
                                    if d <= k]
     for r in (-1, 0, 1.5, k, INF):
         assert m.ball(a, r) == oracle.ball(a, r)
-    for x, y in ((a, b), (a, 0), (0, b), (0, 0)):
-        assert m.dist_sets(x, y) == oracle.dist_sets(x, y)
-    assert m.diam(a) == oracle.diam(a)
     assert m.frontier(a) == oracle.frontier(a)
     # none of the above needs the table; it is built on first use
     assert m._table is None
@@ -208,9 +205,10 @@ def test_reaches_matches_diam(data):
         edges = [(i, j, data.draw(weight)) for i, j, _w in edges]
     m = Metric.from_edges(n, edges)
     mask = data.draw(st.integers(0, (1 << n) - 1))
-    d = m.diam(mask)
+    d = diam(m, mask)
     for tau in (0.5, 1, 2, 2.5, 3, 5, INF):
         assert m.reaches(mask, tau) == (d is not None and d >= tau)
+    assert m.diameter() == (diam(m, (1 << n) - 1) or 0.0)
 
 
 def test_reaches_counts_the_ring_at_inf():
@@ -242,7 +240,7 @@ def test_unit_metric_memory_stays_linear():
         m = Metric.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
         assert m.ball(1, n // 2) == (1 << n // 2 + 1) - 1
         assert len(list(m.rings(1 << n // 2))) == n // 2 + 1
-        assert m.dist_sets(1, 1 << n - 1) == n - 1
+        assert list(m.rings(1))[-1] == (n - 1, 1 << n - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,10 +275,10 @@ def test_ball_and_set_distances():
     assert m.ball(0b1, 1) == 0b11
     assert m.ball(0b101, 1) == 0b111
     assert m.ball(0, 3) == 0
-    assert m.diam(0b1111) == 4.5 and m.diam(0) is None
-    assert m.dist_sets(0b1, 0b1000) == 4.5
-    assert m.dist_sets(0b1, 0b10000) == float("inf")
-    assert m.dist_sets(0, 0b1) == float("inf")
+    assert list(m.rings(0b1)) == [(0, 0b1), (1, 0b10), (2, 0b100),
+                                  (4.5, 0b1000), (INF, 0b10000)]
+    assert list(m.rings(0)) == []
+    assert m.reaches(0b1111, 4.5) and not m.reaches(0b1111, 5)
     assert m.diameter() == float("inf")
     assert m.frontier(0b11) == 0b10
 

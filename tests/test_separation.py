@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     OracleMetric,
+    dist_sets,
     oracle_ball_ball_separation,
     oracle_compact_wall_separation,
     oracle_linear_separation_fit,
@@ -18,6 +19,7 @@ from conftest import (
     oracle_subspace_separation,
     oracle_wall_wall_separation,
     random_wallspace,
+    wall_region,
 )
 from wallcube import io
 from wallcube.errors import MetricRequired, NotAnAutomorphism, WallcubeError
@@ -35,15 +37,13 @@ from wallcube.groups import (
 from wallcube.metric import INF, Metric, bits
 from wallcube.separation import (
     _largest_fraction_at_most,
+    _wall_regions,
     _Worst,
-    axis_cut_test,
     ball_ball_separation,
     bounded_packing_number,
     compact_wall_separation,
     linear_separation_fit,
     subspace_separation,
-    wall_distance,
-    wall_region,
     wall_wall_separation,
 )
 from wallcube.wallspace import Wall, Wallspace, separation_count, validate
@@ -72,11 +72,14 @@ def test_worst_unseparated_distance():
 def test_wall_region_carrier_vs_frontier():
     ws = rbad(2)
     # interval walls have a one-point carrier at each multiple of n
-    assert ws.names_of(wall_region(ws, 1)) == ["2"]
+    assert ws.names_of(ws.derived(_wall_regions)[ws.position(1)]) == ["2"]
     ws2 = grid(2)
     # genuine partitions fall back to the two frontiers
-    region = set(ws2.names_of(wall_region(ws2, 0)))
+    region = set(ws2.names_of(ws2.derived(_wall_regions)[ws2.position(0)]))
     assert region == {"0,0", "0,1", "0,2", "1,0", "1,1", "1,2"}
+    for ws in metric_spaces():
+        assert ws.derived(_wall_regions) == \
+            [wall_region(ws, i) for i in ws.wall_indices()]
 
 
 def test_linear_fit_grid_is_exact():
@@ -194,7 +197,7 @@ def test_compact_wall_revalidates():
         if rep.verdict != "holds":
             continue
         for w in ws.walls:
-            d = wall_distance(ws, kmask, w.index)
+            d = dist_sets(ws.metric, kmask, wall_region(ws, w.index))
             if d >= rep.value:
                 assert any(
                     oracle_separates_compact_wall(ws, w2.index, kmask,
@@ -218,7 +221,7 @@ def test_wall_wall_revalidates():
             continue
         idxs = ws.wall_indices()
         for i, j in combinations(idxs, 2):
-            d = ws.metric.dist_sets(wall_region(ws, i), wall_region(ws, j))
+            d = dist_sets(ws.metric, wall_region(ws, i), wall_region(ws, j))
             if d != INF and d > rep.value:
                 assert any(wall_separates_walls(ws, k, i, j)
                            for k in idxs if k not in (i, j))
@@ -270,7 +273,6 @@ def test_wall_regions_are_computed_once_per_wallspace(monkeypatch):
             compact_wall_separation(ws, ["0,0"])
             subspace_separation(ws, ws.points[:8], "WallNbdWallNbd", 1)
             subspace_separation(ws, ws.points, "BallWallNbd", 0)
-            wall_region(ws, 2)
         # no grid wall has a carrier: one frontier for each side
         assert len(calls) - before == 2 * ws.nwalls()
 
@@ -293,7 +295,7 @@ def test_packing_matches_bruteforce():
         best = 0
         for r in range(1, len(regions) + 1):
             for sub in combinations(range(len(regions)), r):
-                if all(ws.metric.dist_sets(regions[a], regions[b]) <= 1
+                if all(dist_sets(ws.metric, regions[a], regions[b]) <= 1
                        for a, b in combinations(sub, 2)):
                     best = max(best, r)
         assert rep.k == best
@@ -341,7 +343,7 @@ def test_packing_witness_is_least_maximum_family():
     rep = bounded_packing_number(ws, regions, 1)
     close = [list(sub) for r in range(rep.k, rep.k + 2)
              for sub in combinations(range(len(regions)), r)
-             if all(ws.metric.dist_sets(regions[a], regions[b]) <= 1
+             if all(dist_sets(ws.metric, regions[a], regions[b]) <= 1
                     for a, b in combinations(sub, 2))]
     assert all(len(f) == rep.k for f in close) and len(close) > 1
     assert rep.witness_family == min(close) == [0, 1, 7, 8]
@@ -421,14 +423,4 @@ def test_axis_cut_rejects_inconsistent_action():
     # (positions 0 and 1)
     action = ActionMap({x: x for x in range(len(ws.points))}, {0: 1})
     with pytest.raises(NotAnAutomorphism):
-        axis_cut_test(ws, action, 1, 1)
-
-
-def test_axis_cut_identity_is_degenerate():
-    ws = fig3()
-    action = ActionMap({x: x for x in range(len(ws.points))},
-                       {i: i for i in range(ws.nwalls())})
-    out = axis_cut_test(ws, action, 1, 2)
-    # the identity never moves the wall, so condition (1) fails at every n
-    assert all(not c["wall_moves"] for c in out["conditions"].values())
-    assert out["translates"] == [1]
+        action.check(ws)
