@@ -93,12 +93,6 @@ class EmptySubcomplex(WallcubeError):
     pass
 
 
-class NotAnAutomorphism(WallcubeError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"map is not a wallspace automorphism: {witness}")
-
-
 class UnknownGenerator(WallcubeError):
     pass
 

@@ -20,13 +20,7 @@ from itertools import combinations, repeat
 from operator import add, neg
 
 from .complex import _corners, canonical_cube
-from .errors import (
-    NotAnAutomorphism,
-    ParseError,
-    StateSpaceCap,
-    UnknownGenerator,
-    WallcubeError,
-)
+from .errors import ParseError, StateSpaceCap, UnknownGenerator, WallcubeError
 from .hemi import induce_hemi
 from .io import INT, field, one_of
 from .metric import Metric, bits, components
@@ -199,9 +193,8 @@ class CayleyBall:
     through the common prefix one syllable at a time, inside each factor's
     (convex) ball."""
 
-    def __init__(self, spec, radius, elements, steps):
+    def __init__(self, spec, elements, steps):
         self.spec = spec
-        self.radius = radius
         self.elements = elements  # sorted by (length, name)
         self.names = [spec.name(g) for g in elements]
         self.by_name = {n: i for i, n in enumerate(self.names)}
@@ -250,7 +243,7 @@ def cayley_ball(spec, radius):
                     steps.append((g, h))
         frontier = list(nxt)
     elements = sorted(seen, key=lambda g: (spec.length(g), spec.name(g)))
-    return CayleyBall(spec, radius, elements, steps)
+    return CayleyBall(spec, elements, steps)
 
 
 # -- subgroups ---------------------------------------------------------
@@ -362,9 +355,10 @@ def _hwall_report(ball, u, v, hmembers):
     for tag, side in (("U", u), ("V", v)):
         fr = ball.metric.frontier(side)
         frontier_orbits[tag] = _orbit_count(images, bits(fr))
-    # side-swapping elements of H (the index-2 coset of the side stabilizer)
+    # side-swapping elements of H (the index-2 coset of the side stabilizer):
+    # a swapper sends some i ∈ U∖V to j ∈ V∖U, an invariance violation
     if any(_swaps_sides(img, u, v) for img in images):
-        hdotdot = "violated" if violations else "verified (side-swappers present)"
+        hdotdot = "violated"
     else:
         hdotdot = "vacuous at this radius (no side-swapping element in ball)"
     return Report(
@@ -431,18 +425,15 @@ def generate_hwall_system(ball, hwall_specs):
     only on t's `key`, its coset tC: one wall is built per (spec, key),
     from the first t of the key in ball order (W itself for the identity).
     Keys of ball elements have disjoint carriers, each holding its own t,
-    so their truncated translates differ, and gtW is the wall of gt's key,
-    sides unswapped, when that key has one; a key with no wall has its
-    carrier outside the ball.  A translate, and the ball's image under each
-    element of H ∩ ball but 1 (the report's checks share them), takes a
-    product per point:
+    so their truncated translates differ.  A translate, and the ball's
+    image under each element of H ∩ ball but 1 (the report's checks share
+    them), takes a product per point:
     StateSpaceCap is raised at the first spec that takes that count past
     MAX_PRODUCTS, before any translate or image.
 
     The bookkeeping holds `wall_info` (index -> (spec position, ball index
-    of t)), `wall_of` ((spec position, key) -> index), `specs` and
-    `reports` (the `_hwall_report` of each H-wall itself, the translate
-    by the identity, as a dict).
+    of t)) and `reports` (the `_hwall_report` of each H-wall itself, the
+    translate by the identity, as a dict).
     """
     wall_of, wall_info, hmembers = {}, {}, []
     for pos, hw in enumerate(hwall_specs):
@@ -463,123 +454,7 @@ def generate_hwall_system(ball, hwall_specs):
                       hm).to_dict()
         for pos, (hw, hm) in enumerate(zip(hwall_specs, hmembers))]
     ws = Wallspace(ball.names, walls, metric=ball.metric)
-    return ws, Report(wall_info=wall_info, wall_of=wall_of,
-                      specs=list(hwall_specs), reports=reports)
-
-
-# -- actions -----------------------------------------------------------
-
-
-class ActionMap:
-    """Left multiplication by a group element, restricted to a ball, as
-    partial maps of its point positions and (given a wall system's
-    bookkeeping) wall positions.  `check` is its one consistency check."""
-
-    def __init__(self, point_map, wall_map, forced_bits=None,
-                 domain_bits=None):
-        self.point_map = dict(point_map)    # point position -> position
-        self.wall_map = dict(wall_map)      # wall position -> position
-        # wall position -> side: forced on an image wall whose preimage
-        # truncates to vacuous, and, as a domain bit, the side a vertex
-        # must choose to have an image (the other maps outside the ball)
-        self.forced_bits = dict(forced_bits or {})
-        self.domain_bits = dict(domain_bits or {})
-
-    @classmethod
-    def from_element(cls, ball, g, meta):
-        """The action of g on the ball and on the walls of an H-wall system
-        (`meta`, its bookkeeping): tW goes to the wall of gt's key, sides
-        unswapped.  A key with no wall has its carrier sC outside the ball
-        (see `generate_hwall_system`), so sW truncates to vacuous: a ball
-        point x lies on the side of s⁻¹x, which is never B, and changes
-        between L and R only through sC along a Cayley-graph edge (left
-        multiplication keeps edges); the ball is connected, so every x lies
-        on the side of the identity, `side(s⁻¹)`, one evaluation.  For
-        s = gt that side is a domain bit; for s = g⁻¹t, whose key has a
-        wall exactly when tW is a wall's image, it is the side forced on
-        tW, the side every ball vertex orients it to."""
-        spec, ginv = ball.spec, ball.spec.inv(g)
-        pm = {i: j for i, j in enumerate(ball.image(g)) if j is not None}
-        wm, forced, dom_bits = {}, {}, {}
-        for idx, (pos, i) in meta.wall_info.items():
-            hw, t = meta.specs[pos], ball.elements[i]
-            for h, out in ((g, dom_bits), (ginv, forced)):
-                s = spec.mul(h, t)
-                j = meta.wall_of.get((pos, hw.key(s)))
-                if j is None:
-                    out[idx] = int(hw.side(spec.inv(s)) == "R")
-                elif out is dom_bits:
-                    wm[idx] = j
-        return cls(pm, wm, forced, dom_bits)
-
-    def check(self, ws):
-        """Raise NotAnAutomorphism on any inconsistency on the domain; what
-        it checks implies the rest (see `verify_equivariance`).  The
-        witness names the points and the wall indices."""
-        if len(set(self.point_map.values())) != len(self.point_map):
-            raise NotAnAutomorphism("point map not injective")
-        names = ws.points
-        if ws.metric is not None:
-            d = ws.metric.d
-            for x, y in combinations(self.point_map, 2):
-                dxy, dgxy = d(x, y), d(self.point_map[x], self.point_map[y])
-                if dxy != dgxy:
-                    raise NotAnAutomorphism({"pair": [names[x], names[y]],
-                                             "d": dxy, "d_image": dgxy})
-        for i, j in self.wall_map.items():
-            wi, wj = ws.walls[i], ws.walls[j]
-            for x, gx in self.point_map.items():
-                if (wi.left >> x ^ wj.left >> gx |
-                        wi.right >> x ^ wj.right >> gx) & 1:
-                    raise NotAnAutomorphism({"wall": wi.index,
-                                             "image": wj.index,
-                                             "point": names[x]})
-
-
-def verify_equivariance(ws, action, cc):
-    """Check the action is a partial automorphism of the wallspace and that
-    its vertex map is a complex isomorphism on the subcomplex where total;
-    returns a Report (ok, domain_vertices, preserved_edges, violations).
-
-    `action.check` is the wallspace part, and separation counts need no
-    recount after it.  For each mapped wall i -> j and each mapped point x,
-    `check` compares x ∈ W_i.left with gx on the left of W_j and x ∈
-    W_i.right with gx on the right, so x lies in an open side of W_i
-    exactly when gx lies in the matching open side of W_j: W_i separates
-    x, y exactly when W_j separates gx, gy, and the two counts over the
-    mapped walls agree wall by wall.
-    """
-    action.check(ws)
-    violations = []
-    # the vertex map: a wall that is no mapped wall's image takes its
-    # forced side, or, with no image information, keeps its side
-    targets = sum({1 << j for j in action.wall_map.values()})
-    forced = action.forced_bits
-    keep = (1 << ws.nwalls()) - 1 & ~targets & ~sum(1 << p for p in forced)
-    ones = sum(1 << p for p, s in forced.items() if s) & ~targets
-    domain = {}
-    for m in cc.vertices:
-        if any((m >> pos) & 1 != s for pos, s in action.domain_bits.items()):
-            continue  # image falls outside the truncated system
-        img = m & keep | ones
-        for pos, j in action.wall_map.items():
-            img |= (m >> pos & 1) << j
-        if img in cc.vid:
-            domain[m] = img
-    if len(set(domain.values())) != len(domain):
-        violations.append({"kind": "NotInjective"})
-    preserved = 0
-    for u, v, w in cc.edges:
-        if u in domain and v in domain and w in action.wall_map:
-            d = domain[u] ^ domain[v]
-            if d == 1 << action.wall_map[w]:
-                preserved += 1
-            else:
-                violations.append({"kind": "EdgeNotPreserved",
-                                   "edge": [cc.vid[u], cc.vid[v]]})
-    return Report(cut=("violations", 10), ok=not violations,
-                  domain_vertices=len(domain), preserved_edges=preserved,
-                  violations=violations)
+    return ws, Report(wall_info=wall_info, reports=reports)
 
 
 # -- relative cocompactness -------------------------------------------

@@ -47,7 +47,7 @@ from wallcube.errors import (
     StuckLoop,
     WallcubeError,
 )
-from wallcube.groups import TRUNCATION_CAVEAT, ActionMap, _translate
+from wallcube.groups import TRUNCATION_CAVEAT, _translate
 from wallcube.hemi import Hemiwallspace, induce_hemi
 from wallcube.metric import INF, Metric, _dijkstra, bits, components, compress
 from wallcube.separation import (
@@ -692,7 +692,8 @@ def _oracle_orbit_count(ball, hmembers, indices):
 
 
 def oracle_point_map(ball, g):
-    """The point map of `ActionMap.from_element`, a product per point."""
+    """The left action of g on the ball by names, as `CayleyBall.image`
+    gives it by positions: a product per point."""
     spec = ball.spec
     pm = {}
     for x in ball.elements:
@@ -721,50 +722,21 @@ def oracle_generate_hwall_system(ball, hwall_specs):
     """`generate_hwall_system` as it translated each H-wall by every ball
     element and merged equal translates by (halfspace pair, spec
     position): `wall_info` maps index -> (spec position, name of the first
-    element of the translate), `pair_index` (pair, spec position) -> index."""
+    element of the translate)."""
     spec = ball.spec
-    meta = Report(wall_info={}, pair_index={}, specs=list(hwall_specs),
-                  reports=[])
-    walls = []
+    meta = Report(wall_info={}, reports=[])
+    walls, seen = [], set()
     for pos, hw in enumerate(hwall_specs):
         _w, rep = oracle_build_hwall(ball, hw)
         meta.reports.append(rep.to_dict())
         for g in ball.elements:
             gu, gv = _translate(ball, hw, g)
             key = (frozenset((gu, gv)), pos)
-            if key not in meta.pair_index:
+            if key not in seen:
+                seen.add(key)
                 meta.wall_info[len(walls)] = (pos, spec.name(g))
-                meta.pair_index[key] = len(walls)
                 walls.append(Wall(len(walls), gu, gv))
     return Wallspace(ball.names, walls, metric=ball.metric), meta
-
-
-def oracle_from_element(ball, g, ws, meta):
-    """`ActionMap.from_element` as it translated each wall of the oracle
-    system (`oracle_generate_hwall_system`) by gt and g⁻¹t, and looked the
-    image up by its halfspace pair: the image wall, with its sides swapped
-    when the pair comes reversed, a domain bit when the image truncates to
-    vacuous, and the side forced by a vacuous preimage on a wall that is
-    no wall's image.  Its wall map holds (image position, swap) pairs."""
-    spec = ball.spec
-    pm = {i: j for i, j in enumerate(ball.image(g)) if j is not None}
-    wm, forced, dom_bits = {}, {}, {}
-    ginv = spec.inv(g)
-    for idx, (pos, tname) in meta.wall_info.items():
-        t = ball.elements[ball.by_name[tname]]
-        hw = meta.specs[pos]
-        gu, gv = _translate(ball, hw, spec.mul(g, t))
-        j = meta.pair_index.get((frozenset((gu, gv)), pos))
-        if j is not None:
-            wm[idx] = (j, ws.walls[j].left != gu)
-        elif bool(gu) != bool(gv):
-            dom_bits[idx] = int(not gu)
-        pu, pv = _translate(ball, hw, spec.mul(ginv, t))
-        if bool(pu) != bool(pv):
-            forced[idx] = int(not pu)
-    for j, _s in wm.values():
-        forced.pop(j, None)
-    return ActionMap(pm, wm, forced, dom_bits)
 
 
 def oracle_rel_cocompact_check(ws, cc, peripheries, variant, m=None):

@@ -18,7 +18,6 @@ from conftest import (
     random_wallspace,
 )
 from wallcube.complex import (
-    Cube,
     build_dual,
     canonical_cube,
     contract_loop,

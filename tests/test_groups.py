@@ -1,4 +1,4 @@
-"""Group families, Cayley balls, H-wall systems, actions, decompositions."""
+"""Group families, Cayley balls, H-wall systems, decompositions."""
 
 import hashlib
 import json
@@ -16,7 +16,6 @@ from conftest import (
     dist_sets,
     oracle_ball_metric,
     oracle_build_hwall,
-    oracle_from_element,
     oracle_generate_hwall_system,
     oracle_point_map,
     oracle_rel_cocompact_check,
@@ -27,38 +26,33 @@ from wallcube import complex as complex_mod
 from wallcube.complex import build_dual
 from wallcube import groups, io
 from wallcube.cli import _default_hwalls
-from wallcube.errors import (
-    NotAnAutomorphism,
-    StateSpaceCap,
-    WallcubeError,
-)
+from wallcube.errors import StateSpaceCap, WallcubeError
 from wallcube.groups import (
-    ActionMap,
     CoordinateSubgroup,
     CyclicSubgroup,
     Free,
     FreeAbelian,
-    FreeFactorSubgroup,
     FreeProduct,
     HWallSpec,
     cayley_ball,
     generate_hwall_system,
     group_from_dict,
     rel_cocompact_check,
-    verify_equivariance,
 )
 from wallcube.hemi import InducedVariant, induce_hemi
-from wallcube.wallspace import Wall, Wallspace, transverse, validate
+from wallcube.wallspace import transverse, validate
 
 Z2 = FreeAbelian(2)
 F2 = Free(2)
 
 
+Z2_HWALLS = [HWallSpec(CoordinateSubgroup(Z2, [1]), "coordinate", axis=0),
+             HWallSpec(CoordinateSubgroup(Z2, [0]), "coordinate", axis=1)]
+
+
 def z2_system(radius=3):
     ball = cayley_ball(Z2, radius)
-    hw = [HWallSpec(CoordinateSubgroup(Z2, [1]), "coordinate", axis=0),
-          HWallSpec(CoordinateSubgroup(Z2, [0]), "coordinate", axis=1)]
-    return ball, generate_hwall_system(ball, hw)
+    return ball, generate_hwall_system(ball, Z2_HWALLS)
 
 
 def f2_system(radius=3):
@@ -230,7 +224,7 @@ def test_group_layer_work_counts(spec, radius, hws):
               for hw in hws]
     keys = sum(len(set(map(hw.key, ball.elements))) for hw in hws)
     spec.products = 0
-    ws, meta = generate_hwall_system(ball, hws)
+    ws, _meta = generate_hwall_system(ball, hws)
     # per spec: one translate per key, with one product per point, the
     # identity's among them; the invariance check, the carrier and
     # frontier orbit counts and the side-swap test share one image of the
@@ -239,22 +233,15 @@ def test_group_layer_work_counts(spec, radius, hws):
     checks = sum(h + 2 * (radius + 1) for h in hsizes)
     assert ws.nwalls() == keys
     assert spec.products <= (keys + checks) * n
-    # the action of each generator: a product per wall and side (a key
-    # with no wall takes one side evaluation, no translate), and the point
-    # map
-    for g in spec.generators():
-        spec.products = 0
-        ActionMap.from_element(ball, g, meta)
-        assert spec.products <= 2 * ws.nwalls() + n
 
 
 def test_hwall_system_stops_at_the_product_cap(monkeypatch):
     # two H-walls on the 25-point ball, each with 7 keys and 6 members but
     # the identity: 2 · (7 + 6) · 25 = 650 products, counted before any
     # translate or image is built
-    ball, (ws, meta) = z2_system(3)
+    ball, (ws, _meta) = z2_system(3)
     monkeypatch.setattr(groups, "MAX_PRODUCTS", 650)
-    assert generate_hwall_system(ball, meta.specs)[0].walls == ws.walls
+    assert generate_hwall_system(ball, Z2_HWALLS)[0].walls == ws.walls
 
     def not_built(*args):
         raise AssertionError("a translate or an image was built")
@@ -264,12 +251,12 @@ def test_hwall_system_stops_at_the_product_cap(monkeypatch):
     monkeypatch.setattr(ball, "image", not_built)
     with pytest.raises(StateSpaceCap, match="^H-wall system needs at least "
                        "650 group products, exceeds cap 649$"):
-        generate_hwall_system(ball, meta.specs)
+        generate_hwall_system(ball, Z2_HWALLS)
     # the count stops at the first spec past the cap
     monkeypatch.setattr(groups, "MAX_PRODUCTS", 324)
     with pytest.raises(StateSpaceCap, match="^H-wall system needs at least "
                        "325 group products, exceeds cap 324$"):
-        generate_hwall_system(ball, meta.specs)
+        generate_hwall_system(ball, Z2_HWALLS)
 
 
 # (group, largest radius); `rules` lists every rule the group takes: the
@@ -303,9 +290,8 @@ def hwall_specs(draw, spec):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_keyed_hwall_system_matches_a_translate_per_element(data):
-    # the walls, their bookkeeping and the action of any ball element
-    # equal those of the loop over every ball element merged by halfspace
-    # pair; no image pair comes reversed, so the wall map is of positions
+    # the walls and their bookkeeping equal those of the loop over every
+    # ball element merged by halfspace pair
     spec, max_radius = data.draw(st.sampled_from(KEYED_GROUPS))
     ball = cayley_ball(spec, data.draw(st.integers(0, max_radius)))
     hws = data.draw(st.lists(hwall_specs(spec), min_size=1, max_size=3))
@@ -315,16 +301,9 @@ def test_keyed_hwall_system_matches_a_translate_per_element(data):
     assert {i: (pos, ball.names[t]) for i, (pos, t) in
             meta.wall_info.items()} == ometa.wall_info
     assert meta.reports == ometa.reports
-    for g in data.draw(st.lists(st.sampled_from(ball.elements),
-                                min_size=1, max_size=4)):
-        action = ActionMap.from_element(ball, g, meta)
-        oracle = oracle_from_element(ball, g, ows, ometa)
-        assert action.point_map == oracle.point_map
-        assert not any(swap for _j, swap in oracle.wall_map.values())
-        assert action.wall_map == {i: j for i, (j, _swap)
-                                   in oracle.wall_map.items()}
-        assert action.forced_bits == oracle.forced_bits
-        assert action.domain_bits == oracle.domain_bits
+    # a side-swapper of H is an invariance violation
+    assert all(r["invariance_violations"] for r in meta.reports
+               if r["hdotdot_status"] == "violated")
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,7 +392,6 @@ def test_group_layer_matches_a_product_per_check(case, radius):
     # one image of the ball per element of H ∩ ball serves every check
     spec, hws = HWALL_CASES[case]
     ball = cayley_ball(spec, radius)
-    _ws, meta = generate_hwall_system(ball, [])
     for hw in hws:
         wall, rep = hwall(ball, hw)
         owall, orep = oracle_build_hwall(ball, hw)
@@ -423,8 +401,8 @@ def test_group_layer_matches_a_product_per_check(case, radius):
             # the side-swapper branch
             assert rep["hdotdot_status"] == "violated"
     for g in ball.elements:
-        pm = ActionMap.from_element(ball, g, meta).point_map
-        assert {ball.names[i]: ball.names[j] for i, j in pm.items()} == \
+        assert {ball.names[i]: ball.names[j]
+                for i, j in enumerate(ball.image(g)) if j is not None} == \
             oracle_point_map(ball, g)
 
 
@@ -509,193 +487,6 @@ def test_transverse_implies_close():
                 worst = max(worst, d)
         bounds.append(worst)
     assert bounds[0] <= bounds[1] <= 2
-
-
-# -- actions -----------------------------------------------------------
-
-
-def test_equivariance_z2_translations():
-    ball, (ws, meta) = z2_system(3)
-    cc = build_dual(ws, ws.points[0])
-    for g in [(1, 0), (0, 1), (-1, 0), (1, 1)]:
-        action = ActionMap.from_element(ball, g, meta)
-        rep = verify_equivariance(ws, action, cc)
-        assert rep.ok, rep.violations
-        assert rep.domain_vertices >= cc.nvertices() // 2
-        assert rep.preserved_edges > 0
-
-
-def test_equivariance_f2_generators():
-    ball, (ws, meta) = f2_system(3)
-    cc = build_dual(ws, ws.points[0])
-    for g in ("a", "A", "b"):
-        action = ActionMap.from_element(ball, g, meta)
-        rep = verify_equivariance(ws, action, cc)
-        assert rep.ok, rep.violations
-        assert rep.domain_vertices > 0
-
-
-def test_equivariance_identity():
-    ball, (ws, meta) = z2_system(2)
-    cc = build_dual(ws, ws.points[0])
-    action = ActionMap.from_element(ball, Z2.identity(), meta)
-    rep = verify_equivariance(ws, action, cc)
-    assert rep.ok
-    assert rep.domain_vertices == cc.nvertices()
-    assert rep.preserved_edges == cc.cube_counts()[1]
-
-
-def test_equivariance_violations_carry_total():
-    # no points to check, and each x-wall sent to the y-wall at the same
-    # offset: the image of an edge on an x-wall differs on two walls
-    ball, (ws, meta) = z2_system(2)
-    cc = build_dual(ws, ws.points[0])
-    at = {(pos, ball.names[t]): i for i, (pos, t) in meta.wall_info.items()}
-    walls = {at[0, f"({k},0)"]: at[1, f"(0,{k})"] for k in range(-2, 3)}
-    rep = verify_equivariance(ws, ActionMap({}, walls), cc)
-    doc = rep.to_dict()
-    assert doc["violations"] == rep.violations[:10]
-
-    def image(m):  # each y-wall takes the side of its x-wall
-        for i, j in walls.items():
-            a, b = ws.wall_pos[i], ws.wall_pos[j]
-            m = m & ~(1 << b) | (m >> a & 1) << b
-        return m
-
-    domain = {m for m in cc.vertices if image(m) in cc.vid}
-    broken = sum(1 for u, v, w in cc.edges
-                 if u in domain and v in domain and ws.walls[w].index in walls)
-    assert doc["violations_total"] == 1 + broken > 10  # and NotInjective
-    identity = ActionMap.from_element(ball, Z2.identity(), meta)
-    assert "violations_total" not in \
-        verify_equivariance(ws, identity, cc).to_dict()
-
-
-# sha256 of `io.dumps` of each action's equivariance report, recorded when
-# an ActionMap was keyed by point names and wall indices
-ACTION_RECORDED = {
-    ("Z2", (1, 0)):
-        "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
-    ("Z2", (-1, 0)):
-        "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
-    ("Z2", (0, 1)):
-        "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
-    ("Z2", (0, -1)):
-        "eb3f11c18281d9030fa53a6b000df53ac2b7253cfca37ba4af3f3cb20985fc45",
-    ("Z2", (1, 1)):
-        "4088beb5c704ead996553f636314db0633ba0f61194fb84c136dbaacfcc740a3",
-    ("F2", "a"):
-        "f4ee48863d7e31f147714a6799e3cffca24766dc15ca1900e26a6ce59cdefaff",
-    ("F2", "b"):
-        "2119813c835a78e68c8b446c8b4591322cd82b4bf1d2d6e045bc4be809a8aa3a",
-    ("F2", "A"):
-        "f4ee48863d7e31f147714a6799e3cffca24766dc15ca1900e26a6ce59cdefaff",
-    ("F2", "B"):
-        "2119813c835a78e68c8b446c8b4591322cd82b4bf1d2d6e045bc4be809a8aa3a",
-    ("F2", "ab"):
-        "02142094f40dcbe0ab03ac9e25b34dd2ac3758dbde229cd87f55ad62605d7050",
-}
-
-
-@pytest.mark.parametrize("system, g", list(ACTION_RECORDED),
-                         ids=[f"{s} {g}" for s, g in ACTION_RECORDED])
-def test_action_outputs_recorded(system, g):
-    ball, (ws, meta) = (z2_system if system == "Z2" else f2_system)(3)
-    cc = build_dual(ws, ws.points[0])
-    action = ActionMap.from_element(ball, g, meta)
-    text = io.dumps(verify_equivariance(ws, action, cc).to_dict())
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        ACTION_RECORDED[system, g]
-
-
-def test_not_an_automorphism_names_points_and_wall_indices():
-    from wallcube.generators import fig3, grid
-    # fig3's wall 1 (position 0) sent to wall 2 (position 1), points fixed
-    ws = fig3()
-    action = ActionMap({i: i for i in range(6)}, {0: 1})
-    with pytest.raises(NotAnAutomorphism) as exc:
-        action.check(ws)
-    assert str(exc.value) == "map is not a wallspace automorphism: " \
-        "{'wall': 1, 'image': 2, 'point': 'a'}"
-    # grid 2: points "0,1" and "2,2" (positions 1 and 8) swapped
-    ws = grid(2)
-    pm = {i: i for i in range(9)}
-    pm[1], pm[8] = 8, 1
-    with pytest.raises(NotAnAutomorphism) as exc:
-        ActionMap(pm, {}).check(ws)
-    assert str(exc.value) == "map is not a wallspace automorphism: " \
-        "{'pair': ['0,0', '0,1'], 'd': 1.0, 'd_image': 4.0}"
-    with pytest.raises(NotAnAutomorphism, match="point map not injective"):
-        ActionMap({0: 4, 1: 4}, {}).check(ws)
-
-
-def random_action(rng):
-    """A random wallspace (2-5 points, 1-4 walls, each side a random
-    nonempty set) with a random partial injective point map and a random,
-    possibly many-to-one, wall map."""
-    npts = rng.randint(2, 5)
-    full = (1 << npts) - 1
-    walls = [Wall(i, rng.randint(1, full), rng.randint(1, full))
-             for i in range(rng.randint(1, 4))]
-    ws = Wallspace([f"p{i}" for i in range(npts)], walls)
-    domain = rng.sample(range(npts), rng.randint(1, npts))
-    points = dict(zip(domain, rng.sample(range(npts), len(domain))))
-    walls = {i: rng.randrange(len(walls))
-             for i in range(len(walls)) if rng.random() < 0.8}
-    return ws, ActionMap(points, walls)
-
-
-def open_separates(w, bx, by):
-    """From the definition: x and y lie in opposite open halfspaces."""
-    ol, orr = w.left & ~w.right, w.right & ~w.left
-    return bool(ol & bx and orr & by or ol & by and orr & bx)
-
-
-def orbit(step, x, n):
-    """g^n x under a partial map `step` of g, one step at a time; None once
-    the orbit leaves the domain.  Backwards, x steps to its last preimage
-    in the map's order."""
-    if n < 0:
-        step = {gx: x for x, gx in step.items()}
-    for _ in range(abs(n)):
-        x = step.get(x)
-        if x is None:
-            return None
-    return x
-
-
-def test_check_implies_separation_and_power_halfspaces():
-    # what verify_equivariance no longer re-checks: on an action that
-    # passes check, each mapped wall separates a pair of mapped points
-    # exactly when its image separates their images; and g^n carries the
-    # halfspaces of W into the matching sides of g^n W, for n = ±1..3
-    rng = random.Random(12)
-    nontrivial = 0
-    for _ in range(4000):
-        ws, action = random_action(rng)
-        try:
-            action.check(ws)
-        except NotAnAutomorphism:
-            continue
-        nontrivial += bool(action.wall_map) and len(action.point_map) > 1
-        for x, y in combinations(action.point_map, 2):
-            gx, gy = action.point_map[x], action.point_map[y]
-            for i, j in action.wall_map.items():
-                assert open_separates(ws.walls[i], 1 << x, 1 << y) == \
-                    open_separates(ws.walls[j], 1 << gx, 1 << gy)
-        for pos, w in enumerate(ws.walls):
-            for n in (1, -1, 2, -2, 3, -3):
-                img = orbit(action.wall_map, pos, n)
-                if img is None:
-                    continue
-                wj = ws.walls[img]
-                for x in range(len(ws.points)):
-                    gx = orbit(action.point_map, x, n)
-                    if gx is None:
-                        continue
-                    assert w.left >> x & 1 == wj.left >> gx & 1
-                    assert w.right >> x & 1 == wj.right >> gx & 1
-    assert nontrivial > 100
 
 
 # -- relative cocompactness -------------------------------------------

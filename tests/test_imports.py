@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, every
-exception class in `errors.py` is raised somewhere in the library, and
+"""Every name a library or test module imports is used in that module,
+every exception class in `errors.py` is raised somewhere in the library, and
 every function and class the library defines is read by production code:
 the library, its `__init__.py` exports or the benchmark, never a test.
 
@@ -17,6 +17,7 @@ import wallcube
 
 MODULES = sorted(p for p in Path(wallcube.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -44,7 +45,7 @@ def test_detects_unused_import():
                           "    return b\n") == [(2, "json")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -74,11 +75,6 @@ def test_every_exception_class_is_raised():
 
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# Definitions no production code reaches yet, each waiting for the caller
-# that ROADMAP item 3 gives it: an `act` profile of wall-set orbits and
-# equivariance reports.  The change that adds that profile empties this.
-ALLOWED_UNREFERENCED = {"ActionMap", "from_element", "verify_equivariance"}
 
 
 def references(tree):
@@ -130,16 +126,6 @@ def production_sources(root):
     return modules, others
 
 
-def check_references(modules, others, allowed):
-    """(each unreferenced definition outside `allowed`, each name of
-    `allowed` that is not flagged as unreferenced): both empty when the
-    allowlist is exactly what the detector flags, so it cannot go stale."""
-    flagged = unreferenced_functions(modules, others)
-    names = {name for _module, _line, name in flagged}
-    return ([f for f in flagged if f[2] not in allowed],
-            sorted(set(allowed) - names))
-
-
 def test_detects_unreferenced_functions():
     source = ("def f():\n    return f()\n\n\nclass A:\n    def g(self):\n"
               "        pass\n\n    def __len__(self):\n        return 0\n")
@@ -188,16 +174,5 @@ def test_tests_are_no_callers(tmp_path):
     assert unreferenced_functions(modules, others) == []
 
 
-def test_allowlist_cannot_go_stale():
-    source = "def f():\n    pass\n\n\ndef g():\n    pass\n"
-    assert check_references({"m": source}, ["g()"], {"f"}) == ([], [])
-    # an allowlisted name that is referenced fails the check
-    assert check_references({"m": source}, ["f(); g()"], {"f"}) == \
-        ([], ["f"])
-    assert check_references({"m": source}, [], {"f"}) == \
-        ([("m", 5, "g")], [])
-
-
 def test_every_function_is_referenced():
-    assert check_references(*production_sources(ROOT),
-                            ALLOWED_UNREFERENCED) == ([], [])
+    assert unreferenced_functions(*production_sources(ROOT)) == []

@@ -23,7 +23,6 @@ from wallcube import wallspace as wallspace_module
 from wallcube.cli import main
 from wallcube.errors import ParseError
 from wallcube.generators import fig3, grid, non_hausdorff3, rbad
-from wallcube.wallspace import validate
 
 
 def roundtrip_equal(ws):

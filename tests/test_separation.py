@@ -22,10 +22,9 @@ from conftest import (
     wall_region,
 )
 from wallcube import io
-from wallcube.errors import MetricRequired, NotAnAutomorphism, WallcubeError
+from wallcube.errors import MetricRequired, WallcubeError
 from wallcube.generators import fig3, geom_path, grid, rbad
 from wallcube.groups import (
-    ActionMap,
     CoordinateSubgroup,
     CyclicSubgroup,
     Free,
@@ -34,7 +33,7 @@ from wallcube.groups import (
     cayley_ball,
     generate_hwall_system,
 )
-from wallcube.metric import INF, Metric, bits
+from wallcube.metric import INF, Metric
 from wallcube.separation import (
     _largest_fraction_at_most,
     _wall_regions,
@@ -415,12 +414,3 @@ def test_metric_required():
         linear_separation_fit(fig3())
     with pytest.raises(MetricRequired):
         ball_ball_separation(fig3(), 0)
-
-
-def test_axis_cut_rejects_inconsistent_action():
-    ws = fig3()
-    # identity on points but a wall map pretending wall 1 maps to wall 2
-    # (positions 0 and 1)
-    action = ActionMap({x: x for x in range(len(ws.points))}, {0: 1})
-    with pytest.raises(NotAnAutomorphism):
-        action.check(ws)
