@@ -296,8 +296,7 @@ def cmd_diagnose(args):
                                   r).to_dict()
     elif prop == "packing":
         if subsets is None:
-            subsets = [ws.names_of(w.carrier()) for w in ws.walls
-                       if w.carrier()]
+            subsets = [w.carrier() for w in ws.walls if w.carrier()]
         rep = bounded_packing_number(ws, subsets, D).to_dict()
     else:  # degree-profile
         cc = build_dual(ws, ws.points[0])

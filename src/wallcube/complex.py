@@ -32,8 +32,8 @@ from .errors import (
     UnknownPoint,
     WallcubeError,
 )
-from .metric import bits
-from .wallspace import Report, betwixt_set, transverse, validate
+from .metric import bits, flags
+from .wallspace import Report, separation_index, transverse, validate
 
 DEFAULT_VERTEX_CAP = 1 << 20
 
@@ -54,7 +54,6 @@ class OrientationEngine:
     """Precomputed conflict tables for fast orientation tests."""
 
     def __init__(self, ws):
-        self.ws = ws
         self.n = ws.nwalls()
         lefts = [w.left for w in ws.walls]
         rights = [w.right for w in ws.walls]
@@ -80,18 +79,6 @@ class OrientationEngine:
         s = (m2 >> i) & 1
         bad = (self.conf[s][0][i] & ~m2) | (self.conf[s][1][i] & m2)
         return bad == 0
-
-    def toward_point(self, p):
-        """Orientation toward point p: betwixting walls left (tie-break),
-        others the side containing p."""
-        b = self.ws.point_bit(p)
-        m = 0
-        for i, w in enumerate(self.ws.walls):
-            # a wall missing p violates coverage: orient it to its nonempty
-            # side, so diagnostics can still run
-            if not w.left & b and (w.right & b or not w.left):
-                m |= 1 << i
-        return m
 
     def enumerate_valid(self, cap):
         """All valid orientation bitmasks, ascending; [] when there is none.
@@ -185,7 +172,7 @@ class Cube(namedtuple("Cube", "base walls")):
     @property
     def mask(self):
         """The wall positions as a bitmask."""
-        return sum(1 << w for w in self.walls)
+        return sum(map((1).__lshift__, self.walls))
 
     def corners(self):
         return _corners(self.base, self.mask)
@@ -251,13 +238,6 @@ class CubeComplex:
             counts[k] = counts.get(k, 0) + len(bases)
         return dict(sorted(counts.items()))
 
-    def has_cube(self, cube):
-        return self.has_cell(cube.base, cube.mask)
-
-    def require_cube(self, cube):
-        if not self.has_cube(cube):
-            raise NotInComplex(cube)
-
     def max_degree(self):
         return max(map(len, self.adj.values()), default=0)
 
@@ -278,8 +258,8 @@ class CubeComplex:
 
     def export_dict(self):
         index = [w.index for w in self.ws.walls]
-        verts = [{"id": i, "orientation": [(m >> j) & 1
-                                           for j in range(self.engine.n)]}
+        n = self.engine.n
+        verts = [{"id": i, "orientation": list(flags(m, n))}
                  for i, m in enumerate(self.vertices)]
         edges = [{"u": self.vid[u], "v": self.vid[v], "wall": index[w]}
                  for u, v, w in self.edges]
@@ -385,7 +365,8 @@ def build_dual(ws, basepoint, vertex_cap=DEFAULT_VERTEX_CAP):
     StateSpaceCap past `vertex_cap` vertices.
 
     The canonical orientation of `basepoint` p is then a 0-cube: as the
-    walls cover X, `toward_point(p)` chooses sides that all hold p.
+    walls cover X, it chooses sides that all hold p (see
+    `canonical_cube`).
     Sageev's dual is the component of that vertex under wall flips, which
     is every valid orientation.  Take valid u != v, let D be the walls on
     which they differ and i in D.  Flipped, wall i takes v's side v_i,
@@ -419,10 +400,22 @@ def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
 
 
 def canonical_cube(ws, x):
-    """The cube of x: betwixting walls independent, all others toward x."""
-    seed = ws.derived(OrientationEngine).toward_point(x)
-    free = frozenset(ws.wall_pos[i] for i in betwixt_set(ws, x))
-    return Cube(seed, free).normalized()
+    """The cube of x: betwixting walls independent, all others toward x
+    (Haglund–Paulin; Sageev).
+
+    Toward x, a wall takes its right side V exactly when x ∉ U and
+    (x ∈ V or U = ∅): the side holding x, the left one on a tie, and on a
+    wall missing x (no cover) its nonempty side.  Off the betwixting walls
+    those are the walls with x in V ∖ U, which is `sr` of x's
+    SeparationIndex pair, and the walls with U = ∅; a betwixting wall has
+    x ∈ U, so its bit is clear, as the base of a cube needs.  So the cube
+    is read off the index in a few mask operations: base sr | empty_left,
+    free walls `betwixt[x]`.
+    """
+    index = separation_index(ws)
+    pos = ws.point_pos(x)
+    return Cube(index.point[pos][1] | index.empty_left,
+                frozenset(bits(index.betwixt[pos])))
 
 
 def pair_le(a, b):
@@ -471,9 +464,12 @@ def cube_distance(cc, a, b):
     graph whose hyperplanes are the walls, so the distance between two
     vertices is the number of walls on which they differ (Sageev; Chepoi).
     """
-    cc.require_cube(a)
-    cc.require_cube(b)
-    return ((a.base ^ b.base) & ~(a.mask | b.mask)).bit_count()
+    wa, wb = a.mask, b.mask
+    if not cc.has_cell(a.base, wa):
+        raise NotInComplex(a)
+    if not cc.has_cell(b.base, wb):
+        raise NotInComplex(b)
+    return ((a.base ^ b.base) & ~(wa | wb)).bit_count()
 
 
 def maximal_cubes(cc):

@@ -197,10 +197,10 @@ class CayleyBall:
         self.spec = spec
         self.elements = elements  # sorted by (length, name)
         self.names = [spec.name(g) for g in elements]
-        self.by_name = {n: i for i, n in enumerate(self.names)}
-        if len(self.by_name) != len(self.names):
+        by_name = {n: i for i, n in enumerate(self.names)}
+        if len(by_name) != len(self.names):
             shared = next(n for i, n in enumerate(self.names)
-                          if self.by_name[n] != i)
+                          if by_name[n] != i)
             raise WallcubeError(f"two elements of the ball are named "
                                 f"{shared!r}")
         self.by_elem = by_elem = {g: i for i, g in enumerate(elements)}

@@ -73,7 +73,7 @@ def induce_hemi(ws, P, variant):
     is disconnected), so X works iff some r does.  UrStar is its bounded
     form.
     """
-    pmask = P if isinstance(P, int) else ws.mask_of(P)
+    pmask = ws.point_mask(P)
     if pmask == 0:
         raise WallcubeError("P must be nonempty")
     kind = variant.kind

@@ -19,9 +19,9 @@ raises RecursionError, not ValueError.
 
 import json
 import re
-from functools import partial
+from functools import partial, reduce
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .errors import ParseError, StateSpaceCap
 from .metric import Metric
@@ -106,16 +106,27 @@ def integer(text, what, low=None):
 def wallspace_from_dict(doc):
     try:
         points = field(doc, "points", "points", LIST)
-        pidx = {}
+        bit = {}
         for k, p in enumerate(points):
-            if not isinstance(p, str) or p in pidx:
+            if not isinstance(p, str) or p in bit:
                 raise ParseError(f"points[{k}]: {p!r} is not a new name")
-            pidx[p] = k
+            bit[p] = 1 << k
 
         def index(path, p):
-            if not isinstance(p, str) or p not in pidx:
+            if not isinstance(p, str) or p not in bit:
                 raise ParseError(f"{path}: unknown point {p!r}")
-            return pidx[p]
+            return bit[p].bit_length() - 1
+
+        def mask(path, names):
+            """The mask of a list of point names, by one lookup each in C;
+            on a name that is no point (unknown, not a string, unhashable)
+            the scan for the first such raises `index`'s ParseError."""
+            try:
+                return reduce(or_, map(bit.__getitem__, names), 0)
+            except (KeyError, TypeError):
+                for p in names:
+                    index(path, p)
+                raise
 
         walls = []
         seen = set()
@@ -123,8 +134,7 @@ def wallspace_from_dict(doc):
             sides = []
             for side in ("left", "right"):
                 path = f"walls[{k}].{side}"
-                sides.append(sum({1 << index(path, p)
-                                  for p in field(w, side, path, LIST)}))
+                sides.append(mask(path, field(w, side, path, LIST)))
             i = field(w, "index", f"walls[{k}].index", INT)
             if i in seen:
                 raise ParseError(f"walls[{k}].index: {i} is not a new index")

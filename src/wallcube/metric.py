@@ -29,6 +29,15 @@ def bits(mask):
     return out
 
 
+_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def flags(mask, n):
+    """Bit k of an int bitmask below 2^n as byte k, 0 or 1, for k < n:
+    `bin` writes the digits and `bytes.translate` maps them, both in C."""
+    return bin(mask | 1 << n)[:2:-1].encode().translate(_FLAG)
+
+
 def compress(mask, onto):
     """The bits of `mask` inside `onto`, renumbered 0, 1, ... in the order
     of `onto`'s bits: a subset's mask in the induced point ordering."""

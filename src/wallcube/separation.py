@@ -194,7 +194,7 @@ def compact_wall_separation(ws, K):
     """Least f with: d(K, W) >= f implies some other wall separates K from W
     (K in one open halfspace of W', a closed halfspace of W in the other)."""
     metric = ws.require_metric()
-    kmask = K if isinstance(K, int) else ws.mask_of(K)
+    kmask = ws.point_mask(K)
     if not kmask:
         raise WallcubeError("K must be nonempty")
     index = separation_index(ws)
@@ -260,7 +260,7 @@ def subspace_separation(ws, Y, kind, r):
     if kind not in ("BallWallNbd", "WallNbdWallNbd"):
         raise WallcubeError(f"unknown kind {kind}")
     metric = ws.require_metric()
-    ymask = Y if isinstance(Y, int) else ws.mask_of(Y)
+    ymask = ws.point_mask(Y)
     induced_walls(ws, ymask)
     index = separation_index(ws)
 
@@ -312,7 +312,7 @@ def bounded_packing_number(ws, subsets, D):
     lexicographically least sorted list of subset positions among the
     largest such families; returns a Report (D, k, witness_family)."""
     metric = ws.require_metric()
-    masks = [s if isinstance(s, int) else ws.mask_of(s) for s in subsets]
+    masks = list(map(ws.point_mask, subsets))
     adj = [0] * len(masks)
     for i in range(len(masks)):
         # under D = inf every pair is close, an empty subset too (its

@@ -9,7 +9,9 @@ Wall identity is the integer index, never the halfspace pair: two walls with
 identical halfspaces but different indices are distinct walls.
 """
 
+import itertools
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import (
     DuplicateInducedPartition,
@@ -21,7 +23,7 @@ from .errors import (
     WallcubeError,
     WrongComponentCount,
 )
-from .metric import Metric, bits, components, compress, max_cliques
+from .metric import Metric, bits, components, compress, flags, max_cliques
 
 # the one point cap: a sized generator stops before building a wallspace
 # past it, and `groups.cayley_ball` before growing a ball past it; a
@@ -106,7 +108,26 @@ class Wallspace:
         return m
 
     def names_of(self, mask):
-        return [self.points[i] for i in bits(mask)]
+        """The names of the points of a mask, in point order; UnknownPoint
+        as in `point_mask` for a mask that is no point set."""
+        return list(itertools.compress(
+            self.points, flags(self.point_mask(mask), len(self.points))))
+
+    def point_mask(self, X):
+        """The point set X, given by names or as an int mask, as a mask:
+        UnknownPoint for a name that is no point, and for a mask that is
+        negative or sets a bit past the last point, naming those
+        positions."""
+        if not isinstance(X, int):
+            return self.mask_of(X)
+        if X < 0:
+            raise UnknownPoint(f"point mask {X} is negative: it sets every "
+                               f"position from {len(self.points)} up")
+        stray = X & ~self.full
+        if stray:
+            raise UnknownPoint(f"point mask sets positions {bits(stray)}, "
+                               f"past the last point's {len(self.points) - 1}")
+        return X
 
     def position(self, index):
         """The position of the wall with this index."""
@@ -188,7 +209,12 @@ def validate(ws):
             infos.append({"kind": "VacuousWall", "wall": w.index})
         elif w.is_genuine_partition():
             infos.append({"kind": "GenuinePartition", "wall": w.index})
-    betwixt_counts = {p: len(betwixt_set(ws, p)) for p in ws.points}
+    # the walls betwixting x are those whose carrier holds x
+    betwixt = [0] * len(ws.points)
+    for w in ws.walls:
+        for x in bits(w.carrier()):
+            betwixt[x] += 1
+    betwixt_counts = dict(zip(ws.points, betwixt))
     return Report(ok=not errors, errors=errors, infos=infos,
                   betwixt_counts=betwixt_counts)
 
@@ -202,23 +228,41 @@ class SeparationIndex:
     set A, the walls with all of A in their open left, resp. right, side:
     the AND over A, so every wall for the empty set.  `wall[k]` is the pair
     for the wall at position k: the walls with one of its closed halfspaces
-    in their open left, resp. right, side.  `separating` combines two pairs.
+    in their open left, resp. right, side, built on first read (canonical
+    cubes need none).  `separating` combines two pairs.
+
+    `betwixt[x]` is the walls betwixting point x, whose carrier U ∩ V
+    holds it, and `empty_left` the walls with U = ∅.  x's canonical cube
+    frees `betwixt[x]` and takes V on the walls with x ∉ U and (x ∈ V or
+    U = ∅), which are sr[x] | empty_left, as U = ∅ implies x ∉ U (see
+    `complex.canonical_cube`).
     """
 
     def __init__(self, ws):
         self.full = (1 << len(ws.walls)) - 1
         sl = [0] * len(ws.points)
         sr = [0] * len(ws.points)
+        self.betwixt = [0] * len(ws.points)
+        self.empty_left = 0
         for pos, w in enumerate(ws.walls):
             for x in bits(w.open_left()):
                 sl[x] |= 1 << pos
             for x in bits(w.open_right()):
                 sr[x] |= 1 << pos
+            for x in bits(w.carrier()):
+                self.betwixt[x] |= 1 << pos
+            if not w.left:
+                self.empty_left |= 1 << pos
         self.point = list(zip(sl, sr))
-        self.wall = []
-        for w in ws.walls:
+        self._walls = ws.walls
+
+    @cached_property
+    def wall(self):
+        out = []
+        for w in self._walls:
             (l1, r1), (l2, r2) = self.sides(w.left), self.sides(w.right)
-            self.wall.append((l1 | l2, r1 | r2))
+            out.append((l1 | l2, r1 | r2))
+        return out
 
     def sides(self, mask):
         left = right = self.full
@@ -250,8 +294,8 @@ def separation_count(ws, x, y):
 
 def betwixt_set(ws, x):
     """Indices of walls betwixting x (x in both halfspaces)."""
-    b = ws.point_bit(x)
-    return {w.index for w in ws.walls if w.left & b and w.right & b}
+    betwixt = separation_index(ws).betwixt[ws.point_pos(x)]
+    return {ws.walls[pos].index for pos in bits(betwixt)}
 
 
 def transverse(ws, i, j):
@@ -362,7 +406,7 @@ def subwallspace(ws, Y):
     """Induced subwallspace on the point subset Y (names or bitmask): the
     `induced_walls` on Y, and the ambient metric, when present, restricted
     to Y."""
-    ymask = Y if isinstance(Y, int) else ws.mask_of(Y)
+    ymask = ws.point_mask(Y)
     walls = induced_walls(ws, ymask)
     metric = None
     if ws.metric is not None:

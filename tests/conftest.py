@@ -11,6 +11,8 @@ maximal-cube, sub-complex and NPC oracles read a complex through the
 cell, and through its export document; the export and adjacency oracles
 read the store directly, with a sort per cube and a lookup per vertex
 and wall.
+The canonical-cube oracle orients wall by wall toward the point and frees
+its betwixting walls, and the flip search starts from that orientation.
 The flip-search oracle for `build_dual` steps with the library's one-wall
 flip test, which `test_flippable_matches_validity` checks against the
 valid orientations, but not with its 2-SAT search.  The loop-contraction,
@@ -113,8 +115,13 @@ def random_metric(rng, npts):
 # -- set-based oracles -------------------------------------------------
 
 
+def oracle_names(ws, mask):
+    """The names of a mask's points, by a scan of every position."""
+    return [p for i, p in enumerate(ws.points) if mask >> i & 1]
+
+
 def halfspace_sets(ws, w):
-    return set(ws.names_of(w.left)), set(ws.names_of(w.right))
+    return set(oracle_names(ws, w.left)), set(oracle_names(ws, w.right))
 
 
 def oracle_separation_count(ws, x, y):
@@ -136,6 +143,25 @@ def oracle_betwixt(ws, x):
     return out
 
 
+def oracle_toward_point(ws, p):
+    """The orientation toward point p, wall by wall: the side holding p,
+    the left one when both do, and on a wall missing p (no cover) its
+    nonempty side."""
+    b = ws.point_bit(p)
+    m = 0
+    for i, w in enumerate(ws.walls):
+        if not w.left & b and (w.right & b or not w.left):
+            m |= 1 << i
+    return m
+
+
+def oracle_canonical_cube(ws, p):
+    """p's canonical cube as `canonical_cube` built it wall by wall: the
+    orientation toward p, with its betwixting walls freed."""
+    free = frozenset(ws.wall_pos[i] for i in oracle_betwixt(ws, p))
+    return Cube(oracle_toward_point(ws, p), free).normalized()
+
+
 def oracle_transverse(ws, i, j):
     ui, vi = halfspace_sets(ws, ws.wall(i))
     uj, vj = halfspace_sets(ws, ws.wall(j))
@@ -146,8 +172,8 @@ def oracle_wall_separates(ws, k, i, j):
     wk = ws.wall(k)
     u, v = halfspace_sets(ws, wk)
     ou, ov = u - v, v - u
-    sides_i = [set(ws.names_of(h)) for h in ws.wall(i).halfspaces()]
-    sides_j = [set(ws.names_of(h)) for h in ws.wall(j).halfspaces()]
+    sides_i = [set(oracle_names(ws, h)) for h in ws.wall(i).halfspaces()]
+    sides_j = [set(oracle_names(ws, h)) for h in ws.wall(j).halfspaces()]
     for a in sides_i:
         for b in sides_j:
             if (a <= ou and b <= ov) or (a <= ov and b <= ou):
@@ -160,7 +186,7 @@ def oracle_separates_sets(ws, wall_index, mask_a, mask_b):
     vacuously separated."""
     u, v = halfspace_sets(ws, ws.wall(wall_index))
     ou, ov = u - v, v - u
-    a, b = set(ws.names_of(mask_a)), set(ws.names_of(mask_b))
+    a, b = set(oracle_names(ws, mask_a)), set(oracle_names(ws, mask_b))
     return (a <= ou and b <= ov) or (a <= ov and b <= ou)
 
 
@@ -169,7 +195,7 @@ def oracle_separates_compact_wall(ws, sep_index, kmask, wall_index):
     halfspace of wall wall_index in the other."""
     u, v = halfspace_sets(ws, ws.wall(sep_index))
     ou, ov = u - v, v - u
-    k = set(ws.names_of(kmask))
+    k = set(oracle_names(ws, kmask))
     sides = halfspace_sets(ws, ws.wall(wall_index))
     return any(k <= kside and any(h <= wside for h in sides)
                for kside, wside in ((ou, ov), (ov, ou)))
@@ -180,7 +206,7 @@ def oracle_is_zero_cube(ws, mask):
     chosen = []
     for pos, w in enumerate(ws.walls):
         side = w.right if (mask >> pos) & 1 else w.left
-        chosen.append(set(ws.names_of(side)))
+        chosen.append(set(oracle_names(ws, side)))
     for a in range(len(chosen)):
         for b in range(a, len(chosen)):
             if not chosen[a] & chosen[b]:
@@ -200,7 +226,7 @@ def oracle_build_dual(ws, p):
     orientations off the 2-SAT search instead, on the strength of the
     flip graph being connected."""
     eng = OrientationEngine(ws)
-    seed = eng.toward_point(p)
+    seed = oracle_toward_point(ws, p)
     seen = {seed}
     q = deque([seed])
     while q:
@@ -611,7 +637,7 @@ def oracle_induce_hemi(ws, P, variant):
     if bad:
         raise NotAHemiwallspace(bad)
     meta = {"variant": kind, "r": variant.r, "tau": variant.tau,
-            "P": sorted(ws.names_of(pmask))}
+            "P": sorted(oracle_names(ws, pmask))}
     return Hemiwallspace(ws, fixed, meta=meta)
 
 
@@ -1006,7 +1032,7 @@ def oracle_compact_wall_separation(ws, K):
         f = min(higher) if higher else worst + 1
         witnesses = sorted(wit for d, wit in unsep if d == worst)
     verdict = "holds" if f <= diam or not witnesses else "fails"
-    return _report("CompactWall", {"K": sorted(ws.names_of(kmask))},
+    return _report("CompactWall", {"K": sorted(oracle_names(ws, kmask))},
                    verdict, value=f, witnesses=witnesses,
                    notes=[WALL_DISTANCE_NOTE])
 
@@ -1072,6 +1098,6 @@ def oracle_subspace_separation(ws, Y, kind, r):
     diam = metric.diameter()
     s, witnesses = oracle_least_threshold(items)
     verdict = "holds" if s < diam or not witnesses else "fails"
-    return _report(kind, {"r": r, "Y": sorted(ws.names_of(ymask))},
+    return _report(kind, {"r": r, "Y": sorted(oracle_names(ws, ymask))},
                    verdict, value=s, witnesses=witnesses,
                    notes=[WALL_DISTANCE_NOTE])

@@ -13,7 +13,9 @@ from conftest import (
     cubes,
     oracle_adj,
     oracle_all_vertices,
+    oracle_betwixt,
     oracle_build_dual,
+    oracle_canonical_cube,
     oracle_contract_loop,
     oracle_complete_skeleton,
     oracle_cube_distance,
@@ -50,9 +52,10 @@ from wallcube.errors import (
     NotTransverse,
     StateSpaceCap,
     StuckLoop,
+    UnknownPoint,
     WallcubeError,
 )
-from wallcube.generators import fig3, grid, non_hausdorff3, rbad
+from wallcube.generators import fig3, geom_path, grid, non_hausdorff3, rbad
 from wallcube.groups import (
     CoordinateSubgroup,
     CyclicSubgroup,
@@ -235,6 +238,17 @@ def test_export_matches_oracle():
     # index order included
     for cc in complexes():
         assert io.dumps(cc.export_dict()) == io.dumps(oracle_export_dict(cc))
+    # orientation rows of exactly one entry per wall, none for no wall,
+    # across the byte and word boundaries of the wall mask
+    for nwalls in (0, 1, 8, 64, 65):
+        cc = enumerate_all_orientations(geom_path(nwalls + 1))
+        assert cc.engine.n == nwalls
+        doc = cc.export_dict()
+        assert io.dumps(doc) == io.dumps(oracle_export_dict(cc))
+        assert [len(v["orientation"]) for v in doc["vertices"]] == \
+            [nwalls] * (nwalls + 1)
+    doc = enumerate_all_orientations(Wallspace(["a"], [])).export_dict()
+    assert doc["vertices"] == [{"id": 0, "orientation": []}]
 
 
 def test_flippable_matches_validity():
@@ -282,8 +296,57 @@ def test_canonical_cube_is_in_complex():
         cc = enumerate_all_orientations(ws)
         for p in ws.points:
             c = canonical_cube(ws, p)
-            assert cc.has_cube(c)
+            assert cc.has_cell(c.base, c.mask)
             assert c.dim == len(betwixt_set(ws, p))
+
+
+def paper_family_spaces():
+    """The inputs of the paper-families benchmark: grid 5-7, rbad 6-8, and
+    the H-wall systems of the Z2 balls of radius 3-5 and the F2 balls of
+    radius 2-4."""
+    z2 = FreeAbelian(2)
+    z2_hwalls = [HWallSpec(CoordinateSubgroup(z2, [1]), "coordinate", axis=0),
+                 HWallSpec(CoordinateSubgroup(z2, [0]), "coordinate", axis=1)]
+    return ([grid(n) for n in (5, 6, 7)] + [rbad(n) for n in (6, 7, 8)]
+            + [generate_hwall_system(cayley_ball(z2, r), z2_hwalls)[0]
+               for r in (3, 4, 5)]
+            + [f2_system(r) for r in (2, 3, 4)])
+
+
+def non_covering_spaces():
+    """Wallspaces that fail coverage or carry vacuous walls: a wall missing
+    a point, walls with an empty left or right side, a vacuous wall each
+    way round, and random spaces whose sides are any two point sets."""
+    full = 0b1111
+    out = [Wallspace("abcd", [Wall(0, 0b0011, 0b0100),      # misses d
+                              Wall(1, 0, 0b0110),           # empty left
+                              Wall(2, 0b0101, 0),           # empty right
+                              Wall(3, 0, full),             # vacuous
+                              Wall(4, full, 0),             # vacuous
+                              Wall(5, 0b0111, 0b1110),
+                              Wall(6, 0, 0)])]              # empty both
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        full = (1 << n) - 1
+        out.append(Wallspace(range(n), [
+            Wall(i, rng.randint(0, full), rng.randint(0, full))
+            for i in range(rng.randint(0, 7))]))
+    return out
+
+
+def test_canonical_cube_matches_wall_by_wall_construction():
+    # the index masks against the orientation toward p built wall by wall,
+    # its betwixting walls freed; on spaces without cover too
+    spaces = valid_spaces() + paper_family_spaces() + non_covering_spaces()
+    assert len(spaces) > 50
+    for ws in spaces:
+        for p in ws.points:
+            assert canonical_cube(ws, p) == oracle_canonical_cube(ws, p)
+        assert validate(ws).betwixt_counts == {
+            p: len(oracle_betwixt(ws, p)) for p in ws.points}
+    with pytest.raises(UnknownPoint):
+        canonical_cube(fig3(), "z")
 
 
 def test_pair_le_is_a_partial_order():
@@ -305,8 +368,6 @@ def test_path_to_canonical():
         eng = cc.engine
         vset = set(cc.vertices)
         for p in ws.points:
-            target = eng.toward_point(p)
-            free = {ws.wall_pos[i] for i in betwixt_set(ws, p)}
             for m in cc.vertices[:20]:
                 path = path_to_canonical(ws, m, p)
                 assert path[0] == m
@@ -329,6 +390,25 @@ def test_distance_law():
             for y in ws.points:
                 cx, cy = canonical_cube(ws, x), canonical_cube(ws, y)
                 assert cube_distance(cc, cx, cy) == separation_count(ws, x, y)
+
+
+def test_cube_distance_needs_cubes_of_the_complex():
+    # each cube is checked against the cell store: the first missing one
+    # is named
+    ws = grid(1)
+    cc = build_dual(ws, "0,0")
+    v = cc.vertices
+    square = Cube(v[0], frozenset({0, 1}))
+    assert cc.has_cell(square.base, square.mask)
+    assert cube_distance(cc, square, Cube(v[3], frozenset())) == 0
+    diagonal = Cube(v[0] | 0b100, frozenset())
+    assert not cc.has_cell(diagonal.base, diagonal.mask)
+    with pytest.raises(NotInComplex) as exc:
+        cube_distance(cc, square, diagonal)
+    assert exc.value.args == (diagonal,)
+    with pytest.raises(NotInComplex) as exc:
+        cube_distance(cc, diagonal, Cube(v[1], frozenset({9})))
+    assert exc.value.args == (diagonal,)
 
 
 def test_cube_distance_matches_bfs():
@@ -370,10 +450,10 @@ def test_cube_from_family_fig3():
     cc = build_dual(ws, "a")
     c = cube_from_family(ws, [3, 4, 5], "e")
     assert c.dim == 3
-    assert cc.has_cube(c)
+    assert cc.has_cell(c.base, c.mask)
     c2 = cube_from_family(ws, [1, 2], "a")
     assert c2.dim == 2
-    assert cc.has_cube(c2)
+    assert cc.has_cell(c2.base, c2.mask)
     with pytest.raises(NotTransverse):
         cube_from_family(ws, [2, 3], "a")
     # the empty family gives the canonical cube of p
@@ -387,7 +467,7 @@ def test_cube_from_family_random():
         for fam in fams:
             for p in ws.points:
                 c = cube_from_family(ws, list(fam), p)
-                assert cc.has_cube(c)
+                assert cc.has_cell(c.base, c.mask)
                 assert set(fam) <= {ws.walls[w].index for w in c.walls}
 
 
@@ -559,7 +639,8 @@ def test_contract_loop_matches_oracle(make):
 
 def test_canonical_orientation_of_a_valid_wallspace_is_a_zero_cube():
     # the proof in build_dual: the walls of a wallspace that validates
-    # cover X, so toward_point(p) chooses sides that all hold p
+    # cover X, so the orientation toward p, the base of p's canonical
+    # cube, chooses sides that all hold p
     checked, seed = 0, 0
     while checked < 400:
         ws = random_wallspace(seed, with_metric=False)
@@ -567,7 +648,8 @@ def test_canonical_orientation_of_a_valid_wallspace_is_a_zero_cube():
         if not validate(ws).ok:
             continue
         eng = OrientationEngine(ws)
-        assert all(eng.is_valid(eng.toward_point(p)) for p in ws.points)
+        assert all(eng.is_valid(canonical_cube(ws, p).base)
+                   for p in ws.points)
         checked += 1
 
 

@@ -133,8 +133,8 @@ def test_cayley_ball_z2_counts():
         ball = cayley_ball(Z2, r)
         assert len(ball.elements) == 2 * r * r + 2 * r + 1
         # exact word metric
-        i = ball.by_name["(1,0)"]
-        j = ball.by_name[f"(-{r},0)"]
+        i = ball.names.index("(1,0)")
+        j = ball.names.index(f"(-{r},0)")
         assert ball.metric.d(i, j) == r + 1
 
 

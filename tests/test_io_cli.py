@@ -23,6 +23,7 @@ from wallcube import wallspace as wallspace_module
 from wallcube.cli import main
 from wallcube.errors import ParseError
 from wallcube.generators import fig3, grid, non_hausdorff3, rbad
+from wallcube.wallspace import Wall
 
 
 def roundtrip_equal(ws):
@@ -224,6 +225,16 @@ def test_cli_stdin_that_is_not_utf8_in_a_process():
     # and this exited 1, its rows counted only by the Wallspace
     ({"metric": {"table": [[0]]}},
      "metric.table: [[0]] is not a list of 2 rows"),
+    # a side is read by one lookup per name; a name that is no point is
+    # then found by a scan, which names the first
+    ({"walls": [{"index": 0, "left": ["a"], "right": [5]}]},
+     "walls[0].right: unknown point 5"),
+    ({"walls": [{"index": 0, "left": ["a"], "right": ["b", ["a"]]}]},
+     "walls[0].right: unknown point ['a']"),
+    ({"walls": [{"index": 0, "left": [None], "right": ["b"]}]},
+     "walls[0].left: unknown point None"),
+    ({"walls": [{"index": 0, "left": ["a", "z", 7], "right": ["b"]}]},
+     "walls[0].left: unknown point 'z'"),
 ])
 def test_cli_malformed_document(tmp_path, doc, where):
     base = {"points": ["a", "b"],
@@ -249,6 +260,29 @@ def test_cli_missing_document_field(tmp_path, doc, where):
     assert r.exit_code == 2
     err = json.loads(r.stderr)
     assert err["error"] == "ParseError" and where in err["detail"]
+
+
+def test_wallspace_sides_name_points():
+    # the parse errors word for word, and a name repeated within a side
+    # read once
+    base = {"points": ["a", "b"]}
+    for side, message in (([5], "unknown point 5"),
+                          (["b", ["a"]], "unknown point ['a']"),
+                          ([None], "unknown point None"),
+                          ([True], "unknown point True"),
+                          (["a", "z", 7], "unknown point 'z'"),
+                          ([{"a": 1}], "unknown point {'a': 1}")):
+        doc = {**base, "walls": [{"index": 0, "left": ["a"], "right": side}]}
+        with pytest.raises(ParseError) as exc:
+            io.wallspace_from_dict(doc)
+        assert str(exc.value) == "walls[0].right: " + message
+    doc = {**base, "walls": [{"index": 0, "left": ["a", "a"],
+                              "right": ["b", "a", "b"]}]}
+    assert io.wallspace_from_dict(doc).walls == (Wall(0, 0b01, 0b11),)
+    doc = {**base, "walls": [], "metric": {"edges": [["a", "q", 1]]}}
+    with pytest.raises(ParseError) as exc:
+        io.wallspace_from_dict(doc)
+    assert str(exc.value) == "metric.edges[0]: unknown point 'q'"
 
 
 @pytest.mark.parametrize("metric", [{}, {"metric": None}, {"metric": {}}])

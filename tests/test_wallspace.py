@@ -1,10 +1,13 @@
 """Wallspace core, everything against set-based oracles."""
 
+import random
+
 import pytest
 
 from conftest import (
     oracle_betwixt,
     oracle_max_transverse_families,
+    oracle_names,
     oracle_separation_count,
     oracle_transverse,
     oracle_wall_separates,
@@ -21,7 +24,12 @@ from wallcube.errors import (
     WrongComponentCount,
 )
 from wallcube.generators import fig3, geom_path, grid, non_hausdorff3
-from wallcube.hemi import InducedVariant
+from wallcube.hemi import InducedVariant, induce_hemi
+from wallcube.separation import (
+    bounded_packing_number,
+    compact_wall_separation,
+    subspace_separation,
+)
 from wallcube.wallspace import (
     Wall,
     Wallspace,
@@ -167,6 +175,57 @@ def test_unknown_point_and_caps():
     assert len(big.points) == 4097 and big.nwalls() == 0
     with pytest.raises(MetricRequired):
         ws.require_metric()
+
+
+def test_names_of_matches_scan():
+    # masks of no point, one point, every point, and random masks, on
+    # spaces of up to 300 points; a mask with a bit past the last point,
+    # which the scan would drop, is no point set
+    rng = random.Random(3)
+    for n in (1, 2, 7, 8, 9, 63, 64, 65, 300):
+        ws = Wallspace([f"q{i}" for i in range(n)], [])
+        masks = [0, ws.full, 1, 1 << (n - 1)]
+        masks += [1 << rng.randrange(n) for _ in range(5)]
+        masks += [rng.getrandbits(n) for _ in range(20)]
+        for m in masks:
+            assert ws.names_of(m) == oracle_names(ws, m)
+        for m in (-1, ws.full | 1 << n, 1 << (n + 70)):
+            with pytest.raises(UnknownPoint):
+                ws.names_of(m)
+    for ws in spaces():
+        for w in ws.walls:
+            for side in w.halfspaces():
+                assert ws.names_of(side) == oracle_names(ws, side)
+
+
+def test_point_set_arguments_are_checked_once():
+    # names or a mask, through one check: a negative mask (which once sent
+    # compact_wall_separation into an endless loop) and a bit past the
+    # last point (once a bare IndexError, or NotAHemiwallspace) are
+    # UnknownPoint, naming the stray positions
+    ws = grid(2)
+    n = len(ws.points)
+    names = ["0,0", "0,1", "1,1"]
+    mask = ws.mask_of(names)
+    entry_points = [
+        lambda X: compact_wall_separation(ws, X).to_dict(),
+        lambda X: bounded_packing_number(ws, [X, names], 1).to_dict(),
+        lambda X: subspace_separation(ws, X, "BallWallNbd", 1).to_dict(),
+        lambda X: io.wallspace_to_dict(subwallspace(ws, X)),
+        lambda X: induce_hemi(ws, X, InducedVariant("U0")).to_dict(),
+    ]
+    for run in entry_points:
+        assert run(mask) == run(names)
+        with pytest.raises(UnknownPoint, match=f"from {n} up"):
+            run(-1)
+        with pytest.raises(UnknownPoint, match=rf"positions \[{n}\]"):
+            run(1 << n | 1)
+        with pytest.raises(UnknownPoint, match=rf"positions \[{n}, {n + 4}\]"):
+            run(0b10001 << n)
+        with pytest.raises(UnknownPoint):
+            run(["0,0", "zz"])
+    assert ws.point_mask(mask) == ws.point_mask(names) == mask
+    assert ws.point_mask(ws.full) == ws.full and ws.point_mask(0) == 0
 
 
 def test_from_geometric_walls_path():
