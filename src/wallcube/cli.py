@@ -149,6 +149,7 @@ def cmd_verify(args):
     import random
 
     from .complex import build_dual
+    from .metric import MAX_CLIQUE_STATES
 
     doc, digest = _read_doc(args.file)
     ws = io.wallspace_from_dict(doc)
@@ -158,8 +159,11 @@ def cmd_verify(args):
     for check in args.checks:
         results[check] = _check(check, ws, cc, rng)
     ok = all(r.get("ok") for r in results.values())
-    _emit({"ok": ok, "checks": results}, seed=args.seed,
-          caps={"vertices": args.cap_vertices}, digest=digest)
+    caps = {"vertices": args.cap_vertices}
+    if "maximal-bijection" in args.checks:
+        caps["clique_states"] = MAX_CLIQUE_STATES
+    _emit({"ok": ok, "checks": results}, seed=args.seed, caps=caps,
+          digest=digest)
     if not ok:
         sys.exit(EXIT_DOMAIN)
 
@@ -243,6 +247,7 @@ def _sample_loops(cc, rng, count, max_len):
 
 def cmd_diagnose(args):
     from .complex import build_dual
+    from .metric import MAX_CLIQUE_STATES
     from .separation import (
         ball_ball_separation,
         bounded_packing_number,
@@ -267,19 +272,20 @@ def cmd_diagnose(args):
             isinstance(q, str) and q in ws.point_index for q in x)
 
     names = (lambda x: points(x) and x != [], "a nonempty list of point names")
-    number = (lambda x: io.NUMBER[0](x) and x >= 0, "a non-negative number")
     # every field is read, whatever the property
     max_denominator = read("max_denominator", (
         lambda x: io.INT[0](x) and x >= 1, "a positive integer"), 64)
     # ε = inf admits every κ
     max_offset = read("max_offset", (
-        lambda x: number[0](x) and x < float("inf"), number[1]), 0.0)
-    r, D = read("r", io.NATURAL, 0), read("D", number, 1)
+        lambda x: io.NONNEGATIVE[0](x) and x < float("inf"),
+        io.NONNEGATIVE[1]), 0.0)
+    r, D = read("r", io.NATURAL, 0), read("D", io.NONNEGATIVE, 1)
     K, Y = read("K", names), read("Y", names)
     subsets = read("subsets", (
         lambda x: isinstance(x, list) and all(map(points, x)),
         "a list of lists of point names"))
     prop = args.property
+    caps = {}
     if prop == "linear-separation":
         rep = linear_separation_fit(
             ws, max_denominator=max_denominator,
@@ -298,11 +304,13 @@ def cmd_diagnose(args):
         if subsets is None:
             subsets = [w.carrier() for w in ws.walls if w.carrier()]
         rep = bounded_packing_number(ws, subsets, D).to_dict()
+        caps = {"clique_states": MAX_CLIQUE_STATES}
     else:  # degree-profile
-        cc = build_dual(ws, ws.points[0])
+        cc = build_dual(ws, ws.points[0], vertex_cap=DEFAULT_VERTEX_CAP)
         rep = {"max_degree": cc.max_degree(),
                "dimension": cc.dimension()}
-    _emit(rep, digest=digest)
+        caps = {"vertices": DEFAULT_VERTEX_CAP}
+    _emit(rep, caps=caps, digest=digest)
 
 
 def cmd_act(args):
@@ -336,12 +344,16 @@ def cmd_act(args):
         "wallspace": io.wallspace_to_dict(ws),
         "hwall_reports": meta.reports,
     }
+    # the limits this command checks
+    caps = {"points": MAX_POINTS, "names": io.MAX_NAMES,
+            "products": groups.MAX_PRODUCTS}
     if subs:
-        cc = build_dual(ws, ws.points[0])
+        cc = build_dual(ws, ws.points[0], vertex_cap=DEFAULT_VERTEX_CAP)
         peripheries = [ball.mask_of(sub.contains) for sub in subs]
         rep = groups.rel_cocompact_check(ws, cc, peripheries, variant, m=m)
         payload["decomposition"] = rep.to_dict()
-    _emit(payload, digest=digest)
+        caps["vertices"] = DEFAULT_VERTEX_CAP
+    _emit(payload, caps=caps, digest=digest)
 
 
 def _subgroup_from_dict(spec, d, path):

@@ -19,21 +19,16 @@ the only vertex finder: `build_dual` reads its vertices from it too.
 
 from collections import deque, namedtuple
 from functools import cached_property
-from itertools import combinations
 
 from .errors import (
-    IncompleteOrientation,
-    InvalidZeroCube,
     NotInComplex,
-    NotTransverse,
-    OrientationConflict,
     StateSpaceCap,
     StuckLoop,
     UnknownPoint,
     WallcubeError,
 )
 from .metric import bits, flags
-from .wallspace import Report, separation_index, transverse, validate
+from .wallspace import Report, separation_index, validate
 
 DEFAULT_VERTEX_CAP = 1 << 20
 
@@ -51,7 +46,8 @@ def conflict_tables(lefts, rights):
 
 
 class OrientationEngine:
-    """Precomputed conflict tables for fast orientation tests."""
+    """Precomputed conflict tables and the search over them for the valid
+    orientations."""
 
     def __init__(self, ws):
         self.n = ws.nwalls()
@@ -60,25 +56,6 @@ class OrientationEngine:
         self.sides = (lefts, rights)
         self.conf = conflict_tables(lefts, rights)
         self.fullw = (1 << self.n) - 1
-
-    def chosen(self, m, i):
-        """Chosen halfspace bitmask of wall position i under orientation m."""
-        return self.sides[(m >> i) & 1][i]
-
-    def is_valid(self, m):
-        conf = self.conf
-        for i in range(self.n):
-            s = (m >> i) & 1
-            if (conf[s][0][i] & ~m) | (conf[s][1][i] & m):
-                return False
-        return True
-
-    def flippable(self, m, i):
-        """Valid orientation stays valid after flipping position i?"""
-        m2 = m ^ (1 << i)
-        s = (m2 >> i) & 1
-        bad = (self.conf[s][0][i] & ~m2) | (self.conf[s][1][i] & m2)
-        return bad == 0
 
     def enumerate_valid(self, cap):
         """All valid orientation bitmasks, ascending; [] when there is none.
@@ -176,9 +153,6 @@ class Cube(namedtuple("Cube", "base walls")):
 
     def corners(self):
         return _corners(self.base, self.mask)
-
-    def normalized(self):
-        return Cube(self.base & ~self.mask, self.walls)
 
 
 class CubeComplex:
@@ -282,33 +256,6 @@ class CubeComplex:
 # -- construction ------------------------------------------------------
 
 
-def is_zero_cube(ws, orientation):
-    """Orientation given as a bitmask or a dict wall-index -> 0|1."""
-    eng = ws.derived(OrientationEngine)
-    m = _as_mask(ws, orientation)
-    return eng.is_valid(m)
-
-
-def _as_mask(ws, orientation):
-    if isinstance(orientation, int):
-        return orientation
-    missing = [w.index for w in ws.walls if w.index not in orientation]
-    if missing:
-        raise IncompleteOrientation(missing)
-    m = 0
-    for index, side in orientation.items():
-        m |= bool(side) << ws.position(index)
-    return m
-
-
-def flippable(ws, c, w_index):
-    eng = ws.derived(OrientationEngine)
-    m = _as_mask(ws, c)
-    if not eng.is_valid(m):
-        raise InvalidZeroCube(m)
-    return eng.flippable(m, ws.position(w_index))
-
-
 def _complete_skeleton(vertex_set, nwalls):
     """Sageev's skeleton completion: every k-cube whose (k-1)-skeleton is
     present.  Returns the cells, wall mask -> set of bases (see CubeComplex),
@@ -396,7 +343,7 @@ def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
     return CubeComplex(ws, eng, _complete_skeleton(verts, eng.n))
 
 
-# -- canonical cubes and paths ----------------------------------------
+# -- canonical cubes and distance -------------------------------------
 
 
 def canonical_cube(ws, x):
@@ -416,43 +363,6 @@ def canonical_cube(ws, x):
     pos = ws.point_pos(x)
     return Cube(index.point[pos][1] | index.empty_left,
                 frozenset(bits(index.betwixt[pos])))
-
-
-def pair_le(a, b):
-    """(U,V) ≼ (U',V') iff U ⊊ U', or U = U' and V ⊇ V'."""
-    (u, v), (u2, v2) = a, b
-    if u != u2 and u & ~u2 == 0:
-        return True
-    return u == u2 and v2 & ~v == 0
-
-
-def path_to_canonical(ws, c, x0):
-    """Flip a ≼-minimal misoriented wall until all walls orient toward x0.
-
-    Returns the list of visited orientations (starting at c); its length - 1
-    equals the initial number of misoriented walls.
-    """
-    eng = ws.derived(OrientationEngine)
-    m = _as_mask(ws, c)
-    if not eng.is_valid(m):
-        raise InvalidZeroCube(m)
-    b = ws.point_bit(x0)
-    path = [m]
-    while True:
-        mis = [i for i in range(eng.n) if not eng.chosen(m, i) & b]
-        if not mis:
-            return path
-        pairs = {i: (eng.chosen(m, i), eng.chosen(m ^ (1 << i), i))
-                 for i in mis}
-        minimal = [i for i in mis
-                   if not any(pairs[j] != pairs[i] and pair_le(pairs[j], pairs[i])
-                              for j in mis)]
-        i = min(minimal)
-        if not eng.flippable(m, i):
-            raise OrientationConflict(
-                f"≼-minimal misoriented wall {i} not flippable (bug)")
-        m ^= 1 << i
-        path.append(m)
 
 
 def cube_distance(cc, a, b):
@@ -494,51 +404,6 @@ def maximal_cubes(cc):
             else:
                 out.append(Cube(b, walls))
     return out
-
-
-def cube_from_family(ws, family, p):
-    """The cube associated to a pairwise-transverse family of nonvacuous
-    walls and a point p.
-
-    Independent walls: the family plus every wall betwixting p that is
-    transverse to all of the family.  A dependent wall not transverse to some
-    family member is oriented toward that member (chosen side meets both its
-    halfspaces); remaining dependent walls orient toward p.
-    """
-    family = sorted(set(family))
-    for w in family:
-        if ws.wall(w).is_vacuous(ws.full):
-            raise WallcubeError(f"wall {w} is vacuous")
-    for a, b in combinations(family, 2):
-        if not transverse(ws, a, b):
-            raise NotTransverse((a, b))
-    b_p = ws.point_bit(p)
-    indep = set(family)
-    indep |= {w.index for w in ws.walls
-              if w.index not in indep and w.left & b_p and w.right & b_p
-              and all(transverse(ws, w.index, f) for f in family)}
-    m = 0
-    for i, w in enumerate(ws.walls):
-        if w.index in indep:
-            continue
-        blockers = [ws.wall(f) for f in family
-                    if not transverse(ws, w.index, f)]
-        sides = [s for s, h in enumerate(w.halfspaces())
-                 if all(h & f.left and h & f.right for f in blockers)]
-        if not sides:
-            raise OrientationConflict(
-                f"wall {w.index} has no side toward "
-                f"{[f.index for f in blockers]}")
-        # one side toward the blockers, or else the side toward p
-        toward_p = bool(w.right & b_p and not w.left & b_p)
-        m |= (sides[0] if len(sides) == 1 else toward_p) << i
-    cube = Cube(m, frozenset(ws.wall_pos[w] for w in indep)).normalized()
-    eng = ws.derived(OrientationEngine)
-    for corner in cube.corners():
-        if not eng.is_valid(corner):
-            raise OrientationConflict(
-                f"corner {corner:b} of the associated cube is not a 0-cube")
-    return cube
 
 
 # -- verification ------------------------------------------------------

@@ -26,21 +26,6 @@ class MetricRequired(WallcubeError):
     """Raised when a metric-dependent operation runs on a metric-less wallspace."""
 
 
-class NotConnected(WallcubeError):
-    def __init__(self, wall_index):
-        self.wall_index = wall_index
-        super().__init__(f"wall subgraph {wall_index} is not connected")
-
-
-class WrongComponentCount(WallcubeError):
-    def __init__(self, wall_index, count):
-        self.wall_index = wall_index
-        self.count = count
-        super().__init__(
-            f"removing wall subgraph {wall_index} leaves {count} components, expected 2"
-        )
-
-
 class DuplicateInducedPartition(WallcubeError):
     def __init__(self, index_pairs):
         self.index_pairs = list(index_pairs)
@@ -49,32 +34,12 @@ class DuplicateInducedPartition(WallcubeError):
         )
 
 
-class IncompleteOrientation(WallcubeError):
-    def __init__(self, missing):
-        self.missing = list(missing)
-        super().__init__(f"orientation missing walls {self.missing}")
-
-
-class InvalidZeroCube(WallcubeError):
-    pass
-
-
 class StateSpaceCap(WallcubeError):
     """Exceeded a configured vertex / state budget.  Hard error, never silent."""
 
 
 class NotInComplex(WallcubeError):
     pass
-
-
-class NotTransverse(WallcubeError):
-    def __init__(self, pair):
-        self.pair = tuple(pair)
-        super().__init__(f"walls {self.pair} are not transverse")
-
-
-class OrientationConflict(WallcubeError):
-    """Should be impossible for valid inputs; surfacing one means a bug."""
 
 
 class StuckLoop(WallcubeError):
@@ -93,9 +58,9 @@ class EmptySubcomplex(WallcubeError):
     pass
 
 
-class UnknownGenerator(WallcubeError):
-    pass
-
-
 class ParseError(WallcubeError):
     pass
+
+
+class UnknownGenerator(ParseError):
+    """A generator or H-wall rule name the library does not know."""

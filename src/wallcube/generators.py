@@ -109,7 +109,8 @@ def non_hausdorff3():
 
 def geom_path(n):
     """Geometric wallspace of the path 0-1-...-n: at each interior vertex k
-    the wall k-1 = ({0..k}, {k..n}), as `from_geometric_walls` finds it."""
+    the wall k-1 = ({0..k}, {k..n}): the vertex k, joined to each of the
+    two components that its removal leaves."""
     _check_size("geomPath", n, n + 1)
     return _line(n + 1, range(1, n))
 
@@ -117,12 +118,14 @@ def geom_path(n):
 def generate(name, *args):
     """The named generator's wallspace; a sized one takes its size, an int
     or its text, as its one argument.  A missing or extra argument is a
-    ParseError."""
+    ParseError, and an unknown name an UnknownGenerator (a ParseError)
+    that lists the known ones."""
     # each generator with its least size, None for one that takes none
     known = {"fig3": (fig3, None), "nonHausdorff3": (non_hausdorff3, None),
              "grid": (grid, 0), "rbad": (rbad, 1), "geomPath": (geom_path, 0)}
     if name not in known:
-        raise UnknownGenerator(name)
+        raise UnknownGenerator(f"unknown generator {name!r}; use one of "
+                               f"{', '.join(known)}")
     make, low = known[name]
     if low is None:
         if args:

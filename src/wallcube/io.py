@@ -23,7 +23,7 @@ from functools import partial, reduce
 from itertools import chain
 from operator import itemgetter, or_
 
-from .errors import ParseError, StateSpaceCap
+from .errors import ParseError, StateSpaceCap, WallcubeError
 from .metric import Metric
 from .wallspace import Wall, Wallspace
 
@@ -61,6 +61,8 @@ ANY = (lambda x: True, "anything")
 INT = (lambda x: type(x) is int, "an integer")
 NATURAL = (lambda x: INT[0](x) and x >= 0, "a non-negative integer")
 NUMBER = (lambda x: type(x) in (int, float), "a number")
+# NaN compares false, so it is no non-negative number
+NONNEGATIVE = (lambda x: NUMBER[0](x) and x >= 0, "a non-negative number")
 LIST = (lambda x: isinstance(x, list), "a list")
 OBJECT = (lambda x: isinstance(x, dict), "an object")
 
@@ -150,8 +152,9 @@ def wallspace_from_dict(doc):
                     raise ParseError(f"{path}: {e!r} is not a list of two "
                                      f"point names and a number")
                 a, b, w = e
-                if not NUMBER[0](w):
-                    raise ParseError(f"{path}: weight {w!r} is not a number")
+                if not NONNEGATIVE[0](w):
+                    raise ParseError(
+                        f"{path}: weight {w!r} is not {NONNEGATIVE[1]}")
                 edges.append((index(path, a), index(path, b), w))
             metric = Metric.from_edges(len(points), edges)
         elif md:
@@ -163,10 +166,13 @@ def wallspace_from_dict(doc):
                     raise ParseError(f"metric.table[{i}] is not a row "
                                      f"of {len(table)} entries")
                 for j, x in enumerate(row):
-                    if not NUMBER[0](x):
-                        raise ParseError(
-                            f"metric.table[{i}][{j}]: {x!r} is not a number")
-            metric = Metric(table)
+                    if not NONNEGATIVE[0](x):
+                        raise ParseError(f"metric.table[{i}][{j}]: {x!r} "
+                                         f"is not {NONNEGATIVE[1]}")
+            try:
+                metric = Metric(table)
+            except WallcubeError as exc:  # zero diagonal, symmetry
+                raise ParseError(f"metric.table: {exc}") from None
     except OverflowError as exc:
         # an int past float's range, in Metric or Metric.from_edges
         raise ParseError(f"bad wallspace document: {exc}") from exc

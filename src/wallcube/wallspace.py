@@ -17,13 +17,11 @@ from .errors import (
     DuplicateInducedPartition,
     IndexOutOfRange,
     MetricRequired,
-    NotConnected,
     SameWall,
     UnknownPoint,
     WallcubeError,
-    WrongComponentCount,
 )
-from .metric import Metric, bits, components, compress, flags, max_cliques
+from .metric import bits, compress, flags, max_cliques
 
 # the one point cap: a sized generator stops before building a wallspace
 # past it, and `groups.cayley_ball` before growing a ball past it; a
@@ -292,12 +290,6 @@ def separation_count(ws, x, y):
                       point[ws.point_pos(y)]).bit_count()
 
 
-def betwixt_set(ws, x):
-    """Indices of walls betwixting x (x in both halfspaces)."""
-    betwixt = separation_index(ws).betwixt[ws.point_pos(x)]
-    return {ws.walls[pos].index for pos in bits(betwixt)}
-
-
 def transverse(ws, i, j):
     """All four halfspace intersections nonempty."""
     if i == j:
@@ -305,26 +297,6 @@ def transverse(ws, i, j):
     wi, wj = ws.wall(i), ws.wall(j)
     return bool(wi.left & wj.left and wi.left & wj.right
                 and wi.right & wj.left and wi.right & wj.right)
-
-
-def _separating_walls(ws, i, j):
-    """Mask of the walls other than i and j (indices) that separate them."""
-    a, b = ws.position(i), ws.position(j)
-    wall = separation_index(ws).wall
-    return separating(wall[a], wall[b]) & ~(1 << a | 1 << b)
-
-
-def wall_separates_walls(ws, k, i, j):
-    """Wall k separates walls i and j: closed halfspaces of i and of j lie
-    in distinct open halfspaces of k."""
-    if k in (i, j):
-        raise IndexOutOfRange(f"separating wall {k} must differ from {i}, {j}")
-    return bool(_separating_walls(ws, i, j) >> ws.position(k) & 1)
-
-
-def osculate(ws, i, j):
-    """Not transverse and no third wall separates them."""
-    return not transverse(ws, i, j) and not _separating_walls(ws, i, j)
 
 
 def max_transverse_families(ws):
@@ -345,35 +317,6 @@ def max_transverse_families(ws):
                   for c in max_cliques(adj))
     k = max((len(f) for f in fams), default=0)
     return fams, k
-
-
-def from_geometric_walls(points, edges, wall_subsets):
-    """Wallspace of a geometric wallspace on a connected graph.
-
-    Each wall is a vertex subset whose induced subgraph is connected and whose
-    removal leaves exactly two components U, V; the halfspaces are W ∪ U and
-    W ∪ V.  The graph's path metric is attached.
-    """
-    pidx = {p: i for i, p in enumerate(points)}
-    norm_edges = []
-    for e in edges:
-        p, q, w = e if len(e) == 3 else (*e, 1)
-        norm_edges.append((pidx[p], pidx[q], w))
-    metric = Metric.from_edges(len(points), norm_edges)
-    adj = metric.adjacency()
-    full = (1 << len(points)) - 1
-    if len(components(adj, full)) != 1:
-        raise WallcubeError("ambient graph is not connected")
-    walls = []
-    for widx, subset in enumerate(wall_subsets):
-        wmask = sum(1 << pidx[p] for p in set(subset))
-        if len(components(adj, wmask)) != 1:
-            raise NotConnected(widx)
-        comps = components(adj, full & ~wmask)
-        if len(comps) != 2:
-            raise WrongComponentCount(widx, len(comps))
-        walls.append(Wall(widx, wmask | comps[0], wmask | comps[1]))
-    return Wallspace(points, walls, metric=metric)
 
 
 def induced_walls(ws, ymask):
@@ -400,16 +343,3 @@ def induced_walls(ws, ymask):
     if dups:
         raise DuplicateInducedPartition(dups)
     return walls
-
-
-def subwallspace(ws, Y):
-    """Induced subwallspace on the point subset Y (names or bitmask): the
-    `induced_walls` on Y, and the ambient metric, when present, restricted
-    to Y."""
-    ymask = ws.point_mask(Y)
-    walls = induced_walls(ws, ymask)
-    metric = None
-    if ws.metric is not None:
-        yidx = bits(ymask)
-        metric = Metric([[ws.metric.dist[i][j] for j in yidx] for i in yidx])
-    return Wallspace(ws.names_of(ymask), walls, metric=metric)

@@ -13,9 +13,10 @@ read the store directly, with a sort per cube and a lookup per vertex
 and wall.
 The canonical-cube oracle orients wall by wall toward the point and frees
 its betwixting walls, and the flip search starts from that orientation.
-The flip-search oracle for `build_dual` steps with the library's one-wall
-flip test, which `test_flippable_matches_validity` checks against the
-valid orientations, but not with its 2-SAT search.  The loop-contraction,
+The flip-search oracle for `build_dual` steps with `flippable`, the
+one-wall flip test on the engine's conflict tables, which
+`test_flippable_matches_validity` checks against the valid orientations,
+but not with the engine's 2-SAT search.  The loop-contraction,
 H-wall, point-map, H-wall-system, action and decomposition oracles are
 the library's earlier forms: every same-wall pair listed per pass, a
 group product per H-member and point for each check, a translate per
@@ -28,6 +29,13 @@ per-source breadth-first (or Dijkstra) rows, and the separation oracles
 are the pair-by-pair scans that ran on it, item list and all; `diam`,
 `dist_sets` and `wall_region` read set distances and wall regions off
 any metric's table by their definitions.
+
+The paper's definitions that no command runs live here too, for the
+criteria and oracles that read them: the orientation helpers `chosen`,
+`is_valid`, `flippable` and the pair order `pair_le`; `osculate`;
+`from_geometric_walls`, whose walls `geom_path` writes down; and
+`subwallspace`, the induced subwallspace that
+`oracle_subspace_separation` separates in.
 """
 
 import json
@@ -61,9 +69,10 @@ from wallcube.wallspace import (
     Report,
     Wall,
     Wallspace,
+    induced_walls,
     separating,
     separation_index,
-    subwallspace,
+    transverse,
 )
 
 
@@ -110,6 +119,91 @@ def random_metric(rng, npts):
         if a != b:
             edges.add((min(a, b), max(a, b)))
     return Metric.from_edges(npts, [(a, b, 1) for a, b in edges])
+
+
+# -- the paper's definitions ------------------------------------------
+
+
+def chosen(eng, m, i):
+    """The chosen halfspace, a point mask, of wall position i under
+    orientation m."""
+    return eng.sides[(m >> i) & 1][i]
+
+
+def is_valid(eng, m):
+    """Is orientation m a 0-cube: no chosen side disjoint from another, or
+    empty?  One test per wall against its conflict masks."""
+    conf = eng.conf
+    for i in range(eng.n):
+        s = (m >> i) & 1
+        if (conf[s][0][i] & ~m) | (conf[s][1][i] & m):
+            return False
+    return True
+
+
+def flippable(eng, m, i):
+    """Does the valid orientation m stay valid after flipping position i?"""
+    m2 = m ^ (1 << i)
+    s = (m2 >> i) & 1
+    return not (eng.conf[s][0][i] & ~m2) | (eng.conf[s][1][i] & m2)
+
+
+def pair_le(a, b):
+    """(U,V) ≼ (U',V') iff U ⊊ U', or U = U' and V ⊇ V'."""
+    (u, v), (u2, v2) = a, b
+    if u != u2 and u & ~u2 == 0:
+        return True
+    return u == u2 and v2 & ~v == 0
+
+
+def osculate(ws, i, j):
+    """Walls i and j (indices) are not transverse and no third wall
+    separates them."""
+    a, b = ws.position(i), ws.position(j)
+    wall = separation_index(ws).wall
+    return not transverse(ws, i, j) and \
+        not separating(wall[a], wall[b]) & ~(1 << a | 1 << b)
+
+
+def from_geometric_walls(points, edges, wall_subsets):
+    """Wallspace of a geometric wallspace on a connected graph.
+
+    Each wall is a vertex subset whose induced subgraph is connected and
+    whose removal leaves exactly two components U, V; the halfspaces are
+    W ∪ U and W ∪ V.  The graph's path metric is attached.
+    """
+    pidx = {p: i for i, p in enumerate(points)}
+    norm_edges = []
+    for e in edges:
+        p, q, w = e if len(e) == 3 else (*e, 1)
+        norm_edges.append((pidx[p], pidx[q], w))
+    metric = Metric.from_edges(len(points), norm_edges)
+    adj = metric.adjacency()
+    full = (1 << len(points)) - 1
+    assert len(components(adj, full)) == 1, "ambient graph is not connected"
+    walls = []
+    for widx, subset in enumerate(wall_subsets):
+        wmask = sum(1 << pidx[p] for p in set(subset))
+        assert len(components(adj, wmask)) == 1, \
+            f"wall subgraph {widx} is not connected"
+        comps = components(adj, full & ~wmask)
+        assert len(comps) == 2, \
+            f"removing wall subgraph {widx} leaves {len(comps)} components"
+        walls.append(Wall(widx, wmask | comps[0], wmask | comps[1]))
+    return Wallspace(points, walls, metric=metric)
+
+
+def subwallspace(ws, Y):
+    """Induced subwallspace on the point subset Y (names or bitmask): the
+    `induced_walls` on Y, and the ambient metric, when present, restricted
+    to Y."""
+    ymask = ws.point_mask(Y)
+    walls = induced_walls(ws, ymask)
+    metric = None
+    if ws.metric is not None:
+        yidx = bits(ymask)
+        metric = Metric([[ws.metric.dist[i][j] for j in yidx] for i in yidx])
+    return Wallspace(ws.names_of(ymask), walls, metric=metric)
 
 
 # -- set-based oracles -------------------------------------------------
@@ -159,7 +253,7 @@ def oracle_canonical_cube(ws, p):
     """p's canonical cube as `canonical_cube` built it wall by wall: the
     orientation toward p, with its betwixting walls freed."""
     free = frozenset(ws.wall_pos[i] for i in oracle_betwixt(ws, p))
-    return Cube(oracle_toward_point(ws, p), free).normalized()
+    return normal_cube(oracle_toward_point(ws, p), free)
 
 
 def oracle_transverse(ws, i, j):
@@ -233,7 +327,7 @@ def oracle_build_dual(ws, p):
         m = q.popleft()
         for i in range(eng.n):
             m2 = m ^ (1 << i)
-            if m2 not in seen and eng.flippable(m, i):
+            if m2 not in seen and flippable(eng, m, i):
                 seen.add(m2)
                 q.append(m2)
     return sorted(seen)
@@ -304,6 +398,12 @@ def oracle_max_transverse_families(ws):
     return sorted(tuple(sorted(c)) for c in maximal)
 
 
+def normal_cube(base, walls):
+    """The Cube on the wall positions `walls` with a corner `base`: its
+    base is `base` with those bits cleared."""
+    return Cube(base & ~sum(1 << w for w in walls), walls)
+
+
 def oracle_complete_skeleton(vertex_set, nwalls):
     """Skeleton completion from the definition: a k-cube is added when all
     2k of its (k-1)-faces are present, to a fixed point.  Candidates grow
@@ -313,7 +413,7 @@ def oracle_complete_skeleton(vertex_set, nwalls):
     prev = set()
     for m in vset:
         for m2, i in _corner_neighbors(m, nwalls, vset):
-            prev.add(Cube(m, frozenset([i])).normalized())
+            prev.add(normal_cube(m, frozenset([i])))
     cubes = {}
     k = 2
     while prev:
@@ -323,8 +423,7 @@ def oracle_complete_skeleton(vertex_set, nwalls):
             for m in c.corners():
                 for m2, i in _corner_neighbors(m, nwalls, vset):
                     if i not in c.walls:
-                        cand.add(Cube(c.base & ~(1 << i),
-                                      c.walls | {i}).normalized())
+                        cand.add(normal_cube(c.base, c.walls | {i}))
         for c in cand:
             if all(f in prev for f in _faces(c)):
                 found.add(c)

@@ -12,9 +12,13 @@ import pytest
 
 from conftest import (
     all_cubes,
+    chosen,
     cubes,
+    flippable,
     oracle_build_dual,
     oracle_is_convex,
+    osculate,
+    pair_le,
     random_wallspace,
 )
 from wallcube.complex import (
@@ -24,7 +28,6 @@ from wallcube.complex import (
     cube_distance,
     enumerate_all_orientations,
     maximal_cubes,
-    pair_le,
     verify_npc,
 )
 from wallcube.generators import fig3, geom_path, grid, non_hausdorff3, rbad
@@ -44,7 +47,6 @@ from wallcube.wallspace import (
     Wall,
     Wallspace,
     max_transverse_families,
-    osculate,
     separation_count,
     validate,
 )
@@ -252,11 +254,11 @@ def test_criterion_07_pair_order_counterexample():
     for x0 in ws.points:
         b = ws.point_bit(x0)
         for m in cc.vertices:
-            mis = [i for i in range(eng.n) if not eng.chosen(m, i) & b]
-            pairs = {i: (eng.chosen(m, i), eng.chosen(m ^ (1 << i), i))
+            mis = [i for i in range(eng.n) if not chosen(eng, m, i) & b]
+            pairs = {i: (chosen(eng, m, i), chosen(eng, m ^ (1 << i), i))
                      for i in mis}
             for i in mis:
-                if not eng.flippable(m, i):
+                if not flippable(eng, m, i):
                     continue
                 dominated = any(pairs[j] != pairs[i]
                                 and pair_le(pairs[j], pairs[i])

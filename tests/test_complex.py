@@ -11,6 +11,8 @@ from conftest import (
     all_cubes,
     cube_key,
     cubes,
+    flippable,
+    is_valid,
     oracle_adj,
     oracle_all_vertices,
     oracle_betwixt,
@@ -21,9 +23,9 @@ from conftest import (
     oracle_cube_distance,
     oracle_edges,
     oracle_export_dict,
-    oracle_is_zero_cube,
     oracle_maximal_cubes,
     oracle_verify_npc,
+    pair_le,
     random_wallspace,
     strip_cells,
 )
@@ -37,19 +39,12 @@ from wallcube.complex import (
     conflict_tables,
     contract_loop,
     cube_distance,
-    cube_from_family,
     enumerate_all_orientations,
-    flippable,
-    is_zero_cube,
     maximal_cubes,
-    pair_le,
-    path_to_canonical,
     verify_npc,
 )
 from wallcube.errors import (
-    IndexOutOfRange,
     NotInComplex,
-    NotTransverse,
     StateSpaceCap,
     StuckLoop,
     UnknownPoint,
@@ -69,7 +64,6 @@ from wallcube.hemi import InducedVariant, dual_sub, induce_hemi
 from wallcube.wallspace import (
     Wall,
     Wallspace,
-    betwixt_set,
     max_transverse_families,
     separation_count,
     validate,
@@ -119,12 +113,6 @@ def complexes():
         out += [cc, strip_cells(cc, 3), strip_cells(cc, 2),
                 dual_sub(cc, induce_hemi(ws, P, InducedVariant("U0")))]
     return out
-
-
-def test_is_zero_cube_matches_oracle():
-    for ws in valid_spaces()[:12] + [grid(3)]:
-        for m in range(1 << ws.nwalls()):
-            assert is_zero_cube(ws, m) == oracle_is_zero_cube(ws, m)
 
 
 def test_conflict_tables_hand_case():
@@ -256,21 +244,9 @@ def test_flippable_matches_validity():
         cc = enumerate_all_orientations(ws)
         vset = set(cc.vertices)
         for m in cc.vertices:
-            for w in ws.walls:
-                assert flippable(ws, m, w.index) == \
-                    ((m ^ (1 << ws.wall_pos[w.index])) in vset)
-
-
-def test_orientation_helpers_name_an_unknown_wall():
-    # once a bare KeyError, resp. a wall ignored without a word
-    ws = fig3()
-    with pytest.raises(IndexOutOfRange, match="^99$"):
-        flippable(ws, 0, 99)
-    whole = {w.index: 0 for w in ws.walls}
-    assert is_zero_cube(ws, whole)
-    for side in (0, 1):
-        with pytest.raises(IndexOutOfRange, match="^99$"):
-            is_zero_cube(ws, {**whole, 99: side})
+            for i in range(cc.engine.n):
+                assert flippable(cc.engine, m, i) == \
+                    ((m ^ (1 << i)) in vset)
 
 
 def test_fig3_structure():
@@ -297,7 +273,7 @@ def test_canonical_cube_is_in_complex():
         for p in ws.points:
             c = canonical_cube(ws, p)
             assert cc.has_cell(c.base, c.mask)
-            assert c.dim == len(betwixt_set(ws, p))
+            assert c.dim == len(oracle_betwixt(ws, p))
 
 
 def paper_family_spaces():
@@ -362,26 +338,6 @@ def test_pair_le_is_a_partial_order():
                     assert pair_le(a, c)
 
 
-def test_path_to_canonical():
-    for ws in valid_spaces()[:15]:
-        cc = enumerate_all_orientations(ws)
-        eng = cc.engine
-        vset = set(cc.vertices)
-        for p in ws.points:
-            for m in cc.vertices[:20]:
-                path = path_to_canonical(ws, m, p)
-                assert path[0] == m
-                assert all(step in vset for step in path)
-                # ends with every wall oriented toward p
-                b = ws.point_bit(p)
-                assert all(eng.chosen(path[-1], i) & b
-                           for i in range(eng.n))
-                # number of flips = number of initially misoriented walls
-                mis = sum(1 for i in range(eng.n)
-                          if not eng.chosen(m, i) & b)
-                assert len(path) - 1 == mis
-
-
 def test_distance_law():
     # separation count equals complex distance between canonical cubes
     for ws in valid_spaces():
@@ -443,32 +399,6 @@ def test_maximal_cube_bijection():
         # complex is a single point there are no families either
         assert sorted(set(maximal)) == fams
         assert len(maximal) == len(set(maximal)) or len(fams) == 0
-
-
-def test_cube_from_family_fig3():
-    ws = fig3()
-    cc = build_dual(ws, "a")
-    c = cube_from_family(ws, [3, 4, 5], "e")
-    assert c.dim == 3
-    assert cc.has_cell(c.base, c.mask)
-    c2 = cube_from_family(ws, [1, 2], "a")
-    assert c2.dim == 2
-    assert cc.has_cell(c2.base, c2.mask)
-    with pytest.raises(NotTransverse):
-        cube_from_family(ws, [2, 3], "a")
-    # the empty family gives the canonical cube of p
-    assert cube_from_family(ws, [], "a") == canonical_cube(ws, "a")
-
-
-def test_cube_from_family_random():
-    for ws in valid_spaces()[:15]:
-        cc = enumerate_all_orientations(ws)
-        fams, _k = max_transverse_families(ws)
-        for fam in fams:
-            for p in ws.points:
-                c = cube_from_family(ws, list(fam), p)
-                assert cc.has_cell(c.base, c.mask)
-                assert set(fam) <= {ws.walls[w].index for w in c.walls}
 
 
 def test_verify_npc_passes_on_duals():
@@ -648,7 +578,7 @@ def test_canonical_orientation_of_a_valid_wallspace_is_a_zero_cube():
         if not validate(ws).ok:
             continue
         eng = OrientationEngine(ws)
-        assert all(eng.is_valid(canonical_cube(ws, p).base)
+        assert all(is_valid(eng, canonical_cube(ws, p).base)
                    for p in ws.points)
         checked += 1
 

@@ -1,7 +1,10 @@
 """Every name a library or test module imports is used in that module,
 every exception class in `errors.py` is raised somewhere in the library, and
 every function and class the library defines is read by production code:
-the library, its `__init__.py` exports or the benchmark, never a test.
+the library's own modules or the benchmark.  A test is no caller, and
+neither is the package's `__init__.py`, whose re-export of a name runs
+nothing.  A method is read only as an attribute (`x.name`): a bare name
+elsewhere that happens to equal it reads some other value.
 
 The package re-exports names in `__init__.py`, which the import and
 exception checks leave out.
@@ -78,37 +81,49 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def references(tree):
-    """How often a tree reads each name: a loaded name, a loaded
-    attribute, or a name an import statement imports (under an alias too).
+    """How often a tree reads each name, as a Counter of the names it reads
+    bare (a loaded name, or a name an import statement imports, under an
+    alias too) and one of the names it reads as a loaded attribute.
     Strings, docstrings among them, and comments read nothing."""
-    out = Counter()
+    bare, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out[node.id] += 1
+            bare[node.id] += 1
         elif isinstance(node, ast.Attribute) and \
                 isinstance(node.ctx, ast.Load):
-            out[node.attr] += 1
+            attributes[node.attr] += 1
         elif isinstance(node, ast.alias):
-            out.update(node.name.split("."))
-    return out
+            bare.update(node.name.split("."))
+    return bare, attributes
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unreferenced_functions(modules, others):
     """(module name, line, name) of each function, method or class of the
     `modules` sources, dunders aside, that nothing reads outside its own
     definition: not the rest of its module, another module, or one of the
-    `others` sources."""
+    `others` sources.  A method counts as read only as an attribute."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    total = Counter()
+    bare, attributes = Counter(), Counter()
     for tree in [*trees.values(), *map(ast.parse, others)]:
-        total.update(references(tree))
+        b, a = references(tree)
+        bare.update(b)
+        attributes.update(a)
     out = []
     for name, tree in trees.items():
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) \
-                    and not node.name.startswith("__") \
-                    and total[node.name] == references(node)[node.name]:
+            if not isinstance(node, DEFINITIONS) or \
+                    node.name.startswith("__"):
+                continue
+            own_bare, own_attributes = references(node)
+            reads = attributes[node.name] - own_attributes[node.name]
+            if id(node) not in methods:
+                reads += bare[node.name] - own_bare[node.name]
+            if not reads:
                 out.append((name, node.lineno, node.name))
     return out
 
@@ -116,13 +131,12 @@ def unreferenced_functions(modules, others):
 def production_sources(root):
     """(modules, others) of the checkout at `root`: the library modules by
     file name, and the sources that may call into them besides, which are
-    the package's `__init__.py` and the benchmark's `perfbench/*.py`.
-    The tests are no callers."""
+    the benchmark's `perfbench/*.py`.  The tests are no callers, and
+    neither is the package's `__init__.py`: a re-export runs nothing."""
     package = root / "src" / "wallcube"
     modules = {p.name: p.read_text() for p in sorted(package.glob("*.py"))
                if p.name != "__init__.py"}
-    others = [(package / "__init__.py").read_text()]
-    others += [p.read_text() for p in sorted(root.glob("perfbench/*.py"))]
+    others = [p.read_text() for p in sorted(root.glob("perfbench/*.py"))]
     return modules, others
 
 
@@ -159,19 +173,32 @@ def test_detects_names_by_their_syntax():
 
 
 def test_tests_are_no_callers(tmp_path):
+    def flagged(files):
+        for path, text in files.items():
+            (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / path).write_text(text)
+        return unreferenced_functions(*production_sources(tmp_path))
+
     # a definition that only a test calls is flagged
-    for path, text in (("src/wallcube/m.py", "def name():\n    pass\n"),
-                       ("src/wallcube/__init__.py", ""),
-                       ("perfbench/run.py", "import wallcube\n"),
-                       ("tests/test_m.py", "from wallcube.m import name\n"
-                                           "name()\n")):
-        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / path).write_text(text)
-    modules, others = production_sources(tmp_path)
-    assert unreferenced_functions(modules, others) == [("m.py", 1, "name")]
-    (tmp_path / "perfbench/run.py").write_text("from wallcube.m import name\n")
-    modules, others = production_sources(tmp_path)
-    assert unreferenced_functions(modules, others) == []
+    assert flagged({"src/wallcube/m.py": "def name():\n    pass\n",
+                    "src/wallcube/__init__.py": "",
+                    "perfbench/run.py": "import wallcube\n",
+                    "tests/test_m.py": "from wallcube.m import name\n"
+                                       "name()\n"}) == [("m.py", 1, "name")]
+    assert flagged({"perfbench/run.py": "from wallcube.m import name\n"}) \
+        == []
+    # so is one that only the package's __init__ re-exports
+    assert flagged({"src/wallcube/__init__.py": "from .m import name\n",
+                    "perfbench/run.py": "import wallcube\n"}) == \
+        [("m.py", 1, "name")]
+    # and a method whose name only a bare name elsewhere reads
+    method = "class A:\n    def name(self):\n        pass\n"
+    assert flagged({"src/wallcube/m.py": method,
+                    "perfbench/run.py": "from wallcube.m import A\n"
+                                        "name = A()\nprint(name)\n"}) == \
+        [("m.py", 2, "name")]
+    assert flagged({"perfbench/run.py": "from wallcube.m import A\n"
+                                        "A().name()\n"}) == []
 
 
 def test_every_function_is_referenced():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import drop_vertex, random_wallspace
 import wallcube
+from wallcube import cli as cli_module
 from wallcube import complex as complex_module
 from wallcube import generators, groups, io
 from wallcube import metric as metric_module
@@ -363,7 +364,8 @@ def test_cli_verify_reports_vertex_cap(tmp_path):
     path = write(tmp_path, "fig3.json", gen.stdout)
     r = run_cli(["verify", path, "--cap-vertices", "4096"])
     assert r.exit_code == 0
-    assert json.loads(r.stdout)["caps"] == {"vertices": 4096}
+    assert json.loads(r.stdout)["caps"] == {
+        "vertices": 4096, "clique_states": metric_module.MAX_CLIQUE_STATES}
 
 
 def test_cli_verify_rbad4(tmp_path):
@@ -494,8 +496,7 @@ def test_geom_path_builds_no_component_search(monkeypatch):
         calls.append(mask)
         return components(adj, mask)
 
-    for module in (metric_module, wallspace_module):
-        monkeypatch.setattr(module, "components", counted)
+    monkeypatch.setattr(metric_module, "components", counted)
     assert generators.generate("geomPath", 4095).nwalls() == 4094
     r = run_cli(["gen", "geomPath", "300"])
     assert r.exit_code == 0 and calls == []
@@ -584,8 +585,15 @@ def test_cli_gen_name_cap_boundary(monkeypatch):
 
 
 def test_cli_gen_unknown():
-    r = run_cli(["gen", "mystery"])
-    assert r.exit_code == 1
+    # a parse error that lists the generators there are, in gen and sweep
+    for args in (["gen", "mystery"],
+                 ["sweep", "--generator", "mystery", "--ns", "1"]):
+        r = run_cli(args)
+        assert r.exit_code == 2 and r.exception is None and r.stdout == ""
+        assert json.loads(r.stderr) == {
+            "error": "ParseError",
+            "detail": "unknown generator 'mystery'; use one of fig3, "
+                      "nonHausdorff3, grid, rbad, geomPath"}
 
 
 def test_cli_act(tmp_path):
@@ -966,20 +974,31 @@ def test_cli_diagnose_empty_subsets_is_the_empty_family():
 
 
 @pytest.mark.parametrize("metric", [
-    {"table": [[0, float("-inf")], [float("-inf"), 0]]},
-    {"table": [[0, float("nan")], [float("nan"), 0]]},
-    {"edges": [["a", "b", float("nan")]]},
+    ({"table": [[0, float("-inf")], [float("-inf"), 0]]},
+     "metric.table[0][1]: -inf is not a non-negative number"),
+    ({"table": [[0, float("nan")], [float("nan"), 0]]},
+     "metric.table[0][1]: nan is not a non-negative number"),
+    ({"edges": [["a", "b", float("nan")]]},
+     "metric.edges[0]: weight nan is not a non-negative number"),
+    ({"edges": [["a", "b", -1]]},
+     "metric.edges[0]: weight -1 is not a non-negative number"),
+    ({"table": [[0, 1], [2, 0]]},
+     "metric.table: metric table must be symmetric"),
+    ({"table": [[1, 1], [1, 0]]},
+     "metric.table: metric table must have zero diagonal"),
 ])
 @pytest.mark.parametrize("args", [
     ["validate", "-"], ["diagnose", "-", "--property", "ball-ball"]])
 def test_cli_rejects_a_metric_not_nonnegative(args, metric):
-    # json writes -Infinity and NaN, and reads them back
+    # a parse error naming the field; json writes -Infinity and NaN, and
+    # reads them back
+    metric, detail = metric
     doc = {"points": ["a", "b"],
            "walls": [{"index": 0, "left": ["a"], "right": ["b"]}],
            "metric": metric}
     r = run_cli(args, stdin=json.dumps(doc))
-    assert r.exit_code == 1 and r.exception is None and r.stdout == ""
-    assert "negative" in json.loads(r.stderr)["detail"]
+    assert r.exit_code == 2 and r.exception is None and r.stdout == ""
+    assert json.loads(r.stderr) == {"error": "ParseError", "detail": detail}
 
 
 @pytest.mark.parametrize("args", [
@@ -995,6 +1014,50 @@ def test_cli_clique_search_cap_exit(monkeypatch, args):
     r = run_cli(args, stdin=grid2)
     assert r.exit_code == 3 and r.exception is None
     assert "clique search" in json.loads(r.stderr)["detail"]
+
+
+# the module attribute each cap a command prints is read from
+CAP_SOURCES = {"points": (groups, "MAX_POINTS"),
+               "names": (io, "MAX_NAMES"),
+               "products": (groups, "MAX_PRODUCTS"),
+               "vertices": (cli_module, "DEFAULT_VERTEX_CAP"),
+               "clique_states": (metric_module, "MAX_CLIQUE_STATES")}
+
+
+# caps below what act_spec() needs: its ball has 13 points, and a point cap
+# under 5 would stop ℤ² as a parse error first (d <= (cap - 1) // 2)
+ACT_CAPS = {"points": 12, "names": 1, "products": 1}
+# a 4-cycle, with four maximal cliques
+PACKING = '{"D": 1, "subsets": [["0,0"], ["0,1"], ["1,1"], ["1,0"]]}'
+
+
+@pytest.mark.parametrize("args, doc, caps", [
+    (["act"], act_spec(), {**ACT_CAPS, "vertices": 1}),
+    (["act"], act_spec(peripheries=None), ACT_CAPS),
+    (["diagnose", "--property", "degree-profile"], None, {"vertices": 1}),
+    (["diagnose", "--property", "packing", "--params", PACKING], None,
+     {"clique_states": 1}),
+    (["verify"], None, {"vertices": 1, "clique_states": 1}),
+    (["verify", "--checks", "npc"], None, {"vertices": 1}),
+    (["validate"], None, {}),
+], ids=["act", "act-no-dual", "degree-profile", "packing", "verify",
+        "verify-npc", "validate"])
+def test_cli_prints_every_cap_it_can_stop_at(monkeypatch, args, doc, caps):
+    # on an act spec, or else on grid 2: the caps printed are the limits
+    # checked, and each one, lowered to the value given, below what the run
+    # needs, stops it with exit 3
+    stdin = json.dumps(doc) if doc else run_cli(["gen", "grid", "2"]).stdout
+    args = [args[0], "-", *args[1:]]
+    r = run_cli(args, stdin=stdin)
+    assert r.exit_code == 0
+    assert json.loads(r.stdout)["caps"] == {
+        cap: getattr(*CAP_SOURCES[cap]) for cap in caps}
+    for cap, lowered in caps.items():
+        with monkeypatch.context() as m:
+            m.setattr(*CAP_SOURCES[cap], lowered)
+            r = run_cli(args, stdin=stdin)
+        assert r.exit_code == 3 and r.exception is None and r.stdout == ""
+        assert json.loads(r.stderr)["error"] == "StateSpaceCap"
 
 
 def test_cli_act_product_cap_exit(tmp_path, monkeypatch):
@@ -1031,16 +1094,17 @@ def cold_act_spec(variant):
 # sha256 of the standard output, recorded from the normal-form metric and
 # the stack-reduced products that the Cayley-ball layer replaced; re-recorded
 # when `gen`'s caps became the limits it checks and `act` dropped its
-# always-constant keys, every other byte unchanged
+# always-constant keys, and when `act`'s caps became the limits it checks,
+# every other byte unchanged
 GROUP_OUTPUT_RECORDED = [
     (["gen", "cayley", "Z2", "5"], None,
      "82d7873350077daa9299095ad757c75fcaf0b3e9fcc348e3c651af50a48c07fb"),
     (["gen", "cayley", "F2", "4"], None,
      "b2c36b122bbfe7b65a938d60d9f96c543bd9d327c9d321bb646d89ce236955fc"),
     (["act"], cold_act_spec({"kind": "U0"}),
-     "0064ea0b4dacdeaf151e3648f93131d1ca24f643549a13f8851d60128f56505c"),
+     "dc2f9df2575cd114503f9389b199ce84901e844a3805de81859c07c3ee01dbba"),
     (["act"], cold_act_spec({"kind": "Ur", "r": 1}),
-     "4d7418b1c24be40466ee913eaec9e7c576c6531dff21957e6a7f479a0bfcce01"),
+     "d822c5d76cd77fba05bb3e9aaea92864063f472b1439c9180081f0c9fb9f8652"),
 ]
 
 
@@ -1076,22 +1140,23 @@ DIAGNOSE_PROPERTIES = [
 
 
 # sha256 of exit code, stdout and stderr of every property in turn;
-# re-recorded when `gen`'s caps changed, which moves each input_digest
+# re-recorded when `gen`'s caps changed, which moves each input_digest, and
+# when `degree-profile` and `packing` came to print the caps they check
 DIAGNOSE_RECORDED = {
     "fig3":
-        "da5e9e04813877d13276c2e4a2d40c25c149f19d3eb34774ff7584e623deb775",
+        "91a3db148356d540def83673fdfde083b10c195b7fdc46eafd5b83bf1ab689b9",
     "grid 7":
-        "b5849263bf3f5ea7003b5f812ded64f70f5abf0f59aa4418e9dede8623b62136",
+        "02ab04f7a16261907b67090f5612374a1d5a6883adf771468edfdb49ae4ca6e4",
     "rbad 4":
-        "aa221fd5d4bb1342a54bf2f4306e36733bf7768fe24132e751057933e0b4b8aa",
+        "10c8970cf62bbd3ecb89a18e597f79fab9f0eb716f9a83b553ed93d434cf9a96",
     "rbad 8":
-        "08cbc67ebfc595dbf6f90697f6a49587dd25d1c0f37ac197890f6f4935d5e0b9",
+        "bb95c200bb2cea1f2a9d05c0a18b40fd7ea2080df7f68004253c82297de2058f",
     "cayley Z2 3":
-        "f0aed1fc00bdb6d433c4f741220f2c3ed9f44d005a86f9564077ea2dd88ae304",
+        "2127320dc53b3b48db6144fd82a9ecf4c15e66182841a4d4ce895d4ea45ea7f3",
     "cayley Z2 5":
-        "9d3961536eaa094280006e513e6277881fadd215d84af4e0e36efc8f9f774de8",
+        "6809358ec55fdb52ce7031e11894acd9b216c5885541643a3dca052157b6b4eb",
     "cayley F2 3":
-        "4a9933945f537cfa6ab4a1539393cc744a36ae291be430dd303e429a43361342",
+        "62767c2079998abc3c748b2fecfb45e0f9afb54b7a954838cd84a4102e829b6c",
 }
 
 
@@ -1111,14 +1176,15 @@ def test_cli_diagnose_recorded(gen):
 
 # sha256 of the bytes a command writes, recorded from json.dumps(...,
 # indent=2), the encoder that io.dumps replaced; `gen` re-recorded when its
-# caps changed, `verify` with the input_digest that moved with them
+# caps changed, `verify` with the input_digest that moved with them and
+# when it came to print its clique-state cap
 OUTPUT_RECORDED = {
     "gen grid 7":
         "ffb3f5331d119052bccad326a36c9e75accaabd394392c09a943d7de35d8d89b",
     "gen rbad 8":
         "840f34f6b4166bd2aa370943d8ed3dffbfe797d946264b4f274bdc57ba876b1b",
     "verify rbad 4":
-        "b3de49f692c85e919b13738bdae2323c331bb03b2e8cff3ac0081e48f74fbb3c",
+        "ecb3176763c03c4fc5734ec38842feb2d572136cdb592490593e1a1dc35890b8",
     "build rbad 4 --export":
         "ffa2eebe1f9c4681a8008384d323878478f155a1c94ccac084fcc4b4a09e8ff7",
 }

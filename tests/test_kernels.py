@@ -1,6 +1,6 @@
 """Orientation validity and the 2-SAT enumerator against brute force."""
 
-from conftest import oracle_all_vertices, random_wallspace
+from conftest import is_valid, oracle_all_vertices, random_wallspace
 from wallcube.complex import DEFAULT_VERTEX_CAP, OrientationEngine
 from wallcube.generators import fig3, grid
 from wallcube.wallspace import Wallspace, validate
@@ -18,7 +18,7 @@ def cases():
 def test_pure_python_matches_oracle():
     for ws in cases():
         eng = OrientationEngine(ws)
-        mine = [m for m in range(1 << eng.n) if eng.is_valid(m)]
+        mine = [m for m in range(1 << eng.n) if is_valid(eng, m)]
         assert mine == oracle_all_vertices(ws)
 
 

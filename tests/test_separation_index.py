@@ -16,16 +16,15 @@ from conftest import (
     oracle_separation_count,
     oracle_transverse,
     oracle_wall_separates,
+    osculate,
     random_wallspace,
 )
 from wallcube.wallspace import (
     Wall,
     Wallspace,
-    osculate,
     separating,
     separation_count,
     separation_index,
-    wall_separates_walls,
 )
 
 BOUNDED = settings(max_examples=200, deadline=None)
@@ -56,14 +55,18 @@ def test_separation_count_matches_oracle(ws):
 @BOUNDED
 @given(wallspaces())
 def test_wall_separation_and_osculation_match_oracle(ws):
+    # the walls separating walls i and j (a closed halfspace of each in
+    # distinct open sides), from the index's pairs for the two walls
+    wall = separation_index(ws).wall
     idxs = ws.wall_indices()
     for i in idxs:
         for j in idxs:
             separators = [k for k in idxs if k not in (i, j)
                           and oracle_wall_separates(ws, k, i, j)]
+            mask = separating(wall[ws.position(i)], wall[ws.position(j)])
             for k in idxs:
                 if k not in (i, j):
-                    assert wall_separates_walls(ws, k, i, j) == \
+                    assert bool(mask >> ws.position(k) & 1) == \
                         (k in separators)
             if i != j:
                 assert osculate(ws, i, j) == \
