@@ -45,9 +45,12 @@ def _read_doc(path):
     return doc, digest
 
 
-def _write(path, text):
-    with open(path, "w") as f:
-        f.write(text)
+def _write(option, path, text):
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise ParseError(f"{option}: {exc}") from None
 
 
 def _emit(payload, seed=None, caps=None, digest=None):
@@ -71,54 +74,16 @@ def cmd_validate(args):
 
 
 def cmd_gen(args):
-    if args.name == "cayley":
-        from . import groups
+    from . import generators
 
-        if len(args.params) != 2:
-            raise ParseError("gen cayley takes GROUP RADIUS, e.g. Z2 5")
-        spec = _group_spec(args.params[0])
-        radius = io.integer(args.params[1], "RADIUS:", 0)
-        ball = groups.cayley_ball(spec, radius)
-        ws, _meta = groups.generate_hwall_system(ball, _default_hwalls(spec))
-    else:
-        from . import generators
-
-        ws = generators.generate(args.name, *args.params)
+    ws = generators.generate(args.name, *args.params)
     # the limits this command checks
     caps = {"points": MAX_POINTS, "names": io.MAX_NAMES}
     if args.name == "cayley":
-        caps["products"] = groups.MAX_PRODUCTS
+        from .groups import MAX_PRODUCTS
+
+        caps["products"] = MAX_PRODUCTS
     _emit(io.wallspace_to_dict(ws), seed=args.seed, caps=caps)
-
-
-def _group_spec(text):
-    from . import groups
-
-    families = {"Z": (groups.FreeAbelian, "1", "GROUP Zd:"),
-                "F": (groups.Free, "2", "GROUP Fr:")}
-    if text[:1] not in families:
-        raise ParseError(f"unknown group {text}; use Zd or Fr")
-    make, size, what = families[text[0]]
-    n = io.integer(text[1:] or size, what)
-    try:
-        return make(n)
-    except WallcubeError as exc:
-        raise ParseError(f"GROUP {text}: {exc}") from None
-
-
-def _default_hwalls(spec):
-    from . import groups
-
-    if spec.kind == "FreeAbelian":
-        return [groups.HWallSpec(
-            groups.CoordinateSubgroup(
-                spec, set(range(spec.d)) - {axis}),
-            "coordinate", axis=axis, index=axis)
-            for axis in range(spec.d)]
-    if spec.kind == "Free":
-        return [groups.HWallSpec(
-            groups.CyclicSubgroup(spec, "a"), "branch", axis="a", index=0)]
-    raise ParseError("no default H-walls for this group")
 
 
 def cmd_build(args):
@@ -132,9 +97,9 @@ def cmd_build(args):
                          "wallspace")
     cc = build_dual(ws, bp, vertex_cap=args.cap_vertices)
     if args.export:
-        _write(args.export, io.dumps(cc.export_dict()))
+        _write("--export", args.export, io.dumps(cc.export_dict()))
     if args.dot:
-        _write(args.dot, io.skeleton_dot(cc))
+        _write("--dot", args.dot, io.skeleton_dot(cc))
     _emit(io.complex_summary(cc), digest=digest,
           caps={"vertices": args.cap_vertices})
 
@@ -275,10 +240,10 @@ def cmd_diagnose(args):
     # every field is read, whatever the property
     max_denominator = read("max_denominator", (
         lambda x: io.INT[0](x) and x >= 1, "a positive integer"), 64)
-    # ε = inf admits every κ
-    max_offset = read("max_offset", (
-        lambda x: io.NONNEGATIVE[0](x) and x < float("inf"),
-        io.NONNEGATIVE[1]), 0.0)
+    max_offset = read("max_offset", io.NONNEGATIVE, 0.0)
+    if max_offset == float("inf"):  # ε = inf admits every κ
+        raise ParseError("--params.max_offset: inf is not a finite "
+                         "non-negative number")
     r, D = read("r", io.NATURAL, 0), read("D", io.NONNEGATIVE, 1)
     K, Y = read("K", names), read("Y", names)
     subsets = read("subsets", (

@@ -13,8 +13,9 @@ Orientations are int bitmasks over wall positions: bit 0 means the wall's
 `left` halfspace is chosen, bit 1 means `right`.  Validity is a 2-SAT
 instance, one boolean per wall and one 2-clause per disjoint pair of
 halfspaces, so all valid orientations are enumerated by one search whose
-work is bounded by its output (see `OrientationEngine.enumerate_valid`),
-the only vertex finder: `build_dual` reads its vertices from it too.
+work is bounded by its output (see `enumerate_valid`), the only vertex
+finder: `build_dual` reads its vertices from it too.  A complex is its
+wallspace and its cells (see `CubeComplex`).
 """
 
 from collections import deque, namedtuple
@@ -33,91 +34,80 @@ from .wallspace import Report, separation_index, validate
 DEFAULT_VERTEX_CAP = 1 << 20
 
 
-def conflict_tables(lefts, rights):
+def conflict_tables(ws):
     """conf[s][t][i] = bitmask of walls j whose side-t halfspace is disjoint
     from the side-s halfspace of wall i (side 0 left, 1 right).
 
     j = i is included, so an empty halfspace conflicts with itself, which is
     exactly the rule that bans orienting a vacuous wall to its empty side.
+    Built once per wallspace, through `ws.derived`.
     """
-    sides = (lefts, rights)
+    sides = ([w.left for w in ws.walls], [w.right for w in ws.walls])
     return [[[sum(1 << j for j, h2 in enumerate(sides[t]) if not h & h2)
               for h in sides[s]] for t in range(2)] for s in range(2)]
 
 
-class OrientationEngine:
-    """Precomputed conflict tables and the search over them for the valid
-    orientations."""
+def enumerate_valid(ws, cap):
+    """All valid orientation bitmasks of ws, ascending; [] if none.
 
-    def __init__(self, ws):
-        self.n = ws.nwalls()
-        lefts = [w.left for w in ws.walls]
-        rights = [w.right for w in ws.walls]
-        self.sides = (lefts, rights)
-        self.conf = conflict_tables(lefts, rights)
-        self.fullw = (1 << self.n) - 1
+    A 2-SAT search over states (assigned walls, orientation, forbidden
+    left sides, forbidden right sides), depth first, the left child
+    first.  Choosing a side ORs its conflict masks into the forbidden
+    masks; a free wall with one side forbidden is forced to the other,
+    until nothing more is forced, and a state whose chosen sides are
+    forbidden (a wall forced both ways included) dies.  Otherwise the
+    lowest free wall is branched on.
 
-    def enumerate_valid(self, cap):
-        """All valid orientation bitmasks, ascending; [] when there is none.
-
-        A 2-SAT search over states (assigned walls, orientation, forbidden
-        left sides, forbidden right sides), depth first, the left child
-        first.  Choosing a side ORs its conflict masks into the forbidden
-        masks; a free wall with one side forbidden is forced to the other,
-        until nothing more is forced, and a state whose chosen sides are
-        forbidden (a wall forced both ways included) dies.  Otherwise the
-        lowest free wall is branched on.
-
-        A state closed under forcing, without conflict, leaves a residual
-        formula made of 2-clauses of the whole formula F, which any solution
-        of F satisfies.  So if both children of a state die, F is
-        unsatisfiable (Even–Itai–Shamir), and otherwise every branched state
-        lies on a path of at most n branchings to a vertex: at most
-        (2n + 1)·(vertices) states are visited, 2·(vertices) − 1 when the
-        walls cover X.  Before the first vertex the search is a greedy
-        descent, in which two dead states in a row are the two children of
-        one state; it returns [] there.  It raises StateSpaceCap past `cap`
-        vertices.
-        """
-        (c00, c01), (c10, c11) = self.conf
-        out = []
-        # empty sides are forbidden from the start
-        fl, fr = (sum(1 << i for i, h in enumerate(side) if not h)
-                  for side in self.sides)
-        stack = [(0, 0, fl, fr)]
-        died = False  # the state popped before this one died
-        while stack:
-            a, m, fl, fr = stack.pop()
-            while not (fl & a & ~m) | (fr & m):
-                free = self.fullw & ~a
-                to_r, to_l = fl & free, fr & free
-                if to_r | to_l:
-                    a |= to_r | to_l
-                    m |= to_r
-                    for j in bits(to_r):
-                        fl, fr = fl | c10[j], fr | c11[j]
-                    for j in bits(to_l):
-                        fl, fr = fl | c00[j], fr | c01[j]
-                elif free:
-                    i = free & -free
-                    j = i.bit_length() - 1
-                    stack.append((a | i, m | i, fl | c10[j], fr | c11[j]))
-                    stack.append((a | i, m, fl | c00[j], fr | c01[j]))
-                    break
-                else:
-                    if len(out) >= cap:
-                        raise StateSpaceCap(
-                            f"vertex budget {cap} exceeded")
-                    out.append(m)
-                    break
+    A state closed under forcing, without conflict, leaves a residual
+    formula made of 2-clauses of the whole formula F, which any solution
+    of F satisfies.  So if both children of a state die, F is
+    unsatisfiable (Even–Itai–Shamir), and otherwise every branched state
+    lies on a path of at most n branchings to a vertex: at most
+    (2n + 1)·(vertices) states are visited, 2·(vertices) − 1 when the
+    walls cover X.  Before the first vertex the search is a greedy
+    descent, in which two dead states in a row are the two children of
+    one state; it returns [] there.  It raises StateSpaceCap past `cap`
+    vertices.
+    """
+    (c00, c01), (c10, c11) = ws.derived(conflict_tables)
+    fullw = (1 << len(ws.walls)) - 1
+    out = []
+    # empty sides are forbidden from the start
+    fl = sum(1 << i for i, w in enumerate(ws.walls) if not w.left)
+    fr = sum(1 << i for i, w in enumerate(ws.walls) if not w.right)
+    stack = [(0, 0, fl, fr)]
+    died = False  # the state popped before this one died
+    while stack:
+        a, m, fl, fr = stack.pop()
+        while not (fl & a & ~m) | (fr & m):
+            free = fullw & ~a
+            to_r, to_l = fl & free, fr & free
+            if to_r | to_l:
+                a |= to_r | to_l
+                m |= to_r
+                for j in bits(to_r):
+                    fl, fr = fl | c10[j], fr | c11[j]
+                for j in bits(to_l):
+                    fl, fr = fl | c00[j], fr | c01[j]
+            elif free:
+                i = free & -free
+                j = i.bit_length() - 1
+                stack.append((a | i, m | i, fl | c10[j], fr | c11[j]))
+                stack.append((a | i, m, fl | c00[j], fr | c01[j]))
+                break
             else:
-                # dead; two in a row before any vertex: unsatisfiable
-                if died and not out:
-                    return []
-                died = True
-                continue
-            died = False
-        return sorted(out)
+                if len(out) >= cap:
+                    raise StateSpaceCap(f"vertex budget {cap} exceeded")
+                out.append(m)
+                break
+        else:
+            # dead; two in a row before any vertex: unsatisfiable
+            if died and not out:
+                return []
+            died = True
+            continue
+        died = False
+    return sorted(out)
 
 
 def _corners(base, wmask):
@@ -156,7 +146,8 @@ class Cube(namedtuple("Cube", "base walls")):
 
 
 class CubeComplex:
-    """Immutable dual cube complex.
+    """Immutable dual cube complex: a wallspace `ws`, over whose wall
+    positions every mask runs, and its cells.
 
     `cells` is its one cube store: wall mask W -> set of bases b, each pair
     (b, W) the cube with corners b | (any subset of W), every bit of W
@@ -165,9 +156,8 @@ class CubeComplex:
     construction, `edges` on each read and `adj` on the first.
     """
 
-    def __init__(self, ws, engine, cells):
+    def __init__(self, ws, cells):
         self.ws = ws
-        self.engine = engine
         self.cells = cells
         self.vertices = sorted(cells[0])
         self.vid = {m: i for i, m in enumerate(self.vertices)}
@@ -177,7 +167,7 @@ class CubeComplex:
     def adj(self):
         """m -> [(neighbour, wall position)], in ascending wall order."""
         adj = {m: [] for m in self.vertices}
-        for i in range(self.engine.n):
+        for i in range(len(self.ws.walls)):
             bit = 1 << i
             for b in self.cells.get(bit, ()):
                 adj[b].append((b | bit, i))
@@ -232,7 +222,7 @@ class CubeComplex:
 
     def export_dict(self):
         index = [w.index for w in self.ws.walls]
-        n = self.engine.n
+        n = len(self.ws.walls)
         verts = [{"id": i, "orientation": list(flags(m, n))}
                  for i, m in enumerate(self.vertices)]
         edges = [{"u": self.vid[u], "v": self.vid[v], "wall": index[w]}
@@ -335,12 +325,11 @@ def build_dual(ws, basepoint, vertex_cap=DEFAULT_VERTEX_CAP):
 
 def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
     """The complex on ALL valid orientations, by the 2-SAT search of
-    `OrientationEngine.enumerate_valid`; on any input, valid or not, and
-    with no vertex when no orientation is valid.  Raises StateSpaceCap past
-    `vertex_cap` vertices."""
-    eng = ws.derived(OrientationEngine)
-    verts = eng.enumerate_valid(vertex_cap)
-    return CubeComplex(ws, eng, _complete_skeleton(verts, eng.n))
+    `enumerate_valid`; on any input, valid or not, and with no vertex when
+    no orientation is valid.  Raises StateSpaceCap past `vertex_cap`
+    vertices."""
+    verts = enumerate_valid(ws, vertex_cap)
+    return CubeComplex(ws, _complete_skeleton(verts, len(ws.walls)))
 
 
 # -- canonical cubes and distance -------------------------------------

@@ -6,10 +6,11 @@ rbad(n)       finite line analogue: interval walls every n steps along
               {0..n^2} plus a singleton wall at every point
 nonHausdorff3 X = {x,y,z} with the single wall ({x,z},{y,z})
 geomPath(n)   geometric wallspace of the path graph 0-1-...-n
-cayley(...)   Cayley-ball systems, see the groups module
+cayley(G, r)  the default H-wall system of the radius-r Cayley ball of
+              G = Zd or Fr, see the groups module
 """
 
-from .errors import ParseError, StateSpaceCap, UnknownGenerator
+from .errors import ParseError, StateSpaceCap, UnknownGenerator, WallcubeError
 from .io import integer
 from .metric import Metric
 from .wallspace import MAX_POINTS, Wall, Wallspace
@@ -115,17 +116,60 @@ def geom_path(n):
     return _line(n + 1, range(1, n))
 
 
+def cayley(*args):
+    """`cayley GROUP RADIUS`: the H-wall system of the Cayley ball of
+    radius RADIUS, GROUP `Zd` with its d coordinate H-walls or `Fr` with
+    the branch H-wall of its letter a.  Only this generator loads the
+    groups module."""
+    from . import groups
+
+    if len(args) != 2:
+        raise ParseError("gen cayley takes GROUP RADIUS, e.g. Z2 5")
+    spec = _group_spec(args[0])
+    ball = groups.cayley_ball(spec, integer(args[1], "RADIUS:", 0))
+    return groups.generate_hwall_system(ball, _default_hwalls(spec))[0]
+
+
+def _group_spec(text):
+    from . import groups
+
+    families = {"Z": (groups.FreeAbelian, "1", "GROUP Zd:"),
+                "F": (groups.Free, "2", "GROUP Fr:")}
+    if text[:1] not in families:
+        raise ParseError(f"unknown group {text}; use Zd or Fr")
+    make, size, what = families[text[0]]
+    n = integer(text[1:] or size, what)
+    try:
+        return make(n)
+    except WallcubeError as exc:
+        raise ParseError(f"GROUP {text}: {exc}") from None
+
+
+def _default_hwalls(spec):
+    """The coordinate H-walls of Zd, or the branch H-wall of Fr at a."""
+    from . import groups
+
+    if spec.kind == "FreeAbelian":
+        return [groups.HWallSpec(
+            groups.CoordinateSubgroup(spec, set(range(spec.d)) - {axis}),
+            "coordinate", axis=axis, index=axis) for axis in range(spec.d)]
+    return [groups.HWallSpec(groups.CyclicSubgroup(spec, "a"), "branch",
+                             axis="a", index=0)]
+
+
 def generate(name, *args):
     """The named generator's wallspace; a sized one takes its size, an int
-    or its text, as its one argument.  A missing or extra argument is a
-    ParseError, and an unknown name an UnknownGenerator (a ParseError)
-    that lists the known ones."""
+    or its text, as its one argument, and `cayley` GROUP RADIUS.  A
+    missing or extra argument is a ParseError, and an unknown name an
+    UnknownGenerator (a ParseError) that lists the known ones."""
     # each generator with its least size, None for one that takes none
     known = {"fig3": (fig3, None), "nonHausdorff3": (non_hausdorff3, None),
              "grid": (grid, 0), "rbad": (rbad, 1), "geomPath": (geom_path, 0)}
+    if name == "cayley":
+        return cayley(*args)
     if name not in known:
         raise UnknownGenerator(f"unknown generator {name!r}; use one of "
-                               f"{', '.join(known)}")
+                               f"{', '.join(known)}, cayley")
     make, low = known[name]
     if low is None:
         if args:

@@ -29,34 +29,19 @@ class InducedVariant(namedtuple("InducedVariant", "kind r tau")):
         return super().__new__(cls, kind, r, tau)
 
 
-class Hemiwallspace:
-    """Parent wallspace plus fixed orientations of the dependent walls."""
+class Hemiwallspace(namedtuple("Hemiwallspace", "fixed_mask fixed_bits")):
+    """A hemiwallspace of a wallspace, by wall positions: `fixed_mask` holds
+    its dependent walls and `fixed_bits` their retained sides (bit set: the
+    right side).  Every other wall keeps both sides and stays
+    independent."""
 
-    def __init__(self, parent, fixed, meta=None):
-        self.parent = parent
-        self.fixed = dict(fixed)  # wall index -> 0 (left) | 1 (right)
-        for i in self.fixed:
-            parent.wall(i)
-        self.independent = [w.index for w in parent.walls
-                            if w.index not in self.fixed]
-        self.meta = meta or {}
-        # the dependent walls' positions, and their fixed sides
-        pos = parent.wall_pos
-        self.fixed_mask = sum(1 << pos[i] for i in self.fixed)
-        self.fixed_bits = sum(s << pos[i] for i, s in self.fixed.items())
+    __slots__ = ()
 
     def represents(self, base, wmask):
         """Are all halfspaces of the cube (base, wmask) retained: both sides
         of each of its walls, and the chosen side of every other wall?"""
         return (not wmask & self.fixed_mask
                 and base & self.fixed_mask == self.fixed_bits)
-
-    def to_dict(self):
-        d = {"fixed": [{"wall": i, "side": s}
-                       for i, s in sorted(self.fixed.items())],
-             "independent": sorted(self.independent)}
-        d.update(self.meta)
-        return d
 
 
 def induce_hemi(ws, P, variant):
@@ -89,23 +74,19 @@ def induce_hemi(ws, P, variant):
             return bool(side_mask & near)
         return metric.reaches(side_mask & near, variant.tau)
 
-    fixed = {}
+    fixed_mask = fixed_bits = 0
     bad = []
-    for w in ws.walls:
+    for pos, w in enumerate(ws.walls):
         keep_l, keep_r = retained(w.left), retained(w.right)
-        if keep_l and keep_r:
-            continue
-        if keep_l:
-            fixed[w.index] = 0
-        elif keep_r:
-            fixed[w.index] = 1
-        else:
+        if not (keep_l or keep_r):
             bad.append(w.index)
+        elif not (keep_l and keep_r):
+            fixed_mask |= 1 << pos
+            if keep_r:
+                fixed_bits |= 1 << pos
     if bad:
         raise NotAHemiwallspace(bad)
-    meta = {"variant": kind, "r": variant.r, "tau": variant.tau,
-            "P": sorted(ws.names_of(pmask))}
-    return Hemiwallspace(ws, fixed, meta=meta)
+    return Hemiwallspace(fixed_mask, fixed_bits)
 
 
 def dual_sub(cc, hemi):
@@ -123,7 +104,7 @@ def dual_sub(cc, hemi):
             cells[wmask] = keep
     if not cells:
         raise EmptySubcomplex("no vertex agrees with the fixed orientations")
-    return CubeComplex(cc.ws, cc.engine, cells)
+    return CubeComplex(cc.ws, cells)
 
 
 def is_convex(cc, sub):

@@ -108,6 +108,8 @@ def integer(text, what, low=None):
 def wallspace_from_dict(doc):
     try:
         points = field(doc, "points", "points", LIST)
+        if not points:
+            raise ParseError("points: [] is not a nonempty list")
         bit = {}
         for k, p in enumerate(points):
             if not isinstance(p, str) or p in bit:

@@ -192,9 +192,6 @@ class Metric:
             self._table = table
         return self._table
 
-    def d(self, i, j):
-        return self.dist[i][j]
-
     def adjacency(self):
         """Neighbour bitmasks of the metric graph.
 

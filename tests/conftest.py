@@ -14,9 +14,9 @@ and wall.
 The canonical-cube oracle orients wall by wall toward the point and frees
 its betwixting walls, and the flip search starts from that orientation.
 The flip-search oracle for `build_dual` steps with `flippable`, the
-one-wall flip test on the engine's conflict tables, which
+one-wall flip test on the wallspace's conflict tables, which
 `test_flippable_matches_validity` checks against the valid orientations,
-but not with the engine's 2-SAT search.  The loop-contraction,
+but not with the 2-SAT search.  The loop-contraction,
 H-wall, point-map, H-wall-system, action and decomposition oracles are
 the library's earlier forms: every same-wall pair listed per pass, a
 group product per H-member and point for each check, a translate per
@@ -47,9 +47,9 @@ from itertools import combinations
 from wallcube.complex import (
     Cube,
     CubeComplex,
-    OrientationEngine,
     _edge_wall,
     canonical_cube,
+    conflict_tables,
 )
 from wallcube.errors import (
     NotAHemiwallspace,
@@ -58,7 +58,7 @@ from wallcube.errors import (
     WallcubeError,
 )
 from wallcube.groups import TRUNCATION_CAVEAT, _translate
-from wallcube.hemi import Hemiwallspace, induce_hemi
+from wallcube.hemi import induce_hemi
 from wallcube.metric import INF, Metric, _dijkstra, bits, components, compress
 from wallcube.separation import (
     WALL_DISTANCE_NOTE,
@@ -124,28 +124,30 @@ def random_metric(rng, npts):
 # -- the paper's definitions ------------------------------------------
 
 
-def chosen(eng, m, i):
+def chosen(ws, m, i):
     """The chosen halfspace, a point mask, of wall position i under
     orientation m."""
-    return eng.sides[(m >> i) & 1][i]
+    w = ws.walls[i]
+    return w.right if (m >> i) & 1 else w.left
 
 
-def is_valid(eng, m):
+def is_valid(ws, m):
     """Is orientation m a 0-cube: no chosen side disjoint from another, or
     empty?  One test per wall against its conflict masks."""
-    conf = eng.conf
-    for i in range(eng.n):
+    conf = ws.derived(conflict_tables)
+    for i in range(len(ws.walls)):
         s = (m >> i) & 1
         if (conf[s][0][i] & ~m) | (conf[s][1][i] & m):
             return False
     return True
 
 
-def flippable(eng, m, i):
+def flippable(ws, m, i):
     """Does the valid orientation m stay valid after flipping position i?"""
+    conf = ws.derived(conflict_tables)
     m2 = m ^ (1 << i)
     s = (m2 >> i) & 1
-    return not (eng.conf[s][0][i] & ~m2) | (eng.conf[s][1][i] & m2)
+    return not (conf[s][0][i] & ~m2) | (conf[s][1][i] & m2)
 
 
 def pair_le(a, b):
@@ -319,15 +321,14 @@ def oracle_build_dual(ws, p):
     orientation toward p, sorted.  `build_dual` reads all valid
     orientations off the 2-SAT search instead, on the strength of the
     flip graph being connected."""
-    eng = OrientationEngine(ws)
     seed = oracle_toward_point(ws, p)
     seen = {seed}
     q = deque([seed])
     while q:
         m = q.popleft()
-        for i in range(eng.n):
+        for i in range(len(ws.walls)):
             m2 = m ^ (1 << i)
-            if m2 not in seen and flippable(eng, m, i):
+            if m2 not in seen and flippable(ws, m, i):
                 seen.add(m2)
                 q.append(m2)
     return sorted(seen)
@@ -445,7 +446,7 @@ def oracle_edges(vertex_set, nwalls):
 def oracle_adj(cc):
     """Vertex -> [(neighbour, wall position)] from the edges of the cell
     store, each vertex's walls tried in ascending order."""
-    return {m: [(m ^ 1 << i, i) for i in range(cc.engine.n)
+    return {m: [(m ^ 1 << i, i) for i in range(len(cc.ws.walls))
                 if m & ~(1 << i) in cc.cells.get(1 << i, ())]
             for m in cc.vertices}
 
@@ -455,7 +456,7 @@ def oracle_export_dict(cc):
     sort per cube: walls sorted by index, corner ids sorted."""
     index = [w.index for w in cc.ws.walls]
     verts = [{"id": i, "orientation": [(m >> j) & 1
-                                       for j in range(cc.engine.n)]}
+                                       for j in range(len(cc.ws.walls))]}
              for i, m in enumerate(cc.vertices)]
     edges = [{"u": cc.vid[u], "v": cc.vid[v], "wall": index[w]}
              for u, v, w in cc.edges]
@@ -487,14 +488,14 @@ def _faces(cube):
 def strip_cells(cc, dim):
     """cc without its cubes of dimension >= dim."""
     cells = {w: b for w, b in cc.cells.items() if w.bit_count() < dim}
-    return CubeComplex(cc.ws, cc.engine, cells)
+    return CubeComplex(cc.ws, cells)
 
 
 def drop_vertex(cc, m):
     """cc without vertex m and every cube that has m as a corner."""
     cells = {w: {b for b in bases if m & ~w != b}
              for w, bases in cc.cells.items()}
-    return CubeComplex(cc.ws, cc.engine, cells)
+    return CubeComplex(cc.ws, cells)
 
 
 def cube_key(c):
@@ -553,7 +554,8 @@ def oracle_dual_sub(cc, hemi):
     vertices agreeing with every fixed orientation: a cube is kept when all
     of its corners are."""
     ws = cc.ws
-    fixed_bits = [(ws.wall_pos[i], s) for i, s in hemi.fixed.items()]
+    fixed_bits = [(ws.wall_pos[i], s)
+                  for i, s in fixed_sides(ws, hemi).items()]
     verts = [m for m in cc.vertices
              if all((m >> pos) & 1 == s for pos, s in fixed_bits)]
     vset = set(verts)
@@ -668,20 +670,29 @@ def _geodesic_through(cc, a, v, b, da, db):
     return left
 
 
-def forget_unpaired(hemi):
-    """Remark-style wallspace: delete the dependent walls entirely.
+def fixed_sides(ws, hemi):
+    """{wall index: fixed side, 0 left or 1 right} of a hemiwallspace of
+    ws, read back from its two wall masks."""
+    return {w.index: hemi.fixed_bits >> pos & 1
+            for pos, w in enumerate(ws.walls) if hemi.fixed_mask >> pos & 1}
+
+
+def forget_unpaired(ws, hemi):
+    """Remark-style wallspace: delete the dependent walls of a
+    hemiwallspace of ws entirely.
 
     The dual of this wallspace is isomorphic (after re-indexing) to
     dual_sub's output.
     """
-    ws = hemi.parent
-    walls = [w for w in ws.walls if w.index not in hemi.fixed]
+    fixed = fixed_sides(ws, hemi)
+    walls = [w for w in ws.walls if w.index not in fixed]
     return Wallspace(ws.points, walls, metric=ws.metric)
 
 
 def oracle_induce_hemi(ws, P, variant):
     """`induce_hemi` with a neighbourhood taken per side, and U* as a scan
-    over every distinct distance up to the diameter:
+    over every distinct distance up to the diameter, as the fixed sides
+    {wall index: 0 left or 1 right} of the dependent walls:
       U0:     U ∩ P nonempty
       Ur:     U ∩ N_r(P) nonempty
       Uinf:   diam(U ∩ P) >= tau
@@ -735,9 +746,7 @@ def oracle_induce_hemi(ws, P, variant):
             bad.append(w.index)
     if bad:
         raise NotAHemiwallspace(bad)
-    meta = {"variant": kind, "r": variant.r, "tau": variant.tau,
-            "P": sorted(oracle_names(ws, pmask))}
-    return Hemiwallspace(ws, fixed, meta=meta)
+    return fixed
 
 
 def oracle_ball_metric(ball):
@@ -977,9 +986,6 @@ class OracleMetric:
                 rows = [_dijkstra(nbrs, s) for s in range(n)]
         return cls(rows, adj)
 
-    def d(self, i, j):
-        return self.dist[i][j]
-
     def adjacency(self):
         return self._adj
 
@@ -1096,7 +1102,7 @@ def oracle_ball_ball_separation(ws, r):
     for i in range(len(ws.points)):
         for j in range(i + 1, len(ws.points)):
             sep = separating(balls[i], balls[j])
-            items.append((metric.d(i, j), bool(sep),
+            items.append((metric.dist[i][j], bool(sep),
                           [ws.points[i], ws.points[j]]))
     diam = metric.diameter()
     m, witnesses = oracle_least_threshold(items)

@@ -249,16 +249,15 @@ def test_criterion_07_pair_order_counterexample():
     ws = Wallspace(["1", "2", "3"],
                    [Wall(0, 0b011, 0b111), Wall(1, 0b110, 0b001)])
     cc = enumerate_all_orientations(ws)
-    eng = cc.engine
     found = False
     for x0 in ws.points:
         b = ws.point_bit(x0)
         for m in cc.vertices:
-            mis = [i for i in range(eng.n) if not chosen(eng, m, i) & b]
-            pairs = {i: (chosen(eng, m, i), chosen(eng, m ^ (1 << i), i))
+            mis = [i for i in range(ws.nwalls()) if not chosen(ws, m, i) & b]
+            pairs = {i: (chosen(ws, m, i), chosen(ws, m ^ (1 << i), i))
                      for i in mis}
             for i in mis:
-                if not flippable(eng, m, i):
+                if not flippable(ws, m, i):
                     continue
                 dominated = any(pairs[j] != pairs[i]
                                 and pair_le(pairs[j], pairs[i])
@@ -375,7 +374,7 @@ def test_criterion_12_osculation_correspondence():
     for ws, cc in corpus:
         flippables = {}
         for m in cc.vertices:
-            for i in range(cc.engine.n):
+            for i in range(ws.nwalls()):
                 if (m ^ (1 << i)) in cc.vid:
                     flippables.setdefault(i, set()).add(m)
         squares = {frozenset(c.walls) for c in cubes(cc).get(2, ())}

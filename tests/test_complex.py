@@ -33,7 +33,6 @@ from wallcube import io
 from wallcube.complex import (
     Cube,
     CubeComplex,
-    OrientationEngine,
     build_dual,
     canonical_cube,
     conflict_tables,
@@ -117,9 +116,9 @@ def complexes():
 
 def test_conflict_tables_hand_case():
     # two disjoint halfspaces conflict; overlapping ones do not
-    lefts = [0b0011, 0b0001]
-    rights = [0b1100, 0b1110]
-    conf = conflict_tables(lefts, rights)
+    ws = Wallspace(["p0", "p1", "p2", "p3"],
+                   [Wall(0, 0b0011, 0b1100), Wall(1, 0b0001, 0b1110)])
+    conf = conflict_tables(ws)
     # left of wall 0 ({p0,p1}) vs right of wall 0 ({p2,p3}): disjoint
     assert conf[0][1][0] & 1
     # left of wall 0 vs left of wall 1 ({p0}): overlap
@@ -230,7 +229,7 @@ def test_export_matches_oracle():
     # across the byte and word boundaries of the wall mask
     for nwalls in (0, 1, 8, 64, 65):
         cc = enumerate_all_orientations(geom_path(nwalls + 1))
-        assert cc.engine.n == nwalls
+        assert cc.ws.nwalls() == nwalls
         doc = cc.export_dict()
         assert io.dumps(doc) == io.dumps(oracle_export_dict(cc))
         assert [len(v["orientation"]) for v in doc["vertices"]] == \
@@ -244,8 +243,8 @@ def test_flippable_matches_validity():
         cc = enumerate_all_orientations(ws)
         vset = set(cc.vertices)
         for m in cc.vertices:
-            for i in range(cc.engine.n):
-                assert flippable(cc.engine, m, i) == \
+            for i in range(ws.nwalls()):
+                assert flippable(ws, m, i) == \
                     ((m ^ (1 << i)) in vset)
 
 
@@ -419,7 +418,7 @@ def test_verify_npc_catches_missing_cube():
         0b100: {0b000, 0b001, 0b010},
         0b011: {0b000}, 0b101: {0b000}, 0b110: {0b000},
     }
-    cc = CubeComplex(ws, OrientationEngine(ws), cells)
+    cc = CubeComplex(ws, cells)
     assert cc.cube_counts() == {0: 7, 1: 9, 2: 3}
     rep = verify_npc(cc)
     assert not rep.ok
@@ -577,8 +576,7 @@ def test_canonical_orientation_of_a_valid_wallspace_is_a_zero_cube():
         seed += 1
         if not validate(ws).ok:
             continue
-        eng = OrientationEngine(ws)
-        assert all(is_valid(eng, canonical_cube(ws, p).base)
+        assert all(is_valid(ws, canonical_cube(ws, p).base)
                    for p in ws.points)
         checked += 1
 

@@ -25,8 +25,8 @@ from conftest import (
 from wallcube import complex as complex_mod
 from wallcube.complex import build_dual
 from wallcube import groups, io
-from wallcube.cli import _default_hwalls
 from wallcube.errors import StateSpaceCap, WallcubeError
+from wallcube.generators import _default_hwalls
 from wallcube.groups import (
     CoordinateSubgroup,
     CyclicSubgroup,
@@ -135,7 +135,7 @@ def test_cayley_ball_z2_counts():
         # exact word metric
         i = ball.names.index("(1,0)")
         j = ball.names.index(f"(-{r},0)")
-        assert ball.metric.d(i, j) == r + 1
+        assert ball.metric.dist[i][j] == r + 1
 
 
 def test_cayley_ball_f2_counts():
@@ -525,7 +525,8 @@ def test_rel_cocompact_z2_axes_recorded(monkeypatch, variant, summary,
     # recorded output on the Z^2 radius-3 system with the two coordinate
     # axes as peripheries (Ur re-recorded when the intersection witnesses
     # were put in vertex order); the wallspace's conflict tables are built
-    # once, by build_dual, and reused by every canonical_cube call
+    # once, by build_dual, and nothing after it builds them again
+    # (canonical_cube reads the separation index)
     builds = []
     tables = complex_mod.conflict_tables
     monkeypatch.setattr(complex_mod, "conflict_tables",

@@ -10,6 +10,7 @@ from conftest import (
     all_cubes,
     cube_key,
     cubes,
+    fixed_sides,
     forget_unpaired,
     oracle_dual_sub,
     oracle_induce_hemi,
@@ -31,7 +32,7 @@ from wallcube.errors import (
     NotAHemiwallspace,
     WallcubeError,
 )
-from wallcube.generators import fig3, grid
+from wallcube.generators import grid
 from wallcube.hemi import (
     Hemiwallspace,
     InducedVariant,
@@ -68,21 +69,23 @@ def test_u0_retention_direct():
     hemi = induce_hemi(ws, ["0,0"], InducedVariant("U0"))
     # the corner lies in {i<k} and {j<k} for every k, so all walls are fixed
     # to their left sides
-    assert hemi.fixed == {w.index: 0 for w in ws.walls}
+    assert fixed_sides(ws, hemi) == {w.index: 0 for w in ws.walls}
     hemi2 = induce_hemi(ws, list(ws.points), InducedVariant("U0"))
-    assert hemi2.fixed == {}
+    assert fixed_sides(ws, hemi2) == {}
 
 
 def test_ur_monotone_in_r():
     ws = grid(3)
     prev = None
     for r in range(4):
-        hemi = induce_hemi(ws, ["0,0"], InducedVariant("Ur", r=r))
+        fixed = fixed_sides(ws, induce_hemi(ws, ["0,0"],
+                                            InducedVariant("Ur", r=r)))
         if prev is not None:
-            assert set(hemi.fixed) <= set(prev.fixed)
-        prev = hemi
+            assert set(fixed) <= set(prev)
+        prev = fixed
     # radius the full diameter retains everything
-    assert induce_hemi(ws, ["0,0"], InducedVariant("Ur", r=6)).fixed == {}
+    assert fixed_sides(ws, induce_hemi(ws, ["0,0"],
+                                       InducedVariant("Ur", r=6))) == {}
 
 
 def test_uinf_large_tau_raises():
@@ -103,10 +106,8 @@ def test_ustar_scans_radii():
                                InducedVariant("UrStar", r=r, tau=2))
         except NotAHemiwallspace:
             continue
-        assert set(star.fixed) <= set(at_r.fixed)
-        for i, s in star.fixed.items():
-            if i in at_r.fixed:
-                assert at_r.fixed[i] == s
+        fixed, fixed_at_r = fixed_sides(ws, star), fixed_sides(ws, at_r)
+        assert fixed.items() <= fixed_at_r.items()
 
 
 @st.composite
@@ -138,13 +139,13 @@ variants = st.builds(
 
 
 def outcome(induce, ws, P, variant):
+    """The fixed sides by wall index that `induce` finds, or its error."""
     try:
-        hemi = induce(ws, P, variant)
+        return induce(ws, P, variant)
     except NotAHemiwallspace as exc:
         return "not a hemiwallspace", exc.wall_indices
     except WallcubeError as exc:
         return type(exc).__name__
-    return hemi.fixed, hemi.meta
 
 
 @settings(max_examples=400, deadline=None)
@@ -155,7 +156,10 @@ def test_induce_hemi_matches_oracle(data):
     ws = data.draw(metric_wallspaces())
     P = data.draw(st.integers(1, ws.full))
     variant = data.draw(variants)
-    assert outcome(induce_hemi, ws, P, variant) == \
+    def induce(*args):
+        return fixed_sides(ws, induce_hemi(*args))
+
+    assert outcome(induce, ws, P, variant) == \
         outcome(oracle_induce_hemi, ws, P, variant)
 
 
@@ -194,7 +198,7 @@ def test_convexity_witness_on_nonconvex_subset():
     ws = grid(1)
     cc = build_dual(ws, "0,0")
     v = sorted(cc.vertices)
-    sub = CubeComplex(ws, cc.engine, {0: {v[0], v[3]}})
+    sub = CubeComplex(ws, {0: {v[0], v[3]}})
     convex, witness = is_convex(cc, sub)
     assert not convex
     # the witness is a real geodesic through an outside vertex
@@ -226,7 +230,7 @@ def convexity_cases(draw):
         except EmptySubcomplex:
             verts = set()
     elif kind == "halfspaces":
-        walls = st.integers(0, cc.engine.fullw)
+        walls = st.integers(0, (1 << len(ws.walls)) - 1)
         fixed, sides = draw(walls), draw(walls)
         verts = {v for v in cc.vertices if not (v ^ sides) & fixed}
     else:
@@ -242,7 +246,7 @@ def convexity_cases(draw):
 def test_is_convex_matches_bfs_oracle(case):
     # verdict and witness path, on convex and non-convex sets
     cc, verts = case
-    sub = CubeComplex(cc.ws, cc.engine, {0: verts})
+    sub = CubeComplex(cc.ws, {0: verts})
     assert is_convex(cc, sub) == oracle_is_convex(cc, sub)
 
 
@@ -254,9 +258,9 @@ def test_is_convex_matches_bfs_oracle(case):
 ])
 def test_is_convex_refuses_a_non_median_complex(verts, sub):
     cc = build_dual(grid(2), "0,0")
-    hand = CubeComplex(cc.ws, cc.engine, {0: verts})
+    hand = CubeComplex(cc.ws, {0: verts})
     with pytest.raises(WallcubeError, match="dual the library built"):
-        is_convex(hand, CubeComplex(cc.ws, cc.engine, {0: sub}))
+        is_convex(hand, CubeComplex(cc.ws, {0: sub}))
 
 
 def test_dual_sub_matches_oracle():
@@ -303,7 +307,7 @@ def test_forget_unpaired_oracle():
         hemi = induce_hemi(ws, P, InducedVariant("U0"))
         sub = dual_sub(cc, hemi)
         try:
-            small = enumerate_all_orientations(forget_unpaired(hemi))
+            small = enumerate_all_orientations(forget_unpaired(ws, hemi))
         except WallcubeError:
             continue  # forgetting can create duplicate wall indices? no-op
         assert len(sub.vertices) == len(small.vertices)
@@ -317,14 +321,7 @@ def test_empty_subcomplex():
     walls = [Wall(0, 0b00011, 0b11100), Wall(1, 0b01111, 0b10000)]
     ws = Wallspace(pts, walls)
     cc = build_dual(ws, "0")
-    hemi = Hemiwallspace(ws, {0: 0, 1: 1})  # {0,1} and {4} cannot both hold
+    # wall 0 fixed left, wall 1 right: {0,1} and {4} cannot both hold
+    hemi = Hemiwallspace(fixed_mask=0b11, fixed_bits=0b10)
     with pytest.raises(EmptySubcomplex):
         dual_sub(cc, hemi)
-
-
-def test_to_dict():
-    ws = fig3()
-    hemi = Hemiwallspace(ws, {1: 0})
-    d = hemi.to_dict()
-    assert d["fixed"] == [{"wall": 1, "side": 0}]
-    assert d["independent"] == [2, 3, 4, 5]

@@ -4,7 +4,10 @@ every function and class the library defines is read by production code:
 the library's own modules or the benchmark.  A test is no caller, and
 neither is the package's `__init__.py`, whose re-export of a name runs
 nothing.  A method is read only as an attribute (`x.name`): a bare name
-elsewhere that happens to equal it reads some other value.
+elsewhere that happens to equal it reads some other value.  A method, not
+a property, whose name production code also assigns as an attribute
+(`x.name = ...`) is read only by a call (`x.name(...)`): reading the
+attribute may read that data.
 
 The package re-exports names in `__init__.py`, which the import and
 exception checks leave out.
@@ -81,36 +84,46 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def references(tree):
-    """How often a tree reads each name, as a Counter of the names it reads
+    """How often a tree reads each name, as Counters of the names it reads
     bare (a loaded name, or a name an import statement imports, under an
-    alias too) and one of the names it reads as a loaded attribute.
-    Strings, docstrings among them, and comments read nothing."""
-    bare, attributes = Counter(), Counter()
+    alias too), of the names it reads as a loaded attribute, of those it
+    calls as an attribute (`x.name(...)`) and of those it assigns as an
+    attribute (`x.name = ...`).  Strings, docstrings among them, and
+    comments read nothing."""
+    bare, attributes, called, assigned = (Counter() for _ in range(4))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             bare[node.id] += 1
-        elif isinstance(node, ast.Attribute) and \
-                isinstance(node.ctx, ast.Load):
-            attributes[node.attr] += 1
+        elif isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Load):
+                attributes[node.attr] += 1
+            elif isinstance(node.ctx, ast.Store):
+                assigned[node.attr] += 1
         elif isinstance(node, ast.alias):
             bare.update(node.name.split("."))
-    return bare, attributes
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute):
+            called[node.func.attr] += 1
+    return bare, attributes, called, assigned
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+PROPERTIES = ("property", "cached_property")
 
 
 def unreferenced_functions(modules, others):
     """(module name, line, name) of each function, method or class of the
     `modules` sources, dunders aside, that nothing reads outside its own
     definition: not the rest of its module, another module, or one of the
-    `others` sources.  A method counts as read only as an attribute."""
+    `others` sources.  A method counts as read only as an attribute, and
+    only by a call when it is no property and some source assigns its
+    name as an attribute."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    bare, attributes = Counter(), Counter()
+    total = [Counter() for _ in range(4)]
     for tree in [*trees.values(), *map(ast.parse, others)]:
-        b, a = references(tree)
-        bare.update(b)
-        attributes.update(a)
+        for count, found in zip(total, references(tree)):
+            count.update(found)
+    bare, attributes, called, assigned = total
     out = []
     for name, tree in trees.items():
         methods = {id(node) for cls in ast.walk(tree)
@@ -119,10 +132,14 @@ def unreferenced_functions(modules, others):
             if not isinstance(node, DEFINITIONS) or \
                     node.name.startswith("__"):
                 continue
-            own_bare, own_attributes = references(node)
+            own_bare, own_attributes, own_called, _ = references(node)
             reads = attributes[node.name] - own_attributes[node.name]
             if id(node) not in methods:
                 reads += bare[node.name] - own_bare[node.name]
+            elif node.name in assigned and not any(
+                    getattr(d, "id", None) in PROPERTIES
+                    for d in getattr(node, "decorator_list", ())):
+                reads = called[node.name] - own_called[node.name]
             if not reads:
                 out.append((name, node.lineno, node.name))
     return out
@@ -199,6 +216,21 @@ def test_tests_are_no_callers(tmp_path):
         [("m.py", 2, "name")]
     assert flagged({"perfbench/run.py": "from wallcube.m import A\n"
                                         "A().name()\n"}) == []
+    # and a method read only as an attribute that production code also
+    # assigns as data, unless it is a property
+    data = "class B:\n    def __init__(self):\n        self.name = 1\n"
+    assert flagged({"src/wallcube/m.py": method + "\n\n" + data,
+                    "perfbench/run.py": "from wallcube.m import A, B\n"
+                                        "print(A, B().name)\n"}) == \
+        [("m.py", 2, "name")]
+    assert flagged({"perfbench/run.py": "from wallcube.m import A, B\n"
+                                        "print(B().name, A().name())\n"}) \
+        == []
+    prop = method.replace("    def", "    @property\n    def")
+    assert flagged({"src/wallcube/m.py": prop + "\n\n" + data,
+                    "perfbench/run.py": "from wallcube.m import A, B\n"
+                                        "print(A().name, B().name)\n"}) \
+        == []
 
 
 def test_every_function_is_referenced():

@@ -50,7 +50,7 @@ def test_roundtrip_preserves_semantics():
     for w in ws.walls:
         w2 = ws2.wall(w.index)
         assert (w2.left, w2.right) == (w.left, w.right)
-    assert ws2.metric.d(0, 5) == ws.metric.d(0, 5)
+    assert ws2.metric.dist[0][5] == ws.metric.dist[0][5]
 
 
 def test_loads_parse_error():
@@ -236,6 +236,8 @@ def test_cli_stdin_that_is_not_utf8_in_a_process():
      "walls[0].left: unknown point None"),
     ({"walls": [{"index": 0, "left": ["a", "z", 7], "right": ["b"]}]},
      "walls[0].left: unknown point 'z'"),
+    # this exited 1, the Wallspace's "ground set must be nonempty"
+    ({"points": [], "walls": []}, "points: [] is not a nonempty list"),
 ])
 def test_cli_malformed_document(tmp_path, doc, where):
     base = {"points": ["a", "b"],
@@ -426,7 +428,7 @@ def test_cli_verify_connected_fails_on_disconnected_dual(tmp_path,
 
     def split(ws, basepoint, vertex_cap):
         cc = build(ws, basepoint, vertex_cap=vertex_cap)
-        for m in (0, cc.engine.fullw):
+        for m in (0, (1 << ws.nwalls()) - 1):
             cc = drop_vertex(cc, m)
         return cc
 
@@ -585,7 +587,8 @@ def test_cli_gen_name_cap_boundary(monkeypatch):
 
 
 def test_cli_gen_unknown():
-    # a parse error that lists the generators there are, in gen and sweep
+    # a parse error that lists the generators there are, cayley among
+    # them, in gen and sweep
     for args in (["gen", "mystery"],
                  ["sweep", "--generator", "mystery", "--ns", "1"]):
         r = run_cli(args)
@@ -593,7 +596,13 @@ def test_cli_gen_unknown():
         assert json.loads(r.stderr) == {
             "error": "ParseError",
             "detail": "unknown generator 'mystery'; use one of fig3, "
-                      "nonHausdorff3, grid, rbad, geomPath"}
+                      "nonHausdorff3, grid, rbad, geomPath, cayley"}
+    # sweep sizes a generator by one N, which cayley does not take
+    r = run_cli(["sweep", "--generator", "cayley", "--ns", "1"])
+    assert r.exit_code == 2 and r.exception is None and r.stdout == ""
+    assert json.loads(r.stderr) == {
+        "error": "ParseError",
+        "detail": "gen cayley takes GROUP RADIUS, e.g. Z2 5"}
 
 
 def test_cli_act(tmp_path):
@@ -911,7 +920,7 @@ def test_cli_survives_any_field_value(command_doc, data):
      "--params.D: -1 is not a non-negative number"),
     (["diagnose", "-", "--property", "linear-separation",
       "--params", '{"max_offset": Infinity}'],
-     "--params.max_offset: inf is not a non-negative number"),
+     "--params.max_offset: inf is not a finite non-negative number"),
     (["gen", "rbad", "0"], "rbad: size 0 is not >= 1"),
     (["gen", "grid", "-1"], "grid: size -1 is not >= 0"),
     (["gen", "geomPath", "-1"], "geomPath: size -1 is not >= 0"),
@@ -941,6 +950,11 @@ def test_cli_survives_any_field_value(command_doc, data):
     # once exit 1, an UnknownPoint
     (["build", "-", "--basepoint", "zz"],
      "--basepoint: 'zz' is not a point of the wallspace"),
+    # each of these once ended in a traceback: a path in no directory,
+    # and a directory
+    (["build", "-", "--export", "no-such-directory/cc.json"],
+     "--export: [Errno 2] No such file or directory"),
+    (["build", "-", "--dot", "."], "--dot: [Errno 21] Is a directory"),
 ])
 def test_cli_malformed_arguments(args, where):
     r = run_cli(args, stdin=run_cli(["gen", "grid", "2"]).stdout)

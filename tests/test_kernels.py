@@ -1,7 +1,7 @@
 """Orientation validity and the 2-SAT enumerator against brute force."""
 
 from conftest import is_valid, oracle_all_vertices, random_wallspace
-from wallcube.complex import DEFAULT_VERTEX_CAP, OrientationEngine
+from wallcube.complex import DEFAULT_VERTEX_CAP, enumerate_valid
 from wallcube.generators import fig3, grid
 from wallcube.wallspace import Wallspace, validate
 
@@ -17,14 +17,13 @@ def cases():
 
 def test_pure_python_matches_oracle():
     for ws in cases():
-        eng = OrientationEngine(ws)
-        mine = [m for m in range(1 << eng.n) if is_valid(eng, m)]
+        mine = [m for m in range(1 << ws.nwalls()) if is_valid(ws, m)]
         assert mine == oracle_all_vertices(ws)
 
 
 def test_enumerate_valid_dispatch():
     ws = grid(2)
-    out = OrientationEngine(ws).enumerate_valid(DEFAULT_VERTEX_CAP)
+    out = enumerate_valid(ws, DEFAULT_VERTEX_CAP)
     assert out == oracle_all_vertices(ws)
     no_walls = Wallspace(["x"], [])
-    assert OrientationEngine(no_walls).enumerate_valid(DEFAULT_VERTEX_CAP) == [0]
+    assert enumerate_valid(no_walls, DEFAULT_VERTEX_CAP) == [0]

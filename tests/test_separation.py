@@ -102,7 +102,7 @@ def test_linear_fit_witnesses_revalidate():
             for y in ws.points:
                 if x >= y:
                     continue
-                d = ws.metric.d(ws.point_index[x], ws.point_index[y])
+                d = ws.metric.dist[ws.point_index[x]][ws.point_index[y]]
                 s = separation_count(ws, x, y)
                 assert s >= float(kappa) * d - eps - 1e-9
 
@@ -163,7 +163,7 @@ def test_ball_ball_revalidates():
                     bj = ws.metric.ball(1 << j, r)
                     sep = any(oracle_separates_sets(ws, w.index, bi, bj)
                               for w in ws.walls)
-                    d = ws.metric.d(i, j)
+                    d = ws.metric.dist[i][j]
                     if rep.verdict == "holds" and d > m:
                         assert sep
                     if [ws.points[i], ws.points[j]] in rep.witnesses:

@@ -215,7 +215,7 @@ def test_point_set_arguments_are_checked_once():
         lambda X: compact_wall_separation(ws, X).to_dict(),
         lambda X: bounded_packing_number(ws, [X, names], 1).to_dict(),
         lambda X: subspace_separation(ws, X, "BallWallNbd", 1).to_dict(),
-        lambda X: induce_hemi(ws, X, InducedVariant("U0")).to_dict(),
+        lambda X: induce_hemi(ws, X, InducedVariant("U0")),
     ]
     for run in entry_points:
         assert run(mask) == run(names)
@@ -239,7 +239,7 @@ def test_from_geometric_walls_path():
     assert set(ws.names_of(w0.left)) in ({"0", "1"}, {"1", "2", "3"})
     assert set(ws.names_of(w0.left | w0.right)) == {"0", "1", "2", "3"}
     assert ws.metric is not None
-    assert ws.metric.d(0, 3) == 3
+    assert ws.metric.dist[0][3] == 3
 
 
 def test_geom_path_matches_geometric_walls():
@@ -303,8 +303,8 @@ def test_subwallspace_metric_restriction():
     # the two vertical walls survive with distinct partitions, the
     # horizontal walls induce vacuous walls and are dropped
     assert [w.index for w in sub.walls] == [0, 1]
-    assert sub.metric.d(0, 2) == ws.metric.d(
-        ws.point_index["0,0"], ws.point_index["2,0"])
+    assert sub.metric.dist[0][2] == \
+        ws.metric.dist[ws.point_index["0,0"]][ws.point_index["2,0"]]
 
 
 def test_value_types_are_immutable_tuples():
