@@ -45,9 +45,9 @@ def _read_doc(path):
     return doc, digest
 
 
-def _write(option, path, text):
+def _write(option, path, text, mode="w"):
     try:
-        with open(path, "w") as f:
+        with open(path, mode) as f:
             f.write(text)
     except OSError as exc:
         raise ParseError(f"{option}: {exc}") from None
@@ -95,6 +95,11 @@ def cmd_build(args):
     if bp not in ws.point_index:
         raise ParseError(f"--basepoint: {bp!r} is not a point of the "
                          "wallspace")
+    # each output is opened to append nothing before the build: a path
+    # that cannot be written exits 2 first, and an existing file is kept
+    for option, path in (("--export", args.export), ("--dot", args.dot)):
+        if path:
+            _write(option, path, "", "a")
     cc = build_dual(ws, bp, vertex_cap=args.cap_vertices)
     if args.export:
         _write("--export", args.export, io.dumps(cc.export_dict()))
@@ -288,11 +293,11 @@ def cmd_act(args):
     # one exits 2 naming the field
     spec = groups.group_from_dict(io.field(doc, "group", "group"))
     radius = io.field(doc, "radius", "radius", io.NATURAL)
-    hws = [_hwall_from_dict(spec, h, i) for i, h in
+    hws = [groups.hwall_from_dict(spec, h, i) for i, h in
            enumerate(io.field(doc, "hwalls", "hwalls", io.LIST, []))]
-    subs = [_subgroup_from_dict(spec, pd, f"peripheries[{k}]") for k, pd in
-            enumerate(io.field(doc, "peripheries", "peripheries", io.LIST,
-                               []))]
+    subs = [groups.subgroup_from_dict(spec, pd, f"peripheries[{k}]")
+            for k, pd in enumerate(io.field(doc, "peripheries", "peripheries",
+                                            io.LIST, []))]
     v = io.field(doc, "variant", "variant", io.OBJECT, {})
     kind = io.field(v, "kind", "variant.kind",
                     (lambda x: isinstance(x, str), "a string"), "U0")
@@ -304,10 +309,10 @@ def cmd_act(args):
         raise ParseError(f"variant.{exc}") from None
     m = io.field(doc, "m", "m", io.NATURAL, None)
     ball = groups.cayley_ball(spec, radius)
-    ws, meta = groups.generate_hwall_system(ball, hws)
+    ws, reports = groups.generate_hwall_system(ball, hws)
     payload = {
         "wallspace": io.wallspace_to_dict(ws),
-        "hwall_reports": meta.reports,
+        "hwall_reports": reports,
     }
     # the limits this command checks
     caps = {"points": MAX_POINTS, "names": io.MAX_NAMES,
@@ -319,52 +324,6 @@ def cmd_act(args):
         payload["decomposition"] = rep.to_dict()
         caps["vertices"] = DEFAULT_VERTEX_CAP
     _emit(payload, caps=caps, digest=digest)
-
-
-def _subgroup_from_dict(spec, d, path):
-    from . import groups
-
-    # a coordinate subgroup is one of ℤᵈ only
-    kinds = ("coordinate", "cyclic", "factor")[spec.kind != "FreeAbelian":]
-    kind = io.field(d, "kind", f"{path}.kind", io.one_of(*kinds))
-    if kind == "coordinate":
-        axis, axes = _axis(spec.d, "axes")
-        return groups.CoordinateSubgroup(spec, io.field(
-            d, "coords", f"{path}.coords", (
-                lambda x: isinstance(x, list) and all(map(axis, x)),
-                "a list of " + axes)))
-    if kind == "cyclic":
-        word = io.field(d, "word", f"{path}.word")
-        try:
-            return groups.CyclicSubgroup(spec, word)
-        except WallcubeError as exc:
-            raise ParseError(f"{path}.word: {exc}") from None
-    return groups.FreeFactorSubgroup(spec, io.field(
-        d, "factor", f"{path}.factor",
-        _axis(len(getattr(spec, "factors", ())), "a factor position")))
-
-
-def _hwall_from_dict(spec, d, i):
-    from . import groups
-
-    path = f"hwalls[{i}]"
-    sub = _subgroup_from_dict(
-        spec, io.field(d, "subgroup", f"{path}.subgroup"), f"{path}.subgroup")
-    rule = io.field(d, "rule", f"{path}.rule",
-                    io.one_of("branch", "coordinate"))
-    # the branch rule strips powers of a free generator, the coordinate
-    # rule reads one coordinate of a free abelian element
-    letters = list(getattr(spec, "letters", ""))
-    axis = io.field(d, "axis", f"{path}.axis", (
-        lambda x: x in letters, f"one of the generator letters {letters}")
-        if rule == "branch" else _axis(getattr(spec, "d", 0), "an axis"))
-    return groups.HWallSpec(sub, rule, axis=axis, index=i)
-
-
-def _axis(count, what):
-    """The kind of an integer (not a bool) in range(count), `what`."""
-    return (lambda k: io.INT[0](k) and 0 <= k < count,
-            f"{what} in range({count})")
 
 
 def cmd_sweep(args):

@@ -29,7 +29,7 @@ from .wallspace import MAX_POINTS, Report, Wall, Wallspace
 TRUNCATION_CAVEAT = ("all conclusions are radius-limited: computed on a "
                      "finite ball of an infinite group")
 
-# group products an H-wall system may take (see generate_hwall_system)
+# per-point work an H-wall system may take (see generate_hwall_system)
 MAX_PRODUCTS = 1 << 22
 
 
@@ -181,6 +181,56 @@ def group_from_dict(d, path="group"):
         raise ParseError(f"{path}.{key}: {exc}") from None
 
 
+def subgroup_from_dict(spec, d, path):
+    """The subgroup of `spec` a document names, read like a group spec."""
+    # a coordinate subgroup is one of ℤᵈ only
+    kinds = ("coordinate", "cyclic", "factor")[spec.kind != "FreeAbelian":]
+    kind = field(d, "kind", f"{path}.kind", one_of(*kinds))
+    if kind == "coordinate":
+        axis, axes = _axis(spec.d, "axes")
+        return CoordinateSubgroup(spec, field(
+            d, "coords", f"{path}.coords", (
+                lambda x: isinstance(x, list) and all(map(axis, x)),
+                "a list of " + axes)))
+    if kind == "cyclic":
+        word = field(d, "word", f"{path}.word")
+        try:
+            return CyclicSubgroup(spec, word)
+        except WallcubeError as exc:
+            raise ParseError(f"{path}.word: {exc}") from None
+    return FreeFactorSubgroup(spec, field(
+        d, "factor", f"{path}.factor",
+        _axis(len(getattr(spec, "factors", ())), "a factor position")))
+
+
+# the group kind each rule reads: the coordinate rule one coordinate of a
+# free abelian element, the branch rule powers of a free generator
+RULE_GROUP = {"branch": "Free", "coordinate": "FreeAbelian"}
+
+
+def hwall_from_dict(spec, d, i):
+    """The H-wall `hwalls[i]` of an `act` spec on `spec`, read like a group
+    spec: its subgroup, then its rule, then its axis."""
+    path = f"hwalls[{i}]"
+    sub = subgroup_from_dict(
+        spec, field(d, "subgroup", f"{path}.subgroup"), f"{path}.subgroup")
+    rule = field(d, "rule", f"{path}.rule", one_of(*RULE_GROUP))
+    if spec.kind != RULE_GROUP[rule]:
+        raise ParseError(f"{path}.rule: {rule!r} is a rule of "
+                         f"{RULE_GROUP[rule]} groups, not of {spec.kind}")
+    letters = list(getattr(spec, "letters", ""))
+    axis = field(d, "axis", f"{path}.axis", (
+        lambda x: x in letters, f"one of the generator letters {letters}")
+        if rule == "branch" else _axis(spec.d, "an axis"))
+    return HWallSpec(sub, rule, axis=axis, index=i)
+
+
+def _axis(count, what):
+    """The kind of an integer (not a bool) in range(count), `what`."""
+    return (lambda k: INT[0](k) and 0 <= k < count,
+            f"{what} in range({count})")
+
+
 # -- Cayley balls ------------------------------------------------------
 
 
@@ -299,14 +349,20 @@ class FreeFactorSubgroup:
 
 
 class HWallSpec:
-    """A subgroup plus an assignment rule deciding sides on the full group.
+    """A subgroup H plus a rule deciding sides on the full group.
 
     Rules:
       "coordinate" (FreeAbelian, axis k): U = {x_k <= 0}, V = {x_k >= 0};
           carrier = the coordinate hyperplane x_k = 0.
-      "branch" (Free(2), H = <letter>): after stripping the leading power of
-          the axis letter, words whose next letter is the other generator go
-          to U, its inverse to V; the axis itself is the carrier.
+      "branch" (Free(r), any rank r, on a letter a): after stripping the
+          leading power of a, words whose next letter is lowercase go to U,
+          uppercase to V; the axis <a> itself is the carrier.
+
+    A rule meets this contract, on which `generate_hwall_system` rests: its
+    carrier C = {y : y on both sides} is the stabiliser of its sides;
+    `key(t)` names t's coset tC; and `side(key, x)` is the side of t⁻¹x
+    for every t of that key, read with no group product.  The tests hold
+    the product definition, the side of t⁻¹x for each t, as its oracle.
     """
 
     def __init__(self, subgroup, rule, axis=None, index=None):
@@ -314,20 +370,24 @@ class HWallSpec:
         self.rule = rule
         self.axis = axis
         self.index = index
-        if rule not in ("coordinate", "branch"):
+        if rule not in RULE_GROUP:
             raise UnknownGenerator(rule)
 
-    def side(self, g):
-        """'L' (left only), 'R' (right only) or 'B' (both) for a full-group
-        element."""
+    def side(self, key, x):
+        """'L' (left only), 'R' (right only) or 'B' (both): the side of t⁻¹x
+        for every t of the `key`, with no product.  Coordinate: t⁻¹x has
+        axis coordinate x_k − key.  Branch: the key s is t less its trailing
+        powers of a, so t⁻¹x = a^j·s⁻¹x, on the same side.  If x = s·y, then
+        s⁻¹x = y.  Otherwise x shares only s[:p], p < |s|, with s, so
+        s⁻¹x = s[p:]⁻¹·x[p:] is reduced and starts with the inverse of s's
+        last letter, no power of a: s⁻¹x is on the left iff that last letter
+        is uppercase."""
         if self.rule == "coordinate":
-            x = g[self.axis]
-            if x == 0:
-                return "B"
-            return "L" if x < 0 else "R"
-        # branch rule on a free group
-        axis = self.axis  # the subgroup's letter, e.g. "a"
-        rest = g.lstrip(axis + axis.upper())
+            c = x[self.axis] - key
+            return "B" if c == 0 else "L" if c < 0 else "R"
+        if not x.startswith(key):
+            return "L" if key[-1].isupper() else "R"
+        rest = x[len(key):].lstrip(self.axis + self.axis.upper())
         if not rest:
             return "B"
         return "L" if rest[0].islower() else "R"
@@ -376,13 +436,12 @@ _IN_LEFT = str.maketrans("LRB", "101")
 _IN_RIGHT = str.maketrans("LRB", "011")
 
 
-def _translate(ball, hw, t):
-    """The halfspace masks (U, V) of the H-wall's translate by t, truncated
-    to the ball: x lies in tU when t⁻¹x is on the left of hw or on both
-    sides, in tV when it is on the right or on both.  Point i is bit i of
-    each mask, hence the reversed side string."""
-    sides = "".join(map(hw.side, map(ball.spec.mul, repeat(ball.spec.inv(t)),
-                                     ball.elements)))[::-1]
+def _translate(ball, hw, key):
+    """The halfspace masks (U, V) of the H-wall's translate by any t of the
+    `key`, truncated to the ball: x lies in tU when t⁻¹x is on the left of
+    hw or on both sides, in tV when it is on the right or on both.  Point i
+    is bit i of each mask, hence the reversed side string."""
+    sides = "".join(map(hw.side, repeat(key), ball.elements))[::-1]
     return int(sides.translate(_IN_LEFT), 2), \
         int(sides.translate(_IN_RIGHT), 2)
 
@@ -418,43 +477,37 @@ def _orbit_count(images, indices):
 
 def generate_hwall_system(ball, hwall_specs):
     """Wallspace on the ball with all ball-translates of the given H-walls,
-    truncated to the ball, and its bookkeeping, a Report.
+    truncated to the ball, and the `_hwall_report` dict of each H-wall
+    itself, the translate by the identity.
 
-    A rule's carrier C = {y : side(y) = "B"}, {y_k = 0} or <axis>, is the
-    stabiliser of `side`, so the translate tW has carrier tC and depends
-    only on t's `key`, its coset tC: one wall is built per (spec, key),
-    from the first t of the key in ball order (W itself for the identity).
-    Keys of ball elements have disjoint carriers, each holding its own t,
-    so their truncated translates differ.  A translate, and the ball's
-    image under each element of H ∩ ball but 1 (the report's checks share
-    them), takes a product per point:
-    StateSpaceCap is raised at the first spec that takes that count past
-    MAX_PRODUCTS, before any translate or image.
-
-    The bookkeeping holds `wall_info` (index -> (spec position, ball index
-    of t)) and `reports` (the `_hwall_report` of each H-wall itself, the
-    translate by the identity, as a dict).
+    A rule's carrier C is the stabiliser of its sides, so the translate tW
+    has carrier tC and depends only on t's `key`, its coset tC: one wall is
+    built per (spec, key), in ball order of each key's first t.  Keys of
+    ball elements have disjoint carriers, each holding its own t, so their
+    truncated translates differ.  A translate reads a side per point, and
+    the ball's image under each element of H ∩ ball but 1 (the report's
+    checks share them) takes a product per point: StateSpaceCap is raised
+    at the first spec that takes that count past MAX_PRODUCTS, before any
+    translate or image.
     """
-    wall_of, wall_info, hmembers = {}, {}, []
+    wall_of, hmembers = {}, []
     for pos, hw in enumerate(hwall_specs):
-        for i, t in enumerate(ball.elements):
-            idx = wall_of.setdefault((pos, hw.key(t)), len(wall_of))
-            wall_info.setdefault(idx, (pos, i))
+        for t in ball.elements:
+            wall_of.setdefault((pos, hw.key(t)), len(wall_of))
         hmembers.append(_h_members(ball, hw.subgroup))
         products = (len(wall_of) + sum(map(len, hmembers))) * \
             len(ball.elements)
         if products > MAX_PRODUCTS:
             raise StateSpaceCap(f"H-wall system needs at least {products} "
                                 f"group products, exceeds cap {MAX_PRODUCTS}")
-    walls = [Wall(idx, *_translate(ball, hwall_specs[pos], ball.elements[i]))
-             for idx, (pos, i) in wall_info.items()]
+    walls = [Wall(idx, *_translate(ball, hwall_specs[pos], key))
+             for (pos, key), idx in wall_of.items()]
     one = ball.elements[0]
     reports = [
         _hwall_report(ball, *walls[wall_of[pos, hw.key(one)]].halfspaces(),
                       hm).to_dict()
         for pos, (hw, hm) in enumerate(zip(hwall_specs, hmembers))]
-    ws = Wallspace(ball.names, walls, metric=ball.metric)
-    return ws, Report(wall_info=wall_info, reports=reports)
+    return Wallspace(ball.names, walls, metric=ball.metric), reports
 
 
 # -- relative cocompactness -------------------------------------------

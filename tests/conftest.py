@@ -57,7 +57,7 @@ from wallcube.errors import (
     StuckLoop,
     WallcubeError,
 )
-from wallcube.groups import TRUNCATION_CAVEAT, _translate
+from wallcube.groups import TRUNCATION_CAVEAT
 from wallcube.hemi import induce_hemi
 from wallcube.metric import INF, Metric, _dijkstra, bits, components, compress
 from wallcube.separation import (
@@ -762,13 +762,45 @@ def oracle_ball_metric(ball):
     return dist
 
 
+def oracle_side(hw, g):
+    """'L' (left only), 'R' (right only) or 'B' (both) for a full-group
+    element g, by the H-wall's rule: the sign of g's axis coordinate, or,
+    after the leading power of the axis letter is stripped, the case of
+    g's next letter."""
+    if hw.rule == "coordinate":
+        x = g[hw.axis]
+        if x == 0:
+            return "B"
+        return "L" if x < 0 else "R"
+    # branch rule on a free group
+    axis = hw.axis  # the subgroup's letter, e.g. "a"
+    rest = g.lstrip(axis + axis.upper())
+    if not rest:
+        return "B"
+    return "L" if rest[0].islower() else "R"
+
+
+def oracle_translate(ball, hw, t):
+    """The halfspace masks (U, V) of the H-wall's translate by t, truncated
+    to the ball, from the definition: point x is in tU when t⁻¹x is on the
+    left of hw or on both sides, in tV when it is on the right or on both,
+    one product per point."""
+    spec = ball.spec
+    u = v = 0
+    for i, x in enumerate(ball.elements):
+        side = oracle_side(hw, spec.mul(spec.inv(t), x))
+        u |= (side != "R") << i
+        v |= (side != "L") << i
+    return u, v
+
+
 def oracle_build_hwall(ball, hw):
     """The H-wall (its translate by the identity) and its conformance
     Report, as the library built them when it multiplied each element of
     H ∩ ball by the ball points once per check: the invariance scan, each
     orbit count and the side-swap test."""
     spec = ball.spec
-    u, v = _translate(ball, hw, spec.identity())
+    u, v = oracle_translate(ball, hw, spec.identity())
     hmembers = [g for g in ball.elements
                 if hw.subgroup.contains(g) and g != spec.identity()]
     violations = []
@@ -855,22 +887,17 @@ class CountingSpec:
 def oracle_generate_hwall_system(ball, hwall_specs):
     """`generate_hwall_system` as it translated each H-wall by every ball
     element and merged equal translates by (halfspace pair, spec
-    position): `wall_info` maps index -> (spec position, name of the first
-    element of the translate)."""
-    spec = ball.spec
-    meta = Report(wall_info={}, reports=[])
-    walls, seen = [], set()
+    position), with the report of each H-wall itself."""
+    walls, seen, reports = [], set(), []
     for pos, hw in enumerate(hwall_specs):
-        _w, rep = oracle_build_hwall(ball, hw)
-        meta.reports.append(rep.to_dict())
+        reports.append(oracle_build_hwall(ball, hw)[1].to_dict())
         for g in ball.elements:
-            gu, gv = _translate(ball, hw, g)
+            gu, gv = oracle_translate(ball, hw, g)
             key = (frozenset((gu, gv)), pos)
             if key not in seen:
                 seen.add(key)
-                meta.wall_info[len(walls)] = (pos, spec.name(g))
                 walls.append(Wall(len(walls), gu, gv))
-    return Wallspace(ball.names, walls, metric=ball.metric), meta
+    return Wallspace(ball.names, walls, metric=ball.metric), reports
 
 
 def oracle_rel_cocompact_check(ws, cc, peripheries, variant, m=None):

@@ -19,6 +19,8 @@ from conftest import (
     oracle_generate_hwall_system,
     oracle_point_map,
     oracle_rel_cocompact_check,
+    oracle_side,
+    oracle_translate,
     random_wallspace,
     wall_region,
 )
@@ -40,6 +42,7 @@ from wallcube.groups import (
     rel_cocompact_check,
 )
 from wallcube.hemi import InducedVariant, induce_hemi
+from wallcube.metric import bits
 from wallcube.wallspace import transverse, validate
 
 Z2 = FreeAbelian(2)
@@ -48,6 +51,7 @@ F2 = Free(2)
 
 Z2_HWALLS = [HWallSpec(CoordinateSubgroup(Z2, [1]), "coordinate", axis=0),
              HWallSpec(CoordinateSubgroup(Z2, [0]), "coordinate", axis=1)]
+F2_HWALLS = [HWallSpec(CyclicSubgroup(F2, "a"), "branch", axis="a")]
 
 
 def z2_system(radius=3):
@@ -57,8 +61,7 @@ def z2_system(radius=3):
 
 def f2_system(radius=3):
     ball = cayley_ball(F2, radius)
-    hw = [HWallSpec(CyclicSubgroup(F2, "a"), "branch", axis="a")]
-    return ball, generate_hwall_system(ball, hw)
+    return ball, generate_hwall_system(ball, F2_HWALLS)
 
 
 # -- groups ------------------------------------------------------------
@@ -220,26 +223,26 @@ def test_group_layer_work_counts(spec, radius, hws):
     ball = cayley_ball(spec, radius)
     n = len(ball.elements)
     assert spec.products <= n * len(spec.generators())
-    hsizes = [sum(map(hw.subgroup.contains, ball.elements)) - 1
-              for hw in hws]
+    # per spec: one translate per key, read off the key with no product;
+    # the invariance check, the carrier and frontier orbit counts and the
+    # side-swap test share one image of the ball per H-member in it, one
+    # product per point; cyclic membership of a point costs 2(r + 1), and
+    # coordinate membership none
+    checks = sum(sum(map(hw.subgroup.contains, ball.elements)) - 1
+                 + 2 * (radius + 1) * isinstance(hw.subgroup, CyclicSubgroup)
+                 for hw in hws)
     keys = sum(len(set(map(hw.key, ball.elements))) for hw in hws)
     spec.products = 0
-    ws, _meta = generate_hwall_system(ball, hws)
-    # per spec: one translate per key, with one product per point, the
-    # identity's among them; the invariance check, the carrier and
-    # frontier orbit counts and the side-swap test share one image of the
-    # ball per H-member in it, one product per point; cyclic membership of
-    # a point costs 2(r + 1)
-    checks = sum(h + 2 * (radius + 1) for h in hsizes)
+    ws, _reports = generate_hwall_system(ball, hws)
     assert ws.nwalls() == keys
-    assert spec.products <= (keys + checks) * n
+    assert spec.products <= checks * n
 
 
 def test_hwall_system_stops_at_the_product_cap(monkeypatch):
     # two H-walls on the 25-point ball, each with 7 keys and 6 members but
     # the identity: 2 · (7 + 6) · 25 = 650 products, counted before any
     # translate or image is built
-    ball, (ws, _meta) = z2_system(3)
+    ball, (ws, _reports) = z2_system(3)
     monkeypatch.setattr(groups, "MAX_PRODUCTS", 650)
     assert generate_hwall_system(ball, Z2_HWALLS)[0].walls == ws.walls
 
@@ -290,19 +293,17 @@ def hwall_specs(draw, spec):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_keyed_hwall_system_matches_a_translate_per_element(data):
-    # the walls and their bookkeeping equal those of the loop over every
-    # ball element merged by halfspace pair
+    # the walls and reports equal those of the loop over every ball
+    # element, a product per point, merged by halfspace pair
     spec, max_radius = data.draw(st.sampled_from(KEYED_GROUPS))
     ball = cayley_ball(spec, data.draw(st.integers(0, max_radius)))
     hws = data.draw(st.lists(hwall_specs(spec), min_size=1, max_size=3))
-    ws, meta = generate_hwall_system(ball, hws)
-    ows, ometa = oracle_generate_hwall_system(ball, hws)
+    ws, reports = generate_hwall_system(ball, hws)
+    ows, oreports = oracle_generate_hwall_system(ball, hws)
     assert ws.walls == ows.walls
-    assert {i: (pos, ball.names[t]) for i, (pos, t) in
-            meta.wall_info.items()} == ometa.wall_info
-    assert meta.reports == ometa.reports
+    assert reports == oreports
     # a side-swapper of H is an invariance violation
-    assert all(r["invariance_violations"] for r in meta.reports
+    assert all(r["invariance_violations"] for r in reports
                if r["hdotdot_status"] == "violated")
 
 
@@ -311,14 +312,17 @@ def test_keyed_hwall_system_matches_a_translate_per_element(data):
 def test_hwall_key_names_the_coset_of_the_carrier(data):
     # key(s) == key(t) ⟺ s⁻¹t ∈ C = {y : side(y) = "B"} ⟺ the two
     # translates are equal: a rule whose carrier is not the stabiliser of
-    # its sides fails here, and does not merge distinct walls
+    # its sides fails here, and does not merge distinct walls; and the
+    # translate read off the key is the one by its definition
     spec, max_radius = data.draw(st.sampled_from(KEYED_GROUPS))
     rule, axis = data.draw(st.sampled_from(rules(spec)))
     hw = HWallSpec(None, rule, axis=axis)
     ball = cayley_ball(spec, data.draw(st.integers(0, max_radius)))
-    translates = [groups._translate(ball, hw, t) for t in ball.elements]
+    translates = [oracle_translate(ball, hw, t) for t in ball.elements]
+    for t, tt in zip(ball.elements, translates):
+        assert groups._translate(ball, hw, hw.key(t)) == tt
     for (s, ts), (t, tt) in combinations(zip(ball.elements, translates), 2):
-        in_carrier = hw.side(spec.mul(spec.inv(s), t)) == "B"
+        in_carrier = oracle_side(hw, spec.mul(spec.inv(s), t)) == "B"
         assert (hw.key(s) == hw.key(t)) == in_carrier == (ts == tt)
 
 
@@ -328,8 +332,8 @@ def test_hwall_key_names_the_coset_of_the_carrier(data):
 def hwall(ball, hw):
     """The H-wall itself, the translate by the identity (wall 0), and its
     report, as `generate_hwall_system` builds them for the one spec."""
-    ws, meta = generate_hwall_system(ball, [hw])
-    return ws.walls[0], meta.reports[0]
+    ws, reports = generate_hwall_system(ball, [hw])
+    return ws.walls[0], reports[0]
 
 
 def test_build_hwall_z2():
@@ -416,11 +420,17 @@ def test_hwall_rules_put_the_identity_on_both_sides():
                         axis=letter)
               for rank in (1, 2, 3) for letter in Free(rank).letters]
     for hw in specs:
-        assert hw.side(hw.subgroup.spec.identity()) == "B"
-    for (ball, (ws, meta)), hws in ((z2_system(), 2), (f2_system(), 1)):
-        assert len(meta.reports) == hws
-        for w in ws.walls:
-            _pos, i = meta.wall_info[w.index]
+        assert oracle_side(hw, hw.subgroup.spec.identity()) == "B"
+    for (ball, (ws, reports)), hws in ((z2_system(), Z2_HWALLS),
+                                       (f2_system(), F2_HWALLS)):
+        assert len(reports) == len(hws)
+        # the ball index of each key's first t, one per wall, in wall order
+        first = {}
+        for pos, hw in enumerate(hws):
+            for i, t in enumerate(ball.elements):
+                first.setdefault((pos, hw.key(t)), i)
+        assert len(first) == ws.nwalls()
+        for w, i in zip(ws.walls, first.values()):
             assert w.carrier() >> i & 1
 
 
@@ -432,12 +442,17 @@ def test_generated_systems_validate():
 
 def test_z2_translate_transversality():
     # walls in the same direction are nested, orthogonal ones transverse
-    ball, (ws, meta) = z2_system(3)
+    ball, (ws, _reports) = z2_system(3)
     by_pos = {}
     offset = {}
-    for idx, (pos, i) in meta.wall_info.items():
-        by_pos.setdefault(pos, []).append(idx)
-        offset[idx] = ball.elements[i][pos]
+    for w in ws.walls:
+        # the wall x_k = c: its carrier's points share x_k = c, and its
+        # left side is {x_k <= c}
+        g = ball.elements[bits(w.carrier())[0]]
+        (pos, offset[w.index]), = [
+            (k, g[k]) for k in range(2)
+            if w.left == ball.mask_of(lambda x: x[k] <= g[k])]
+        by_pos.setdefault(pos, []).append(w.index)
     for pos, idxs in by_pos.items():
         for a, b in combinations(idxs, 2):
             assert not transverse(ws, a, b)

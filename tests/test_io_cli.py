@@ -343,6 +343,40 @@ def test_cli_build_cap_exit(tmp_path):
     assert r.exit_code == 3
 
 
+def test_cli_build_cap_exit_leaves_the_outputs(tmp_path):
+    # a build stopped at the vertex cap leaves an existing output as it
+    # was, and a new one empty
+    gen = run_cli(["gen", "grid", "3"])
+    path = write(tmp_path, "grid3.json", gen.stdout)
+    export = write(tmp_path, "cc.json", "old")
+    dot = tmp_path / "cc.dot"
+    r = run_cli(["build", path, "--cap-vertices", "2", "--export", export,
+                 "--dot", str(dot)])
+    assert r.exit_code == 3
+    assert open(export).read() == "old" and dot.read_text() == ""
+
+
+@pytest.mark.parametrize("option, bad", [
+    ("--export", "no-such-directory/cc.json"), ("--dot", ".")],
+    ids=["export", "dot"])
+def test_cli_build_checks_its_outputs_before_the_dual(tmp_path, monkeypatch,
+                                                       option, bad):
+    # a path that cannot be written exits 2 before any work, and an
+    # existing output it would have written is left unchanged
+    def not_built(*args, **kwargs):
+        raise AssertionError("the dual was built")
+
+    monkeypatch.setattr(complex_module, "build_dual", not_built)
+    export = write(tmp_path, "cc.json", "old")
+    other = {"--export": ["--dot", str(tmp_path / "cc.dot")],
+             "--dot": ["--export", export]}[option]
+    r = run_cli(["build", "-", option, bad] + other,
+                stdin=run_cli(["gen", "grid", "2"]).stdout)
+    assert r.exit_code == 2 and r.exception is None and r.stdout == ""
+    assert json.loads(r.stderr)["detail"].startswith(f"{option}: [Errno ")
+    assert open(export).read() == "old"
+
+
 def test_cli_build_stdin():
     gen = run_cli(["gen", "fig3"])
     r = run_cli(["build", "-"], stdin=gen.stdout)
@@ -512,9 +546,12 @@ def test_cli_gen_grid_40():
 
 
 def test_cli_gen_cayley_sizes_the_wall_cap_to_the_system():
-    # 729 walls once exceeded a fixed cap of 256
+    # 729 walls once exceeded a fixed cap of 256; the digest was recorded
+    # from the translates that took a product per point
     r = run_cli(["gen", "cayley", "F2", "6"])
     assert r.exit_code == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == \
+        "b39e1ace1e8482c72031f5ca519592b46444421c6ff9f7ec0a5979a87cebbba9"
     doc = json.loads(r.stdout)
     assert doc["caps"] == {"points": wallspace_module.MAX_POINTS,
                            "names": io.MAX_NAMES,
@@ -785,6 +822,31 @@ def test_cli_act_bad_hwall_axis(tmp_path, spec, where):
     assert r.exit_code == 2 and r.stdout == ""
     err = json.loads(r.stderr)
     assert err["error"] == "ParseError" and where in err["detail"]
+
+
+@pytest.mark.parametrize("spec, where", [
+    ({**F2_ACT, "hwalls": [{"subgroup": {"kind": "cyclic", "word": "a"},
+                            "rule": "coordinate", "axis": 0}]},
+     "hwalls[0].rule: 'coordinate' is a rule of FreeAbelian groups, not of "
+     "Free"),
+    (act_spec(group={"kind": "FreeProduct", "factors": [
+        {"kind": "FreeAbelian", "d": 2}, F1]}, hwalls=[
+            {"subgroup": {"kind": "factor", "factor": 0},
+             "rule": "coordinate", "axis": 0}], peripheries=None),
+     "hwalls[0].rule: 'coordinate' is a rule of FreeAbelian groups, not of "
+     "FreeProduct"),
+    (act_spec(hwalls=[{"subgroup": {"kind": "coordinate", "coords": [1]},
+                       "rule": "branch", "axis": "a"}]),
+     "hwalls[0].rule: 'branch' is a rule of Free groups, not of "
+     "FreeAbelian"),
+], ids=["coordinate on F2", "coordinate on Z2*Z", "branch on Z2"])
+def test_cli_act_rule_the_group_does_not_take(tmp_path, spec, where):
+    # each once blamed the axis: `hwalls[0].axis: 0 is not an axis in
+    # range(0)`, or the generator letters of a group that has none
+    path = write(tmp_path, "act.json", json.dumps(spec))
+    r = run_cli(["act", path])
+    assert r.exit_code == 2 and r.stdout == ""
+    assert json.loads(r.stderr) == {"error": "ParseError", "detail": where}
 
 
 COORD_HWALL = {"subgroup": {"kind": "coordinate", "coords": [1]},
@@ -1119,12 +1181,17 @@ GROUP_OUTPUT_RECORDED = [
      "dc2f9df2575cd114503f9389b199ce84901e844a3805de81859c07c3ee01dbba"),
     (["act"], cold_act_spec({"kind": "Ur", "r": 1}),
      "d822c5d76cd77fba05bb3e9aaea92864063f472b1439c9180081f0c9fb9f8652"),
+    # recorded from the translates that took a product per point: a branch
+    # H-wall of F3 sends a word that does not extend the key, by either of
+    # its two other letters, to one side
+    (["gen", "cayley", "F3", "3"], None,
+     "f91ce24e87309a0850ae6df22115f673efdcbfa527220575e55dc54209bca73a"),
 ]
 
 
 @pytest.mark.parametrize("args, spec, digest", GROUP_OUTPUT_RECORDED,
                          ids=["cayley Z2 5", "cayley F2 4", "act U0",
-                              "act Ur"])
+                              "act Ur", "cayley F3 3"])
 def test_cli_group_output_recorded(tmp_path, args, spec, digest):
     if spec is not None:
         args = args + [write(tmp_path, "act.json", json.dumps(spec))]
