@@ -24,7 +24,6 @@ from .wallspace import (
     Wallspace,
     max_transverse_families,
     separation_count,
-    transverse,
     validate,
 )
 

@@ -12,10 +12,13 @@ when two opposite (n-1)-faces are (see `_complete_skeleton`).
 Orientations are int bitmasks over wall positions: bit 0 means the wall's
 `left` halfspace is chosen, bit 1 means `right`.  Validity is a 2-SAT
 instance, one boolean per wall and one 2-clause per disjoint pair of
-halfspaces, so all valid orientations are enumerated by one search whose
-work is bounded by its output (see `enumerate_valid`), the only vertex
-finder: `build_dual` reads its vertices from it too.  A complex is its
-wallspace and its cells (see `CubeComplex`).
+halfspaces, read off the wallspace's conflict tables
+(`wallspace.conflict_tables`, which `max_transverse_families` reads too), so
+all valid orientations are enumerated by one search whose work is bounded
+by its output (see `enumerate_valid`), the only vertex finder: `build_dual`
+reads its vertices from it too.  A complex is its wallspace and its cells
+(see `CubeComplex`), and a `Cube` returned to callers is one cell, the pair
+(base, wall mask).
 """
 
 from collections import deque, namedtuple
@@ -29,22 +32,9 @@ from .errors import (
     WallcubeError,
 )
 from .metric import bits, flags
-from .wallspace import Report, separation_index, validate
+from .wallspace import Report, conflict_tables, separation_index, validate
 
 DEFAULT_VERTEX_CAP = 1 << 20
-
-
-def conflict_tables(ws):
-    """conf[s][t][i] = bitmask of walls j whose side-t halfspace is disjoint
-    from the side-s halfspace of wall i (side 0 left, 1 right).
-
-    j = i is included, so an empty halfspace conflicts with itself, which is
-    exactly the rule that bans orienting a vacuous wall to its empty side.
-    Built once per wallspace, through `ws.derived`.
-    """
-    sides = ([w.left for w in ws.walls], [w.right for w in ws.walls])
-    return [[[sum(1 << j for j, h2 in enumerate(sides[t]) if not h & h2)
-              for h in sides[s]] for t in range(2)] for s in range(2)]
 
 
 def enumerate_valid(ws, cap):
@@ -121,25 +111,25 @@ def _corners(base, wmask):
             return
 
 
-class Cube(namedtuple("Cube", "base walls")):
+class Cube(namedtuple("Cube", "base mask")):
     """A cube of the dual complex, as returned to callers.
 
-    `walls` are the positions of its independent walls, a frozenset;
+    `mask` is the bitmask of the positions of its independent walls;
     `base` is the corner orientation with every independent wall on its
     left side (those bits cleared).  The 2^dim corners are base | (any
-    subset of the wall bits).
+    submask of `mask`).
     """
 
     __slots__ = ()
 
     @property
     def dim(self):
-        return len(self.walls)
+        return self.mask.bit_count()
 
     @property
-    def mask(self):
-        """The wall positions as a bitmask."""
-        return sum(map((1).__lshift__, self.walls))
+    def walls(self):
+        """The positions of its independent walls, ascending."""
+        return bits(self.mask)
 
     def corners(self):
         return _corners(self.base, self.mask)
@@ -350,8 +340,7 @@ def canonical_cube(ws, x):
     """
     index = separation_index(ws)
     pos = ws.point_pos(x)
-    return Cube(index.point[pos][1] | index.empty_left,
-                frozenset(bits(index.betwixt[pos])))
+    return Cube(index.point[pos][1] | index.empty_left, index.betwixt[pos])
 
 
 def cube_distance(cc, a, b):
@@ -382,7 +371,6 @@ def maximal_cubes(cc):
     out = []
     for wmask, bases in sorted(cells.items(),
                                key=lambda item: item[0].bit_count()):
-        walls = frozenset(bits(wmask))
         for b in bases:
             free = link[b] & ~wmask
             while free:
@@ -391,7 +379,7 @@ def maximal_cubes(cc):
                     break
                 free ^= bit
             else:
-                out.append(Cube(b, walls))
+                out.append(Cube(b, wmask))
     return out
 
 

@@ -14,14 +14,6 @@ class UnknownPoint(WallcubeError):
     pass
 
 
-class IndexOutOfRange(WallcubeError):
-    pass
-
-
-class SameWall(WallcubeError):
-    pass
-
-
 class MetricRequired(WallcubeError):
     """Raised when a metric-dependent operation runs on a metric-less wallspace."""
 

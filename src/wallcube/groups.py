@@ -183,9 +183,7 @@ def group_from_dict(d, path="group"):
 
 def subgroup_from_dict(spec, d, path):
     """The subgroup of `spec` a document names, read like a group spec."""
-    # a coordinate subgroup is one of ℤᵈ only
-    kinds = ("coordinate", "cyclic", "factor")[spec.kind != "FreeAbelian":]
-    kind = field(d, "kind", f"{path}.kind", one_of(*kinds))
+    kind = _kind_for(spec, d, "kind", path, SUBGROUP_GROUP, "subgroup")
     if kind == "coordinate":
         axis, axes = _axis(spec.d, "axes")
         return CoordinateSubgroup(spec, field(
@@ -200,12 +198,25 @@ def subgroup_from_dict(spec, d, path):
             raise ParseError(f"{path}.word: {exc}") from None
     return FreeFactorSubgroup(spec, field(
         d, "factor", f"{path}.factor",
-        _axis(len(getattr(spec, "factors", ())), "a factor position")))
+        _axis(len(spec.factors), "a factor position")))
 
 
-# the group kind each rule reads: the coordinate rule one coordinate of a
-# free abelian element, the branch rule powers of a free generator
+# the group kind each subgroup kind is a subgroup of, and the one each rule
+# reads: the coordinate rule one coordinate of a free abelian element, the
+# branch rule powers of a free generator
+SUBGROUP_GROUP = {"coordinate": "FreeAbelian", "cyclic": "Free",
+                  "factor": "FreeProduct"}
 RULE_GROUP = {"branch": "Free", "coordinate": "FreeAbelian"}
+
+
+def _kind_for(spec, d, key, path, groups, what):
+    """The field `key` of d, one of the kinds `groups` maps to a group
+    kind, which must be spec's: a ParseError naming `path.key` otherwise."""
+    kind = field(d, key, f"{path}.{key}", one_of(*groups))
+    if spec.kind != groups[kind]:
+        raise ParseError(f"{path}.{key}: {kind!r} is a {what} of "
+                         f"{groups[kind]} groups, not of {spec.kind}")
+    return kind
 
 
 def hwall_from_dict(spec, d, i):
@@ -214,10 +225,7 @@ def hwall_from_dict(spec, d, i):
     path = f"hwalls[{i}]"
     sub = subgroup_from_dict(
         spec, field(d, "subgroup", f"{path}.subgroup"), f"{path}.subgroup")
-    rule = field(d, "rule", f"{path}.rule", one_of(*RULE_GROUP))
-    if spec.kind != RULE_GROUP[rule]:
-        raise ParseError(f"{path}.rule: {rule!r} is a rule of "
-                         f"{RULE_GROUP[rule]} groups, not of {spec.kind}")
+    rule = _kind_for(spec, d, "rule", path, RULE_GROUP, "rule")
     letters = list(getattr(spec, "letters", ""))
     axis = field(d, "axis", f"{path}.axis", (
         lambda x: x in letters, f"one of the generator letters {letters}")

@@ -6,7 +6,9 @@ stored as int bitmasks over the point ordering so that all the set tests the
 library lives on are word-parallel.
 
 Wall identity is the integer index, never the halfspace pair: two walls with
-identical halfspaces but different indices are distinct walls.
+identical halfspaces but different indices are distinct walls.  The library
+addresses a wall by its position in `Wallspace.walls`, and reads its index
+only to name it in a report.
 """
 
 import itertools
@@ -15,9 +17,7 @@ from functools import cached_property
 
 from .errors import (
     DuplicateInducedPartition,
-    IndexOutOfRange,
     MetricRequired,
-    SameWall,
     UnknownPoint,
     WallcubeError,
 )
@@ -79,7 +79,6 @@ class Wallspace:
                 raise WallcubeError(f"wall {w.index} references unknown points")
             ws_walls.append(w)
         self.walls = tuple(ws_walls)
-        self.wall_pos = {w.index: i for i, w in enumerate(self.walls)}
         self.metric = metric
         if metric is not None and metric.n != len(points):
             raise WallcubeError("metric size does not match point count")
@@ -126,16 +125,6 @@ class Wallspace:
             raise UnknownPoint(f"point mask sets positions {bits(stray)}, "
                                f"past the last point's {len(self.points) - 1}")
         return X
-
-    def position(self, index):
-        """The position of the wall with this index."""
-        try:
-            return self.wall_pos[index]
-        except KeyError:
-            raise IndexOutOfRange(index) from None
-
-    def wall(self, index):
-        return self.walls[self.position(index)]
 
     def require_metric(self):
         if self.metric is None:
@@ -290,31 +279,43 @@ def separation_count(ws, x, y):
                       point[ws.point_pos(y)]).bit_count()
 
 
-def transverse(ws, i, j):
-    """All four halfspace intersections nonempty."""
-    if i == j:
-        raise SameWall(i)
-    wi, wj = ws.wall(i), ws.wall(j)
-    return bool(wi.left & wj.left and wi.left & wj.right
-                and wi.right & wj.left and wi.right & wj.right)
+def conflict_tables(ws):
+    """conf[s][t][i] = bitmask of walls j whose side-t halfspace is disjoint
+    from the side-s halfspace of wall i (side 0 left, 1 right).
+
+    j = i is included, so an empty halfspace conflicts with itself, which is
+    exactly the rule that bans orienting a vacuous wall to its empty side.
+    Read the other way, j ≠ i is transverse to i, all four halfspace
+    intersections nonempty, iff j is in none of i's four masks (see
+    `max_transverse_families`).  Built once per wallspace, through
+    `ws.derived`.
+    """
+    sides = ([w.left for w in ws.walls], [w.right for w in ws.walls])
+    return [[[sum(1 << j for j, h2 in enumerate(sides[t]) if not h & h2)
+              for h in sides[s]] for t in range(2)] for s in range(2)]
 
 
 def max_transverse_families(ws):
     """Maximal cliques of the transversality graph on nonvacuous walls.
 
+    The graph is read off the conflict tables: j ≠ i is adjacent to i iff
+    j is in none of i's four conflict masks.  A vacuous wall's empty side
+    conflicts with every wall, so it is a lone clique, dropped by one mask
+    test.
+
     Returns (families, k) where families is a sorted list of sorted tuples of
     wall indices and k is the max clique size (the k-plane constant).
     """
-    idxs = [w.index for w in ws.walls if not w.is_vacuous(ws.full)]
-    adj = [0] * len(idxs)
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            if transverse(ws, idxs[a], idxs[b]):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+    (c00, c01), (c10, c11) = ws.derived(conflict_tables)
+    full = (1 << len(ws.walls)) - 1
+    adj = [full & ~(a | b | c | d | 1 << i)
+           for i, (a, b, c, d) in enumerate(zip(c00, c01, c10, c11))]
+    vacuous = sum(1 << i for i, w in enumerate(ws.walls)
+                  if w.is_vacuous(ws.full))
+    index = [w.index for w in ws.walls]
     # cliques are sets of wall positions; report sorted wall indices
-    fams = sorted(tuple(sorted(idxs[a] for a in bits(c)))
-                  for c in max_cliques(adj))
+    fams = sorted(tuple(sorted(index[i] for i in bits(c)))
+                  for c in max_cliques(adj) if not c & vacuous)
     k = max((len(f) for f in fams), default=0)
     return fams, k
 

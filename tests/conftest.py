@@ -35,7 +35,9 @@ criteria and oracles that read them: the orientation helpers `chosen`,
 `is_valid`, `flippable` and the pair order `pair_le`; `osculate`;
 `from_geometric_walls`, whose walls `geom_path` writes down; and
 `subwallspace`, the induced subwallspace that
-`oracle_subspace_separation` separates in.
+`oracle_subspace_separation` separates in.  The library addresses walls by
+position only, so the tests find a wall by its index here, by a scan
+(`wall_position`, `wall_of`).
 """
 
 import json
@@ -44,13 +46,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from wallcube.complex import (
-    Cube,
-    CubeComplex,
-    _edge_wall,
-    canonical_cube,
-    conflict_tables,
-)
+from wallcube.complex import Cube, CubeComplex, _edge_wall, canonical_cube
 from wallcube.errors import (
     NotAHemiwallspace,
     NotInComplex,
@@ -69,10 +65,10 @@ from wallcube.wallspace import (
     Report,
     Wall,
     Wallspace,
+    conflict_tables,
     induced_walls,
     separating,
     separation_index,
-    transverse,
 )
 
 
@@ -161,9 +157,9 @@ def pair_le(a, b):
 def osculate(ws, i, j):
     """Walls i and j (indices) are not transverse and no third wall
     separates them."""
-    a, b = ws.position(i), ws.position(j)
+    a, b = wall_position(ws, i), wall_position(ws, j)
     wall = separation_index(ws).wall
-    return not transverse(ws, i, j) and \
+    return not oracle_transverse(ws, i, j) and \
         not separating(wall[a], wall[b]) & ~(1 << a | 1 << b)
 
 
@@ -211,6 +207,16 @@ def subwallspace(ws, Y):
 # -- set-based oracles -------------------------------------------------
 
 
+def wall_position(ws, index):
+    """The position of the wall with this index, by a scan of the walls."""
+    return next(pos for pos, w in enumerate(ws.walls) if w.index == index)
+
+
+def wall_of(ws, index):
+    """The wall with this index."""
+    return ws.walls[wall_position(ws, index)]
+
+
 def oracle_names(ws, mask):
     """The names of a mask's points, by a scan of every position."""
     return [p for i, p in enumerate(ws.points) if mask >> i & 1]
@@ -254,22 +260,22 @@ def oracle_toward_point(ws, p):
 def oracle_canonical_cube(ws, p):
     """p's canonical cube as `canonical_cube` built it wall by wall: the
     orientation toward p, with its betwixting walls freed."""
-    free = frozenset(ws.wall_pos[i] for i in oracle_betwixt(ws, p))
+    free = sum(1 << wall_position(ws, i) for i in oracle_betwixt(ws, p))
     return normal_cube(oracle_toward_point(ws, p), free)
 
 
 def oracle_transverse(ws, i, j):
-    ui, vi = halfspace_sets(ws, ws.wall(i))
-    uj, vj = halfspace_sets(ws, ws.wall(j))
+    ui, vi = halfspace_sets(ws, wall_of(ws, i))
+    uj, vj = halfspace_sets(ws, wall_of(ws, j))
     return all([ui & uj, ui & vj, vi & uj, vi & vj])
 
 
 def oracle_wall_separates(ws, k, i, j):
-    wk = ws.wall(k)
+    wk = wall_of(ws, k)
     u, v = halfspace_sets(ws, wk)
     ou, ov = u - v, v - u
-    sides_i = [set(oracle_names(ws, h)) for h in ws.wall(i).halfspaces()]
-    sides_j = [set(oracle_names(ws, h)) for h in ws.wall(j).halfspaces()]
+    sides_i = [set(oracle_names(ws, h)) for h in wall_of(ws, i).halfspaces()]
+    sides_j = [set(oracle_names(ws, h)) for h in wall_of(ws, j).halfspaces()]
     for a in sides_i:
         for b in sides_j:
             if (a <= ou and b <= ov) or (a <= ov and b <= ou):
@@ -280,7 +286,7 @@ def oracle_wall_separates(ws, k, i, j):
 def oracle_separates_sets(ws, wall_index, mask_a, mask_b):
     """The sets lie in distinct open halfspaces of the wall.  Empty sets are
     vacuously separated."""
-    u, v = halfspace_sets(ws, ws.wall(wall_index))
+    u, v = halfspace_sets(ws, wall_of(ws, wall_index))
     ou, ov = u - v, v - u
     a, b = set(oracle_names(ws, mask_a)), set(oracle_names(ws, mask_b))
     return (a <= ou and b <= ov) or (a <= ov and b <= ou)
@@ -289,10 +295,10 @@ def oracle_separates_sets(ws, wall_index, mask_a, mask_b):
 def oracle_separates_compact_wall(ws, sep_index, kmask, wall_index):
     """K lies in one open halfspace of wall sep_index and a closed
     halfspace of wall wall_index in the other."""
-    u, v = halfspace_sets(ws, ws.wall(sep_index))
+    u, v = halfspace_sets(ws, wall_of(ws, sep_index))
     ou, ov = u - v, v - u
     k = set(oracle_names(ws, kmask))
-    sides = halfspace_sets(ws, ws.wall(wall_index))
+    sides = halfspace_sets(ws, wall_of(ws, wall_index))
     return any(k <= kside and any(h <= wside for h in sides)
                for kside, wside in ((ou, ov), (ov, ou)))
 
@@ -399,10 +405,10 @@ def oracle_max_transverse_families(ws):
     return sorted(tuple(sorted(c)) for c in maximal)
 
 
-def normal_cube(base, walls):
-    """The Cube on the wall positions `walls` with a corner `base`: its
-    base is `base` with those bits cleared."""
-    return Cube(base & ~sum(1 << w for w in walls), walls)
+def normal_cube(base, wmask):
+    """The Cube on the wall mask `wmask` with a corner `base`: its base is
+    `base` with those bits cleared."""
+    return Cube(base & ~wmask, wmask)
 
 
 def oracle_complete_skeleton(vertex_set, nwalls):
@@ -414,7 +420,7 @@ def oracle_complete_skeleton(vertex_set, nwalls):
     prev = set()
     for m in vset:
         for m2, i in _corner_neighbors(m, nwalls, vset):
-            prev.add(normal_cube(m, frozenset([i])))
+            prev.add(normal_cube(m, 1 << i))
     cubes = {}
     k = 2
     while prev:
@@ -424,7 +430,7 @@ def oracle_complete_skeleton(vertex_set, nwalls):
             for m in c.corners():
                 for m2, i in _corner_neighbors(m, nwalls, vset):
                     if i not in c.walls:
-                        cand.add(normal_cube(c.base, c.walls | {i}))
+                        cand.add(normal_cube(c.base, c.mask | 1 << i))
         for c in cand:
             if all(f in prev for f in _faces(c)):
                 found.add(c)
@@ -465,7 +471,7 @@ def oracle_export_dict(cc):
                    if wmask.bit_count() >= 2 for b in bases)
     cubes = [{"dim": k,
               "walls": sorted(index[w] for w in walls),
-              "vertices": sorted(cc.vid[m] for m in Cube(b, walls).corners())}
+              "vertices": sorted(cc.vid[m] for m in Cube(b, wmask).corners())}
              for k, b, walls, wmask in cubes]
     return {"vertices": verts, "edges": edges, "cubes": cubes}
 
@@ -480,7 +486,7 @@ def _corner_neighbors(m, nwalls, vset):
 def _faces(cube):
     """The 2*dim codimension-1 faces of a cube."""
     for w in cube.walls:
-        rest = cube.walls - {w}
+        rest = cube.mask & ~(1 << w)
         yield Cube(cube.base, rest)
         yield Cube(cube.base | (1 << w), rest)
 
@@ -500,7 +506,7 @@ def drop_vertex(cc, m):
 
 def cube_key(c):
     """A sort key that orders cubes by dimension, base and walls."""
-    return c.dim, c.base, sorted(c.walls)
+    return c.dim, c.base, c.walls
 
 
 def cubes(cc):
@@ -509,17 +515,16 @@ def cubes(cc):
     by_dim = {}
     for wmask, bases in cc.cells.items():
         if wmask.bit_count() >= 2:
-            walls = frozenset(bits(wmask))
-            by_dim.setdefault(len(walls), set()).update(
-                Cube(b, walls) for b in bases)
+            by_dim.setdefault(wmask.bit_count(), set()).update(
+                Cube(b, wmask) for b in bases)
     return dict(sorted(by_dim.items()))
 
 
 def all_cubes(cc):
     """Every cube of cc as a `Cube`: the 0-cubes first, in vertex order,
     then the edges, in edge order, then the higher cubes."""
-    out = [Cube(m, frozenset()) for m in cc.vertices]
-    out += [Cube(u, frozenset([w])) for u, _v, w in cc.edges]
+    out = [Cube(m, 0) for m in cc.vertices]
+    out += [Cube(u, 1 << w) for u, _v, w in cc.edges]
     for cs in cubes(cc).values():
         out += cs
     return out
@@ -541,12 +546,8 @@ def oracle_maximal_cubes(cc):
 
 
 def _is_face_of(c, other):
-    if not c.walls < other.walls:
-        return False
-    omask = 0
-    for w in other.walls:
-        omask |= 1 << w
-    return c.base & ~omask == other.base
+    return c.mask != other.mask and not c.mask & ~other.mask and \
+        c.base & ~other.mask == other.base
 
 
 def oracle_dual_sub(cc, hemi):
@@ -554,7 +555,7 @@ def oracle_dual_sub(cc, hemi):
     vertices agreeing with every fixed orientation: a cube is kept when all
     of its corners are."""
     ws = cc.ws
-    fixed_bits = [(ws.wall_pos[i], s)
+    fixed_bits = [(wall_position(ws, i), s)
                   for i, s in fixed_sides(ws, hemi).items()]
     verts = [m for m in cc.vertices
              if all((m >> pos) & 1 == s for pos, s in fixed_bits)]
@@ -1051,7 +1052,7 @@ def dist_sets(metric, mask_a, mask_b):
 def wall_region(ws, wall_index):
     """The point set standing in for a wall in separation distances: its
     carrier U ∩ V when nonempty, else the frontiers of U and V."""
-    w = ws.walls[ws.position(wall_index)]
+    w = wall_of(ws, wall_index)
     metric = ws.require_metric()
     return w.carrier() or metric.frontier(w.left) | metric.frontier(w.right)
 

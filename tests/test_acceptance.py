@@ -20,6 +20,7 @@ from conftest import (
     osculate,
     pair_le,
     random_wallspace,
+    wall_position,
 )
 from wallcube.complex import (
     build_dual,
@@ -311,7 +312,8 @@ def test_criterion_10_rbad_trend():
         cc = build_dual(ws, "0")
         npts = n * n + 1
         n_interval = ws.nwalls() - npts
-        sing = [ws.wall_pos[i] for i in range(n_interval, ws.nwalls())]
+        sing = [wall_position(ws, i)
+                for i in range(n_interval, ws.nwalls())]
         # line vertices orient every singleton wall to its complement
         line = [m for m in cc.vertices
                 if all((m >> p) & 1 for p in sing)]

@@ -353,16 +353,16 @@ def test_cube_distance_needs_cubes_of_the_complex():
     ws = grid(1)
     cc = build_dual(ws, "0,0")
     v = cc.vertices
-    square = Cube(v[0], frozenset({0, 1}))
+    square = Cube(v[0], 0b11)
     assert cc.has_cell(square.base, square.mask)
-    assert cube_distance(cc, square, Cube(v[3], frozenset())) == 0
-    diagonal = Cube(v[0] | 0b100, frozenset())
+    assert cube_distance(cc, square, Cube(v[3], 0)) == 0
+    diagonal = Cube(v[0] | 0b100, 0)
     assert not cc.has_cell(diagonal.base, diagonal.mask)
     with pytest.raises(NotInComplex) as exc:
         cube_distance(cc, square, diagonal)
     assert exc.value.args == (diagonal,)
     with pytest.raises(NotInComplex) as exc:
-        cube_distance(cc, diagonal, Cube(v[1], frozenset({9})))
+        cube_distance(cc, diagonal, Cube(v[1], 1 << 9))
     assert exc.value.args == (diagonal,)
 
 
@@ -374,7 +374,7 @@ def test_cube_distance_matches_bfs():
     cc = build_dual(ws, "0,0")
     for a in cc.vertices:
         for b in cc.vertices:
-            ca, cb = Cube(a, frozenset()), Cube(b, frozenset())
+            ca, cb = Cube(a, 0), Cube(b, 0)
             assert cube_distance(cc, ca, cb) == \
                 oracle_cube_distance(cc, ca, cb)
     for ws in valid_spaces():

@@ -6,8 +6,8 @@ neither is the package's `__init__.py`, whose re-export of a name runs
 nothing.  A method is read only as an attribute (`x.name`): a bare name
 elsewhere that happens to equal it reads some other value.  A method, not
 a property, whose name production code also assigns as an attribute
-(`x.name = ...`) is read only by a call (`x.name(...)`): reading the
-attribute may read that data.
+(`x.name = ...`) or defines as a property is read only by a call
+(`x.name(...)`): reading the attribute may read that data or property.
 
 The package re-exports names in `__init__.py`, which the import and
 exception checks leave out.
@@ -111,19 +111,28 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 PROPERTIES = ("property", "cached_property")
 
 
+def is_property(node):
+    """Is the definition decorated as a property?"""
+    return any(getattr(d, "id", None) in PROPERTIES
+               for d in node.decorator_list)
+
+
 def unreferenced_functions(modules, others):
     """(module name, line, name) of each function, method or class of the
     `modules` sources, dunders aside, that nothing reads outside its own
     definition: not the rest of its module, another module, or one of the
     `others` sources.  A method counts as read only as an attribute, and
     only by a call when it is no property and some source assigns its
-    name as an attribute."""
+    name as an attribute or defines a property of that name."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
+    every = [*trees.values(), *map(ast.parse, others)]
     total = [Counter() for _ in range(4)]
-    for tree in [*trees.values(), *map(ast.parse, others)]:
+    for tree in every:
         for count, found in zip(total, references(tree)):
             count.update(found)
     bare, attributes, called, assigned = total
+    properties = {node.name for tree in every for node in ast.walk(tree)
+                  if isinstance(node, DEFINITIONS) and is_property(node)}
     out = []
     for name, tree in trees.items():
         methods = {id(node) for cls in ast.walk(tree)
@@ -136,9 +145,8 @@ def unreferenced_functions(modules, others):
             reads = attributes[node.name] - own_attributes[node.name]
             if id(node) not in methods:
                 reads += bare[node.name] - own_bare[node.name]
-            elif node.name in assigned and not any(
-                    getattr(d, "id", None) in PROPERTIES
-                    for d in getattr(node, "decorator_list", ())):
+            elif (node.name in assigned or node.name in properties) and \
+                    not is_property(node):
                 reads = called[node.name] - own_called[node.name]
             if not reads:
                 out.append((name, node.lineno, node.name))
@@ -230,6 +238,16 @@ def test_tests_are_no_callers(tmp_path):
     assert flagged({"src/wallcube/m.py": prop + "\n\n" + data,
                     "perfbench/run.py": "from wallcube.m import A, B\n"
                                         "print(A().name, B().name)\n"}) \
+        == []
+    # and a method read only as an attribute whose name is a property of
+    # another class, which the attribute may read instead
+    other = prop.replace("class A", "class C")
+    assert flagged({"src/wallcube/m.py": method + "\n\n" + other,
+                    "perfbench/run.py": "from wallcube.m import A, C\n"
+                                        "print(A, C().name)\n"}) == \
+        [("m.py", 2, "name")]
+    assert flagged({"perfbench/run.py": "from wallcube.m import A, C\n"
+                                        "print(C().name, A().name())\n"}) \
         == []
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import drop_vertex, random_wallspace
+from conftest import drop_vertex, random_wallspace, wall_of
 import wallcube
 from wallcube import cli as cli_module
 from wallcube import complex as complex_module
@@ -48,7 +48,7 @@ def test_roundtrip_preserves_semantics():
     ws2 = io.wallspace_from_dict(io.wallspace_to_dict(ws))
     assert ws2.points == ws.points
     for w in ws.walls:
-        w2 = ws2.wall(w.index)
+        w2 = wall_of(ws2, w.index)
         assert (w2.left, w2.right) == (w.left, w.right)
     assert ws2.metric.dist[0][5] == ws.metric.dist[0][5]
 
@@ -724,7 +724,8 @@ F2_ACT = {"group": {"kind": "Free", "rank": 2}, "radius": 2,
               peripheries=[{"kind": "factor", "factor": "x"}]),
      "peripheries[0].factor: 'x' is not a factor position in range(2)"),
     (act_spec(peripheries=[{"kind": "factor", "factor": 0}]),
-     "peripheries[0].factor: 0 is not a factor position in range(0)"),
+     "peripheries[0].kind: 'factor' is a subgroup of FreeProduct groups, "
+     "not of FreeAbelian"),
     # each of these once ran to exit 0, ended in a domain error or a
     # traceback, or (the huge d) would take O(d²) memory
     (act_spec(m=-1), "m: -1 is not a non-negative integer"),
@@ -753,13 +754,29 @@ F2_ACT = {"group": {"kind": "Free", "rank": 2}, "radius": 2,
     # a coordinate subgroup is one of ℤᵈ only: `"coords": []` once built
     # the trivial subgroup on any group
     ({**F2_ACT, "peripheries": [{"kind": "coordinate", "coords": []}]},
-     "peripheries[0].kind: 'coordinate' is not 'cyclic' or 'factor'"),
+     "peripheries[0].kind: 'coordinate' is a subgroup of FreeAbelian "
+     "groups, not of Free"),
     ({**F2_ACT, "hwalls": [{**F2_ACT["hwalls"][0], "subgroup": {
         "kind": "coordinate", "coords": []}}]},
-     "hwalls[0].subgroup.kind: 'coordinate' is not 'cyclic' or 'factor'"),
+     "hwalls[0].subgroup.kind: 'coordinate' is a subgroup of FreeAbelian "
+     "groups, not of Free"),
     (act_spec(group=F1_F1, hwalls=None,
               peripheries=[{"kind": "coordinate", "coords": []}]),
-     "peripheries[0].kind: 'coordinate' is not 'cyclic' or 'factor'"),
+     "peripheries[0].kind: 'coordinate' is a subgroup of FreeAbelian "
+     "groups, not of FreeProduct"),
+    # likewise the other subgroup kinds, which once blamed the next field:
+    # `peripheries[0].factor: 0 is not a factor position in range(0)`, or
+    # `'a' is no word of` the group
+    ({**F2_ACT, "peripheries": [{"kind": "factor", "factor": 0}]},
+     "peripheries[0].kind: 'factor' is a subgroup of FreeProduct groups, "
+     "not of Free"),
+    (act_spec(peripheries=[{"kind": "cyclic", "word": "a"}]),
+     "peripheries[0].kind: 'cyclic' is a subgroup of Free groups, not of "
+     "FreeAbelian"),
+    (act_spec(group=F1_F1, hwalls=None,
+              peripheries=[{"kind": "cyclic", "word": "a"}]),
+     "peripheries[0].kind: 'cyclic' is a subgroup of Free groups, not of "
+     "FreeProduct"),
 ])
 def test_cli_act_malformed_spec(tmp_path, spec, where):
     path = write(tmp_path, "act.json", json.dumps(spec))
@@ -781,7 +798,8 @@ def test_cli_act_malformed_spec(tmp_path, spec, where):
                   "rule": "branch", "axis": "a"}]},
      "hwalls[0].subgroup.word: 'abBA' reduces to the identity"),
     ({"group": {"kind": "FreeAbelian", "d": 2}},
-     "hwalls[0].subgroup.word: 'a' is no word"),
+     "hwalls[0].subgroup.kind: 'cyclic' is a subgroup of Free groups, not "
+     "of FreeAbelian"),
 ])
 def test_cli_act_bad_cyclic_word(tmp_path, changes, where):
     # in a child process under a time bound: a word reducing to the

@@ -20,6 +20,7 @@ from conftest import (
     oracle_wall_separates,
     oracle_wall_wall_separation,
     random_wallspace,
+    wall_position,
     wall_region,
 )
 from wallcube import io
@@ -72,10 +73,12 @@ def test_worst_unseparated_distance():
 def test_wall_region_carrier_vs_frontier():
     ws = rbad(2)
     # interval walls have a one-point carrier at each multiple of n
-    assert ws.names_of(ws.derived(_wall_regions)[ws.position(1)]) == ["2"]
+    regions = ws.derived(_wall_regions)
+    assert ws.names_of(regions[wall_position(ws, 1)]) == ["2"]
     ws2 = grid(2)
     # genuine partitions fall back to the two frontiers
-    region = set(ws2.names_of(ws2.derived(_wall_regions)[ws2.position(0)]))
+    region = set(ws2.names_of(
+        ws2.derived(_wall_regions)[wall_position(ws2, 0)]))
     assert region == {"0,0", "0,1", "0,2", "1,0", "1,1", "1,2"}
     for ws in metric_spaces():
         assert ws.derived(_wall_regions) == \

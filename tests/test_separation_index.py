@@ -18,6 +18,7 @@ from conftest import (
     oracle_wall_separates,
     osculate,
     random_wallspace,
+    wall_position,
 )
 from wallcube.wallspace import (
     Wall,
@@ -63,10 +64,11 @@ def test_wall_separation_and_osculation_match_oracle(ws):
         for j in idxs:
             separators = [k for k in idxs if k not in (i, j)
                           and oracle_wall_separates(ws, k, i, j)]
-            mask = separating(wall[ws.position(i)], wall[ws.position(j)])
+            mask = separating(wall[wall_position(ws, i)],
+                              wall[wall_position(ws, j)])
             for k in idxs:
                 if k not in (i, j):
-                    assert bool(mask >> ws.position(k) & 1) == \
+                    assert bool(mask >> wall_position(ws, k) & 1) == \
                         (k in separators)
             if i != j:
                 assert osculate(ws, i, j) == \

@@ -15,13 +15,14 @@ from conftest import (
     osculate,
     random_wallspace,
     subwallspace,
+    wall_of,
+    wall_position,
 )
 from wallcube import io
 from wallcube.complex import Cube
 from wallcube.errors import (
     DuplicateInducedPartition,
     MetricRequired,
-    SameWall,
     UnknownPoint,
 )
 from wallcube.generators import fig3, geom_path, grid, non_hausdorff3
@@ -39,7 +40,6 @@ from wallcube.wallspace import (
     separating,
     separation_count,
     separation_index,
-    transverse,
     validate,
 )
 
@@ -55,6 +55,31 @@ def spaces():
     out = [fig3(), grid(2), non_hausdorff3(), geom_path(4)]
     out += [random_wallspace(s) for s in SEEDS]
     out += [reversed_walls(ws) for ws in out[:12]]
+    return out
+
+
+# four points a, b, c, d: two transverse walls, both vacuous walls, {∅, ∅},
+# {X, X} and a wall missing c and d
+DEGENERATE = Wallspace("abcd", [
+    Wall(0, 0b0011, 0b1100), Wall(1, 0b0101, 0b1010), Wall(2, 0, 0b1111),
+    Wall(3, 0b1111, 0), Wall(4, 0, 0), Wall(5, 0b1111, 0b1111),
+    Wall(6, 0b0001, 0b0010)])
+
+
+def degenerate_spaces():
+    """Wallspaces that `random_wallspace` never makes, as each side here
+    is any point set: vacuous walls {∅, X}, walls {∅, ∅}, and walls that
+    miss points.  A wall with an empty side conflicts with every wall,
+    itself included."""
+    out = [DEGENERATE]
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        npts = rng.randint(1, 5)
+        full = (1 << npts) - 1
+        walls = [Wall(i, *(rng.choice((0, full, rng.randint(0, full)))
+                           for _ in "uv"))
+                 for i in range(rng.randint(1, 7))]
+        out.append(Wallspace([f"p{i}" for i in range(npts)], walls))
     return out
 
 
@@ -75,32 +100,18 @@ def test_betwixt_matches_oracle():
                 oracle_betwixt(ws, x)
 
 
-def test_transverse_matches_oracle():
-    for ws in spaces():
-        idxs = ws.wall_indices()
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                assert transverse(ws, idxs[a], idxs[b]) == \
-                    oracle_transverse(ws, idxs[a], idxs[b])
-
-
-def test_transverse_same_wall_raises():
-    ws = fig3()
-    with pytest.raises(SameWall):
-        transverse(ws, 1, 1)
-
-
 def test_wall_separates_walls_matches_oracle():
     for ws in spaces():
         wall = separation_index(ws).wall
         idxs = ws.wall_indices()
         for i in idxs:
             for j in idxs:
-                mask = separating(wall[ws.position(i)], wall[ws.position(j)])
+                mask = separating(wall[wall_position(ws, i)],
+                              wall[wall_position(ws, j)])
                 for k in idxs:
                     if k in (i, j):
                         continue
-                    assert bool(mask >> ws.position(k) & 1) == \
+                    assert bool(mask >> wall_position(ws, k) & 1) == \
                         oracle_wall_separates(ws, k, i, j)
 
 
@@ -117,11 +128,15 @@ def test_osculate_definition():
 
 
 def test_max_transverse_families_matches_bruteforce():
-    for ws in spaces():
+    for ws in spaces() + degenerate_spaces():
         fams, k = max_transverse_families(ws)
         expect = oracle_max_transverse_families(ws)
         assert fams == expect
         assert k == max((len(f) for f in expect), default=0)
+    # the vacuous walls 2 and 3 are dropped; {X, X} is transverse to every
+    # wall with two nonempty sides, {∅, ∅} to none
+    assert max_transverse_families(DEGENERATE) == \
+        ([(0, 1, 5), (4,), (5, 6)], 3)
 
 
 def test_validate_fig3():
@@ -235,7 +250,7 @@ def test_from_geometric_walls_path():
     ws = geom_path(3)
     # interior vertices 1, 2 give walls ({0,1},{1,2,3}) and ({0,1,2},{2,3})
     assert ws.nwalls() == 2
-    w0 = ws.wall(0)
+    w0 = wall_of(ws, 0)
     assert set(ws.names_of(w0.left)) in ({"0", "1"}, {"1", "2", "3"})
     assert set(ws.names_of(w0.left | w0.right)) == {"0", "1", "2", "3"}
     assert ws.metric is not None
@@ -280,7 +295,7 @@ def test_subwallspace_projection():
     sub = subwallspace(ws, ["a", "b", "c"])
     assert sub.points == ("a", "b", "c")
     for w in sub.walls:
-        parent = ws.wall(w.index)
+        parent = wall_of(ws, w.index)
         assert set(sub.names_of(w.left)) == \
             set(ws.names_of(parent.left)) & {"a", "b", "c"}
     # wall 4 ({abce},{df}) induces ({abc}, {}) on {a,b,c}: vacuous, dropped
@@ -310,7 +325,7 @@ def test_subwallspace_metric_restriction():
 def test_value_types_are_immutable_tuples():
     # equal to, and hashed as, the tuple of their fields: the hash that
     # dataclass(frozen=True) gave them, which orders sets of cubes
-    for value in (Wall(0, 0b01, 0b10), Cube(0b100, frozenset({1})),
+    for value in (Wall(0, 0b01, 0b10), Cube(0b100, 0b10),
                   InducedVariant("Ur", r=1)):
         assert value == tuple(value) and hash(value) == hash(tuple(value))
         for name in (value._fields[0], "extra"):
