@@ -454,13 +454,6 @@ def _translate(ball, hw, key):
         int(sides.translate(_IN_RIGHT), 2)
 
 
-def _h_members(ball, subgroup):
-    """The indices of H ∩ ball but the identity (index 0, the one element
-    of length 0)."""
-    return [i for i, g in enumerate(ball.elements)
-            if i and subgroup.contains(g)]
-
-
 def _swaps_sides(img, u, v):
     for i in bits(u & ~v):
         j = img[i]
@@ -502,7 +495,8 @@ def generate_hwall_system(ball, hwall_specs):
     for pos, hw in enumerate(hwall_specs):
         for t in ball.elements:
             wall_of.setdefault((pos, hw.key(t)), len(wall_of))
-        hmembers.append(_h_members(ball, hw.subgroup))
+        # H ∩ ball but the identity, index 0 (the one element of length 0)
+        hmembers.append(bits(ball.mask_of(hw.subgroup.contains) & ~1))
         products = (len(wall_of) + sum(map(len, hmembers))) * \
             len(ball.elements)
         if products > MAX_PRODUCTS:
@@ -511,10 +505,10 @@ def generate_hwall_system(ball, hwall_specs):
     walls = [Wall(idx, *_translate(ball, hwall_specs[pos], key))
              for (pos, key), idx in wall_of.items()]
     one = ball.elements[0]
-    reports = [
-        _hwall_report(ball, *walls[wall_of[pos, hw.key(one)]].halfspaces(),
-                      hm).to_dict()
-        for pos, (hw, hm) in enumerate(zip(hwall_specs, hmembers))]
+    reports = []
+    for pos, (hw, hm) in enumerate(zip(hwall_specs, hmembers)):
+        w = walls[wall_of[pos, hw.key(one)]]
+        reports.append(_hwall_report(ball, w.left, w.right, hm).to_dict())
     return Wallspace(ball.names, walls, metric=ball.metric), reports
 
 

@@ -5,7 +5,8 @@ weighted graph whose path metric is taken (shortest paths by breadth-first
 search when every weight is 1, by Dijkstra otherwise).  Set arguments are
 bitmasks over the point ordering, matching the rest of the library; so are
 the graphs of `max_cliques` and `components`, given as a list of neighbour
-bitmasks.
+bitmasks.  `owners` transposes a list of point masks into per-point masks
+of list positions, the one way the library builds a per-point wall mask.
 """
 
 import math
@@ -29,6 +30,16 @@ def bits(mask):
     return out
 
 
+def owners(masks, n):
+    """owner[p], for each of n points: the mask of the positions k with p
+    in masks[k]."""
+    owner = [0] * n
+    for pos, mask in enumerate(masks):
+        for p in bits(mask):
+            owner[p] |= 1 << pos
+    return owner
+
+
 _FLAG = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -36,16 +47,6 @@ def flags(mask, n):
     """Bit k of an int bitmask below 2^n as byte k, 0 or 1, for k < n:
     `bin` writes the digits and `bytes.translate` maps them, both in C."""
     return bin(mask | 1 << n)[:2:-1].encode().translate(_FLAG)
-
-
-def compress(mask, onto):
-    """The bits of `mask` inside `onto`, renumbered 0, 1, ... in the order
-    of `onto`'s bits: a subset's mask in the induced point ordering."""
-    out = 0
-    for k, i in enumerate(bits(onto)):
-        if mask >> i & 1:
-            out |= 1 << k
-    return out
 
 
 def max_cliques(adj):

@@ -14,14 +14,9 @@ every report.
 
 from fractions import Fraction
 
-from .errors import WallcubeError
-from .metric import INF, bits, max_cliques
-from .wallspace import (
-    Report,
-    induced_walls,
-    separating,
-    separation_index,
-)
+from .errors import DuplicateInducedPartition, WallcubeError
+from .metric import INF, bits, max_cliques, owners
+from .wallspace import Report, separating, separation_index
 
 WALL_DISTANCE_NOTE = "wall distance = min over carrier U∩V, else frontiers"
 
@@ -65,19 +60,9 @@ class _Worst:
         return self.d, sorted(self.witnesses)
 
 
-def _owners(masks, n):
-    """owner[p], for each of n points: the mask of the positions k with p
-    in masks[k]."""
-    owner = [0] * n
-    for pos, mask in enumerate(masks):
-        for p in bits(mask):
-            owner[p] |= 1 << pos
-    return owner
-
-
 def _distances(metric, source, owner, todo):
     """{k: d(source, masks[k])} for the positions k in the mask `todo`,
-    owner being `_owners(masks, n)`: one expansion of the rings of
+    owner being `owners(masks, n)`: one expansion of the rings of
     `source`, each ring meeting the masks its points own.  inf for a mask
     no ring meets (an empty one, too)."""
     out = {}
@@ -199,7 +184,7 @@ def compact_wall_separation(ws, K):
         raise WallcubeError("K must be nonempty")
     index = separation_index(ws)
     k_sides = index.sides(kmask)
-    owner = _owners(ws.derived(_wall_regions), metric.n)
+    owner = owners(ws.derived(_wall_regions), metric.n)
     dist = _distances(metric, kmask, owner, (1 << len(ws.walls)) - 1)
     # least f: every wall with d >= f separated; f may sit just above the
     # worst unseparated distance
@@ -212,8 +197,9 @@ def compact_wall_separation(ws, K):
     if witnesses:
         higher = [d for d in dist.values() if d > f]
         f = min(higher) if higher else f + 1
-    verdict = ("holds" if not witnesses or f <= ws.derived(_diameter)
-               else "fails")
+    # no f works when an unseparated wall lies at infinite distance
+    verdict = ("holds" if not witnesses
+               or f < INF and f <= ws.derived(_diameter) else "fails")
     return _report("CompactWall", {"K": sorted(ws.names_of(kmask))},
                    verdict, value=f, witnesses=witnesses,
                    notes=[WALL_DISTANCE_NOTE])
@@ -225,7 +211,7 @@ def wall_wall_separation(ws):
     wall = separation_index(ws).wall
     idxs = ws.wall_indices()
     regions = ws.derived(_wall_regions)
-    owner = _owners(regions, metric.n)
+    owner = owners(regions, metric.n)
     worst = _Worst()
     for a, wa in enumerate(wall):
         # the later walls no third wall separates from W_a; only their
@@ -247,21 +233,34 @@ def wall_wall_separation(ws):
 def subspace_separation(ws, Y, kind, r):
     """Ball-WallNbd / WallNbd-WallNbd separation of a subspace Y.
 
-    Sets are intersected with Y and separation is by an induced wall of the
-    subwallspace on Y; empty sets are vacuously separated.  Raises
-    DuplicateInducedPartition as `induced_walls` does.
+    Sets are intersected with Y and separation is by an induced wall
+    (U ∩ Y, V ∩ Y) of the subwallspace on Y; empty sets are vacuously
+    separated.  Y must be nonempty, and no two walls may induce the same
+    genuine partition of Y: one with u = U ∩ Y and v = V ∩ Y nonempty and
+    disjoint.  Such pairs raise DuplicateInducedPartition, each as (first
+    wall index, repeat), in wall order.
 
     The parent's SeparationIndex decides it: for A ⊆ Y, the open sides of
-    the induced wall (U ∩ Y, V ∩ Y), restricted to A, are (U ∖ V) ∩ A and
-    (V ∖ U) ∩ A, as for the parent wall; and an induced vacuous wall, which
-    the subwallspace drops, has an empty open side, so it separates no two
+    the induced wall, restricted to A, are (U ∖ V) ∩ A and (V ∖ U) ∩ A, as
+    for the parent wall; and an induced vacuous wall {Y, ∅}, which the
+    subwallspace drops, has an empty open side, so it separates no two
     nonempty sets.
     """
     if kind not in ("BallWallNbd", "WallNbdWallNbd"):
         raise WallcubeError(f"unknown kind {kind}")
     metric = ws.require_metric()
     ymask = ws.point_mask(Y)
-    induced_walls(ws, ymask)
+    if not ymask:
+        raise WallcubeError("Y must be nonempty")
+    first, dups = {}, []
+    for w in ws.walls:
+        u, v = w.left & ymask, w.right & ymask
+        if u and v and not u & v:
+            i = first.setdefault(frozenset((u, v)), w.index)
+            if i != w.index:
+                dups.append((i, w.index))
+    if dups:
+        raise DuplicateInducedPartition(dups)
     index = separation_index(ws)
 
     def part(mask):
@@ -271,7 +270,7 @@ def subspace_separation(ws, Y, kind, r):
 
     nbds = [part(metric.ball(region, r))
             for region in ws.derived(_wall_regions)]
-    owner = _owners([mask for mask, _sides in nbds], metric.n)
+    owner = owners([mask for mask, _sides in nbds], metric.n)
     idxs = ws.wall_indices()
     worst = _Worst()
 

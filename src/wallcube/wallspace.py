@@ -15,13 +15,8 @@ import itertools
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import (
-    DuplicateInducedPartition,
-    MetricRequired,
-    UnknownPoint,
-    WallcubeError,
-)
-from .metric import bits, compress, flags, max_cliques
+from .errors import MetricRequired, UnknownPoint, WallcubeError
+from .metric import bits, flags, max_cliques, owners
 
 # the one point cap: a sized generator stops before building a wallspace
 # past it, and `groups.cayley_ball` before growing a ball past it; a
@@ -35,18 +30,9 @@ class Wall(namedtuple("Wall", "index left right")):
 
     __slots__ = ()
 
-    def halfspaces(self):
-        return (self.left, self.right)
-
     def carrier(self):
         """U ∩ V."""
         return self.left & self.right
-
-    def open_left(self):
-        return self.left & ~self.right
-
-    def open_right(self):
-        return self.right & ~self.left
 
     def is_genuine_partition(self):
         return self.left & self.right == 0 and self.left != 0 and self.right != 0
@@ -95,15 +81,6 @@ class Wallspace:
         except KeyError:
             raise UnknownPoint(p) from None
 
-    def point_bit(self, p):
-        return 1 << self.point_pos(p)
-
-    def mask_of(self, names):
-        m = 0
-        for p in names:
-            m |= self.point_bit(p)
-        return m
-
     def names_of(self, mask):
         """The names of the points of a mask, in point order; UnknownPoint
         as in `point_mask` for a mask that is no point set."""
@@ -116,7 +93,10 @@ class Wallspace:
         negative or sets a bit past the last point, naming those
         positions."""
         if not isinstance(X, int):
-            return self.mask_of(X)
+            m = 0
+            for p in X:
+                m |= 1 << self.point_pos(p)
+            return m
         if X < 0:
             raise UnknownPoint(f"point mask {X} is negative: it sets every "
                                f"position from {len(self.points)} up")
@@ -197,11 +177,8 @@ def validate(ws):
         elif w.is_genuine_partition():
             infos.append({"kind": "GenuinePartition", "wall": w.index})
     # the walls betwixting x are those whose carrier holds x
-    betwixt = [0] * len(ws.points)
-    for w in ws.walls:
-        for x in bits(w.carrier()):
-            betwixt[x] += 1
-    betwixt_counts = dict(zip(ws.points, betwixt))
+    betwixt = owners([w.carrier() for w in ws.walls], len(ws.points))
+    betwixt_counts = dict(zip(ws.points, map(int.bit_count, betwixt)))
     return Report(ok=not errors, errors=errors, infos=infos,
                   betwixt_counts=betwixt_counts)
 
@@ -222,24 +199,18 @@ class SeparationIndex:
     holds it, and `empty_left` the walls with U = ∅.  x's canonical cube
     frees `betwixt[x]` and takes V on the walls with x ∉ U and (x ∈ V or
     U = ∅), which are sr[x] | empty_left, as U = ∅ implies x ∉ U (see
-    `complex.canonical_cube`).
+    `complex.canonical_cube`).  Each per-point list is one `owners`
+    transpose of the walls' open sides, resp. carriers.
     """
 
     def __init__(self, ws):
+        n = len(ws.points)
         self.full = (1 << len(ws.walls)) - 1
-        sl = [0] * len(ws.points)
-        sr = [0] * len(ws.points)
-        self.betwixt = [0] * len(ws.points)
-        self.empty_left = 0
-        for pos, w in enumerate(ws.walls):
-            for x in bits(w.open_left()):
-                sl[x] |= 1 << pos
-            for x in bits(w.open_right()):
-                sr[x] |= 1 << pos
-            for x in bits(w.carrier()):
-                self.betwixt[x] |= 1 << pos
-            if not w.left:
-                self.empty_left |= 1 << pos
+        sl = owners([w.left & ~w.right for w in ws.walls], n)
+        sr = owners([w.right & ~w.left for w in ws.walls], n)
+        self.betwixt = owners([w.carrier() for w in ws.walls], n)
+        self.empty_left = sum(1 << pos for pos, w in enumerate(ws.walls)
+                              if not w.left)
         self.point = list(zip(sl, sr))
         self._walls = ws.walls
 
@@ -318,29 +289,3 @@ def max_transverse_families(ws):
                   for c in max_cliques(adj) if not c & vacuous)
     k = max((len(f) for f in fams), default=0)
     return fams, k
-
-
-def induced_walls(ws, ymask):
-    """The walls induced on the nonempty point set `ymask`: (U ∩ Y, V ∩ Y),
-    as masks over Y's points in order, with the induced vacuous walls
-    {Y, ∅} dropped.  Raises DuplicateInducedPartition when two distinct
-    parent walls induce the same genuine partition of Y (the forbidden
-    configuration)."""
-    if ymask == 0:
-        raise WallcubeError("Y must be nonempty")
-    yfull = (1 << ymask.bit_count()) - 1
-    walls = []
-    partitions = {}
-    dups = []
-    for w in ws.walls:
-        u, v = compress(w.left, ymask), compress(w.right, ymask)
-        if {u, v} == {0, yfull}:
-            continue
-        walls.append(Wall(w.index, u, v))
-        if u & v == 0 and u and v:
-            first = partitions.setdefault(frozenset((u, v)), w.index)
-            if first != w.index:
-                dups.append((first, w.index))
-    if dups:
-        raise DuplicateInducedPartition(dups)
-    return walls

@@ -35,7 +35,10 @@ criteria and oracles that read them: the orientation helpers `chosen`,
 `is_valid`, `flippable` and the pair order `pair_le`; `osculate`;
 `from_geometric_walls`, whose walls `geom_path` writes down; and
 `subwallspace`, the induced subwallspace that
-`oracle_subspace_separation` separates in.  The library addresses walls by
+`oracle_subspace_separation` separates in, built from the compressed
+`induced_walls` (by `compress`), which also raise on a repeated genuine
+partition of Y.  `subspace_separation` checks that repeat on U ∩ Y and
+V ∩ Y in the parent's point ordering, so it shares no code with them.  The library addresses walls by
 position only, so the tests find a wall by its index here, by a scan
 (`wall_position`, `wall_of`).
 """
@@ -48,6 +51,7 @@ from itertools import combinations
 
 from wallcube.complex import Cube, CubeComplex, _edge_wall, canonical_cube
 from wallcube.errors import (
+    DuplicateInducedPartition,
     NotAHemiwallspace,
     NotInComplex,
     StuckLoop,
@@ -55,7 +59,7 @@ from wallcube.errors import (
 )
 from wallcube.groups import TRUNCATION_CAVEAT
 from wallcube.hemi import induce_hemi
-from wallcube.metric import INF, Metric, _dijkstra, bits, components, compress
+from wallcube.metric import INF, Metric, _dijkstra, bits, components
 from wallcube.separation import (
     WALL_DISTANCE_NOTE,
     _largest_fraction_at_most,
@@ -66,7 +70,6 @@ from wallcube.wallspace import (
     Wall,
     Wallspace,
     conflict_tables,
-    induced_walls,
     separating,
     separation_index,
 )
@@ -191,6 +194,42 @@ def from_geometric_walls(points, edges, wall_subsets):
     return Wallspace(points, walls, metric=metric)
 
 
+def compress(mask, onto):
+    """The bits of `mask` inside `onto`, renumbered 0, 1, ... in the order
+    of `onto`'s bits: a subset's mask in the induced point ordering."""
+    out = 0
+    for k, i in enumerate(bits(onto)):
+        if mask >> i & 1:
+            out |= 1 << k
+    return out
+
+
+def induced_walls(ws, ymask):
+    """The walls induced on the nonempty point set `ymask`: (U ∩ Y, V ∩ Y),
+    as masks over Y's points in order, with the induced vacuous walls
+    {Y, ∅} dropped.  Raises DuplicateInducedPartition when two distinct
+    parent walls induce the same genuine partition of Y (the forbidden
+    configuration)."""
+    if ymask == 0:
+        raise WallcubeError("Y must be nonempty")
+    yfull = (1 << ymask.bit_count()) - 1
+    walls = []
+    partitions = {}
+    dups = []
+    for w in ws.walls:
+        u, v = compress(w.left, ymask), compress(w.right, ymask)
+        if {u, v} == {0, yfull}:
+            continue
+        walls.append(Wall(w.index, u, v))
+        if u & v == 0 and u and v:
+            first = partitions.setdefault(frozenset((u, v)), w.index)
+            if first != w.index:
+                dups.append((first, w.index))
+    if dups:
+        raise DuplicateInducedPartition(dups)
+    return walls
+
+
 def subwallspace(ws, Y):
     """Induced subwallspace on the point subset Y (names or bitmask): the
     `induced_walls` on Y, and the ambient metric, when present, restricted
@@ -249,7 +288,7 @@ def oracle_toward_point(ws, p):
     """The orientation toward point p, wall by wall: the side holding p,
     the left one when both do, and on a wall missing p (no cover) its
     nonempty side."""
-    b = ws.point_bit(p)
+    b = 1 << ws.point_pos(p)
     m = 0
     for i, w in enumerate(ws.walls):
         if not w.left & b and (w.right & b or not w.left):
@@ -274,8 +313,8 @@ def oracle_wall_separates(ws, k, i, j):
     wk = wall_of(ws, k)
     u, v = halfspace_sets(ws, wk)
     ou, ov = u - v, v - u
-    sides_i = [set(oracle_names(ws, h)) for h in wall_of(ws, i).halfspaces()]
-    sides_j = [set(oracle_names(ws, h)) for h in wall_of(ws, j).halfspaces()]
+    sides_i = halfspace_sets(ws, wall_of(ws, i))
+    sides_j = halfspace_sets(ws, wall_of(ws, j))
     for a in sides_i:
         for b in sides_j:
             if (a <= ou and b <= ov) or (a <= ov and b <= ou):
@@ -700,7 +739,7 @@ def oracle_induce_hemi(ws, P, variant):
       Ustar:  diam(U ∩ N_r(P)) >= tau for some r
       UrStar: diam(U ∩ N_r(P)) >= tau
     """
-    pmask = P if isinstance(P, int) else ws.mask_of(P)
+    pmask = P if isinstance(P, int) else ws.point_mask(P)
     if pmask == 0:
         raise WallcubeError("P must be nonempty")
     kind = variant.kind
@@ -1143,7 +1182,7 @@ def oracle_compact_wall_separation(ws, K):
     """Least f with: d(K, W) >= f implies some other wall separates K from W
     (K in one open halfspace of W', a closed halfspace of W in the other)."""
     metric = ws.require_metric()
-    kmask = K if isinstance(K, int) else ws.mask_of(K)
+    kmask = K if isinstance(K, int) else ws.point_mask(K)
     if not kmask:
         raise WallcubeError("K must be nonempty")
     index = separation_index(ws)
@@ -1164,7 +1203,8 @@ def oracle_compact_wall_separation(ws, K):
         higher = [d for d, sep, _ in items if d > worst]
         f = min(higher) if higher else worst + 1
         witnesses = sorted(wit for d, wit in unsep if d == worst)
-    verdict = "holds" if f <= diam or not witnesses else "fails"
+    # an unseparated wall at infinite distance leaves no f
+    verdict = "holds" if f < INF and f <= diam or not witnesses else "fails"
     return _report("CompactWall", {"K": sorted(oracle_names(ws, kmask))},
                    verdict, value=f, witnesses=witnesses,
                    notes=[WALL_DISTANCE_NOTE])
@@ -1202,7 +1242,7 @@ def oracle_subspace_separation(ws, Y, kind, r):
     if kind not in ("BallWallNbd", "WallNbdWallNbd"):
         raise WallcubeError(f"unknown kind {kind}")
     metric = ws.require_metric()
-    ymask = Y if isinstance(Y, int) else ws.mask_of(Y)
+    ymask = Y if isinstance(Y, int) else ws.point_mask(Y)
     index = separation_index(subwallspace(ws, ymask))
 
     def part(mask):

@@ -252,7 +252,7 @@ def test_criterion_07_pair_order_counterexample():
     cc = enumerate_all_orientations(ws)
     found = False
     for x0 in ws.points:
-        b = ws.point_bit(x0)
+        b = 1 << ws.point_pos(x0)
         for m in cc.vertices:
             mis = [i for i in range(ws.nwalls()) if not chosen(ws, m, i) & b]
             pairs = {i: (chosen(ws, m, i), chosen(ws, m ^ (1 << i), i))

@@ -1327,6 +1327,22 @@ def test_cli_sweep_compact_wall():
     assert all(line.split(",")[1] == "holds" for line in lines[1:])
 
 
+def test_cli_compact_wall_fails_with_a_wall_out_of_reach(tmp_path):
+    # c is in no metric edge, so the one wall's region, its frontiers, is
+    # empty and at infinite distance from K; no other wall separates it,
+    # so no f works.  This once said "holds", as inf passed f <= diameter
+    doc = {"points": ["a", "b", "c"],
+           "walls": [{"index": 0, "left": ["a", "b"], "right": ["c"]}],
+           "metric": {"edges": [["a", "b", 1]]}}
+    path = write(tmp_path, "far.json", json.dumps(doc))
+    r = run_cli(["diagnose", path, "--property", "compact-wall",
+                 "--params", '{"K": ["a"]}'])
+    assert r.exit_code == 0
+    payload = json.loads(r.stdout)["payload"]
+    assert (payload["verdict"], payload["value"], payload["witnesses"]) == \
+        ("fails", metric_module.INF, [[0]])
+
+
 @pytest.mark.parametrize("args", [
     [],                                # no command
     ["mystery"],                       # no such command

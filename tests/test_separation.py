@@ -192,11 +192,23 @@ def test_compact_wall_grid_and_rbad():
     assert max(vals) <= 4
 
 
+def test_compact_wall_fails_when_no_threshold_exists():
+    # the one wall's region is empty, so at infinite distance from K, and
+    # no other wall separates it: f = inf, which no diameter bounds
+    ws = Wallspace("abc", [Wall(0, 0b011, 0b100)],
+                   metric=Metric.from_edges(3, [(0, 1, 1)]))
+    for diagnostic in (compact_wall_separation,
+                       oracle_compact_wall_separation):
+        rep = diagnostic(ws, ["a"])
+        assert (rep.verdict, rep.value, rep.witnesses) == \
+            ("fails", INF, [[0]])
+
+
 def test_compact_wall_revalidates():
     for ws in metric_spaces(6):
         K = [ws.points[0]]
         rep = compact_wall_separation(ws, K)
-        kmask = ws.mask_of(K)
+        kmask = ws.point_mask(K)
         if rep.verdict != "holds":
             continue
         for w in ws.walls:
@@ -402,6 +414,46 @@ def test_separation_diagnostics_match_row_scans(data):
         kwargs = fit if new is linear_separation_fit else {}
         assert outcome(new, ws, *args, **kwargs) \
             == outcome(oracle, old, *args, **kwargs)
+
+
+def test_subspace_separation_matches_the_oracle_on_hand_cases():
+    # production finds a repeated genuine partition of Y on U ∩ Y and
+    # V ∩ Y in the parent's ordering, the oracle on the compressed walls
+    # of the subwallspace
+    metric = Metric.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    # both walls induce ({0, 1}, {2}) on Y = {0, 1, 2}
+    twice = Wallspace("abcd", [Wall(0, 0b0011, 0b1100),
+                               Wall(1, 0b1011, 0b0100)], metric=metric)
+    # so do three walls, reported by index, first wall first
+    thrice = Wallspace("abcd", [Wall(7, 0b0011, 0b1100),
+                                Wall(2, 0b1011, 0b0100),
+                                Wall(5, 0b0011, 0b0100)], metric=metric)
+    # wall 1 is {Y, ∅} on Y, which the subwallspace drops, and wall 2
+    # {∅, Y}; walls 3 and 4 both induce ({0, 1, 2}, {2}), which is no
+    # genuine partition, so its repeat is allowed
+    vacuous = Wallspace("abcd", [Wall(0, 0b0011, 0b1100),
+                                 Wall(1, 0b1111, 0b1000),
+                                 Wall(2, 0b1000, 0b1111),
+                                 Wall(3, 0b0111, 0b1100),
+                                 Wall(4, 0b1111, 0b0100)], metric=metric)
+    cases = [(twice, 0b0111), (twice, ["a", "b", "c"]), (twice, 0b1111),
+             (thrice, 0b0111), (vacuous, 0b0111), (vacuous, 0b0011),
+             (twice, []), (twice, 0)]
+    for ws, Y in cases:
+        for kind in ("BallWallNbd", "WallNbdWallNbd"):
+            for r in (0, 1):
+                assert outcome(subspace_separation, ws, Y, kind, r) == \
+                    outcome(oracle_subspace_separation, ws, Y, kind, r)
+    message = "distinct parent walls induce equal genuine partitions: "
+    assert outcome(subspace_separation, twice, 0b0111, "BallWallNbd", 0) \
+        == ("DuplicateInducedPartition", message + "[(0, 1)]")
+    assert outcome(subspace_separation, thrice, 0b0111, "BallWallNbd", 0) \
+        == ("DuplicateInducedPartition", message + "[(7, 2), (7, 5)]")
+    assert subspace_separation(vacuous, 0b0111, "BallWallNbd", 0).verdict \
+        == "holds"
+    for Y in ([], 0):
+        assert outcome(subspace_separation, twice, Y, "BallWallNbd", 0) \
+            == ("WallcubeError", "Y must be nonempty")
 
 
 def outcome(diagnostic, ws, *args, **kwargs):

@@ -213,7 +213,7 @@ def test_names_of_matches_scan():
                 ws.names_of(m)
     for ws in spaces():
         for w in ws.walls:
-            for side in w.halfspaces():
+            for side in (w.left, w.right):
                 assert ws.names_of(side) == oracle_names(ws, side)
 
 
@@ -225,7 +225,7 @@ def test_point_set_arguments_are_checked_once():
     ws = grid(2)
     n = len(ws.points)
     names = ["0,0", "0,1", "1,1"]
-    mask = ws.mask_of(names)
+    mask = sum(1 << ws.point_pos(p) for p in names)
     entry_points = [
         lambda X: compact_wall_separation(ws, X).to_dict(),
         lambda X: bounded_packing_number(ws, [X, names], 1).to_dict(),
