@@ -195,9 +195,10 @@ def compact_wall_separation(ws, K):
             worst.add(dist[pos], [w.index])
     f, witnesses = worst.result()
     if witnesses:
-        higher = [d for d in dist.values() if d > f]
+        # walls out of reach never meet d >= f, so they bound no f
+        higher = [d for d in dist.values() if f < d < INF]
         f = min(higher) if higher else f + 1
-    # no f works when an unseparated wall lies at infinite distance
+    # f is infinite, and no f works, when an unseparated wall is out of reach
     verdict = ("holds" if not witnesses
                or f < INF and f <= ws.derived(_diameter) else "fails")
     return _report("CompactWall", {"K": sorted(ws.names_of(kmask))},

@@ -176,8 +176,7 @@ def validate(ws):
             infos.append({"kind": "VacuousWall", "wall": w.index})
         elif w.is_genuine_partition():
             infos.append({"kind": "GenuinePartition", "wall": w.index})
-    # the walls betwixting x are those whose carrier holds x
-    betwixt = owners([w.carrier() for w in ws.walls], len(ws.points))
+    betwixt = separation_index(ws).betwixt
     betwixt_counts = dict(zip(ws.points, map(int.bit_count, betwixt)))
     return Report(ok=not errors, errors=errors, infos=infos,
                   betwixt_counts=betwixt_counts)

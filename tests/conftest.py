@@ -38,9 +38,9 @@ criteria and oracles that read them: the orientation helpers `chosen`,
 `oracle_subspace_separation` separates in, built from the compressed
 `induced_walls` (by `compress`), which also raise on a repeated genuine
 partition of Y.  `subspace_separation` checks that repeat on U ∩ Y and
-V ∩ Y in the parent's point ordering, so it shares no code with them.  The library addresses walls by
-position only, so the tests find a wall by its index here, by a scan
-(`wall_position`, `wall_of`).
+V ∩ Y in the ambient point ordering, so it shares no code with them.
+The library addresses walls by position only, so the tests find a wall
+by its index here, by a scan (`wall_position`, `wall_of`).
 """
 
 import json
@@ -1200,7 +1200,8 @@ def oracle_compact_wall_separation(ws, K):
         f, witnesses = 0, []
     else:
         worst = max(d for d, _ in unsep)
-        higher = [d for d, sep, _ in items if d > worst]
+        # no wall at infinite distance has d >= f for a finite f
+        higher = [d for d, sep, _ in items if worst < d < INF]
         f = min(higher) if higher else worst + 1
         witnesses = sorted(wit for d, wit in unsep if d == worst)
     # an unseparated wall at infinite distance leaves no f

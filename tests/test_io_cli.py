@@ -1327,20 +1327,30 @@ def test_cli_sweep_compact_wall():
     assert all(line.split(",")[1] == "holds" for line in lines[1:])
 
 
-def test_cli_compact_wall_fails_with_a_wall_out_of_reach(tmp_path):
+@pytest.mark.parametrize("doc, verdict, value", [
     # c is in no metric edge, so the one wall's region, its frontiers, is
     # empty and at infinite distance from K; no other wall separates it,
     # so no f works.  This once said "holds", as inf passed f <= diameter
-    doc = {"points": ["a", "b", "c"],
-           "walls": [{"index": 0, "left": ["a", "b"], "right": ["c"]}],
-           "metric": {"edges": [["a", "b", 1]]}}
+    ({"points": ["a", "b", "c"],
+      "walls": [{"index": 0, "left": ["a", "b"], "right": ["c"]}],
+      "metric": {"edges": [["a", "b", 1]]}}, "fails", metric_module.INF),
+    # wall 1's region {d, e} is out of reach of K, and wall 0 separates
+    # it, so it bounds no f: f sits just above wall 0 at distance 1
+    ({"points": ["a", "b", "c", "d", "e"],
+      "walls": [{"index": 0, "left": ["a", "b"], "right": ["c", "d", "e"]},
+                {"index": 1, "left": ["a", "b", "c", "d"], "right": ["e"]}],
+      "metric": {"edges": [["a", "b", 1], ["b", "c", 1], ["d", "e", 1]]}},
+     "holds", 2),
+], ids=["unseparated", "separated"])
+def test_cli_compact_wall_with_a_wall_out_of_reach(tmp_path, doc, verdict,
+                                                   value):
     path = write(tmp_path, "far.json", json.dumps(doc))
     r = run_cli(["diagnose", path, "--property", "compact-wall",
                  "--params", '{"K": ["a"]}'])
     assert r.exit_code == 0
     payload = json.loads(r.stdout)["payload"]
     assert (payload["verdict"], payload["value"], payload["witnesses"]) == \
-        ("fails", metric_module.INF, [[0]])
+        (verdict, value, [[0]])
 
 
 @pytest.mark.parametrize("args", [

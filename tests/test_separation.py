@@ -192,16 +192,31 @@ def test_compact_wall_grid_and_rbad():
     assert max(vals) <= 4
 
 
-def test_compact_wall_fails_when_no_threshold_exists():
+@pytest.mark.parametrize("ws, verdict, value", [
     # the one wall's region is empty, so at infinite distance from K, and
     # no other wall separates it: f = inf, which no diameter bounds
-    ws = Wallspace("abc", [Wall(0, 0b011, 0b100)],
-                   metric=Metric.from_edges(3, [(0, 1, 1)]))
+    (Wallspace("abc", [Wall(0, 0b011, 0b100)],
+               metric=Metric.from_edges(3, [(0, 1, 1)])), "fails", INF),
+    # a-b-c and d-e: W0 = ({a,b}, {c,d,e}) is unseparated at distance 1;
+    # W1 = ({a,b,c,d}, {e}) is out of reach of K and separated by W0
+    (Wallspace("abcde",
+               [Wall(0, 0b00011, 0b11100), Wall(1, 0b01111, 0b10000)],
+               metric=Metric.from_edges(5, [(0, 1, 1), (1, 2, 1),
+                                            (3, 4, 1)])), "holds", 2),
+    # a-b-c, connected: W1 = ({a,b,c}, {}) is vacuous, its region empty and
+    # out of reach, and W0 separates it from K as {} lies in W0's right
+    (Wallspace("abc", [Wall(0, 0b011, 0b100), Wall(1, 0b111, 0)],
+               metric=Metric.from_edges(3, [(0, 1, 1), (1, 2, 1)])),
+     "holds", 2),
+], ids=["unseparated", "disconnected", "vacuous"])
+def test_compact_wall_with_a_wall_out_of_reach(ws, verdict, value):
+    # a wall at infinite distance never has d >= f for a finite f, so only
+    # an unseparated one makes f infinite
     for diagnostic in (compact_wall_separation,
                        oracle_compact_wall_separation):
         rep = diagnostic(ws, ["a"])
         assert (rep.verdict, rep.value, rep.witnesses) == \
-            ("fails", INF, [[0]])
+            (verdict, value, [[0]])
 
 
 def test_compact_wall_revalidates():
