@@ -4,10 +4,13 @@ Vertices (0-cubes) are orientations: one chosen halfspace per wall, all
 chosen halfspaces pairwise intersecting (including each with itself, which
 forces vacuous walls toward X).  Edges join orientations differing on exactly
 one wall; an n-cube is added whenever its (n-1)-skeleton is present.
-The vertices span an induced subgraph of the hypercube on the wall bits, so
-an n-cube's (n-1)-skeleton is present exactly when all 2^n of its corners are
-vertices; the detector checks this level by level, an n-cube being present
-when two opposite (n-1)-faces are (see `_complete_skeleton`).
+The search that finds the vertices gives each vertex m its up mask, the
+walls whose flip from left to right keeps m valid, and the edges are read
+off those masks, with no vertex lookup.  The vertices span an induced
+subgraph of the hypercube on the wall bits, so an n-cube's (n-1)-skeleton
+is present exactly when all 2^n of its corners are vertices; the detector
+checks this level by level, an n-cube being present when two opposite
+(n-1)-faces are (see `_complete_skeleton`).
 
 Orientations are int bitmasks over wall positions: bit 0 means the wall's
 `left` halfspace is chosen, bit 1 means `right`.  Validity is a 2-SAT
@@ -38,7 +41,9 @@ DEFAULT_VERTEX_CAP = 1 << 20
 
 
 def enumerate_valid(ws, cap):
-    """All valid orientation bitmasks of ws, ascending; [] if none.
+    """All valid orientation bitmasks m of ws, each with its up mask, as a
+    dict m -> up in search order; {} if none.  up is the mask of the walls
+    i with bit i clear in m for which m | 1<<i is valid.
 
     A 2-SAT search over states (assigned walls, orientation, forbidden
     left sides, forbidden right sides), depth first, the left child
@@ -56,12 +61,24 @@ def enumerate_valid(ws, cap):
     (2n + 1)·(vertices) states are visited, 2·(vertices) − 1 when the
     walls cover X.  Before the first vertex the search is a greedy
     descent, in which two dead states in a row are the two children of
-    one state; it returns [] there.  It raises StateSpaceCap past `cap`
+    one state; it returns {} there.  It raises StateSpaceCap past `cap`
     vertices.
+
+    The up mask of a vertex m is the walls off m and off the forbidden-
+    right mask fr at m, read with no further test.  Wall j set left ORs
+    c01[j] with its own bit cleared into fr: that bit would forbid the
+    right side of j itself, which no step reads, as a set wall is neither
+    forced nor tested on its other side.  So at a vertex m, bit i of fr,
+    for i clear in m, is set exactly when the right side V of i is empty
+    (the start) or disjoint from the side m chooses on some wall j != i.
+    Flipping i changes only the pairs holding i, so m | 1<<i is valid
+    exactly when V is nonempty and meets the side m chooses on every
+    j != i: exactly when bit i of fr is clear.
     """
     (c00, c01), (c10, c11) = ws.derived(conflict_tables)
+    c01 = [c & ~(1 << j) for j, c in enumerate(c01)]
     fullw = (1 << len(ws.walls)) - 1
-    out = []
+    out = {}
     # empty sides are forbidden from the start
     fl = sum(1 << i for i, w in enumerate(ws.walls) if not w.left)
     fr = sum(1 << i for i, w in enumerate(ws.walls) if not w.right)
@@ -88,16 +105,16 @@ def enumerate_valid(ws, cap):
             else:
                 if len(out) >= cap:
                     raise StateSpaceCap(f"vertex budget {cap} exceeded")
-                out.append(m)
+                out[m] = fullw & ~(m | fr)
                 break
         else:
             # dead; two in a row before any vertex: unsatisfiable
             if died and not out:
-                return []
+                return {}
             died = True
             continue
         died = False
-    return sorted(out)
+    return out
 
 
 def _corners(base, wmask):
@@ -236,40 +253,32 @@ class CubeComplex:
 # -- construction ------------------------------------------------------
 
 
-def _complete_skeleton(vertex_set, nwalls):
+def _complete_skeleton(up):
     """Sageev's skeleton completion: every k-cube whose (k-1)-skeleton is
-    present.  Returns the cells, wall mask -> set of bases (see CubeComplex),
-    level by level: the vertices, the edges, then each k >= 2.
+    present.  `up` maps each vertex m to its up mask, the walls i with bit
+    i clear in m and m | 1<<i a vertex (see `enumerate_valid`).  Returns
+    the cells, wall mask -> set of bases (see CubeComplex), level by
+    level: the vertices, the edges read off the up masks, then each
+    k >= 2.
 
-    The vertex set is an induced subgraph of the hypercube on `nwalls` bits,
-    so an edge is present exactly when both its ends are vertices, and by
-    induction a k-cube's boundary is present exactly when all 2^k of its
-    corners are vertices (each face's corners are corners of the cube, and
-    each corner lies on some face).  A k-cube (m, W | 1<<i), with i above
-    the highest bit of W, has as corners those of the two opposite faces
-    (m, W) and (m | 1<<i, W); so level k is read off level k-1 by checking
-    that pair, and each cube is reached once, from its highest wall.
+    The vertex set is an induced subgraph of the hypercube on the wall
+    bits, so an edge is present exactly when both its ends are vertices,
+    and by induction a k-cube's boundary is present exactly when all 2^k
+    of its corners are vertices (each face's corners are corners of the
+    cube, and each corner lies on some face).  A k-cube (m, W | 1<<i),
+    with i above the highest bit of W, has as corners those of the two
+    opposite faces (m, W) and (m | 1<<i, W); so level k is read off level
+    k-1 by checking that pair, and each cube is reached once, from its
+    highest wall.
 
     Cubes are (base, wall mask) int pairs, every wall bit cleared in base.
     """
-    vset = set(vertex_set)
-    full = (1 << nwalls) - 1
-    # up[m]: walls i with bit i clear in m and m | 1<<i a vertex;
     # level: wall mask -> bases of the cubes of the current dimension
-    up = {}
     level = {}
-    for m in vset:
-        u = 0
-        clear = full & ~m
-        while clear:
-            bit = clear & -clear
-            clear ^= bit
-            if m | bit in vset:
-                u |= bit
-                level.setdefault(bit, set()).add(m)
-        if u:
-            up[m] = u
-    cells = {0: vset, **level}
+    for m, u in up.items():
+        for i in bits(u):
+            level.setdefault(1 << i, set()).add(m)
+    cells = {0: up.keys(), **level}
     while level:
         nxt = {}
         for wmask, bases in level.items():
@@ -318,8 +327,7 @@ def enumerate_all_orientations(ws, vertex_cap=DEFAULT_VERTEX_CAP):
     `enumerate_valid`; on any input, valid or not, and with no vertex when
     no orientation is valid.  Raises StateSpaceCap past `vertex_cap`
     vertices."""
-    verts = enumerate_valid(ws, vertex_cap)
-    return CubeComplex(ws, _complete_skeleton(verts, len(ws.walls)))
+    return CubeComplex(ws, _complete_skeleton(enumerate_valid(ws, vertex_cap)))
 
 
 # -- canonical cubes and distance -------------------------------------

@@ -5,12 +5,13 @@ library's bitmask machinery, so that every fast path is checked against an
 independent reimplementation of the definitions.  The skeleton-completion
 oracle takes the vertex masks the complex is built from, but completes them
 with sets of `Cube` and a check of every face, not the library's int-mask
-level scan, and the edge oracle tries every wall at every vertex.  The
-maximal-cube, sub-complex and NPC oracles read a complex through the
-`Cube` views that `all_cubes` and `cubes` make of its cells, one per
-cell, and through its export document; the export and adjacency oracles
-read the store directly, with a sort per cube and a lookup per vertex
-and wall.
+level scan, and the edge oracle tries every wall at every vertex, as does
+`scan_up_masks`, which finds the up masks the 2-SAT search hands the
+skeleton by a lookup per vertex and wall.  The maximal-cube, sub-complex
+and NPC oracles read a complex through the `Cube` views that `all_cubes`
+and `cubes` make of its cells, one per cell, and through its export
+document; the export and adjacency oracles read the store directly, with
+a sort per cube and a lookup per vertex and wall.
 The canonical-cube oracle orients wall by wall toward the point and frees
 its betwixting walls, and the flip search starts from that orientation.
 The flip-search oracle for `build_dual` steps with `flippable`, the
@@ -486,6 +487,32 @@ def oracle_edges(vertex_set, nwalls):
     vset = set(vertex_set)
     return sorted((m, m2, i) for m in vset
                   for m2, i in _corner_neighbors(m, nwalls, vset) if m < m2)
+
+
+def scan_up_masks(vertex_set, nwalls):
+    """The up masks and edges by scan, a lookup of m | 1<<i for every
+    vertex m and every bit i clear in m (the skeleton's level 1 before
+    `enumerate_valid` gave the up masks).  Returns (up, level): up[m] for
+    the vertices with an edge above them, and level, wall bit -> the
+    bases of its edges."""
+    vset = set(vertex_set)
+    full = (1 << nwalls) - 1
+    # up[m]: walls i with bit i clear in m and m | 1<<i a vertex;
+    # level: wall mask -> bases of the cubes of the current dimension
+    up = {}
+    level = {}
+    for m in vset:
+        u = 0
+        clear = full & ~m
+        while clear:
+            bit = clear & -clear
+            clear ^= bit
+            if m | bit in vset:
+                u |= bit
+                level.setdefault(bit, set()).add(m)
+        if u:
+            up[m] = u
+    return up, level
 
 
 def oracle_adj(cc):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
     all_cubes,
     cube_key,
@@ -27,18 +28,22 @@ from conftest import (
     oracle_verify_npc,
     pair_le,
     random_wallspace,
+    scan_up_masks,
     strip_cells,
 )
 from wallcube import io
 from wallcube.complex import (
+    DEFAULT_VERTEX_CAP,
     Cube,
     CubeComplex,
+    _complete_skeleton,
     build_dual,
     canonical_cube,
     conflict_tables,
     contract_loop,
     cube_distance,
     enumerate_all_orientations,
+    enumerate_valid,
     maximal_cubes,
     verify_npc,
 )
@@ -177,20 +182,103 @@ def test_build_dual_matches_flip_search_oracle(ws):
         assert build_dual(ws, p).vertices == oracle_build_dual(ws, p)
 
 
+def noncovering_wallspace(seed):
+    """Arbitrary halfspace pairs on at most 5 points and 7 walls, most of
+    them not covering X, empty and vacuous sides among them."""
+    rng = random.Random(seed)
+    full = (1 << rng.randint(1, 5)) - 1
+    walls = [Wall(i, rng.randint(0, full), rng.randint(0, full))
+             for i in range(rng.randint(1, 7))]
+    return Wallspace([f"p{i}" for i in range(full.bit_length())], walls)
+
+
 def test_enumeration_matches_oracle_on_noncovering_spaces():
-    # arbitrary halfspace pairs, most of them not covering X; about a
-    # third of these spaces have no valid orientation at all
+    # about a third of these spaces have no valid orientation at all
     unsatisfiable = 0
     for seed in range(400):
-        rng = random.Random(seed)
-        full = (1 << rng.randint(1, 5)) - 1
-        walls = [Wall(i, rng.randint(0, full), rng.randint(0, full))
-                 for i in range(rng.randint(1, 7))]
-        ws = Wallspace([f"p{i}" for i in range(full.bit_length())], walls)
+        ws = noncovering_wallspace(seed)
         expected = oracle_all_vertices(ws)
         assert enumerate_all_orientations(ws).vertices == expected
         unsatisfiable += not expected
     assert unsatisfiable > 50
+
+
+seeds = st.integers(0, 1 << 32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    covering_wallspaces(),
+    seeds.map(lambda s: random_wallspace(s, with_metric=False)),
+    seeds.map(noncovering_wallspace)))
+def test_up_masks_are_the_flippable_walls(ws):
+    # bit i of up[m] is set iff bit i is clear in m and flipping i keeps m
+    # valid; the scan the up masks replaced finds the same edges, and the
+    # cells built on them equal the definitions' edges and cubes
+    n = ws.nwalls()
+    up = enumerate_valid(ws, DEFAULT_VERTEX_CAP)
+    verts = oracle_all_vertices(ws)
+    assert sorted(up) == verts
+    for m, u in up.items():
+        assert u == sum(1 << i for i in range(n)
+                        if not m >> i & 1 and flippable(ws, m, i))
+    scan_up, scan_level = scan_up_masks(verts, n)
+    assert {m: u for m, u in up.items() if u} == scan_up
+    cc = CubeComplex(ws, _complete_skeleton(up))
+    assert {w: b for w, b in cc.cells.items() if w.bit_count() == 1} == \
+        scan_level
+    assert cc.edges == oracle_edges(verts, n)
+    assert cubes(cc) == oracle_complete_skeleton(set(verts), n)
+
+
+def test_up_masks_match_the_scan_at_size():
+    # past the oracles' reach: the scan's edges and the recorded counts
+    for ws, counts in [(grid(20), {0: 441, 1: 840, 2: 400}),
+                       (rbad(20), {0: 442, 1: 460, 2: 19}),
+                       (geom_path(511), {0: 511, 1: 510})]:
+        up = enumerate_valid(ws, DEFAULT_VERTEX_CAP)
+        scan_up, scan_level = scan_up_masks(up, ws.nwalls())
+        assert {m: u for m, u in up.items() if u} == scan_up
+        cc = CubeComplex(ws, _complete_skeleton(up))
+        assert {w: b for w, b in cc.cells.items() if w.bit_count() == 1} == \
+            scan_level
+        assert cc.cube_counts() == counts
+
+
+def counting_set():
+    """A set type, and the counts of insertions and membership tests made
+    on all its instances."""
+    counts = {"add": 0, "in": 0}
+
+    class CountingSet(set):
+        def add(self, x):
+            counts["add"] += 1
+            super().add(x)
+
+        def __contains__(self, x):
+            counts["in"] += 1
+            return super().__contains__(x)
+
+    return CountingSet, counts
+
+
+def test_skeleton_edges_work_count(monkeypatch):
+    # level 1 inserts each bit of each up mask, one insertion per edge,
+    # and makes no membership test; no timing.  On the path no edge's base
+    # has an up edge on a higher wall, so level 2 tests nothing either.
+    # The scan the up masks replaced tests every clear bit of every
+    # vertex: 511 * 510 / 2 tests on the path.
+    ws = geom_path(511)
+    up = enumerate_valid(ws, DEFAULT_VERTEX_CAP)
+    counting, counts = counting_set()
+    monkeypatch.setattr("wallcube.complex.set", counting, raising=False)
+    cc = CubeComplex(ws, _complete_skeleton(up))
+    assert cc.cube_counts() == {0: 511, 1: 510}
+    assert counts == {"add": 510, "in": 0}
+    counting, counts = counting_set()
+    monkeypatch.setattr(conftest, "set", counting, raising=False)
+    scan_up_masks(up, ws.nwalls())
+    assert counts == {"add": 510, "in": 511 * 510 // 2}
 
 
 def test_detectors_agree():
