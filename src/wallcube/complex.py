@@ -35,7 +35,14 @@ from .errors import (
     WallcubeError,
 )
 from .metric import bits, flags
-from .wallspace import Report, conflict_tables, separation_index, validate
+from .wallspace import (
+    Report,
+    betwixt,
+    conflict_tables,
+    empty_sides,
+    open_sides,
+    validate,
+)
 
 DEFAULT_VERTEX_CAP = 1 << 20
 
@@ -80,8 +87,7 @@ def enumerate_valid(ws, cap):
     fullw = (1 << len(ws.walls)) - 1
     out = {}
     # empty sides are forbidden from the start
-    fl = sum(1 << i for i, w in enumerate(ws.walls) if not w.left)
-    fr = sum(1 << i for i, w in enumerate(ws.walls) if not w.right)
+    fl, fr = ws.derived(empty_sides)
     stack = [(0, 0, fl, fr)]
     died = False  # the state popped before this one died
     while stack:
@@ -341,14 +347,15 @@ def canonical_cube(ws, x):
     (x ∈ V or U = ∅): the side holding x, the left one on a tie, and on a
     wall missing x (no cover) its nonempty side.  Off the betwixting walls
     those are the walls with x in V ∖ U, which is `sr` of x's
-    SeparationIndex pair, and the walls with U = ∅; a betwixting wall has
-    x ∈ U, so its bit is clear, as the base of a cube needs.  So the cube
-    is read off the index in a few mask operations: base sr | empty_left,
-    free walls `betwixt[x]`.
+    `open_sides` pair, and the walls with U = ∅ (the left of
+    `empty_sides`); a betwixting wall has x ∈ U, so its bit is clear, as
+    the base of a cube needs.  So the cube is read off the wallspace's
+    derived masks in a few mask operations: base sr | (U = ∅), free walls
+    `betwixt` of x.
     """
-    index = separation_index(ws)
     pos = ws.point_pos(x)
-    return Cube(index.point[pos][1] | index.empty_left, index.betwixt[pos])
+    return Cube(ws.derived(open_sides)[pos][1] | ws.derived(empty_sides)[0],
+                ws.derived(betwixt)[pos])
 
 
 def cube_distance(cc, a, b):
@@ -475,8 +482,10 @@ def contract_loop(cc, loop):
             moves.append(("backtrack", bt))
             del path[bt + 1:bt + 3]
             continue
-        # 2. innermost pair of edges dual to the same wall
-        pair = _innermost_pair([_edge_wall(a, b)
+        # 2. innermost pair of edges dual to the same wall; every step
+        #    differs in one bit, checked above and kept by square swaps,
+        #    so an edge's wall is the position of that bit
+        pair = _innermost_pair([(a ^ b).bit_length() - 1
                                 for a, b in zip(path, path[1:])])
         if pair is None:
             raise StuckLoop("no backtrack and no innermost pair")
@@ -484,7 +493,7 @@ def contract_loop(cc, loop):
         # push edge q leftward with square swaps until adjacent to edge p
         while q > p + 1:
             u, mid, v = path[q - 1], path[q], path[q + 1]
-            w1, w2 = _edge_wall(u, mid), _edge_wall(mid, v)
+            w1, w2 = (u ^ mid).bit_length() - 1, (mid ^ v).bit_length() - 1
             if not cc.has_cell(u, 1 << w1 | 1 << w2):
                 raise StuckLoop(
                     f"square on walls {sorted((w1, w2))} missing at step {q}")
@@ -512,9 +521,3 @@ def _innermost_pair(walls):
             inside.add(walls[q])
     return None
 
-
-def _edge_wall(u, v):
-    d = u ^ v
-    if d == 0 or d & (d - 1):
-        raise WallcubeError("not a 1-skeleton edge")
-    return d.bit_length() - 1

@@ -1,11 +1,12 @@
 """Optional metric attached to a ground set, and the bitmask graph helpers.
 
 A metric is either given as an explicit symmetric distance table or as a
-weighted graph whose path metric is taken (shortest paths by breadth-first
-search when every weight is 1, by Dijkstra otherwise).  Set arguments are
-bitmasks over the point ordering, matching the rest of the library; so are
-the graphs of `max_cliques` and `components`, given as a list of neighbour
-bitmasks.  `owners` transposes a list of point masks into per-point masks
+weighted graph whose path metric is taken on the first read of its table
+(shortest paths by breadth-first search when every weight is 1, by
+Dijkstra otherwise).  Set arguments are bitmasks over the point
+ordering, matching the rest of the library; so are the graphs of
+`max_cliques` and `components`, given as a list of neighbour bitmasks.
+`owners` transposes a list of point masks into per-point masks
 of list positions, the one way the library builds a per-point wall mask.
 """
 
@@ -126,14 +127,15 @@ class Metric:
     """Symmetric distance table (rows of floats), optionally backed by a
     graph.
 
-    A unit-weight graph keeps only its neighbour masks: `rings` expands
-    them breadth first, one ring per distance, and the table is built
-    from the rings on first use of `dist`.  Per-point radius layers are
-    not stored: a Python int is as wide as its highest bit, so they would
-    cost about n·diam·n/8 bytes.
+    A graph metric keeps only its edges, and builds its table on first use
+    of `dist`.  A unit-weight graph expands its neighbour masks breadth
+    first in `rings`, one ring per distance, and its table is built from
+    the rings; any other weights take it from Dijkstra.  Per-point radius
+    layers are not stored: a Python int is as wide as its highest bit, so
+    they would cost about n·diam·n/8 bytes.
     """
 
-    def __init__(self, dist, edges=None):
+    def __init__(self, dist):
         dist = [list(map(float, row)) for row in dist]
         n = len(dist)
         if any(len(row) != n for row in dist):
@@ -152,7 +154,7 @@ class Metric:
         self._table = dist
         self.n = n
         # edges: list of (i, j, weight) when the metric came from a graph
-        self.edges = list(edges) if edges is not None else None
+        self.edges = None
         self._adj = None
         # levels[k] is the one float k of a unit-weight metric, shared by
         # every distance it reports; None for a table metric
@@ -161,28 +163,32 @@ class Metric:
     @classmethod
     def from_edges(cls, n, edges):
         """Path metric of a weighted graph on n vertices; edges = (i, j, w).
-        Unreachable pairs are at distance inf.  When every weight is 1 only
-        the neighbour masks are kept, and equal distances share one float
-        object; otherwise the table comes from Dijkstra."""
+        Unreachable pairs are at distance inf.  Only the edges are kept;
+        the table is built on first use of `dist`.  When every weight is 1,
+        equal distances share one float object."""
         for i, j, w in edges:
             if not w >= 0:
                 raise WallcubeError(f"edge ({i}, {j}) has negative weight {w}")
-        if any(w != 1 for _i, _j, w in edges):
-            nbrs = [[] for _ in range(n)]
-            for i, j, w in edges:
-                nbrs[i].append((j, w))
-                nbrs[j].append((i, w))
-            return cls([_dijkstra(nbrs, s) for s in range(n)], edges=edges)
+        # a weight past float's range raises OverflowError here, as the
+        # table's sums would
+        weights = [float(w) for _i, _j, w in edges]
         self = cls.__new__(cls)
         self.n, self.edges = n, list(edges)
-        self._table, self._adj, self._levels = None, None, [0.0]
+        self._table, self._adj = None, None
+        self._levels = [0.0] if all(w == 1 for w in weights) else None
         return self
 
     @property
     def dist(self):
-        """The distance table; a unit-weight metric builds it from its
-        rings on first use."""
-        if self._table is None:
+        """The distance table; a graph metric builds it on first use, from
+        its rings at unit weights and by Dijkstra otherwise."""
+        if self._table is None and self._levels is None:
+            nbrs = [[] for _ in range(self.n)]
+            for i, j, w in self.edges:
+                nbrs[i].append((j, w))
+                nbrs[j].append((i, w))
+            self._table = [_dijkstra(nbrs, s) for s in range(self.n)]
+        elif self._table is None:
             table = []
             for s in range(self.n):
                 row = [INF] * self.n
@@ -224,9 +230,9 @@ class Metric:
         if not mask:
             return
         if self._levels is None:
-            near = None
+            near, dist = None, self.dist
             for i in bits(mask):
-                row = self._table[i]
+                row = dist[i]
                 near = row if near is None else list(map(min, near, row))
             by = {}
             for p, d in enumerate(near):

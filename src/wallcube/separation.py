@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DuplicateInducedPartition, WallcubeError
 from .metric import INF, bits, max_cliques, owners
-from .wallspace import Report, separating, separation_index
+from .wallspace import Report, open_sides, separating, sides, wall_sides
 
 WALL_DISTANCE_NOTE = "wall distance = min over carrier U∩V, else frontiers"
 
@@ -89,7 +89,7 @@ def linear_separation_fit(ws, max_denominator=64, max_offset=0.0):
     bounded for the fit to mean anything; max_offset defaults to 0.
     """
     dist = ws.require_metric().dist
-    point = separation_index(ws).point
+    point = ws.derived(open_sides)
     pts = ws.points
     n = len(pts)
     # per distance d > 0, the least #(x,y) and its pairs: (s + ε)/d grows
@@ -158,8 +158,7 @@ def ball_ball_separation(ws, r):
     """Least m with: d(x1,x2) > m implies N_r(x1), N_r(x2) separated by a
     wall.  Fails when even the farthest pairs are unseparated."""
     metric = ws.require_metric()
-    index = separation_index(ws)
-    balls = [index.sides(metric.ball(1 << i, r)) for i in range(metric.n)]
+    balls = [sides(ws, metric.ball(1 << i, r)) for i in range(metric.n)]
     names = ws.points
     worst = _Worst()
     for i, row in enumerate(metric.dist):
@@ -182,8 +181,8 @@ def compact_wall_separation(ws, K):
     kmask = ws.point_mask(K)
     if not kmask:
         raise WallcubeError("K must be nonempty")
-    index = separation_index(ws)
-    k_sides = index.sides(kmask)
+    k_sides = sides(ws, kmask)
+    wall = ws.derived(wall_sides)
     owner = owners(ws.derived(_wall_regions), metric.n)
     dist = _distances(metric, kmask, owner, (1 << len(ws.walls)) - 1)
     # least f: every wall with d >= f separated; f may sit just above the
@@ -191,7 +190,7 @@ def compact_wall_separation(ws, K):
     worst = _Worst()
     for pos, w in enumerate(ws.walls):
         if (dist[pos] >= worst.d
-                and not separating(k_sides, index.wall[pos]) & ~(1 << pos)):
+                and not separating(k_sides, wall[pos]) & ~(1 << pos)):
             worst.add(dist[pos], [w.index])
     f, witnesses = worst.result()
     if witnesses:
@@ -209,7 +208,7 @@ def compact_wall_separation(ws, K):
 def wall_wall_separation(ws):
     """Least D with: d(W,W') > D implies some wall separates W and W'."""
     metric = ws.require_metric()
-    wall = separation_index(ws).wall
+    wall = ws.derived(wall_sides)
     idxs = ws.wall_indices()
     regions = ws.derived(_wall_regions)
     owner = owners(regions, metric.n)
@@ -241,9 +240,9 @@ def subspace_separation(ws, Y, kind, r):
     disjoint.  Such pairs raise DuplicateInducedPartition, each as (first
     wall index, repeat), in wall order.
 
-    The parent's SeparationIndex decides it: for A ⊆ Y, the open sides of
-    the induced wall, restricted to A, are (U ∖ V) ∩ A and (V ∖ U) ∩ A, as
-    for the parent wall; and an induced vacuous wall {Y, ∅}, which the
+    The parent's open sides decide it (`wallspace.sides` of each set):
+    for A ⊆ Y, the open sides of the induced wall, restricted to A, are
+    (U ∖ V) ∩ A and (V ∖ U) ∩ A, as for the parent wall; and an induced vacuous wall {Y, ∅}, which the
     subwallspace drops, has an empty open side, so it separates no two
     nonempty sets.
     """
@@ -262,12 +261,10 @@ def subspace_separation(ws, Y, kind, r):
                 dups.append((i, w.index))
     if dups:
         raise DuplicateInducedPartition(dups)
-    index = separation_index(ws)
-
     def part(mask):
         """The set within Y, and its sides."""
         mask &= ymask
-        return mask, index.sides(mask)
+        return mask, sides(ws, mask)
 
     nbds = [part(metric.ball(region, r))
             for region in ws.derived(_wall_regions)]

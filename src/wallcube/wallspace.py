@@ -9,11 +9,16 @@ Wall identity is the integer index, never the halfspace pair: two walls with
 identical halfspaces but different indices are distinct walls.  The library
 addresses a wall by its position in `Wallspace.walls`, and reads its index
 only to name it in a report.
+
+What is derived from a wallspace alone is built by its first reader and
+kept through `Wallspace.derived`: the conflict tables, the validation
+report, and the masks that betwixtness, canonical cubes and the
+separation criteria read (`betwixt`, `open_sides`, `empty_sides`,
+`wall_sides`), so `validate` transposes the carriers alone.
 """
 
 import itertools
 from collections import namedtuple
-from functools import cached_property
 
 from .errors import MetricRequired, UnknownPoint, WallcubeError
 from .metric import bits, flags, max_cliques, owners
@@ -176,75 +181,71 @@ def validate(ws):
             infos.append({"kind": "VacuousWall", "wall": w.index})
         elif w.is_genuine_partition():
             infos.append({"kind": "GenuinePartition", "wall": w.index})
-    betwixt = separation_index(ws).betwixt
-    betwixt_counts = dict(zip(ws.points, map(int.bit_count, betwixt)))
+    betwixt_counts = dict(zip(ws.points,
+                              map(int.bit_count, ws.derived(betwixt))))
     return Report(ok=not errors, errors=errors, infos=infos,
                   betwixt_counts=betwixt_counts)
 
 
-class SeparationIndex:
-    """Every point's principal orientation on open sides, as wall masks.
+def betwixt(ws):
+    """Each point's betwixting walls (Haglund–Paulin), by point position:
+    the mask of the walls whose carrier U ∩ V holds it, one `owners`
+    transpose of the carriers.  Read through `ws.derived`."""
+    return owners([w.carrier() for w in ws.walls], len(ws.points))
 
-    Bit k of a mask is the wall at position k.  `point[x]` is the pair
-    (sl, sr) of walls having point x in their open left, resp. open right,
-    halfspace (Haglund–Paulin; Nica).  `sides(A)` is that pair for a point
-    set A, the walls with all of A in their open left, resp. right, side:
-    the AND over A, so every wall for the empty set.  `wall[k]` is the pair
-    for the wall at position k: the walls with one of its closed halfspaces
-    in their open left, resp. right, side, built on first read (canonical
-    cubes need none).  `separating` combines two pairs.
 
-    `betwixt[x]` is the walls betwixting point x, whose carrier U ∩ V
-    holds it, and `empty_left` the walls with U = ∅.  x's canonical cube
-    frees `betwixt[x]` and takes V on the walls with x ∉ U and (x ∈ V or
-    U = ∅), which are sr[x] | empty_left, as U = ∅ implies x ∉ U (see
-    `complex.canonical_cube`).  Each per-point list is one `owners`
-    transpose of the walls' open sides, resp. carriers.
-    """
+def open_sides(ws):
+    """Each point's principal orientation on open sides (Haglund–Paulin;
+    Nica), by point position: the pair (sl, sr) of the walls with the
+    point in their open left U ∖ V, resp. open right V ∖ U, side, two
+    `owners` transposes.  Read through `ws.derived`."""
+    n = len(ws.points)
+    return list(zip(owners([w.left & ~w.right for w in ws.walls], n),
+                    owners([w.right & ~w.left for w in ws.walls], n)))
 
-    def __init__(self, ws):
-        n = len(ws.points)
-        self.full = (1 << len(ws.walls)) - 1
-        sl = owners([w.left & ~w.right for w in ws.walls], n)
-        sr = owners([w.right & ~w.left for w in ws.walls], n)
-        self.betwixt = owners([w.carrier() for w in ws.walls], n)
-        self.empty_left = sum(1 << pos for pos, w in enumerate(ws.walls)
-                              if not w.left)
-        self.point = list(zip(sl, sr))
-        self._walls = ws.walls
 
-    @cached_property
-    def wall(self):
-        out = []
-        for w in self._walls:
-            (l1, r1), (l2, r2) = self.sides(w.left), self.sides(w.right)
-            out.append((l1 | l2, r1 | r2))
-        return out
+def empty_sides(ws):
+    """The walls with U = ∅, resp. V = ∅, as a pair of masks.  Read
+    through `ws.derived`."""
+    return (sum(1 << pos for pos, w in enumerate(ws.walls) if not w.left),
+            sum(1 << pos for pos, w in enumerate(ws.walls) if not w.right))
 
-    def sides(self, mask):
-        left = right = self.full
-        for x in bits(mask):
-            pl, pr = self.point[x]
-            left &= pl
-            right &= pr
-        return left, right
+
+def sides(ws, mask):
+    """The pair (L, R) of a point set: the walls with all of it in their
+    open left, resp. right, side.  The AND of `open_sides` over the set,
+    so every wall for the empty set."""
+    point = ws.derived(open_sides)
+    left = right = (1 << len(ws.walls)) - 1
+    for x in bits(mask):
+        pl, pr = point[x]
+        left &= pl
+        right &= pr
+    return left, right
+
+
+def wall_sides(ws):
+    """Each wall's pair (L, R), by position: the walls with one of its
+    closed halfspaces in their open left, resp. right, side, the OR of
+    the pairs of U and V.  Read through `ws.derived`."""
+    out = []
+    for w in ws.walls:
+        (l1, r1), (l2, r2) = sides(ws, w.left), sides(ws, w.right)
+        out.append((l1 | l2, r1 | r2))
+    return out
 
 
 def separating(s, t):
     """The walls with the sets of `s` and `t` in distinct open sides, from
-    their SeparationIndex pairs (L, R).  For walls, the OR over their four
-    pairs of closed halfspaces factors into this one by distributivity."""
+    their pairs (L, R) (`open_sides`, `sides`, `wall_sides`).  For walls,
+    the OR over their four pairs of closed halfspaces factors into this
+    one by distributivity."""
     return s[0] & t[1] | s[1] & t[0]
-
-
-def separation_index(ws):
-    """The SeparationIndex of ws, built on first use and kept on it."""
-    return ws.derived(SeparationIndex)
 
 
 def separation_count(ws, x, y):
     """#(x,y): number of walls whose open halfspaces separate x from y."""
-    point = separation_index(ws).point
+    point = ws.derived(open_sides)
     return separating(point[ws.point_pos(x)],
                       point[ws.point_pos(y)]).bit_count()
 
@@ -260,9 +261,9 @@ def conflict_tables(ws):
     `max_transverse_families`).  Built once per wallspace, through
     `ws.derived`.
     """
-    sides = ([w.left for w in ws.walls], [w.right for w in ws.walls])
-    return [[[sum(1 << j for j, h2 in enumerate(sides[t]) if not h & h2)
-              for h in sides[s]] for t in range(2)] for s in range(2)]
+    halves = ([w.left for w in ws.walls], [w.right for w in ws.walls])
+    return [[[sum(1 << j for j, h2 in enumerate(halves[t]) if not h & h2)
+              for h in halves[s]] for t in range(2)] for s in range(2)]
 
 
 def max_transverse_families(ws):

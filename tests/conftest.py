@@ -50,7 +50,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from wallcube.complex import Cube, CubeComplex, _edge_wall, canonical_cube
+from wallcube.complex import Cube, CubeComplex, canonical_cube
 from wallcube.errors import (
     DuplicateInducedPartition,
     NotAHemiwallspace,
@@ -71,8 +71,10 @@ from wallcube.wallspace import (
     Wall,
     Wallspace,
     conflict_tables,
+    open_sides,
     separating,
-    separation_index,
+    sides,
+    wall_sides,
 )
 
 
@@ -162,7 +164,7 @@ def osculate(ws, i, j):
     """Walls i and j (indices) are not transverse and no third wall
     separates them."""
     a, b = wall_position(ws, i), wall_position(ws, j)
-    wall = separation_index(ws).wall
+    wall = ws.derived(wall_sides)
     return not oracle_transverse(ws, i, j) and \
         not separating(wall[a], wall[b]) & ~(1 << a | 1 << b)
 
@@ -338,8 +340,8 @@ def oracle_separates_compact_wall(ws, sep_index, kmask, wall_index):
     u, v = halfspace_sets(ws, wall_of(ws, sep_index))
     ou, ov = u - v, v - u
     k = set(oracle_names(ws, kmask))
-    sides = halfspace_sets(ws, wall_of(ws, wall_index))
-    return any(k <= kside and any(h <= wside for h in sides)
+    halves = halfspace_sets(ws, wall_of(ws, wall_index))
+    return any(k <= kside and any(h <= wside for h in halves)
                for kside, wside in ((ou, ov), (ov, ou)))
 
 
@@ -378,6 +380,14 @@ def oracle_build_dual(ws, p):
                 seen.add(m2)
                 q.append(m2)
     return sorted(seen)
+
+
+def _edge_wall(u, v):
+    """The wall of the edge (u, v): the one bit they differ in."""
+    d = u ^ v
+    if d == 0 or d & (d - 1):
+        raise WallcubeError("not a 1-skeleton edge")
+    return d.bit_length() - 1
 
 
 def oracle_contract_loop(cc, loop):
@@ -1146,7 +1156,7 @@ def oracle_linear_separation_fit(ws, max_denominator=64, max_offset=0.0):
     bounded for the fit to mean anything; max_offset defaults to 0.
     """
     dist = ws.require_metric().dist
-    point = separation_index(ws).point
+    point = ws.derived(open_sides)
     pts = ws.points
     data = [(pts[i], pts[j], dist[i][j],
              separating(point[i], point[j]).bit_count())
@@ -1190,8 +1200,7 @@ def oracle_ball_ball_separation(ws, r):
     """Least m with: d(x1,x2) > m implies N_r(x1), N_r(x2) separated by a
     wall.  Fails when even the farthest pairs are unseparated."""
     metric = ws.require_metric()
-    index = separation_index(ws)
-    balls = [index.sides(metric.ball(1 << i, r)) for i in range(metric.n)]
+    balls = [sides(ws, metric.ball(1 << i, r)) for i in range(metric.n)]
     items = []
     for i in range(len(ws.points)):
         for j in range(i + 1, len(ws.points)):
@@ -1212,12 +1221,12 @@ def oracle_compact_wall_separation(ws, K):
     kmask = K if isinstance(K, int) else ws.point_mask(K)
     if not kmask:
         raise WallcubeError("K must be nonempty")
-    index = separation_index(ws)
-    k_sides = index.sides(kmask)
+    k_sides = sides(ws, kmask)
+    wall = ws.derived(wall_sides)
     items = []
     for pos, w in enumerate(ws.walls):
         d = dist_sets(metric, kmask, wall_region(ws, w.index))
-        sep = separating(k_sides, index.wall[pos]) & ~(1 << pos)
+        sep = separating(k_sides, wall[pos]) & ~(1 << pos)
         items.append((d, bool(sep), [w.index]))
     diam = metric.diameter()
     # least f: every wall with d >= f separated; f may sit just above the
@@ -1241,7 +1250,7 @@ def oracle_compact_wall_separation(ws, K):
 def oracle_wall_wall_separation(ws):
     """Least D with: d(W,W') > D implies some wall separates W and W'."""
     metric = ws.require_metric()
-    wall = separation_index(ws).wall
+    wall = ws.derived(wall_sides)
     idxs = ws.wall_indices()
     regions = [bits(wall_region(ws, i)) for i in idxs]
     items = []
@@ -1271,12 +1280,12 @@ def oracle_subspace_separation(ws, Y, kind, r):
         raise WallcubeError(f"unknown kind {kind}")
     metric = ws.require_metric()
     ymask = Y if isinstance(Y, int) else ws.point_mask(Y)
-    index = separation_index(subwallspace(ws, ymask))
+    sub = subwallspace(ws, ymask)
 
     def part(mask):
         """The set within Y, and its sides in the subwallspace."""
         mask &= ymask
-        return mask, index.sides(compress(mask, ymask))
+        return mask, sides(sub, compress(mask, ymask))
 
     def item(a, b, witness):
         d = dist_sets(metric, a[0], b[0])

@@ -31,7 +31,7 @@ from conftest import (
     scan_up_masks,
     strip_cells,
 )
-from wallcube import io
+from wallcube import io, wallspace
 from wallcube.complex import (
     DEFAULT_VERTEX_CAP,
     Cube,
@@ -65,6 +65,8 @@ from wallcube.groups import (
     generate_hwall_system,
 )
 from wallcube.hemi import InducedVariant, dual_sub, induce_hemi
+from wallcube.metric import owners
+from wallcube.separation import compact_wall_separation
 from wallcube.wallspace import (
     Wall,
     Wallspace,
@@ -279,6 +281,29 @@ def test_skeleton_edges_work_count(monkeypatch):
     monkeypatch.setattr(conftest, "set", counting, raising=False)
     scan_up_masks(up, ws.nwalls())
     assert counts == {"add": 510, "in": 511 * 510 // 2}
+
+
+def test_build_dual_transposes_only_the_carriers(monkeypatch):
+    # no timing: on a fresh wallspace `build_dual` transposes the carriers
+    # alone, for validate's betwixt counts; the open sides wait for their
+    # first reader, a separation diagnostic, which builds them once
+    calls = []
+
+    def counting(masks, n):
+        calls.append(masks)
+        return owners(masks, n)
+
+    monkeypatch.setattr(wallspace, "owners", counting)
+    for ws in (grid(7), f2_system(4)):
+        calls.clear()
+        build_dual(ws, ws.points[0])
+        carriers = [w.carrier() for w in ws.walls]
+        assert calls == [carriers]
+        for _ in range(2):
+            compact_wall_separation(ws, ws.points[:2])
+        assert calls == [carriers,
+                         [w.left & ~w.right for w in ws.walls],
+                         [w.right & ~w.left for w in ws.walls]]
 
 
 def test_detectors_agree():

@@ -20,6 +20,7 @@ from conftest import OracleMetric, diam
 import wallcube
 from wallcube import io
 from wallcube import metric as metric_module
+from wallcube.complex import build_dual
 from wallcube.errors import StateSpaceCap, WallcubeError
 from wallcube.generators import grid
 from wallcube.groups import (
@@ -227,6 +228,32 @@ def test_unit_metric_builds_no_table_to_load_or_generate():
     ws = io.wallspace_from_dict(io.loads(text))
     assert io.dumps(io.wallspace_to_dict(ws)) == text
     assert ws.metric._table is None
+
+
+def test_weighted_metric_builds_no_table_to_load_or_build(monkeypatch):
+    # a weighted graph keeps its edges, as a unit-weight one does: parsing
+    # the document and building its dual run no Dijkstra, and the first
+    # read of `dist` runs one per point
+    sources = []
+
+    def counting(nbrs, s):
+        sources.append(s)
+        return _dijkstra(nbrs, s)
+
+    monkeypatch.setattr(metric_module, "_dijkstra", counting)
+    unit = grid(4)
+    doc = io.wallspace_to_dict(unit)
+    doc["metric"]["edges"] = [[a, b, 2.5]
+                              for a, b, _w in doc["metric"]["edges"]]
+    text = io.dumps(doc)
+    ws = io.wallspace_from_dict(io.loads(text))
+    assert build_dual(ws, ws.points[0]).nvertices() == \
+        build_dual(unit, unit.points[0]).nvertices()
+    assert io.dumps(io.wallspace_to_dict(ws)) == text
+    assert sources == [] and ws.metric._table is None
+    assert ws.metric.dist == [[2.5 * d for d in row]
+                              for row in unit.metric.dist]
+    assert sources == list(range(ws.metric.n))
 
 
 def test_unit_metric_memory_stays_linear():

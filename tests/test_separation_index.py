@@ -1,4 +1,5 @@
-"""Property tests: the separation index against the set-based oracles.
+"""Property tests: the derived separation masks (`open_sides`, `sides`,
+`wall_sides`) against the set-based oracles.
 
 Wallspaces are drawn two ways: `conftest.random_wallspace` by seed, and
 arbitrary halfspace pairs on up to 6 points (empty sides, vacuous and
@@ -25,7 +26,8 @@ from wallcube.wallspace import (
     Wallspace,
     separating,
     separation_count,
-    separation_index,
+    sides,
+    wall_sides,
 )
 
 BOUNDED = settings(max_examples=200, deadline=None)
@@ -57,8 +59,8 @@ def test_separation_count_matches_oracle(ws):
 @given(wallspaces())
 def test_wall_separation_and_osculation_match_oracle(ws):
     # the walls separating walls i and j (a closed halfspace of each in
-    # distinct open sides), from the index's pairs for the two walls
-    wall = separation_index(ws).wall
+    # distinct open sides), from the pairs of the two walls
+    wall = ws.derived(wall_sides)
     idxs = ws.wall_indices()
     for i in idxs:
         for j in idxs:
@@ -78,17 +80,17 @@ def test_wall_separation_and_osculation_match_oracle(ws):
 @BOUNDED
 @given(wallspaces(), st.data())
 def test_set_separation_matches_oracle(ws, data):
-    index = separation_index(ws)
+    wall = ws.derived(wall_sides)
     side = st.integers(0, ws.full)
     a, b = data.draw(side), data.draw(side)
     for mask_a, mask_b in ((a, b), (a, 0), (0, b), (0, 0)):
         expect = any(oracle_separates_sets(ws, w.index, mask_a, mask_b)
                      for w in ws.walls)
-        assert bool(separating(index.sides(mask_a),
-                               index.sides(mask_b))) == expect
+        assert bool(separating(sides(ws, mask_a),
+                               sides(ws, mask_b))) == expect
     # a set against a wall, by a wall other than that one
     for pos, w in enumerate(ws.walls):
         expect = any(oracle_separates_compact_wall(ws, w2.index, a, w.index)
                      for w2 in ws.walls if w2.index != w.index)
-        got = separating(index.sides(a), index.wall[pos]) & ~(1 << pos)
+        got = separating(sides(ws, a), wall[pos]) & ~(1 << pos)
         assert bool(got) == expect

@@ -37,10 +37,11 @@ from wallcube.wallspace import (
     Wall,
     Wallspace,
     max_transverse_families,
+    betwixt,
     separating,
     separation_count,
-    separation_index,
     validate,
+    wall_sides,
 )
 
 SEEDS = range(40)
@@ -93,16 +94,16 @@ def test_separation_count_matches_oracle():
 
 def test_betwixt_matches_oracle():
     for ws in spaces():
-        betwixt = separation_index(ws).betwixt
+        masks = ws.derived(betwixt)
         for x in ws.points:
             assert {ws.walls[pos].index
-                    for pos in bits(betwixt[ws.point_pos(x)])} == \
+                    for pos in bits(masks[ws.point_pos(x)])} == \
                 oracle_betwixt(ws, x)
 
 
 def test_wall_separates_walls_matches_oracle():
     for ws in spaces():
-        wall = separation_index(ws).wall
+        wall = ws.derived(wall_sides)
         idxs = ws.wall_indices()
         for i in idxs:
             for j in idxs:
