@@ -300,9 +300,16 @@ def loads(text):
 
 
 def input_digest(text):
-    import hashlib
-
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    # the interpreter's own SHA-256, as `random` reads its SHA-512: hashlib
+    # maps OpenSSL, which no command needs
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def artifact(payload, seed=None, caps=None, digest=None):

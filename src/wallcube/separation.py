@@ -29,6 +29,12 @@ def _wall_regions(ws):
             for w in ws.walls]
 
 
+def _region_owners(ws):
+    """Each point's mask of the walls whose region holds it, by position:
+    the transpose of `_wall_regions`.  Read through `ws.derived`."""
+    return owners(ws.derived(_wall_regions), len(ws.points))
+
+
 def _diameter(ws):
     return ws.metric.diameter()
 
@@ -52,12 +58,29 @@ class _Worst:
             self.d, self.witnesses = d, []
         self.witnesses.append(witness)
 
+    def scan(self, metric, source, owner, unsep, first, idxs):
+        """Add [first, idxs[k]] for each position k in the mask `unsep`, at
+        its `_distances` distance from `source`: inf when out of reach."""
+        for k, d in _distances(metric, source, owner, unsep).items():
+            if d >= self.d:
+                self.add(d, [first, idxs[k]])
+
     def result(self):
         """(t, witnesses at t, sorted): t is the least threshold such that
         distance > t implies separated, 0 when every item is separated."""
         if not self.witnesses:
             return 0, []
         return self.d, sorted(self.witnesses)
+
+    def report(self, ws, prop, parameters, notes=()):
+        """The Report at t: it holds iff nothing is unseparated or t lies
+        below the diameter, so an unseparated item out of reach (t = inf)
+        fails it."""
+        t, witnesses = self.result()
+        verdict = ("holds" if not witnesses or t < ws.derived(_diameter)
+                   else "fails")
+        return _report(prop, parameters, verdict, value=t,
+                       witnesses=witnesses, notes=notes)
 
 
 def _distances(metric, source, owner, todo):
@@ -167,11 +190,7 @@ def ball_ball_separation(ws, r):
             d = row[j]
             if d >= worst.d and not separating(bi, balls[j]):
                 worst.add(d, [names[i], names[j]])
-    m, witnesses = worst.result()
-    verdict = ("holds" if not witnesses or m < ws.derived(_diameter)
-               else "fails")
-    return _report("BallBall", {"r": r}, verdict, value=m,
-                   witnesses=witnesses)
+    return worst.report(ws, "BallBall", {"r": r})
 
 
 def compact_wall_separation(ws, K):
@@ -183,8 +202,8 @@ def compact_wall_separation(ws, K):
         raise WallcubeError("K must be nonempty")
     k_sides = sides(ws, kmask)
     wall = ws.derived(wall_sides)
-    owner = owners(ws.derived(_wall_regions), metric.n)
-    dist = _distances(metric, kmask, owner, (1 << len(ws.walls)) - 1)
+    dist = _distances(metric, kmask, ws.derived(_region_owners),
+                      (1 << len(ws.walls)) - 1)
     # least f: every wall with d >= f separated; f may sit just above the
     # worst unseparated distance
     worst = _Worst()
@@ -211,7 +230,7 @@ def wall_wall_separation(ws):
     wall = ws.derived(wall_sides)
     idxs = ws.wall_indices()
     regions = ws.derived(_wall_regions)
-    owner = owners(regions, metric.n)
+    owner = ws.derived(_region_owners)
     worst = _Worst()
     for a, wa in enumerate(wall):
         # the later walls no third wall separates from W_a; only their
@@ -220,14 +239,8 @@ def wall_wall_separation(ws):
         for b in range(a + 1, len(wall)):
             if not separating(wa, wall[b]) & ~(1 << a | 1 << b):
                 unsep |= 1 << b
-        for b, d in _distances(metric, regions[a], owner, unsep).items():
-            if d >= worst.d:
-                worst.add(d, [idxs[a], idxs[b]])
-    D, witnesses = worst.result()
-    verdict = ("holds" if not witnesses or D < ws.derived(_diameter)
-               else "fails")
-    return _report("WallWall", {}, verdict, value=D,
-                   witnesses=witnesses, notes=[WALL_DISTANCE_NOTE])
+        worst.scan(metric, regions[a], owner, unsep, idxs[a], idxs)
+    return worst.report(ws, "WallWall", {}, [WALL_DISTANCE_NOTE])
 
 
 def subspace_separation(ws, Y, kind, r):
@@ -242,9 +255,13 @@ def subspace_separation(ws, Y, kind, r):
 
     The parent's open sides decide it (`wallspace.sides` of each set):
     for A ⊆ Y, the open sides of the induced wall, restricted to A, are
-    (U ∖ V) ∩ A and (V ∖ U) ∩ A, as for the parent wall; and an induced vacuous wall {Y, ∅}, which the
-    subwallspace drops, has an empty open side, so it separates no two
-    nonempty sets.
+    (U ∖ V) ∩ A and (V ∖ U) ∩ A, as for the parent wall; and an induced
+    vacuous wall {Y, ∅}, which the subwallspace drops, has an empty open
+    side, so it separates no two nonempty sets.
+
+    The value is the least s with: distance > s implies separated, as for
+    ball–ball and wall–wall.  An unseparated pair out of reach puts s at
+    inf, which no diameter bounds, so the report fails.
     """
     if kind not in ("BallWallNbd", "WallNbdWallNbd"):
         raise WallcubeError(f"unknown kind {kind}")
@@ -274,19 +291,16 @@ def subspace_separation(ws, Y, kind, r):
 
     def scan(a, later, witness):
         """Add the pairs of a with the nbds at the positions in `later`
-        that no wall separates; an empty set is separated from anything
-        ("any wall separates them"), and an infinite distance counts as 0."""
+        that no wall separates, at their distance, inf when out of reach;
+        an empty set is separated from anything ("any wall separates
+        them")."""
         unsep = 0
         if a[0]:
             for pos in bits(later):
                 b = nbds[pos]
                 if b[0] and not separating(a[1], b[1]):
                     unsep |= 1 << pos
-        dist = _distances(metric, a[0], owner, unsep)
-        for pos in bits(unsep):
-            d = 0 if dist[pos] == INF else dist[pos]
-            if d >= worst.d:
-                worst.add(d, [witness, idxs[pos]])
+        worst.scan(metric, a[0], owner, unsep, witness, idxs)
 
     full = (1 << len(idxs)) - 1
     if kind == "BallWallNbd":
@@ -295,12 +309,8 @@ def subspace_separation(ws, Y, kind, r):
     else:
         for x in range(len(idxs)):
             scan(nbds[x], full & ~((2 << x) - 1), idxs[x])
-    s, witnesses = worst.result()
-    verdict = ("holds" if not witnesses or s < ws.derived(_diameter)
-               else "fails")
-    return _report(kind, {"r": r, "Y": sorted(ws.names_of(ymask))},
-                   verdict, value=s, witnesses=witnesses,
-                   notes=[WALL_DISTANCE_NOTE])
+    return worst.report(ws, kind, {"r": r, "Y": sorted(ws.names_of(ymask))},
+                        [WALL_DISTANCE_NOTE])
 
 
 def bounded_packing_number(ws, subsets, D):

@@ -1291,7 +1291,7 @@ def oracle_subspace_separation(ws, Y, kind, r):
         d = dist_sets(metric, a[0], b[0])
         # an empty set is separated from anything ("any wall separates them")
         sep = not a[0] or not b[0] or bool(separating(a[1], b[1]))
-        return 0 if d == INF else d, sep, witness
+        return d, sep, witness
 
     nbds = [part(metric.ball(wall_region(ws, w.index), r)) for w in ws.walls]
     idxs = ws.wall_indices()

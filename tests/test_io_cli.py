@@ -69,6 +69,14 @@ def test_digest_and_artifact():
     assert art["seed"] == 7 and art["input_digest"] == d1
 
 
+@pytest.mark.parametrize("text", ["", "abc", "ℤ² and F₂: ∞ ≠ 0",
+                                  "x" * (1 << 20)],
+                         ids=["empty", "ascii", "non-ascii", "1MB"])
+def test_digest_is_sha256(text):
+    assert io.input_digest(text) == \
+        hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def test_dot_outputs_stable():
     from wallcube.complex import build_dual
     cc = build_dual(grid(1), "0,0")
@@ -487,6 +495,29 @@ def test_cli_diagnose(tmp_path):
     assert r2.exit_code == 0
     r3 = run_cli(["diagnose", path, "--property", "degree-profile"])
     assert json.loads(r3.stdout)["payload"]["dimension"] == 2
+
+
+# a-b and c-d, two components: W0 = ({a,b,c}, {c,d}), W1 = ({a}, {b,c,d})
+TWO_COMPONENTS = (
+    '{"points": ["a", "b", "c", "d"], "walls": ['
+    '{"index": 0, "left": ["a", "b", "c"], "right": ["c", "d"]}, '
+    '{"index": 1, "left": ["a"], "right": ["b", "c", "d"]}], '
+    '"metric": {"edges": [["a", "b", 1], ["c", "d", 1]]}}')
+
+
+@pytest.mark.parametrize("prop, witnesses", [
+    ("ball-wallnbd", [["b", 0], ["c", 1]]),
+    ("wallnbd-wallnbd", [[0, 1]]),
+    ("wall-wall", [[0, 1]]),
+])
+def test_cli_diagnose_an_unseparated_pair_out_of_reach(tmp_path, prop,
+                                                       witnesses):
+    # each threshold is inf, which no diameter bounds
+    path = write(tmp_path, "two.json", TWO_COMPONENTS)
+    r = run_cli(["diagnose", path, "--property", prop])
+    assert r.exit_code == 0 and '"value": Infinity' in r.stdout
+    rep = json.loads(r.stdout)["payload"]
+    assert (rep["verdict"], rep["witnesses"]) == ("fails", witnesses)
 
 
 def test_cli_diagnose_metric_required(tmp_path):

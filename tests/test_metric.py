@@ -359,11 +359,10 @@ ACT_SPEC = ('{"group": {"kind": "FreeAbelian", "d": 2}, "radius": 2, '
             '"peripheries": [{"kind": "coordinate", "coords": [0]}]}')
 
 
-# no command loads `dataclasses` or, through it, `inspect`; `hashlib` only
-# digests an input document
+# no command loads `dataclasses` or, through it, `inspect`, nor `hashlib`:
+# the input digest reads the interpreter's own SHA-256
 @pytest.mark.parametrize("args, unloaded", [
-    (["gen", "grid", "3"],
-     {"wallcube.groups", "wallcube.separation", "hashlib"}),
+    (["gen", "grid", "3"], {"wallcube.groups", "wallcube.separation"}),
     (["validate", "grid3.json"], {"wallcube.groups"}),
     (["build", "grid3.json"], {"wallcube.groups", "wallcube.separation"}),
     (["verify", "grid3.json"], {"wallcube.groups", "wallcube.separation"}),
@@ -371,7 +370,7 @@ ACT_SPEC = ('{"group": {"kind": "FreeAbelian", "d": 2}, "radius": 2, '
      {"wallcube.groups"}),
     (["act", "act.json"], {"wallcube.separation"}),
     (["sweep", "--generator", "grid", "--ns", "2,3"],
-     {"wallcube.groups", "wallcube.separation", "hashlib"}),
+     {"wallcube.groups", "wallcube.separation"}),
 ])
 def test_cli_command_imports_only_what_it_runs(tmp_path, args, unloaded):
     gen = run_python(CLI_MODULES, "gen", "grid", "3")
@@ -381,4 +380,19 @@ def test_cli_command_imports_only_what_it_runs(tmp_path, args, unloaded):
     assert r.returncode == 0, r.stderr
     loaded = set(r.stderr.split())
     assert "wallcube.cli" in loaded
-    assert not (unloaded | {"dataclasses", "inspect"}) & loaded
+    assert not (unloaded | {"dataclasses", "inspect", "hashlib"}) & loaded
+
+
+# and so maps no OpenSSL
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_reading_a_document_maps_no_openssl(tmp_path, command):
+    gen = run_python(CLI_MODULES, "gen", "grid", "3")
+    (tmp_path / "grid3.json").write_text(gen.stdout)
+    code = ("import sys\n"
+            "from wallcube.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    sys.stderr.write(str('_hashlib' in sys.modules))\n")
+    r = run_python(code, command, "grid3.json", cwd=tmp_path)
+    assert (r.returncode, r.stderr) == (0, "False")

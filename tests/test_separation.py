@@ -24,6 +24,7 @@ from conftest import (
     wall_region,
 )
 from wallcube import io
+from wallcube import separation as separation_module
 from wallcube.errors import MetricRequired, WallcubeError
 from wallcube.generators import fig3, geom_path, grid, rbad
 from wallcube.groups import (
@@ -35,7 +36,7 @@ from wallcube.groups import (
     cayley_ball,
     generate_hwall_system,
 )
-from wallcube.metric import INF, Metric
+from wallcube.metric import INF, Metric, owners
 from wallcube.separation import (
     _largest_fraction_at_most,
     _wall_regions,
@@ -256,6 +257,42 @@ def test_wall_wall_revalidates():
                            for k in idxs if k not in (i, j))
 
 
+def two_walls(edges):
+    """W0 = ({a,b,c}, {c,d}) and W1 = ({a}, {b,c,d}) on the graph `edges`."""
+    return Wallspace("abcd", [Wall(0, 0b0111, 0b1100),
+                              Wall(1, 0b0001, 0b1110)],
+                     metric=Metric.from_edges(4, edges))
+
+
+@pytest.mark.parametrize("edges, expected", [
+    # a-b and c-d: W0's carrier {c} and W1's frontiers {a, b} lie in
+    # different components, and no wall separates W0 from W1, nor {b}
+    # from {c} or {c} from {a, b}, so each threshold is inf
+    ([(0, 1, 1), (2, 3, 1)],
+     {"BallWallNbd": ("fails", INF, [["b", 0], ["c", 1]]),
+      "WallNbdWallNbd": ("fails", INF, [[0, 1]]),
+      "WallWall": ("fails", INF, [[0, 1]])}),
+    # the path a-b-c-d with the same walls: every pair is in reach
+    ([(0, 1, 1), (1, 2, 1), (2, 3, 1)],
+     {"BallWallNbd": ("holds", 1, [["b", 0], ["c", 1], ["d", 0]]),
+      "WallNbdWallNbd": ("holds", 1, [[0, 1]]),
+      "WallWall": ("holds", 1, [[0, 1]])}),
+], ids=["two-components", "path"])
+def test_an_unseparated_pair_out_of_reach_puts_the_threshold_at_inf(
+        edges, expected):
+    ws = two_walls(edges)
+    for diagnostics, args in (
+            ((subspace_separation, oracle_subspace_separation),
+             (ws.full, "BallWallNbd", 0)),
+            ((subspace_separation, oracle_subspace_separation),
+             (ws.full, "WallNbdWallNbd", 0)),
+            ((wall_wall_separation, oracle_wall_wall_separation), ())):
+        for diagnostic in diagnostics:
+            rep = diagnostic(ws, *args)
+            assert (rep.verdict, rep.value, rep.witnesses) == \
+                expected[rep.property]
+
+
 def test_subspace_separation_runs_and_revalidates():
     ws = grid(2)
     col = [p for p in ws.points if p.startswith("0,")]
@@ -304,6 +341,27 @@ def test_wall_regions_are_computed_once_per_wallspace(monkeypatch):
             subspace_separation(ws, ws.points, "BallWallNbd", 0)
         # no grid wall has a carrier: one frontier for each side
         assert len(calls) - before == 2 * ws.nwalls()
+
+
+def test_wall_region_owners_are_built_once_per_wallspace(monkeypatch):
+    # the transpose of the wall regions is a derived fact, not rebuilt by
+    # each compact-wall or wall-wall call
+    calls = []
+
+    def counted(masks, n):
+        calls.append(len(masks))
+        return owners(masks, n)
+
+    monkeypatch.setattr(separation_module, "owners", counted)
+    ball = cayley_ball(Free(2), 4)
+    hwalls, _meta = generate_hwall_system(ball, [
+        HWallSpec(CyclicSubgroup(Free(2), "a"), "branch", axis="a")])
+    for ws in (grid(7), hwalls):
+        before = len(calls)
+        compact_wall_separation(ws, ws.points[:1])
+        compact_wall_separation(ws, ws.points[-1:])
+        wall_wall_separation(ws)
+        assert calls[before:] == [ws.nwalls()]
 
 
 def test_packing_rows():
@@ -429,6 +487,49 @@ def test_separation_diagnostics_match_row_scans(data):
         kwargs = fit if new is linear_separation_fit else {}
         assert outcome(new, ws, *args, **kwargs) \
             == outcome(oracle, old, *args, **kwargs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_threshold_witnesses_lie_at_the_threshold(data):
+    # the least threshold from its definition, with each witness's distance
+    # read off the table: ball-ball, wall-wall and the subspace kinds ask
+    # distance > t to imply separated, so every unseparated witness lies at
+    # t, inf included; compact-wall asks distance >= f, so its witnesses
+    # lie below f unless no f exists; and an infinite t holds nothing
+    ws = data.draw(separation_inputs())
+    metric = ws.require_metric()
+    K = data.draw(st.integers(1, ws.full))
+    Y = data.draw(st.integers(1, ws.full))
+    r = data.draw(st.sampled_from([0, 1, 1.5, 2, INF]))
+    point = {p: 1 << i for i, p in enumerate(ws.points)}
+    region = {i: wall_region(ws, i) for i in ws.wall_indices()}
+
+    def nbd(mask):
+        """N_r(mask) ∩ Y, off the table."""
+        return sum(1 << q for q in range(metric.n)
+                   if mask and dist_sets(metric, mask, 1 << q) <= r) & Y
+
+    at_t = [
+        (ball_ball_separation, (r,),
+         lambda x, y: dist_sets(metric, point[x], point[y])),
+        (wall_wall_separation, (),
+         lambda i, j: dist_sets(metric, region[i], region[j])),
+        (subspace_separation, (Y, "BallWallNbd", r),
+         lambda x, i: dist_sets(metric, nbd(point[x]), nbd(region[i]))),
+        (subspace_separation, (Y, "WallNbdWallNbd", r),
+         lambda i, j: dist_sets(metric, nbd(region[i]), nbd(region[j])))]
+    for diagnostic, args, distance in at_t:
+        try:
+            rep = diagnostic(ws, *args)
+        except WallcubeError:
+            continue
+        assert all(distance(*w) == rep.value for w in rep.witnesses)
+        assert rep.verdict == "fails" or rep.value < INF or not rep.witnesses
+    rep = compact_wall_separation(ws, K)
+    assert all(dist_sets(metric, K, region[i]) < rep.value
+               or rep.value == INF for i, in rep.witnesses)
+    assert rep.verdict == "fails" or rep.value < INF or not rep.witnesses
 
 
 def test_subspace_separation_matches_the_oracle_on_hand_cases():
